@@ -5,7 +5,7 @@ uncompacted regions and prints the two Gaussians each sector carries.
 """
 import numpy as np
 
-from layup.sheet_state import build_state, extract_regions
+from layup.sheet_state import extract_regions, state_from_regions
 from layup.simulator import GroundTruthParams, builtin_sheet, init_sheet, render_capture
 
 params = GroundTruthParams()
@@ -28,7 +28,7 @@ for ell, grp in zip(ellipses, groups):
           f"  a={ell.a:5.1f}  b={ell.b:5.1f}  theta={np.degrees(ell.theta):6.1f} deg"
           f"  mean h={ell.mean_height:4.2f}  ({len(grp)} points)")
 
-state = build_state(frame, sheet.geometry, params.h_min, params.link_radius)
+state = state_from_regions(groups, ellipses, sheet.geometry, frame.t)
 print("\nper-sector summary (sectors are 45-degree wedges, 1 starts at +x):")
 for s in state.sectors:
     if s.is_sentinel:

@@ -320,25 +320,3 @@ def propagate(state: SheetState, action: Action, model: EffectivenessModel,
                                            mu2=mu2, sigma2=sigma2,
                                            sample_count=sg.sample_count))
     return SheetState(geometry=state.geometry, sectors=new_sectors, t=state.t + 1)
-
-
-def trace_total(state: SheetState) -> float:
-    """Summed covariance diagonals over all sectors."""
-    return float(sum(np.trace(s.sigma1) + np.trace(s.sigma2) for s in state.sectors))
-
-
-def effectiveness_score(action: Action, state: SheetState,
-                        model: EffectivenessModel, cfg,
-                        after: SheetState | None = None) -> float:
-    """Expected one-step merit of an action; lower is better.
-
-    Utility change of the propagated state plus a weighted uncertainty term:
-    the summed change of the covariance diagonals, scaled by cfg.w_sigma.
-    Callers that already propagated the state may pass it as `after`.
-    """
-    from .search import state_utility  # local import: search builds on this module
-
-    if after is None:
-        after = propagate(state, action, model, mode="expectation")
-    d_trace = trace_total(after) - trace_total(state)
-    return state_utility(after, cfg) - state_utility(state, cfg) + cfg.w_sigma * d_trace

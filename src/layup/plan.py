@@ -20,6 +20,7 @@ satisfied by adjacency. Plans with no alpha satisfy the constraint vacuously.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -280,14 +281,18 @@ def prefix_feasible(prefix, cs: ConstraintSet, horizon: int) -> bool:
 
     Exhaustive over kind-extensions while at most 6 slots remain (constraints
     never look at action arguments); beyond that a necessary-condition screen
-    runs instead: relative constraints already broken by placed actions are
-    final, exceeded exact/upper counts are final, and the outstanding
-    lower-bound counts (plus the earlier-occurrence kinds they drag in) must
-    fit in the remaining slots.
+    runs instead: the outstanding requirements (see `outstanding`) must exist
+    and fit in the remaining slots. Answers are memoized per
+    (kinds, constraint set, horizon).
     """
     kinds = _as_kinds(prefix)
     if horizon < len(kinds):
         raise ValueError(f"horizon {horizon} shorter than prefix of length {len(kinds)}")
+    return _kinds_feasible(kinds, cs, horizon)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _kinds_feasible(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
     if horizon - len(kinds) <= _EXACT_FEASIBILITY_WINDOW:
         return _feasible_exact(kinds, cs, horizon)
     return _feasible_screen(kinds, cs, horizon)
@@ -299,54 +304,56 @@ def _as_kinds(prefix) -> tuple[str, ...]:
     return tuple(a.kind if isinstance(a, Action) else str(a) for a in prefix)
 
 
-def _feasible_exact(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
-    if _kinds_valid(kinds, cs):
-        return True
-    if len(kinds) >= horizon:
-        return False
-    # a relative break among placed actions is final (beta must precede alpha),
-    # as is an exceeded '=' or '<' count: prune such subtrees outright
-    for c in cs.rel:
-        if _first_rel_violation_pos(kinds, c) is not None:
-            return False
-    for c in cs.abs:
-        if c.gamma in ("=", "<"):
-            count = sum(1 for k in kinds if k == c.alpha)
-            if (c.gamma == "=" and count > c.lam) or (c.gamma == "<" and count >= c.lam):
-                return False
-    return any(_feasible_exact(kinds + (k,), cs, horizon) for k in ACTION_KINDS)
+def outstanding(kinds: tuple[str, ...], cs: ConstraintSet) -> dict[str, int] | None:
+    """What any extension of the prefix must still add, as {kind: count}.
 
-
-def _feasible_screen(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
+    None when no extension can help: a relative constraint is already broken
+    by placed actions (its beta would have to precede them), or an '=' or
+    '<' count is already exceeded. Otherwise the unmet '=' and '>' counts,
+    plus one beta for every relative constraint whose alpha is still
+    required while no beta has been placed (pulled in transitively). The
+    counts are lower bounds: gap relations may demand more.
+    """
     counts = {k: 0 for k in ACTION_KINDS}
     for k in kinds:
         counts[k] += 1
-    # relative constraints over already-placed alphas are decided for good
     for c in cs.rel:
         if _first_rel_violation_pos(kinds, c) is not None:
-            return False
+            return None
     needed = {}
     for c in cs.abs:
         have = counts[c.alpha]
         if c.gamma == "=":
             if have > c.lam:
-                return False
+                return None
             needed[c.alpha] = max(needed.get(c.alpha, 0), c.lam - have)
         elif c.gamma == "<":
             if have >= c.lam:
-                return False
+                return None
         else:  # '>'
             needed[c.alpha] = max(needed.get(c.alpha, 0), c.lam + 1 - have)
     needed = {k: v for k, v in needed.items() if v > 0}
-    # a future alpha needs some earlier beta; pull missing betas in transitively
     changed = True
     while changed:
         changed = False
         for c in cs.rel:
-            if needed.get(c.alpha, 0) > 0 and counts[c.beta] == 0 and c.beta not in needed:
+            if c.alpha in needed and counts[c.beta] == 0 and c.beta not in needed:
                 needed[c.beta] = 1
                 changed = True
-    return sum(needed.values()) <= horizon - len(kinds)
+    return needed
+
+
+def _feasible_exact(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
+    if _kinds_valid(kinds, cs):
+        return True
+    if len(kinds) >= horizon or outstanding(kinds, cs) is None:
+        return False
+    return any(_feasible_exact(kinds + (k,), cs, horizon) for k in ACTION_KINDS)
+
+
+def _feasible_screen(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
+    needed = outstanding(kinds, cs)
+    return needed is not None and sum(needed.values()) <= horizon - len(kinds)
 
 
 _LINE_RE = re.compile(r"^\(\s*([A-Za-z]+)\s*(?:,\s*([0-9]*)\s*)?\)$")

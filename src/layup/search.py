@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import logging
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import plan as plan_mod
-from .effectiveness import EffectivenessModel, effectiveness_score, propagate
+from .effectiveness import EffectivenessModel, propagate
 from .geometry import (PathGeometry, clamp_into_polygon, nearest_boundary_point,
                        ray_exit_point, unit_vector, ROLLER_HALF_WIDTH_DEFAULT)
 from .plan import (Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
@@ -79,12 +79,18 @@ class SearchConfig:
         obj = dict(obj)
         if obj.pop("version", 1) != 1:
             raise ValueError("unsupported search config version")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown search config key(s): {', '.join(unknown)}")
         return cls(**obj)
 
     @classmethod
     def load(cls, path) -> "SearchConfig":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
 
 def action_cost(action: Action, cfg: SearchConfig) -> float:
@@ -106,11 +112,19 @@ def state_utility(state: SheetState, cfg: SearchConfig) -> float:
     return float(total / state.geometry.area)
 
 
+def trace_total(state: SheetState) -> float:
+    """Summed covariance diagonals over all sectors."""
+    return float(sum(np.trace(s.sigma1) + np.trace(s.sigma2) for s in state.sectors))
+
+
 @dataclass
 class SearchNode:
     state: SheetState
     prefix: tuple[Action, ...]
     cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
+    utility: float    # state_utility(state)
+    trace: float      # trace_total(state)
+    score: float = 0.0  # one-step merit of the last action from the parent state
     unmodeled: int = 0
 
     @property
@@ -118,36 +132,16 @@ class SearchNode:
         return bool(self.prefix) and self.prefix[-1].kind == "end"
 
 
+def root_node(state: SheetState, cfg: SearchConfig) -> SearchNode:
+    """The empty-prefix node the search starts from."""
+    return SearchNode(state=state, prefix=(), cost=0.0,
+                      utility=state_utility(state, cfg), trace=trace_total(state))
+
+
 def _action_order(action: Action) -> tuple[int, int]:
     if action.kind == "path":
         return (0, action.arg)
     return (_KIND_ORDER[action.kind], 0)
-
-
-@dataclass
-class _Candidate:
-    action: Action
-    score: float
-    after: SheetState
-    modeled: bool
-
-    @property
-    def order(self):
-        return _action_order(self.action)
-
-
-class _FeasibilityCache:
-    def __init__(self, cs: ConstraintSet, horizon: int):
-        self.cs = cs
-        self.horizon = horizon
-        self._memo: dict[tuple[str, ...], bool] = {}
-
-    def ok(self, kinds: tuple[str, ...]) -> bool:
-        hit = self._memo.get(kinds)
-        if hit is None:
-            hit = prefix_feasible(kinds, self.cs, self.horizon)
-            self._memo[kinds] = hit
-        return hit
 
 
 def _propagate(state, action, model, cfg: SearchConfig, position: int) -> SheetState:
@@ -157,128 +151,113 @@ def _propagate(state, action, model, cfg: SearchConfig, position: int) -> SheetS
     return propagate(state, action, model, mode="sampled", seed=mix)
 
 
+def _child(node: SearchNode, action: Action, model: EffectivenessModel,
+           cfg: SearchConfig) -> SearchNode:
+    """Propagate one action from the node and price the new state, once."""
+    after = _propagate(node.state, action, model, cfg, len(node.prefix) + 1)
+    utility = state_utility(after, cfg)
+    trace = trace_total(after)
+    cost = node.cost + action_cost(action, cfg) + utility
+    unmodeled = node.unmodeled
+    if not model.covers(action):
+        cost += cfg.w_unk
+        unmodeled += 1
+    return SearchNode(state=after, prefix=node.prefix + (action,), cost=cost,
+                      utility=utility, trace=trace,
+                      score=utility - node.utility + cfg.w_sigma * (trace - node.trace),
+                      unmodeled=unmodeled)
+
+
+def effectiveness_score(action: Action, state: SheetState,
+                        model: EffectivenessModel, cfg: SearchConfig) -> float:
+    """Expected one-step merit of an action; lower is better.
+
+    Utility change of the propagated state (propagated as the search does,
+    in cfg.mode) plus a weighted uncertainty term: the summed change of the
+    covariance diagonals, scaled by cfg.w_sigma.
+    """
+    return _child(root_node(state, cfg), action, model, cfg).score
+
+
+def _refinement_action(state: SheetState) -> Action:
+    return plan_mod.refinement(max(1, sum(1 for s in state.sectors if not s.is_sentinel)))
+
+
 def _candidate_actions(state: SheetState, cfg: SearchConfig) -> list[Action]:
     acts = [plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
-    n_r = max(1, sum(1 for s in state.sectors if not s.is_sentinel))
-    acts += [plan_mod.peel(), plan_mod.capture(), plan_mod.refinement(n_r), plan_mod.end()]
+    acts += [plan_mod.peel(), plan_mod.capture(), _refinement_action(state), plan_mod.end()]
     return acts
 
 
-def _scored_candidates(node: SearchNode, model, cs, cfg,
-                       cache: _FeasibilityCache | None = None) -> list[_Candidate]:
+def _children(node: SearchNode, model, cs, cfg) -> list[SearchNode]:
+    # every feasible child, best one-step score first
     if node.terminal or len(node.prefix) >= cfg.horizon:
         return []
-    cache = cache or _FeasibilityCache(cs, cfg.horizon)
     kinds = tuple(a.kind for a in node.prefix)
-    out = []
-    for action in _candidate_actions(node.state, cfg):
-        if not cache.ok(kinds + (action.kind,)):
-            continue
-        after = _propagate(node.state, action, model, cfg, len(node.prefix) + 1)
-        score = effectiveness_score(action, node.state, model, cfg, after=after)
-        out.append(_Candidate(action=action, score=score, after=after,
-                              modeled=model.covers(action)))
-    out.sort(key=lambda c: (c.score, c.order))
+    out = [_child(node, action, model, cfg) for action in _candidate_actions(node.state, cfg)
+           if prefix_feasible(kinds + (action.kind,), cs, cfg.horizon)]
+    out.sort(key=lambda c: (c.score, _action_order(c.prefix[-1])))
     return out
 
 
-def _child(node: SearchNode, cand: _Candidate, cfg: SearchConfig) -> SearchNode:
-    cost = node.cost + action_cost(cand.action, cfg) + state_utility(cand.after, cfg)
-    unmodeled = node.unmodeled
-    if not cand.modeled:
-        cost += cfg.w_unk
-        unmodeled += 1
-    return SearchNode(state=cand.after, prefix=node.prefix + (cand.action,),
-                      cost=cost, unmodeled=unmodeled)
-
-
 def expand(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
-           cfg: SearchConfig, cache: _FeasibilityCache | None = None) -> list[SearchNode]:
+           cfg: SearchConfig) -> list[SearchNode]:
     """The best `branching` feasible children, ranked by expected merit.
 
     Ties break on action order: ascending path index, then peel, capture,
     refinement, end. Terminal nodes (ending in `end`, or at the horizon)
     expand to nothing.
     """
-    cands = _scored_candidates(node, model, cs, cfg, cache)
-    return [_child(node, c, cfg) for c in cands[:cfg.branching]]
+    return _children(node, model, cs, cfg)[:cfg.branching]
 
 
 def lookahead_value(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
-                    cfg: SearchConfig, depth: int | None = None,
-                    cache: _FeasibilityCache | None = None) -> float:
+                    cfg: SearchConfig, depth: int | None = None) -> float:
     """Cheapest (accumulated cost + utility) among the subtree's leaves."""
     if depth is None:
         depth = cfg.depth
-    if depth <= 0 or node.terminal:
-        return node.cost + state_utility(node.state, cfg)
-    children = expand(node, model, cs, cfg, cache)
+    children = expand(node, model, cs, cfg) if depth > 0 else []
     if not children:
-        return node.cost + state_utility(node.state, cfg)
-    return min(lookahead_value(c, model, cs, cfg, depth - 1, cache) for c in children)
+        return node.cost + node.utility
+    return min(lookahead_value(c, model, cs, cfg, depth - 1) for c in children)
 
 
-def _needed_suffix_kinds(kinds: tuple[str, ...], cs: ConstraintSet) -> list[str]:
-    counts = {k: 0 for k in plan_mod.ACTION_KINDS}
-    for k in kinds:
-        counts[k] += 1
-    needed = {}
-    for c in cs.abs:
-        if c.gamma == "=":
-            needed[c.alpha] = max(needed.get(c.alpha, 0), c.lam - counts[c.alpha])
-        elif c.gamma == ">":
-            needed[c.alpha] = max(needed.get(c.alpha, 0), c.lam + 1 - counts[c.alpha])
-    changed = True
-    while changed:
-        changed = False
-        for c in cs.rel:
-            if needed.get(c.alpha, 0) > 0 and counts[c.beta] == 0 and not needed.get(c.beta):
-                needed[c.beta] = 1
-                changed = True
-    order = ("path", "peel", "refinement", "capture", "end")
-    out = []
-    for kind in order:
-        out.extend([kind] * needed.get(kind, 0))
-    return out
+_SUFFIX_ORDER = ("path", "peel", "refinement", "capture", "end")
 
 
-def _instantiate(kind: str, node: SearchNode, model, cs, cfg,
-                 cache: _FeasibilityCache) -> Action:
+def _needed_suffix_kinds(kinds: tuple[str, ...], cs: ConstraintSet) -> list[str] | None:
+    """The outstanding requirements in canonical order; None when none can help."""
+    needed = plan_mod.outstanding(kinds, cs)
+    if needed is None:
+        return None
+    return [kind for kind in _SUFFIX_ORDER for _ in range(needed.get(kind, 0))]
+
+
+def _suffix_child(kind: str, node: SearchNode, model, cs, cfg) -> SearchNode:
     if kind == "path":
-        best = None
-        for cand in _scored_candidates(node, model, cs, cfg, cache):
-            if cand.action.kind == "path":
-                best = cand.action
-                break
-        return best or plan_mod.path(1)
+        # the best-scoring feasible path, path 1 when none is feasible
+        for child in _children(node, model, cs, cfg):
+            if child.prefix[-1].kind == "path":
+                return child
+        return _child(node, plan_mod.path(1), model, cfg)
     if kind == "refinement":
-        n_r = max(1, sum(1 for s in node.state.sectors if not s.is_sentinel))
-        return plan_mod.refinement(n_r)
-    return Action(kind)
+        return _child(node, _refinement_action(node.state), model, cfg)
+    return _child(node, Action(kind), model, cfg)
 
 
-def _complete(node: SearchNode, model, cs, cfg, cache, audit: list) -> SearchNode:
+def _complete(node: SearchNode, model, cs, cfg, audit: list) -> SearchNode:
     """Append the shortest constraint-satisfying suffix (canonical ordering)."""
     kinds = tuple(a.kind for a in node.prefix)
-    suffix_kinds = _needed_suffix_kinds(kinds, cs)
-    if not plan_mod._kinds_valid(kinds + tuple(suffix_kinds), cs):
+    needed = suffix_kinds = _needed_suffix_kinds(kinds, cs)
+    if needed is not None and not plan_mod._kinds_valid(kinds + tuple(needed), cs):
         suffix_kinds = _search_suffix(kinds, cs)
-        if suffix_kinds is None:
-            attempt = kinds + tuple(_needed_suffix_kinds(kinds, cs))
-            plan_attempt = DrapingPlan(
-                tuple(Action(k) if k not in ("path", "refinement") else
-                      (plan_mod.path(1) if k == "path" else plan_mod.refinement(1))
-                      for k in attempt) or (plan_mod.end(),), name="attempt")
-            violations = validate(plan_attempt, cs)
-            binding = violations[0] if violations else "unknown constraint"
-            raise SearchError(f"no valid completion within the horizon; binding: {binding}")
+    if suffix_kinds is None:
+        why = ("a placed action already breaks a constraint" if needed is None
+               else f"outstanding: {', '.join(needed) or 'gap relations only'}")
+        raise SearchError(f"no valid completion within the horizon; {why}")
     for kind in suffix_kinds:
-        action = _instantiate(kind, node, model, cs, cfg, cache)
-        after = _propagate(node.state, action, model, cfg, len(node.prefix) + 1)
-        cand = _Candidate(action=action, score=0.0, after=after,
-                          modeled=model.covers(action))
-        node = _child(node, cand, cfg)
-        audit.append({"step": len(node.prefix), "action": str(action),
+        node = _suffix_child(kind, node, model, cs, cfg)
+        audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
                       "mode": "suffix", "cost": node.cost})
     return node
 
@@ -286,14 +265,13 @@ def _complete(node: SearchNode, model, cs, cfg, cache, audit: list) -> SearchNod
 def _search_suffix(kinds: tuple[str, ...], cs: ConstraintSet,
                    max_extra: int = 6) -> list[str] | None:
     # breadth-first over kind sequences, canonical candidate order
-    order = ("path", "peel", "refinement", "capture", "end")
     frontier = [()]
     for _ in range(max_extra + 1):
         next_frontier = []
         for suffix in frontier:
             if plan_mod._kinds_valid(kinds + suffix, cs):
                 return list(suffix)
-            for kind in order:
+            for kind in _SUFFIX_ORDER:
                 next_frontier.append(suffix + (kind,))
         frontier = next_frontier
     return None
@@ -308,34 +286,24 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
     cfg = cfg if cfg is not None else SearchConfig()
     if model.is_empty:
         raise SearchError("effectiveness model holds no data")
-    cache = _FeasibilityCache(cs, cfg.horizon)
-    if not cache.ok(()):
+    if not prefix_feasible((), cs, cfg.horizon):
         raise SearchError("constraints admit no plan at all within the horizon")
 
-    node = SearchNode(state=initial, prefix=(), cost=0.0)
+    node = root_node(initial, cfg)
     audit: list[dict] = []
     while not node.terminal:
-        if len(node.prefix) >= cfg.horizon:
-            node = _complete(node, model, cs, cfg, cache, audit)
+        children = _children(node, model, cs, cfg)
+        if not children or max(node.utility - c.utility for c in children) < cfg.epsilon_conv:
+            node = _complete(node, model, cs, cfg, audit)
             break
-        cands = _scored_candidates(node, model, cs, cfg, cache)
-        if not cands:
-            node = _complete(node, model, cs, cfg, cache, audit)
-            break
-        f_now = state_utility(node.state, cfg)
-        best_improvement = max(f_now - state_utility(c.after, cfg) for c in cands)
-        if best_improvement < cfg.epsilon_conv:
-            node = _complete(node, model, cs, cfg, cache, audit)
-            break
-        children = [_child(node, c, cfg) for c in cands[:cfg.branching]]
-        values = [lookahead_value(ch, model, cs, cfg, cache=cache) for ch in children]
-        ranked = sorted(zip(values, children, cands[:cfg.branching]),
-                        key=lambda t: (t[0], _action_order(t[1].prefix[-1])))
-        value, node, cand = ranked[0]
-        audit.append({"step": len(node.prefix), "action": str(cand.action),
-                      "score": cand.score, "lookahead": value,
-                      "alternatives": [[str(c.action), c.score, float(v)]
-                                       for v, _, c in ranked[1:]],
+        top = children[:cfg.branching]
+        values = [lookahead_value(ch, model, cs, cfg) for ch in top]
+        ranked = sorted(zip(values, top), key=lambda t: (t[0], _action_order(t[1].prefix[-1])))
+        value, node = ranked[0]
+        audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
+                      "score": node.score, "lookahead": value,
+                      "alternatives": [[str(c.prefix[-1]), c.score, float(v)]
+                                       for v, c in ranked[1:]],
                       "mode": "committed", "cost": node.cost})
 
     refined = DrapingPlan(actions=node.prefix, name=name)
@@ -373,7 +341,7 @@ def generate_refinement_paths(state: SheetState, n: int, geom: SheetGeometry,
     the sector's mean orientation, signed toward the nearest sheet edge,
     starting one major semi-axis behind the centroid and ending on the
     boundary. With nothing left to fix, n harmless center-to-edge sweeps are
-    returned (and flagged in the log).
+    returned and a warning is emitted through the `logging` module.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .geometry import fold_axial, point_in_polygon, polygon_area, polygon_is_simple
@@ -72,6 +74,8 @@ class CaptureFrame:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
             raise ValueError("points must be a non-empty (N, 3) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if np.any(pts[:, 2] < 0):
             raise ValueError("heights must be nonnegative")
         object.__setattr__(self, "points", pts)
@@ -203,24 +207,13 @@ def segment_regions(points: np.ndarray, link_radius: float = LINK_RADIUS_DEFAULT
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return []
-    tree = cKDTree(pts[:, :2])
-    parent = np.arange(len(pts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(r=link_radius):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(pts)):
-        groups.setdefault(find(idx), []).append(idx)
-    comps = [pts[np.array(ix)] for ix in groups.values()]
+    n = len(pts)
+    pairs = cKDTree(pts[:, :2]).query_pairs(r=link_radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    # a stable sort keeps input order inside each component
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(pts[order], np.cumsum(np.bincount(labels, minlength=count))[:-1])
     comps.sort(key=lambda g: (float(g[:, 0].min()), float(g[:, 1].min())))
     return comps
 
@@ -276,7 +269,14 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 def build_state(frame: CaptureFrame, geom: SheetGeometry,
                 h_min: float = H_MIN_DEFAULT,
                 link_radius: float = LINK_RADIUS_DEFAULT) -> SheetState:
-    """Derive the per-sector Gaussian summary for one capture.
+    """Derive the per-sector Gaussian summary for one capture."""
+    groups, ellipses = extract_regions(frame, h_min, link_radius)
+    return state_from_regions(groups, ellipses, geom, frame.t)
+
+
+def state_from_regions(groups: list[np.ndarray], ellipses: list[RegionEllipse],
+                       geom: SheetGeometry, t: int) -> SheetState:
+    """Per-sector Gaussian summary of segmented regions and their ellipses.
 
     Regions belong to the sector containing their centroid. G1 is fitted over
     per-region (centroid, mean height) samples weighted by region point
@@ -284,7 +284,6 @@ def build_state(frame: CaptureFrame, geom: SheetGeometry,
     region takes its point-level (x, y, h) moments for sigma1 and a zero
     sigma2; a sector with none is the compacted sentinel.
     """
-    groups, ellipses = extract_regions(frame, h_min, link_radius)
     per_sector: dict[int, list[int]] = {}
     for idx, ell in enumerate(ellipses):
         per_sector.setdefault(assign_sector(ell.centroid, geom), []).append(idx)
@@ -315,7 +314,7 @@ def build_state(frame: CaptureFrame, geom: SheetGeometry,
         sectors.append(SectorGaussians(sector=i, mu1=mu1, sigma1=sigma1,
                                        mu2=mu2, sigma2=sigma2,
                                        sample_count=len(idxs)))
-    return SheetState(geometry=geom, sectors=sectors, t=frame.t)
+    return SheetState(geometry=geom, sectors=sectors, t=t)
 
 
 def average_states(states: list[SheetState]) -> SheetState:

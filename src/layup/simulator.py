@@ -16,7 +16,7 @@ is exactly the systematic-plus-noise structure the effect learner feeds on.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .geometry import (PathGeometry, axial_difference, clamp_into_polygon,
                        ROLLER_HALF_WIDTH_DEFAULT)
 from .plan import Action, DrapingPlan, initial_plan_constraints, validate
 from .sheet_state import (CaptureFrame, SheetGeometry, SheetState, build_state,
-                          extract_regions, H_MIN_DEFAULT, LINK_RADIUS_DEFAULT)
+                          extract_regions, state_from_regions, H_MIN_DEFAULT,
+                          LINK_RADIUS_DEFAULT)
 
 GRID_PITCH_DEFAULT = 4.0  # mm between synthetic capture samples
 
@@ -97,6 +98,9 @@ class GroundTruthParams:
         obj = dict(obj)
         if obj.pop("version", 1) != 1:
             raise ValueError("unsupported params version")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown ground-truth key(s): {', '.join(unknown)}")
         for key in ("reduction_schedule", "region_major", "region_minor_frac", "region_height"):
             if key in obj:
                 obj[key] = tuple(obj[key])
@@ -109,7 +113,10 @@ class GroundTruthParams:
     @classmethod
     def load(cls, path) -> "GroundTruthParams":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -332,11 +339,11 @@ def run_correction(sim: SimState) -> tuple[int, int, bool]:
     paths = 0
     while cycles < p.correction_max_cycles:
         frame = render_capture(sim)
-        state = build_state(frame, geom, p.h_min, p.link_radius)
+        groups, ellipses = extract_regions(frame, p.h_min, p.link_radius)
+        state = state_from_regions(groups, ellipses, geom, frame.t)
         worst = max((s.mu1[2] for s in state.sectors if not s.is_sentinel), default=0.0)
         if worst <= p.correction_threshold:
             return cycles, paths, True
-        _, ellipses = extract_regions(frame, p.h_min, p.link_radius)
         offenders = [e for e in ellipses if e.mean_height > p.correction_threshold]
         for ell in offenders:
             centroid = clamp_into_polygon(ell.centroid, geom.polygon, margin=5.0)
@@ -485,22 +492,30 @@ def read_log(path) -> ExperimentLog:
             except json.JSONDecodeError as exc:
                 raise LogFormatError(f"{path}:{lineno}: {exc}") from exc
             if rec.get("type") == "step":
-                kind, arg = rec["action"]
-                steps.append(StepRecord(
-                    index=int(rec["index"]),
-                    action=Action(kind, arg if arg is None else int(arg)),
-                    state_before=SheetState.from_json(rec["state_before"]),
-                    state_after=SheetState.from_json(rec["state_after"]),
-                    capture_before=_capture_from_json(rec.get("capture_before")),
-                    capture_after=_capture_from_json(rec.get("capture_after"))))
+                try:
+                    kind, arg = rec["action"]
+                    steps.append(StepRecord(
+                        index=int(rec["index"]),
+                        action=Action(kind, arg if arg is None else int(arg)),
+                        state_before=SheetState.from_json(rec["state_before"]),
+                        state_after=SheetState.from_json(rec["state_after"]),
+                        capture_before=_capture_from_json(rec.get("capture_before")),
+                        capture_after=_capture_from_json(rec.get("capture_after"))))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise LogFormatError(f"{path}:{lineno}: bad step record "
+                                         f"({type(exc).__name__}: {exc})") from exc
             elif rec.get("type") == "summary":
-                summary = rec
+                summary, summary_line = rec, lineno
             else:
                 raise LogFormatError(f"{path}:{lineno}: unknown record type")
     if summary is None:
         raise LogFormatError(f"{path}: missing summary record")
-    return ExperimentLog(plan_name=summary["plan"], sheet=summary["sheet"],
-                         seed=int(summary["seed"]), steps=steps,
-                         correction_cycles=int(summary["correction_cycles"]),
-                         correction_paths=int(summary["correction_paths"]),
-                         correction_converged=bool(summary["correction_converged"]))
+    try:
+        return ExperimentLog(plan_name=summary["plan"], sheet=summary["sheet"],
+                             seed=int(summary["seed"]), steps=steps,
+                             correction_cycles=int(summary["correction_cycles"]),
+                             correction_paths=int(summary["correction_paths"]),
+                             correction_converged=bool(summary["correction_converged"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LogFormatError(f"{path}:{summary_line}: bad summary record "
+                             f"({type(exc).__name__}: {exc})") from exc

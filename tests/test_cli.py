@@ -256,3 +256,61 @@ class TestRunConfig:
         cfg = RunConfig.from_args(Args())
         assert cfg.sheet == "sheet2"
         assert cfg.seeds == (9,)
+
+
+class TestBadInput:
+    """Malformed input files exit 2 with a message naming the file, no traceback."""
+
+    def run_main(self, argv, capsys):
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def run_config(self, tmp_path, **entries):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({k: str(v) for k, v in entries.items()}))
+        return cfg_file
+
+    def test_unknown_search_config_key(self, tmp_path, capsys):
+        search_file = tmp_path / "search.json"
+        search_file.write_text(json.dumps({"version": 1, "branching": 2, "brnaching": 3}))
+        cfg_file = self.run_config(tmp_path, search=search_file)
+        code, err = self.run_main(["refine", tmp_path / "model.json", "--capture",
+                                   tmp_path / "cap.jsonl", "--config", cfg_file], capsys)
+        assert code == 2
+        assert "brnaching" in err and str(search_file) in err
+
+    def test_unknown_ground_truth_key(self, tmp_path, d1_file, capsys):
+        gt_file = tmp_path / "gt.json"
+        gt_file.write_text(json.dumps({"version": 1, "region_cnt": 3}))
+        cfg_file = self.run_config(tmp_path, ground_truth=gt_file)
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert "region_cnt" in err and str(gt_file) in err
+
+    @pytest.mark.parametrize("record, missing", [
+        ({"type": "step", "index": 1}, "action"),
+        ({"type": "summary", "version": 1}, "plan"),
+    ])
+    def test_log_record_missing_key(self, tmp_path, capsys, record, missing):
+        log_file = tmp_path / "bad.jsonl"
+        log_file.write_text(json.dumps(record) + "\n")
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert f"{log_file}:1:" in err and missing in err
+
+    def test_nan_capture_height(self, tmp_path, capsys):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps({
+            "version": 1, "sector_count": 8, "experiments": 1, "sheets": ["sheet1"],
+            "buckets": {"path|1|1": {"deltas": [[0, 0, -1.0, 0, 0, 0]],
+                                     "u1": [[-1, -1, -1]], "u2": [[-1, -1, -1]],
+                                     "sources": ["D1:1"]}}}))
+        cap_file = tmp_path / "cap.jsonl"
+        cap_file.write_text(json.dumps({"t": 0, "points": [[0.0, 0.0, float("nan")]]}) + "\n")
+        code, err = self.run_main(["refine", model_file, "--capture", cap_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert f"{cap_file}:1:" in err and "finite" in err

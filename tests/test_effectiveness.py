@@ -5,10 +5,10 @@ import pytest
 
 from layup.effectiveness import (DeltaVector, EffectivenessModel, SignMatrices,
                                  TransitionSample, aggregate, compute_delta,
-                                 compute_signs, effectiveness_score,
-                                 extract_transitions, propagate, trace_total)
+                                 compute_signs, extract_transitions, propagate)
 from layup.plan import Action, path, peel, expert_plan
-from layup.search import SearchConfig, state_utility, generate_refinement_paths
+from layup.search import (SearchConfig, effectiveness_score, generate_refinement_paths,
+                          state_utility, trace_total)
 from layup.sheet_state import SectorGaussians, SheetState
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 

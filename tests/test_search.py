@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from layup.effectiveness import (DeltaVector, EffectivenessModel,
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
                         validate)
-from layup.search import (SearchConfig, SearchError, SearchNode, action_cost,
-                          expand, generate_refinement_paths, lookahead_value,
-                          refine_plan, refine_plan_detailed, replay_cost,
+from layup.search import (SearchConfig, SearchError, action_cost, expand,
+                          generate_refinement_paths, lookahead_value, refine_plan,
+                          refine_plan_detailed, replay_cost, root_node,
                           state_utility)
 from layup.sheet_state import SectorGaussians, SheetState
 
@@ -142,7 +143,7 @@ class TestExpand:
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(0))
         cfg = small_cfg(branching=4, horizon=8)
-        node = SearchNode(state=state, prefix=(), cost=0.0)
+        node = root_node(state, cfg)
         children = expand(node, model, standard_constraints(), cfg)
         assert len(children) == 4
         assert all(c.prefix[-1].kind == "path" for c in children)
@@ -151,7 +152,7 @@ class TestExpand:
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(1))
         cfg = small_cfg(branching=30, horizon=8)
-        node = SearchNode(state=state, prefix=(path(1), capture()), cost=0.0)
+        node = replace(root_node(state, cfg), prefix=(path(1), capture()))
         children = expand(node, model, standard_constraints(), cfg)
         assert children  # something is feasible
         assert all(c.prefix[-1].kind != "capture" for c in children)
@@ -164,7 +165,7 @@ class TestExpand:
                 deltas[(path(i), s)] = np.array([0, 0, -1.0, 0, 0, 0.0])
         model = model_from_deltas(deltas)
         cfg = small_cfg(branching=2, horizon=8)
-        node = SearchNode(state=state, prefix=(), cost=0.0)
+        node = root_node(state, cfg)
         children = expand(node, model, SMALL_CS, cfg)
         assert [c.prefix[-1].arg for c in children] == [1, 2]
 
@@ -174,7 +175,7 @@ class TestLookahead:
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(2))
         cfg = small_cfg()
-        node = SearchNode(state=state, prefix=(path(1),), cost=3.5)
+        node = replace(root_node(state, cfg), prefix=(path(1),), cost=3.5)
         got = lookahead_value(node, model, SMALL_CS, cfg, depth=0)
         assert got == pytest.approx(3.5 + state_utility(state, cfg), abs=1e-12)
 
@@ -190,7 +191,7 @@ class TestLookahead:
                                 AbsConstraint("refinement", "<", 1),
                                 AbsConstraint("end", "<", 1)))
         cfg = small_cfg(path_count=1, horizon=6)
-        node = SearchNode(state=state, prefix=(), cost=0.0)
+        node = root_node(state, cfg)
         base = lookahead_value(node, model, cs, cfg, depth=0)
         assert lookahead_value(node, model, cs, cfg, depth=1) == \
             pytest.approx(base + 1.0, abs=1e-12)
@@ -201,7 +202,7 @@ class TestLookahead:
         for trial in range(3):
             model = random_small_model(rng)
             cfg = small_cfg()
-            node = SearchNode(state=state, prefix=(), cost=0.0)
+            node = root_node(state, cfg)
             got = lookahead_value(node, model, SMALL_CS, cfg, depth=cfg.horizon)
             want = brute_force_minimum(state, model, SMALL_CS, cfg)
             assert got == pytest.approx(want, abs=1e-9)
@@ -211,7 +212,7 @@ class TestLookahead:
         rng = np.random.default_rng(3)
         for trial in range(5):
             model = random_small_model(rng)
-            node = SearchNode(state=state, prefix=(), cost=0.0)
+            node = root_node(state, small_cfg())
             values = [lookahead_value(node, model, SMALL_CS,
                                       small_cfg(branching=bf, depth=3), depth=3)
                       for bf in (1, 2, 3, 10**6)]
@@ -298,6 +299,19 @@ class TestRefinePlan:
                                         AbsConstraint("end", "<", 1)))
         with pytest.raises(SearchError):
             refine_plan(state, model, impossible, SearchConfig(horizon=6))
+
+
+    def test_failed_completion_names_outstanding_kinds(self, two_sector_geom):
+        # end must come exactly two positions after a peel, so the canonical
+        # suffix (paths, peel, end) fails, and 10 kinds exceed what the
+        # breadth-first suffix search tries
+        state = two_sector_state(two_sector_geom)
+        model = random_small_model(np.random.default_rng(9))
+        cs = ConstraintSet(rel=(RelConstraint("end", "peel", "=", 2),),
+                           abs=(AbsConstraint("path", ">", 7), AbsConstraint("end", ">", 0)))
+        cfg = SearchConfig(path_count=4, horizon=20, epsilon_conv=math.inf)
+        with pytest.raises(SearchError, match=r"outstanding: (path, ){8}peel, end$"):
+            refine_plan(state, model, cs, cfg)
 
 
 class TestGenerateRefinementPaths:
