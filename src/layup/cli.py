@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .effectiveness import EffectivenessModel, aggregate, LogFormatError
 from .plan import (ConstraintSet, DrapingPlan, PlanParseError, emit_plan,
                    initial_plan_constraints, parse_plan, standard_constraints,
                    validate)
-from .search import (SearchConfig, SearchError, generate_refinement_paths,
+from .search import (SearchConfig, SearchError, SearchStats, generate_refinement_paths,
                      refine_plan_detailed)
 from .sheet_state import average_states, build_state, read_capture_frames
 from .simulator import (GroundTruthParams, PlanInvalidError, SimulationError,
@@ -54,8 +54,7 @@ class RunConfig:
             if raw.get("ground_truth"):
                 cfg.params = GroundTruthParams.load(raw["ground_truth"])
             if raw.get("constraints"):
-                with open(raw["constraints"]) as fh:
-                    cfg.constraints = ConstraintSet.from_json(json.load(fh))
+                cfg.constraints = ConstraintSet.load(raw["constraints"])
             if raw.get("search"):
                 cfg.search = SearchConfig.load(raw["search"])
             if raw.get("seeds"):
@@ -133,27 +132,44 @@ def cmd_refine(model_path, capture_path, cfg: RunConfig, name: str | None = None
                                         cfg.params.link_radius) for fr in frames])
     cs = cfg.constraints if cfg.constraints is not None else standard_constraints()
     plan_name = name or f"{REFINED_PREFIX}_{sheet.name}"
-    plan, audit = refine_plan_detailed(state, model, cs, cfg.search, name=plan_name)
+    stats = SearchStats()
+    plan, audit = refine_plan_detailed(state, model, cs, cfg.search, name=plan_name,
+                                       stats=stats)
     cfg.out.mkdir(parents=True, exist_ok=True)
     plan_path = cfg.out / f"{plan_name}.plan"
     emit_plan(plan, plan_path)
     with open(cfg.out / f"{plan_name}.audit.json", "w") as fh:
-        json.dump({"plan": plan_name, "steps": audit}, fh, indent=2)
+        json.dump({"plan": plan_name, "search": asdict(stats), "steps": audit},
+                  fh, indent=2)
     print(f"{plan_path}  actions={len(plan)} in_plan_paths={plan.path_equivalents}")
     return plan_path
 
 
+# the summary fields build_report reads, with their types
+_SUMMARY_FIELDS = {"sheet": str, "plan": str, "seed": int, "correction_cycles": int,
+                   "correction_paths": int, "total_paths": int, "in_plan_paths": int}
+
+
 def _read_summary(path) -> dict:
-    last = None
+    last, lineno = None, 0
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, start=1):
             if line.strip():
-                last = line
+                last, lineno = line, i
     if last is None:
         raise LogFormatError(f"{path}: empty log")
-    record = json.loads(last)
-    if record.get("type") != "summary":
-        raise LogFormatError(f"{path}: missing trailing summary record")
+    try:
+        record = json.loads(last)
+    except json.JSONDecodeError as exc:
+        raise LogFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not isinstance(record, dict) or record.get("type") != "summary":
+        raise LogFormatError(f"{path}:{lineno}: missing trailing summary record")
+    for key, kind in _SUMMARY_FIELDS.items():
+        if key not in record:
+            raise LogFormatError(f"{path}:{lineno}: summary record lacks {key!r}")
+        if not isinstance(record[key], kind) or isinstance(record[key], bool):
+            raise LogFormatError(f"{path}:{lineno}: summary field {key!r} "
+                                 f"must be {kind.__name__}")
     return record
 
 

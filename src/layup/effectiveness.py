@@ -11,7 +11,10 @@ peel, capture, end and refinement each share a single bucket.
 
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
-bucket's majority sign vote shrinks or grows the covariance diagonals.
+bucket's majority sign vote shrinks or grows the covariance diagonals. The
+search propagates through `propagate_batch`, which reads the table compiled
+into dense arrays (`EffectTable`); the per-sector `propagate` is the scalar
+reference the batched path is tested against, bit for bit.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from .geometry import axial_difference, fold_axial
 from .plan import Action
-from .sheet_state import SectorGaussians, SheetState
+from .sheet_state import SectorGaussians, SheetState, StateArrays
 
 COV_SHRINK = 0.9  # diagonal scale when the majority vote says uncertainty fell
 COV_GROW = 1.1    # ... and when it says uncertainty rose
@@ -170,6 +173,49 @@ class _Bucket:
         return _step(np.sum(self.u1, axis=0)), _step(np.sum(self.u2, axis=0))
 
 
+@dataclass(frozen=True)
+class EffectTable:
+    """A model's buckets compiled into dense arrays, one row per bucket key.
+
+    Per row and sector: the mean delta, the sample standard deviation, the
+    covariance scale np.outer(s, s) of each track (s is sqrt(1.1) on the
+    diagonals whose majority vote says grew, sqrt(0.9) elsewhere) and whether
+    the sector has data. The last row stands for every bucket key the model
+    never saw: no sector has data there.
+    """
+
+    rows: dict[tuple[str, int], int]  # bucket key -> row
+    mean: np.ndarray    # (n + 1, k, 6)
+    std: np.ndarray     # (n + 1, k, 6)
+    scale: np.ndarray   # (n + 1, k, 2, 3, 3)
+    has: np.ndarray     # (n + 1, k) bool
+    covers: np.ndarray  # (n + 1,) bool: some sector has data
+
+    def row(self, action: Action) -> int:
+        return self.rows.get(bucket_key(action), len(self.rows))
+
+
+def _compile(model: "EffectivenessModel") -> EffectTable:
+    keys = sorted({(kind, arg) for kind, arg, _ in model.table})
+    rows = {key: i for i, key in enumerate(keys)}
+    shape = (len(keys) + 1, model.sector_count)
+    mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
+    scale = np.ones(shape + (2, 3, 3))
+    has = np.zeros(shape, dtype=bool)
+    for (kind, arg, sector), b in model.table.items():
+        if b.count == 0:
+            continue
+        at = (rows[(kind, arg)], sector - 1)
+        mean[at] = b.mean
+        std[at] = np.sqrt(b.variance)
+        for track, majority in enumerate(b.majority_signs()):
+            s = np.sqrt(np.where(majority > 0, COV_GROW, COV_SHRINK))
+            scale[at + (track,)] = np.outer(s, s)
+        has[at] = True
+    return EffectTable(rows=rows, mean=mean, std=std, scale=scale, has=has,
+                       covers=has.any(axis=1))
+
+
 class EffectivenessModel:
     """Empirical per-(action bucket, sector) delta table with cached moments."""
 
@@ -180,12 +226,20 @@ class EffectivenessModel:
         self.table: dict[tuple[str, int, int], _Bucket] = {}
         self.experiments = 0
         self.sheets: list[str] = []
+        self._compiled: EffectTable | None = None
 
     def add_sample(self, sample: TransitionSample):
         if not (1 <= sample.sector <= self.sector_count):
             raise ValueError(f"sector {sample.sector} out of range")
         kind, arg = bucket_key(sample.action)
         self.table.setdefault((kind, arg, sample.sector), _Bucket()).add(sample)
+        self._compiled = None
+
+    def compiled(self) -> EffectTable:
+        """The dense tables, compiled on first use after the last added sample."""
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
 
     def bucket(self, action: Action, sector: int) -> _Bucket | None:
         kind, arg = bucket_key(action)
@@ -194,8 +248,8 @@ class EffectivenessModel:
 
     def covers(self, action: Action) -> bool:
         """True when at least one sector has data for this action's bucket."""
-        return any(self.bucket(action, i) is not None
-                   for i in range(1, self.sector_count + 1))
+        table = self.compiled()
+        return bool(table.covers[table.row(action)])
 
     def mean_delta(self, action: Action, sector: int) -> np.ndarray | None:
         b = self.bucket(action, sector)
@@ -231,6 +285,8 @@ class EffectivenessModel:
         model.sheets = list(obj.get("sheets", []))
         for key, raw in obj["buckets"].items():
             kind, arg, sector = key.split("|")
+            if not 1 <= int(sector) <= model.sector_count:
+                raise ValueError(f"bucket {key}: sector out of range")
             bucket = _Bucket()
             bucket.deltas = [np.array(d, dtype=float) for d in raw["deltas"]]
             bucket.u1 = [np.array(d, dtype=float) for d in raw["u1"]]
@@ -277,7 +333,9 @@ def propagate(state: SheetState, action: Action, model: EffectivenessModel,
               mode: str = "expectation", seed: int | None = None) -> SheetState:
     """Advance the internal state by the learned effect of one action.
 
-    Non-sentinel sectors move by the bucket mean delta ("expectation") or by
+    This per-sector version is the scalar reference that `propagate_batch`,
+    which the search uses, is tested against bit for bit. Non-sentinel
+    sectors move by the bucket mean delta ("expectation") or by
     mean plus zero-mean Gaussian noise with the bucket's sample variance
     ("sampled", reproducible under the seed). Heights and axes clamp at
     zero; orientations fold into [0, pi); a sector whose height and both
@@ -320,3 +378,40 @@ def propagate(state: SheetState, action: Action, model: EffectivenessModel,
                                            mu2=mu2, sigma2=sigma2,
                                            sample_count=sg.sample_count))
     return SheetState(geometry=state.geometry, sectors=new_sectors, t=state.t + 1)
+
+
+def propagate_batch(state: StateArrays, actions, model: EffectivenessModel,
+                    seeds=None) -> StateArrays:
+    """`propagate` of one state by each of A actions, as one batch of A states.
+
+    Expectation mode when `seeds` is None; otherwise sampled mode, action i
+    drawing its noise from `np.random.default_rng(seeds[i])`, one (6,) draw
+    per moved sector in sector order, as `propagate` draws them. Every
+    result equals `propagate`'s bit for bit.
+    """
+    if len(state.count) != model.sector_count:
+        raise ValueError(f"state has {len(state.count)} sectors, "
+                         f"the model {model.sector_count}")
+    table = model.compiled()
+    rows = [table.row(action) for action in actions]
+    live = state.count != 0
+    moved = table.has[rows] & live                  # (A, k)
+    delta = table.mean[rows]                        # (A, k, 6), a copy
+    if seeds is not None:
+        std = table.std[rows]
+        for i, seed in enumerate(seeds):
+            m = moved[i]
+            noise = np.random.default_rng(seed).standard_normal((int(m.sum()), 6))
+            delta[i, m] = delta[i, m] + noise * std[i, m]
+    mu = state.mu + delta
+    mu[..., 2:5] = np.where(mu[..., 2:5] > 0.0, mu[..., 2:5], 0.0)  # height, major, minor
+    theta = np.mod(mu[..., 5], np.pi)
+    mu[..., 5] = np.where(theta >= np.pi, 0.0, theta)  # fold_axial's fp edge
+    collapsed = moved & (mu[..., 2] == 0.0) & (mu[..., 3] == 0.0) & (mu[..., 4] == 0.0)
+    mu = np.where(moved[..., None], mu, state.mu)
+    sigma = np.where(moved[..., None, None, None], state.sigma * table.scale[rows],
+                     state.sigma)
+    dead = collapsed | ~live
+    mu[dead] = 0.0
+    sigma[dead] = 0.0
+    return StateArrays(mu=mu, sigma=sigma, count=np.where(dead, 0, state.count))

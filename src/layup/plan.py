@@ -21,6 +21,7 @@ satisfied by adjacency. Plans with no alpha satisfy the constraint vacuously.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass
 
@@ -165,8 +166,32 @@ class ConstraintSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstraintSet":
-        return cls(rel=tuple(RelConstraint(a, b, g, int(l)) for a, b, g, l in obj.get("rel", ())),
-                   abs=tuple(AbsConstraint(a, g, int(l)) for a, g, l in obj.get("abs", ())))
+        """Raises ValueError naming the list and index of a malformed record."""
+        if not isinstance(obj, dict):
+            raise ValueError("a constraint set must be a JSON object")
+        return cls(rel=_constraint_records(obj, "rel", RelConstraint, 4),
+                   abs=_constraint_records(obj, "abs", AbsConstraint, 3))
+
+    @classmethod
+    def load(cls, path) -> "ConstraintSet":
+        with open(path) as fh:
+            try:
+                return cls.from_json(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+
+
+def _constraint_records(obj: dict, key: str, kind: type, width: int) -> tuple:
+    # each record is [kinds..., relation, lambda]
+    out = []
+    for i, rec in enumerate(obj.get(key, ())):
+        try:
+            if not isinstance(rec, (list, tuple)) or len(rec) != width:
+                raise ValueError(f"expected a list of {width} fields")
+            out.append(kind(*rec[:-1], int(rec[-1])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key} record {i} {json.dumps(rec)}: {exc}") from exc
+    return tuple(out)
 
 
 def standard_constraints() -> ConstraintSet:

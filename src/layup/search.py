@@ -11,6 +11,11 @@ action is committed, the horizon is hit, or no single action can improve
 the state utility by more than the convergence threshold; the two latter
 cases append the shortest constraint-satisfying suffix, built in the
 canonical order path, peel, refinement, capture, end.
+
+Nodes hold their state as `StateArrays`. A node's feasible children are
+propagated together by `propagate_batch` and priced together by
+`price_batch`; `state_utility`, `trace_total` and `replay_cost` are the
+scalar references these are tested against.
 """
 from __future__ import annotations
 
@@ -22,12 +27,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import plan as plan_mod
-from .effectiveness import EffectivenessModel, propagate
+from .effectiveness import EffectivenessModel, propagate, propagate_batch
 from .geometry import (PathGeometry, clamp_into_polygon, nearest_boundary_point,
                        ray_exit_point, unit_vector, ROLLER_HALF_WIDTH_DEFAULT)
 from .plan import (Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    prefix_feasible, standard_constraints, validate)
-from .sheet_state import SheetGeometry, SheetState
+from .sheet_state import SheetGeometry, SheetState, StateArrays
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +106,10 @@ def action_cost(action: Action, cfg: SearchConfig) -> float:
 
 
 def state_utility(state: SheetState, cfg: SearchConfig) -> float:
-    """Residual-uncompaction price of a state, normalized by sheet area; lower is better."""
+    """Residual-uncompaction price of a state, normalized by sheet area; lower is better.
+
+    The scalar reference that `price_batch` is tested against bit for bit.
+    """
     total = 0.0
     for s in state.sectors:
         if s.is_sentinel:
@@ -113,17 +121,57 @@ def state_utility(state: SheetState, cfg: SearchConfig) -> float:
 
 
 def trace_total(state: SheetState) -> float:
-    """Summed covariance diagonals over all sectors."""
+    """Summed covariance diagonals over all sectors.
+
+    The scalar reference that `price_batch` is tested against bit for bit.
+    """
     return float(sum(np.trace(s.sigma1) + np.trace(s.sigma2) for s in state.sectors))
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    # row sums added left to right from 0.0, as the scalar loops add; np.sum
+    # adds pairwise for eight or more terms, which can change the last bit
+    total = np.zeros(terms.shape[0])
+    for column in terms.T:
+        total += column
+    return total
+
+
+def price_batch(states: StateArrays, area: float,
+                cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`state_utility` and `trace_total` of each state of a batch, bit for bit.
+
+    `states` carries a leading batch axis; `area` is the sheet area.
+    """
+    traces = np.trace(states.sigma, axis1=-2, axis2=-1)  # (A, k, 2)
+    sector_trace = traces[..., 0] + traces[..., 1]
+    h = states.mu[..., 2]
+    terms = np.stack([cfg.w_h * np.where(h > 0.0, h, 0.0),
+                      cfg.w_area * states.mu[..., 3] * states.mu[..., 4],
+                      cfg.w_sigma * sector_trace], axis=-1)
+    terms = np.where((states.count != 0)[..., None], terms, 0.0)  # sentinels add nothing
+    utility = _running_sum(terms.reshape(len(terms), -1)) / area
+    return utility, _running_sum(sector_trace)
+
+
+@dataclass
+class SearchStats:
+    """Work counts of one search; deterministic for given inputs."""
+
+    nodes_expanded: int = 0   # non-terminal nodes below the horizon whose children were listed
+    children_priced: int = 0  # child states propagated and priced
+    batch_calls: int = 0      # propagate_batch calls
 
 
 @dataclass
 class SearchNode:
-    state: SheetState
+    state: StateArrays
     prefix: tuple[Action, ...]
     cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
-    utility: float    # state_utility(state)
-    trace: float      # trace_total(state)
+    utility: float    # state_utility of the state
+    trace: float      # trace_total of the state
+    area: float       # sheet area, shared by every node of a search
+    stats: SearchStats  # shared by every node of a search
     score: float = 0.0  # one-step merit of the last action from the parent state
     unmodeled: int = 0
 
@@ -132,10 +180,15 @@ class SearchNode:
         return bool(self.prefix) and self.prefix[-1].kind == "end"
 
 
-def root_node(state: SheetState, cfg: SearchConfig) -> SearchNode:
-    """The empty-prefix node the search starts from."""
-    return SearchNode(state=state, prefix=(), cost=0.0,
-                      utility=state_utility(state, cfg), trace=trace_total(state))
+def root_node(state: SheetState, cfg: SearchConfig,
+              stats: SearchStats | None = None) -> SearchNode:
+    """The empty-prefix node the search starts from; its children count into `stats`."""
+    arrays = StateArrays.of(state)
+    area = state.geometry.area
+    (utility,), (trace,) = price_batch(StateArrays(*(a[None] for a in arrays)), area, cfg)
+    return SearchNode(state=arrays, prefix=(), cost=0.0, utility=float(utility),
+                      trace=float(trace), area=area,
+                      stats=stats if stats is not None else SearchStats())
 
 
 def _action_order(action: Action) -> tuple[int, int]:
@@ -144,28 +197,49 @@ def _action_order(action: Action) -> tuple[int, int]:
     return (_KIND_ORDER[action.kind], 0)
 
 
+def _sample_seed(cfg: SearchConfig, position: int, action: Action) -> int:
+    return zlib.crc32(f"{cfg.seed}|{position}|{action}".encode())
+
+
 def _propagate(state, action, model, cfg: SearchConfig, position: int) -> SheetState:
     if cfg.mode == "expectation":
         return propagate(state, action, model, mode="expectation")
-    mix = zlib.crc32(f"{cfg.seed}|{position}|{action}".encode())
-    return propagate(state, action, model, mode="sampled", seed=mix)
+    return propagate(state, action, model, mode="sampled",
+                     seed=_sample_seed(cfg, position, action))
+
+
+def _priced(node: SearchNode, actions: list[Action], model: EffectivenessModel,
+            cfg: SearchConfig) -> list[SearchNode]:
+    """Propagate each action from the node and price the new states, in one batch."""
+    if not actions:
+        return []
+    position = len(node.prefix) + 1
+    seeds = (None if cfg.mode == "expectation"
+             else [_sample_seed(cfg, position, action) for action in actions])
+    after = propagate_batch(node.state, actions, model, seeds)
+    utilities, traces = price_batch(after, node.area, cfg)
+    node.stats.batch_calls += 1
+    node.stats.children_priced += len(actions)
+    children = []
+    for i, (action, utility, trace) in enumerate(zip(actions, utilities.tolist(),
+                                                     traces.tolist())):
+        cost = node.cost + action_cost(action, cfg) + utility
+        unmodeled = node.unmodeled
+        if not model.covers(action):
+            cost += cfg.w_unk
+            unmodeled += 1
+        children.append(SearchNode(
+            state=StateArrays(after.mu[i], after.sigma[i], after.count[i]),
+            prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
+            area=node.area, stats=node.stats,
+            score=utility - node.utility + cfg.w_sigma * (trace - node.trace),
+            unmodeled=unmodeled))
+    return children
 
 
 def _child(node: SearchNode, action: Action, model: EffectivenessModel,
            cfg: SearchConfig) -> SearchNode:
-    """Propagate one action from the node and price the new state, once."""
-    after = _propagate(node.state, action, model, cfg, len(node.prefix) + 1)
-    utility = state_utility(after, cfg)
-    trace = trace_total(after)
-    cost = node.cost + action_cost(action, cfg) + utility
-    unmodeled = node.unmodeled
-    if not model.covers(action):
-        cost += cfg.w_unk
-        unmodeled += 1
-    return SearchNode(state=after, prefix=node.prefix + (action,), cost=cost,
-                      utility=utility, trace=trace,
-                      score=utility - node.utility + cfg.w_sigma * (trace - node.trace),
-                      unmodeled=unmodeled)
+    return _priced(node, [action], model, cfg)[0]
 
 
 def effectiveness_score(action: Action, state: SheetState,
@@ -179,11 +253,11 @@ def effectiveness_score(action: Action, state: SheetState,
     return _child(root_node(state, cfg), action, model, cfg).score
 
 
-def _refinement_action(state: SheetState) -> Action:
-    return plan_mod.refinement(max(1, sum(1 for s in state.sectors if not s.is_sentinel)))
+def _refinement_action(state: StateArrays) -> Action:
+    return plan_mod.refinement(max(1, int(np.count_nonzero(state.count))))
 
 
-def _candidate_actions(state: SheetState, cfg: SearchConfig) -> list[Action]:
+def _candidate_actions(state: StateArrays, cfg: SearchConfig) -> list[Action]:
     acts = [plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
     acts += [plan_mod.peel(), plan_mod.capture(), _refinement_action(state), plan_mod.end()]
     return acts
@@ -194,8 +268,12 @@ def _children(node: SearchNode, model, cs, cfg) -> list[SearchNode]:
     if node.terminal or len(node.prefix) >= cfg.horizon:
         return []
     kinds = tuple(a.kind for a in node.prefix)
-    out = [_child(node, action, model, cfg) for action in _candidate_actions(node.state, cfg)
-           if prefix_feasible(kinds + (action.kind,), cs, cfg.horizon)]
+    # constraints see kinds only, so one answer per kind serves all candidates
+    feasible = {kind: prefix_feasible(kinds + (kind,), cs, cfg.horizon)
+                for kind in plan_mod.ACTION_KINDS}
+    node.stats.nodes_expanded += 1
+    out = _priced(node, [action for action in _candidate_actions(node.state, cfg)
+                         if feasible[action.kind]], model, cfg)
     out.sort(key=lambda c: (c.score, _action_order(c.prefix[-1])))
     return out
 
@@ -280,8 +358,12 @@ def _search_suffix(kinds: tuple[str, ...], cs: ConstraintSet,
 def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
                          cs: ConstraintSet | None = None,
                          cfg: SearchConfig | None = None,
-                         name: str = "refined") -> tuple[DrapingPlan, list[dict]]:
-    """Commit-by-lookahead plan construction; returns the plan and an audit trail."""
+                         name: str = "refined",
+                         stats: SearchStats | None = None) -> tuple[DrapingPlan, list[dict]]:
+    """Commit-by-lookahead plan construction; returns the plan and an audit trail.
+
+    The search's work counts accumulate into `stats` when one is given.
+    """
     cs = cs if cs is not None else standard_constraints()
     cfg = cfg if cfg is not None else SearchConfig()
     if model.is_empty:
@@ -289,7 +371,7 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
     if not prefix_feasible((), cs, cfg.horizon):
         raise SearchError("constraints admit no plan at all within the horizon")
 
-    node = root_node(initial, cfg)
+    node = root_node(initial, cfg, stats)
     audit: list[dict] = []
     while not node.terminal:
         children = _children(node, model, cs, cfg)
@@ -321,12 +403,16 @@ def refine_plan(initial: SheetState, model: EffectivenessModel,
 
 def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
                 cfg: SearchConfig) -> tuple[float, SheetState]:
-    """Recompute a plan's accumulated cost from scratch (drift oracle for tests)."""
+    """Recompute a plan's accumulated cost from scratch with the scalar references.
+
+    Terms add in the search's order, so a committed node's cost equals this
+    replay's bit for bit.
+    """
     state = initial
     cost = 0.0
     for pos, action in enumerate(actions, start=1):
         state = _propagate(state, action, model, cfg, pos)
-        cost += action_cost(action, cfg) + state_utility(state, cfg)
+        cost = cost + action_cost(action, cfg) + state_utility(state, cfg)
         if not model.covers(action):
             cost += cfg.w_unk
     return cost, state

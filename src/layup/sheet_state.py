@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -173,6 +174,25 @@ class SheetState:
         return cls(geometry=SheetGeometry.from_json(obj["geometry"]),
                    sectors=[SectorGaussians.from_json(s) for s in obj["sectors"]],
                    t=int(obj["t"]))
+
+
+class StateArrays(NamedTuple):
+    """A state's sectors stacked into arrays, for batched propagation and pricing.
+
+    Row i is sector i + 1. A leading axis, when present, indexes a batch of
+    alternative states of the same sheet.
+    """
+
+    mu: np.ndarray     # (..., k, 6): mu1 then mu2 of each sector
+    sigma: np.ndarray  # (..., k, 2, 3, 3): sigma1 and sigma2 of each sector
+    count: np.ndarray  # (..., k): sample counts, 0 marking a sentinel
+
+    @classmethod
+    def of(cls, state: SheetState) -> "StateArrays":
+        return cls(mu=np.array([np.concatenate([s.mu1, s.mu2]) for s in state.sectors],
+                               dtype=float),
+                   sigma=np.array([[s.sigma1, s.sigma2] for s in state.sectors], dtype=float),
+                   count=np.array([s.sample_count for s in state.sectors]))
 
 
 def assign_sector(point, geom: SheetGeometry) -> int:

@@ -88,6 +88,10 @@ class TestRefine:
         assert sidecar.exists()
         audit = json.loads(sidecar.read_text())
         assert audit["steps"]
+        counts = audit["search"]
+        assert set(counts) == {"nodes_expanded", "children_priced", "batch_calls"}
+        assert all(type(v) is int and v > 0 for v in counts.values())
+        assert counts["children_priced"] >= counts["batch_calls"]
 
     def test_refine_deterministic(self, tmp_path, d1_file):
         cfg = run_cfg(tmp_path, seeds=(1, 2))
@@ -314,3 +318,26 @@ class TestBadInput:
                                    "--out", tmp_path / "o"], capsys)
         assert code == 2
         assert f"{cap_file}:1:" in err and "finite" in err
+
+    @pytest.mark.parametrize("last_line, named", [
+        (json.dumps({"type": "summary", "version": 1}), "sheet"),
+        (json.dumps({"type": "summary", "version": 1, "plan": "D1", "sheet": "sheet1",
+                     "seed": 0, "correction_cycles": 1, "correction_paths": 2,
+                     "in_plan_paths": 16}), "total_paths"),
+        ('{"type": "summary", "plan": ', "Expecting value"),
+    ], ids=["no-fields", "no-total-paths", "not-json"])
+    def test_report_bad_summary(self, tmp_path, capsys, last_line, named):
+        log_file = tmp_path / "bad.jsonl"
+        log_file.write_text(json.dumps({"type": "step", "index": 1}) + "\n" + last_line + "\n")
+        code, err = self.run_main(["report", log_file], capsys)
+        assert code == 2
+        assert f"{log_file}:2:" in err and named in err
+
+    def test_constraint_record_too_short(self, tmp_path, capsys):
+        cs_file = tmp_path / "cs.json"
+        cs_file.write_text(json.dumps({"rel": [["end", "path", ">"]]}))
+        cfg_file = self.run_config(tmp_path, constraints=cs_file)
+        code, err = self.run_main(["refine", tmp_path / "model.json", "--capture",
+                                   tmp_path / "cap.jsonl", "--config", cfg_file], capsys)
+        assert code == 2
+        assert str(cs_file) in err and "rel record 0" in err

@@ -5,11 +5,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from layup.effectiveness import (DeltaVector, EffectivenessModel,  # noqa: E402
+                                 SignMatrices, TransitionSample, propagate,
+                                 propagate_batch)
 from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E402
                         RelConstraint, _feasible_exact, _feasible_screen,
-                        _kinds_valid, prefix_feasible, standard_constraints)
-from layup.search import _needed_suffix_kinds  # noqa: E402
-from layup.sheet_state import segment_regions  # noqa: E402
+                        _kinds_valid, capture, end, path, peel, prefix_feasible,
+                        refinement, standard_constraints)
+from layup.search import (SearchConfig, _needed_suffix_kinds, price_batch,  # noqa: E402
+                          state_utility, trace_total)
+from layup.sheet_state import (SectorGaussians, SheetGeometry, SheetState,  # noqa: E402
+                               StateArrays, segment_regions)
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -87,3 +93,84 @@ def test_segment_regions_matches_single_linkage_oracle(pts, radius):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+# values that put the clamps, the collapse and fold_axial's edge within reach:
+# small heights and axes meet large negative deltas, and an orientation of 0
+# meets a tiny negative rotation, whose residue modulo pi rounds to pi;
+# negative values reach the utility's clamp in sectors left untouched
+SMALL_ST = st.sampled_from((-0.5, -0.0, 0.0, 1e-3, 0.4, 2.5, 40.0))
+THETA_ST = st.sampled_from((0.0, 1e-17, 1.0, np.pi / 2, 3.1))
+DELTAS = (0.0, -1e-17, -0.3, -50.0, 0.2, 1.7)
+BATCH_ACTIONS = (path(1), path(2), path(3), peel(), capture(), refinement(3), end())
+
+
+@st.composite
+def sectors(draw, sector):
+    kind = draw(st.sampled_from(("live", "live", "live", "sentinel", "stale")))
+    if kind == "sentinel":
+        return SectorGaussians.sentinel(sector)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m1 = rng.normal(size=(3, 3))
+    m2 = rng.normal(size=(3, 3))
+    # "stale": no samples, yet nonzero moments, which propagation must zero
+    return SectorGaussians(sector=sector,
+                           mu1=np.array([rng.normal() * 50, rng.normal() * 50, draw(SMALL_ST)]),
+                           sigma1=m1 @ m1.T,
+                           mu2=np.array([draw(SMALL_ST), draw(SMALL_ST), draw(THETA_ST)]),
+                           sigma2=m2 @ m2.T,
+                           sample_count=0 if kind == "stale" else draw(st.integers(1, 9)))
+
+
+@st.composite
+def states_and_models(draw):
+    k = draw(st.integers(2, 12))  # np.sum adds 8 or more terms pairwise
+    half = 100.0
+    geom = SheetGeometry(center=np.zeros(2), sector_count=k,
+                         polygon=np.array([[half, half], [-half, half],
+                                           [-half, -half], [half, -half]]))
+    state = SheetState(geom, [draw(sectors(i)) for i in range(1, k + 1)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = EffectivenessModel(sector_count=k)
+    for action in BATCH_ACTIONS[:-1]:  # end stays unseen
+        for sector in range(1, k + 1):
+            for _ in range(rng.integers(0, 4)):  # 0: sector without data
+                u1, u2 = rng.choice((-1.0, 1.0), size=(2, 3))
+                model.add_sample(TransitionSample(
+                    action, sector, DeltaVector(*rng.choice(DELTAS, size=6)),
+                    SignMatrices(np.diag(u1), np.diag(u2))))
+    return state, model
+
+
+def fingerprint(arrays: StateArrays) -> tuple:
+    return arrays.mu.tobytes(), arrays.sigma.tobytes(), arrays.count.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=states_and_models(), sampled=st.booleans(),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=len(BATCH_ACTIONS),
+                      max_size=len(BATCH_ACTIONS)))
+def test_propagate_batch_matches_scalar_bitwise(case, sampled, seeds):
+    state, model = case
+    batch = propagate_batch(StateArrays.of(state), BATCH_ACTIONS, model,
+                            seeds if sampled else None)
+    for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
+        want = propagate(state, action, model, mode="sampled" if sampled else "expectation",
+                         seed=seed)
+        got = StateArrays(batch.mu[i], batch.sigma[i], batch.count[i])
+        assert fingerprint(got) == fingerprint(StateArrays.of(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=states_and_models(),
+       weights=st.tuples(*(st.sampled_from((0.0, 0.002, 25.0, 2.4e5, 1.3)) for _ in range(3))))
+def test_price_batch_matches_scalar_bitwise(case, weights):
+    state, model = case
+    cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
+    scalar = [state] + [propagate(state, action, model) for action in BATCH_ACTIONS]
+    arrays = [StateArrays.of(s) for s in scalar]
+    batch = StateArrays(*(np.stack(field) for field in zip(*arrays)))
+    utility, trace = price_batch(batch, state.geometry.area, cfg)
+    assert [u.hex() for u in utility.tolist()] == \
+        [state_utility(s, cfg).hex() for s in scalar]
+    assert [t.hex() for t in trace.tolist()] == [trace_total(s).hex() for s in scalar]
