@@ -30,12 +30,12 @@ for ell, grp in zip(ellipses, groups):
 
 state = state_from_regions(groups, ellipses, sheet.geometry, frame.t)
 print("\nper-sector summary (sectors are 45-degree wedges, 1 starts at +x):")
-for s in state.sectors:
-    if s.is_sentinel:
-        print(f"  sector {s.sector}: compacted")
+for sector, (mu, count) in enumerate(zip(state.mu, state.count), start=1):
+    if count == 0:
+        print(f"  sector {sector}: compacted")
         continue
-    print(f"  sector {s.sector}: {s.sample_count} region(s)  "
-          f"centroid mean=({s.mu1[0]:7.1f}, {s.mu1[1]:7.1f})  "
-          f"mean h={s.mu1[2]:4.2f} mm  "
-          f"ellipse mean a={s.mu2[0]:5.1f} b={s.mu2[1]:5.1f} "
-          f"theta={np.degrees(s.mu2[2]):6.1f} deg")
+    print(f"  sector {sector}: {count} region(s)  "
+          f"centroid mean=({mu[0]:7.1f}, {mu[1]:7.1f})  "
+          f"mean h={mu[2]:4.2f} mm  "
+          f"ellipse mean a={mu[3]:5.1f} b={mu[4]:5.1f} "
+          f"theta={np.degrees(mu[5]):6.1f} deg")

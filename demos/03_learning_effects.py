@@ -37,8 +37,8 @@ print(header)
 for i in range(1, 17):
     cells = []
     for s in range(1, 9):
-        m = model.mean_delta(path(i), s)
-        cells.append(f"{m[2]:6.2f} " if m is not None else "   --  ")
+        bucket = model.bucket(path(i), s)
+        cells.append(f"{bucket.mean[2]:6.2f} " if bucket is not None else "   --  ")
     print(f"path {i:2d} " + "".join(cells))
 
 print("\neffect decay along each plan (mean |height change| per action):")

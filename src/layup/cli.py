@@ -49,7 +49,12 @@ class RunConfig:
         cfg = cls()
         if getattr(args, "config", None):
             with open(args.config) as fh:
-                raw = json.load(fh)
+                try:
+                    raw = json.load(fh)
+                except ValueError as exc:
+                    raise ValueError(f"{args.config}: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise ValueError(f"{args.config}: a run config must be a JSON object")
             cfg.sheet = raw.get("sheet", cfg.sheet)
             if raw.get("ground_truth"):
                 cfg.params = GroundTruthParams.load(raw["ground_truth"])

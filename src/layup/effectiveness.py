@@ -1,20 +1,22 @@
 """Action-effect learning from before/after sheet states.
 
 Every executed action is bracketed by two derived sheet states. Per sector
-the change is summarized as a six-component delta (centroid x/y, mean
-height, major, minor, and axially differenced orientation) plus
-two diagonal sign matrices recording whether each covariance diagonal grew
-(+1) or shrank/held (-1). Samples pool across experiments into buckets keyed
-by (action kind, argument bucket, sector): path actions bucket per path
-index because path geometry fixes which sectors a pass can touch, while
-peel, capture, end and refinement each share a single bucket.
+the change is summarized from the two states' rows as a six-component delta
+(centroid x/y, mean height, major, minor, and axially differenced
+orientation) plus a (2, 3) sign array recording whether each diagonal of
+the two covariances grew (+1) or shrank/held (-1). Samples pool across
+experiments into buckets keyed by (action kind, argument bucket, sector):
+path actions bucket per path index because path geometry fixes which
+sectors a pass can touch, while peel, capture, end and refinement each share
+a single bucket.
 
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
-bucket's majority sign vote shrinks or grows the covariance diagonals. The
-search propagates through `propagate_batch`, which reads the table compiled
-into dense arrays (`EffectTable`); the per-sector `propagate` is the scalar
-reference the batched path is tested against, bit for bit.
+bucket's majority sign vote shrinks or grows the covariance diagonals. Both
+propagations take and return a `SheetState`: the search propagates through
+`propagate_batch`, which reads the table compiled into dense arrays
+(`EffectTable`) and returns a batch of states; the per-sector `propagate`
+is the scalar reference the batched path is tested against, bit for bit.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .geometry import axial_difference, fold_axial
 from .plan import Action
-from .sheet_state import SectorGaussians, SheetState, StateArrays
+from .sheet_state import SheetState
 
 COV_SHRINK = 0.9  # diagonal scale when the majority vote says uncertainty fell
 COV_GROW = 1.1    # ... and when it says uncertainty rose
@@ -37,68 +39,36 @@ class LogFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DeltaVector:
-    d_x: float
-    d_y: float
-    d_h: float
-    d_a: float
-    d_b: float
-    d_theta: float  # axial difference, (-pi/2, pi/2]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_x, self.d_y, self.d_h, self.d_a, self.d_b, self.d_theta])
-
-    @classmethod
-    def from_array(cls, arr) -> "DeltaVector":
-        return cls(*(float(v) for v in arr))
-
-
-@dataclass(frozen=True)
-class SignMatrices:
-    """3x3 diagonal sign matrices for the two covariance tracks."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-
-    def __post_init__(self):
-        for m in (self.u1, self.u2):
-            if m.shape != (3, 3) or np.any(m[~np.eye(3, dtype=bool)] != 0.0):
-                raise ValueError("sign matrices must be 3x3 diagonal")
-            if not np.all(np.isin(np.diag(m), (-1.0, 1.0))):
-                raise ValueError("diagonal entries must be +1 or -1")
-
-
 def _step(x: np.ndarray) -> np.ndarray:
     # +1 strictly above zero, -1 at and below zero
     return np.where(x > 0.0, 1.0, -1.0)
 
 
-def compute_delta(before: SectorGaussians, after: SectorGaussians) -> DeltaVector:
-    """Componentwise mean change; orientation wrapped to the axial half-turn."""
-    d1 = after.mu1 - before.mu1
-    return DeltaVector(
-        d_x=float(d1[0]), d_y=float(d1[1]), d_h=float(d1[2]),
-        d_a=float(after.mu2[0] - before.mu2[0]),
-        d_b=float(after.mu2[1] - before.mu2[1]),
-        d_theta=axial_difference(after.mu2[2], before.mu2[2]),
-    )
+def compute_delta(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Change between two (6,) mean rows; orientation wrapped to the axial half-turn.
+
+    The components follow DELTA_FIELDS; d_theta lies in (-pi/2, pi/2].
+    """
+    delta = after - before
+    delta[5] = axial_difference(after[5], before[5])
+    return delta
 
 
-def compute_signs(before: SectorGaussians, after: SectorGaussians) -> SignMatrices:
-    """Diagonal growth signs of both covariances; zero change counts as shrink."""
-    return SignMatrices(
-        u1=np.diag(_step(np.diag(after.sigma1) - np.diag(before.sigma1))),
-        u2=np.diag(_step(np.diag(after.sigma2) - np.diag(before.sigma2))),
-    )
+def compute_signs(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Growth signs (2, 3) of the diagonals of two (2, 3, 3) covariance rows.
+
+    Row 0 is sigma1, row 1 sigma2; zero change counts as shrink.
+    """
+    return _step(np.diagonal(after, axis1=-2, axis2=-1)
+                 - np.diagonal(before, axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True)
 class TransitionSample:
     action: Action
     sector: int
-    delta: DeltaVector
-    signs: SignMatrices
+    delta: np.ndarray  # (6,), as compute_delta returns it
+    signs: np.ndarray  # (2, 3) of +-1, as compute_signs returns it
     plan_name: str = ""
     step: int = 0
 
@@ -114,14 +84,13 @@ def extract_transitions(log) -> list[TransitionSample]:
         if rec.state_before is None or rec.state_after is None:
             continue
         before, after = rec.state_before, rec.state_after
-        if len(before.sectors) != len(after.sectors):
+        if len(before.count) != len(after.count):
             raise LogFormatError(f"step {rec.index}: sector counts disagree")
-        for b, a in zip(before.sectors, after.sectors):
-            if b.sector != a.sector:
-                raise LogFormatError(f"step {rec.index}: sector ids disagree")
+        for row in range(len(before.count)):
             samples.append(TransitionSample(
-                action=rec.action, sector=b.sector,
-                delta=compute_delta(b, a), signs=compute_signs(b, a),
+                action=rec.action, sector=row + 1,
+                delta=compute_delta(before.mu[row], after.mu[row]),
+                signs=compute_signs(before.sigma[row], after.sigma[row]),
                 plan_name=log.plan_name, step=rec.index))
     return samples
 
@@ -134,16 +103,16 @@ def bucket_key(action: Action) -> tuple[str, int]:
 @dataclass
 class _Bucket:
     deltas: list = field(default_factory=list)   # (6,) arrays
-    u1: list = field(default_factory=list)       # (3,) diagonal arrays
-    u2: list = field(default_factory=list)
+    u1: list = field(default_factory=list)       # (3,) signs of sigma1's diagonal
+    u2: list = field(default_factory=list)       # ... and of sigma2's
     sources: list = field(default_factory=list)  # "plan:step" provenance strings
     _mean: np.ndarray | None = None
     _var: np.ndarray | None = None
 
     def add(self, sample: TransitionSample):
-        self.deltas.append(sample.delta.as_array())
-        self.u1.append(np.diag(sample.signs.u1).copy())
-        self.u2.append(np.diag(sample.signs.u2).copy())
+        self.deltas.append(sample.delta)
+        self.u1.append(sample.signs[0])
+        self.u2.append(sample.signs[1])
         self.sources.append(f"{sample.plan_name}:{sample.step}")
         self._mean = None
         self._var = None
@@ -251,10 +220,6 @@ class EffectivenessModel:
         table = self.compiled()
         return bool(table.covers[table.row(action)])
 
-    def mean_delta(self, action: Action, sector: int) -> np.ndarray | None:
-        b = self.bucket(action, sector)
-        return None if b is None else b.mean
-
     @property
     def is_empty(self) -> bool:
         return not self.table
@@ -314,7 +279,7 @@ def aggregate(logs) -> EffectivenessModel:
     logs = list(logs)
     if not logs:
         return EffectivenessModel(sector_count=2)
-    ks = {len(log.steps[0].state_before.sectors) if log.steps else None for log in logs}
+    ks = {len(log.steps[0].state_before.count) if log.steps else None for log in logs}
     ks.discard(None)
     if len(ks) > 1:
         raise ValueError(f"logs mix sector counts {sorted(ks)}")
@@ -348,40 +313,34 @@ def propagate(state: SheetState, action: Action, model: EffectivenessModel,
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed) if mode == "sampled" else None
 
-    new_sectors = []
-    for sg in state.sectors:
-        if sg.is_sentinel:
-            new_sectors.append(SectorGaussians.sentinel(sg.sector))
+    mu, sigma, count = state.mu.copy(), state.sigma.copy(), state.count.copy()
+    for row in range(len(count)):
+        if count[row] == 0:
+            mu[row], sigma[row] = 0.0, 0.0
             continue
-        bucket = model.bucket(action, sg.sector)
+        bucket = model.bucket(action, row + 1)
         if bucket is None:
-            new_sectors.append(sg.copy())
             continue
         delta = bucket.mean.copy()
         if rng is not None:
             delta = delta + rng.standard_normal(6) * np.sqrt(bucket.variance)
-        mu1 = sg.mu1 + delta[:3]
-        mu1[2] = max(0.0, mu1[2])
-        mu2 = sg.mu2 + delta[3:]
-        mu2[0] = max(0.0, mu2[0])
-        mu2[1] = max(0.0, mu2[1])
-        mu2[2] = fold_axial(mu2[2])
-        if mu1[2] == 0.0 and mu2[0] == 0.0 and mu2[1] == 0.0:
-            new_sectors.append(SectorGaussians.sentinel(sg.sector))
+        m = mu[row] + delta
+        m[2] = max(0.0, m[2])
+        m[3] = max(0.0, m[3])
+        m[4] = max(0.0, m[4])
+        m[5] = fold_axial(m[5])
+        if m[2] == 0.0 and m[3] == 0.0 and m[4] == 0.0:
+            mu[row], sigma[row], count[row] = 0.0, 0.0, 0
             continue
-        maj1, maj2 = bucket.majority_signs()
-        scale1 = np.sqrt(np.where(maj1 > 0, COV_GROW, COV_SHRINK))
-        scale2 = np.sqrt(np.where(maj2 > 0, COV_GROW, COV_SHRINK))
-        sigma1 = sg.sigma1 * np.outer(scale1, scale1)
-        sigma2 = sg.sigma2 * np.outer(scale2, scale2)
-        new_sectors.append(SectorGaussians(sector=sg.sector, mu1=mu1, sigma1=sigma1,
-                                           mu2=mu2, sigma2=sigma2,
-                                           sample_count=sg.sample_count))
-    return SheetState(geometry=state.geometry, sectors=new_sectors, t=state.t + 1)
+        mu[row] = m
+        for track, majority in enumerate(bucket.majority_signs()):
+            scale = np.sqrt(np.where(majority > 0, COV_GROW, COV_SHRINK))
+            sigma[row, track] = sigma[row, track] * np.outer(scale, scale)
+    return SheetState(state.geometry, mu, sigma, count, state.t + 1)
 
 
-def propagate_batch(state: StateArrays, actions, model: EffectivenessModel,
-                    seeds=None) -> StateArrays:
+def propagate_batch(state: SheetState, actions, model: EffectivenessModel,
+                    seeds=None) -> SheetState:
     """`propagate` of one state by each of A actions, as one batch of A states.
 
     Expectation mode when `seeds` is None; otherwise sampled mode, action i
@@ -414,4 +373,4 @@ def propagate_batch(state: StateArrays, actions, model: EffectivenessModel,
     dead = collapsed | ~live
     mu[dead] = 0.0
     sigma[dead] = 0.0
-    return StateArrays(mu=mu, sigma=sigma, count=np.where(dead, 0, state.count))
+    return SheetState(state.geometry, mu, sigma, np.where(dead, 0, state.count), state.t + 1)

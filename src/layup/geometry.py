@@ -201,13 +201,16 @@ class PathGeometry:
         return float(np.arctan2(d[1], d[0]))
 
 
+_OUTLINE_SAMPLES = 64  # points of the ellipse outline that ellipse_hits_swept_rect tests
+
+
 def ellipse_hits_swept_rect(centroid, a: float, b: float, theta: float,
-                            path: PathGeometry, samples: int = 64) -> bool:
+                            path: PathGeometry) -> bool:
     """Does the ellipse (2-sigma outline) meet the rectangle swept by the path?
 
-    Checked by sampling the ellipse outline plus containment tests in both
-    directions; exact for all but hairline tangencies, which the process
-    noise makes irrelevant.
+    Checked by sampling the ellipse outline at _OUTLINE_SAMPLES points plus
+    containment tests in both directions; exact for all but hairline
+    tangencies, which the process noise makes irrelevant.
     """
     c = np.asarray(centroid, dtype=float)
     u = path.direction
@@ -225,7 +228,7 @@ def ellipse_hits_swept_rect(centroid, a: float, b: float, theta: float,
         return True
     if a <= 0.0:
         return False
-    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, _OUTLINE_SAMPLES, endpoint=False)
     ca, sa = np.cos(theta), np.sin(theta)
     local = np.column_stack([a * np.cos(t), b * np.sin(t)])
     outline = c + local @ np.array([[ca, sa], [-sa, ca]])

@@ -12,10 +12,12 @@ the state utility by more than the convergence threshold; the two latter
 cases append the shortest constraint-satisfying suffix, built in the
 canonical order path, peel, refinement, capture, end.
 
-Nodes hold their state as `StateArrays`. A node's feasible children are
-propagated together by `propagate_batch` and priced together by
-`price_batch`; `state_utility`, `trace_total` and `replay_cost` are the
-scalar references these are tested against.
+Nodes hold their `SheetState`, the same array state the estimator builds
+and the learner differences. A node's feasible children are propagated
+together by `propagate_batch`, as one batch of states, and priced together
+by `price_batch`; each child keeps its row of the batch. `state_utility`,
+`trace_total` and `replay_cost` are the scalar references these are tested
+against.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .geometry import (PathGeometry, clamp_into_polygon, nearest_boundary_point,
                        ray_exit_point, unit_vector, ROLLER_HALF_WIDTH_DEFAULT)
 from .plan import (Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    prefix_feasible, standard_constraints, validate)
-from .sheet_state import SheetGeometry, SheetState, StateArrays
+from .sheet_state import SheetGeometry, SheetState
 
 logger = logging.getLogger(__name__)
 
@@ -111,12 +113,12 @@ def state_utility(state: SheetState, cfg: SearchConfig) -> float:
     The scalar reference that `price_batch` is tested against bit for bit.
     """
     total = 0.0
-    for s in state.sectors:
-        if s.is_sentinel:
+    for mu, sigma, count in zip(state.mu, state.sigma, state.count):
+        if count == 0:
             continue
-        total += cfg.w_h * max(0.0, s.mu1[2])
-        total += cfg.w_area * s.mu2[0] * s.mu2[1]
-        total += cfg.w_sigma * (np.trace(s.sigma1) + np.trace(s.sigma2))
+        total += cfg.w_h * max(0.0, mu[2])
+        total += cfg.w_area * mu[3] * mu[4]
+        total += cfg.w_sigma * (np.trace(sigma[0]) + np.trace(sigma[1]))
     return float(total / state.geometry.area)
 
 
@@ -125,7 +127,7 @@ def trace_total(state: SheetState) -> float:
 
     The scalar reference that `price_batch` is tested against bit for bit.
     """
-    return float(sum(np.trace(s.sigma1) + np.trace(s.sigma2) for s in state.sectors))
+    return float(sum(np.trace(sigma[0]) + np.trace(sigma[1]) for sigma in state.sigma))
 
 
 def _running_sum(terms: np.ndarray) -> np.ndarray:
@@ -137,11 +139,12 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def price_batch(states: StateArrays, area: float,
+def price_batch(states: SheetState, area: float,
                 cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     """`state_utility` and `trace_total` of each state of a batch, bit for bit.
 
-    `states` carries a leading batch axis; `area` is the sheet area.
+    `states` carries a leading batch axis; `area` is the sheet area, passed
+    in so that a search computes it once.
     """
     traces = np.trace(states.sigma, axis1=-2, axis2=-1)  # (A, k, 2)
     sector_trace = traces[..., 0] + traces[..., 1]
@@ -165,7 +168,7 @@ class SearchStats:
 
 @dataclass
 class SearchNode:
-    state: StateArrays
+    state: SheetState
     prefix: tuple[Action, ...]
     cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
     utility: float    # state_utility of the state
@@ -183,10 +186,11 @@ class SearchNode:
 def root_node(state: SheetState, cfg: SearchConfig,
               stats: SearchStats | None = None) -> SearchNode:
     """The empty-prefix node the search starts from; its children count into `stats`."""
-    arrays = StateArrays.of(state)
     area = state.geometry.area
-    (utility,), (trace,) = price_batch(StateArrays(*(a[None] for a in arrays)), area, cfg)
-    return SearchNode(state=arrays, prefix=(), cost=0.0, utility=float(utility),
+    batch = SheetState(state.geometry, state.mu[None], state.sigma[None], state.count[None],
+                       state.t)
+    (utility,), (trace,) = price_batch(batch, area, cfg)
+    return SearchNode(state=state, prefix=(), cost=0.0, utility=float(utility),
                       trace=float(trace), area=area,
                       stats=stats if stats is not None else SearchStats())
 
@@ -229,7 +233,8 @@ def _priced(node: SearchNode, actions: list[Action], model: EffectivenessModel,
             cost += cfg.w_unk
             unmodeled += 1
         children.append(SearchNode(
-            state=StateArrays(after.mu[i], after.sigma[i], after.count[i]),
+            state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
+                             after.t),
             prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
             area=node.area, stats=node.stats,
             score=utility - node.utility + cfg.w_sigma * (trace - node.trace),
@@ -253,11 +258,11 @@ def effectiveness_score(action: Action, state: SheetState,
     return _child(root_node(state, cfg), action, model, cfg).score
 
 
-def _refinement_action(state: StateArrays) -> Action:
+def _refinement_action(state: SheetState) -> Action:
     return plan_mod.refinement(max(1, int(np.count_nonzero(state.count))))
 
 
-def _candidate_actions(state: StateArrays, cfg: SearchConfig) -> list[Action]:
+def _candidate_actions(state: SheetState, cfg: SearchConfig) -> list[Action]:
     acts = [plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
     acts += [plan_mod.peel(), plan_mod.capture(), _refinement_action(state), plan_mod.end()]
     return acts
@@ -431,24 +436,24 @@ def generate_refinement_paths(state: SheetState, n: int, geom: SheetGeometry,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    live = [s for s in state.sectors if not s.is_sentinel]
+    live = np.flatnonzero(state.count).tolist()  # rows of non-sentinel sectors
     if not live:
         logger.warning("refinement paths requested on a fully compacted state; "
                        "emitting %d no-op sweeps", n)
         target = nearest_boundary_point(geom.center, geom.polygon)
         pg = PathGeometry(start=geom.center.copy(), end=target, half_width=half_width)
         return [pg] * n
-    live.sort(key=lambda s: (-(s.mu1[2] * s.mu2[0] * s.mu2[1]), s.sector))
+    mu = state.mu
+    live.sort(key=lambda row: (-(mu[row, 2] * mu[row, 3] * mu[row, 4]), row))
     paths = []
     for i in range(n):
-        s = live[i % len(live)]
-        centroid = clamp_into_polygon(s.mu1[:2], geom.polygon, margin=5.0)
-        theta = s.mu2[2]
-        u = unit_vector(theta)
+        row = live[i % len(live)]
+        centroid = clamp_into_polygon(mu[row, :2], geom.polygon, margin=5.0)
+        u = unit_vector(mu[row, 5])
         toward_edge = nearest_boundary_point(centroid, geom.polygon) - centroid
         if float(u @ toward_edge) < 0.0:
             u = -u
-        a = float(s.mu2[0])
+        a = float(mu[row, 3])
         start = centroid - a * u if a > 0 else centroid.copy()
         end = ray_exit_point(centroid, u, geom.polygon)
         if np.allclose(start, end):

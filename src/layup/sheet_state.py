@@ -6,6 +6,11 @@ regions, each region is fitted with an ellipse, and every angular sector of
 the sheet is summarized by two 3-D Gaussians: one over region centroids and
 mean height, one over the fitted (major, minor, orientation) triples.
 
+`SheetState` holds those Gaussians as arrays, one row per sector: the means
+(k, 6), the covariances (k, 2, 3, 3) and the region counts (k,). The same
+object is what the learner differences and what the search propagates and
+prices, one state or a batch of them.
+
 Sectors are numbered 1..k counter-clockwise, sector 1 starting at the +x
 axis; a wedge owns its lower angular boundary.
 """
@@ -13,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -24,8 +28,6 @@ from .geometry import fold_axial, point_in_polygon, polygon_area, polygon_is_sim
 
 H_MIN_DEFAULT = 0.5      # mm, height floor separating compacted from uncompacted
 LINK_RADIUS_DEFAULT = 12.0  # mm, single-linkage radius for region growing
-
-_SENTINEL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,8 @@ class SheetGeometry:
         object.__setattr__(self, "polygon", np.asarray(self.polygon, dtype=float))
         if self.sector_count < 2:
             raise ValueError("sector_count must be at least 2")
+        if self.center.shape != (2,) or self.polygon.ndim != 2 or self.polygon.shape[1] != 2:
+            raise ValueError("center must be one xy point and polygon a list of them")
         if len(self.polygon) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         if not polygon_is_simple(self.polygon):
@@ -101,98 +105,60 @@ class RegionEllipse:
 
 
 @dataclass
-class SectorGaussians:
-    """Per-sector summary: G1 over (x, y, h) and G2 over (a, b, theta)."""
-
-    sector: int
-    mu1: np.ndarray      # (3,) centroid x, y and mean height
-    sigma1: np.ndarray   # (3, 3) symmetric PSD
-    mu2: np.ndarray      # (3,) major, minor, orientation
-    sigma2: np.ndarray   # (3, 3) symmetric PSD
-    sample_count: int
-
-    @classmethod
-    def sentinel(cls, sector: int) -> "SectorGaussians":
-        """The fully-compacted marker: zero means, zero covariances, no samples."""
-        return cls(sector=sector, mu1=np.zeros(3), sigma1=np.zeros((3, 3)),
-                   mu2=np.zeros(3), sigma2=np.zeros((3, 3)), sample_count=0)
-
-    @property
-    def is_sentinel(self) -> bool:
-        return self.sample_count == 0
-
-    def copy(self) -> "SectorGaussians":
-        return SectorGaussians(self.sector, self.mu1.copy(), self.sigma1.copy(),
-                               self.mu2.copy(), self.sigma2.copy(), self.sample_count)
-
-    def to_json(self) -> dict:
-        return {"sector": self.sector,
-                "mu1": [float(v) for v in self.mu1],
-                "sigma1": [[float(v) for v in row] for row in self.sigma1],
-                "mu2": [float(v) for v in self.mu2],
-                "sigma2": [[float(v) for v in row] for row in self.sigma2],
-                "n": self.sample_count}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SectorGaussians":
-        return cls(sector=int(obj["sector"]),
-                   mu1=np.array(obj["mu1"], dtype=float),
-                   sigma1=np.array(obj["sigma1"], dtype=float),
-                   mu2=np.array(obj["mu2"], dtype=float),
-                   sigma2=np.array(obj["sigma2"], dtype=float),
-                   sample_count=int(obj["n"]))
-
-
-@dataclass
 class SheetState:
+    """Per-sector Gaussians of one sheet, as arrays.
+
+    Row i is sector i + 1. `mu` holds mu1 (centroid x, y and mean height)
+    then mu2 (major, minor, orientation), `sigma` the 3x3 covariances sigma1
+    and sigma2, and `count` the regions a sector summarizes, 0 marking the
+    compacted sentinel (zero moments). A leading axis, when present, indexes
+    a batch of alternative states of the same sheet. Construction checks
+    nothing; `from_json` checks a state read from outside.
+    """
+
     geometry: SheetGeometry
-    sectors: list[SectorGaussians]
+    mu: np.ndarray     # (..., k, 6)
+    sigma: np.ndarray  # (..., k, 2, 3, 3)
+    count: np.ndarray  # (..., k) integers
     t: int = 0
 
-    def __post_init__(self):
-        ids = [s.sector for s in self.sectors]
-        if ids != list(range(1, self.geometry.sector_count + 1)):
-            raise ValueError("need exactly one SectorGaussians per sector id, in order")
-
-    def sector(self, i: int) -> SectorGaussians:
-        return self.sectors[i - 1]
-
-    @property
-    def all_sentinel(self) -> bool:
-        return all(s.is_sentinel for s in self.sectors)
-
-    def copy(self) -> "SheetState":
-        return SheetState(self.geometry, [s.copy() for s in self.sectors], self.t)
-
     def to_json(self) -> dict:
-        return {"geometry": self.geometry.to_json(),
-                "t": int(self.t),
-                "sectors": [s.to_json() for s in self.sectors]}
+        records = [{"sector": i, "mu1": m[:3], "sigma1": s[0], "mu2": m[3:], "sigma2": s[1],
+                    "n": n}
+                   for i, (m, s, n) in enumerate(zip(self.mu.tolist(), self.sigma.tolist(),
+                                                     self.count.tolist()), start=1)]
+        return {"geometry": self.geometry.to_json(), "t": int(self.t), "sectors": records}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SheetState":
-        return cls(geometry=SheetGeometry.from_json(obj["geometry"]),
-                   sectors=[SectorGaussians.from_json(s) for s in obj["sectors"]],
-                   t=int(obj["t"]))
+        """A state as `to_json` writes it; KeyError, TypeError or ValueError if malformed.
+
+        Sector records must carry ids 1..k in order, three numbers in mu1
+        and mu2, 3x3 numbers in sigma1 and sigma2, and an integer n.
+        """
+        geometry = SheetGeometry.from_json(obj["geometry"])
+        records = obj["sectors"]
+        k = geometry.sector_count
+        if [rec["sector"] for rec in records] != list(range(1, k + 1)):
+            raise ValueError(f"sector ids must run 1..{k} in order")
+        mu = _stacked_numbers(records, ("mu1", "mu2"), (3,))
+        sigma = _stacked_numbers(records, ("sigma1", "sigma2"), (3, 3))
+        count = np.array([rec["n"] for rec in records])
+        if count.dtype.kind != "i":
+            raise ValueError("sector sample counts n must be integers")
+        return cls(geometry, mu.reshape(k, 6), sigma, count, int(obj["t"]))
 
 
-class StateArrays(NamedTuple):
-    """A state's sectors stacked into arrays, for batched propagation and pricing.
-
-    Row i is sector i + 1. A leading axis, when present, indexes a batch of
-    alternative states of the same sheet.
-    """
-
-    mu: np.ndarray     # (..., k, 6): mu1 then mu2 of each sector
-    sigma: np.ndarray  # (..., k, 2, 3, 3): sigma1 and sigma2 of each sector
-    count: np.ndarray  # (..., k): sample counts, 0 marking a sentinel
-
-    @classmethod
-    def of(cls, state: SheetState) -> "StateArrays":
-        return cls(mu=np.array([np.concatenate([s.mu1, s.mu2]) for s in state.sectors],
-                               dtype=float),
-                   sigma=np.array([[s.sigma1, s.sigma2] for s in state.sectors], dtype=float),
-                   count=np.array([s.sample_count for s in state.sectors]))
+def _stacked_numbers(records: list, keys: tuple[str, str], shape: tuple) -> np.ndarray:
+    # the records' two fields as one (k, 2) + shape float array
+    try:
+        arr = np.array([[rec[key] for key in keys] for rec in records])
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.shape != (len(records), 2) + shape or arr.dtype.kind not in "if":
+        raise ValueError(f"{keys[0]} and {keys[1]} must each hold "
+                         f"{'x'.join(map(str, shape))} numbers")
+    return arr.astype(float)
 
 
 def assign_sector(point, geom: SheetGeometry) -> int:
@@ -308,33 +274,27 @@ def state_from_regions(groups: list[np.ndarray], ellipses: list[RegionEllipse],
     for idx, ell in enumerate(ellipses):
         per_sector.setdefault(assign_sector(ell.centroid, geom), []).append(idx)
 
-    sectors = []
-    for i in range(1, geom.sector_count + 1):
-        idxs = per_sector.get(i)
-        if not idxs:
-            sectors.append(SectorGaussians.sentinel(i))
-            continue
+    k = geom.sector_count
+    mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
+    for sector, idxs in per_sector.items():
         ells = [ellipses[j] for j in idxs]
         counts = np.array([len(groups[j]) for j in idxs], dtype=float)
         g1_samples = np.array([[e.centroid[0], e.centroid[1], e.mean_height]
                                for e in ells])
         g2_samples = np.array([[e.a, e.b, e.theta] for e in ells])
+        row = sector - 1
         if len(idxs) == 1:
             pts = groups[idxs[0]]
-            mu1 = g1_samples[0]
             centered = pts - pts.mean(axis=0)
-            sigma1 = _symmetrize(centered.T @ centered / len(pts))
-            mu2 = g2_samples[0]
-            sigma2 = np.zeros((3, 3))
+            mu[row] = np.concatenate([g1_samples[0], g2_samples[0]])
+            sigma[row, 0] = _symmetrize(centered.T @ centered / len(pts))
         else:
-            mu1, sigma1 = _weighted_moments(g1_samples, counts)
-            mu2 = g2_samples.mean(axis=0)
-            centered = g2_samples - mu2
-            sigma2 = _symmetrize(centered.T @ centered / len(idxs))
-        sectors.append(SectorGaussians(sector=i, mu1=mu1, sigma1=sigma1,
-                                       mu2=mu2, sigma2=sigma2,
-                                       sample_count=len(idxs)))
-    return SheetState(geometry=geom, sectors=sectors, t=t)
+            mu[row, :3], sigma[row, 0] = _weighted_moments(g1_samples, counts)
+            mu[row, 3:] = g2_samples.mean(axis=0)
+            centered = g2_samples - mu[row, 3:]
+            sigma[row, 1] = _symmetrize(centered.T @ centered / len(idxs))
+        count[row] = len(idxs)
+    return SheetState(geometry=geom, mu=mu, sigma=sigma, count=count, t=t)
 
 
 def average_states(states: list[SheetState]) -> SheetState:
@@ -350,20 +310,17 @@ def average_states(states: list[SheetState]) -> SheetState:
     k = geom.sector_count
     if any(s.geometry.sector_count != k for s in states):
         raise ValueError("states mix sector counts")
-    sectors = []
-    for i in range(1, k + 1):
-        live = [s.sector(i) for s in states if not s.sector(i).is_sentinel]
-        if not live:
-            sectors.append(SectorGaussians.sentinel(i))
-            continue
-        sectors.append(SectorGaussians(
-            sector=i,
-            mu1=np.mean([s.mu1 for s in live], axis=0),
-            sigma1=np.mean([s.sigma1 for s in live], axis=0),
-            mu2=np.mean([s.mu2 for s in live], axis=0),
-            sigma2=np.mean([s.sigma2 for s in live], axis=0),
-            sample_count=max(1, round(np.mean([s.sample_count for s in live])))))
-    return SheetState(geometry=geom, sectors=sectors, t=0)
+    mus = np.stack([s.mu for s in states])
+    sigmas = np.stack([s.sigma for s in states])
+    counts = np.stack([s.count for s in states])
+    mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
+    for row in range(k):
+        live = counts[:, row] != 0
+        if live.any():
+            mu[row] = np.mean(mus[live, row], axis=0)
+            sigma[row] = np.mean(sigmas[live, row], axis=0)
+            count[row] = max(1, round(np.mean(counts[live, row])))
+    return SheetState(geometry=geom, mu=mu, sigma=sigma, count=count, t=0)
 
 
 def write_capture_frames(path, frames: list[CaptureFrame]) -> None:

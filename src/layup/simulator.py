@@ -341,7 +341,7 @@ def run_correction(sim: SimState) -> tuple[int, int, bool]:
         frame = render_capture(sim)
         groups, ellipses = extract_regions(frame, p.h_min, p.link_radius)
         state = state_from_regions(groups, ellipses, geom, frame.t)
-        worst = max((s.mu1[2] for s in state.sectors if not s.is_sentinel), default=0.0)
+        worst = max(state.mu[state.count != 0, 2], default=0.0)  # highest sector mean height
         if worst <= p.correction_threshold:
             return cycles, paths, True
         offenders = [e for e in ellipses if e.mean_height > p.correction_threshold]
@@ -491,6 +491,8 @@ def read_log(path) -> ExperimentLog:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LogFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise LogFormatError(f"{path}:{lineno}: not a JSON object")
             if rec.get("type") == "step":
                 try:
                     kind, arg = rec["action"]

@@ -15,19 +15,19 @@ import numpy as np
 import pytest
 
 from layup.cli import build_report
-from layup.effectiveness import (DeltaVector, EffectivenessModel,
-                                 TransitionSample, aggregate, compute_delta,
-                                 compute_signs)
+from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
+                                 compute_delta, compute_signs)
 from layup.plan import (AbsConstraint, Action, ConstraintSet, DrapingPlan,
                         RelConstraint, capture, end, expert_plan,
                         initial_plan_constraints, path, peel, refinement,
                         standard_constraints, validate)
 from layup.search import (SearchConfig, generate_refinement_paths, refine_plan,
                           replay_cost, state_utility)
-from layup.sheet_state import (SectorGaussians, SheetState, average_states,
-                               fit_ellipse)
+from layup.sheet_state import average_states, fit_ellipse
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
+
+from conftest import make_state
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRAIN_SEEDS = (101, 102, 103)
@@ -151,29 +151,31 @@ def test_criterion_1_constraint_semantics_oracle():
 # ---------------------------------------------------------------------------
 
 def _straight_line(before, after):
+    # before, after: one sector's (mu, sigma) rows
+    (mu_b, sigma_b), (mu_a, sigma_a) = before, after
     d = np.empty(6)
-    d[0] = after.mu1[0] - before.mu1[0]
-    d[1] = after.mu1[1] - before.mu1[1]
-    d[2] = after.mu1[2] - before.mu1[2]
-    d[3] = after.mu2[0] - before.mu2[0]
-    d[4] = after.mu2[1] - before.mu2[1]
-    raw = (after.mu2[2] - before.mu2[2]) % math.pi
+    d[0] = mu_a[0] - mu_b[0]
+    d[1] = mu_a[1] - mu_b[1]
+    d[2] = mu_a[2] - mu_b[2]
+    d[3] = mu_a[3] - mu_b[3]
+    d[4] = mu_a[4] - mu_b[4]
+    raw = (mu_a[5] - mu_b[5]) % math.pi
     d[5] = raw - math.pi if raw > math.pi / 2 else raw
     u1 = np.zeros((3, 3))
     u2 = np.zeros((3, 3))
     for l in range(3):
-        u1[l, l] = 1.0 if after.sigma1[l, l] - before.sigma1[l, l] > 0 else -1.0
-        u2[l, l] = 1.0 if after.sigma2[l, l] - before.sigma2[l, l] > 0 else -1.0
+        u1[l, l] = 1.0 if sigma_a[0][l, l] - sigma_b[0][l, l] > 0 else -1.0
+        u2[l, l] = 1.0 if sigma_a[1][l, l] - sigma_b[1][l, l] > 0 else -1.0
     return d, u1, u2
 
 
-def _random_gaussians(rng, sector=1):
+def _random_gaussians(rng):
     def spd():
         m = rng.normal(size=(3, 3))
         return m @ m.T
-    return SectorGaussians(sector=sector, mu1=rng.normal(size=3) * 10,
-                           sigma1=spd(), mu2=np.abs(rng.normal(size=3)) * 5,
-                           sigma2=spd(), sample_count=1)
+    mu1, sigma1 = rng.normal(size=3) * 10, spd()
+    mu2, sigma2 = np.abs(rng.normal(size=3)) * 5, spd()
+    return np.concatenate([mu1, mu2]), np.array([sigma1, sigma2])
 
 
 def test_criterion_2_delta_sign_oracle():
@@ -181,15 +183,15 @@ def test_criterion_2_delta_sign_oracle():
     for _ in range(1000):
         a, b = _random_gaussians(rng), _random_gaussians(rng)
         want_d, want_u1, want_u2 = _straight_line(a, b)
-        got_d = compute_delta(a, b).as_array()
-        got_s = compute_signs(a, b)
+        got_d = compute_delta(a[0], b[0])
+        got_s = compute_signs(a[1], b[1])
         assert np.array_equal(got_d, want_d)
-        assert np.array_equal(got_s.u1, want_u1)
-        assert np.array_equal(got_s.u2, want_u2)
+        assert np.array_equal(np.diag(got_s[0]), want_u1)
+        assert np.array_equal(np.diag(got_s[1]), want_u2)
     # the tie branch of the step function: zero difference counts as shrink
     s = _random_gaussians(rng)
-    tie = compute_signs(s, s)
-    assert np.array_equal(np.diag(tie.u1), [-1.0, -1.0, -1.0])
+    tie = compute_signs(s[1], s[1])
+    assert np.array_equal(tie[0], [-1.0, -1.0, -1.0])
     report(2, "1000 randomized pairs bitwise-identical; zero maps to -1")
 
 
@@ -229,16 +231,16 @@ SMALL_CS = ConstraintSet(
 
 def _small_model(rng):
     model = EffectivenessModel(sector_count=2)
-    blank = compute_signs(SectorGaussians.sentinel(1), SectorGaussians.sentinel(1))
+    blank = compute_signs(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
     for i in range(1, 5):
         for s in (1, 2):
             d = np.zeros(6)
             d[2] = -abs(rng.normal(0.7, 0.6))
             d[3] = -abs(rng.normal(0.4, 0.4))
             d[4] = -abs(rng.normal(0.2, 0.2))
-            model.add_sample(TransitionSample(path(i), s, DeltaVector(*d), blank))
+            model.add_sample(TransitionSample(path(i), s, d, blank))
     for s in (1, 2):
-        model.add_sample(TransitionSample(end(), s, DeltaVector(0, 0, 0, 0, 0, 0), blank))
+        model.add_sample(TransitionSample(end(), s, np.zeros(6), blank))
     model.experiments = 1
     return model
 
@@ -246,11 +248,8 @@ def _small_model(rng):
 def test_criterion_4_small_instance_optimality(two_sector_geom):
     t0 = time.time()
     rng = np.random.default_rng(99)
-    state = SheetState(two_sector_geom, [
-        SectorGaussians(1, np.array([30.0, 20.0, 3.0]), np.eye(3),
-                        np.array([20.0, 10.0, 0.4]), np.eye(3), 1),
-        SectorGaussians(2, np.array([-40.0, 10.0, 2.0]), np.eye(3),
-                        np.array([15.0, 8.0, 2.0]), np.eye(3), 1)])
+    state = make_state(two_sector_geom, {1: ([30.0, 20.0, 3.0, 20.0, 10.0, 0.4], np.eye(3), 1),
+                                         2: ([-40.0, 10.0, 2.0, 15.0, 8.0, 2.0], np.eye(3), 1)})
     cfg = SearchConfig(branching=10**6, depth=5, horizon=5, path_count=4,
                        w_h=500.0, w_area=2.0, w_sigma=0.0,
                        epsilon_conv=-math.inf)

@@ -305,6 +305,13 @@ class TestBadInput:
         assert code == 2
         assert f"{log_file}:1:" in err and missing in err
 
+    def test_log_line_not_an_object(self, tmp_path, capsys):
+        log_file = tmp_path / "bad.jsonl"
+        log_file.write_text("[1, 2]\n")
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert f"{log_file}:1:" in err
+
     def test_nan_capture_height(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps({
@@ -341,3 +348,29 @@ class TestBadInput:
                                    tmp_path / "cap.jsonl", "--config", cfg_file], capsys)
         assert code == 2
         assert str(cs_file) in err and "rel record 0" in err
+
+    @pytest.mark.parametrize("which, field, value", [
+        ("state_before", "mu1", [1.0, 2.0]),
+        ("state_after", "sigma1", [[0.5]]),
+    ], ids=["short-mu1", "1x1-sigma1"])
+    def test_log_state_malformed_moments(self, tmp_path, d1_file, capsys, which, field, value):
+        log_file = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(3,)), keep_captures=False)[0]
+        lines = log_file.read_text().splitlines()
+        step = json.loads(lines[2])
+        step[which]["sectors"][1][field] = value
+        lines[2] = json.dumps(step)
+        log_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert f"{log_file}:3:" in err and field in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"sheet": '], ids=["not-object", "truncated"])
+    def test_run_config_malformed(self, tmp_path, d1_file, capsys, content):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(content)
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(cfg_file) in err

@@ -3,52 +3,50 @@ import math
 import numpy as np
 import pytest
 
-from layup.effectiveness import (DeltaVector, EffectivenessModel, SignMatrices,
-                                 TransitionSample, aggregate, compute_delta,
-                                 compute_signs, extract_transitions, propagate)
+from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
+                                 compute_delta, compute_signs, extract_transitions,
+                                 propagate)
 from layup.plan import Action, path, peel, expert_plan
 from layup.search import (SearchConfig, effectiveness_score, generate_refinement_paths,
                           state_utility, trace_total)
-from layup.sheet_state import SectorGaussians, SheetState
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
+from conftest import make_state
 
-def gauss(sector, mu1, sigma1_diag, mu2, sigma2_diag, n=1):
-    return SectorGaussians(sector=sector,
-                           mu1=np.array(mu1, dtype=float),
-                           sigma1=np.diag(sigma1_diag).astype(float),
-                           mu2=np.array(mu2, dtype=float),
-                           sigma2=np.diag(sigma2_diag).astype(float),
-                           sample_count=n)
+
+def gauss(mu1, sigma1_diag, mu2, sigma2_diag, n=1):
+    """One sector's (mu, sigma, n) rows with diagonal covariances, as make_state takes them."""
+    return (np.concatenate([mu1, mu2]).astype(float),
+            np.array([np.diag(sigma1_diag), np.diag(sigma2_diag)], dtype=float), n)
 
 
 class TestComputeDelta:
     def test_direct_subtraction(self):
-        before = gauss(1, [0, 0, 10.0], [1, 1, 1], [5, 2, 0.3], [1, 1, 1])
-        after = gauss(1, [0, 0, 2.0], [1, 1, 1], [5, 2, 0.3], [1, 1, 1])
-        assert compute_delta(before, after).d_h == -8.0
+        before = gauss([0, 0, 10.0], [1, 1, 1], [5, 2, 0.3], [1, 1, 1])
+        after = gauss([0, 0, 2.0], [1, 1, 1], [5, 2, 0.3], [1, 1, 1])
+        assert compute_delta(before[0], after[0])[2] == -8.0  # d_h
 
     def test_identity_is_zero(self):
-        s = gauss(2, [1, 2, 3], [1, 2, 3], [4, 5, 0.6], [1, 2, 3])
-        d = compute_delta(s, s)
-        assert np.array_equal(d.as_array(), np.zeros(6))
+        s = gauss([1, 2, 3], [1, 2, 3], [4, 5, 0.6], [1, 2, 3])
+        d = compute_delta(s[0], s[0])
+        assert np.array_equal(d, np.zeros(6))
 
     def test_orientation_wraps_modulo_pi(self):
-        before = gauss(1, [0, 0, 1], [1, 1, 1], [5, 2, 2.967], [1, 1, 1])
-        after = gauss(1, [0, 0, 1], [1, 1, 1], [5, 2, 0.1], [1, 1, 1])
-        d = compute_delta(before, after)
-        assert d.d_theta == pytest.approx(0.1 - 2.967 + math.pi, abs=1e-12)
-        assert -math.pi / 2 < d.d_theta <= math.pi / 2
+        before = gauss([0, 0, 1], [1, 1, 1], [5, 2, 2.967], [1, 1, 1])
+        after = gauss([0, 0, 1], [1, 1, 1], [5, 2, 0.1], [1, 1, 1])
+        d_theta = compute_delta(before[0], after[0])[5]
+        assert d_theta == pytest.approx(0.1 - 2.967 + math.pi, abs=1e-12)
+        assert -math.pi / 2 < d_theta <= math.pi / 2
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            a = gauss(1, rng.normal(size=3), rng.uniform(0, 2, 3),
+            a = gauss(rng.normal(size=3), rng.uniform(0, 2, 3),
                       rng.uniform(0, 5, 3), rng.uniform(0, 2, 3))
-            b = gauss(1, rng.normal(size=3), rng.uniform(0, 2, 3),
+            b = gauss(rng.normal(size=3), rng.uniform(0, 2, 3),
                       rng.uniform(0, 5, 3), rng.uniform(0, 2, 3))
-            fwd = compute_delta(a, b).as_array()
-            bwd = compute_delta(b, a).as_array()
+            fwd = compute_delta(a[0], b[0])
+            bwd = compute_delta(b[0], a[0])
             assert np.allclose(fwd[:5], -bwd[:5], atol=1e-12)
             wrap = (fwd[5] + bwd[5]) % math.pi
             assert min(wrap, math.pi - wrap) < 1e-12
@@ -56,42 +54,41 @@ class TestComputeDelta:
 
 class TestComputeSigns:
     def test_mixed_with_tie(self):
-        before = gauss(1, [0, 0, 1], [4, 4, 1], [1, 1, 1], [1, 1, 1])
-        after = gauss(1, [0, 0, 1], [2, 5, 1], [1, 1, 1], [1, 1, 1])
-        s = compute_signs(before, after)
-        assert np.array_equal(np.diag(s.u1), [-1.0, 1.0, -1.0])  # zero counts as shrink
+        before = gauss([0, 0, 1], [4, 4, 1], [1, 1, 1], [1, 1, 1])
+        after = gauss([0, 0, 1], [2, 5, 1], [1, 1, 1], [1, 1, 1])
+        s = compute_signs(before[1], after[1])
+        assert np.array_equal(s[0], [-1.0, 1.0, -1.0])  # zero counts as shrink
 
     def test_identical_all_negative(self):
-        s0 = gauss(1, [0, 0, 1], [1, 2, 3], [1, 1, 1], [4, 5, 6])
-        s = compute_signs(s0, s0)
-        assert np.array_equal(np.diag(s.u1), [-1.0, -1.0, -1.0])
-        assert np.array_equal(np.diag(s.u2), [-1.0, -1.0, -1.0])
+        s0 = gauss([0, 0, 1], [1, 2, 3], [1, 1, 1], [4, 5, 6])
+        s = compute_signs(s0[1], s0[1])
+        assert np.array_equal(s[0], [-1.0, -1.0, -1.0])
+        assert np.array_equal(s[1], [-1.0, -1.0, -1.0])
 
     def test_growth_all_positive(self):
-        before = gauss(1, [0, 0, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1])
-        after = gauss(1, [0, 0, 1], [2, 3, 4], [1, 1, 1], [5, 6, 7])
-        s = compute_signs(before, after)
-        assert np.array_equal(np.diag(s.u1), [1.0, 1.0, 1.0])
-        assert np.array_equal(np.diag(s.u2), [1.0, 1.0, 1.0])
+        before = gauss([0, 0, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1])
+        after = gauss([0, 0, 1], [2, 3, 4], [1, 1, 1], [5, 6, 7])
+        s = compute_signs(before[1], after[1])
+        assert np.array_equal(s[0], [1.0, 1.0, 1.0])
+        assert np.array_equal(s[1], [1.0, 1.0, 1.0])
 
-    def test_off_diagonals_zero(self):
-        s0 = gauss(1, [0, 0, 1], [1, 2, 3], [1, 1, 1], [4, 5, 6])
-        s = compute_signs(s0, s0)
-        assert np.all(s.u1[~np.eye(3, dtype=bool)] == 0.0)
-
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError):
-            SignMatrices(u1=np.ones((3, 3)), u2=np.diag([1.0, 1.0, 1.0]))
+    def test_one_sign_per_diagonal_entry(self):
+        # off-diagonal covariance entries cast no vote: one sign per diagonal
+        s0 = gauss([0, 0, 1], [1, 2, 3], [1, 1, 1], [4, 5, 6])
+        s1 = (s0[0], s0[1] + 5.0 * (1.0 - np.eye(3)), 1)
+        s = compute_signs(s0[1], s1[1])
+        assert s.shape == (2, 3)
+        assert np.array_equal(s, -np.ones((2, 3)))
 
 
 def straight_line_delta(before, after):
-    # independent re-statement used as a bitwise oracle
-    dx = after.mu1[0] - before.mu1[0]
-    dy = after.mu1[1] - before.mu1[1]
-    dh = after.mu1[2] - before.mu1[2]
-    da = after.mu2[0] - before.mu2[0]
-    db = after.mu2[1] - before.mu2[1]
-    raw = after.mu2[2] - before.mu2[2]
+    # independent re-statement used as a bitwise oracle, over (6,) mean rows
+    dx = after[0] - before[0]
+    dy = after[1] - before[1]
+    dh = after[2] - before[2]
+    da = after[3] - before[3]
+    db = after[4] - before[4]
+    raw = after[5] - before[5]
     dt = raw % math.pi
     if dt > math.pi / 2:
         dt -= math.pi
@@ -102,12 +99,12 @@ class TestBitwiseOracle:
     def test_random_pairs(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
-            a = gauss(1, rng.normal(size=3), rng.uniform(0, 2, 3),
+            a = gauss(rng.normal(size=3), rng.uniform(0, 2, 3),
                       rng.uniform(0, 5, 3), rng.uniform(0, 2, 3))
-            b = gauss(1, rng.normal(size=3), rng.uniform(0, 2, 3),
+            b = gauss(rng.normal(size=3), rng.uniform(0, 2, 3),
                       rng.uniform(0, 5, 3), rng.uniform(0, 2, 3))
-            assert np.array_equal(compute_delta(a, b).as_array(),
-                                  straight_line_delta(a, b))
+            assert np.array_equal(compute_delta(a[0], b[0]),
+                                  straight_line_delta(a[0], b[0]))
 
 
 @pytest.fixture(scope="module")
@@ -133,16 +130,14 @@ class TestExtractTransitions:
                             correction_converged=True)
         samples = extract_transitions(fake)
         assert len(samples) == 8
-        assert all(np.array_equal(s.delta.as_array(), np.zeros(6)) for s in samples)
+        assert all(np.array_equal(s.delta, np.zeros(6)) for s in samples)
 
 
 class TestExtractCorruptLog:
     def test_sector_mismatch_names_step(self, d1_log, two_sector_geom):
         from layup.effectiveness import LogFormatError
         from layup.simulator import StepRecord
-        from layup.sheet_state import SheetState
-        small = SheetState(two_sector_geom, [SectorGaussians.sentinel(1),
-                                             SectorGaussians.sentinel(2)])
+        small = make_state(two_sector_geom)
         rec = d1_log.steps[0]
         corrupt = type(d1_log)(plan_name="x", sheet="sheet1", seed=0,
                                steps=[StepRecord(4, peel(), rec.state_before, small)],
@@ -156,13 +151,11 @@ class TestAggregate:
     def test_empty(self):
         model = aggregate([])
         assert model.is_empty
-        assert model.mean_delta(path(1), 1) is None
+        assert model.bucket(path(1), 1) is None
 
     def test_mixed_sector_counts_rejected(self, d1_log, two_sector_geom):
         from layup.simulator import StepRecord
-        from layup.sheet_state import SheetState
-        small = SheetState(two_sector_geom, [SectorGaussians.sentinel(1),
-                                             SectorGaussians.sentinel(2)])
+        small = make_state(two_sector_geom)
         other = type(d1_log)(plan_name="y", sheet="tiny", seed=0,
                              steps=[StepRecord(1, peel(), small, small)],
                              correction_cycles=0, correction_paths=0,
@@ -200,37 +193,36 @@ class TestAggregate:
 
 def one_sample_model(before_state, after_state, action):
     model = EffectivenessModel(sector_count=before_state.geometry.sector_count)
-    for b, a in zip(before_state.sectors, after_state.sectors):
-        model.add_sample(TransitionSample(action=action, sector=b.sector,
-                                          delta=compute_delta(b, a),
-                                          signs=compute_signs(b, a)))
+    for row in range(len(before_state.count)):
+        model.add_sample(TransitionSample(
+            action=action, sector=row + 1,
+            delta=compute_delta(before_state.mu[row], after_state.mu[row]),
+            signs=compute_signs(before_state.sigma[row], after_state.sigma[row])))
     model.experiments = 1
     return model
 
 
 class TestPropagate:
     def test_sentinel_stays_sentinel(self, two_sector_geom):
-        state = SheetState(two_sector_geom,
-                           [SectorGaussians.sentinel(1), SectorGaussians.sentinel(2)])
+        state = make_state(two_sector_geom)
         model = EffectivenessModel(sector_count=2)
         model.add_sample(TransitionSample(
             action=path(1), sector=1,
-            delta=DeltaVector(0, 0, 5.0, 1.0, 1.0, 0),
-            signs=compute_signs(SectorGaussians.sentinel(1), SectorGaussians.sentinel(1))))
+            delta=np.array([0, 0, 5.0, 1.0, 1.0, 0]),
+            signs=compute_signs(state.sigma[0], state.sigma[0])))
         out = propagate(state, path(1), model)
-        assert out.all_sentinel
+        assert not out.count.any()
 
     def test_clamp_to_zero_then_sentinel(self, two_sector_geom):
-        state = SheetState(two_sector_geom,
-                           [gauss(1, [0, 0, 3.0], [1, 1, 1], [2.0, 1.0, 0.5], [1, 1, 1]),
-                            SectorGaussians.sentinel(2)])
+        state = make_state(two_sector_geom,
+                           {1: gauss([0, 0, 3.0], [1, 1, 1], [2.0, 1.0, 0.5], [1, 1, 1])})
         model = EffectivenessModel(sector_count=2)
         model.add_sample(TransitionSample(
             action=path(1), sector=1,
-            delta=DeltaVector(0, 0, -5.0, -3.0, -2.0, 0),
-            signs=compute_signs(state.sector(1), state.sector(1))))
+            delta=np.array([0, 0, -5.0, -3.0, -2.0, 0]),
+            signs=compute_signs(state.sigma[0], state.sigma[0])))
         out = propagate(state, path(1), model)
-        assert out.sector(1).is_sentinel
+        assert out.count[0] == 0
 
     def test_single_sample_round_trip(self, square_geom, d1_log):
         # expectation-mode propagation of a one-sample model reproduces the
@@ -238,21 +230,20 @@ class TestPropagate:
         rec = d1_log.steps[2]
         model = one_sample_model(rec.state_before, rec.state_after, rec.action)
         out = propagate(rec.state_before, rec.action, model)
-        for got, want, before in zip(out.sectors, rec.state_after.sectors,
-                                     rec.state_before.sectors):
-            if before.is_sentinel:
-                assert got.is_sentinel
+        for got, got_n, want, before_n in zip(out.mu, out.count, rec.state_after.mu,
+                                              rec.state_before.count):
+            if before_n == 0:
+                assert got_n == 0
                 continue
-            assert np.allclose(got.mu1, want.mu1, atol=1e-9)
-            assert np.allclose(got.mu2[:2], np.maximum(want.mu2[:2], 0), atol=1e-9)
+            assert np.allclose(got[:3], want[:3], atol=1e-9)
+            assert np.allclose(got[3:5], np.maximum(want[3:5], 0), atol=1e-9)
 
     def test_unmodeled_leaves_state_unchanged(self, two_sector_geom):
-        state = SheetState(two_sector_geom,
-                           [gauss(1, [0, 0, 3.0], [1, 1, 1], [2, 1, 0.5], [1, 1, 1]),
-                            SectorGaussians.sentinel(2)])
+        state = make_state(two_sector_geom,
+                           {1: gauss([0, 0, 3.0], [1, 1, 1], [2, 1, 0.5], [1, 1, 1])})
         model = EffectivenessModel(sector_count=2)
         out = propagate(state, peel(), model)
-        assert np.array_equal(out.sector(1).mu1, state.sector(1).mu1)
+        assert np.array_equal(out.mu[0, :3], state.mu[0, :3])
         assert not model.covers(peel())
 
     def test_sampled_mode_reproducible(self, d1_log):
@@ -274,10 +265,9 @@ class TestPropagate:
         model = aggregate([d1_log])
         state = d1_log.steps[0].state_before
         out = propagate(state, path(15), model)
-        for s in out.sectors:
-            for m in (s.sigma1, s.sigma2):
-                assert np.allclose(m, m.T)
-                assert np.linalg.eigvalsh(m).min() > -1e-9
+        for m in out.sigma.reshape(-1, 3, 3):
+            assert np.allclose(m, m.T)
+            assert np.linalg.eigvalsh(m).min() > -1e-9
 
     def test_mode_validation(self, d1_log):
         with pytest.raises(ValueError):
@@ -291,14 +281,14 @@ class TestPropagate:
         actions = [rec.action for rec in d1_log.steps]
         for action in actions:
             state = propagate(state, action, model)
-            for s in state.sectors:
-                if s.is_sentinel:
-                    assert np.all(s.mu1 == 0) and np.all(s.sigma1 == 0)
+            for mu, sigma, count in zip(state.mu, state.sigma, state.count):
+                if count == 0:
+                    assert np.all(mu[:3] == 0) and np.all(sigma[0] == 0)
                     continue
-                assert s.mu1[2] >= 0.0
-                assert s.mu2[0] >= 0.0 and s.mu2[1] >= 0.0
-                assert 0.0 <= s.mu2[2] < math.pi
-                for m in (s.sigma1, s.sigma2):
+                assert mu[2] >= 0.0
+                assert mu[3] >= 0.0 and mu[4] >= 0.0
+                assert 0.0 <= mu[5] < math.pi
+                for m in sigma:
                     assert np.allclose(m, m.T)
                     assert np.linalg.eigvalsh(m).min() > -1e-9
 
@@ -308,14 +298,12 @@ class TestEffectivenessScore:
         return SearchConfig(w_h=1000.0, w_area=10.0, w_sigma=0.5)
 
     def test_zero_delta_bucket_scores_covariance_only(self, two_sector_geom):
-        state = SheetState(two_sector_geom,
-                           [gauss(1, [10, 5, 2.0], [4, 4, 1], [8, 4, 0.3], [2, 2, 1]),
-                            SectorGaussians.sentinel(2)])
+        state = make_state(two_sector_geom,
+                           {1: gauss([10, 5, 2.0], [4, 4, 1], [8, 4, 0.3], [2, 2, 1])})
         model = EffectivenessModel(sector_count=2)
         model.add_sample(TransitionSample(
-            action=path(1), sector=1,
-            delta=DeltaVector(0, 0, 0, 0, 0, 0),
-            signs=compute_signs(state.sector(1), state.sector(1))))
+            action=path(1), sector=1, delta=np.zeros(6),
+            signs=compute_signs(state.sigma[0], state.sigma[0])))
         cfg = self.cfg()
         score = effectiveness_score(path(1), state, model, cfg)
         after = propagate(state, path(1), model)
@@ -324,32 +312,32 @@ class TestEffectivenessScore:
         expected = (state_utility(after, cfg) - state_utility(state, cfg)
                     + cfg.w_sigma * d_trace)
         assert score == pytest.approx(expected, abs=1e-12)
-        assert np.array_equal(after.sector(1).mu1, state.sector(1).mu1)
+        assert np.array_equal(after.mu[0, :3], state.mu[0, :3])
         assert d_trace < 0  # all-tie votes shrink the diagonals
 
     def test_dominated_action_scores_worse(self, two_sector_geom):
-        state = SheetState(two_sector_geom,
-                           [gauss(1, [0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1]),
-                            gauss(2, [0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1])])
+        state = make_state(two_sector_geom,
+                           {1: gauss([0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1]),
+                            2: gauss([0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1])})
         model = EffectivenessModel(sector_count=2)
-        signs = compute_signs(state.sector(1), state.sector(1))
+        signs = compute_signs(state.sigma[0], state.sigma[0])
         for sector in (1, 2):
             model.add_sample(TransitionSample(path(1), sector,
-                                              DeltaVector(0, 0, -2.0, 0, 0, 0), signs))
+                                              np.array([0, 0, -2.0, 0, 0, 0]), signs))
             model.add_sample(TransitionSample(path(2), sector,
-                                              DeltaVector(0, 0, -0.5, 0, 0, 0), signs))
+                                              np.array([0, 0, -0.5, 0, 0, 0]), signs))
         cfg = self.cfg()
         assert effectiveness_score(path(1), state, model, cfg) < \
             effectiveness_score(path(2), state, model, cfg)
 
     def test_matches_manual_arithmetic(self, two_sector_geom):
-        state = SheetState(two_sector_geom,
-                           [gauss(1, [0, 0, 4.0], [0, 0, 0], [6, 2, 0.1], [0, 0, 0]),
-                            gauss(2, [0, 0, 2.0], [0, 0, 0], [3, 1, 0.1], [0, 0, 0])])
+        state = make_state(two_sector_geom,
+                           {1: gauss([0, 0, 4.0], [0, 0, 0], [6, 2, 0.1], [0, 0, 0]),
+                            2: gauss([0, 0, 2.0], [0, 0, 0], [3, 1, 0.1], [0, 0, 0])})
         model = EffectivenessModel(sector_count=2)
-        signs = compute_signs(state.sector(1), state.sector(1))
+        signs = compute_signs(state.sigma[0], state.sigma[0])
         model.add_sample(TransitionSample(path(1), 1,
-                                          DeltaVector(0, 0, -1.0, -1.0, 0, 0), signs))
+                                          np.array([0, 0, -1.0, -1.0, 0, 0]), signs))
         cfg = SearchConfig(w_h=100.0, w_area=1.0, w_sigma=0.0)
         area = two_sector_geom.area
         f_before = (100 * 4 + 6 * 2 + 100 * 2 + 3 * 1) / area

@@ -1,21 +1,28 @@
-"""Property tests: fast paths against the slow oracles they stand in for."""
+"""Property tests: fast paths against the slow oracles they stand in for,
+and the log boundary against malformed records."""
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from layup.effectiveness import (DeltaVector, EffectivenessModel,  # noqa: E402
-                                 SignMatrices, TransitionSample, propagate,
-                                 propagate_batch)
+from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E402
+                                 TransitionSample, propagate, propagate_batch)
 from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E402
                         RelConstraint, _feasible_exact, _feasible_screen,
                         _kinds_valid, capture, end, path, peel, prefix_feasible,
                         refinement, standard_constraints)
 from layup.search import (SearchConfig, _needed_suffix_kinds, price_batch,  # noqa: E402
                           state_utility, trace_total)
-from layup.sheet_state import (SectorGaussians, SheetGeometry, SheetState,  # noqa: E402
-                               StateArrays, segment_regions)
+from layup.sheet_state import SheetGeometry, SheetState, segment_regions  # noqa: E402
+from layup.simulator import ExperimentLog, StepRecord, read_log, write_log  # noqa: E402
+
+from conftest import make_state  # noqa: E402
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -106,30 +113,36 @@ BATCH_ACTIONS = (path(1), path(2), path(3), peel(), capture(), refinement(3), en
 
 
 @st.composite
-def sectors(draw, sector):
+def sectors(draw):
+    """One sector's (mu, sigma, n) rows for make_state, or None for a sentinel."""
     kind = draw(st.sampled_from(("live", "live", "live", "sentinel", "stale")))
     if kind == "sentinel":
-        return SectorGaussians.sentinel(sector)
+        return None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m1 = rng.normal(size=(3, 3))
     m2 = rng.normal(size=(3, 3))
     # "stale": no samples, yet nonzero moments, which propagation must zero
-    return SectorGaussians(sector=sector,
-                           mu1=np.array([rng.normal() * 50, rng.normal() * 50, draw(SMALL_ST)]),
-                           sigma1=m1 @ m1.T,
-                           mu2=np.array([draw(SMALL_ST), draw(SMALL_ST), draw(THETA_ST)]),
-                           sigma2=m2 @ m2.T,
-                           sample_count=0 if kind == "stale" else draw(st.integers(1, 9)))
+    mu = [rng.normal() * 50, rng.normal() * 50, draw(SMALL_ST),
+          draw(SMALL_ST), draw(SMALL_ST), draw(THETA_ST)]
+    return mu, [m1 @ m1.T, m2 @ m2.T], 0 if kind == "stale" else draw(st.integers(1, 9))
 
 
 @st.composite
-def states_and_models(draw):
+def states(draw):
     k = draw(st.integers(2, 12))  # np.sum adds 8 or more terms pairwise
     half = 100.0
     geom = SheetGeometry(center=np.zeros(2), sector_count=k,
                          polygon=np.array([[half, half], [-half, half],
                                            [-half, -half], [half, -half]]))
-    state = SheetState(geom, [draw(sectors(i)) for i in range(1, k + 1)])
+    rows = {i: draw(sectors()) for i in range(1, k + 1)}
+    return make_state(geom, {i: row for i, row in rows.items() if row is not None},
+                      t=draw(st.integers(0, 40)))
+
+
+@st.composite
+def states_and_models(draw):
+    state = draw(states())
+    k = state.geometry.sector_count
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = EffectivenessModel(sector_count=k)
     for action in BATCH_ACTIONS[:-1]:  # end stays unseen
@@ -137,13 +150,13 @@ def states_and_models(draw):
             for _ in range(rng.integers(0, 4)):  # 0: sector without data
                 u1, u2 = rng.choice((-1.0, 1.0), size=(2, 3))
                 model.add_sample(TransitionSample(
-                    action, sector, DeltaVector(*rng.choice(DELTAS, size=6)),
-                    SignMatrices(np.diag(u1), np.diag(u2))))
+                    action, sector, rng.choice(DELTAS, size=6), np.array([u1, u2])))
     return state, model
 
 
-def fingerprint(arrays: StateArrays) -> tuple:
-    return arrays.mu.tobytes(), arrays.sigma.tobytes(), arrays.count.tobytes()
+def fingerprint(state: SheetState, i=...) -> tuple:
+    """The exact bytes of a state's arrays, or of state i of a batch."""
+    return state.mu[i].tobytes(), state.sigma[i].tobytes(), state.count[i].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,13 +165,11 @@ def fingerprint(arrays: StateArrays) -> tuple:
                       max_size=len(BATCH_ACTIONS)))
 def test_propagate_batch_matches_scalar_bitwise(case, sampled, seeds):
     state, model = case
-    batch = propagate_batch(StateArrays.of(state), BATCH_ACTIONS, model,
-                            seeds if sampled else None)
+    batch = propagate_batch(state, BATCH_ACTIONS, model, seeds if sampled else None)
     for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
         want = propagate(state, action, model, mode="sampled" if sampled else "expectation",
                          seed=seed)
-        got = StateArrays(batch.mu[i], batch.sigma[i], batch.count[i])
-        assert fingerprint(got) == fingerprint(StateArrays.of(want))
+        assert fingerprint(batch, i) == fingerprint(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,9 +179,74 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
     state, model = case
     cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
     scalar = [state] + [propagate(state, action, model) for action in BATCH_ACTIONS]
-    arrays = [StateArrays.of(s) for s in scalar]
-    batch = StateArrays(*(np.stack(field) for field in zip(*arrays)))
+    batch = SheetState(state.geometry, np.stack([s.mu for s in scalar]),
+                       np.stack([s.sigma for s in scalar]), np.stack([s.count for s in scalar]))
     utility, trace = price_batch(batch, state.geometry.area, cfg)
     assert [u.hex() for u in utility.tolist()] == \
         [state_utility(s, cfg).hex() for s in scalar]
     assert [t.hex() for t in trace.tolist()] == [trace_total(s).hex() for s in scalar]
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=states())
+def test_state_json_round_trip_is_exact(state):
+    back = SheetState.from_json(json.loads(json.dumps(state.to_json())))
+    assert fingerprint(back) == fingerprint(state)
+    assert back.t == state.t
+
+
+def _fields(node):
+    # (container, key, value) of every field below a JSON node, depth first
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key, value
+        if isinstance(value, (dict, list)):
+            yield from _fields(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# which (container, key, value) sites each corruption applies to; captures
+# are optional, so a step record's required fields are all the rest
+CORRUPTIONS = {
+    "drop a key": lambda c, k, v: isinstance(c, dict),
+    "shorten a vector": lambda c, k, v: isinstance(v, list) and k != "polygon",
+    "string for a number": lambda c, k, v: _is_number(v),
+    "reorder sector ids": lambda c, k, v: k == "sectors",
+}
+
+
+def _corrupt(container, key, how: str) -> None:
+    if how == "drop a key":
+        del container[key]
+    elif how == "shorten a vector":
+        container[key] = container[key][:-1]
+    elif how == "string for a number":
+        container[key] = "oops"
+    else:
+        records = container[key]
+        records[0], records[-1] = records[-1], records[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=states(), line=st.sampled_from((1, 2)),
+       how=st.sampled_from(sorted(CORRUPTIONS)), data=st.data())
+def test_read_log_names_the_line_of_a_corrupt_step(state, line, how, data):
+    log = ExperimentLog(plan_name="p", sheet="s", seed=0,
+                        steps=[StepRecord(i, path(i), state, state) for i in (1, 2)],
+                        correction_cycles=0, correction_paths=0, correction_converged=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "log.jsonl"
+        write_log(log, target)
+        read_log(target)  # well formed before the corruption
+        lines = target.read_text().splitlines()
+        rec = json.loads(lines[line - 1])
+        sites = [(c, k) for c, k, v in _fields(rec)
+                 if not (c is rec and k in ("type", "capture_before", "capture_after"))
+                 and CORRUPTIONS[how](c, k, v)]
+        _corrupt(*sites[data.draw(st.integers(0, len(sites) - 1))], how)
+        lines[line - 1] = json.dumps(rec)
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match=re.escape(f"{target}:{line}: bad step record")):
+            read_log(target)

@@ -5,8 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from layup.effectiveness import (DeltaVector, EffectivenessModel,
-                                 TransitionSample, compute_signs)
+from layup.effectiveness import EffectivenessModel, TransitionSample, compute_signs
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
                         validate)
@@ -14,24 +13,20 @@ from layup.search import (SearchConfig, SearchError, action_cost, expand,
                           generate_refinement_paths, lookahead_value, refine_plan,
                           refine_plan_detailed, replay_cost, root_node,
                           state_utility)
-from layup.sheet_state import SectorGaussians, SheetState
+
+from conftest import make_state
 
 
 def gauss(sector, h, a, b, theta=0.2):
-    return SectorGaussians(sector=sector,
-                           mu1=np.array([10.0 * sector, 5.0, h]),
-                           sigma1=np.eye(3),
-                           mu2=np.array([a, b, theta]),
-                           sigma2=np.eye(3),
-                           sample_count=1)
+    return np.array([10.0 * sector, 5.0, h, a, b, theta]), np.eye(3), 1
 
 
 def two_sector_state(geom, h1=3.0, h2=2.0):
-    return SheetState(geom, [gauss(1, h1, 20.0, 10.0), gauss(2, h2, 15.0, 8.0)])
+    return make_state(geom, {1: gauss(1, h1, 20.0, 10.0), 2: gauss(2, h2, 15.0, 8.0)})
 
 
 def zero_signs():
-    s = SectorGaussians.sentinel(1)
+    s = np.zeros((2, 3, 3))
     return compute_signs(s, s)
 
 
@@ -40,7 +35,7 @@ def model_from_deltas(deltas_by_key, k=2):
     model = EffectivenessModel(sector_count=k)
     for (act, sector), delta in deltas_by_key.items():
         model.add_sample(TransitionSample(action=act, sector=sector,
-                                          delta=DeltaVector(*delta),
+                                          delta=np.asarray(delta, dtype=float),
                                           signs=zero_signs()))
     model.experiments = 1
     return model
@@ -119,8 +114,7 @@ class TestActionCost:
 
 class TestStateUtility:
     def test_all_sentinel_is_zero(self, two_sector_geom):
-        state = SheetState(two_sector_geom, [SectorGaussians.sentinel(1),
-                                             SectorGaussians.sentinel(2)])
+        state = make_state(two_sector_geom)
         assert state_utility(state, SearchConfig()) == 0.0
 
     def test_height_linearity(self, two_sector_geom):
@@ -182,8 +176,7 @@ class TestLookahead:
     def test_single_zero_delta_action_adds_its_cost(self, two_sector_geom):
         # all-sentinel state (utility 0) and constraints that admit only
         # path(1): one level of lookahead prices exactly that action
-        state = SheetState(two_sector_geom, [SectorGaussians.sentinel(1),
-                                             SectorGaussians.sentinel(2)])
+        state = make_state(two_sector_geom)
         model = model_from_deltas({(path(1), 1): np.zeros(6),
                                    (path(1), 2): np.zeros(6)})
         cs = ConstraintSet(abs=(AbsConstraint("peel", "<", 1),
@@ -233,8 +226,7 @@ class TestRefinePlan:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_all_sentinel_initial_state_minimal_skeleton(self, two_sector_geom):
-        state = SheetState(two_sector_geom, [SectorGaussians.sentinel(1),
-                                             SectorGaussians.sentinel(2)])
+        state = make_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(5))
         cfg = SearchConfig(path_count=4, horizon=10)
         plan = refine_plan(state, model, standard_constraints(), cfg)
@@ -271,7 +263,7 @@ class TestRefinePlan:
         for i in range(1, 5):
             for s in (1, 2):
                 model.add_sample(TransitionSample(path(i), s,
-                                                  DeltaVector(0, 0, -0.2, 0, 0, 0),
+                                                  np.array([0, 0, -0.2, 0, 0, 0]),
                                                   blank))
         cfg = SearchConfig(path_count=4, horizon=12, mode="sampled", seed=5)
         a = refine_plan(state, model, standard_constraints(), cfg)
@@ -319,48 +311,37 @@ class TestRefinePlan:
 
 class TestGenerateRefinementPaths:
     def test_single_region_geometry(self, square_geom):
-        sectors = [SectorGaussians.sentinel(i) for i in range(1, 9)]
-        sectors[0] = SectorGaussians(1, np.array([50.0, 0.0, 2.0]), np.eye(3),
-                                     np.array([20.0, 10.0, 0.0]), np.eye(3), 1)
-        state = SheetState(square_geom, sectors)
+        state = make_state(square_geom, {1: ([50.0, 0.0, 2.0, 20.0, 10.0, 0.0], np.eye(3), 1)})
         paths = generate_refinement_paths(state, 1, square_geom)
         assert len(paths) == 1
         assert np.allclose(paths[0].start, [30.0, 0.0], atol=1e-9)
         assert np.allclose(paths[0].end, [150.0, 0.0], atol=1e-9)
 
     def test_cycles_when_more_paths_than_sectors(self, square_geom):
-        sectors = [SectorGaussians.sentinel(i) for i in range(1, 9)]
-        sectors[0] = SectorGaussians(1, np.array([60.0, 20.0, 2.0]), np.eye(3),
-                                     np.array([20.0, 10.0, 0.1]), np.eye(3), 1)
-        sectors[4] = SectorGaussians(5, np.array([-60.0, -20.0, 3.0]), np.eye(3),
-                                     np.array([25.0, 12.0, 3.0]), np.eye(3), 1)
-        state = SheetState(square_geom, sectors)
+        state = make_state(square_geom,
+                           {1: ([60.0, 20.0, 2.0, 20.0, 10.0, 0.1], np.eye(3), 1),
+                            5: ([-60.0, -20.0, 3.0, 25.0, 12.0, 3.0], np.eye(3), 1)})
         paths = generate_refinement_paths(state, 4, square_geom)
         assert len(paths) == 4
         starts = {tuple(np.round(p.start, 6)) for p in paths}
         assert len(starts) == 2  # two distinct targets, each visited twice
 
     def test_severity_ranking(self, square_geom):
-        sectors = [SectorGaussians.sentinel(i) for i in range(1, 9)]
-        sectors[0] = SectorGaussians(1, np.array([60.0, 20.0, 0.5]), np.eye(3),
-                                     np.array([5.0, 2.0, 0.1]), np.eye(3), 1)
-        sectors[4] = SectorGaussians(5, np.array([-60.0, -20.0, 4.0]), np.eye(3),
-                                     np.array([30.0, 15.0, 3.0]), np.eye(3), 1)
-        state = SheetState(square_geom, sectors)
+        state = make_state(square_geom,
+                           {1: ([60.0, 20.0, 0.5, 5.0, 2.0, 0.1], np.eye(3), 1),
+                            5: ([-60.0, -20.0, 4.0, 30.0, 15.0, 3.0], np.eye(3), 1)})
         first = generate_refinement_paths(state, 1, square_geom)[0]
         # the severe sector 5 wins the single slot
         assert first.start[0] < 0
 
     def test_all_sentinel_flagged_noop(self, square_geom, caplog):
-        state = SheetState(square_geom, [SectorGaussians.sentinel(i)
-                                         for i in range(1, 9)])
+        state = make_state(square_geom)
         with caplog.at_level("WARNING"):
             paths = generate_refinement_paths(state, 3, square_geom)
         assert len(paths) == 3
         assert "compacted" in caplog.text
 
     def test_n_positive(self, square_geom):
-        state = SheetState(square_geom, [SectorGaussians.sentinel(i)
-                                         for i in range(1, 9)])
+        state = make_state(square_geom)
         with pytest.raises(ValueError):
             generate_refinement_paths(state, 0, square_geom)

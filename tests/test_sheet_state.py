@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from layup.sheet_state import (CaptureFrame, SectorGaussians, SheetGeometry,
-                               assign_sector, average_states, build_state,
-                               filter_uncompacted, fit_ellipse,
-                               read_capture_frames, segment_regions,
+from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState, assign_sector,
+                               average_states, build_state, filter_uncompacted,
+                               fit_ellipse, read_capture_frames, segment_regions,
                                write_capture_frames)
+
+from conftest import make_state
 
 
 def frame_from(points, t=0):
@@ -172,16 +173,16 @@ class TestBuildState:
     def test_fully_compacted(self, square_geom):
         pts = bump_points((0, 0), 10.0, 0.0)
         state = build_state(frame_from(pts), square_geom)
-        assert state.all_sentinel
+        assert not state.count.any()
 
     def test_single_bump_lands_in_its_sector(self, square_geom):
         center = polar(112.5, 90.0)  # middle of sector 3
         state = build_state(frame_from(bump_points(center, 12.0, 4.0)), square_geom)
-        live = [s.sector for s in state.sectors if not s.is_sentinel]
+        live = (np.flatnonzero(state.count) + 1).tolist()
         assert live == [3]
-        s3 = state.sector(3)
-        assert np.linalg.norm(s3.mu1[:2] - center) < 5.0
-        assert s3.mu1[2] > 0.5
+        s3 = state.mu[2]
+        assert np.linalg.norm(s3[:2] - center) < 5.0
+        assert s3[2] > 0.5
 
     def test_weighted_mean_matches_pointwise_oracle(self, square_geom):
         # two well-separated bumps, both inside sector 1
@@ -190,30 +191,28 @@ class TestBuildState:
                          bump_points(c2, 10.0, 3.0, extent=40)])
         frame = frame_from(pts)
         state = build_state(frame, square_geom)
-        s1 = state.sector(1)
-        assert s1.sample_count == 2
+        assert state.count[0] == 2
         # count-weighted mean over regions equals the plain mean of the
         # filtered points, recomputed here from scratch
         kept = pts[pts[:, 2] > 0.5]
-        assert np.allclose(s1.mu1, kept.mean(axis=0), atol=1e-9)
+        assert np.allclose(state.mu[0, :3], kept.mean(axis=0), atol=1e-9)
 
     def test_single_region_sigma2_zero(self, square_geom):
         state = build_state(frame_from(bump_points(polar(70, 90), 12.0, 4.0)),
                             square_geom)
-        s2 = state.sector(2)
-        assert s2.sample_count == 1
-        assert np.all(s2.sigma2 == 0.0)
-        assert np.trace(s2.sigma1) > 0
+        sigma1, sigma2 = state.sigma[1]
+        assert state.count[1] == 1
+        assert np.all(sigma2 == 0.0)
+        assert np.trace(sigma1) > 0
 
     def test_covariances_psd(self, square_geom):
         rng = np.random.default_rng(8)
         pts = np.column_stack([rng.uniform(-140, 140, (400, 2)),
                                rng.uniform(0, 3.0, 400)])
         state = build_state(frame_from(pts), square_geom)
-        for s in state.sectors:
-            for m in (s.sigma1, s.sigma2):
-                assert np.allclose(m, m.T)
-                assert np.linalg.eigvalsh(m).min() > -1e-9
+        for m in state.sigma.reshape(-1, 3, 3):
+            assert np.allclose(m, m.T)
+            assert np.linalg.eigvalsh(m).min() > -1e-9
 
     def test_height_scaling_exact_on_fixed_level_set(self, square_geom):
         # discrete heights keep the filtered point set identical under
@@ -226,19 +225,29 @@ class TestBuildState:
         doubled[:, 2] *= 2.0
         s_base = build_state(frame_from(pts), square_geom)
         s_doubled = build_state(frame_from(doubled), square_geom)
-        for a, b in zip(s_base.sectors, s_doubled.sectors):
-            assert a.is_sentinel == b.is_sentinel
-            if a.is_sentinel:
+        for a, a_n, b, b_n in zip(s_base.mu, s_base.count, s_doubled.mu, s_doubled.count):
+            assert (a_n == 0) == (b_n == 0)
+            if a_n == 0:
                 continue
-            assert np.array_equal(b.mu1[:2], a.mu1[:2])
-            assert b.mu1[2] == pytest.approx(2.0 * a.mu1[2], rel=1e-12)
-            assert np.array_equal(b.mu2[:2], a.mu2[:2])
+            assert np.array_equal(b[:2], a[:2])
+            assert b[2] == pytest.approx(2.0 * a[2], rel=1e-12)
+            assert np.array_equal(b[3:5], a[3:5])
 
     def test_deterministic(self, square_geom):
         pts = bump_points(polar(300, 100), 15.0, 5.0)
         a = build_state(frame_from(pts), square_geom)
         b = build_state(frame_from(pts), square_geom)
         assert a.to_json() == b.to_json()
+
+
+class TestStateJson:
+    def test_rejects_moments_of_one_wrong_shape_throughout(self, square_geom):
+        # no sector disagrees with another, so only the shape itself is wrong
+        obj = make_state(square_geom).to_json()
+        for record in obj["sectors"]:
+            record["sigma1"] = record["sigma2"] = [[0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="sigma1 and sigma2"):
+            SheetState.from_json(obj)
 
 
 class TestCaptureIO:
@@ -265,19 +274,12 @@ class TestAverageStates:
         s_a = build_state(frame_from(bump_points(polar(20, 90), 10, 4.0)), square_geom)
         s_b = build_state(frame_from(bump_points(polar(200, 90), 10, 4.0)), square_geom)
         avg = average_states([s_a, s_b])
-        live = {s.sector for s in avg.sectors if not s.is_sentinel}
+        live = set((np.flatnonzero(avg.count) + 1).tolist())
         assert live == {1, 5}
 
     def test_mean_of_means(self, square_geom):
-        sectors_a = [SectorGaussians.sentinel(i) for i in range(1, 9)]
-        sectors_b = [SectorGaussians.sentinel(i) for i in range(1, 9)]
-        from layup.sheet_state import SheetState
-        sa = SheetState(square_geom, sectors_a)
-        sb = SheetState(square_geom, sectors_b)
-        sa.sectors[0] = SectorGaussians(1, np.array([1.0, 2.0, 3.0]), np.eye(3),
-                                        np.array([4.0, 2.0, 0.5]), np.eye(3), 1)
-        sb.sectors[0] = SectorGaussians(1, np.array([3.0, 4.0, 5.0]), np.eye(3),
-                                        np.array([6.0, 4.0, 1.5]), np.eye(3), 1)
+        sa = make_state(square_geom, {1: ([1.0, 2.0, 3.0, 4.0, 2.0, 0.5], np.eye(3), 1)})
+        sb = make_state(square_geom, {1: ([3.0, 4.0, 5.0, 6.0, 4.0, 1.5], np.eye(3), 1)})
         avg = average_states([sa, sb])
-        assert np.allclose(avg.sector(1).mu1, [2.0, 3.0, 4.0])
-        assert np.allclose(avg.sector(1).mu2, [5.0, 3.0, 1.0])
+        assert np.allclose(avg.mu[0, :3], [2.0, 3.0, 4.0])
+        assert np.allclose(avg.mu[0, 3:], [5.0, 3.0, 1.0])
