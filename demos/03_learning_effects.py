@@ -9,7 +9,6 @@ import numpy as np
 
 from layup.effectiveness import aggregate
 from layup.plan import expert_plan, path
-from layup.search import generate_refinement_paths
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
 params = GroundTruthParams()
@@ -19,9 +18,7 @@ logs = []
 for variant in (1, 2):
     plan = expert_plan(variant)
     for seed in (101, 102, 103):
-        log = run_experiment(plan, sheet, params, seed,
-                             path_generator=generate_refinement_paths,
-                             keep_captures=False)
+        log = run_experiment(plan, sheet, params, seed, keep_captures=False)
         logs.append(log)
         print(f"{plan.name} seed {seed}: total {log.total_paths} paths "
               f"({log.correction_paths} corrective over "

@@ -9,7 +9,7 @@ import numpy as np
 from layup.cli import build_report, format_report
 from layup.effectiveness import aggregate
 from layup.plan import emit_plan_text, expert_plan, standard_constraints
-from layup.search import SearchConfig, generate_refinement_paths, refine_plan_detailed
+from layup.search import SearchConfig, refine_plan_detailed
 from layup.sheet_state import average_states
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
@@ -20,9 +20,7 @@ print("running the six training experiments...")
 logs = []
 for variant in (1, 2):
     for seed in (101, 102, 103):
-        logs.append(run_experiment(expert_plan(variant), sheet, params, seed,
-                                   path_generator=generate_refinement_paths,
-                                   keep_captures=False))
+        logs.append(run_experiment(expert_plan(variant), sheet, params, seed, keep_captures=False))
 
 model = aggregate(logs)
 state0 = average_states([log.steps[0].state_before for log in logs])
@@ -41,9 +39,7 @@ summaries = []
 for seed in range(500, 510):
     for plan in (expert_plan(1), expert_plan(2), refined):
         cs = standard_constraints() if plan is refined else None
-        log = run_experiment(plan, sheet, params, seed,
-                             path_generator=generate_refinement_paths,
-                             constraints=cs, keep_captures=False)
+        log = run_experiment(plan, sheet, params, seed, constraints=cs, keep_captures=False)
         summaries.append({"type": "summary", "plan": log.plan_name,
                           "sheet": log.sheet, "seed": seed,
                           "correction_cycles": log.correction_cycles,

@@ -20,17 +20,30 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .effectiveness import EffectivenessModel, aggregate, LogFormatError
+from .effectiveness import EffectivenessModel, aggregate
+from .jsonio import LogFormatError, config_from_json, read_json, read_last_json_line
 from .plan import (ConstraintSet, DrapingPlan, PlanParseError, emit_plan,
                    initial_plan_constraints, parse_plan, standard_constraints,
                    validate)
-from .search import (SearchConfig, SearchError, SearchStats, generate_refinement_paths,
-                     refine_plan_detailed)
+from .search import SearchConfig, SearchError, SearchStats, refine_plan_detailed
 from .sheet_state import average_states, build_state, read_capture_frames
 from .simulator import (GroundTruthParams, PlanInvalidError, SimulationError,
-                        builtin_sheet, read_log, run_experiment, write_log)
+                        builtin_sheet, read_log, run_experiment, summary_from_json,
+                        write_log)
 
 REFINED_PREFIX = "refined"
+
+
+@dataclass(frozen=True)
+class _RunConfigFile:
+    """A run-config file's settings; each named file is read by `RunConfig.from_json`."""
+
+    sheet: str = "sheet1"
+    ground_truth: str = ""
+    constraints: str = ""
+    search: str = ""
+    seeds: tuple[int, ...] = (0,)
+    out: str = "."
 
 
 @dataclass
@@ -45,35 +58,27 @@ class RunConfig:
     out: Path = Path(".")
 
     @classmethod
+    def from_json(cls, obj: dict) -> "RunConfig":
+        """The run config a JSON object sets; an empty file name keeps the default."""
+        raw = config_from_json(_RunConfigFile, obj)
+        if not raw.seeds:
+            raise ValueError("at least one seed is required")
+        return cls(sheet=raw.sheet,
+                   params=GroundTruthParams.load(raw.ground_truth) if raw.ground_truth
+                   else GroundTruthParams(),
+                   constraints=ConstraintSet.load(raw.constraints) if raw.constraints else None,
+                   search=SearchConfig.load(raw.search) if raw.search else SearchConfig(),
+                   seeds=raw.seeds, out=Path(raw.out))
+
+    @classmethod
     def from_args(cls, args) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
-                try:
-                    raw = json.load(fh)
-                except ValueError as exc:
-                    raise ValueError(f"{args.config}: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise ValueError(f"{args.config}: a run config must be a JSON object")
-            cfg.sheet = raw.get("sheet", cfg.sheet)
-            if raw.get("ground_truth"):
-                cfg.params = GroundTruthParams.load(raw["ground_truth"])
-            if raw.get("constraints"):
-                cfg.constraints = ConstraintSet.load(raw["constraints"])
-            if raw.get("search"):
-                cfg.search = SearchConfig.load(raw["search"])
-            if raw.get("seeds"):
-                cfg.seeds = tuple(int(s) for s in raw["seeds"])
-            if raw.get("out"):
-                cfg.out = Path(raw["out"])
+        cfg = read_json(args.config, cls.from_json) if getattr(args, "config", None) else cls()
         if getattr(args, "sheet", None):
             cfg.sheet = args.sheet
         if getattr(args, "seed", None):
             cfg.seeds = tuple(args.seed)
         if getattr(args, "out", None):
             cfg.out = Path(args.out)
-        if not cfg.seeds:
-            raise ValueError("at least one seed is required")
         return cfg
 
 
@@ -92,7 +97,6 @@ def cmd_simulate(plan_path, cfg: RunConfig, keep_captures: bool = True) -> list[
     written = []
     for seed in cfg.seeds:
         log = run_experiment(plan, sheet, cfg.params, seed,
-                             path_generator=generate_refinement_paths,
                              constraints=cs, keep_captures=keep_captures)
         target = cfg.out / _log_name(plan, sheet.name, seed)
         write_log(log, target)
@@ -148,34 +152,6 @@ def cmd_refine(model_path, capture_path, cfg: RunConfig, name: str | None = None
                   fh, indent=2)
     print(f"{plan_path}  actions={len(plan)} in_plan_paths={plan.path_equivalents}")
     return plan_path
-
-
-# the summary fields build_report reads, with their types
-_SUMMARY_FIELDS = {"sheet": str, "plan": str, "seed": int, "correction_cycles": int,
-                   "correction_paths": int, "total_paths": int, "in_plan_paths": int}
-
-
-def _read_summary(path) -> dict:
-    last, lineno = None, 0
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            if line.strip():
-                last, lineno = line, i
-    if last is None:
-        raise LogFormatError(f"{path}: empty log")
-    try:
-        record = json.loads(last)
-    except json.JSONDecodeError as exc:
-        raise LogFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not isinstance(record, dict) or record.get("type") != "summary":
-        raise LogFormatError(f"{path}:{lineno}: missing trailing summary record")
-    for key, kind in _SUMMARY_FIELDS.items():
-        if key not in record:
-            raise LogFormatError(f"{path}:{lineno}: summary record lacks {key!r}")
-        if not isinstance(record[key], kind) or isinstance(record[key], bool):
-            raise LogFormatError(f"{path}:{lineno}: summary field {key!r} "
-                                 f"must be {kind.__name__}")
-    return record
 
 
 def build_report(summaries: list[dict], baseline: str | None = None) -> dict:
@@ -264,7 +240,7 @@ def format_report(report: dict) -> str:
 def cmd_report(log_paths, out_dir=None, baseline: str | None = None) -> dict:
     if not log_paths:
         raise ValueError("report needs at least one log file")
-    summaries = [_read_summary(p) for p in log_paths]
+    summaries = [read_last_json_line(p, summary_from_json) for p in log_paths]
     report = build_report(summaries, baseline=baseline)
     text = format_report(report)
     print(text)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import axial_difference, fold_axial
+from .jsonio import LogFormatError, numbers, read_json, required
 from .plan import Action
 from .sheet_state import SheetState
 
@@ -33,10 +34,6 @@ COV_SHRINK = 0.9  # diagonal scale when the majority vote says uncertainty fell
 COV_GROW = 1.1    # ... and when it says uncertainty rose
 
 DELTA_FIELDS = ("d_x", "d_y", "d_h", "d_a", "d_b", "d_theta")
-
-
-class LogFormatError(ValueError):
-    pass
 
 
 def _step(x: np.ndarray) -> np.ndarray:
@@ -243,20 +240,25 @@ class EffectivenessModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EffectivenessModel":
-        if obj.get("version") != 1:
-            raise ValueError(f"unsupported model version {obj.get('version')!r}")
-        model = cls(sector_count=int(obj["sector_count"]))
-        model.experiments = int(obj.get("experiments", 0))
-        model.sheets = list(obj.get("sheets", []))
-        for key, raw in obj["buckets"].items():
+        raw = required(obj, {"version": 1, "sector_count": 0, "experiments": 0,
+                           "sheets": [""], "buckets": {}})
+        if raw["version"] != 1:
+            raise ValueError(f"unsupported model version {raw['version']}")
+        model = cls(sector_count=raw["sector_count"])
+        model.experiments = raw["experiments"]
+        model.sheets = raw["sheets"]
+        for key, rec in raw["buckets"].items():
             kind, arg, sector = key.split("|")
             if not 1 <= int(sector) <= model.sector_count:
                 raise ValueError(f"bucket {key}: sector out of range")
+            rec = required(rec, {"deltas": [], "u1": [], "u2": [], "sources": [""]})
             bucket = _Bucket()
-            bucket.deltas = [np.array(d, dtype=float) for d in raw["deltas"]]
-            bucket.u1 = [np.array(d, dtype=float) for d in raw["u1"]]
-            bucket.u2 = [np.array(d, dtype=float) for d in raw["u2"]]
-            bucket.sources = list(raw["sources"])
+            bucket.deltas = list(numbers(rec["deltas"], (None, 6), f"bucket {key} deltas"))
+            bucket.u1 = list(numbers(rec["u1"], (len(bucket.deltas), 3), f"bucket {key} u1"))
+            bucket.u2 = list(numbers(rec["u2"], (len(bucket.deltas), 3), f"bucket {key} u2"))
+            bucket.sources = rec["sources"]
+            if len(bucket.sources) != bucket.count:
+                raise ValueError(f"bucket {key}: one source per delta needed")
             model.table[(kind, int(arg), int(sector))] = bucket
         return model
 
@@ -266,8 +268,7 @@ class EffectivenessModel:
 
     @classmethod
     def load(cls, path) -> "EffectivenessModel":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return read_json(path, cls.from_json)
 
 
 def aggregate(logs) -> EffectivenessModel:

@@ -25,6 +25,8 @@ import json
 import re
 from dataclasses import dataclass
 
+from .jsonio import read_json, settings, typed
+
 ACTION_KINDS = ("path", "peel", "capture", "end", "refinement")
 PATH_COUNT_DEFAULT = 16
 _KIND_ALIASES = {"refine": "refinement"}
@@ -48,8 +50,8 @@ class Action:
         if self.kind not in ACTION_KINDS:
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind == "path":
-            if self.arg is None or self.arg < 1:
-                raise ValueError("path actions need a positive path index")
+            if self.arg is None or not 1 <= self.arg <= PATH_COUNT_DEFAULT:
+                raise ValueError(f"path actions need a path index in 1..{PATH_COUNT_DEFAULT}")
         elif self.kind == "refinement":
             if self.arg is None or self.arg < 1:
                 raise ValueError("refinement actions need a positive count")
@@ -167,18 +169,13 @@ class ConstraintSet:
     @classmethod
     def from_json(cls, obj: dict) -> "ConstraintSet":
         """Raises ValueError naming the list and index of a malformed record."""
-        if not isinstance(obj, dict):
-            raise ValueError("a constraint set must be a JSON object")
+        obj = settings(obj, ("rel", "abs"))
         return cls(rel=_constraint_records(obj, "rel", RelConstraint, 4),
                    abs=_constraint_records(obj, "abs", AbsConstraint, 3))
 
     @classmethod
     def load(cls, path) -> "ConstraintSet":
-        with open(path) as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        return read_json(path, cls.from_json)
 
 
 def _constraint_records(obj: dict, key: str, kind: type, width: int) -> tuple:
@@ -188,7 +185,7 @@ def _constraint_records(obj: dict, key: str, kind: type, width: int) -> tuple:
         try:
             if not isinstance(rec, (list, tuple)) or len(rec) != width:
                 raise ValueError(f"expected a list of {width} fields")
-            out.append(kind(*rec[:-1], int(rec[-1])))
+            out.append(kind(*rec[:-1], typed(rec[-1], 0, "lambda")))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{key} record {i} {json.dumps(rec)}: {exc}") from exc
     return tuple(out)
@@ -229,7 +226,6 @@ def initial_plan_constraints() -> ConstraintSet:
 @dataclass(frozen=True)
 class Violation:
     constraint: RelConstraint | AbsConstraint
-    position: int  # first witnessing position, 0 when none applies
     message: str
 
     def __str__(self):
@@ -272,33 +268,19 @@ def _first_rel_violation_pos(kinds, c: RelConstraint) -> int | None:
 
 
 def validate(plan: DrapingPlan, cs: ConstraintSet) -> list[Violation]:
-    """Every failed constraint with its first witnessing position; [] means valid."""
+    """Every failed constraint; [] means valid."""
     out = []
     kinds = plan.kinds()
     for c in cs.abs:
         count = sum(1 for k in kinds if k == c.alpha)
         if not _compare_count(count, c.gamma, c.lam):
-            positions = [p for p, k in enumerate(kinds, start=1) if k == c.alpha]
-            witness = positions[c.lam] if c.gamma in ("=", "<") and len(positions) > c.lam else \
-                (positions[-1] if positions else 0)
-            out.append(Violation(c, witness,
-                                 f"{c}: {c.alpha} occurs {count} time(s)"))
+            out.append(Violation(c, f"{c}: {c.alpha} occurs {count} time(s)"))
     for c in cs.rel:
         p = _first_rel_violation_pos(kinds, c)
         if p is not None:
-            out.append(Violation(c, p,
-                                 f"{c}: {c.alpha} at position {p} lacks a qualifying earlier {c.beta}"))
+            out.append(Violation(
+                c, f"{c}: {c.alpha} at position {p} lacks a qualifying earlier {c.beta}"))
     return out
-
-
-def _kinds_valid(kinds: tuple[str, ...], cs: ConstraintSet) -> bool:
-    for c in cs.abs:
-        if not _compare_count(sum(1 for k in kinds if k == c.alpha), c.gamma, c.lam):
-            return False
-    for c in cs.rel:
-        if _first_rel_violation_pos(kinds, c) is not None:
-            return False
-    return True
 
 
 def prefix_feasible(prefix, cs: ConstraintSet, horizon: int) -> bool:
@@ -337,7 +319,8 @@ def outstanding(kinds: tuple[str, ...], cs: ConstraintSet) -> dict[str, int] | N
     '<' count is already exceeded. Otherwise the unmet '=' and '>' counts,
     plus one beta for every relative constraint whose alpha is still
     required while no beta has been placed (pulled in transitively). The
-    counts are lower bounds: gap relations may demand more.
+    counts are lower bounds: gap relations may demand more. An empty dict
+    means the kinds themselves satisfy every constraint.
     """
     counts = {k: 0 for k in ACTION_KINDS}
     for k in kinds:
@@ -369,9 +352,10 @@ def outstanding(kinds: tuple[str, ...], cs: ConstraintSet) -> dict[str, int] | N
 
 
 def _feasible_exact(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
-    if _kinds_valid(kinds, cs):
+    needed = outstanding(kinds, cs)
+    if needed == {}:  # the kinds already satisfy every constraint
         return True
-    if len(kinds) >= horizon or outstanding(kinds, cs) is None:
+    if needed is None or len(kinds) >= horizon:
         return False
     return any(_feasible_exact(kinds + (k,), cs, horizon) for k in ACTION_KINDS)
 
@@ -400,10 +384,9 @@ def parse_plan_text(text: str, name: str = "plan") -> DrapingPlan:
         if not m:
             raise PlanParseError(lineno, f"unparseable action {line!r}")
         kind = _KIND_ALIASES.get(m.group(1).lower(), m.group(1).lower())
-        arg = int(m.group(2)) if m.group(2) else None
         try:
-            actions.append(Action(kind, arg))
-        except ValueError as exc:
+            actions.append(Action(kind, int(m.group(2)) if m.group(2) else None))
+        except ValueError as exc:  # also an index too long for int()
             raise PlanParseError(lineno, str(exc)) from exc
     if not actions:
         raise PlanParseError(0, "plan file holds no actions")

@@ -21,20 +21,20 @@ against.
 """
 from __future__ import annotations
 
-import json
 import logging
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import plan as plan_mod
 from .effectiveness import EffectivenessModel, propagate, propagate_batch
 from .geometry import (PathGeometry, clamp_into_polygon, nearest_boundary_point,
-                       ray_exit_point, unit_vector, ROLLER_HALF_WIDTH_DEFAULT)
-from .plan import (Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
+                       ray_exit_point, unit_vector)
+from .jsonio import config_from_json, read_json
+from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    prefix_feasible, standard_constraints, validate)
-from .sheet_state import SheetGeometry, SheetState
+from .sheet_state import SheetState
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +73,13 @@ class SearchConfig:
             raise ValueError("weights must be nonnegative")
         if self.mode not in ("expectation", "sampled"):
             raise ValueError(f"unknown propagation mode {self.mode!r}")
+        if not 1 <= self.path_count <= PATH_COUNT_DEFAULT:
+            raise ValueError(f"path_count must lie in 1..{PATH_COUNT_DEFAULT}")
+        if sorted(self.action_costs) != sorted(ACTION_KINDS) or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool)
+                for c in self.action_costs.values()):
+            raise ValueError(f"action_costs must give a number for each of "
+                             f"{', '.join(ACTION_KINDS)}")
 
     def to_json(self) -> dict:
         return {"version": 1, "branching": self.branching, "depth": self.depth,
@@ -83,21 +90,11 @@ class SearchConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchConfig":
-        obj = dict(obj)
-        if obj.pop("version", 1) != 1:
-            raise ValueError("unsupported search config version")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown search config key(s): {', '.join(unknown)}")
-        return cls(**obj)
+        return config_from_json(cls, obj)
 
     @classmethod
     def load(cls, path) -> "SearchConfig":
-        with open(path) as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        return read_json(path, cls.from_json)
 
 
 def action_cost(action: Action, cfg: SearchConfig) -> float:
@@ -332,7 +329,7 @@ def _complete(node: SearchNode, model, cs, cfg, audit: list) -> SearchNode:
     """Append the shortest constraint-satisfying suffix (canonical ordering)."""
     kinds = tuple(a.kind for a in node.prefix)
     needed = suffix_kinds = _needed_suffix_kinds(kinds, cs)
-    if needed is not None and not plan_mod._kinds_valid(kinds + tuple(needed), cs):
+    if needed is not None and plan_mod.outstanding(kinds + tuple(needed), cs) != {}:
         suffix_kinds = _search_suffix(kinds, cs)
     if suffix_kinds is None:
         why = ("a placed action already breaks a constraint" if needed is None
@@ -352,7 +349,7 @@ def _search_suffix(kinds: tuple[str, ...], cs: ConstraintSet,
     for _ in range(max_extra + 1):
         next_frontier = []
         for suffix in frontier:
-            if plan_mod._kinds_valid(kinds + suffix, cs):
+            if plan_mod.outstanding(kinds + suffix, cs) == {}:
                 return list(suffix)
             for kind in _SUFFIX_ORDER:
                 next_frontier.append(suffix + (kind,))
@@ -423,9 +420,9 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
     return cost, state
 
 
-def generate_refinement_paths(state: SheetState, n: int, geom: SheetGeometry,
-                              half_width: float = ROLLER_HALF_WIDTH_DEFAULT) -> list[PathGeometry]:
-    """n corrective passes aimed at the worst sectors.
+def generate_refinement_paths(state: SheetState, n: int,
+                              half_width: float) -> list[PathGeometry]:
+    """n corrective passes of the given roller half-width aimed at the worst sectors.
 
     Sectors rank by severity (mean height times ellipse area, descending) and
     are cycled when n exceeds the non-sentinel count. Each pass runs along
@@ -436,6 +433,7 @@ def generate_refinement_paths(state: SheetState, n: int, geom: SheetGeometry,
     """
     if n < 1:
         raise ValueError("n must be positive")
+    geom = state.geometry
     live = np.flatnonzero(state.count).tolist()  # rows of non-sentinel sectors
     if not live:
         logger.warning("refinement paths requested on a fully compacted state; "

@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .geometry import fold_axial, point_in_polygon, polygon_area, polygon_is_simple
+from .jsonio import numbers, read_json_lines, typed
 
 H_MIN_DEFAULT = 0.5      # mm, height floor separating compacted from uncompacted
 LINK_RADIUS_DEFAULT = 12.0  # mm, single-linkage radius for region growing
@@ -63,9 +64,9 @@ class SheetGeometry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SheetGeometry":
-        return cls(center=np.array(obj["center"], dtype=float),
-                   polygon=np.array(obj["polygon"], dtype=float),
-                   sector_count=int(obj["sector_count"]))
+        return cls(center=numbers(obj["center"], (2,), "center"),
+                   polygon=numbers(obj["polygon"], (None, 2), "polygon"),
+                   sector_count=typed(obj["sector_count"], 0, "sector_count"))
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,13 @@ class CaptureFrame:
         if np.any(pts[:, 2] < 0):
             raise ValueError("heights must be nonnegative")
         object.__setattr__(self, "points", pts)
+
+    def to_json(self) -> dict:
+        return {"t": int(self.t), "points": self.points.tolist()}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "CaptureFrame":
+        return cls(points=numbers(obj["points"], (None, 3), "points"), t=typed(obj["t"], 0, "t"))
 
 
 @dataclass(frozen=True)
@@ -139,26 +147,13 @@ class SheetState:
         geometry = SheetGeometry.from_json(obj["geometry"])
         records = obj["sectors"]
         k = geometry.sector_count
-        if [rec["sector"] for rec in records] != list(range(1, k + 1)):
+        if [typed(rec["sector"], 0, "sector") for rec in records] != list(range(1, k + 1)):
             raise ValueError(f"sector ids must run 1..{k} in order")
-        mu = _stacked_numbers(records, ("mu1", "mu2"), (3,))
-        sigma = _stacked_numbers(records, ("sigma1", "sigma2"), (3, 3))
-        count = np.array([rec["n"] for rec in records])
-        if count.dtype.kind != "i":
-            raise ValueError("sector sample counts n must be integers")
-        return cls(geometry, mu.reshape(k, 6), sigma, count, int(obj["t"]))
-
-
-def _stacked_numbers(records: list, keys: tuple[str, str], shape: tuple) -> np.ndarray:
-    # the records' two fields as one (k, 2) + shape float array
-    try:
-        arr = np.array([[rec[key] for key in keys] for rec in records])
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.shape != (len(records), 2) + shape or arr.dtype.kind not in "if":
-        raise ValueError(f"{keys[0]} and {keys[1]} must each hold "
-                         f"{'x'.join(map(str, shape))} numbers")
-    return arr.astype(float)
+        mu = numbers([[rec["mu1"], rec["mu2"]] for rec in records], (k, 2, 3), "mu1 and mu2")
+        sigma = numbers([[rec["sigma1"], rec["sigma2"]] for rec in records], (k, 2, 3, 3),
+                        "sigma1 and sigma2")
+        count = np.array([typed(rec["n"], 0, "n") for rec in records])
+        return cls(geometry, mu.reshape(k, 6), sigma, count, typed(obj["t"], 0, "t"))
 
 
 def assign_sector(point, geom: SheetGeometry) -> int:
@@ -327,22 +322,8 @@ def write_capture_frames(path, frames: list[CaptureFrame]) -> None:
     """JSON-lines, one record per capture: {"t": ..., "points": [[x, y, h], ...]}."""
     with open(path, "w") as fh:
         for fr in frames:
-            rec = {"t": int(fr.t),
-                   "points": [[float(x), float(y), float(h)] for x, y, h in fr.points]}
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(fr.to_json()) + "\n")
 
 
 def read_capture_frames(path) -> list[CaptureFrame]:
-    frames = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                frames.append(CaptureFrame(points=np.array(rec["points"], dtype=float),
-                                           t=int(rec["t"])))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad capture record: {exc}") from exc
-    return frames
+    return read_json_lines(path, CaptureFrame.from_json)

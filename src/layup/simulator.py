@@ -16,16 +16,19 @@ is exactly the systematic-plus-noise structure the effect learner feeds on.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .effectiveness import LogFormatError
 from .geometry import (PathGeometry, axial_difference, clamp_into_polygon,
                        ellipse_hits_swept_rect, fold_axial, nearest_edge_angle,
                        point_in_polygon, ray_exit_point, unit_vector,
                        ROLLER_HALF_WIDTH_DEFAULT)
-from .plan import Action, DrapingPlan, initial_plan_constraints, validate
+from .jsonio import (LogFormatError, config_from_json, read_json, read_json_lines, required,
+                     typed)
+from .plan import (Action, DrapingPlan, PATH_COUNT_DEFAULT, initial_plan_constraints,
+                   validate)
+from .search import generate_refinement_paths
 from .sheet_state import (CaptureFrame, SheetGeometry, SheetState, build_state,
                           extract_regions, state_from_regions, H_MIN_DEFAULT,
                           LINK_RADIUS_DEFAULT)
@@ -78,8 +81,11 @@ class GroundTruthParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(0.0 < r < 1.0 for r in self.reduction_schedule):
-            raise ValueError("reduction factors must lie in (0, 1)")
+        if not self.reduction_schedule or not all(0.0 < r < 1.0 for r in self.reduction_schedule):
+            raise ValueError("reduction factors must lie in (0, 1), at least one of them")
+        if any(len(r) != 2 for r in (self.region_major, self.region_minor_frac,
+                                     self.region_height)):
+            raise ValueError("region ranges must be pairs of numbers")
         if self.edge_drift < 0 or self.orientation_rate < 0:
             raise ValueError("drift rates must be nonnegative")
 
@@ -95,16 +101,7 @@ class GroundTruthParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroundTruthParams":
-        obj = dict(obj)
-        if obj.pop("version", 1) != 1:
-            raise ValueError("unsupported params version")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown ground-truth key(s): {', '.join(unknown)}")
-        for key in ("reduction_schedule", "region_major", "region_minor_frac", "region_height"):
-            if key in obj:
-                obj[key] = tuple(obj[key])
-        return cls(**obj)
+        return config_from_json(cls, obj)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -112,11 +109,7 @@ class GroundTruthParams:
 
     @classmethod
     def load(cls, path) -> "GroundTruthParams":
-        with open(path) as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        return read_json(path, cls.from_json)
 
 
 @dataclass(frozen=True)
@@ -210,12 +203,11 @@ def init_sheet(spec: SheetSpec, params: GroundTruthParams, seed: int | None = No
 
 
 def path_geometry(index: int, geom: SheetGeometry,
-                  half_width: float = ROLLER_HALF_WIDTH_DEFAULT,
-                  path_count: int = 16) -> PathGeometry:
+                  half_width: float = ROLLER_HALF_WIDTH_DEFAULT) -> PathGeometry:
     """Radial pass number `index`, numbered clockwise from the top-right diagonal."""
-    if not 1 <= index <= path_count:
-        raise ValueError(f"path index {index} outside 1..{path_count}")
-    angle = np.deg2rad(45.0) - (index - 1) * (2.0 * np.pi / path_count)
+    if not 1 <= index <= PATH_COUNT_DEFAULT:
+        raise ValueError(f"path index {index} outside 1..{PATH_COUNT_DEFAULT}")
+    angle = np.deg2rad(45.0) - (index - 1) * (2.0 * np.pi / PATH_COUNT_DEFAULT)
     direction = unit_vector(angle)
     return PathGeometry(start=geom.center.copy(),
                         end=ray_exit_point(geom.center, direction, geom.polygon),
@@ -366,6 +358,29 @@ class StepRecord:
     capture_before: CaptureFrame | None = None
     capture_after: CaptureFrame | None = None
 
+    def to_json(self) -> dict:
+        return {"type": "step", "index": self.index,
+                "action": [self.action.kind, self.action.arg],
+                "state_before": self.state_before.to_json(),
+                "state_after": self.state_after.to_json(),
+                "capture_before": None if self.capture_before is None
+                else self.capture_before.to_json(),
+                "capture_after": None if self.capture_after is None
+                else self.capture_after.to_json()}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "StepRecord":
+        kind, arg = obj["action"]
+        return cls(index=typed(obj["index"], 0, "index"),
+                   action=Action(typed(kind, "", "action kind"),
+                                 arg if arg is None else typed(arg, 0, "action argument")),
+                   state_before=SheetState.from_json(obj["state_before"]),
+                   state_after=SheetState.from_json(obj["state_after"]),
+                   capture_before=None if obj["capture_before"] is None
+                   else CaptureFrame.from_json(obj["capture_before"]),
+                   capture_after=None if obj["capture_after"] is None
+                   else CaptureFrame.from_json(obj["capture_after"]))
+
 
 @dataclass
 class ExperimentLog:
@@ -393,15 +408,14 @@ class ExperimentLog:
 
 
 def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParams,
-                   seed: int, path_generator=None, constraints=None,
-                   keep_captures: bool = True) -> ExperimentLog:
+                   seed: int, constraints=None, keep_captures: bool = True) -> ExperimentLog:
     """Execute a validated plan against a fresh seeded ground truth.
 
     A capture is taken before the first action and after every action; the
     end action hands control to the correction controller after its capture,
     so the logged post-end state is the handover state the planner must
-    price. The refinement action calls `path_generator(state, n, geometry)`
-    with the latest derived state to obtain its n roller passes.
+    price. A refinement action runs the n roller passes that
+    `generate_refinement_paths` aims from the latest derived state.
     """
     cs = constraints if constraints is not None else initial_plan_constraints()
     violations = validate(plan, cs)
@@ -419,13 +433,8 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
     for idx, action in enumerate(plan.actions, start=1):
         refinement_paths = None
         if action.kind == "refinement":
-            if path_generator is None:
-                raise SimulationError(
-                    f"step {idx}: plan holds a refinement action but no path generator was given")
-            generated = path_generator(state, action.arg, geom)
-            refinement_paths = [PathGeometry(start=pg.start, end=pg.end,
-                                             half_width=params.roller_half_width)
-                                for pg in generated]
+            refinement_paths = generate_refinement_paths(state, action.arg,
+                                                         params.roller_half_width)
         apply_action(sim, action, refinement_paths)
         frame_after = render_capture(sim)
         state_after = build_state(frame_after, geom, params.h_min, params.link_radius)
@@ -443,31 +452,25 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
                          correction_paths=paths, correction_converged=converged)
 
 
-def _capture_to_json(frame: CaptureFrame | None):
-    if frame is None:
-        return None
-    return {"t": int(frame.t),
-            "points": [[float(x), float(y), float(h)] for x, y, h in frame.points]}
+# the summary record's fields, each with a value of its JSON type
+_SUMMARY = {"type": "", "version": 0, "plan": "", "sheet": "", "seed": 0,
+            "correction_cycles": 0, "correction_paths": 0, "correction_converged": True,
+            "in_plan_paths": 0, "total_paths": 0}
 
 
-def _capture_from_json(obj):
-    if obj is None:
-        return None
-    return CaptureFrame(points=np.array(obj["points"], dtype=float), t=int(obj["t"]))
+def summary_from_json(obj: dict) -> dict:
+    """A log's summary record, every field present and of its JSON type."""
+    summary = required(obj, _SUMMARY)
+    if summary["type"] != "summary" or summary["version"] != 1:
+        raise ValueError("not a version 1 summary record")
+    return summary
 
 
 def write_log(log: ExperimentLog, path) -> None:
     """JSON-lines: one record per step plus a trailing summary record."""
     with open(path, "w") as fh:
         for rec in log.steps:
-            fh.write(json.dumps({
-                "type": "step", "index": rec.index,
-                "action": [rec.action.kind, rec.action.arg],
-                "state_before": rec.state_before.to_json(),
-                "state_after": rec.state_after.to_json(),
-                "capture_before": _capture_to_json(rec.capture_before),
-                "capture_after": _capture_to_json(rec.capture_after),
-            }) + "\n")
+            fh.write(json.dumps(rec.to_json()) + "\n")
         fh.write(json.dumps({
             "type": "summary", "version": 1,
             "plan": log.plan_name, "sheet": log.sheet, "seed": log.seed,
@@ -479,45 +482,19 @@ def write_log(log: ExperimentLog, path) -> None:
         }) + "\n")
 
 
+def _log_record(obj: dict):
+    return {"step": StepRecord.from_json, "summary": summary_from_json}[obj["type"]](obj)
+
+
 def read_log(path) -> ExperimentLog:
-    steps = []
-    summary = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise LogFormatError(f"{path}:{lineno}: not a JSON object")
-            if rec.get("type") == "step":
-                try:
-                    kind, arg = rec["action"]
-                    steps.append(StepRecord(
-                        index=int(rec["index"]),
-                        action=Action(kind, arg if arg is None else int(arg)),
-                        state_before=SheetState.from_json(rec["state_before"]),
-                        state_after=SheetState.from_json(rec["state_after"]),
-                        capture_before=_capture_from_json(rec.get("capture_before")),
-                        capture_after=_capture_from_json(rec.get("capture_after"))))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise LogFormatError(f"{path}:{lineno}: bad step record "
-                                         f"({type(exc).__name__}: {exc})") from exc
-            elif rec.get("type") == "summary":
-                summary, summary_line = rec, lineno
-            else:
-                raise LogFormatError(f"{path}:{lineno}: unknown record type")
-    if summary is None:
+    records = read_json_lines(path, _log_record)
+    summaries = [rec for rec in records if isinstance(rec, dict)]
+    if not summaries:
         raise LogFormatError(f"{path}: missing summary record")
-    try:
-        return ExperimentLog(plan_name=summary["plan"], sheet=summary["sheet"],
-                             seed=int(summary["seed"]), steps=steps,
-                             correction_cycles=int(summary["correction_cycles"]),
-                             correction_paths=int(summary["correction_paths"]),
-                             correction_converged=bool(summary["correction_converged"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LogFormatError(f"{path}:{summary_line}: bad summary record "
-                             f"({type(exc).__name__}: {exc})") from exc
+    summary = summaries[-1]
+    return ExperimentLog(plan_name=summary["plan"], sheet=summary["sheet"],
+                         seed=summary["seed"],
+                         steps=[rec for rec in records if isinstance(rec, StepRecord)],
+                         correction_cycles=summary["correction_cycles"],
+                         correction_paths=summary["correction_paths"],
+                         correction_converged=summary["correction_converged"])

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from layup.plan import Action, DrapingPlan, check_abs, check_rel
 from layup.sheet_state import SheetGeometry, SheetState
+
+
+def meets(kinds, cs) -> bool:
+    """Whether a plan of these action kinds passes check_abs and check_rel for `cs`."""
+    plan = DrapingPlan(tuple(Action(k, 1 if k in ("path", "refinement") else None)
+                             for k in kinds))
+    return all(check_abs(plan, c) for c in cs.abs) and all(check_rel(plan, c) for c in cs.rel)
 
 
 def make_state(geom, sectors=None, t=0) -> SheetState:

@@ -21,8 +21,7 @@ from layup.plan import (AbsConstraint, Action, ConstraintSet, DrapingPlan,
                         RelConstraint, capture, end, expert_plan,
                         initial_plan_constraints, path, peel, refinement,
                         standard_constraints, validate)
-from layup.search import (SearchConfig, generate_refinement_paths, refine_plan,
-                          replay_cost, state_utility)
+from layup.search import SearchConfig, refine_plan, replay_cost, state_utility
 from layup.sheet_state import average_states, fit_ellipse
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
@@ -54,9 +53,7 @@ def corpus():
         for variant in (1, 2):
             plan = expert_plan(variant)
             for seed in TRAIN_SEEDS:
-                logs.append(run_experiment(plan, sheet, params, seed,
-                                           path_generator=generate_refinement_paths,
-                                           keep_captures=False))
+                logs.append(run_experiment(plan, sheet, params, seed, keep_captures=False))
         all_logs.extend(logs)
         model = aggregate(logs)
         state0 = average_states([lg.steps[0].state_before for lg in logs])
@@ -319,11 +316,9 @@ def test_criterion_6_end_to_end_reduction(corpus):
         for seed in EVAL_SEEDS:
             for variant in (1, 2):
                 log = run_experiment(expert_plan(variant), sheet, params, seed,
-                                     path_generator=generate_refinement_paths,
                                      keep_captures=False)
                 totals[f"D{variant}"].append(log.total_paths)
             log = run_experiment(bundle["refined"], sheet, params, seed,
-                                 path_generator=generate_refinement_paths,
                                  constraints=standard_constraints(),
                                  keep_captures=False)
             totals["refined"].append(log.total_paths)
@@ -387,8 +382,7 @@ def _golden_artifacts(tmp_dir: Path):
     sheet = builtin_sheet("sheet1")
     logs = []
     for variant in (1, 2):
-        logs.append(run_experiment(expert_plan(variant), sheet, params, seed=0,
-                                   path_generator=generate_refinement_paths))
+        logs.append(run_experiment(expert_plan(variant), sheet, params, seed=0))
     log_path = tmp_dir / "d1.jsonl"
     write_log(logs[0], log_path)
     model = aggregate(logs)
@@ -400,7 +394,6 @@ def _golden_artifacts(tmp_dir: Path):
     from layup.plan import emit_plan_text
     plan_text = emit_plan_text(refined)
     eval_log = run_experiment(refined, sheet, params, seed=1,
-                              path_generator=generate_refinement_paths,
                               constraints=standard_constraints(),
                               keep_captures=False)
     summaries = []

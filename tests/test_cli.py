@@ -7,7 +7,6 @@ from layup.cli import (RunConfig, build_report, cmd_learn, cmd_refine,
 from layup.plan import emit_plan, expert_plan
 from layup.simulator import GroundTruthParams
 from layup.sheet_state import write_capture_frames
-from layup.search import generate_refinement_paths
 from layup.simulator import builtin_sheet, init_sheet, render_capture
 
 
@@ -312,19 +311,104 @@ class TestBadInput:
         assert code == 2
         assert f"{log_file}:1:" in err
 
-    def test_nan_capture_height(self, tmp_path, capsys):
+    def model_file(self, tmp_path, **over):
+        # a one-bucket model, with top-level keys replaced by `over`
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps({
             "version": 1, "sector_count": 8, "experiments": 1, "sheets": ["sheet1"],
             "buckets": {"path|1|1": {"deltas": [[0, 0, -1.0, 0, 0, 0]],
                                      "u1": [[-1, -1, -1]], "u2": [[-1, -1, -1]],
-                                     "sources": ["D1:1"]}}}))
+                                     "sources": ["D1:1"]}}, **over}))
+        return model_file
+
+    def refine(self, tmp_path, capsys, model_file, capture_line, *more):
         cap_file = tmp_path / "cap.jsonl"
-        cap_file.write_text(json.dumps({"t": 0, "points": [[0.0, 0.0, float("nan")]]}) + "\n")
+        cap_file.write_text(capture_line + "\n")
         code, err = self.run_main(["refine", model_file, "--capture", cap_file,
-                                   "--out", tmp_path / "o"], capsys)
+                                   "--out", tmp_path / "o", *more], capsys)
+        return code, err, cap_file
+
+    def test_nan_capture_height(self, tmp_path, capsys):
+        code, err, cap_file = self.refine(
+            tmp_path, capsys, self.model_file(tmp_path),
+            json.dumps({"t": 0, "points": [[0.0, 0.0, float("nan")]]}))
         assert code == 2
         assert f"{cap_file}:1:" in err and "finite" in err
+
+    @pytest.mark.parametrize("line", ['{"t": null, "points": [[0, 0, 1]]}', "[1, 2]"],
+                             ids=["null-t", "not-object"])
+    def test_capture_record_malformed(self, tmp_path, capsys, line):
+        code, err, cap_file = self.refine(tmp_path, capsys, self.model_file(tmp_path), line)
+        assert code == 2
+        assert f"{cap_file}:1:" in err
+
+    @pytest.mark.parametrize("content", [
+        {"version": 1, "sector_count": 8},
+        [1],
+        {"buckets": {"path|1": {"deltas": [[0, 0, -1.0, 0, 0, 0]], "u1": [[-1, -1, -1]],
+                                "u2": [[-1, -1, -1]], "sources": ["D1:1"]}}},
+        {"buckets": {"path|1|1": {"deltas": [[0, -1.0]], "u1": [[-1, -1, -1]],
+                                  "u2": [[-1, -1, -1]], "sources": ["D1:1"]}}},
+    ], ids=["no-buckets", "not-object", "two-field-key", "two-number-delta"])
+    def test_model_malformed(self, tmp_path, capsys, content):
+        model_file = self.model_file(tmp_path)
+        if not isinstance(content, dict) or "buckets" not in content:
+            model_file.write_text(json.dumps(content))
+        else:
+            model_file = self.model_file(tmp_path, **content)
+        code, err, _ = self.refine(tmp_path, capsys, model_file,
+                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+        assert code == 2
+        assert str(model_file) in err
+
+    @pytest.mark.parametrize("content", [{"seeds": 5}, {"seeds": ["x"]},
+                                         {"sheet": ["sheet1"]}, {"search": 5}],
+                             ids=["seeds-number", "seed-string", "sheet-list", "search-number"])
+    def test_run_config_value_mistyped(self, tmp_path, d1_file, capsys, content):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(content))
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(cfg_file) in err and next(iter(content)) in err
+
+    def test_ground_truth_value_mistyped(self, tmp_path, d1_file, capsys):
+        gt_file = tmp_path / "gt.json"
+        gt_file.write_text(json.dumps({"version": 1, "noise_height": "x"}))
+        cfg_file = self.run_config(tmp_path, ground_truth=gt_file)
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(gt_file) in err and "noise_height" in err
+
+    def test_search_config_cost_not_a_number(self, tmp_path, capsys):
+        search_file = tmp_path / "search.json"
+        search_file.write_text(json.dumps({"version": 1, "action_costs": {"path": "x"}}))
+        code, err, _ = self.refine(tmp_path, capsys, self.model_file(tmp_path),
+                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}),
+                                   "--config", self.run_config(tmp_path, search=search_file))
+        assert code == 2
+        assert str(search_file) in err and "action_costs" in err
+
+    @pytest.mark.parametrize("field, value", [("seed", "3"), ("correction_converged", "no")])
+    def test_log_summary_mistyped(self, tmp_path, capsys, field, value):
+        log_file = tmp_path / "bad.jsonl"
+        log_file.write_text(json.dumps({**summary("sheet1", "D1", 3, 1, 2, 18), field: value})
+                            + "\n")
+        for argv in (["learn", log_file, "--out", tmp_path / "m.json"], ["report", log_file]):
+            code, err = self.run_main(argv, capsys)
+            assert code == 2
+            assert f"{log_file}:1:" in err and field in err
+
+    def test_log_step_index_mistyped(self, tmp_path, d1_file, capsys):
+        log_file = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(3,)), keep_captures=False)[0]
+        lines = log_file.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "index": "1"})
+        log_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert f"{log_file}:1:" in err and "index" in err
 
     @pytest.mark.parametrize("last_line, named", [
         (json.dumps({"type": "summary", "version": 1}), "sheet"),

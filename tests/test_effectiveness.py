@@ -7,8 +7,7 @@ from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate
                                  compute_delta, compute_signs, extract_transitions,
                                  propagate)
 from layup.plan import Action, path, peel, expert_plan
-from layup.search import (SearchConfig, effectiveness_score, generate_refinement_paths,
-                          state_utility, trace_total)
+from layup.search import SearchConfig, effectiveness_score, state_utility, trace_total
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
 from conftest import make_state
@@ -111,7 +110,6 @@ class TestBitwiseOracle:
 def d1_log():
     params = GroundTruthParams()
     return run_experiment(expert_plan(1), builtin_sheet("sheet1"), params, seed=5,
-                          path_generator=generate_refinement_paths,
                           keep_captures=False)
 
 
@@ -174,7 +172,7 @@ class TestAggregate:
     def test_order_independent(self, d1_log):
         params = GroundTruthParams()
         other = run_experiment(expert_plan(2), builtin_sheet("sheet1"), params,
-                               seed=6, path_generator=generate_refinement_paths,
+                               seed=6,
                                keep_captures=False)
         a = aggregate([d1_log, other])
         b = aggregate([other, d1_log])
@@ -250,7 +248,7 @@ class TestPropagate:
         # two logs so the buckets carry nonzero sample variance
         params = GroundTruthParams()
         second = run_experiment(expert_plan(1), builtin_sheet("sheet1"), params,
-                                seed=17, path_generator=generate_refinement_paths,
+                                seed=17,
                                 keep_captures=False)
         model = aggregate([d1_log, second])
         state = d1_log.steps[0].state_before

@@ -9,7 +9,9 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         expert_plan, initial_plan_constraints, parse_plan,
                         parse_plan_text, path, peel, prefix_feasible,
                         refinement, standard_constraints, validate,
-                        _feasible_exact, _feasible_screen, _kinds_valid)
+                        _feasible_exact, _feasible_screen)
+
+from conftest import meets
 
 
 def plan_of(*actions, name="t"):
@@ -202,10 +204,10 @@ class TestPrefixFeasible:
             kinds = tuple(rng.choice(ACTION_KINDS, size=length))
             horizon = length + int(rng.integers(0, 5))
             got = _feasible_exact(kinds, cs, horizon)
-            want = any(
-                _kinds_valid(kinds + ext, cs)
+            want = any(  # no plan is empty
+                meets(kinds + ext, cs)
                 for n in range(horizon - length + 1)
-                for ext in itertools.product(ACTION_KINDS, repeat=n))
+                for ext in itertools.product(ACTION_KINDS, repeat=n) if kinds + ext)
             assert got == want
 
     def test_screen_never_prunes_feasible(self):
@@ -270,6 +272,10 @@ class TestPlanIO:
     def test_path_index_zero_rejected(self):
         with pytest.raises(PlanParseError, match="line 1"):
             parse_plan_text("(path, 0)\n")
+
+    def test_path_index_above_sixteen_rejected(self):
+        with pytest.raises(PlanParseError, match="line 2: .*1..16"):
+            parse_plan_text("(path, 16)\n(path, 17)\n")
 
     def test_file_round_trip(self, tmp_path):
         target = tmp_path / "d1.plan"

@@ -1,5 +1,5 @@
 """Property tests: fast paths against the slow oracles they stand in for,
-and the log boundary against malformed records."""
+and the plan and log boundaries against malformed input."""
 import json
 import re
 import tempfile
@@ -14,15 +14,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E402
                                  TransitionSample, propagate, propagate_batch)
 from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E402
-                        RelConstraint, _feasible_exact, _feasible_screen,
-                        _kinds_valid, capture, end, path, peel, prefix_feasible,
-                        refinement, standard_constraints)
+                        DrapingPlan, PlanParseError, RelConstraint, _feasible_exact,
+                        _feasible_screen, capture, emit_plan_text, end, parse_plan_text,
+                        path, peel, prefix_feasible, refinement, standard_constraints)
 from layup.search import (SearchConfig, _needed_suffix_kinds, price_batch,  # noqa: E402
                           state_utility, trace_total)
 from layup.sheet_state import SheetGeometry, SheetState, segment_regions  # noqa: E402
 from layup.simulator import ExperimentLog, StepRecord, read_log, write_log  # noqa: E402
 
-from conftest import make_state  # noqa: E402
+from conftest import make_state, meets  # noqa: E402
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -59,8 +59,45 @@ def test_canonical_suffix_completes_every_feasible_standard_prefix(kinds, extra)
         return
     suffix = _needed_suffix_kinds(kinds, cs)
     assert suffix is not None
-    assert _kinds_valid(kinds + tuple(suffix), cs)
+    assert meets(kinds + tuple(suffix), cs)
     assert len(kinds) + len(suffix) <= horizon
+
+
+# action lines, near misses of them (unknown kinds, missing or spurious
+# arguments, indices out of range or too long for int()) and free text
+plan_lines = st.one_of(
+    st.builds("({}{}{})".format,
+              st.sampled_from(("path", "Peel", "capture", "END", "refine", "refinement",
+                               "drape", "")),
+              st.sampled_from(("", ",", " , ")),
+              st.one_of(st.just(""), st.integers(0, 20).map(str), st.text("0123456789"),
+                        st.just("1" * 5000))),
+    st.sampled_from(("# plan: p", "#plan:", "# comment", "", "  ")),
+    st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), st.lists(plan_lines, max_size=12).map("\n".join)))
+def test_plan_text_parses_or_names_its_line(text):
+    try:
+        plan = parse_plan_text(text)
+    except PlanParseError as exc:
+        assert 0 <= exc.lineno <= len(text.splitlines())
+        assert str(exc).startswith(f"line {exc.lineno}: ")
+    else:
+        assert isinstance(plan, DrapingPlan)
+
+
+actions_st = st.one_of(st.integers(1, 16).map(path), st.just(peel()), st.just(capture()),
+                       st.just(end()), st.integers(1, 40).map(refinement))
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions=st.lists(actions_st, min_size=1, max_size=30),
+       name=st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_ .-]*[A-Za-z0-9_])?", fullmatch=True))
+def test_emitted_plan_text_parses_back(actions, name):
+    plan = DrapingPlan(tuple(actions), name=name)
+    assert parse_plan_text(emit_plan_text(plan)) == plan
 
 
 def single_linkage_oracle(pts: np.ndarray, radius: float) -> list[np.ndarray]:

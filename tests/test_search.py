@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from layup.effectiveness import EffectivenessModel, TransitionSample, compute_signs
+from layup.geometry import ROLLER_HALF_WIDTH_DEFAULT
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
                         validate)
-from layup.search import (SearchConfig, SearchError, action_cost, expand,
+from layup.search import (SearchConfig, SearchError, _default_costs, action_cost, expand,
                           generate_refinement_paths, lookahead_value, refine_plan,
                           refine_plan_detailed, replay_cost, root_node,
                           state_utility)
@@ -94,6 +95,14 @@ class TestSearchConfigIO:
     def test_json_round_trip(self):
         cfg = SearchConfig(branching=3, depth=2, epsilon_conv=0.7, seed=9)
         assert SearchConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("over", [{"path_count": 0}, {"path_count": 17},
+                                      {"action_costs": {"path": 1.0}},
+                                      {"action_costs": {**_default_costs(), "end": True}}],
+                             ids=["no-paths", "17-paths", "one-cost", "bool-cost"])
+    def test_rejects_bad_values(self, over):
+        with pytest.raises(ValueError):
+            SearchConfig(**over)
 
 
 class TestActionCost:
@@ -312,7 +321,7 @@ class TestRefinePlan:
 class TestGenerateRefinementPaths:
     def test_single_region_geometry(self, square_geom):
         state = make_state(square_geom, {1: ([50.0, 0.0, 2.0, 20.0, 10.0, 0.0], np.eye(3), 1)})
-        paths = generate_refinement_paths(state, 1, square_geom)
+        paths = generate_refinement_paths(state, 1, ROLLER_HALF_WIDTH_DEFAULT)
         assert len(paths) == 1
         assert np.allclose(paths[0].start, [30.0, 0.0], atol=1e-9)
         assert np.allclose(paths[0].end, [150.0, 0.0], atol=1e-9)
@@ -321,7 +330,7 @@ class TestGenerateRefinementPaths:
         state = make_state(square_geom,
                            {1: ([60.0, 20.0, 2.0, 20.0, 10.0, 0.1], np.eye(3), 1),
                             5: ([-60.0, -20.0, 3.0, 25.0, 12.0, 3.0], np.eye(3), 1)})
-        paths = generate_refinement_paths(state, 4, square_geom)
+        paths = generate_refinement_paths(state, 4, ROLLER_HALF_WIDTH_DEFAULT)
         assert len(paths) == 4
         starts = {tuple(np.round(p.start, 6)) for p in paths}
         assert len(starts) == 2  # two distinct targets, each visited twice
@@ -330,18 +339,18 @@ class TestGenerateRefinementPaths:
         state = make_state(square_geom,
                            {1: ([60.0, 20.0, 0.5, 5.0, 2.0, 0.1], np.eye(3), 1),
                             5: ([-60.0, -20.0, 4.0, 30.0, 15.0, 3.0], np.eye(3), 1)})
-        first = generate_refinement_paths(state, 1, square_geom)[0]
+        first = generate_refinement_paths(state, 1, ROLLER_HALF_WIDTH_DEFAULT)[0]
         # the severe sector 5 wins the single slot
         assert first.start[0] < 0
 
     def test_all_sentinel_flagged_noop(self, square_geom, caplog):
         state = make_state(square_geom)
         with caplog.at_level("WARNING"):
-            paths = generate_refinement_paths(state, 3, square_geom)
+            paths = generate_refinement_paths(state, 3, ROLLER_HALF_WIDTH_DEFAULT)
         assert len(paths) == 3
         assert "compacted" in caplog.text
 
     def test_n_positive(self, square_geom):
         state = make_state(square_geom)
         with pytest.raises(ValueError):
-            generate_refinement_paths(state, 0, square_geom)
+            generate_refinement_paths(state, 0, ROLLER_HALF_WIDTH_DEFAULT)

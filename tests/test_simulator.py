@@ -6,7 +6,6 @@ import pytest
 
 from layup.geometry import PathGeometry, point_in_polygon
 from layup.plan import DrapingPlan, capture, end, expert_plan, path, peel, refinement
-from layup.search import generate_refinement_paths
 from layup.simulator import (GroundTruthParams, PlanInvalidError, Region,
                              SimulationError, SimState, apply_action,
                              builtin_sheet, init_sheet, path_geometry,
@@ -254,7 +253,7 @@ class TestRunExperiment:
     def test_totals_and_invariant(self):
         params = GroundTruthParams()
         log = run_experiment(expert_plan(1), builtin_sheet("sheet1"), params,
-                             seed=12, path_generator=generate_refinement_paths,
+                             seed=12,
                              keep_captures=False)
         assert log.in_plan_paths == 16
         assert log.total_paths == 16 + log.correction_paths
@@ -265,7 +264,7 @@ class TestRunExperiment:
         paths_out = []
         for run in range(2):
             log = run_experiment(expert_plan(2), builtin_sheet("sheet2"), params,
-                                 seed=21, path_generator=generate_refinement_paths)
+                                 seed=21)
             target = tmp_path / f"run{run}.jsonl"
             write_log(log, target)
             paths_out.append(target.read_bytes())
@@ -284,18 +283,10 @@ class TestRunExperiment:
         assert log.correction_cycles == 0
         assert log.total_paths == 1
 
-    def test_refinement_needs_generator(self):
-        p = DrapingPlan(actions=(path(1), peel(), refinement(1), capture(), end()),
-                        name="needs_gen")
-        from layup.plan import standard_constraints
-        with pytest.raises(SimulationError, match="path generator"):
-            run_experiment(p, builtin_sheet("sheet1"), GroundTruthParams(), 3,
-                           constraints=standard_constraints())
-
     def test_log_round_trip(self, tmp_path):
         params = GroundTruthParams()
         log = run_experiment(expert_plan(1), builtin_sheet("sheet1"), params,
-                             seed=30, path_generator=generate_refinement_paths)
+                             seed=30)
         target = tmp_path / "log.jsonl"
         write_log(log, target)
         back = read_log(target)
