@@ -302,8 +302,11 @@ def main(argv=None) -> int:
             cmd_refine(args.model, args.capture, cfg, name=args.name)
         elif args.command == "report":
             cmd_report(args.logs, out_dir=args.out, baseline=args.baseline)
-    except (PlanParseError, PlanInvalidError, LogFormatError, FileNotFoundError,
-            ValueError) as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory in its place
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
+        return 2
+    except (PlanParseError, PlanInvalidError, LogFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SearchError, SimulationError) as exc:

@@ -103,16 +103,12 @@ class _Bucket:
     u1: list = field(default_factory=list)       # (3,) signs of sigma1's diagonal
     u2: list = field(default_factory=list)       # ... and of sigma2's
     sources: list = field(default_factory=list)  # "plan:step" provenance strings
-    _mean: np.ndarray | None = None
-    _var: np.ndarray | None = None
 
     def add(self, sample: TransitionSample):
         self.deltas.append(sample.delta)
         self.u1.append(sample.signs[0])
         self.u2.append(sample.signs[1])
         self.sources.append(f"{sample.plan_name}:{sample.step}")
-        self._mean = None
-        self._var = None
 
     @property
     def count(self) -> int:
@@ -120,19 +116,12 @@ class _Bucket:
 
     @property
     def mean(self) -> np.ndarray:
-        if self._mean is None:
-            self._mean = np.mean(self.deltas, axis=0)
-        return self._mean
+        return np.mean(self.deltas, axis=0)
 
     @property
     def variance(self) -> np.ndarray:
         """Per-component sample variance; zero when only one sample exists."""
-        if self._var is None:
-            if self.count < 2:
-                self._var = np.zeros(6)
-            else:
-                self._var = np.var(self.deltas, axis=0, ddof=1)
-        return self._var
+        return np.var(self.deltas, axis=0, ddof=1) if self.count > 1 else np.zeros(6)
 
     def majority_signs(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-diagonal majority of the +-1 votes; ties land on -1."""
@@ -183,7 +172,7 @@ def _compile(model: "EffectivenessModel") -> EffectTable:
 
 
 class EffectivenessModel:
-    """Empirical per-(action bucket, sector) delta table with cached moments."""
+    """Empirical per-(action bucket, sector) delta table, compiled on use."""
 
     def __init__(self, sector_count: int):
         if sector_count < 2:

@@ -65,30 +65,27 @@ def polygon_is_simple(polygon) -> bool:
     return True
 
 
-def point_in_polygon(point, polygon, tol: float = 1e-9) -> bool:
-    """Even-odd test; points on the boundary (within tol) count as inside."""
+def point_in_polygon(point, polygon, tol: float = 1e-9):
+    """Even-odd test of one point, or of each row of an (n, 2) array.
+
+    Points within `tol` of the boundary count as inside. Returns a bool for
+    one point and a bool array for an array of them.
+    """
     p = np.asarray(point, dtype=float)
-    poly = np.asarray(polygon, dtype=float)
-    n = len(poly)
-    inside = False
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if _segment_point_distance(p, a, b) <= tol:
-            return True
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            x_cross = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-            if p[0] < x_cross:
-                inside = not inside
-    return inside
-
-
-def _segment_point_distance(p, a, b) -> float:
+    a = np.asarray(polygon, dtype=float)
+    b = np.concatenate([a[1:], a[:1]])  # edge i runs from a[i] to b[i]
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    x, y = p[..., None, 0], p[..., None, 1]  # a trailing axis to pair with the edges
+    straddles = (a[:, 1] > y) != (b[:, 1] > y)
+    x_cross = a[:, 0] + (y - a[:, 1]) / np.where(straddles, ab[:, 1], 1.0) * ab[:, 0]
+    odd = np.sum(straddles & (x < x_cross), axis=-1) % 2 == 1
+    rx, ry = x - a[:, 0], y - a[:, 1]
+    length2 = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+    t = np.clip((rx * ab[:, 0] + ry * ab[:, 1]) / np.where(length2 > 0.0, length2, 1.0),
+                0.0, 1.0)
+    on_edge = np.hypot(rx - t * ab[:, 0], ry - t * ab[:, 1]) <= tol
+    inside = odd | np.any(on_edge, axis=-1)
+    return bool(inside) if p.ndim == 1 else inside
 
 
 def ray_exit_point(origin, direction, polygon) -> np.ndarray:
@@ -119,29 +116,11 @@ def ray_exit_point(origin, direction, polygon) -> np.ndarray:
     return o + best_t * d
 
 
-def nearest_edge_angle(point, polygon) -> float:
-    """Axial direction of the polygon edge closest to the point."""
+def _closest_on_boundary(point, polygon) -> tuple[np.ndarray, int]:
+    """The closest point on the polygon boundary and its edge, the first edge on ties."""
     p = np.asarray(point, dtype=float)
     poly = np.asarray(polygon, dtype=float)
-    best_angle = 0.0
-    best_d = np.inf
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        d = _segment_point_distance(p, a, b)
-        if d < best_d:
-            best_d = d
-            e = b - a
-            best_angle = fold_axial(float(np.arctan2(e[1], e[0])))
-    return best_angle
-
-
-def nearest_boundary_point(point, polygon) -> np.ndarray:
-    """Closest point on the polygon boundary."""
-    p = np.asarray(point, dtype=float)
-    poly = np.asarray(polygon, dtype=float)
-    best = None
-    best_d = np.inf
+    best, best_edge, best_d = None, 0, np.inf
     n = len(poly)
     for i in range(n):
         a, b = poly[i], poly[(i + 1) % n]
@@ -151,8 +130,21 @@ def nearest_boundary_point(point, polygon) -> np.ndarray:
         q = a + t * ab
         d = float(np.linalg.norm(p - q))
         if d < best_d:
-            best_d, best = d, q
-    return best
+            best, best_edge, best_d = q, i, d
+    return best, best_edge
+
+
+def nearest_edge_angle(point, polygon) -> float:
+    """Axial direction of the polygon edge closest to the point."""
+    poly = np.asarray(polygon, dtype=float)
+    i = _closest_on_boundary(point, poly)[1]
+    e = poly[(i + 1) % len(poly)] - poly[i]
+    return fold_axial(float(np.arctan2(e[1], e[0])))
+
+
+def nearest_boundary_point(point, polygon) -> np.ndarray:
+    """Closest point on the polygon boundary."""
+    return _closest_on_boundary(point, polygon)[0]
 
 
 def clamp_into_polygon(point, polygon, margin: float = 2.0) -> np.ndarray:

@@ -34,11 +34,20 @@ _EXACT_FEASIBILITY_WINDOW = 6  # exhaustive extension search up to this many fre
 
 
 class PlanParseError(ValueError):
-    """Raised for malformed plan files; carries the offending line number."""
+    """Raised for malformed plan text; carries the offending line number.
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    The message names the line, or `path:line` when the text came from a
+    file (line 0 stands for the whole text).
+    """
+
+    def __init__(self, lineno: int, message: str, path=None):
+        if path is None:
+            where = f"line {lineno}"
+        else:
+            where = f"{path}:{lineno}" if lineno else str(path)
+        super().__init__(f"{where}: {message}")
         self.lineno = lineno
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -102,14 +111,18 @@ class DrapingPlan:
 
     @property
     def path_equivalents(self) -> int:
-        """In-plan passes: path actions plus the sum of refinement arguments."""
-        total = 0
-        for a in self.actions:
-            if a.kind == "path":
-                total += 1
-            elif a.kind == "refinement":
-                total += a.arg
-        return total
+        return path_equivalents(self.actions)
+
+
+def path_equivalents(actions) -> int:
+    """In-plan passes: path actions plus the sum of refinement arguments."""
+    total = 0
+    for a in actions:
+        if a.kind == "path":
+            total += 1
+        elif a.kind == "refinement":
+            total += a.arg
+    return total
 
 
 @dataclass(frozen=True)
@@ -298,6 +311,18 @@ def prefix_feasible(prefix, cs: ConstraintSet, horizon: int) -> bool:
     return _kinds_feasible(kinds, cs, horizon)
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def next_kinds(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> frozenset[str]:
+    """The kinds an action appended to `kinds` may have, by `prefix_feasible`'s rule.
+
+    Constraints see kinds only, so one memoized answer per prefix of kinds
+    serves every candidate action; empty once the prefix fills the horizon.
+    """
+    if len(kinds) >= horizon:
+        return frozenset()
+    return frozenset(k for k in ACTION_KINDS if _kinds_feasible(kinds + (k,), cs, horizon))
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _kinds_feasible(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
     if horizon - len(kinds) <= _EXACT_FEASIBILITY_WINDOW:
@@ -401,7 +426,11 @@ def emit_plan_text(plan: DrapingPlan) -> str:
 
 def parse_plan(path) -> DrapingPlan:
     with open(path) as fh:
-        return parse_plan_text(fh.read())
+        text = fh.read()
+    try:
+        return parse_plan_text(text)
+    except PlanParseError as exc:
+        raise PlanParseError(exc.lineno, exc.message, path) from None
 
 
 def emit_plan(plan: DrapingPlan, path) -> None:

@@ -33,7 +33,7 @@ from .geometry import (PathGeometry, clamp_into_polygon, nearest_boundary_point,
                        ray_exit_point, unit_vector)
 from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
-                   prefix_feasible, standard_constraints, validate)
+                   next_kinds, prefix_feasible, standard_constraints, validate)
 from .sheet_state import SheetState
 
 logger = logging.getLogger(__name__)
@@ -136,12 +136,10 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def price_batch(states: SheetState, area: float,
-                cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+def price_batch(states: SheetState, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     """`state_utility` and `trace_total` of each state of a batch, bit for bit.
 
-    `states` carries a leading batch axis; `area` is the sheet area, passed
-    in so that a search computes it once.
+    `states` carries a leading batch axis.
     """
     traces = np.trace(states.sigma, axis1=-2, axis2=-1)  # (A, k, 2)
     sector_trace = traces[..., 0] + traces[..., 1]
@@ -150,7 +148,7 @@ def price_batch(states: SheetState, area: float,
                       cfg.w_area * states.mu[..., 3] * states.mu[..., 4],
                       cfg.w_sigma * sector_trace], axis=-1)
     terms = np.where((states.count != 0)[..., None], terms, 0.0)  # sentinels add nothing
-    utility = _running_sum(terms.reshape(len(terms), -1)) / area
+    utility = _running_sum(terms.reshape(len(terms), -1)) / states.geometry.area
     return utility, _running_sum(sector_trace)
 
 
@@ -170,7 +168,6 @@ class SearchNode:
     cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
     utility: float    # state_utility of the state
     trace: float      # trace_total of the state
-    area: float       # sheet area, shared by every node of a search
     stats: SearchStats  # shared by every node of a search
     score: float = 0.0  # one-step merit of the last action from the parent state
     unmodeled: int = 0
@@ -183,13 +180,11 @@ class SearchNode:
 def root_node(state: SheetState, cfg: SearchConfig,
               stats: SearchStats | None = None) -> SearchNode:
     """The empty-prefix node the search starts from; its children count into `stats`."""
-    area = state.geometry.area
     batch = SheetState(state.geometry, state.mu[None], state.sigma[None], state.count[None],
                        state.t)
-    (utility,), (trace,) = price_batch(batch, area, cfg)
+    (utility,), (trace,) = price_batch(batch, cfg)
     return SearchNode(state=state, prefix=(), cost=0.0, utility=float(utility),
-                      trace=float(trace), area=area,
-                      stats=stats if stats is not None else SearchStats())
+                      trace=float(trace), stats=stats if stats is not None else SearchStats())
 
 
 def _action_order(action: Action) -> tuple[int, int]:
@@ -218,7 +213,7 @@ def _priced(node: SearchNode, actions: list[Action], model: EffectivenessModel,
     seeds = (None if cfg.mode == "expectation"
              else [_sample_seed(cfg, position, action) for action in actions])
     after = propagate_batch(node.state, actions, model, seeds)
-    utilities, traces = price_batch(after, node.area, cfg)
+    utilities, traces = price_batch(after, cfg)
     node.stats.batch_calls += 1
     node.stats.children_priced += len(actions)
     children = []
@@ -233,7 +228,7 @@ def _priced(node: SearchNode, actions: list[Action], model: EffectivenessModel,
             state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
                              after.t),
             prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
-            area=node.area, stats=node.stats,
+            stats=node.stats,
             score=utility - node.utility + cfg.w_sigma * (trace - node.trace),
             unmodeled=unmodeled))
     return children
@@ -269,13 +264,10 @@ def _children(node: SearchNode, model, cs, cfg) -> list[SearchNode]:
     # every feasible child, best one-step score first
     if node.terminal or len(node.prefix) >= cfg.horizon:
         return []
-    kinds = tuple(a.kind for a in node.prefix)
-    # constraints see kinds only, so one answer per kind serves all candidates
-    feasible = {kind: prefix_feasible(kinds + (kind,), cs, cfg.horizon)
-                for kind in plan_mod.ACTION_KINDS}
+    feasible = next_kinds(tuple(a.kind for a in node.prefix), cs, cfg.horizon)
     node.stats.nodes_expanded += 1
     out = _priced(node, [action for action in _candidate_actions(node.state, cfg)
-                         if feasible[action.kind]], model, cfg)
+                         if action.kind in feasible], model, cfg)
     out.sort(key=lambda c: (c.score, _action_order(c.prefix[-1])))
     return out
 

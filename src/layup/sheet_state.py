@@ -16,6 +16,7 @@ axis; a wedge owns its lower angular boundary.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -53,7 +54,7 @@ class SheetGeometry:
         if not point_in_polygon(self.center, self.polygon):
             raise ValueError("polygon must contain the sheet center")
 
-    @property
+    @functools.cached_property
     def area(self) -> float:
         return polygon_area(self.polygon)
 

@@ -27,7 +27,7 @@ from .geometry import (PathGeometry, axial_difference, clamp_into_polygon,
 from .jsonio import (LogFormatError, config_from_json, read_json, read_json_lines, required,
                      typed)
 from .plan import (Action, DrapingPlan, PATH_COUNT_DEFAULT, initial_plan_constraints,
-                   validate)
+                   path_equivalents, validate)
 from .search import generate_refinement_paths
 from .sheet_state import (CaptureFrame, SheetGeometry, SheetState, build_state,
                           extract_regions, state_from_regions, H_MIN_DEFAULT,
@@ -88,6 +88,19 @@ class GroundTruthParams:
             raise ValueError("region ranges must be pairs of numbers")
         if self.edge_drift < 0 or self.orientation_rate < 0:
             raise ValueError("drift rates must be nonnegative")
+        for name in ("grid_pitch", "roller_half_width", "h_min", "link_radius"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("region_count", "noise_height", "noise_xy", "noise_size", "noise_theta",
+                     "sensor_noise", "extinction_height"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if self.correction_max_cycles < 1:
+            raise ValueError("correction_max_cycles must be at least 1")
+        for name in ("region_major", "region_minor_frac", "region_height"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi:
+                raise ValueError(f"{name} must be a range 0 < lo <= hi")
 
     def reduction(self, j: int) -> float:
         """Reduction factor for the j-th cumulative pass (j >= 1)."""
@@ -288,8 +301,7 @@ def _polygon_grid(geom: SheetGeometry, pitch: float) -> np.ndarray:
         ys = np.arange(lo[1], hi[1] + pitch / 2.0, pitch)
         xx, yy = np.meshgrid(xs, ys)
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        mask = np.array([point_in_polygon(p, geom.polygon) for p in pts])
-        grid = pts[mask]
+        grid = pts[point_in_polygon(pts, geom.polygon)]
         _GRID_CACHE[key] = grid
     return grid
 
@@ -394,13 +406,7 @@ class ExperimentLog:
 
     @property
     def in_plan_paths(self) -> int:
-        total = 0
-        for rec in self.steps:
-            if rec.action.kind == "path":
-                total += 1
-            elif rec.action.kind == "refinement":
-                total += rec.action.arg
-        return total
+        return path_equivalents(rec.action for rec in self.steps)
 
     @property
     def total_paths(self) -> int:

@@ -372,6 +372,33 @@ class TestBadInput:
         assert code == 2
         assert str(cfg_file) in err and next(iter(content)) in err
 
+    @pytest.mark.parametrize("content", [
+        {"grid_pitch": 0}, {"roller_half_width": -1.0}, {"h_min": 0}, {"link_radius": 0},
+        {"region_count": -1}, {"noise_xy": -0.1}, {"extinction_height": -0.2},
+        {"correction_max_cycles": 0}, {"region_major": [0, 10]},
+        {"region_height": [5.0, 2.0]}], ids=lambda content: next(iter(content)))
+    def test_ground_truth_value_out_of_range(self, tmp_path, d1_file, capsys, content):
+        gt_file = tmp_path / "gt.json"
+        gt_file.write_text(json.dumps(content))
+        cfg_file = self.run_config(tmp_path, ground_truth=gt_file)
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(gt_file) in err and next(iter(content)) in err
+
+    def test_config_is_a_directory(self, tmp_path, d1_file, capsys):
+        code, err = self.run_main(["simulate", d1_file, "--config", tmp_path,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path}: ")
+
+    def test_plan_error_names_the_file(self, tmp_path, capsys):
+        plan_file = tmp_path / "p.plan"
+        plan_file.write_text("(path, 1)\n(path, 17)\n")
+        code, err = self.run_main(["simulate", plan_file, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {plan_file}:2: path actions need a path index in 1..16")
+
     def test_ground_truth_value_mistyped(self, tmp_path, d1_file, capsys):
         gt_file = tmp_path / "gt.json"
         gt_file.write_text(json.dumps({"version": 1, "noise_height": "x"}))

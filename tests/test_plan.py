@@ -277,6 +277,18 @@ class TestPlanIO:
         with pytest.raises(PlanParseError, match="line 2: .*1..16"):
             parse_plan_text("(path, 16)\n(path, 17)\n")
 
+    def test_file_errors_name_the_file(self, tmp_path):
+        target = tmp_path / "p.plan"
+        target.write_text("(path, 1)\n(path, 17)\n")
+        with pytest.raises(PlanParseError) as info:
+            parse_plan(target)
+        assert str(info.value) == f"{target}:2: path actions need a path index in 1..16"
+        assert info.value.lineno == 2
+        target.write_text("# plan: nothing\n")
+        with pytest.raises(PlanParseError) as info:
+            parse_plan(target)
+        assert str(info.value) == f"{target}: plan file holds no actions"
+
     def test_file_round_trip(self, tmp_path):
         target = tmp_path / "d1.plan"
         emit_plan(expert_plan(1), target)

@@ -1,8 +1,10 @@
 """Property tests: fast paths against the slow oracles they stand in for,
 and the plan and log boundaries against malformed input."""
 import json
+import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E402
                                  TransitionSample, propagate, propagate_batch)
+from layup.geometry import (axial_difference, nearest_boundary_point,  # noqa: E402
+                            nearest_edge_angle, point_in_polygon, polygon_is_simple)
 from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E402
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_exact,
                         _feasible_screen, capture, emit_plan_text, end, parse_plan_text,
@@ -218,7 +222,7 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
     scalar = [state] + [propagate(state, action, model) for action in BATCH_ACTIONS]
     batch = SheetState(state.geometry, np.stack([s.mu for s in scalar]),
                        np.stack([s.sigma for s in scalar]), np.stack([s.count for s in scalar]))
-    utility, trace = price_batch(batch, state.geometry.area, cfg)
+    utility, trace = price_batch(batch, cfg)
     assert [u.hex() for u in utility.tolist()] == \
         [state_utility(s, cfg).hex() for s in scalar]
     assert [t.hex() for t in trace.tolist()] == [trace_total(s).hex() for s in scalar]
@@ -287,3 +291,84 @@ def test_read_log_names_the_line_of_a_corrupt_step(state, line, how, data):
         target.write_text("\n".join(lines) + "\n")
         with pytest.raises(LogFormatError, match=re.escape(f"{target}:{line}: bad step record")):
             read_log(target)
+
+
+@st.composite
+def star_polygons(draw):
+    """A simple polygon: 3-9 vertices around the origin in angular order.
+
+    Each angular gap is under half a turn, so no two edges cross.
+    """
+    gaps = draw(st.lists(st.floats(1.0, 1.9), min_size=3, max_size=9))
+    angles = 2.0 * np.pi * np.cumsum(gaps) / sum(gaps)
+    radii = np.array(draw(st.lists(st.floats(5.0, 200.0), min_size=len(gaps),
+                                   max_size=len(gaps))))
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+def _edges(poly):
+    return list(zip(poly, np.roll(poly, -1, axis=0)))
+
+
+def _closest_on_edge(p, a, b):
+    """Exact closest point of segment ab to p, and its squared distance."""
+    (px, py), (ax, ay), (bx, by) = (map(Fraction, v) for v in (p, a, b))
+    dx, dy = bx - ax, by - ay
+    t = min(max(((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy), 0), 1)
+    qx, qy = ax + t * dx, ay + t * dy
+    return (qx, qy), (px - qx) ** 2 + (py - qy) ** 2
+
+
+def even_odd_oracle(p, poly) -> bool:
+    """Exact even-odd rule: an edge crossing the ray toward +x has p on its left
+    going up, or on its right going down."""
+    px, py = map(Fraction, p)
+    inside = False
+    for a, b in _edges(poly):
+        (ax, ay), (bx, by) = map(Fraction, a), map(Fraction, b)
+        if (ay > py) != (by > py):
+            side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if (side > 0) == (by > ay):
+                inside = not inside
+    return inside
+
+
+coords_st = st.floats(-250.0, 250.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=star_polygons(), pts=st.lists(st.tuples(coords_st, coords_st), min_size=1,
+                                          max_size=40).map(np.array),
+       ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_point_in_polygon_matches_even_odd_oracle(poly, pts, ts):
+    assert polygon_is_simple(poly)
+    got = point_in_polygon(pts, poly)
+    assert got.shape == (len(pts),)
+    assert got.tolist() == [point_in_polygon(p, poly) for p in pts]
+    for p, inside in zip(pts, got.tolist()):
+        if min(_closest_on_edge(p, a, b)[1] for a, b in _edges(poly)) > Fraction(1e-12):
+            assert inside == even_odd_oracle(p, poly)  # more than 1e-6 off the boundary
+    on_boundary = np.array([a + t * (b - a) for a, b in _edges(poly) for t in ts])
+    assert point_in_polygon(on_boundary, poly).all()
+    assert point_in_polygon(poly, poly).all()
+    assert all(point_in_polygon(p, poly) for p in np.concatenate([on_boundary, poly]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=star_polygons(), pts=st.lists(st.tuples(coords_st, coords_st), min_size=1,
+                                          max_size=10))
+def test_nearest_boundary_matches_edge_scan(poly, pts):
+    for p in pts:
+        scan = [_closest_on_edge(p, a, b) for a, b in _edges(poly)]
+        best = min(d2 for _, d2 in scan)
+        q = nearest_boundary_point(p, poly)
+        assert np.hypot(*(np.asarray(p) - q)) == pytest.approx(float(best) ** 0.5, abs=1e-9)
+        # the edges that come within 1e-9 mm of the minimum: a vertex closest ties two
+        near = [i for i, (_, d2) in enumerate(scan) if float(d2) ** 0.5 <= float(best) ** 0.5
+                + 1e-9]
+        assert any(np.allclose(q, [float(v) for v in scan[i][0]], rtol=0, atol=1e-9)
+                   for i in near)
+        got = nearest_edge_angle(p, poly)
+        assert 0.0 <= got < math.pi
+        assert any(abs(axial_difference(got, math.atan2(b[1] - a[1], b[0] - a[0]))) < 1e-12
+                   for a, b in (_edges(poly)[i] for i in near))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from layup.geometry import PathGeometry, point_in_polygon
 from layup.plan import DrapingPlan, capture, end, expert_plan, path, peel, refinement
 from layup.simulator import (GroundTruthParams, PlanInvalidError, Region,
-                             SimulationError, SimState, apply_action,
+                             SimulationError, SimState, _polygon_grid, apply_action,
                              builtin_sheet, init_sheet, path_geometry,
                              read_log, render_capture, run_correction,
                              run_experiment, write_log)
@@ -213,6 +214,17 @@ class TestRenderCapture:
         sim = init_sheet(builtin_sheet("sheet1"), params, seed=10)
         frame = render_capture(sim)
         assert frame.points[:, 2].min() >= 0.0
+
+
+    @pytest.mark.parametrize("sheet, pitch, count, digest", [
+        ("sheet1", 3.0, 10201, "001a81d02011cfc9"), ("sheet1", 4.0, 5776, "629748352c3d4255"),
+        ("sheet1", 5.5, 3025, "518bc1481d477c19"), ("sheet2", 3.0, 11256, "144540f5514c4d2f"),
+        ("sheet2", 4.0, 6363, "f714e24975c9cf92"), ("sheet2", 5.5, 3358, "fdfdd550d3336725")])
+    def test_grid_pinned(self, sheet, pitch, count, digest):
+        # count and leading sha256 digits of the sample grid's bytes
+        grid = _polygon_grid(builtin_sheet(sheet).geometry, pitch)
+        assert len(grid) == count
+        assert hashlib.sha256(grid.tobytes()).hexdigest()[:16] == digest
 
 
 class TestRunCorrection:
