@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -33,9 +34,13 @@ def _parsed(where: str, obj, parse):
         raise LogFormatError(f"{where}: {what} ({type(exc).__name__}: {exc})") from exc
 
 
+def _no_constant(name: str):
+    raise ValueError(f"non-finite number {name}; numbers must be finite")
+
+
 def _decoded(where: str, data: bytes):
-    try:
-        return json.loads(data)  # files are read as bytes: json decodes the text too
+    try:  # files are read as bytes: json decodes the text too
+        return json.loads(data, parse_constant=_no_constant)
     except ValueError as exc:
         raise LogFormatError(f"{where}: {exc}") from exc
 
@@ -82,12 +87,15 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def typed(value, like, name: str):
     """`value` when its JSON type is that of `like`; TypeError naming `name` if not.
 
-    An integer passes where `like` is a float. Where `like` is a non-empty
-    list or tuple, each item of `value` is checked against `like`'s first.
+    An integer passes where `like` is a float; a float must be finite (json
+    reads `1e400` as infinity). Where `like` is a non-empty list or tuple,
+    each item of `value` is checked against `like`'s first.
     """
     have, want = _JSON_TYPES.get(type(value), "null"), _JSON_TYPES[type(like)]
     if have != want and not (have == "an integer" and want == "a number"):
         raise TypeError(f"{name} must be {want}, not {have}")
+    if have == "a number" and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
     if want == "a list" and len(like):
         for item in value:
             typed(item, like[0], name)
@@ -106,7 +114,7 @@ def required(obj: dict, like: dict) -> dict:
 
 
 def numbers(value, shape: tuple, name: str) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array of `shape`; None matches any length."""
+    """Nested lists of finite JSON numbers as a float array of `shape`; None matches any length."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
@@ -120,7 +128,10 @@ def numbers(value, shape: tuple, name: str) -> np.ndarray:
         flat = itertools.chain.from_iterable(flat)
     if not set(map(type, flat)) <= {int, float}:  # numpy reads a boolean as a number
         raise ValueError(f"{name} must hold numbers only")
-    return arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def settings(obj: dict, names) -> dict:

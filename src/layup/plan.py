@@ -31,6 +31,7 @@ ACTION_KINDS = ("path", "peel", "capture", "end", "refinement")
 PATH_COUNT_DEFAULT = 16
 _KIND_ALIASES = {"refine": "refinement"}
 _EXACT_FEASIBILITY_WINDOW = 6  # exhaustive extension search up to this many free slots
+_COMPLETION_ORDER = ("path", "peel", "refinement", "capture", "end")
 
 
 class PlanParseError(ValueError):
@@ -299,11 +300,10 @@ def validate(plan: DrapingPlan, cs: ConstraintSet) -> list[Violation]:
 def prefix_feasible(prefix, cs: ConstraintSet, horizon: int) -> bool:
     """Can the prefix still be extended to a constraint-satisfying plan?
 
-    Exhaustive over kind-extensions while at most 6 slots remain (constraints
+    Exact while at most 6 slots remain (a `completion` exists; constraints
     never look at action arguments); beyond that a necessary-condition screen
     runs instead: the outstanding requirements (see `outstanding`) must exist
-    and fit in the remaining slots. Answers are memoized per
-    (kinds, constraint set, horizon).
+    and fit in the remaining slots.
     """
     kinds = _as_kinds(prefix)
     if horizon < len(kinds):
@@ -323,10 +323,10 @@ def next_kinds(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> froze
     return frozenset(k for k in ACTION_KINDS if _kinds_feasible(kinds + (k,), cs, horizon))
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def _kinds_feasible(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
-    if horizon - len(kinds) <= _EXACT_FEASIBILITY_WINDOW:
-        return _feasible_exact(kinds, cs, horizon)
+    slots = horizon - len(kinds)
+    if slots <= _EXACT_FEASIBILITY_WINDOW:
+        return completion(kinds, cs, slots) is not None
     return _feasible_screen(kinds, cs, horizon)
 
 
@@ -376,18 +376,38 @@ def outstanding(kinds: tuple[str, ...], cs: ConstraintSet) -> dict[str, int] | N
     return needed
 
 
-def _feasible_exact(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
-    needed = outstanding(kinds, cs)
-    if needed == {}:  # the kinds already satisfy every constraint
-        return True
-    if needed is None or len(kinds) >= horizon:
-        return False
-    return any(_feasible_exact(kinds + (k,), cs, horizon) for k in ACTION_KINDS)
-
-
 def _feasible_screen(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> bool:
     needed = outstanding(kinds, cs)
     return needed is not None and sum(needed.values()) <= horizon - len(kinds)
+
+
+def canonical_kinds(needed: dict[str, int]) -> tuple[str, ...]:
+    """`outstanding`'s counts as a suffix in canonical order."""
+    return tuple(kind for kind in _COMPLETION_ORDER for _ in range(needed.get(kind, 0)))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def completion(kinds: tuple[str, ...], cs: ConstraintSet,
+               slots: int) -> tuple[str, ...] | None:
+    """The kinds that complete the prefix into a constraint-satisfying plan.
+
+    The outstanding requirements in canonical order (`_COMPLETION_ORDER`)
+    when they satisfy the constraints and fit in `slots`; otherwise the
+    first, in that order, of the shortest suffixes that do, searched
+    exhaustively up to 6 kinds (and `slots`). None when there is none.
+    """
+    needed = outstanding(kinds, cs)
+    if needed is None or sum(needed.values()) > slots:  # the counts are lower bounds
+        return None
+    suffix = canonical_kinds(needed)
+    if outstanding(kinds + suffix, cs) == {}:
+        return suffix
+    best = None
+    for kind in _COMPLETION_ORDER:  # slots >= 1 here: something is outstanding
+        rest = completion(kinds + (kind,), cs, min(slots, _EXACT_FEASIBILITY_WINDOW) - 1)
+        if rest is not None and (best is None or len(rest) + 1 < len(best)):
+            best = (kind,) + rest
+    return best
 
 
 _LINE_RE = re.compile(r"^\(\s*([A-Za-z]+)\s*(?:,\s*([0-9]*)\s*)?\)$")

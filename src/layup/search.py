@@ -9,8 +9,8 @@ the running sum of action cost plus propagated-state utility (plus a small
 penalty per action the model has never seen). The loop stops when an end
 action is committed, the horizon is hit, or no single action can improve
 the state utility by more than the convergence threshold; the two latter
-cases append the shortest constraint-satisfying suffix, built in the
-canonical order path, peel, refinement, capture, end.
+cases append the shortest constraint-satisfying suffix that
+`plan.completion` names.
 
 Nodes hold their `SheetState`, the same array state the estimator builds
 and the learner differences. A node's feasible children are propagated
@@ -21,7 +21,7 @@ against.
 """
 from __future__ import annotations
 
-import logging
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -29,14 +29,10 @@ import numpy as np
 
 from . import plan as plan_mod
 from .effectiveness import EffectivenessModel, propagate, propagate_batch
-from .geometry import (PathGeometry, clamp_into_polygon, nearest_boundary_point,
-                       ray_exit_point, unit_vector)
 from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    next_kinds, prefix_feasible, standard_constraints, validate)
 from .sheet_state import SheetState
-
-logger = logging.getLogger(__name__)
 
 _KIND_ORDER = {"peel": 1, "capture": 2, "refinement": 3, "end": 4}
 
@@ -76,9 +72,9 @@ class SearchConfig:
         if not 1 <= self.path_count <= PATH_COUNT_DEFAULT:
             raise ValueError(f"path_count must lie in 1..{PATH_COUNT_DEFAULT}")
         if sorted(self.action_costs) != sorted(ACTION_KINDS) or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool)
+                isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
                 for c in self.action_costs.values()):
-            raise ValueError(f"action_costs must give a number for each of "
+            raise ValueError(f"action_costs must give a finite number for each of "
                              f"{', '.join(ACTION_KINDS)}")
 
     def to_json(self) -> dict:
@@ -170,7 +166,6 @@ class SearchNode:
     trace: float      # trace_total of the state
     stats: SearchStats  # shared by every node of a search
     score: float = 0.0  # one-step merit of the last action from the parent state
-    unmodeled: int = 0
 
     @property
     def terminal(self) -> bool:
@@ -220,17 +215,14 @@ def _priced(node: SearchNode, actions: list[Action], model: EffectivenessModel,
     for i, (action, utility, trace) in enumerate(zip(actions, utilities.tolist(),
                                                      traces.tolist())):
         cost = node.cost + action_cost(action, cfg) + utility
-        unmodeled = node.unmodeled
         if not model.covers(action):
             cost += cfg.w_unk
-            unmodeled += 1
         children.append(SearchNode(
             state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
                              after.t),
             prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
             stats=node.stats,
-            score=utility - node.utility + cfg.w_sigma * (trace - node.trace),
-            unmodeled=unmodeled))
+            score=utility - node.utility + cfg.w_sigma * (trace - node.trace)))
     return children
 
 
@@ -294,17 +286,6 @@ def lookahead_value(node: SearchNode, model: EffectivenessModel, cs: ConstraintS
     return min(lookahead_value(c, model, cs, cfg, depth - 1) for c in children)
 
 
-_SUFFIX_ORDER = ("path", "peel", "refinement", "capture", "end")
-
-
-def _needed_suffix_kinds(kinds: tuple[str, ...], cs: ConstraintSet) -> list[str] | None:
-    """The outstanding requirements in canonical order; None when none can help."""
-    needed = plan_mod.outstanding(kinds, cs)
-    if needed is None:
-        return None
-    return [kind for kind in _SUFFIX_ORDER for _ in range(needed.get(kind, 0))]
-
-
 def _suffix_child(kind: str, node: SearchNode, model, cs, cfg) -> SearchNode:
     if kind == "path":
         # the best-scoring feasible path, path 1 when none is feasible
@@ -318,35 +299,20 @@ def _suffix_child(kind: str, node: SearchNode, model, cs, cfg) -> SearchNode:
 
 
 def _complete(node: SearchNode, model, cs, cfg, audit: list) -> SearchNode:
-    """Append the shortest constraint-satisfying suffix (canonical ordering)."""
+    """Append `plan.completion`'s suffix, the shortest that satisfies the constraints."""
     kinds = tuple(a.kind for a in node.prefix)
-    needed = suffix_kinds = _needed_suffix_kinds(kinds, cs)
-    if needed is not None and plan_mod.outstanding(kinds + tuple(needed), cs) != {}:
-        suffix_kinds = _search_suffix(kinds, cs)
+    suffix_kinds = plan_mod.completion(kinds, cs, cfg.horizon - len(kinds))
     if suffix_kinds is None:
+        needed = plan_mod.outstanding(kinds, cs)
         why = ("a placed action already breaks a constraint" if needed is None
-               else f"outstanding: {', '.join(needed) or 'gap relations only'}")
+               else "outstanding: "
+               + (", ".join(plan_mod.canonical_kinds(needed)) or "gap relations only"))
         raise SearchError(f"no valid completion within the horizon; {why}")
     for kind in suffix_kinds:
         node = _suffix_child(kind, node, model, cs, cfg)
         audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
                       "mode": "suffix", "cost": node.cost})
     return node
-
-
-def _search_suffix(kinds: tuple[str, ...], cs: ConstraintSet,
-                   max_extra: int = 6) -> list[str] | None:
-    # breadth-first over kind sequences, canonical candidate order
-    frontier = [()]
-    for _ in range(max_extra + 1):
-        next_frontier = []
-        for suffix in frontier:
-            if plan_mod.outstanding(kinds + suffix, cs) == {}:
-                return list(suffix)
-            for kind in _SUFFIX_ORDER:
-                next_frontier.append(suffix + (kind,))
-        frontier = next_frontier
-    return None
 
 
 def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
@@ -410,43 +376,3 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
         if not model.covers(action):
             cost += cfg.w_unk
     return cost, state
-
-
-def generate_refinement_paths(state: SheetState, n: int,
-                              half_width: float) -> list[PathGeometry]:
-    """n corrective passes of the given roller half-width aimed at the worst sectors.
-
-    Sectors rank by severity (mean height times ellipse area, descending) and
-    are cycled when n exceeds the non-sentinel count. Each pass runs along
-    the sector's mean orientation, signed toward the nearest sheet edge,
-    starting one major semi-axis behind the centroid and ending on the
-    boundary. With nothing left to fix, n harmless center-to-edge sweeps are
-    returned and a warning is emitted through the `logging` module.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    geom = state.geometry
-    live = np.flatnonzero(state.count).tolist()  # rows of non-sentinel sectors
-    if not live:
-        logger.warning("refinement paths requested on a fully compacted state; "
-                       "emitting %d no-op sweeps", n)
-        target = nearest_boundary_point(geom.center, geom.polygon)
-        pg = PathGeometry(start=geom.center.copy(), end=target, half_width=half_width)
-        return [pg] * n
-    mu = state.mu
-    live.sort(key=lambda row: (-(mu[row, 2] * mu[row, 3] * mu[row, 4]), row))
-    paths = []
-    for i in range(n):
-        row = live[i % len(live)]
-        centroid = clamp_into_polygon(mu[row, :2], geom.polygon, margin=5.0)
-        u = unit_vector(mu[row, 5])
-        toward_edge = nearest_boundary_point(centroid, geom.polygon) - centroid
-        if float(u @ toward_edge) < 0.0:
-            u = -u
-        a = float(mu[row, 3])
-        start = centroid - a * u if a > 0 else centroid.copy()
-        end = ray_exit_point(centroid, u, geom.polygon)
-        if np.allclose(start, end):
-            start = centroid - max(a, 1.0) * u
-        paths.append(PathGeometry(start=start, end=end, half_width=half_width))
-    return paths

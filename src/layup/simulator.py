@@ -16,24 +16,26 @@ is exactly the systematic-plus-noise structure the effect learner feeds on.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .geometry import (PathGeometry, axial_difference, clamp_into_polygon,
-                       ellipse_hits_swept_rect, fold_axial, nearest_edge_angle,
-                       point_in_polygon, ray_exit_point, unit_vector,
+                       ellipse_hits_swept_rect, fold_axial, nearest_boundary_point,
+                       nearest_edge_angle, point_in_polygon, ray_exit_point, unit_vector,
                        ROLLER_HALF_WIDTH_DEFAULT)
 from .jsonio import (LogFormatError, config_from_json, read_json, read_json_lines, required,
                      typed)
 from .plan import (Action, DrapingPlan, PATH_COUNT_DEFAULT, initial_plan_constraints,
                    path_equivalents, validate)
-from .search import generate_refinement_paths
 from .sheet_state import (CaptureFrame, SheetGeometry, SheetState, build_state,
                           extract_regions, state_from_regions, H_MIN_DEFAULT,
                           LINK_RADIUS_DEFAULT)
 
 GRID_PITCH_DEFAULT = 4.0  # mm between synthetic capture samples
+
+logger = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
@@ -92,9 +94,12 @@ class GroundTruthParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("region_count", "noise_height", "noise_xy", "noise_size", "noise_theta",
-                     "sensor_noise", "extinction_height"):
+                     "sensor_noise", "extinction_height", "zone_jitter", "theta_jitter",
+                     "peel_pulse", "correction_threshold"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not 0 <= self.alignment_floor <= 1:
+            raise ValueError("alignment_floor must lie in [0, 1]")
         if self.correction_max_cycles < 1:
             raise ValueError("correction_max_cycles must be at least 1")
         for name in ("region_major", "region_minor_frac", "region_height"):
@@ -259,21 +264,59 @@ def _sweep(sim: SimState, pg: PathGeometry) -> None:
     sim.regions = [reg for reg in sim.regions if reg.peak >= p.extinction_height]
 
 
-def apply_action(sim: SimState, action: Action,
-                 refinement_paths: list[PathGeometry] | None = None) -> SimState:
+def generate_refinement_paths(state: SheetState, n: int,
+                              half_width: float) -> list[PathGeometry]:
+    """n corrective passes of the given roller half-width aimed at the worst sectors.
+
+    Sectors rank by severity (mean height times ellipse area, descending) and
+    are cycled when n exceeds the non-sentinel count. Each pass runs along
+    the sector's mean orientation, signed toward the nearest sheet edge,
+    starting one major semi-axis behind the centroid and ending on the
+    boundary. With nothing left to fix, n harmless center-to-edge sweeps are
+    returned and a warning is emitted through the `logging` module.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    geom = state.geometry
+    live = np.flatnonzero(state.count).tolist()  # rows of non-sentinel sectors
+    if not live:
+        logger.warning("refinement paths requested on a fully compacted state; "
+                       "emitting %d no-op sweeps", n)
+        target = nearest_boundary_point(geom.center, geom.polygon)
+        pg = PathGeometry(start=geom.center.copy(), end=target, half_width=half_width)
+        return [pg] * n
+    mu = state.mu
+    live.sort(key=lambda row: (-(mu[row, 2] * mu[row, 3] * mu[row, 4]), row))
+    paths = []
+    for i in range(n):
+        row = live[i % len(live)]
+        centroid = clamp_into_polygon(mu[row, :2], geom.polygon, margin=5.0)
+        u = unit_vector(mu[row, 5])
+        toward_edge = nearest_boundary_point(centroid, geom.polygon) - centroid
+        if float(u @ toward_edge) < 0.0:
+            u = -u
+        a = float(mu[row, 3])
+        start = centroid - a * u if a > 0 else centroid.copy()
+        end = ray_exit_point(centroid, u, geom.polygon)
+        if np.allclose(start, end):
+            start = centroid - max(a, 1.0) * u
+        paths.append(PathGeometry(start=start, end=end, half_width=half_width))
+    return paths
+
+
+def apply_action(sim: SimState, action: Action, state: SheetState | None = None) -> SimState:
     """Execute one action against the ground truth, in place.
 
-    Path and refinement actions sweep the roller (refinement needs its
-    generated geometries); peel flips the film flag and pulls every height
-    up by the peel pulse; capture and end have no physical effect.
+    Path actions sweep their radial pass. A refinement action sweeps the
+    passes `generate_refinement_paths` aims from `state`, the latest derived
+    state, which it requires. Peel flips the film flag and pulls every
+    height up by the peel pulse; capture and end have no physical effect.
     """
     if action.kind == "refinement":
-        if not refinement_paths:
-            raise SimulationError("refinement action executed without path geometries")
-        for pg in refinement_paths:
+        if state is None:
+            raise SimulationError("refinement action executed without a derived state")
+        for pg in generate_refinement_paths(state, action.arg, sim.params.roller_half_width):
             _sweep(sim, pg)
-    elif refinement_paths is not None:
-        raise SimulationError(f"{action.kind} action does not take path geometries")
     elif action.kind == "path":
         _sweep(sim, path_geometry(action.arg, sim.geometry,
                                   half_width=sim.params.roller_half_width))
@@ -421,7 +464,7 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
     end action hands control to the correction controller after its capture,
     so the logged post-end state is the handover state the planner must
     price. A refinement action runs the n roller passes that
-    `generate_refinement_paths` aims from the latest derived state.
+    `apply_action` aims from the latest derived state.
     """
     cs = constraints if constraints is not None else initial_plan_constraints()
     violations = validate(plan, cs)
@@ -437,11 +480,7 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
     converged = True
 
     for idx, action in enumerate(plan.actions, start=1):
-        refinement_paths = None
-        if action.kind == "refinement":
-            refinement_paths = generate_refinement_paths(state, action.arg,
-                                                         params.roller_half_width)
-        apply_action(sim, action, refinement_paths)
+        apply_action(sim, action, state)
         frame_after = render_capture(sim)
         state_after = build_state(frame_after, geom, params.h_min, params.link_radius)
         steps.append(StepRecord(

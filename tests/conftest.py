@@ -1,8 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from layup.plan import Action, DrapingPlan, check_abs, check_rel
 from layup.sheet_state import SheetGeometry, SheetState
+
+
+def src_env() -> dict:
+    """This process's environment with the checkout's `src/` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def meets(kinds, cs) -> bool:

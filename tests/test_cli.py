@@ -376,7 +376,9 @@ class TestBadInput:
         {"grid_pitch": 0}, {"roller_half_width": -1.0}, {"h_min": 0}, {"link_radius": 0},
         {"region_count": -1}, {"noise_xy": -0.1}, {"extinction_height": -0.2},
         {"correction_max_cycles": 0}, {"region_major": [0, 10]},
-        {"region_height": [5.0, 2.0]}], ids=lambda content: next(iter(content)))
+        {"region_height": [5.0, 2.0]}, {"zone_jitter": -1}, {"theta_jitter": -1},
+        {"alignment_floor": 5.0}, {"peel_pulse": -3.0}, {"correction_threshold": -1.0}],
+        ids=lambda content: next(iter(content)))
     def test_ground_truth_value_out_of_range(self, tmp_path, d1_file, capsys, content):
         gt_file = tmp_path / "gt.json"
         gt_file.write_text(json.dumps(content))
@@ -407,6 +409,31 @@ class TestBadInput:
                                    "--out", tmp_path / "o"], capsys)
         assert code == 2
         assert str(gt_file) in err and "noise_height" in err
+
+    @pytest.mark.parametrize("text", ['{"edge_drift": NaN}', '{"edge_drift": 1e400}',
+                                      '{"region_height": [2.0, Infinity]}'],
+                             ids=["nan", "overflow", "infinity-in-list"])
+    def test_ground_truth_value_not_finite(self, tmp_path, d1_file, capsys, text):
+        gt_file = tmp_path / "gt.json"
+        gt_file.write_text(text)
+        cfg_file = self.run_config(tmp_path, ground_truth=gt_file)
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(gt_file) in err and "finite" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"w_h": NaN}', '{"w_h": 1e400}',
+        '{"action_costs": {"path": 1e400, "peel": 0.2, "capture": 0.2, "end": 0.0, '
+        '"refinement": 1.0}}'], ids=["nan", "overflow", "cost-overflow"])
+    def test_search_config_value_not_finite(self, tmp_path, capsys, text):
+        search_file = tmp_path / "search.json"
+        search_file.write_text(text)
+        code, err, _ = self.refine(tmp_path, capsys, self.model_file(tmp_path),
+                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}),
+                                   "--config", self.run_config(tmp_path, search=search_file))
+        assert code == 2
+        assert str(search_file) in err and "finite" in err
 
     def test_search_config_cost_not_a_number(self, tmp_path, capsys):
         search_file = tmp_path / "search.json"

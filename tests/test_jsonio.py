@@ -1,9 +1,10 @@
 """Every input-file reader against one mutation of a small valid file.
 
-Each example drops a required key, puts a non-number where a number belongs
-or a number where a string belongs, or makes a line or the whole document
-something other than a JSON object. The reader must reject the file with a
-`LogFormatError` naming it, and the line for JSON-lines files.
+Each example drops a required key, puts a non-number or a non-finite number
+(NaN, Infinity) where a number belongs or a number where a string belongs,
+or makes a line or the whole document something other than a JSON object.
+The reader must reject the file with a `LogFormatError` naming it, and the
+line for JSON-lines files.
 """
 import copy
 import json
@@ -106,7 +107,8 @@ def _is_number(value) -> bool:
 MUTATIONS = {
     "drop a key": (lambda reader, c, v, keys: isinstance(c, dict) and not reader.optional(keys),
                    ()),
-    "not a number": (lambda reader, c, v, keys: _is_number(v), ("x", [], {}, None, True)),
+    "not a number": (lambda reader, c, v, keys: _is_number(v),
+                     ("x", [], {}, None, True, float("nan"), float("inf"), float("-inf"))),
     "a number for a string": (lambda reader, c, v, keys: isinstance(v, str), (3, 1.5)),
 }
 NOT_OBJECTS = ([1, 2], 3, "x", None, [])

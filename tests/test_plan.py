@@ -9,7 +9,7 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         expert_plan, initial_plan_constraints, parse_plan,
                         parse_plan_text, path, peel, prefix_feasible,
                         refinement, standard_constraints, validate,
-                        _feasible_exact, _feasible_screen)
+                        completion, _feasible_screen)
 
 from conftest import meets
 
@@ -203,7 +203,7 @@ class TestPrefixFeasible:
             length = int(rng.integers(0, 4))
             kinds = tuple(rng.choice(ACTION_KINDS, size=length))
             horizon = length + int(rng.integers(0, 5))
-            got = _feasible_exact(kinds, cs, horizon)
+            got = completion(kinds, cs, horizon - length) is not None
             want = any(  # no plan is empty
                 meets(kinds + ext, cs)
                 for n in range(horizon - length + 1)
@@ -222,7 +222,7 @@ class TestPrefixFeasible:
                           for _ in range(rng.integers(0, 3))))
             kinds = tuple(rng.choice(ACTION_KINDS, size=rng.integers(0, 4)))
             horizon = len(kinds) + 5
-            if _feasible_exact(kinds, cs, horizon):
+            if completion(kinds, cs, horizon - len(kinds)) is not None:
                 assert _feasible_screen(kinds, cs, horizon)
 
     def test_screen_agrees_with_exact_on_standard_set(self):
@@ -232,7 +232,7 @@ class TestPrefixFeasible:
                 for extra in (4, 6):
                     horizon = length + extra
                     assert _feasible_screen(kinds, cs, horizon) == \
-                        _feasible_exact(kinds, cs, horizon), (kinds, horizon)
+                        (completion(kinds, cs, extra) is not None), (kinds, horizon)
 
 
 class TestPlanIO:

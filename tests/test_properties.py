@@ -1,5 +1,6 @@
 """Property tests: fast paths against the slow oracles they stand in for,
 and the plan and log boundaries against malformed input."""
+import itertools
 import json
 import math
 import re
@@ -11,18 +12,19 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E402
                                  TransitionSample, propagate, propagate_batch)
 from layup.geometry import (axial_difference, nearest_boundary_point,  # noqa: E402
                             nearest_edge_angle, point_in_polygon, polygon_is_simple)
 from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E402
-                        DrapingPlan, PlanParseError, RelConstraint, _feasible_exact,
-                        _feasible_screen, capture, emit_plan_text, end, parse_plan_text,
-                        path, peel, prefix_feasible, refinement, standard_constraints)
-from layup.search import (SearchConfig, _needed_suffix_kinds, price_batch,  # noqa: E402
-                          state_utility, trace_total)
+                        DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
+                        canonical_kinds, capture, completion, emit_plan_text, end,
+                        outstanding, parse_plan_text, path, peel, prefix_feasible,
+                        refinement, standard_constraints)
+from layup.search import (SearchConfig, price_batch, state_utility,  # noqa: E402
+                          trace_total)
 from layup.sheet_state import SheetGeometry, SheetState, segment_regions  # noqa: E402
 from layup.simulator import ExperimentLog, StepRecord, read_log, write_log  # noqa: E402
 
@@ -49,22 +51,44 @@ constraint_sets = st.builds(ConstraintSet,
        extra=st.integers(0, 4))
 def test_screen_never_rejects_what_exact_accepts(cs, kinds, extra):
     horizon = len(kinds) + extra
-    if _feasible_exact(kinds, cs, horizon):
+    if completion(kinds, cs, extra) is not None:
         assert _feasible_screen(kinds, cs, horizon)
 
 
 @settings(max_examples=300, deadline=None)
 @given(kinds=st.lists(kinds_st, max_size=14).map(tuple), extra=st.integers(0, 10))
 def test_canonical_suffix_completes_every_feasible_standard_prefix(kinds, extra):
-    # so the breadth-first suffix search is never needed on the standard set
+    # so the exhaustive suffix search is never needed on the standard set
     cs = standard_constraints()
     horizon = len(kinds) + extra
     if not prefix_feasible(kinds, cs, horizon):
         return
-    suffix = _needed_suffix_kinds(kinds, cs)
+    suffix = completion(kinds, cs, extra)
     assert suffix is not None
+    assert suffix == canonical_kinds(outstanding(kinds, cs))
     assert meets(kinds + tuple(suffix), cs)
     assert len(kinds) + len(suffix) <= horizon
+
+
+def _satisfies(kinds, cs) -> bool:
+    if kinds:
+        return meets(kinds, cs)
+    # the empty prefix: relative constraints hold vacuously, counts are zero
+    return all({">": 0 > c.lam, "=": c.lam == 0, "<": 0 < c.lam}[c.gamma] for c in cs.abs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=constraint_sets, kinds=st.lists(kinds_st, max_size=3).map(tuple),
+       slots=st.integers(0, 6))
+# the canonical suffix (path, peel) fails, and four suffixes of 3 tie
+@example(cs=ConstraintSet(rel=(RelConstraint("peel", "path", "=", 2),),
+                          abs=(AbsConstraint("peel", ">", 0),)), kinds=(), slots=6)
+def test_completion_is_the_first_shortest_suffix(cs, kinds, slots):
+    order = ("path", "peel", "refinement", "capture", "end")
+    want = next((suffix for n in range(slots + 1)
+                 for suffix in itertools.product(order, repeat=n)
+                 if _satisfies(kinds + suffix, cs)), None)
+    assert completion(kinds, cs, slots) == want
 
 
 # action lines, near misses of them (unknown kinds, missing or spurious

@@ -11,9 +11,9 @@ from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
                         validate)
 from layup.search import (SearchConfig, SearchError, _default_costs, action_cost, expand,
-                          generate_refinement_paths, lookahead_value, refine_plan,
-                          refine_plan_detailed, replay_cost, root_node,
-                          state_utility)
+                          lookahead_value, refine_plan, refine_plan_detailed, replay_cost,
+                          root_node, state_utility)
+from layup.simulator import generate_refinement_paths
 
 from conftest import make_state
 
@@ -308,7 +308,7 @@ class TestRefinePlan:
     def test_failed_completion_names_outstanding_kinds(self, two_sector_geom):
         # end must come exactly two positions after a peel, so the canonical
         # suffix (paths, peel, end) fails, and 10 kinds exceed what the
-        # breadth-first suffix search tries
+        # exhaustive suffix search tries
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(9))
         cs = ConstraintSet(rel=(RelConstraint("end", "peel", "=", 2),),

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from layup.simulator import (GroundTruthParams, PlanInvalidError, Region,
                              builtin_sheet, init_sheet, path_geometry,
                              read_log, render_capture, run_correction,
                              run_experiment, write_log)
+
+from conftest import src_env
 
 QUIET = dict(noise_height=0.0, noise_xy=0.0, noise_size=0.0, noise_theta=0.0,
              sensor_noise=0.0, edge_drift=0.0, orientation_rate=0.0)
@@ -315,3 +319,14 @@ class TestRunExperiment:
         target = tmp_path / "gt.json"
         params.save(target)
         assert GroundTruthParams.load(target) == params
+
+
+def test_simulator_imports_no_planner():
+    # the simulator stands in for the robot cell: it executes plans and
+    # aims its own refinement passes, so it needs neither the search nor
+    # the learned effect model
+    out = subprocess.run([sys.executable, "-c", "import sys, layup.simulator; "
+                          "print(' '.join(sorted(sys.modules)))"],
+                         env=src_env(), capture_output=True, text=True, check=True).stdout.split()
+    assert "layup.simulator" in out
+    assert "layup.search" not in out and "layup.effectiveness" not in out
