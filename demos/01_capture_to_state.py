@@ -12,10 +12,10 @@ params = GroundTruthParams()
 sheet = builtin_sheet("sheet1")
 sim = init_sheet(sheet, params, seed=42)
 
-print(f"ground truth: {len(sim.regions)} uncompacted regions")
-for i, region in enumerate(sim.regions, start=1):
-    print(f"  region {i}: centroid=({region.centroid[0]:7.1f}, {region.centroid[1]:7.1f})"
-          f"  a={region.a:5.1f}  b={region.b:5.1f}  peak={region.peak:4.2f} mm")
+print(f"ground truth: {len(sim.peak)} uncompacted regions")
+for i, ((x, y), a, b, peak) in enumerate(zip(sim.centroids, sim.a, sim.b, sim.peak), start=1):
+    print(f"  region {i}: centroid=({x:7.1f}, {y:7.1f})"
+          f"  a={a:5.1f}  b={b:5.1f}  peak={peak:4.2f} mm")
 
 frame = render_capture(sim)
 print(f"\ncapture {frame.t}: {len(frame.points)} grid samples, "

@@ -63,6 +63,8 @@ class RunConfig:
         raw = config_from_json(_RunConfigFile, obj)
         if not raw.seeds:
             raise ValueError("at least one seed is required")
+        if min(raw.seeds) < 0:
+            raise ValueError("seeds must be non-negative integers")
         return cls(sheet=raw.sheet,
                    params=GroundTruthParams.load(raw.ground_truth) if raw.ground_truth
                    else GroundTruthParams(),
@@ -254,6 +256,17 @@ def cmd_report(log_paths, out_dir=None, baseline: str | None = None) -> dict:
     return report
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative integers, not {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="layup",
                                      description="Draping-plan refinement pipeline")
@@ -262,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="run-config JSON path")
         p.add_argument("--sheet", help="built-in sheet spec name (sheet1, sheet2)")
-        p.add_argument("--seed", type=int, nargs="+", help="64-bit seeds")
+        p.add_argument("--seed", type=_seed, nargs="+", help="non-negative integer seeds")
         p.add_argument("--out", help="output directory")
 
     for cmd in ("simulate", "evaluate"):

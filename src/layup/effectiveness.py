@@ -354,8 +354,7 @@ def propagate_batch(state: SheetState, actions, model: EffectivenessModel,
             delta[i, m] = delta[i, m] + noise * std[i, m]
     mu = state.mu + delta
     mu[..., 2:5] = np.where(mu[..., 2:5] > 0.0, mu[..., 2:5], 0.0)  # height, major, minor
-    theta = np.mod(mu[..., 5], np.pi)
-    mu[..., 5] = np.where(theta >= np.pi, 0.0, theta)  # fold_axial's fp edge
+    mu[..., 5] = fold_axial(mu[..., 5])
     collapsed = moved & (mu[..., 2] == 0.0) & (mu[..., 3] == 0.0) & (mu[..., 4] == 0.0)
     mu = np.where(moved[..., None], mu, state.mu)
     sigma = np.where(moved[..., None, None, None], state.sigma * table.scale[rows],

@@ -21,8 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .geometry import fold_axial, point_in_polygon, polygon_area, polygon_is_simple
@@ -177,6 +175,30 @@ def filter_uncompacted(frame: CaptureFrame, h_min: float = H_MIN_DEFAULT) -> np.
     return frame.points[frame.points[:, 2] > h_min]
 
 
+def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Connected component of each of n nodes under the (m, 2) edge list.
+
+    Components are numbered 0, 1, ... in order of their smallest node. Each
+    round hooks the larger root of every edge whose ends differ under the
+    smaller one, then points every node straight at its root, so a root is
+    always its component's smallest node so far.
+    """
+    root = np.arange(n)
+    i, j = pairs[:, 0], pairs[:, 1]
+    while len(i):
+        ri, rj = root[i], root[j]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        split = root[i] != root[j]
+        i, j = i[split], j[split]
+    is_root = root == np.arange(n)
+    return (np.cumsum(is_root) - 1)[root]
+
+
 def segment_regions(points: np.ndarray, link_radius: float = LINK_RADIUS_DEFAULT) -> list[np.ndarray]:
     """Single-linkage components under the xy link radius.
 
@@ -189,13 +211,11 @@ def segment_regions(points: np.ndarray, link_radius: float = LINK_RADIUS_DEFAULT
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return []
-    n = len(pts)
     pairs = cKDTree(pts[:, :2]).query_pairs(r=link_radius, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    count, labels = connected_components(graph, directed=False)
+    labels = _component_labels(len(pts), pairs)
     # a stable sort keeps input order inside each component
     order = np.argsort(labels, kind="stable")
-    comps = np.split(pts[order], np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    comps = np.split(pts[order], np.cumsum(np.bincount(labels))[:-1])
     comps.sort(key=lambda g: (float(g[:, 0].min()), float(g[:, 1].min())))
     return comps
 

@@ -1,13 +1,14 @@
 """Stochastic layup-process simulator standing in for the robot cell.
 
-The ground truth is a list of uncompacted regions (bubbles), each an
-ellipse with a peak height. Roller passes squeeze every region they sweep:
-the height multiplier follows a per-pass reduction schedule that starts
-strong and decays with the cumulative pass count, scaled by how well the
-pass aligns with the region's major axis. Passes also push regions toward
-the sheet edge and relax their orientation toward edge-orthogonal, the two
-drifts observed on real sheets late in a layup. All randomness flows from
-one 64-bit seed, so experiments replay bitwise.
+The ground truth is a set of uncompacted regions (bubbles), each an
+ellipse with a peak height, held as arrays with one row per region. Roller
+passes squeeze every region they sweep: the height multiplier follows a
+per-pass reduction schedule that starts strong and decays with the
+cumulative pass count, scaled by how well the pass aligns with the
+region's major axis. Passes also push regions toward the sheet edge and
+relax their orientation toward edge-orthogonal, the two drifts observed on
+real sheets late in a layup. All randomness flows from one 64-bit seed, so
+experiments replay bitwise.
 
 Sheets carry characteristic trouble zones (where bubbles tend to form run
 after run); per-seed jitter moves, resizes and reshapes the regions, which
@@ -21,10 +22,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import (PathGeometry, axial_difference, clamp_into_polygon,
-                       ellipse_hits_swept_rect, fold_axial, nearest_boundary_point,
-                       nearest_edge_angle, point_in_polygon, ray_exit_point, unit_vector,
-                       ROLLER_HALF_WIDTH_DEFAULT)
+from .geometry import (PathGeometry, axial_difference, clamp_into_polygon, fold_axial,
+                       nearest_boundary_point, nearest_edge_angle, point_in_polygon,
+                       ray_exit_point, swept_rect_hits, unit_vector, ROLLER_HALF_WIDTH_DEFAULT)
 from .jsonio import (LogFormatError, config_from_json, read_json, read_json_lines, required,
                      typed)
 from .plan import (Action, DrapingPlan, PATH_COUNT_DEFAULT, initial_plan_constraints,
@@ -169,19 +169,23 @@ def builtin_sheet(name: str) -> SheetSpec:
 
 
 @dataclass
-class Region:
-    centroid: np.ndarray
-    a: float
-    b: float
-    theta: float
-    peak: float
-
-
-@dataclass
 class SimState:
+    """The ground truth of one sheet as the process leaves it.
+
+    The live regions are arrays with one row per region, in the order
+    `init_sheet` drew them: `centroids` (n, 2) in mm, the semi-axes `a` and
+    `b` (n,) in mm with a >= b, the major-axis orientations `theta` (n,) in
+    [0, pi) and the peak heights `peak` (n,) in mm. Sweeps update the rows
+    in place and drop the regions that fall below the extinction height.
+    """
+
     spec: SheetSpec
     params: GroundTruthParams
-    regions: list[Region]
+    centroids: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    theta: np.ndarray
+    peak: np.ndarray
     rng: np.random.Generator
     j: int = 0              # cumulative roller passes
     peeled: bool = False
@@ -196,7 +200,7 @@ def init_sheet(spec: SheetSpec, params: GroundTruthParams, seed: int | None = No
     """Seeded initial ground truth: regions scattered about the sheet's zones."""
     rng = np.random.default_rng(params.seed if seed is None else seed)
     geom = spec.geometry
-    regions = []
+    rows = []
     # every zone misbehaves every run (that recurrence is what makes the
     # process learnable); extra regions land on random zones
     zone_picks = [spec.zones[i % len(spec.zones)] for i in range(min(params.region_count,
@@ -216,20 +220,50 @@ def init_sheet(spec: SheetSpec, params: GroundTruthParams, seed: int | None = No
                                   centroid[0] - geom.center[0]))
         theta = fold_axial(radial + float(rng.normal(0.0, params.theta_jitter)))
         peak = float(rng.uniform(*params.region_height))
-        regions.append(Region(centroid=centroid, a=a, b=b, theta=theta, peak=peak))
-    return SimState(spec=spec, params=params, regions=regions, rng=rng)
+        rows.append((centroid[0], centroid[1], a, b, theta, peak))
+    regions = np.array(rows, dtype=float).reshape(-1, 6)
+    a, b, theta, peak = regions[:, 2:].T.copy()
+    return SimState(spec=spec, params=params, centroids=regions[:, :2].copy(),
+                    a=a, b=b, theta=theta, peak=peak, rng=rng)
+
+
+_PATH_CACHE: dict[tuple, PathGeometry] = {}
 
 
 def path_geometry(index: int, geom: SheetGeometry,
                   half_width: float = ROLLER_HALF_WIDTH_DEFAULT) -> PathGeometry:
-    """Radial pass number `index`, numbered clockwise from the top-right diagonal."""
+    """Radial pass number `index`, numbered clockwise from the top-right diagonal.
+
+    The pass depends on its arguments alone, so each is built once and shared.
+    """
     if not 1 <= index <= PATH_COUNT_DEFAULT:
         raise ValueError(f"path index {index} outside 1..{PATH_COUNT_DEFAULT}")
-    angle = np.deg2rad(45.0) - (index - 1) * (2.0 * np.pi / PATH_COUNT_DEFAULT)
-    direction = unit_vector(angle)
-    return PathGeometry(start=geom.center.copy(),
-                        end=ray_exit_point(geom.center, direction, geom.polygon),
-                        half_width=half_width)
+    key = (index, geom.center.tobytes(), geom.polygon.tobytes(), float(half_width))
+    pg = _PATH_CACHE.get(key)
+    if pg is None:
+        angle = np.deg2rad(45.0) - (index - 1) * (2.0 * np.pi / PATH_COUNT_DEFAULT)
+        direction = unit_vector(angle)
+        pg = PathGeometry(start=geom.center.copy(),
+                          end=ray_exit_point(geom.center, direction, geom.polygon),
+                          half_width=half_width)
+        _PATH_CACHE[key] = pg
+    return pg
+
+
+def _noise(sim: SimState, n: int) -> np.ndarray:
+    """Process noise of n swept regions: (n, 6) columns height, x, y, a, b, theta.
+
+    A column whose scale is 0 draws nothing and reads 0. One standard_normal
+    call fills the rows in the order that per-region `rng.normal` calls,
+    region by region and column by column, would draw them.
+    """
+    p = sim.params
+    scale = np.array([p.noise_height, p.noise_xy, p.noise_xy, p.noise_size, p.noise_size,
+                      p.noise_theta])
+    live = scale > 0
+    noise = np.zeros((n, 6))
+    noise[:, live] = sim.rng.standard_normal((n, int(live.sum()))) * scale[live]
+    return noise
 
 
 def _sweep(sim: SimState, pg: PathGeometry) -> None:
@@ -237,31 +271,33 @@ def _sweep(sim: SimState, pg: PathGeometry) -> None:
     sim.j += 1
     r = p.reduction(sim.j)
     poly = sim.geometry.polygon
-    for region in sim.regions:
-        if not ellipse_hits_swept_rect(region.centroid, region.a, region.b,
-                                       region.theta, pg):
-            continue
-        alignment = abs(np.cos(pg.angle - region.theta))
-        alignment = min(1.0, max(p.alignment_floor, alignment))
-        region.peak *= (1.0 - r * alignment)
-        region.centroid = clamp_into_polygon(
-            region.centroid + p.edge_drift * pg.direction, poly, margin=10.0)
-        target = fold_axial(nearest_edge_angle(region.centroid, poly) + np.pi / 2.0)
-        swing = axial_difference(target, region.theta)
-        region.theta = fold_axial(region.theta
-                                  + float(np.clip(swing, -p.orientation_rate, p.orientation_rate)))
+    hit = np.flatnonzero(swept_rect_hits(sim.centroids, sim.a, sim.b, sim.theta, pg))
+    if len(hit):
+        theta, a, b = sim.theta[hit], sim.a[hit], sim.b[hit]
+        alignment = np.minimum(1.0, np.maximum(p.alignment_floor,
+                                               np.abs(np.cos(pg.angle - theta))))
+        peak = sim.peak[hit] * (1.0 - r * alignment)
+        centroids = clamp_into_polygon(sim.centroids[hit] + p.edge_drift * pg.direction, poly,
+                                       margin=10.0)
+        target = fold_axial(nearest_edge_angle(centroids, poly) + np.pi / 2.0)
+        swing = axial_difference(target, theta)
+        theta = fold_axial(theta + np.clip(swing, -p.orientation_rate, p.orientation_rate))
+        noise = _noise(sim, len(hit))
         if p.noise_height > 0:
-            region.peak = max(0.0, region.peak + float(sim.rng.normal(0.0, p.noise_height)))
+            peak = np.maximum(0.0, peak + noise[:, 0])
         if p.noise_xy > 0:
-            region.centroid = clamp_into_polygon(
-                region.centroid + sim.rng.normal(0.0, p.noise_xy, 2), poly, margin=10.0)
+            centroids = clamp_into_polygon(centroids + noise[:, 1:3], poly, margin=10.0)
         if p.noise_size > 0:
-            region.a = max(1.0, region.a + float(sim.rng.normal(0.0, p.noise_size)))
-            region.b = float(np.clip(region.b + sim.rng.normal(0.0, p.noise_size),
-                                     0.5, region.a))
+            a = np.maximum(1.0, a + noise[:, 3])
+            b = np.clip(b + noise[:, 4], 0.5, a)
         if p.noise_theta > 0:
-            region.theta = fold_axial(region.theta + float(sim.rng.normal(0.0, p.noise_theta)))
-    sim.regions = [reg for reg in sim.regions if reg.peak >= p.extinction_height]
+            theta = fold_axial(theta + noise[:, 5])
+        sim.centroids[hit], sim.a[hit], sim.b[hit] = centroids, a, b
+        sim.theta[hit], sim.peak[hit] = theta, peak
+    keep = sim.peak >= p.extinction_height
+    if not keep.all():
+        sim.centroids, sim.a, sim.b = sim.centroids[keep], sim.a[keep], sim.b[keep]
+        sim.theta, sim.peak = sim.theta[keep], sim.peak[keep]
 
 
 def generate_refinement_paths(state: SheetState, n: int,
@@ -322,8 +358,7 @@ def apply_action(sim: SimState, action: Action, state: SheetState | None = None)
                                   half_width=sim.params.roller_half_width))
     elif action.kind == "peel":
         sim.peeled = True
-        for region in sim.regions:
-            region.peak *= (1.0 + sim.params.peel_pulse)
+        sim.peak *= 1.0 + sim.params.peel_pulse
     elif action.kind in ("capture", "end"):
         pass
     else:  # pragma: no cover - Action validates kinds
@@ -331,10 +366,11 @@ def apply_action(sim: SimState, action: Action, state: SheetState | None = None)
     return sim
 
 
-_GRID_CACHE: dict[tuple, np.ndarray] = {}
+_GRID_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _polygon_grid(geom: SheetGeometry, pitch: float) -> np.ndarray:
+def _polygon_grid(geom: SheetGeometry, pitch: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The capture samples inside the sheet, (n, 2), and their x and y columns, contiguous."""
     key = (geom.polygon.tobytes(), float(pitch))
     grid = _GRID_CACHE.get(key)
     if grid is None:
@@ -344,27 +380,38 @@ def _polygon_grid(geom: SheetGeometry, pitch: float) -> np.ndarray:
         ys = np.arange(lo[1], hi[1] + pitch / 2.0, pitch)
         xx, yy = np.meshgrid(xs, ys)
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        grid = pts[point_in_polygon(pts, geom.polygon)]
-        _GRID_CACHE[key] = grid
+        pts = pts[point_in_polygon(pts, geom.polygon)]
+        grid = _GRID_CACHE[key] = (pts, pts[:, 0].copy(), pts[:, 1].copy())
     return grid
 
 
 def render_capture(sim: SimState) -> CaptureFrame:
-    """Synthetic height scan: superposed region bumps plus sensor noise."""
+    """Synthetic height scan: superposed region bumps plus sensor noise.
+
+    Regions are added one at a time on the grid's columns, in place.
+    """
     p = sim.params
-    grid = _polygon_grid(sim.geometry, p.grid_pitch)
+    grid, x, y = _polygon_grid(sim.geometry, p.grid_pitch)
     heights = np.zeros(len(grid))
-    for region in sim.regions:
-        sa = max(region.a / 2.0, 0.75)
-        sb = max(region.b / 2.0, 0.75)
-        ca, si = np.cos(region.theta), np.sin(region.theta)
-        rel = grid - region.centroid
-        u = rel[:, 0] * ca + rel[:, 1] * si
-        v = -rel[:, 0] * si + rel[:, 1] * ca
-        heights += region.peak * np.exp(-0.5 * ((u / sa) ** 2 + (v / sb) ** 2))
+    for (cx, cy), a, b, theta, peak in zip(sim.centroids, sim.a, sim.b, sim.theta, sim.peak):
+        ca, si = np.cos(theta), np.sin(theta)
+        dx, dy = x - cx, y - cy
+        u = dx * ca  # along the major axis
+        u += dy * si
+        u /= max(a / 2.0, 0.75)
+        u *= u
+        v = dy * ca  # along the minor axis
+        v -= dx * si
+        v /= max(b / 2.0, 0.75)
+        v *= v
+        u += v
+        u *= -0.5
+        np.exp(u, out=u)
+        u *= peak
+        heights += u
     if p.sensor_noise > 0:
-        heights = heights + sim.rng.normal(0.0, p.sensor_noise, len(grid))
-    heights = np.maximum(heights, 0.0)
+        heights += sim.rng.normal(0.0, p.sensor_noise, len(grid))
+    np.maximum(heights, 0.0, out=heights)
     frame = CaptureFrame(points=np.column_stack([grid, heights]), t=sim.capture_index)
     sim.capture_index += 1
     return frame

@@ -57,23 +57,35 @@ def refined_plan_text(work: Path, sheet: str, seed: int) -> str:
     return cli.cmd_refine(model, capture, cli.RunConfig(sheet=sheet, out=out)).read_text()
 
 
-def recompute(work: Path, pinned_plans: dict) -> dict:
+def evaluation_plans(work: Path, pinned_plans: dict) -> dict:
+    """The plan files the benchmark evaluates on each sheet: D1, D2 and the sheet's refined plan.
+
+    The refined plans are the golden sheet1 plan and the pinned sheet2 plan.
+    """
     for variant in (1, 2):
         emit_plan(expert_plan(variant), work / f"D{variant}.plan")
-    plans = {f"{sheet}|{seed}": refined_plan_text(work, sheet, seed) for sheet, seed in CORPORA}
-    # the refined plans the benchmark evaluates: the golden one and the pinned sheet2 plan
+    (work / "refined_sheet2.plan").write_text(pinned_plans["sheet2|0"])
     refined = {"sheet1": ROOT / "tests" / "golden" / "refined_sheet1.plan",
                "sheet2": work / "refined_sheet2.plan"}
-    refined["sheet2"].write_text(pinned_plans["sheet2|0"])
+    return {sheet: [work / "D1.plan", work / "D2.plan", refined[sheet]] for sheet in SHEETS}
+
+
+def seed_summaries(work: Path, sheet: str, seed: int, plan_files) -> tuple[dict, list]:
+    """Each plan's log at `seed`: the summary records keyed as the reference keys them, and the logs."""
+    cfg = cli.RunConfig(sheet=sheet, seeds=(seed,), out=work / "logs")
+    logs = [cli.cmd_simulate(p, cfg, keep_captures=False)[0] for p in plan_files]
+    summaries = [last_record(log) for log in logs]
+    return {f"{sheet}|{s['plan']}|{seed}": s for s in summaries}, logs
+
+
+def recompute(work: Path, pinned_plans: dict) -> dict:
+    plan_files = evaluation_plans(work, pinned_plans)
+    plans = {f"{sheet}|{seed}": refined_plan_text(work, sheet, seed) for sheet, seed in CORPORA}
     summaries, models = {}, {}
     for sheet in SHEETS:
-        plan_files = [work / "D1.plan", work / "D2.plan", refined[sheet]]
         for seed in SEEDS:
-            cfg = cli.RunConfig(sheet=sheet, seeds=(seed,), out=work / "logs")
-            logs = [cli.cmd_simulate(p, cfg, keep_captures=False)[0] for p in plan_files]
-            for log in logs:
-                summary = last_record(log)
-                summaries[f"{sheet}|{summary['plan']}|{seed}"] = summary
+            got, logs = seed_summaries(work, sheet, seed, plan_files[sheet])
+            summaries.update(got)
             models[f"{sheet}|{seed}"] = sha256(cli.cmd_learn(logs[:2], work / "model.json"))
     return {"summaries": summaries, "models": models, "plans": plans}
 

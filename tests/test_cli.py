@@ -372,6 +372,23 @@ class TestBadInput:
         assert code == 2
         assert str(cfg_file) in err and next(iter(content)) in err
 
+    def test_run_config_seed_negative(self, tmp_path, d1_file, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seeds": [3, -1]}))
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(cfg_file) in err and "seeds" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_negative(self, tmp_path, d1_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", str(d1_file), "--seed", "-1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert "--seed" in err and "'-1'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("content", [
         {"grid_pitch": 0}, {"roller_half_width": -1.0}, {"h_min": 0}, {"link_radius": 0},
         {"region_count": -1}, {"noise_xy": -0.1}, {"extinction_height": -0.2},

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from layup.geometry import (PathGeometry, axial_difference, clamp_into_polygon,
-                            ellipse_hits_swept_rect, fold_axial,
+from layup.geometry import (PathGeometry, axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle,
-                            point_in_polygon, polygon_area, ray_exit_point)
+                            point_in_polygon, polygon_area, ray_exit_point, swept_rect_hits)
 
 SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) * 100
 
@@ -66,30 +65,37 @@ def test_path_geometry_validation():
         PathGeometry(start=np.zeros(2), end=np.array([1.0, 0]), half_width=0)
 
 
+def hits_one(centroid, a, b, theta, path) -> bool:
+    """`swept_rect_hits` of one ellipse."""
+    hits = swept_rect_hits([centroid], [a], [b], [theta], path)
+    assert hits.shape == (1,)
+    return bool(hits[0])
+
+
 class TestEllipseSweptRect:
     def path(self):
         return PathGeometry(start=np.array([0.0, 0.0]), end=np.array([100.0, 0.0]),
                             half_width=15.0)
 
     def test_centroid_inside(self):
-        assert ellipse_hits_swept_rect([50, 5], 10, 5, 0.0, self.path())
+        assert hits_one([50, 5], 10, 5, 0.0, self.path())
 
     def test_outline_overlap(self):
         # centroid outside the band, outline reaching in
-        assert ellipse_hits_swept_rect([50, 22], 10, 10, 0.0, self.path())
-        assert not ellipse_hits_swept_rect([50, 40], 10, 10, 0.0, self.path())
+        assert hits_one([50, 22], 10, 10, 0.0, self.path())
+        assert not hits_one([50, 40], 10, 10, 0.0, self.path())
 
     def test_orientation_matters(self):
         # a slender ellipse near the band only reaches it point-first
-        assert ellipse_hits_swept_rect([50, 30], 20, 2, math.pi / 2, self.path())
-        assert not ellipse_hits_swept_rect([50, 30], 20, 2, 0.0, self.path())
+        assert hits_one([50, 30], 20, 2, math.pi / 2, self.path())
+        assert not hits_one([50, 30], 20, 2, 0.0, self.path())
 
     def test_rect_inside_big_ellipse(self):
-        assert ellipse_hits_swept_rect([50, 0], 200, 150, 0.3, self.path())
+        assert hits_one([50, 0], 200, 150, 0.3, self.path())
 
     def test_point_region(self):
-        assert ellipse_hits_swept_rect([50, 0], 0.0, 0.0, 0.0, self.path())
-        assert not ellipse_hits_swept_rect([50, 30], 0.0, 0.0, 0.0, self.path())
+        assert hits_one([50, 0], 0.0, 0.0, 0.0, self.path())
+        assert not hits_one([50, 30], 0.0, 0.0, 0.0, self.path())
 
 
 def test_swept_rect_against_dense_sampling():
@@ -106,7 +112,7 @@ def test_swept_rect_against_dense_sampling():
         a = rng.uniform(5, 40)
         b = rng.uniform(1, a)
         theta = rng.uniform(0, math.pi)
-        got = ellipse_hits_swept_rect(c, a, b, theta, pg)
+        got = hits_one(c, a, b, theta, pg)
 
         t = np.linspace(0, 2 * math.pi, 256, endpoint=False)
         r = np.sqrt(rng.uniform(0, 1, (40, 1)))

@@ -16,8 +16,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E402
                                  TransitionSample, propagate, propagate_batch)
-from layup.geometry import (axial_difference, nearest_boundary_point,  # noqa: E402
-                            nearest_edge_angle, point_in_polygon, polygon_is_simple)
+from layup.geometry import (PathGeometry, _closest_on_boundary,  # noqa: E402
+                            axial_difference, clamp_into_polygon, fold_axial,
+                            nearest_boundary_point, nearest_edge_angle, point_in_polygon,
+                            polygon_is_simple, swept_rect_hits)
 from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E402
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
                         canonical_kinds, capture, completion, emit_plan_text, end,
@@ -26,7 +28,9 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E40
 from layup.search import (SearchConfig, price_batch, state_utility,  # noqa: E402
                           trace_total)
 from layup.sheet_state import SheetGeometry, SheetState, segment_regions  # noqa: E402
-from layup.simulator import ExperimentLog, StepRecord, read_log, write_log  # noqa: E402
+from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,  # noqa: E402
+                             StepRecord, _noise, _sweep, builtin_sheet, init_sheet,
+                             path_geometry, read_log, write_log)
 
 from conftest import make_state, meets  # noqa: E402
 
@@ -396,3 +400,247 @@ def test_nearest_boundary_matches_edge_scan(poly, pts):
         assert 0.0 <= got < math.pi
         assert any(abs(axial_difference(got, math.atan2(b[1] - a[1], b[0] - a[0]))) < 1e-12
                    for a, b in (_edges(poly)[i] for i in near))
+
+
+def closest_on_boundary_loop(point, polygon):
+    """The edge-by-edge scan `_closest_on_boundary` batches: one point's closest
+    boundary point and edge, the first edge on ties."""
+    p = np.asarray(point, dtype=float)
+    best, best_edge, best_d = None, 0, np.inf
+    for i, (a, b) in enumerate(_edges(np.asarray(polygon, dtype=float))):
+        ab = b - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+        q = a + t * ab
+        d = float(np.linalg.norm(p - q))
+        if d < best_d:
+            best, best_edge, best_d = q, i, d
+    return best, best_edge
+
+
+def clamp_loop(point, polygon, margin):
+    """One point's clamp, as `clamp_into_polygon` did it before it took arrays."""
+    p = np.asarray(point, dtype=float)
+    if point_in_polygon(p, polygon):
+        return p
+    q = closest_on_boundary_loop(p, polygon)[0]
+    inward = polygon.mean(axis=0) - q
+    norm = float(np.linalg.norm(inward))
+    if norm < 1e-12:
+        return q
+    return q + inward / norm * min(margin, norm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=star_polygons(), pts=st.lists(st.tuples(coords_st, coords_st), min_size=1,
+                                          max_size=8).map(np.array),
+       margin=st.sampled_from((2.0, 5.0, 10.0, 25.0)))
+def test_boundary_helpers_match_the_edge_loop(poly, pts, margin):
+    # bit for bit, for an array of points and for each point alone
+    loop = [closest_on_boundary_loop(p, poly) for p in pts]
+    q, edge = _closest_on_boundary(pts, poly)
+    assert q.tobytes() == np.array([w for w, _ in loop]).tobytes()
+    assert edge.tolist() == [e for _, e in loop]
+    e = np.roll(poly, -1, axis=0) - poly
+    angles = [fold_axial(float(np.arctan2(e[i, 1], e[i, 0]))) for _, i in loop]
+    assert nearest_edge_angle(pts, poly).tolist() == angles
+    clamped = np.array([clamp_loop(p, poly, margin) for p in pts])
+    assert clamp_into_polygon(pts, poly, margin).tobytes() == clamped.tobytes()
+    for p, (w, i), angle, c in zip(pts, loop, angles, clamped):
+        assert nearest_boundary_point(p, poly).tobytes() == w.tobytes()
+        assert nearest_edge_angle(p, poly) == angle
+        assert clamp_into_polygon(p, poly, margin).tobytes() == c.tobytes()
+
+
+_OUTLINE = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+
+
+def ellipse_hits_swept_rect(centroid, a, b, theta, path) -> bool:
+    """The sampled hit test of one ellipse, as the simulator ran it region by region."""
+    c = np.asarray(centroid, dtype=float)
+    u = path.direction
+    nvec = np.array([-u[1], u[0]])
+    length = path.length
+
+    def any_in_rect(points: np.ndarray) -> bool:
+        rel = points - path.start
+        along = rel @ u
+        perp = rel @ nvec
+        return bool(np.any((along >= 0.0) & (along <= length)
+                           & (np.abs(perp) <= path.half_width)))
+
+    if any_in_rect(c[None, :]):
+        return True
+    if a <= 0.0:
+        return False
+    ca, sa = np.cos(theta), np.sin(theta)
+    local = np.column_stack([a * np.cos(_OUTLINE), b * np.sin(_OUTLINE)])
+    outline = c + local @ np.array([[ca, sa], [-sa, ca]])
+    if any_in_rect(outline):
+        return True
+    # rectangle swallowed by the ellipse: test its corners
+    corners = np.array([path.start + path.half_width * nvec,
+                        path.start - path.half_width * nvec,
+                        path.end + path.half_width * nvec,
+                        path.end - path.half_width * nvec])
+    rel = corners - c
+    xr = rel @ np.array([ca, sa])
+    yr = rel @ np.array([-sa, ca])
+    sb = max(b, 1e-9)
+    return bool(np.any((xr / a) ** 2 + (yr / sb) ** 2 <= 1.0))
+
+
+@st.composite
+def swept_paths(draw):
+    start = np.array([draw(st.floats(-150.0, 150.0)), draw(st.floats(-150.0, 150.0))])
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    length = draw(st.floats(1.0, 300.0))
+    return PathGeometry(start=start, end=start + length * np.array([np.cos(angle), np.sin(angle)]),
+                        half_width=draw(st.floats(0.5, 30.0)))
+
+
+# degenerate ellipses among the draws: points (a = 0) and slivers (b -> 0)
+ellipses_st = st.tuples(st.floats(-250.0, 250.0), st.floats(-250.0, 250.0),
+                        st.one_of(st.just(0.0), st.floats(0.0, 80.0)),
+                        st.one_of(st.sampled_from((0.0, 1e-300, 1e-12)), st.floats(0.0, 1.0)),
+                        st.floats(0.0, np.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=swept_paths(), ellipses=st.lists(ellipses_st, max_size=8))
+@example(path=PathGeometry(np.zeros(2), np.array([100.0, 0.0]), 15.0),
+         ellipses=[(50.0, 0.0, 0.0, 0.0, 0.0), (50.0, 30.0, 0.0, 0.0, 0.0),
+                   (50.0, 30.0, 20.0, 1e-300, np.pi / 2), (50.0, 0.0, 200.0, 0.75, 0.3),
+                   (100.0, 15.0, 5.0, 0.0, 0.0), (-20.0, 0.0, 20.0, 0.5, 0.0)])
+def test_swept_rect_hits_matches_the_scalar_test(path, ellipses):
+    rows = np.array(ellipses, dtype=float).reshape(-1, 5)
+    a = rows[:, 2]
+    b = a * rows[:, 3]  # minor semi-axis as a fraction of the major
+    with np.errstate(over="ignore"):  # a tiny major semi-axis scales corners past the float range
+        got = swept_rect_hits(rows[:, :2], a, b, rows[:, 4], path)
+        want = [ellipse_hits_swept_rect(r[:2], ai, bi, r[4], path)
+                for r, ai, bi in zip(rows, a.tolist(), b.tolist())]
+    assert got.dtype == bool and got.shape == (len(rows),)
+    assert got.tolist() == want
+
+
+scale_st = st.sampled_from((0.0, 0.04, 0.4, 1.5))
+
+
+def noise_params(draw_scales) -> GroundTruthParams:
+    height, xy, size, theta = draw_scales
+    return GroundTruthParams(noise_height=height, noise_xy=xy, noise_size=size,
+                             noise_theta=theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 9),
+       scales=st.tuples(scale_st, scale_st, scale_st, scale_st))
+def test_sweep_noise_matches_per_region_draws(seed, n, scales):
+    p = noise_params(scales)
+    sim = init_sheet(builtin_sheet("sheet1"), p, seed)
+    rng = init_sheet(builtin_sheet("sheet1"), p, seed).rng
+    want = np.zeros((n, 6))
+    for row in want:  # region by region, term by term
+        if p.noise_height > 0:
+            row[0] = rng.normal(0.0, p.noise_height)
+        if p.noise_xy > 0:
+            row[1:3] = rng.normal(0.0, p.noise_xy, 2)
+        if p.noise_size > 0:
+            row[3] = rng.normal(0.0, p.noise_size)
+            row[4] = rng.normal(0.0, p.noise_size)
+        if p.noise_theta > 0:
+            row[5] = rng.normal(0.0, p.noise_theta)
+    assert _noise(sim, n).tobytes() == want.tobytes()
+    assert sim.rng.bit_generator.state == rng.bit_generator.state
+
+
+def sweep_loop(sim, pg):
+    """The sweep as the simulator ran it, one region at a time on plain floats;
+    leaves the surviving regions in `sim` and returns them as (x, y, a, b,
+    theta, peak) rows."""
+    p = sim.params
+    sim.j += 1
+    r = p.reduction(sim.j)
+    poly = sim.geometry.polygon
+    rows = []
+    for centroid, a, b, theta, peak in zip(sim.centroids.copy(), sim.a.tolist(), sim.b.tolist(),
+                                           sim.theta.tolist(), sim.peak.tolist()):
+        if ellipse_hits_swept_rect(centroid, a, b, theta, pg):
+            alignment = min(1.0, max(p.alignment_floor, abs(np.cos(pg.angle - theta))))
+            peak *= (1.0 - r * alignment)
+            centroid = clamp_into_polygon(centroid + p.edge_drift * pg.direction, poly, 10.0)
+            target = fold_axial(nearest_edge_angle(centroid, poly) + np.pi / 2.0)
+            swing = axial_difference(target, theta)
+            theta = fold_axial(theta + float(np.clip(swing, -p.orientation_rate,
+                                                     p.orientation_rate)))
+            if p.noise_height > 0:
+                peak = max(0.0, peak + float(sim.rng.normal(0.0, p.noise_height)))
+            if p.noise_xy > 0:
+                centroid = clamp_into_polygon(centroid + sim.rng.normal(0.0, p.noise_xy, 2),
+                                              poly, 10.0)
+            if p.noise_size > 0:
+                a = max(1.0, a + float(sim.rng.normal(0.0, p.noise_size)))
+                b = float(np.clip(b + sim.rng.normal(0.0, p.noise_size), 0.5, a))
+            if p.noise_theta > 0:
+                theta = fold_axial(theta + float(sim.rng.normal(0.0, p.noise_theta)))
+        if peak >= p.extinction_height:
+            rows.append((centroid[0], centroid[1], a, b, theta, peak))
+    regions = np.array(rows, dtype=float).reshape(-1, 6)
+    sim.centroids = regions[:, :2].copy()
+    sim.a, sim.b, sim.theta, sim.peak = regions[:, 2:].T.copy()
+    return regions
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sheet=st.sampled_from(("sheet1", "sheet2")),
+       scales=st.tuples(scale_st, scale_st, scale_st, scale_st),
+       drift=st.sampled_from((0.0, 3.0, 40.0)), count=st.integers(0, 9),
+       paths=st.lists(st.one_of(st.integers(1, 16), swept_paths()), min_size=1, max_size=6))
+def test_sweep_matches_the_region_loop(seed, sheet, scales, drift, count, paths):
+    # a large drift pushes regions out of the sheet, so clamps and extinctions happen
+    height, xy, size, theta = scales
+    p = GroundTruthParams(noise_height=height, noise_xy=xy, noise_size=size, noise_theta=theta,
+                          edge_drift=drift, region_count=count, extinction_height=1.0)
+    sim, ref = (init_sheet(builtin_sheet(sheet), p, seed) for _ in range(2))
+    for pg in paths:
+        if isinstance(pg, int):
+            pg = path_geometry(pg, sim.geometry)
+        _sweep(sim, pg)
+        want = sweep_loop(ref, pg)
+        got = np.column_stack([sim.centroids, sim.a, sim.b, sim.theta, sim.peak])
+        assert got.tobytes() == want.tobytes()
+        assert sim.j == ref.j
+        assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def serpentine(rows: int, cols: int, origin) -> list:
+    """One single-linkage chain under radius 1: rows of unit steps, 2 apart, each
+    joined to the next at alternate ends, listed from end to end."""
+    x0, y0 = origin
+    pts = []
+    for r in range(rows):
+        xs = range(cols) if r % 2 == 0 else range(cols - 1, -1, -1)
+        pts += [(x0 + x, y0 + 2 * r) for x in xs]
+        if r + 1 < rows:
+            pts.append((x0 + (cols - 1 if r % 2 == 0 else 0), y0 + 2 * r + 1))
+    return pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 30)), min_size=1, max_size=3),
+       shuffle=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_segment_regions_serpentine_chains(chains, shuffle):
+    # long chains listed from their far end, the most rounds a labelling can need
+    pts, x0 = [], 0
+    for rows, cols in chains:
+        pts += serpentine(rows, cols, (x0, 0))
+        x0 += cols + 2  # more than the radius apart
+    pts = np.array([(x, y, 1.0 + i % 7) for i, (x, y) in enumerate(pts)], dtype=float)[::-1]
+    if shuffle is not None:
+        pts = pts[np.random.default_rng(shuffle).permutation(len(pts))]
+    got = segment_regions(pts, 1.0)
+    want = single_linkage_oracle(pts, 1.0)
+    assert len(got) == len(want) == len(chains)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()

@@ -9,7 +9,7 @@ import pytest
 
 from layup.geometry import PathGeometry, point_in_polygon
 from layup.plan import DrapingPlan, capture, end, expert_plan, path, peel, refinement
-from layup.simulator import (GroundTruthParams, PlanInvalidError, Region,
+from layup.simulator import (GroundTruthParams, PlanInvalidError,
                              SimulationError, SimState, _polygon_grid, apply_action,
                              builtin_sheet, init_sheet, path_geometry,
                              read_log, render_capture, run_correction,
@@ -27,31 +27,38 @@ def quiet_params(**over):
     return GroundTruthParams(**merged)
 
 
+def make_sim(params, regions=(), sheet="sheet1", **over):
+    """A SimState of `sheet` holding `regions`, rows of (x, y, a, b, theta, peak)."""
+    rows = np.array(regions, dtype=float).reshape(-1, 6)
+    a, b, theta, peak = rows[:, 2:].T.copy()
+    return SimState(spec=builtin_sheet(sheet), params=params, centroids=rows[:, :2].copy(),
+                    a=a, b=b, theta=theta, peak=peak, rng=np.random.default_rng(0), **over)
+
+
 class TestInitSheet:
     def test_deterministic(self):
         params = GroundTruthParams()
         spec = builtin_sheet("sheet1")
         a = init_sheet(spec, params, seed=3)
         b = init_sheet(spec, params, seed=3)
-        for ra, rb in zip(a.regions, b.regions):
-            assert np.array_equal(ra.centroid, rb.centroid)
-            assert (ra.a, ra.b, ra.theta, ra.peak) == (rb.a, rb.b, rb.theta, rb.peak)
+        assert len(a.peak) == 6
+        for name in ("centroids", "a", "b", "theta", "peak"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_zero_regions(self):
         params = GroundTruthParams(region_count=0)
         sim = init_sheet(builtin_sheet("sheet1"), params, seed=1)
-        assert sim.regions == []
-        frame = render_capture(SimState(spec=sim.spec, params=quiet_params(region_count=0),
-                                        regions=[], rng=np.random.default_rng(0)))
+        assert sim.centroids.shape == (0, 2) and len(sim.peak) == 0
+        frame = render_capture(make_sim(quiet_params(region_count=0)))
         assert np.all(frame.points[:, 2] == 0.0)
 
     def test_regions_inside_polygon(self):
         params = GroundTruthParams(region_count=6)
         for seed in range(5):
             sim = init_sheet(builtin_sheet("sheet2"), params, seed=seed)
-            assert len(sim.regions) == 6
-            for region in sim.regions:
-                assert point_in_polygon(region.centroid, sim.geometry.polygon)
+            assert len(sim.peak) == 6
+            for centroid in sim.centroids:
+                assert point_in_polygon(centroid, sim.geometry.polygon)
 
     def test_unknown_sheet(self):
         with pytest.raises(ValueError, match="unknown sheet"):
@@ -87,11 +94,7 @@ class TestPathGeometry:
 
 def single_region_sim(params, centroid, a=25.0, b=12.0, theta=math.radians(45.0),
                       peak=4.0, sheet="sheet1"):
-    spec = builtin_sheet(sheet)
-    region = Region(centroid=np.array(centroid, dtype=float), a=a, b=b,
-                    theta=theta, peak=peak)
-    return SimState(spec=spec, params=params, regions=[region],
-                    rng=np.random.default_rng(0))
+    return make_sim(params, [(*centroid, a, b, theta, peak)], sheet)
 
 
 class TestApplyAction:
@@ -99,60 +102,61 @@ class TestApplyAction:
         params = quiet_params()
         # region far off path 1's top-right ray
         sim = single_region_sim(params, centroid=(-80.0, -80.0))
-        peak_before = sim.regions[0].peak
+        peak_before = sim.peak[0]
         apply_action(sim, path(1))
         assert sim.j == 1
-        assert sim.regions[0].peak == peak_before
+        assert sim.peak[0] == peak_before
 
     def test_first_pass_reduction_exact(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c))  # on path 1's ray
-        peak_before = sim.regions[0].peak
+        peak_before = sim.peak[0]
         apply_action(sim, path(1))
         # aligned hit at cumulative pass 1: height multiplies by (1 - 0.8)
-        assert sim.regions[0].peak == peak_before * (1.0 - 0.8)
+        assert sim.peak[0] == peak_before * (1.0 - 0.8)
 
     def test_eighth_pass_reduction_exact(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c))
         sim.j = 7
-        peak_before = sim.regions[0].peak
+        peak_before = sim.peak[0]
         apply_action(sim, path(1))
         assert sim.j == 8
-        assert sim.regions[0].peak == peak_before * (1.0 - 0.3)
+        assert sim.peak[0] == peak_before * (1.0 - 0.3)
 
     def test_alignment_floor(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c),
                                 theta=math.radians(135.0))  # orthogonal to path 1
-        peak_before = sim.regions[0].peak
+        peak_before = sim.peak[0]
         apply_action(sim, path(1))
-        assert sim.regions[0].peak == peak_before * (1.0 - 0.8 * 0.25)
+        assert sim.peak[0] == peak_before * (1.0 - 0.8 * 0.25)
 
     def test_extinction(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c), peak=0.6)
         apply_action(sim, path(1))  # 0.6 * 0.2 = 0.12 < 0.2
-        assert sim.regions == []
+        assert sim.centroids.shape == (0, 2)
+        assert all(len(v) == 0 for v in (sim.a, sim.b, sim.theta, sim.peak))
 
     def test_peel_pulse(self):
         params = quiet_params()
         sim = single_region_sim(params, centroid=(50.0, 0.0), peak=2.0)
         apply_action(sim, peel())
         assert sim.peeled
-        assert sim.regions[0].peak == 2.0 * 1.05
+        assert sim.peak[0] == 2.0 * 1.05
 
     def test_capture_and_end_do_nothing(self):
         params = quiet_params()
         sim = single_region_sim(params, centroid=(50.0, 0.0))
-        before = sim.regions[0].peak
+        before = sim.peak[0]
         apply_action(sim, capture())
         apply_action(sim, end())
-        assert sim.regions[0].peak == before
+        assert sim.peak[0] == before
         assert sim.j == 0
 
     def test_refinement_requires_geometries(self):
@@ -166,16 +170,16 @@ class TestApplyAction:
         sim = init_sheet(builtin_sheet("sheet1"), params, seed=2)
 
         def volume(s):
-            return sum(r.peak * r.a * r.b for r in s.regions)
+            return sum(s.peak * s.a * s.b)
 
         prev = volume(sim)
-        count = len(sim.regions)
+        count = len(sim.peak)
         for i in range(1, 17):
             apply_action(sim, path(i))
             cur = volume(sim)
             assert cur <= prev + 1e-12
-            assert len(sim.regions) <= count  # regions only ever disappear
-            prev, count = cur, len(sim.regions)
+            assert len(sim.peak) <= count  # regions only ever disappear
+            prev, count = cur, len(sim.peak)
 
     def test_permutation_equivariance(self):
         params = quiet_params()
@@ -183,18 +187,16 @@ class TestApplyAction:
 
         def fresh(order):
             base = init_sheet(spec, GroundTruthParams(), seed=4)
-            regions = [Region(r.centroid.copy(), r.a, r.b, r.theta, r.peak)
-                       for r in base.regions]
-            return SimState(spec=spec, params=params,
-                            regions=[regions[i] for i in order],
-                            rng=np.random.default_rng(0))
+            return SimState(spec=spec, params=params, centroids=base.centroids[order],
+                            a=base.a[order], b=base.b[order], theta=base.theta[order],
+                            peak=base.peak[order], rng=np.random.default_rng(0))
 
         ident = fresh(list(range(6)))
         rev = fresh(list(range(5, -1, -1)))
         for sim in (ident, rev):
             apply_action(sim, path(3))
-        got = sorted((r.peak, tuple(r.centroid)) for r in ident.regions)
-        want = sorted((r.peak, tuple(r.centroid)) for r in rev.regions)
+        got = sorted(zip(ident.peak, map(tuple, ident.centroids)))
+        want = sorted(zip(rev.peak, map(tuple, rev.centroids)))
         assert got == want
 
 
@@ -226,9 +228,10 @@ class TestRenderCapture:
         ("sheet2", 4.0, 6363, "f714e24975c9cf92"), ("sheet2", 5.5, 3358, "fdfdd550d3336725")])
     def test_grid_pinned(self, sheet, pitch, count, digest):
         # count and leading sha256 digits of the sample grid's bytes
-        grid = _polygon_grid(builtin_sheet(sheet).geometry, pitch)
+        grid, x, y = _polygon_grid(builtin_sheet(sheet).geometry, pitch)
         assert len(grid) == count
         assert hashlib.sha256(grid.tobytes()).hexdigest()[:16] == digest
+        assert np.array_equal(x, grid[:, 0]) and np.array_equal(y, grid[:, 1])
 
 
 class TestRunCorrection:
@@ -239,8 +242,7 @@ class TestRunCorrection:
 
     def test_already_compacted(self):
         params = quiet_params(region_count=0)
-        sim = SimState(spec=builtin_sheet("sheet1"), params=params, regions=[],
-                       rng=np.random.default_rng(0), peeled=True)
+        sim = make_sim(params, peeled=True)
         assert run_correction(sim) == (0, 0, True)
 
     def test_single_pass_clears_small_region(self):
