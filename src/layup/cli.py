@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-simulate   execute a plan file against the simulator, one log per seed
+simulate   execute a plan file against the simulator, one log and one
+           capture sidecar per seed
 learn      aggregate experiment logs into an effectiveness model file
 refine     search for a refined plan given a model and an initial capture
 evaluate   alias of simulate, for running refined plans on fresh seeds
@@ -26,7 +27,8 @@ from .plan import (ConstraintSet, DrapingPlan, PlanParseError, emit_plan,
                    initial_plan_constraints, parse_plan, standard_constraints,
                    validate)
 from .search import SearchConfig, SearchError, SearchStats, refine_plan_detailed
-from .sheet_state import average_states, build_state, read_capture_frames
+from .sheet_state import (average_states, build_state, read_capture_frames,
+                          write_capture_frames)
 from .simulator import (GroundTruthParams, PlanInvalidError, SimulationError,
                         builtin_sheet, read_log, run_experiment, summary_from_json,
                         write_log)
@@ -89,6 +91,13 @@ def _log_name(plan: DrapingPlan, sheet: str, seed: int) -> str:
 
 
 def cmd_simulate(plan_path, cfg: RunConfig, keep_captures: bool = True) -> list[Path]:
+    """Run the plan once per seed and write one log per seed; returns the log paths.
+
+    With `keep_captures`, each run's captures also go, each once and in
+    order, to `<out>/captures/<log name>` in the capture-file format
+    `refine --capture` reads. The subdirectory keeps `<out>/*.jsonl` to
+    logs only.
+    """
     plan = parse_plan(plan_path)
     sheet = builtin_sheet(cfg.sheet)
     cs = cfg.constraints if cfg.constraints is not None else initial_plan_constraints()
@@ -102,6 +111,10 @@ def cmd_simulate(plan_path, cfg: RunConfig, keep_captures: bool = True) -> list[
                              constraints=cs, keep_captures=keep_captures)
         target = cfg.out / _log_name(plan, sheet.name, seed)
         write_log(log, target)
+        if keep_captures:
+            sidecar = cfg.out / "captures" / target.name
+            sidecar.parent.mkdir(exist_ok=True)
+            write_capture_frames(sidecar, log.captures)
         print(f"{target}  total_paths={log.total_paths} "
               f"correction={log.correction_paths} cycles={log.correction_cycles}")
         written.append(target)
@@ -283,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("plan", help="plan file")
         add_common(p)
         p.add_argument("--no-captures", action="store_true",
-                       help="omit raw captures from logs (smaller files)")
+                       help="do not write the capture sidecar")
 
     p = sub.add_parser("learn", help="aggregate logs into a model file")
     p.add_argument("logs", nargs="+", help="experiment log files")

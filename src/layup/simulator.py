@@ -453,6 +453,14 @@ def run_correction(sim: SimState) -> tuple[int, int, bool]:
 
 @dataclass
 class StepRecord:
+    """One executed action with the states derived before and after it.
+
+    The captures those states came from stay in memory only, when the run
+    keeps them; the log record holds the index, the action and the two
+    states. A record's other keys, such as the captures of a version 1
+    log, are not read.
+    """
+
     index: int
     action: Action
     state_before: SheetState | None
@@ -464,11 +472,7 @@ class StepRecord:
         return {"type": "step", "index": self.index,
                 "action": [self.action.kind, self.action.arg],
                 "state_before": self.state_before.to_json(),
-                "state_after": self.state_after.to_json(),
-                "capture_before": None if self.capture_before is None
-                else self.capture_before.to_json(),
-                "capture_after": None if self.capture_after is None
-                else self.capture_after.to_json()}
+                "state_after": self.state_after.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "StepRecord":
@@ -477,11 +481,7 @@ class StepRecord:
                    action=Action(typed(kind, "", "action kind"),
                                  arg if arg is None else typed(arg, 0, "action argument")),
                    state_before=SheetState.from_json(obj["state_before"]),
-                   state_after=SheetState.from_json(obj["state_after"]),
-                   capture_before=None if obj["capture_before"] is None
-                   else CaptureFrame.from_json(obj["capture_before"]),
-                   capture_after=None if obj["capture_after"] is None
-                   else CaptureFrame.from_json(obj["capture_after"]))
+                   state_after=SheetState.from_json(obj["state_after"]))
 
 
 @dataclass
@@ -502,6 +502,17 @@ class ExperimentLog:
     def total_paths(self) -> int:
         return self.in_plan_paths + self.correction_paths
 
+    @property
+    def captures(self) -> list[CaptureFrame]:
+        """The run's captures in order, each once; empty when they were not kept.
+
+        The first step's `capture_before` is followed by every step's
+        `capture_after`, the next step's `capture_before`.
+        """
+        if not self.steps or self.steps[0].capture_before is None:
+            return []
+        return [self.steps[0].capture_before] + [rec.capture_after for rec in self.steps]
+
 
 def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParams,
                    seed: int, constraints=None, keep_captures: bool = True) -> ExperimentLog:
@@ -511,7 +522,9 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
     end action hands control to the correction controller after its capture,
     so the logged post-end state is the handover state the planner must
     price. A refinement action runs the n roller passes that
-    `apply_action` aims from the latest derived state.
+    `apply_action` aims from the latest derived state. With `keep_captures`
+    the frames stay on the step records, where `ExperimentLog.captures`
+    lists them; otherwise only the derived states are kept.
     """
     cs = constraints if constraints is not None else initial_plan_constraints()
     violations = validate(plan, cs)
@@ -559,7 +572,12 @@ def summary_from_json(obj: dict) -> dict:
 
 
 def write_log(log: ExperimentLog, path) -> None:
-    """JSON-lines: one record per step plus a trailing summary record."""
+    """JSON-lines: one record per step plus a trailing summary record.
+
+    A step record holds the action and the states before and after it, and
+    no capture: `write_capture_frames` writes `log.captures` to a file of
+    their own.
+    """
     with open(path, "w") as fh:
         for rec in log.steps:
             fh.write(json.dumps(rec.to_json()) + "\n")

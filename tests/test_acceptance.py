@@ -22,7 +22,7 @@ from layup.plan import (AbsConstraint, Action, ConstraintSet, DrapingPlan,
                         initial_plan_constraints, path, peel, refinement,
                         standard_constraints, validate)
 from layup.search import SearchConfig, refine_plan, replay_cost, state_utility
-from layup.sheet_state import average_states, fit_ellipse
+from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
 
@@ -385,6 +385,8 @@ def _golden_artifacts(tmp_dir: Path):
         logs.append(run_experiment(expert_plan(variant), sheet, params, seed=0))
     log_path = tmp_dir / "d1.jsonl"
     write_log(logs[0], log_path)
+    captures_path = tmp_dir / "d1_captures.jsonl"
+    write_capture_frames(captures_path, logs[0].captures)
     model = aggregate(logs)
     model_path = tmp_dir / "model.json"
     model.save(model_path)
@@ -404,6 +406,7 @@ def _golden_artifacts(tmp_dir: Path):
     report_json = json.dumps(build_report(summaries), indent=2, sort_keys=True)
     return {
         "d1_log.sha256": hashlib.sha256(log_path.read_bytes()).hexdigest() + "\n",
+        "d1_captures.sha256": hashlib.sha256(captures_path.read_bytes()).hexdigest() + "\n",
         "model.sha256": hashlib.sha256(model_path.read_bytes()).hexdigest() + "\n",
         "refined_sheet1.plan": plan_text,
         "report.json": report_json + "\n",

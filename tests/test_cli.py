@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,8 +8,10 @@ from layup.cli import (RunConfig, build_report, cmd_learn, cmd_refine,
                        cmd_report, cmd_simulate, format_report, main)
 from layup.plan import emit_plan, expert_plan
 from layup.simulator import GroundTruthParams
-from layup.sheet_state import write_capture_frames
-from layup.simulator import builtin_sheet, init_sheet, render_capture
+from layup.sheet_state import read_capture_frames, write_capture_frames
+from layup.simulator import builtin_sheet, init_sheet, read_log, render_capture
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -48,6 +52,28 @@ class TestSimulate:
         code = main(["simulate", str(bad), "--out", str(tmp_path / "o"), "--seed", "1"])
         assert code == 2
 
+    def test_captures_go_to_a_sidecar_per_log(self, tmp_path, d1_file):
+        out = tmp_path / "out"
+        written = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(0, 7)))
+        assert sorted(out.glob("*.jsonl")) == sorted(written)
+        for log_path in written:
+            sidecar = out / "captures" / log_path.name
+            frames = read_capture_frames(sidecar)
+            assert [fr.t for fr in frames] == list(range(len(read_log(log_path).steps) + 1))
+        # seed 0 is the golden run: its log and its captures are both pinned
+        golden = {name: (GOLDEN_DIR / name).read_text().strip()
+                  for name in ("d1_log.sha256", "d1_captures.sha256")}
+        assert hashlib.sha256(written[0].read_bytes()).hexdigest() == golden["d1_log.sha256"]
+        assert (hashlib.sha256((out / "captures" / written[0].name).read_bytes()).hexdigest()
+                == golden["d1_captures.sha256"])
+
+    def test_no_captures_writes_no_sidecar(self, tmp_path, d1_file):
+        out = tmp_path / "o"
+        code = main(["simulate", str(d1_file), "--out", str(out), "--seed", "4",
+                     "--no-captures"])
+        assert code == 0
+        assert [p.name for p in out.iterdir()] == ["D1_sheet1_seed4.jsonl"]
+
     def test_evaluate_alias(self, tmp_path, d1_file):
         code = main(["evaluate", str(d1_file), "--out", str(tmp_path / "o"),
                      "--seed", "4", "--no-captures"])
@@ -64,6 +90,22 @@ class TestLearn:
         out = capsys.readouterr().out
         assert "experiments: 2" in out
         assert model_path.exists()
+
+    def test_version_1_log_learns_the_same_model(self, tmp_path, d1_file):
+        # a version 1 log carried each step's captures in its step records
+        log_path = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(2,)))[0]
+        frames = [fr.to_json() for fr in
+                  read_capture_frames(log_path.parent / "captures" / log_path.name)]
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        for i, rec in enumerate(records[:-1]):
+            rec["capture_before"], rec["capture_after"] = frames[i], frames[i + 1]
+        v1_path = tmp_path / "v1.jsonl"
+        v1_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert len(read_log(v1_path).steps) == len(records) - 1
+        cmd_learn([log_path], tmp_path / "v2_model.json")
+        cmd_learn([v1_path], tmp_path / "v1_model.json")
+        assert ((tmp_path / "v1_model.json").read_bytes()
+                == (tmp_path / "v2_model.json").read_bytes())
 
     def test_zero_logs_usage_error(self, tmp_path):
         code = main(["learn", str(tmp_path / "missing.jsonl"),

@@ -24,7 +24,7 @@ from layup.effectiveness import EffectivenessModel, TransitionSample  # noqa: E4
 from layup.jsonio import LogFormatError, read_json, read_last_json_line  # noqa: E402
 from layup.plan import ConstraintSet, path, peel, refinement, standard_constraints  # noqa: E402
 from layup.search import SearchConfig  # noqa: E402
-from layup.sheet_state import CaptureFrame, SheetGeometry, read_capture_frames  # noqa: E402
+from layup.sheet_state import SheetGeometry, read_capture_frames  # noqa: E402
 from layup.simulator import (ExperimentLog, GroundTruthParams, StepRecord,  # noqa: E402
                              read_log, summary_from_json, write_log)
 
@@ -43,10 +43,9 @@ def _log_docs() -> list:
     geom = SheetGeometry(center=np.zeros(2), polygon=[[50, 50], [-50, 50], [-50, -50], [50, -50]],
                          sector_count=2)
     state = make_state(geom, {1: ([1.0, 2.0, 0.5, 4.0, 2.0, 0.3], np.eye(3), 2)}, t=1)
-    frame = CaptureFrame(points=np.array([[0.0, 0.0, 1.0], [4.0, 0.0, 2.5]]), t=1)
     log = ExperimentLog(plan_name="p", sheet="sheet1", seed=3,
-                        steps=[StepRecord(1, path(2), state, state, frame, None),
-                               StepRecord(2, refinement(2), state, state, None, frame)],
+                        steps=[StepRecord(1, path(2), state, state),
+                               StepRecord(2, refinement(2), state, state)],
                         correction_cycles=1, correction_paths=2, correction_converged=False)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "log.jsonl"

@@ -276,8 +276,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# which (container, key, value) sites each corruption applies to; captures
-# are optional, so a step record's required fields are all the rest
+# which (container, key, value) sites each corruption applies to
 CORRUPTIONS = {
     "drop a key": lambda c, k, v: isinstance(c, dict),
     "shorten a vector": lambda c, k, v: isinstance(v, list) and k != "polygon",
@@ -312,7 +311,7 @@ def test_read_log_names_the_line_of_a_corrupt_step(state, line, how, data):
         lines = target.read_text().splitlines()
         rec = json.loads(lines[line - 1])
         sites = [(c, k) for c, k, v in _fields(rec)
-                 if not (c is rec and k in ("type", "capture_before", "capture_after"))
+                 if not (c is rec and k == "type")
                  and CORRUPTIONS[how](c, k, v)]
         _corrupt(*sites[data.draw(st.integers(0, len(sites) - 1))], how)
         lines[line - 1] = json.dumps(rec)

@@ -9,6 +9,7 @@ import pytest
 
 from layup.geometry import PathGeometry, point_in_polygon
 from layup.plan import DrapingPlan, capture, end, expert_plan, path, peel, refinement
+from layup.sheet_state import read_capture_frames, write_capture_frames
 from layup.simulator import (GroundTruthParams, PlanInvalidError,
                              SimulationError, SimState, _polygon_grid, apply_action,
                              builtin_sheet, init_sheet, path_geometry,
@@ -314,7 +315,17 @@ class TestRunExperiment:
         for a, b in zip(log.steps, back.steps):
             assert a.action == b.action
             assert a.state_before.to_json() == b.state_before.to_json()
-            assert np.array_equal(a.capture_after.points, b.capture_after.points)
+            assert a.state_after.to_json() == b.state_after.to_json()
+            assert b.capture_before is None and b.capture_after is None
+        # the captures go to a file of their own, each frame once
+        sidecar = tmp_path / "captures.jsonl"
+        write_capture_frames(sidecar, log.captures)
+        frames = read_capture_frames(sidecar)
+        assert [fr.t for fr in frames] == list(range(len(log.steps) + 1))
+        assert len(frames) == len(log.captures)
+        for a, b in zip(log.captures, frames):
+            assert a.t == b.t
+            assert a.points.tobytes() == b.points.tobytes()
 
     def test_params_round_trip(self, tmp_path):
         params = GroundTruthParams(region_count=4, edge_drift=1.5)
