@@ -40,12 +40,6 @@ for seed in range(500, 510):
     for plan in (expert_plan(1), expert_plan(2), refined):
         cs = standard_constraints() if plan is refined else None
         log = run_experiment(plan, sheet, params, seed, constraints=cs, keep_captures=False)
-        summaries.append({"type": "summary", "plan": log.plan_name,
-                          "sheet": log.sheet, "seed": seed,
-                          "correction_cycles": log.correction_cycles,
-                          "correction_paths": log.correction_paths,
-                          "in_plan_paths": log.in_plan_paths,
-                          "total_paths": log.total_paths,
-                          "correction_converged": log.correction_converged})
+        summaries.append(log.summary())
 
 print(format_report(build_report(summaries)))

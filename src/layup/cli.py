@@ -5,7 +5,7 @@ Subcommands
 simulate   execute a plan file against the simulator, one log and one
            capture sidecar per seed
 learn      aggregate experiment logs into an effectiveness model file
-refine     search for a refined plan given a model and an initial capture
+refine     search for a refined plan given a model and initial captures
 evaluate   alias of simulate, for running refined plans on fresh seeds
 report     tabulate correction statistics and refined-vs-initial improvement
 
@@ -142,16 +142,25 @@ def cmd_learn(log_paths, out_path) -> Path:
     return Path(out_path)
 
 
-def cmd_refine(model_path, capture_path, cfg: RunConfig, name: str | None = None) -> Path:
+def cmd_refine(model_path, capture_paths, cfg: RunConfig, name: str | None = None) -> Path:
+    """Search for a refined plan from the averaged initial captures; returns the plan path.
+
+    `capture_paths` is one capture file or a list of them, such as the
+    sidecars `cmd_simulate` writes. Only their `t = 0` frames, the captures
+    taken before a run's first action, count; each file must hold one.
+    """
     model = EffectivenessModel.load(model_path)
     if model.is_empty:
         raise ValueError("no data: the effectiveness model holds no samples")
-    frames = read_capture_frames(capture_path)
-    if not frames:
-        raise ValueError(f"{capture_path}: no capture records")
+    if isinstance(capture_paths, (str, Path)):
+        capture_paths = [capture_paths]
+    frames = []
+    for capture_path in capture_paths:
+        initial = [fr for fr in read_capture_frames(capture_path) if fr.t == 0]
+        if not initial:
+            raise ValueError(f"{capture_path}: no t = 0 capture record")
+        frames += initial
     sheet = builtin_sheet(cfg.sheet)
-    # a capture file with several records is treated as historical data and
-    # averaged into one initial state
     state = average_states([build_state(fr, sheet.geometry, cfg.params.h_min,
                                         cfg.params.link_radius) for fr in frames])
     cs = cfg.constraints if cfg.constraints is not None else standard_constraints()
@@ -304,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refine", help="search for a refined plan")
     p.add_argument("model", help="effectiveness model file")
-    p.add_argument("--capture", required=True, help="initial capture (JSON-lines)")
+    p.add_argument("--capture", required=True, nargs="+",
+                   help="capture files (JSON-lines); their t = 0 frames are averaged")
     p.add_argument("--name", help="name for the refined plan")
     add_common(p)
 

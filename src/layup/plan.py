@@ -17,13 +17,18 @@ the relation: '>' means g > lam, '=' means g = lam, '<' means g <= lam
 (within lam positions). The gap counts positions, not intermediary actions:
 beta immediately before alpha has g = 1, so (alpha, beta, '>', 0) is already
 satisfied by adjacency. Plans with no alpha satisfy the constraint vacuously.
+
+Each relation is written once, as the inclusive (lo, hi) range it allows:
+`AbsConstraint.counts` for counts, `RelConstraint.gaps` for gaps. `validate`,
+`outstanding` and the gap scan read those ranges.
 """
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .jsonio import read_json, settings, typed
 
@@ -132,6 +137,8 @@ class RelConstraint:
     beta: str
     gamma: str  # one of > = <
     lam: int
+    # the inclusive (lo, hi) range of gaps p - q that satisfies the relation
+    gaps: tuple[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_constraint_fields(self.alpha, self.gamma, self.lam)
@@ -139,6 +146,9 @@ class RelConstraint:
             raise ValueError(f"unknown action kind {self.beta!r}")
         if self.alpha == self.beta:
             raise ValueError("relative constraints need distinct kinds")
+        lam = self.lam
+        object.__setattr__(self, "gaps", {">": (lam + 1, math.inf), "=": (lam, lam),
+                                          "<": (1, lam)}[self.gamma])
 
     def __str__(self):
         return f"({self.alpha}, {self.beta}, {self.gamma}, {self.lam})"
@@ -149,9 +159,14 @@ class AbsConstraint:
     alpha: str
     gamma: str
     lam: int
+    # the inclusive (lo, hi) range of alpha counts that satisfies the relation
+    counts: tuple[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_constraint_fields(self.alpha, self.gamma, self.lam)
+        lam = self.lam
+        object.__setattr__(self, "counts", {">": (lam + 1, math.inf), "=": (lam, lam),
+                                            "<": (0, lam - 1)}[self.gamma])
 
     def __str__(self):
         return f"({self.alpha}, {self.gamma}, {self.lam})"
@@ -246,37 +261,15 @@ class Violation:
         return self.message
 
 
-def check_abs(plan: DrapingPlan, c: AbsConstraint) -> bool:
-    count = sum(1 for a in plan.actions if a.kind == c.alpha)
-    return _compare_count(count, c.gamma, c.lam)
-
-
-def _compare_count(count: int, gamma: str, lam: int) -> bool:
-    if gamma == ">":
-        return count > lam
-    if gamma == "=":
-        return count == lam
-    return count < lam
-
-
-def check_rel(plan: DrapingPlan, c: RelConstraint) -> bool:
-    return _first_rel_violation_pos(plan.kinds(), c) is None
-
-
-def _gap_ok(gap: int, gamma: str, lam: int) -> bool:
-    if gamma == ">":
-        return gap > lam
-    if gamma == "=":
-        return gap == lam
-    return gap <= lam
-
-
 def _first_rel_violation_pos(kinds, c: RelConstraint) -> int | None:
+    lo, hi = c.gaps
     beta_positions = [q for q, k in enumerate(kinds, start=1) if k == c.beta]
     for p, k in enumerate(kinds, start=1):
         if k != c.alpha:
             continue
-        if not any(q < p and _gap_ok(p - q, c.gamma, c.lam) for q in beta_positions):
+        # betas at or after p give p - q <= 0, outside every range: the one
+        # range reaching 0, '=' 0, would need beta at alpha's own position
+        if not any(lo <= p - q <= hi for q in beta_positions):
             return p
     return None
 
@@ -287,7 +280,8 @@ def validate(plan: DrapingPlan, cs: ConstraintSet) -> list[Violation]:
     kinds = plan.kinds()
     for c in cs.abs:
         count = sum(1 for k in kinds if k == c.alpha)
-        if not _compare_count(count, c.gamma, c.lam):
+        lo, hi = c.counts
+        if not lo <= count <= hi:
             out.append(Violation(c, f"{c}: {c.alpha} occurs {count} time(s)"))
     for c in cs.rel:
         p = _first_rel_violation_pos(kinds, c)
@@ -298,14 +292,14 @@ def validate(plan: DrapingPlan, cs: ConstraintSet) -> list[Violation]:
 
 
 def prefix_feasible(prefix, cs: ConstraintSet, horizon: int) -> bool:
-    """Can the prefix still be extended to a constraint-satisfying plan?
+    """Can the prefix (actions or kinds) still be extended to a constraint-satisfying plan?
 
     Exact while at most 6 slots remain (a `completion` exists; constraints
     never look at action arguments); beyond that a necessary-condition screen
     runs instead: the outstanding requirements (see `outstanding`) must exist
     and fit in the remaining slots.
     """
-    kinds = _as_kinds(prefix)
+    kinds = tuple(a.kind if isinstance(a, Action) else str(a) for a in prefix)
     if horizon < len(kinds):
         raise ValueError(f"horizon {horizon} shorter than prefix of length {len(kinds)}")
     return _kinds_feasible(kinds, cs, horizon)
@@ -330,22 +324,16 @@ def _kinds_feasible(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> 
     return _feasible_screen(kinds, cs, horizon)
 
 
-def _as_kinds(prefix) -> tuple[str, ...]:
-    if isinstance(prefix, DrapingPlan):
-        return prefix.kinds()
-    return tuple(a.kind if isinstance(a, Action) else str(a) for a in prefix)
-
-
 def outstanding(kinds: tuple[str, ...], cs: ConstraintSet) -> dict[str, int] | None:
     """What any extension of the prefix must still add, as {kind: count}.
 
     None when no extension can help: a relative constraint is already broken
-    by placed actions (its beta would have to precede them), or an '=' or
-    '<' count is already exceeded. Otherwise the unmet '=' and '>' counts,
-    plus one beta for every relative constraint whose alpha is still
-    required while no beta has been placed (pulled in transitively). The
-    counts are lower bounds: gap relations may demand more. An empty dict
-    means the kinds themselves satisfy every constraint.
+    by placed actions (its beta would have to precede them), or a count is
+    already above its range. Otherwise what each count lacks of its range's
+    lower end, plus one beta for every relative constraint whose alpha is
+    still required while no beta has been placed (pulled in transitively).
+    The counts are lower bounds: gap relations may demand more. An empty
+    dict means the kinds themselves satisfy every constraint.
     """
     counts = {k: 0 for k in ACTION_KINDS}
     for k in kinds:
@@ -355,16 +343,10 @@ def outstanding(kinds: tuple[str, ...], cs: ConstraintSet) -> dict[str, int] | N
             return None
     needed = {}
     for c in cs.abs:
-        have = counts[c.alpha]
-        if c.gamma == "=":
-            if have > c.lam:
-                return None
-            needed[c.alpha] = max(needed.get(c.alpha, 0), c.lam - have)
-        elif c.gamma == "<":
-            if have >= c.lam:
-                return None
-        else:  # '>'
-            needed[c.alpha] = max(needed.get(c.alpha, 0), c.lam + 1 - have)
+        lo, hi = c.counts
+        if counts[c.alpha] > hi:
+            return None
+        needed[c.alpha] = max(needed.get(c.alpha, 0), lo - counts[c.alpha])
     needed = {k: v for k, v in needed.items() if v > 0}
     changed = True
     while changed:

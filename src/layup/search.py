@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,11 +78,9 @@ class SearchConfig:
                              f"{', '.join(ACTION_KINDS)}")
 
     def to_json(self) -> dict:
-        return {"version": 1, "branching": self.branching, "depth": self.depth,
-                "horizon": self.horizon, "path_count": self.path_count,
-                "w_h": self.w_h, "w_area": self.w_area, "w_sigma": self.w_sigma,
-                "w_unk": self.w_unk, "action_costs": dict(self.action_costs),
-                "epsilon_conv": self.epsilon_conv, "mode": self.mode, "seed": self.seed}
+        obj = asdict(self)
+        obj["version"] = 1
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchConfig":

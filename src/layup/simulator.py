@@ -513,6 +513,16 @@ class ExperimentLog:
             return []
         return [self.steps[0].capture_before] + [rec.capture_after for rec in self.steps]
 
+    def summary(self) -> dict:
+        """The summary record that `write_log` writes last, keys in file order."""
+        return {"type": "summary", "version": 1,
+                "plan": self.plan_name, "sheet": self.sheet, "seed": self.seed,
+                "correction_cycles": self.correction_cycles,
+                "correction_paths": self.correction_paths,
+                "correction_converged": self.correction_converged,
+                "in_plan_paths": self.in_plan_paths,
+                "total_paths": self.total_paths}
+
 
 def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParams,
                    seed: int, constraints=None, keep_captures: bool = True) -> ExperimentLog:
@@ -581,15 +591,7 @@ def write_log(log: ExperimentLog, path) -> None:
     with open(path, "w") as fh:
         for rec in log.steps:
             fh.write(json.dumps(rec.to_json()) + "\n")
-        fh.write(json.dumps({
-            "type": "summary", "version": 1,
-            "plan": log.plan_name, "sheet": log.sheet, "seed": log.seed,
-            "correction_cycles": log.correction_cycles,
-            "correction_paths": log.correction_paths,
-            "correction_converged": log.correction_converged,
-            "in_plan_paths": log.in_plan_paths,
-            "total_paths": log.total_paths,
-        }) + "\n")
+        fh.write(json.dumps(log.summary()) + "\n")
 
 
 def _log_record(obj: dict):

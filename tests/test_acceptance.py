@@ -26,7 +26,7 @@ from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
 
-from conftest import make_state
+from conftest import make_state, meets
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRAIN_SEEDS = (101, 102, 103)
@@ -66,41 +66,9 @@ def corpus():
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: constraint semantics against a brute-force oracle
+# criterion 1: constraint semantics against the brute-force oracle
+# (`conftest.meets`)
 # ---------------------------------------------------------------------------
-
-def _oracle_abs(kinds, c):
-    n = sum(1 for k in kinds if k == c.alpha)
-    if c.gamma == ">":
-        return n > c.lam
-    if c.gamma == "=":
-        return n == c.lam
-    return n < c.lam
-
-
-def _oracle_rel(kinds, c):
-    for p_pos, k in enumerate(kinds):
-        if k != c.alpha:
-            continue
-        ok = False
-        for q_pos in range(p_pos):
-            if kinds[q_pos] != c.beta:
-                continue
-            gap = p_pos - q_pos
-            if ((c.gamma == ">" and gap > c.lam)
-                    or (c.gamma == "=" and gap == c.lam)
-                    or (c.gamma == "<" and gap <= c.lam)):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def _oracle_valid(kinds, cs):
-    return (all(_oracle_abs(kinds, c) for c in cs.abs)
-            and all(_oracle_rel(kinds, c) for c in cs.rel))
-
 
 def published_refined_plans():
     """The two refined-plan action sequences quoted for the two sheets."""
@@ -122,7 +90,7 @@ def test_criterion_1_constraint_semantics_oracle():
         for combo in itertools.product(alphabet, repeat=n):
             p = DrapingPlan(combo, "x")
             kinds = p.kinds()
-            assert (validate(p, cs) == []) == _oracle_valid(kinds, cs)
+            assert (validate(p, cs) == []) == meets(kinds, cs)
             checked += 1
     # the four quoted plans: the two expert plans validate against the rules
     # applicable to them (they predate the refinement action); the two
@@ -398,11 +366,7 @@ def _golden_artifacts(tmp_dir: Path):
     eval_log = run_experiment(refined, sheet, params, seed=1,
                               constraints=standard_constraints(),
                               keep_captures=False)
-    summaries = []
-    for lg in logs + [eval_log]:
-        summaries.append(_summary(lg.sheet, lg.plan_name, lg.seed,
-                                  lg.correction_cycles, lg.correction_paths,
-                                  lg.total_paths))
+    summaries = [lg.summary() for lg in logs + [eval_log]]
     report_json = json.dumps(build_report(summaries), indent=2, sort_keys=True)
     return {
         "d1_log.sha256": hashlib.sha256(log_path.read_bytes()).hexdigest() + "\n",

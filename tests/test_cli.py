@@ -231,7 +231,68 @@ class TestReport:
         assert (tmp_path / "rep" / "report.txt").exists()
 
 
+@pytest.fixture(scope="class")
+def sidecar_corpus(tmp_path_factory):
+    """D1 and D2 on sheet1 at seeds 101 and 102 with capture sidecars kept.
+
+    Returns the model learned from the four logs and the sidecar of each D1
+    run, in seed order.
+    """
+    root = tmp_path_factory.mktemp("corpus")
+    out = root / "runs"
+    logs = []
+    for variant in (1, 2):
+        plan_path = root / f"D{variant}.plan"
+        emit_plan(expert_plan(variant), plan_path)
+        logs += cmd_simulate(plan_path, RunConfig(sheet="sheet1", seeds=(101, 102), out=out))
+    model_path = root / "model.json"
+    cmd_learn([str(p) for p in logs], model_path)
+    return model_path, [out / "captures" / f"D1_sheet1_seed{seed}.jsonl" for seed in (101, 102)]
+
+
+def rendered_initial(target, seeds):
+    """A capture file holding the initial sheet1 capture of each seed."""
+    write_capture_frames(target, [render_capture(init_sheet(builtin_sheet("sheet1"),
+                                                            GroundTruthParams(), seed))
+                                  for seed in seeds])
+    return target
+
+
+def refined_bytes(out_dir):
+    return [(out_dir / f"refined_sheet1{ext}").read_bytes() for ext in (".plan", ".audit.json")]
+
+
 class TestFullPipeline:
+    def test_refine_from_simulate_sidecars(self, tmp_path, sidecar_corpus):
+        # the sidecars' t = 0 frames are the runs' initial captures, so the
+        # plan and audit match those refined from the same captures rendered
+        model_path, sidecars = sidecar_corpus
+        assert main(["refine", str(model_path), "--capture", *map(str, sidecars),
+                     "--out", str(tmp_path / "a")]) == 0
+        cmd_refine(model_path, rendered_initial(tmp_path / "initial.jsonl", (101, 102)),
+                   RunConfig(out=tmp_path / "b"))
+        assert refined_bytes(tmp_path / "a") == refined_bytes(tmp_path / "b")
+
+    def test_refine_from_one_sidecar(self, tmp_path, sidecar_corpus):
+        model_path, sidecars = sidecar_corpus
+        cmd_refine(model_path, str(sidecars[0]), RunConfig(out=tmp_path / "a"))
+        cmd_refine(model_path, rendered_initial(tmp_path / "initial.jsonl", (101,)),
+                   RunConfig(out=tmp_path / "b"))
+        assert refined_bytes(tmp_path / "a") == refined_bytes(tmp_path / "b")
+
+    def test_refine_rejects_a_file_without_initial_capture(self, tmp_path, capsys,
+                                                            sidecar_corpus):
+        model_path, sidecars = sidecar_corpus
+        later = tmp_path / "later.jsonl"
+        later.write_text("".join(sidecars[0].read_text().splitlines(keepends=True)[1:]))
+        assert all(fr.t > 0 for fr in read_capture_frames(later))
+        capsys.readouterr()
+        code = main(["refine", str(model_path), "--capture", str(later),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(later) in err and "Traceback" not in err
+
     def test_simulate_learn_refine_evaluate_report(self, tmp_path, capsys):
         # the whole CLI loop on a reduced corpus: 2 plans x 2 seeds
         plans = {}

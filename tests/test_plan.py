@@ -5,17 +5,23 @@ import pytest
 
 from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         DrapingPlan, PlanParseError, RelConstraint, capture,
-                        check_abs, check_rel, emit_plan, emit_plan_text, end,
+                        emit_plan, emit_plan_text, end,
                         expert_plan, initial_plan_constraints, parse_plan,
                         parse_plan_text, path, peel, prefix_feasible,
                         refinement, standard_constraints, validate,
                         completion, _feasible_screen)
 
-from conftest import meets
+from conftest import meets, oracle_abs, oracle_rel
 
 
 def plan_of(*actions, name="t"):
     return DrapingPlan(actions=tuple(actions), name=name)
+
+
+def holds(plan, c) -> bool:
+    """Whether `plan` meets the single constraint `c`, by `validate`."""
+    one = ConstraintSet(abs=(c,)) if isinstance(c, AbsConstraint) else ConstraintSet(rel=(c,))
+    return validate(plan, one) == []
 
 
 def refined_style_plan():
@@ -43,31 +49,35 @@ class TestActions:
 
 
 class TestCheckAbs:
+    """Absolute constraints, each checked alone through `validate`."""
+
     def test_expert_plan_has_a_peel(self):
-        assert check_abs(expert_plan(1), AbsConstraint("peel", ">", 0))
+        assert holds(expert_plan(1), AbsConstraint("peel", ">", 0))
 
     def test_expert_plan_one_capture(self):
-        assert check_abs(expert_plan(1), AbsConstraint("capture", "=", 1))
+        assert holds(expert_plan(1), AbsConstraint("capture", "=", 1))
 
     def test_zero_refinements_is_not_one(self):
-        assert not check_abs(expert_plan(1), AbsConstraint("refinement", "=", 1))
+        assert not holds(expert_plan(1), AbsConstraint("refinement", "=", 1))
 
 
 class TestCheckRel:
+    """Relative constraints, each checked alone through `validate`."""
+
     def test_capture_immediately_before_end_counts(self):
         # positional gap of 1 satisfies "more than 0 after"
-        assert check_rel(refined_style_plan(), RelConstraint("end", "capture", ">", 0))
+        assert holds(refined_style_plan(), RelConstraint("end", "capture", ">", 0))
 
     def test_end_before_any_path(self):
-        assert not check_rel(plan_of(end(), path(1)), RelConstraint("end", "path", ">", 0))
+        assert not holds(plan_of(end(), path(1)), RelConstraint("end", "path", ">", 0))
 
     def test_within_window_fails_on_gap_three(self):
         p = plan_of(path(1), peel(), capture(), end())
-        assert not check_rel(p, RelConstraint("end", "path", "<", 2))
-        assert check_rel(p, RelConstraint("end", "path", "<", 3))
+        assert not holds(p, RelConstraint("end", "path", "<", 2))
+        assert holds(p, RelConstraint("end", "path", "<", 3))
 
     def test_vacuous_when_alpha_absent(self):
-        assert check_rel(plan_of(path(1)), RelConstraint("end", "path", ">", 0))
+        assert holds(plan_of(path(1)), RelConstraint("end", "path", ">", 0))
 
     def test_less_than_monotone_in_lambda(self):
         rng = np.random.default_rng(0)
@@ -75,14 +85,14 @@ class TestCheckRel:
             kinds = rng.choice(ACTION_KINDS, size=rng.integers(1, 7))
             p = plan_of(*[_mk(k) for k in kinds])
             for lam in range(5):
-                if check_rel(p, RelConstraint("end", "peel", "<", lam)):
-                    assert check_rel(p, RelConstraint("end", "peel", "<", lam + 1))
+                if holds(p, RelConstraint("end", "peel", "<", lam)):
+                    assert holds(p, RelConstraint("end", "peel", "<", lam + 1))
 
     def test_abs_greater_reverse_monotone(self):
         p = expert_plan(1)
         for lam in range(1, 6):
-            if check_abs(p, AbsConstraint("path", ">", lam)):
-                assert check_abs(p, AbsConstraint("path", ">", lam - 1))
+            if holds(p, AbsConstraint("path", ">", lam)):
+                assert holds(p, AbsConstraint("path", ">", lam - 1))
 
 
 def _mk(kind):
@@ -120,8 +130,7 @@ class TestValidate:
         for _ in range(100):
             kinds = rng.choice(ACTION_KINDS, size=rng.integers(1, 8))
             p = plan_of(*[_mk(k) for k in kinds])
-            ok = all(check_abs(p, c) for c in cs.abs) and \
-                all(check_rel(p, c) for c in cs.rel)
+            ok = all(holds(p, c) for c in cs.abs + cs.rel)
             assert (validate(p, cs) == []) == ok
 
     def test_matches_componentwise_checks_random_sets(self):
@@ -140,41 +149,9 @@ class TestValidate:
             cs = ConstraintSet(rel=tuple(rel_cs), abs=abs_cs)
             kinds = rng.choice(ACTION_KINDS, size=rng.integers(1, 8))
             p = plan_of(*[_mk(k) for k in kinds])
-            ok = all(check_abs(p, c) for c in cs.abs) and \
-                all(check_rel(p, c) for c in cs.rel)
+            ok = all(holds(p, c) for c in cs.abs + cs.rel)
             assert (validate(p, cs) == []) == ok
-            assert (validate(p, cs) == []) == oracle_valid(p.kinds(), cs)
-
-
-# independent straight-line evaluator of the constraint semantics, used by
-# the exhaustive comparison below and by the acceptance suite
-def oracle_abs(kinds, c):
-    n = sum(1 for k in kinds if k == c.alpha)
-    return {"<": n < c.lam, "=": n == c.lam, ">": n > c.lam}[c.gamma]
-
-
-def oracle_rel(kinds, c):
-    for p_pos in range(len(kinds)):
-        if kinds[p_pos] != c.alpha:
-            continue
-        found = False
-        for q_pos in range(p_pos):
-            if kinds[q_pos] != c.beta:
-                continue
-            gap = p_pos - q_pos  # 1-based positions cancel out
-            if (c.gamma == ">" and gap > c.lam) or \
-               (c.gamma == "=" and gap == c.lam) or \
-               (c.gamma == "<" and gap <= c.lam):
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
-def oracle_valid(kinds, cs):
-    return all(oracle_abs(kinds, c) for c in cs.abs) and \
-        all(oracle_rel(kinds, c) for c in cs.rel)
+            assert (validate(p, cs) == []) == meets(p.kinds(), cs)
 
 
 ALPHABET = (path(1), path(2), peel(), capture(), end(), refinement(1))
@@ -308,8 +285,8 @@ class TestExhaustiveAgainstOracle:
             for combo in itertools.product(ALPHABET, repeat=n):
                 p = plan_of(*combo)
                 kinds = p.kinds()
-                assert (validate(p, cs) == []) == oracle_valid(kinds, cs)
+                assert (validate(p, cs) == []) == meets(kinds, cs)
                 for c in cs.abs:
-                    assert check_abs(p, c) == oracle_abs(kinds, c)
+                    assert holds(p, c) == oracle_abs(kinds, c)
                 for c in cs.rel:
-                    assert check_rel(p, c) == oracle_rel(kinds, c)
+                    assert holds(p, c) == oracle_rel(kinds, c)

@@ -20,11 +20,11 @@ from layup.geometry import (PathGeometry, _closest_on_boundary,  # noqa: E402
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
                             polygon_is_simple, swept_rect_hits)
-from layup.plan import (ACTION_KINDS, AbsConstraint, ConstraintSet,  # noqa: E402
+from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,  # noqa: E402
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
                         canonical_kinds, capture, completion, emit_plan_text, end,
                         outstanding, parse_plan_text, path, peel, prefix_feasible,
-                        refinement, standard_constraints)
+                        refinement, standard_constraints, validate)
 from layup.search import (SearchConfig, price_batch, state_utility,  # noqa: E402
                           trace_total)
 from layup.sheet_state import SheetGeometry, SheetState, segment_regions  # noqa: E402
@@ -32,7 +32,7 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,  # noqa
                              StepRecord, _noise, _sweep, builtin_sheet, init_sheet,
                              path_geometry, read_log, write_log)
 
-from conftest import make_state, meets  # noqa: E402
+from conftest import make_state, meets, oracle_abs, oracle_rel  # noqa: E402
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -48,6 +48,34 @@ abs_constraints = st.builds(AbsConstraint, kinds_st, gamma_st, st.integers(0, 2)
 constraint_sets = st.builds(ConstraintSet,
                             st.lists(rel_constraints(), max_size=3).map(tuple),
                             st.lists(abs_constraints, max_size=3).map(tuple))
+
+
+@st.composite
+def constraint_sets_and_kinds(draw):
+    """A constraint set and a non-empty kind sequence, mostly of the kinds it names,
+    so that counts and gaps land on the ends of the constraints' ranges."""
+    cs = draw(constraint_sets)
+    named = sorted({c.alpha for c in cs.abs + cs.rel} | {c.beta for c in cs.rel}) or ACTION_KINDS
+    kinds = draw(st.lists(st.sampled_from(named) | kinds_st, min_size=1, max_size=6))
+    return cs, tuple(kinds)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=constraint_sets_and_kinds())
+# the upper ends of an absolute '<' (strict) and a relative '<' (inclusive)
+@example(case=(ConstraintSet(abs=(AbsConstraint("peel", "<", 1),)), ("peel",)))
+@example(case=(ConstraintSet(rel=(RelConstraint("end", "path", "<", 2),)),
+               ("path", "peel", "end")))
+def test_validate_and_outstanding_agree_with_the_oracle(case):
+    # every relation and bound, '<' counts and '='/'<' gaps included, which
+    # criterion 1's standard set never uses
+    cs, kinds = case
+    plan = DrapingPlan(tuple(Action(k, 1 if k in ("path", "refinement") else None)
+                             for k in kinds))
+    broken = {v.constraint for v in validate(plan, cs)}
+    assert broken == ({c for c in cs.abs if not oracle_abs(kinds, c)}
+                      | {c for c in cs.rel if not oracle_rel(kinds, c)})
+    assert (not broken) == meets(kinds, cs) == (outstanding(kinds, cs) == {})
 
 
 @settings(max_examples=300, deadline=None)
@@ -74,13 +102,6 @@ def test_canonical_suffix_completes_every_feasible_standard_prefix(kinds, extra)
     assert len(kinds) + len(suffix) <= horizon
 
 
-def _satisfies(kinds, cs) -> bool:
-    if kinds:
-        return meets(kinds, cs)
-    # the empty prefix: relative constraints hold vacuously, counts are zero
-    return all({">": 0 > c.lam, "=": c.lam == 0, "<": 0 < c.lam}[c.gamma] for c in cs.abs)
-
-
 @settings(max_examples=200, deadline=None)
 @given(cs=constraint_sets, kinds=st.lists(kinds_st, max_size=3).map(tuple),
        slots=st.integers(0, 6))
@@ -91,7 +112,7 @@ def test_completion_is_the_first_shortest_suffix(cs, kinds, slots):
     order = ("path", "peel", "refinement", "capture", "end")
     want = next((suffix for n in range(slots + 1)
                  for suffix in itertools.product(order, repeat=n)
-                 if _satisfies(kinds + suffix, cs)), None)
+                 if meets(kinds + suffix, cs)), None)
     assert completion(kinds, cs, slots) == want
 
 
