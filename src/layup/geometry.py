@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,17 +79,14 @@ def point_in_polygon(point, polygon, tol: float = 1e-9):
     one point and a bool array for an array of them.
     """
     p = np.asarray(point, dtype=float)
-    a = np.asarray(polygon, dtype=float)
-    b = np.concatenate([a[1:], a[:1]])  # edge i runs from a[i] to b[i]
-    ab = b - a
+    e = _edges(polygon)
+    a, b, ab = e.a, e.b, e.ab
     x, y = p[..., None, 0], p[..., None, 1]  # a trailing axis to pair with the edges
     straddles = (a[:, 1] > y) != (b[:, 1] > y)
     x_cross = a[:, 0] + (y - a[:, 1]) / np.where(straddles, ab[:, 1], 1.0) * ab[:, 0]
     odd = np.sum(straddles & (x < x_cross), axis=-1) % 2 == 1
     rx, ry = x - a[:, 0], y - a[:, 1]
-    length2 = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
-    t = np.clip((rx * ab[:, 0] + ry * ab[:, 1]) / np.where(length2 > 0.0, length2, 1.0),
-                0.0, 1.0)
+    t = np.clip((rx * ab[:, 0] + ry * ab[:, 1]) / e.length2, 0.0, 1.0)
     on_edge = np.hypot(rx - t * ab[:, 0], ry - t * ab[:, 1]) <= tol
     inside = odd | np.any(on_edge, axis=-1)
     return bool(inside) if p.ndim == 1 else inside
@@ -131,6 +129,36 @@ def _row_dot(x, y):
     return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0, 0]
 
 
+class _EdgeTables(NamedTuple):
+    """The per-edge tables of one polygon, shared by every caller and read-only."""
+
+    a: np.ndarray        # (k, 2) edge i runs from a[i]
+    b: np.ndarray        # (k, 2) to b[i] = a[i + 1]
+    ab: np.ndarray       # (k, 2) b - a
+    length2: np.ndarray  # (k,) squared edge lengths, 1 where an edge is a point
+    ab_dot: np.ndarray   # (k,) squared edge lengths as `_row_dot` rounds them
+    angle: np.ndarray    # (k,) axial direction of each edge, folded into [0, pi)
+
+
+def _edges(polygon) -> _EdgeTables:
+    """The edge tables of an (n, 2) vertex list, built once per distinct vertex bytes."""
+    return _edge_tables(np.asarray(polygon, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _edge_tables(key: bytes) -> _EdgeTables:
+    a = np.frombuffer(key).reshape(-1, 2)
+    b = np.roll(a, -1, axis=0)
+    ab = b - a
+    length2 = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+    tables = _EdgeTables(a=a, b=b, ab=ab, length2=np.where(length2 > 0.0, length2, 1.0),
+                           ab_dot=_row_dot(ab, ab),
+                           angle=fold_axial(np.arctan2(ab[:, 1], ab[:, 0])))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
 def _closest_on_boundary(point, polygon) -> tuple[np.ndarray, np.ndarray]:
     """The closest point on the polygon boundary and its edge, the first edge on ties.
 
@@ -138,12 +166,11 @@ def _closest_on_boundary(point, polygon) -> tuple[np.ndarray, np.ndarray]:
     index array.
     """
     p = np.asarray(point, dtype=float)[..., None, :]  # against every edge
-    a = np.asarray(polygon, dtype=float)
-    ab = np.roll(a, -1, axis=0) - a  # edge i runs from a[i] to a[i + 1]
-    denom = _row_dot(ab, ab)
-    proj = _row_dot(p - a, ab)
-    t = np.clip(np.divide(proj, denom, out=np.zeros_like(proj), where=denom != 0.0), 0.0, 1.0)
-    q = a + t[..., None] * ab
+    e = _edges(polygon)
+    proj = _row_dot(p - e.a, e.ab)
+    t = np.clip(np.divide(proj, e.ab_dot, out=np.zeros_like(proj), where=e.ab_dot != 0.0),
+                0.0, 1.0)
+    q = e.a + t[..., None] * e.ab
     off = p - q
     edge = np.argmin(np.sqrt(_row_dot(off, off)), axis=-1)
     return np.take_along_axis(q, edge[..., None, None], axis=-2)[..., 0, :], edge
@@ -151,9 +178,7 @@ def _closest_on_boundary(point, polygon) -> tuple[np.ndarray, np.ndarray]:
 
 def nearest_edge_angle(point, polygon):
     """Axial direction of the polygon edge closest to the point, or to each row of an (n, 2) array."""
-    poly = np.asarray(polygon, dtype=float)
-    e = np.roll(poly, -1, axis=0) - poly
-    angle = fold_axial(np.arctan2(e[:, 1], e[:, 0]))[_closest_on_boundary(point, poly)[1]]
+    angle = _edges(polygon).angle[_closest_on_boundary(point, polygon)[1]]
     return float(angle) if np.ndim(angle) == 0 else angle
 
 

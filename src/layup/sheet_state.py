@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import fold_axial, point_in_polygon, polygon_area, polygon_is_simple
 from .jsonio import numbers, read_json_lines, typed
@@ -175,8 +174,8 @@ def filter_uncompacted(frame: CaptureFrame, h_min: float = H_MIN_DEFAULT) -> np.
     return frame.points[frame.points[:, 2] > h_min]
 
 
-def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
-    """Connected component of each of n nodes under the (m, 2) edge list.
+def _component_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Connected component of each of n nodes under the edges (i[k], j[k]).
 
     Components are numbered 0, 1, ... in order of their smallest node. Each
     round hooks the larger root of every edge whose ends differ under the
@@ -184,7 +183,6 @@ def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
     always its component's smallest node so far.
     """
     root = np.arange(n)
-    i, j = pairs[:, 0], pairs[:, 1]
     while len(i):
         ri, rj = root[i], root[j]
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
@@ -199,20 +197,60 @@ def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
     return (np.cumsum(is_root) - 1)[root]
 
 
+def _link_pairs(x: np.ndarray, y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of points (x[i], y[i]), (x[j], y[j]) with dx*dx + dy*dy <= r*r, once each.
+
+    A cell list. Cells have side r, widened by a few ulps of the span so
+    that no rounding of a cell index parts two linked points by more than
+    one cell, and are keyed column-major with an empty cell on top of each
+    column. After one stable sort by key, a point's half stencil is two key
+    ranges: the rest of its own cell with the cell above, and the three
+    cells of the next column. The pairs are exact while r*r is a normal
+    float. Raises ValueError when the points are not finite or span more
+    cells of side r than an int64 key can number.
+    """
+    xlo, ylo = float(x.min()), float(y.min())  # Python floats overflow to inf without a warning
+    xspan, yspan = float(x.max()) - xlo, float(y.max()) - ylo
+    if not (xspan / r + 2.0) * (yspan / r + 3.0) < 2.0 ** 62:
+        raise ValueError("points must be finite and span fewer than 2**62 link_radius cells")
+    side = r + 2.0 ** -48 * (r + max(xspan, yspan))
+    height = int(yspan / side) + 2
+    key = ((x - xlo) / side).astype(np.int64) * height + ((y - ylo) / side).astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    n = len(key)
+    ends = np.searchsorted(key, np.concatenate([key + 2, key + (height - 1), key + (height + 2)]))
+    # sorted point k meets [starts, stops) at 2k in its own column and at 2k + 1 in the next
+    starts, stops = np.empty(2 * n, dtype=np.int64), np.empty(2 * n, dtype=np.int64)
+    starts[0::2], starts[1::2] = np.arange(1, n + 1), ends[n:2 * n]
+    stops[0::2], stops[1::2] = ends[:n], ends[2 * n:]
+    lengths = stops - starts
+    total = np.cumsum(lengths)
+    j = np.arange(total[-1]) + np.repeat(stops - total, lengths)
+    per_point = lengths[0::2] + lengths[1::2]
+    xs, ys = x[order], y[order]
+    dx, dy = np.repeat(xs, per_point) - xs[j], np.repeat(ys, per_point) - ys[j]
+    near = np.flatnonzero(dx * dx + dy * dy <= r * r)
+    return np.repeat(order, per_point)[near], order[j[near]]
+
+
 def segment_regions(points: np.ndarray, link_radius: float = LINK_RADIUS_DEFAULT) -> list[np.ndarray]:
     """Single-linkage components under the xy link radius.
 
     Two points share a region iff a chain of points with pairwise xy distance
-    <= link_radius connects them. Components are ordered by (min x, min y);
-    points inside a component keep their input order.
+    <= link_radius connects them, the test being dx*dx + dy*dy <=
+    link_radius*link_radius in floating point. Components are ordered by
+    (min x, min y); points inside a component keep their input order.
+    Raises ValueError when link_radius lies outside [1e-150, 1e150] (inside,
+    its square is a normal float, which keeps the pairs exact), or when the
+    points are not finite or span more link radii than `_link_pairs` can key.
     """
-    if link_radius <= 0:
-        raise ValueError("link_radius must be positive")
+    if not 1e-150 <= link_radius <= 1e150:
+        raise ValueError("link_radius must lie in [1e-150, 1e150]")
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return []
-    pairs = cKDTree(pts[:, :2]).query_pairs(r=link_radius, output_type="ndarray")
-    labels = _component_labels(len(pts), pairs)
+    labels = _component_labels(len(pts), *_link_pairs(pts[:, 0], pts[:, 1], link_radius))
     # a stable sort keeps input order inside each component
     order = np.argsort(labels, kind="stable")
     comps = np.split(pts[order], np.cumsum(np.bincount(labels))[:-1])

@@ -515,13 +515,24 @@ class ExperimentLog:
 
     def summary(self) -> dict:
         """The summary record that `write_log` writes last, keys in file order."""
-        return {"type": "summary", "version": 1,
-                "plan": self.plan_name, "sheet": self.sheet, "seed": self.seed,
-                "correction_cycles": self.correction_cycles,
-                "correction_paths": self.correction_paths,
-                "correction_converged": self.correction_converged,
-                "in_plan_paths": self.in_plan_paths,
-                "total_paths": self.total_paths}
+        return {key: value_of(self) for key, _, value_of in SUMMARY_FIELDS}
+
+
+# The summary record, one field per entry in file order: its key, a value of
+# its JSON type, and how an ExperimentLog gives it. `ExperimentLog.summary`
+# writes from this table and `summary_from_json` checks against it.
+SUMMARY_FIELDS = (
+    ("type", "", lambda log: "summary"),
+    ("version", 0, lambda log: 1),
+    ("plan", "", lambda log: log.plan_name),
+    ("sheet", "", lambda log: log.sheet),
+    ("seed", 0, lambda log: log.seed),
+    ("correction_cycles", 0, lambda log: log.correction_cycles),
+    ("correction_paths", 0, lambda log: log.correction_paths),
+    ("correction_converged", True, lambda log: log.correction_converged),
+    ("in_plan_paths", 0, lambda log: log.in_plan_paths),
+    ("total_paths", 0, lambda log: log.total_paths),
+)
 
 
 def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParams,
@@ -567,15 +578,9 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
                          correction_paths=paths, correction_converged=converged)
 
 
-# the summary record's fields, each with a value of its JSON type
-_SUMMARY = {"type": "", "version": 0, "plan": "", "sheet": "", "seed": 0,
-            "correction_cycles": 0, "correction_paths": 0, "correction_converged": True,
-            "in_plan_paths": 0, "total_paths": 0}
-
-
 def summary_from_json(obj: dict) -> dict:
     """A log's summary record, every field present and of its JSON type."""
-    summary = required(obj, _SUMMARY)
+    summary = required(obj, {key: like for key, like, _ in SUMMARY_FIELDS})
     if summary["type"] != "summary" or summary["version"] != 1:
         raise ValueError("not a version 1 summary record")
     return summary

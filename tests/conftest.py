@@ -1,10 +1,12 @@
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from layup.sheet_state import SheetGeometry, SheetState
+from layup.simulator import SUMMARY_FIELDS
 
 
 def src_env() -> dict:
@@ -48,6 +50,18 @@ def meets(kinds, cs) -> bool:
     """Whether a sequence of action kinds (possibly empty) satisfies every constraint of `cs`."""
     return (all(oracle_abs(kinds, c) for c in cs.abs)
             and all(oracle_rel(kinds, c) for c in cs.rel))
+
+
+def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:
+    """The summary record of a made-up converged run, written from `SUMMARY_FIELDS`.
+
+    The run took `cycles` correction cycles and `corr` correction paths out
+    of `total` paths.
+    """
+    run = SimpleNamespace(plan_name=plan, sheet=sheet, seed=seed, correction_cycles=cycles,
+                          correction_paths=corr, correction_converged=True,
+                          in_plan_paths=total - corr, total_paths=total)
+    return {key: value_of(run) for key, _, value_of in SUMMARY_FIELDS}
 
 
 def make_state(geom, sectors=None, t=0) -> SheetState:

@@ -26,7 +26,7 @@ from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
 
-from conftest import make_state, meets
+from conftest import make_state, meets, summary_record
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRAIN_SEEDS = (101, 102, 103)
@@ -306,13 +306,6 @@ def test_criterion_6_end_to_end_reduction(corpus):
 # criterion 7: report arithmetic reproduces the quoted numbers exactly
 # ---------------------------------------------------------------------------
 
-def _summary(sheet, plan, seed, cycles, corr, total):
-    return {"type": "summary", "version": 1, "plan": plan, "sheet": sheet,
-            "seed": seed, "correction_cycles": cycles, "correction_paths": corr,
-            "in_plan_paths": total - corr, "total_paths": total,
-            "correction_converged": True}
-
-
 def test_criterion_7_report_arithmetic():
     fixture = {
         ("sheet1", "D1"): [(5, 17, 33), (7, 30, 46), (5, 16, 32)],
@@ -322,7 +315,7 @@ def test_criterion_7_report_arithmetic():
         ("sheet2", "D2"): [(2, 12, 28), (3, 9, 25), (3, 13, 29)],
         ("sheet2", "refined_sheet2"): [(1, 5, 17), (3, 5, 17), (2, 3, 15)],
     }
-    rows = [_summary(sheet, plan, i, *trial)
+    rows = [summary_record(sheet, plan, i, *trial)
             for (sheet, plan), trials in fixture.items()
             for i, trial in enumerate(trials)]
     rep = build_report(rows)

@@ -11,6 +11,8 @@ from layup.simulator import GroundTruthParams
 from layup.sheet_state import read_capture_frames, write_capture_frames
 from layup.simulator import builtin_sheet, init_sheet, read_log, render_capture
 
+from conftest import summary_record
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -159,13 +161,6 @@ class TestRefine:
         assert code == 2
 
 
-def summary(sheet, plan, seed, cycles, corr, total):
-    return {"type": "summary", "version": 1, "plan": plan, "sheet": sheet,
-            "seed": seed, "correction_cycles": cycles, "correction_paths": corr,
-            "in_plan_paths": total - corr, "total_paths": total,
-            "correction_converged": True}
-
-
 def published_style_summaries():
     """Fixture totals that reproduce the quoted averages and improvements."""
     rows = []
@@ -179,7 +174,7 @@ def published_style_summaries():
     }
     for (sheet, plan), trials in data.items():
         for i, (cycles, corr, total) in enumerate(trials):
-            rows.append(summary(sheet, plan, i, cycles, corr, total))
+            rows.append(summary_record(sheet, plan, i, cycles, corr, total))
     return rows
 
 
@@ -204,13 +199,13 @@ class TestReport:
         assert imp == round(100 * (37.0 - 20.0) / 37.0, 1)
 
     def test_zero_path_baseline_does_not_crash(self):
-        rows = [summary("sheet1", "D0", 0, 0, 0, 0),
-                summary("sheet1", "refined_x", 0, 0, 0, 0)]
+        rows = [summary_record("sheet1", "D0", 0, 0, 0, 0),
+                summary_record("sheet1", "refined_x", 0, 0, 0, 0)]
         report = build_report(rows)
         assert report["sheets"]["sheet1"]["by_plan"]["refined_x"]["improvement_pct"] == 0.0
 
     def test_average_is_mean_of_totals(self):
-        rows = [summary("sheet1", "D1", i, 1, 1, t) for i, t in enumerate([33, 46, 32])]
+        rows = [summary_record("sheet1", "D1", i, 1, 1, t) for i, t in enumerate([33, 46, 32])]
         report = build_report(rows)
         assert report["sheets"]["sheet1"]["by_plan"]["D1"]["average_paths"] == \
             pytest.approx((33 + 46 + 32) / 3)
@@ -567,8 +562,8 @@ class TestBadInput:
     @pytest.mark.parametrize("field, value", [("seed", "3"), ("correction_converged", "no")])
     def test_log_summary_mistyped(self, tmp_path, capsys, field, value):
         log_file = tmp_path / "bad.jsonl"
-        log_file.write_text(json.dumps({**summary("sheet1", "D1", 3, 1, 2, 18), field: value})
-                            + "\n")
+        record = {**summary_record("sheet1", "D1", 3, 1, 2, 18), field: value}
+        log_file.write_text(json.dumps(record) + "\n")
         for argv in (["learn", log_file, "--out", tmp_path / "m.json"], ["report", log_file]):
             code, err = self.run_main(argv, capsys)
             assert code == 2

@@ -34,6 +34,18 @@ def test_point_in_polygon_boundary_inclusive():
     assert not point_in_polygon([101, 0], SQUARE)
 
 
+def test_edge_tables_follow_the_polygon_in_place():
+    # the per-polygon edge tables are keyed by the vertices, not by the array
+    poly = SQUARE.copy()
+    assert not point_in_polygon([150, 0], poly)
+    assert nearest_edge_angle([80, 10], poly) == pytest.approx(math.pi / 2)
+    poly *= 2.0
+    assert point_in_polygon([150, 0], poly)
+    assert np.allclose(nearest_boundary_point([150, 0], poly), [200, 0])
+    assert nearest_edge_angle([10, 180], poly) == pytest.approx(0.0)
+    assert poly.flags.writeable  # the caller's array is never frozen
+
+
 def test_ray_exit_point():
     hit = ray_exit_point([0, 0], [1, 0], SQUARE)
     assert np.allclose(hit, [100, 0])

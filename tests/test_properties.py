@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,  # n
                         refinement, standard_constraints, validate)
 from layup.search import (SearchConfig, price_batch, state_utility,  # noqa: E402
                           trace_total)
-from layup.sheet_state import SheetGeometry, SheetState, segment_regions  # noqa: E402
+from layup.sheet_state import (SheetGeometry, SheetState, _link_pairs,  # noqa: E402
+                               segment_regions)
 from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,  # noqa: E402
                              StepRecord, _noise, _sweep, builtin_sheet, init_sheet,
                              path_geometry, read_log, write_log)
@@ -190,6 +192,97 @@ def test_segment_regions_matches_single_linkage_oracle(pts, radius):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def brute_force_pairs(xy: np.ndarray, radius: float) -> set:
+    """Every pair i < j with dx*dx + dy*dy <= radius*radius, by testing them all."""
+    return {(i, j) for i in range(len(xy)) for j in range(i + 1, len(xy))
+            if (xy[i, 0] - xy[j, 0]) * (xy[i, 0] - xy[j, 0])
+            + (xy[i, 1] - xy[j, 1]) * (xy[i, 1] - xy[j, 1]) <= radius * radius}
+
+
+# a 4 mm capture lattice at the 12 mm link radius: many pairs exactly at the radius
+lattice_st = st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1,
+                      max_size=80).map(lambda ij: (4.0 * np.array(ij, dtype=float), 12.0))
+
+
+def next_float(v: float, toward: float) -> float:
+    return float(np.nextafter(v, toward))
+
+
+@st.composite
+def on_cell_edges(draw):
+    """Linked pairs k radii above the lowest point: the lower point on that cell
+    edge or on the highest float whose computed cell lies below it, the upper
+    one the farthest float that still links; mirrored to negative x and y or not.
+
+    There a cell index computed in floating point can round across a cell
+    edge; at a power of two cells, cells of side exactly the radius part
+    some such pairs by two cells.
+    """
+    radius = draw(st.sampled_from((12.0, 0.3, 7.1)) | st.floats(0.01, 20.0))
+    origin = draw(st.floats(1.0, 1e6))  # positive, so no float steps through zero
+    xy = [(origin, origin)]
+    cells = st.integers(1, 12) | st.integers(0, 24).map(lambda p: 2 ** p)
+    for k, below, flip in draw(st.lists(st.tuples(cells, st.booleans(), st.booleans()),
+                                        min_size=1, max_size=10)):
+        a = origin + k * radius
+        while below and (a - origin) / radius >= k:
+            a = next_float(a, -math.inf)
+        b = a + radius
+        while (b - a) * (b - a) <= radius * radius:
+            b = next_float(b, math.inf)
+        while (b - a) * (b - a) > radius * radius:
+            b = next_float(b, -math.inf)
+        xy += [(origin, a), (origin, b)] if flip else [(a, origin), (b, origin)]
+    return draw(st.sampled_from((1.0, -1.0))) * np.array(xy), radius
+
+
+@st.composite
+def far_clusters(draw):
+    """A few clusters of lattice and off-lattice points, up to 1e9 mm apart."""
+    xy = []
+    for cx, cy in draw(st.lists(st.tuples(st.floats(-5e8, 5e8), st.floats(-5e8, 5e8)),
+                                min_size=1, max_size=4)):
+        offsets = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                                          st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                                min_size=1, max_size=20))
+        xy += [(cx + 4.0 * i + dx, cy + 4.0 * j + dy) for i, j, dx, dy in offsets]
+    return np.array(xy), 12.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(lattice_st, on_cell_edges(), far_clusters()), shuffle=st.booleans())
+# the last two points link, and cells of side exactly the radius put them two cells apart
+@example(case=(np.array([[-350016.5799550172, 0.0], [-42817.655101174765, 0.0],
+                         [-42798.90516679649, 0.0]]), 18.749934378286284), shuffle=False)
+def test_link_pairs_match_brute_force(case, shuffle):
+    xy, radius = case
+    if shuffle:
+        xy = xy[np.random.default_rng(len(xy)).permutation(len(xy))]
+    i, j = _link_pairs(xy[:, 0], xy[:, 1], radius)
+    got = [(min(p, q), max(p, q)) for p, q in zip(i.tolist(), j.tolist())]
+    assert len(got) == len(set(got))  # each pair once
+    assert set(got) == brute_force_pairs(xy, radius)
+    # segmentation groups the points as labelling the brute-force pairs does
+    pts = np.column_stack([xy, np.arange(len(xy), dtype=float)])
+    want = single_linkage_oracle(pts, radius)
+    got_groups = segment_regions(pts, radius)
+    assert [g.tobytes() for g in got_groups] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("xy, radius", [
+    ([[0.0, 0.0], [1e300, 1e300]], 12.0),
+    ([[-1e300, 0.0], [1e300, 0.0]], 12.0),
+    ([[0.0, 0.0], [12.0 * 2.0 ** 62, 0.0]], 12.0),
+    ([[0.0, 0.0], [1.0, 1.0]], 1e-140),
+], ids=["far-diagonal", "far-line", "2^62-cells", "tiny-radius"])
+def test_link_pairs_refuse_spans_an_int64_key_cannot_number(xy, radius):
+    pts = np.column_stack([np.array(xy), np.ones(len(xy))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid cast on the way
+        with pytest.raises(ValueError, match="link_radius cells"):
+            segment_regions(pts, radius)
 
 
 # values that put the clamps, the collapse and fold_axial's edge within reach:
