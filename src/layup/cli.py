@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .effectiveness import EffectivenessModel, aggregate
 from .jsonio import LogFormatError, config_from_json, read_json, read_last_json_line
-from .plan import (ConstraintSet, DrapingPlan, PlanParseError, emit_plan,
+from .plan import (ACTION_KINDS, ConstraintSet, DrapingPlan, PlanParseError, emit_plan,
                    initial_plan_constraints, parse_plan, standard_constraints,
                    validate)
 from .search import SearchConfig, SearchError, SearchStats, refine_plan_detailed
@@ -136,6 +136,10 @@ def cmd_learn(log_paths, out_path) -> Path:
     for key in sorted(per_action):
         counts = per_action[key]
         print(f"  {key}: {sum(counts)} samples across {len(counts)} sectors")
+    learned = {key.split("|")[0] for key in per_action}
+    unlearned = [kind for kind in ACTION_KINDS if kind not in learned]
+    if unlearned:
+        print(f"  no samples: {', '.join(unlearned)}")
     singletons = sum(1 for counts in per_action.values() for c in counts if c == 1)
     if singletons:
         print(f"  note: {singletons} singleton buckets (sample variance treated as zero)")

@@ -17,7 +17,6 @@ axis; a wedge owns its lower angular boundary.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,10 +377,23 @@ def average_states(states: list[SheetState]) -> SheetState:
 
 
 def write_capture_frames(path, frames: list[CaptureFrame]) -> None:
-    """JSON-lines, one record per capture: {"t": ..., "points": [[x, y, h], ...]}."""
+    """JSON-lines, one record per capture: {"t": ..., "points": [[x, y, h], ...]}.
+
+    Each line is byte for byte `json.dumps(frame.to_json())`. A frame whose
+    x, y columns have the same bytes as the previous frame's reuses its line
+    template, whose `%r` slots take the heights: `%r` on a float is the
+    `float.__repr__` that `json.dumps` writes. Bytes, not values, decide the
+    reuse, since `-0.0 == 0.0` but their reprs differ.
+    """
+    grid, template = None, ""
     with open(path, "w") as fh:
         for fr in frames:
-            fh.write(json.dumps(fr.to_json()) + "\n")
+            xy = fr.points[:, :2]
+            if xy.tobytes() != grid:
+                grid = xy.tobytes()
+                rows = ", ".join(f"[{x!r}, {y!r}, %r]" for x, y in xy.tolist())
+                template = '{"t": %d, "points": [' + rows + "]}\n"
+            fh.write(template % (int(fr.t), *fr.points[:, 2].tolist()))
 
 
 def read_capture_frames(path) -> list[CaptureFrame]:

@@ -64,6 +64,25 @@ def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:
     return {key: value_of(run) for key, _, value_of in SUMMARY_FIELDS}
 
 
+# (cycles, correction paths, total paths) of three trials per sheet and plan,
+# chosen so the report reproduces the paper's quoted averages and improvements
+PUBLISHED_STYLE_TRIALS = {
+    ("sheet1", "D1"): [(5, 17, 33), (7, 30, 46), (5, 16, 32)],
+    ("sheet1", "D2"): [(7, 29, 45), (2, 12, 28), (4, 14, 30)],
+    ("sheet1", "refined_sheet1"): [(2, 5, 19), (2, 5, 19), (3, 8, 22)],
+    ("sheet2", "D1"): [(2, 8, 24), (2, 9, 25), (3, 11, 27)],
+    ("sheet2", "D2"): [(2, 12, 28), (3, 9, 25), (3, 13, 29)],
+    ("sheet2", "refined_sheet2"): [(1, 5, 17), (3, 5, 17), (2, 3, 15)],
+}
+
+
+def published_style_summaries() -> list[dict]:
+    """The summary records of `PUBLISHED_STYLE_TRIALS`, seeds 0-2 per group."""
+    return [summary_record(sheet, plan, seed, *trial)
+            for (sheet, plan), trials in PUBLISHED_STYLE_TRIALS.items()
+            for seed, trial in enumerate(trials)]
+
+
 def make_state(geom, sectors=None, t=0) -> SheetState:
     """A state of `geom` from {sector id: (mu, sigma, n)}; other sectors are sentinels.
 

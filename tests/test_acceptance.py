@@ -26,7 +26,7 @@ from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
 
-from conftest import make_state, meets, summary_record
+from conftest import make_state, meets, published_style_summaries
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRAIN_SEEDS = (101, 102, 103)
@@ -307,18 +307,7 @@ def test_criterion_6_end_to_end_reduction(corpus):
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_report_arithmetic():
-    fixture = {
-        ("sheet1", "D1"): [(5, 17, 33), (7, 30, 46), (5, 16, 32)],
-        ("sheet1", "D2"): [(7, 29, 45), (2, 12, 28), (4, 14, 30)],
-        ("sheet1", "refined_sheet1"): [(2, 5, 19), (2, 5, 19), (3, 8, 22)],
-        ("sheet2", "D1"): [(2, 8, 24), (2, 9, 25), (3, 11, 27)],
-        ("sheet2", "D2"): [(2, 12, 28), (3, 9, 25), (3, 13, 29)],
-        ("sheet2", "refined_sheet2"): [(1, 5, 17), (3, 5, 17), (2, 3, 15)],
-    }
-    rows = [summary_record(sheet, plan, i, *trial)
-            for (sheet, plan), trials in fixture.items()
-            for i, trial in enumerate(trials)]
-    rep = build_report(rows)
+    rep = build_report(published_style_summaries())
     s1 = rep["sheets"]["sheet1"]["by_plan"]
     s2 = rep["sheets"]["sheet2"]["by_plan"]
     assert s1["D1"]["average_paths_rounded"] == 37.0

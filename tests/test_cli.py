@@ -11,7 +11,7 @@ from layup.simulator import GroundTruthParams
 from layup.sheet_state import read_capture_frames, write_capture_frames
 from layup.simulator import builtin_sheet, init_sheet, read_log, render_capture
 
-from conftest import summary_record
+from conftest import published_style_summaries, summary_record
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -93,6 +93,21 @@ class TestLearn:
         assert "experiments: 2" in out
         assert model_path.exists()
 
+    def test_learn_names_kinds_without_samples(self, tmp_path, d1_file, capsys):
+        # the expert plans never refine, so the search prices refinement unseen
+        d2_file = tmp_path / "D2.plan"
+        emit_plan(expert_plan(2), d2_file)
+        cfg = run_cfg(tmp_path, seeds=(1,))
+        logs = [log for plan in (d1_file, d2_file)
+                for log in cmd_simulate(plan, cfg, keep_captures=False)]
+        capsys.readouterr()
+        model_path = tmp_path / "model.json"
+        cmd_learn([str(p) for p in logs], model_path)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "  no samples: refinement"
+        assert lines[-2].startswith("  peel|0: ")
+        assert "no samples" not in model_path.read_text()
+
     def test_version_1_log_learns_the_same_model(self, tmp_path, d1_file):
         # a version 1 log carried each step's captures in its step records
         log_path = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(2,)))[0]
@@ -159,23 +174,6 @@ class TestRefine:
         code = main(["refine", str(model_path), "--capture", str(cap_path),
                      "--out", str(tmp_path)])
         assert code == 2
-
-
-def published_style_summaries():
-    """Fixture totals that reproduce the quoted averages and improvements."""
-    rows = []
-    data = {
-        ("sheet1", "D1"): [(5, 17, 33), (7, 30, 46), (5, 16, 32)],
-        ("sheet1", "D2"): [(7, 29, 45), (2, 12, 28), (4, 14, 30)],
-        ("sheet1", "refined_sheet1"): [(2, 5, 19), (2, 5, 19), (3, 8, 22)],
-        ("sheet2", "D1"): [(2, 8, 24), (2, 9, 25), (3, 11, 27)],
-        ("sheet2", "D2"): [(2, 12, 28), (3, 9, 25), (3, 13, 29)],
-        ("sheet2", "refined_sheet2"): [(1, 5, 17), (3, 5, 17), (2, 3, 15)],
-    }
-    for (sheet, plan), trials in data.items():
-        for i, (cycles, corr, total) in enumerate(trials):
-            rows.append(summary_record(sheet, plan, i, cycles, corr, total))
-    return rows
 
 
 class TestReport:

@@ -15,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from layup.cli import RunConfig, cmd_simulate  # noqa: E402
 from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E402
                                  TransitionSample, propagate, propagate_batch)
 from layup.geometry import (PathGeometry, _closest_on_boundary,  # noqa: E402
@@ -23,16 +24,17 @@ from layup.geometry import (PathGeometry, _closest_on_boundary,  # noqa: E402
                             polygon_is_simple, swept_rect_hits)
 from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,  # noqa: E402
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
-                        canonical_kinds, capture, completion, emit_plan_text, end,
-                        outstanding, parse_plan_text, path, peel, prefix_feasible,
-                        refinement, standard_constraints, validate)
+                        canonical_kinds, capture, completion, emit_plan, emit_plan_text, end,
+                        expert_plan, initial_plan_constraints, outstanding, parse_plan_text,
+                        path, peel, prefix_feasible, refinement, standard_constraints,
+                        validate)
 from layup.search import (SearchConfig, price_batch, state_utility,  # noqa: E402
                           trace_total)
-from layup.sheet_state import (SheetGeometry, SheetState, _link_pairs,  # noqa: E402
-                               segment_regions)
+from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,  # noqa: E402
+                               _link_pairs, segment_regions, write_capture_frames)
 from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,  # noqa: E402
                              StepRecord, _noise, _sweep, builtin_sheet, init_sheet,
-                             path_geometry, read_log, write_log)
+                             path_geometry, read_log, run_experiment, write_log)
 
 from conftest import make_state, meets, oracle_abs, oracle_rel  # noqa: E402
 
@@ -376,6 +378,70 @@ def test_state_json_round_trip_is_exact(state):
     back = SheetState.from_json(json.loads(json.dumps(state.to_json())))
     assert fingerprint(back) == fingerprint(state)
     assert back.t == state.t
+
+
+def capture_lines_oracle(frames) -> bytes:
+    """A capture file as one `json.dumps` line per frame."""
+    return "".join(json.dumps(fr.to_json()) + "\n" for fr in frames).encode()
+
+
+# values whose reprs take each form: signed zero, exponents, integer-valued
+REPR_EDGES = (0.0, -0.0, 1e-05, 1e+16, 1e-07, 123456789.0, -150.0, 4.0, 0.1, 2.5e-300)
+coord_st = st.one_of(st.sampled_from(REPR_EDGES),
+                     st.floats(allow_nan=False, allow_infinity=False))
+height_st = st.one_of(st.sampled_from([abs(v) for v in REPR_EDGES] + [-0.0]),
+                      st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+
+
+def flip_zeros(xy):
+    """The same values, each zero's sign flipped: equal to `xy`, but not in bytes."""
+    return [tuple(-v if v == 0.0 else v for v in row) for row in xy]
+
+
+@st.composite
+def capture_runs(draw):
+    """Frames over a few grids, visited in any order (a grid may come back),
+    over the grids' signed-zero twins, and over grids of their own."""
+    grids = draw(st.lists(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.tuples(coord_st, coord_st), min_size=n, max_size=n)),
+        min_size=1, max_size=3))
+    grids += [flip_zeros(xy) for xy in grids]
+    frames = []
+    for _ in range(draw(st.integers(1, 6))):
+        pick = draw(st.integers(0, len(grids)))
+        xy = grids[pick] if pick < len(grids) else draw(
+            st.lists(st.tuples(coord_st, coord_st), min_size=1, max_size=6))
+        h = draw(st.lists(height_st, min_size=len(xy), max_size=len(xy)))
+        frames.append(CaptureFrame(np.column_stack([np.array(xy, dtype=float), h]),
+                                   t=draw(st.integers(-2**70, 2**70))))
+    return frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=capture_runs())
+@example(frames=[CaptureFrame(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 0.0]]), t=0),
+                 CaptureFrame(np.array([[-0.0, 1.0, 2.0], [3.0, 4.0, 0.0]]), t=1)])
+@example(frames=[CaptureFrame(np.array([[1e-05, 1e+16, 3.0]]), t=0),
+                 CaptureFrame(np.array([[-150.0, 2.0, 1e-05], [1.0, 1.0, 1e+16]]), t=2**40),
+                 CaptureFrame(np.array([[1e-05, 1e+16, -0.0]]), t=7)])
+def test_capture_writer_matches_json_dumps_lines(frames):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "caps.jsonl"
+        write_capture_frames(target, frames)
+        assert target.read_bytes() == capture_lines_oracle(frames)
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_simulate_sidecar_on_sheet2_matches_json_dumps_lines(tmp_path, variant):
+    # no golden pins a sheet2 sidecar; the frames come from a separate run
+    plan_path = tmp_path / f"D{variant}.plan"
+    emit_plan(expert_plan(variant), plan_path)
+    log_path, = cmd_simulate(plan_path, RunConfig(sheet="sheet2", seeds=(7,), out=tmp_path))
+    log = run_experiment(expert_plan(variant), builtin_sheet("sheet2"), GroundTruthParams(), 7,
+                         constraints=initial_plan_constraints())
+    sidecar = (tmp_path / "captures" / log_path.name).read_bytes()
+    assert len(log.captures) > 2
+    assert sidecar == capture_lines_oracle(log.captures)
 
 
 def _fields(node):
