@@ -22,16 +22,14 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .effectiveness import EffectivenessModel, aggregate
-from .jsonio import LogFormatError, config_from_json, read_json, read_last_json_line
-from .plan import (ACTION_KINDS, ConstraintSet, DrapingPlan, PlanParseError, emit_plan,
-                   initial_plan_constraints, parse_plan, standard_constraints,
-                   validate)
+from .jsonio import config_from_json, read_json, read_last_json_line
+from .plan import (ACTION_KINDS, ConstraintSet, DrapingPlan, emit_plan, parse_plan,
+                   standard_constraints)
 from .search import SearchConfig, SearchError, SearchStats, refine_plan_detailed
 from .sheet_state import (average_states, build_state, read_capture_frames,
                           write_capture_frames)
-from .simulator import (GroundTruthParams, PlanInvalidError, SimulationError,
-                        builtin_sheet, read_log, run_experiment, summary_from_json,
-                        write_log)
+from .simulator import (GroundTruthParams, SimulationError, builtin_sheet, read_log,
+                        run_experiment, summary_from_json, write_log)
 
 REFINED_PREFIX = "refined"
 
@@ -100,15 +98,11 @@ def cmd_simulate(plan_path, cfg: RunConfig, keep_captures: bool = True) -> list[
     """
     plan = parse_plan(plan_path)
     sheet = builtin_sheet(cfg.sheet)
-    cs = cfg.constraints if cfg.constraints is not None else initial_plan_constraints()
-    violations = validate(plan, cs)
-    if violations:
-        raise PlanInvalidError(violations)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     written = []
-    for seed in cfg.seeds:
+    for seed in cfg.seeds:  # run_experiment validates the plan before it runs
         log = run_experiment(plan, sheet, cfg.params, seed,
-                             constraints=cs, keep_captures=keep_captures)
+                             constraints=cfg.constraints, keep_captures=keep_captures)
+        cfg.out.mkdir(parents=True, exist_ok=True)
         target = cfg.out / _log_name(plan, sheet.name, seed)
         write_log(log, target)
         if keep_captures:
@@ -129,14 +123,12 @@ def cmd_learn(log_paths, out_path) -> Path:
     model.save(out_path)
     print(f"experiments: {model.experiments}")
     print(f"sheets: {', '.join(model.sheets)}")
-    per_action: dict[str, list[int]] = {}
-    for key, count in model.bucket_counts().items():
-        kind, arg, _sector = key.split("|")
-        per_action.setdefault(f"{kind}|{arg}", []).append(count)
-    for key in sorted(per_action):
-        counts = per_action[key]
-        print(f"  {key}: {sum(counts)} samples across {len(counts)} sectors")
-    learned = {key.split("|")[0] for key in per_action}
+    per_action: dict[tuple[str, int], list[int]] = {}  # in (kind, argument) order
+    for (kind, arg, _sector), bucket in sorted(model.table.items()):
+        per_action.setdefault((kind, arg), []).append(bucket.count)
+    for (kind, arg), counts in per_action.items():
+        print(f"  {kind}|{arg}: {sum(counts)} samples across {len(counts)} sectors")
+    learned = {kind for kind, _ in per_action}
     unlearned = [kind for kind in ACTION_KINDS if kind not in learned]
     if unlearned:
         print(f"  no samples: {', '.join(unlearned)}")
@@ -191,19 +183,13 @@ def build_report(summaries: list[dict], baseline: str | None = None) -> dict:
     one decimal and the improvement is computed from those rounded averages,
     matching how the headline percentages are quoted.
     """
-    groups: dict[tuple[str, str], list[dict]] = {}
-    order: list[tuple[str, str]] = []
+    groups: dict[tuple[str, str], list[dict]] = {}  # in order of first appearance
     for s in summaries:
-        key = (s["sheet"], s["plan"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(s)
+        groups.setdefault((s["sheet"], s["plan"]), []).append(s)
 
     sheets: dict[str, dict] = {}
-    for sheet, plan_name in order:
+    for (sheet, plan_name), trials in groups.items():
         entry = sheets.setdefault(sheet, {"plans": [], "by_plan": {}})
-        trials = groups[(sheet, plan_name)]
         totals = [t["total_paths"] for t in trials]
         avg = sum(totals) / len(totals)
         refined = plan_name.lower().startswith(REFINED_PREFIX)
@@ -346,7 +332,7 @@ def main(argv=None) -> int:
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
               file=sys.stderr)
         return 2
-    except (PlanParseError, PlanInvalidError, LogFormatError, ValueError) as exc:
+    except ValueError as exc:  # LogFormatError, PlanParseError and PlanInvalidError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SearchError, SimulationError) as exc:

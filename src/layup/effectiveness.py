@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import axial_difference, fold_axial
 from .jsonio import LogFormatError, numbers, read_json, required
-from .plan import Action
+from .plan import ACTION_KINDS, PATH_COUNT_DEFAULT, Action
 from .sheet_state import SheetState
 
 COV_SHRINK = 0.9  # diagonal scale when the majority vote says uncertainty fell
@@ -73,13 +73,11 @@ class TransitionSample:
 def extract_transitions(log) -> list[TransitionSample]:
     """One sample per (action, sector) pair of an experiment log.
 
-    Steps missing either bracketing state are skipped; malformed records
-    raise LogFormatError naming the step index.
+    Steps whose two states differ in sector count raise LogFormatError
+    naming the step index.
     """
     samples = []
     for rec in log.steps:
-        if rec.state_before is None or rec.state_after is None:
-            continue
         before, after = rec.state_before, rec.state_after
         if len(before.count) != len(after.count):
             raise LogFormatError(f"step {rec.index}: sector counts disagree")
@@ -238,7 +236,11 @@ class EffectivenessModel:
         model.sheets = raw["sheets"]
         for key, rec in raw["buckets"].items():
             kind, arg, sector = key.split("|")
-            if not 1 <= int(sector) <= model.sector_count:
+            arg, sector = int(arg), int(sector)
+            if kind not in ACTION_KINDS or not (
+                    1 <= arg <= PATH_COUNT_DEFAULT if kind == "path" else arg == 0):
+                raise ValueError(f"bucket {key}: no action has this kind and argument")
+            if not 1 <= sector <= model.sector_count:
                 raise ValueError(f"bucket {key}: sector out of range")
             rec = required(rec, {"deltas": [], "u1": [], "u2": [], "sources": [""]})
             bucket = _Bucket()
@@ -248,7 +250,7 @@ class EffectivenessModel:
             bucket.sources = rec["sources"]
             if len(bucket.sources) != bucket.count:
                 raise ValueError(f"bucket {key}: one source per delta needed")
-            model.table[(kind, int(arg), int(sector))] = bucket
+            model.table[(kind, arg, sector)] = bucket
         return model
 
     def save(self, path) -> None:
@@ -269,8 +271,7 @@ def aggregate(logs) -> EffectivenessModel:
     logs = list(logs)
     if not logs:
         return EffectivenessModel(sector_count=2)
-    ks = {len(log.steps[0].state_before.count) if log.steps else None for log in logs}
-    ks.discard(None)
+    ks = {len(log.steps[0].state_before.count) for log in logs if log.steps}
     if len(ks) > 1:
         raise ValueError(f"logs mix sector counts {sorted(ks)}")
     model = EffectivenessModel(sector_count=ks.pop() if ks else 2)

@@ -128,29 +128,21 @@ class SheetState:
     t: int = 0
 
     def to_json(self) -> dict:
-        records = [{"sector": i, "mu1": m[:3], "sigma1": s[0], "mu2": m[3:], "sigma2": s[1],
-                    "n": n}
-                   for i, (m, s, n) in enumerate(zip(self.mu.tolist(), self.sigma.tolist(),
-                                                     self.count.tolist()), start=1)]
-        return {"geometry": self.geometry.to_json(), "t": int(self.t), "sectors": records}
+        """`t` and the three arrays as nested lists; the geometry is not written."""
+        return {"t": int(self.t), "mu": self.mu.tolist(), "sigma": self.sigma.tolist(),
+                "count": self.count.tolist()}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SheetState":
-        """A state as `to_json` writes it; KeyError, TypeError or ValueError if malformed.
+    def from_json(cls, obj: dict, geometry: SheetGeometry) -> "SheetState":
+        """A state as `to_json` wrote it, on `geometry`; KeyError, TypeError or ValueError if bad.
 
-        Sector records must carry ids 1..k in order, three numbers in mu1
-        and mu2, 3x3 numbers in sigma1 and sigma2, and an integer n.
+        With k the geometry's sector count, `mu` must hold k x 6 numbers,
+        `sigma` k x 2 x 3 x 3 numbers and `count` k integers.
         """
-        geometry = SheetGeometry.from_json(obj["geometry"])
-        records = obj["sectors"]
         k = geometry.sector_count
-        if [typed(rec["sector"], 0, "sector") for rec in records] != list(range(1, k + 1)):
-            raise ValueError(f"sector ids must run 1..{k} in order")
-        mu = numbers([[rec["mu1"], rec["mu2"]] for rec in records], (k, 2, 3), "mu1 and mu2")
-        sigma = numbers([[rec["sigma1"], rec["sigma2"]] for rec in records], (k, 2, 3, 3),
-                        "sigma1 and sigma2")
-        count = np.array([typed(rec["n"], 0, "n") for rec in records])
-        return cls(geometry, mu.reshape(k, 6), sigma, count, typed(obj["t"], 0, "t"))
+        count = numbers(typed(obj["count"], [0], "count"), (k,), "count").astype(int)
+        return cls(geometry, numbers(obj["mu"], (k, 6), "mu"),
+                   numbers(obj["sigma"], (k, 2, 3, 3), "sigma"), count, typed(obj["t"], 0, "t"))
 
 
 def assign_sector(point, geom: SheetGeometry) -> int:

@@ -359,10 +359,6 @@ def apply_action(sim: SimState, action: Action, state: SheetState | None = None)
     elif action.kind == "peel":
         sim.peeled = True
         sim.peak *= 1.0 + sim.params.peel_pulse
-    elif action.kind in ("capture", "end"):
-        pass
-    else:  # pragma: no cover - Action validates kinds
-        raise SimulationError(f"unknown action {action.kind!r}")
     return sim
 
 
@@ -453,35 +449,18 @@ def run_correction(sim: SimState) -> tuple[int, int, bool]:
 
 @dataclass
 class StepRecord:
-    """One executed action with the states derived before and after it.
+    """One executed action, numbered from 1, with the states derived before and after it.
 
     The captures those states came from stay in memory only, when the run
-    keeps them; the log record holds the index, the action and the two
-    states. A record's other keys, such as the captures of a version 1
-    log, are not read.
+    keeps them; `write_log` writes the states and the action.
     """
 
     index: int
     action: Action
-    state_before: SheetState | None
-    state_after: SheetState | None
+    state_before: SheetState
+    state_after: SheetState
     capture_before: CaptureFrame | None = None
     capture_after: CaptureFrame | None = None
-
-    def to_json(self) -> dict:
-        return {"type": "step", "index": self.index,
-                "action": [self.action.kind, self.action.arg],
-                "state_before": self.state_before.to_json(),
-                "state_after": self.state_after.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StepRecord":
-        kind, arg = obj["action"]
-        return cls(index=typed(obj["index"], 0, "index"),
-                   action=Action(typed(kind, "", "action kind"),
-                                 arg if arg is None else typed(arg, 0, "action argument")),
-                   state_before=SheetState.from_json(obj["state_before"]),
-                   state_after=SheetState.from_json(obj["state_after"]))
 
 
 @dataclass
@@ -586,32 +565,73 @@ def summary_from_json(obj: dict) -> dict:
     return summary
 
 
+LOG_VERSION = 3
+
+
+def _bytes(state: SheetState) -> tuple:
+    return state.t, state.mu.tobytes(), state.sigma.tobytes(), state.count.tobytes()
+
+
 def write_log(log: ExperimentLog, path) -> None:
-    """JSON-lines: one record per step plus a trailing summary record.
+    """JSON lines: a start record, one record per step, then the summary record.
 
-    A step record holds the action and the states before and after it, and
-    no capture: `write_capture_frames` writes `log.captures` to a file of
-    their own.
+    The start record holds the log version, the sheet geometry and step 1's
+    state before; a step record holds its action and its state after. A log
+    without steps is its summary record alone. Raises ValueError naming the
+    step when steps are not numbered 1..n, when a state before is not the
+    previous state after (the same `t` and array bytes) or when a state is
+    on another geometry. `write_capture_frames` writes the captures.
     """
+    records = []
+    if log.steps:
+        state = log.steps[0].state_before
+        geometry = state.geometry.to_json()
+        records.append({"type": "start", "version": LOG_VERSION, "geometry": geometry,
+                        "state": state.to_json()})
+    for i, rec in enumerate(log.steps, start=1):
+        if rec.index != i:
+            raise ValueError(f"step {i} is numbered {rec.index}; steps must be numbered 1..n")
+        if _bytes(rec.state_before) != _bytes(state):
+            raise ValueError(f"step {i}: state before is not step {i - 1}'s state after")
+        if rec.state_after.geometry.to_json() != geometry:
+            raise ValueError(f"step {i}: state after is on another geometry")
+        state = rec.state_after
+        records.append({"type": "step", "action": [rec.action.kind, rec.action.arg],
+                        "state": state.to_json()})
     with open(path, "w") as fh:
-        for rec in log.steps:
-            fh.write(json.dumps(rec.to_json()) + "\n")
-        fh.write(json.dumps(log.summary()) + "\n")
-
-
-def _log_record(obj: dict):
-    return {"step": StepRecord.from_json, "summary": summary_from_json}[obj["type"]](obj)
+        fh.writelines(json.dumps(obj) + "\n" for obj in records + [log.summary()])
 
 
 def read_log(path) -> ExperimentLog:
-    records = read_json_lines(path, _log_record)
-    summaries = [rec for rec in records if isinstance(rec, dict)]
+    """The log `write_log` wrote; LogFormatError naming the file and line if malformed.
+
+    The start record comes before any step record and gives every state its
+    geometry. Steps are numbered 1..n in file order, and a step's state
+    before is the previous state after, the start record's for step 1. The
+    last summary record gives the run's fields.
+    """
+    states, actions, summaries = [], [], []
+
+    def parse(obj: dict) -> None:
+        kind = obj["type"]
+        if kind == "summary":
+            summaries.append(summary_from_json(obj))
+        elif kind == "start" and not states:
+            if typed(obj["version"], 0, "version") != LOG_VERSION:
+                raise ValueError(f"log version must be {LOG_VERSION}")
+            geometry = SheetGeometry.from_json(obj["geometry"])
+            states.append(SheetState.from_json(obj["state"], geometry))
+        elif kind == "step" and states:
+            name, arg = obj["action"]
+            actions.append(Action(name, arg if arg is None else typed(arg, 0, "action argument")))
+            states.append(SheetState.from_json(obj["state"], states[0].geometry))
+        else:  # a log before version 3 starts with a step record
+            raise ValueError(f"{kind} record {'after' if states else 'before any'} start record")
+
+    read_json_lines(path, parse)
     if not summaries:
         raise LogFormatError(f"{path}: missing summary record")
-    summary = summaries[-1]
-    return ExperimentLog(plan_name=summary["plan"], sheet=summary["sheet"],
-                         seed=summary["seed"],
-                         steps=[rec for rec in records if isinstance(rec, StepRecord)],
-                         correction_cycles=summary["correction_cycles"],
-                         correction_paths=summary["correction_paths"],
-                         correction_converged=summary["correction_converged"])
+    s = summaries[-1]
+    steps = [StepRecord(i, *rec) for i, rec in enumerate(zip(actions, states, states[1:]), 1)]
+    return ExperimentLog(s["plan"], s["sheet"], s["seed"], steps, s["correction_cycles"],
+                         s["correction_paths"], s["correction_converged"])

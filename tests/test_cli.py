@@ -107,22 +107,10 @@ class TestLearn:
         assert lines[-1] == "  no samples: refinement"
         assert lines[-2].startswith("  peel|0: ")
         assert "no samples" not in model_path.read_text()
-
-    def test_version_1_log_learns_the_same_model(self, tmp_path, d1_file):
-        # a version 1 log carried each step's captures in its step records
-        log_path = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(2,)))[0]
-        frames = [fr.to_json() for fr in
-                  read_capture_frames(log_path.parent / "captures" / log_path.name)]
-        records = [json.loads(line) for line in log_path.read_text().splitlines()]
-        for i, rec in enumerate(records[:-1]):
-            rec["capture_before"], rec["capture_after"] = frames[i], frames[i + 1]
-        v1_path = tmp_path / "v1.jsonl"
-        v1_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-        assert len(read_log(v1_path).steps) == len(records) - 1
-        cmd_learn([log_path], tmp_path / "v2_model.json")
-        cmd_learn([v1_path], tmp_path / "v1_model.json")
-        assert ((tmp_path / "v1_model.json").read_bytes()
-                == (tmp_path / "v2_model.json").read_bytes())
+        # one line per bucket, kinds in name order and paths in index order
+        buckets = [line.split(":")[0].strip() for line in lines if line.startswith("  ")]
+        assert buckets == (["capture|0", "end|0"] + [f"path|{i}" for i in range(1, 17)]
+                           + ["peel|0", "no samples"])
 
     def test_zero_logs_usage_error(self, tmp_path):
         code = main(["learn", str(tmp_path / "missing.jsonl"),
@@ -389,16 +377,38 @@ class TestBadInput:
         assert code == 2
         assert "region_cnt" in err and str(gt_file) in err
 
+    def simulated_log_lines(self, tmp_path, d1_file, capsys) -> tuple[Path, list[str]]:
+        log_file = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(3,)), keep_captures=False)[0]
+        capsys.readouterr()
+        return log_file, log_file.read_text().splitlines()
+
     @pytest.mark.parametrize("record, missing", [
-        ({"type": "step", "index": 1}, "action"),
+        ({"type": "step", "state": {"t": 1}}, "action"),
         ({"type": "summary", "version": 1}, "plan"),
     ])
-    def test_log_record_missing_key(self, tmp_path, capsys, record, missing):
-        log_file = tmp_path / "bad.jsonl"
-        log_file.write_text(json.dumps(record) + "\n")
+    def test_log_record_missing_key(self, tmp_path, d1_file, capsys, record, missing):
+        log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        log_file.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
         code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
         assert code == 2
-        assert f"{log_file}:1:" in err and missing in err
+        assert f"{log_file}:2:" in err and missing in err
+
+    def test_version_2_log_names_its_first_line(self, tmp_path, d1_file, capsys):
+        # a version 2 log starts with a step record that holds its index and
+        # both states, each with its geometry
+        log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        start, *steps, summary = map(json.loads, lines)
+        states = [start["state"]] + [step["state"] for step in steps]
+        old = [{"type": "step", "index": i, "action": step["action"],
+                "state_before": {"geometry": start["geometry"], **states[i - 1]},
+                "state_after": {"geometry": start["geometry"], **states[i]}}
+               for i, step in enumerate(steps, start=1)]
+        log_file.write_text("".join(json.dumps(rec) + "\n" for rec in old + [summary]))
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {log_file}:1: bad step record")
+        assert "before any start record" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_log_line_not_an_object(self, tmp_path, capsys):
         log_file = tmp_path / "bad.jsonl"
@@ -456,6 +466,17 @@ class TestBadInput:
                                    json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
         assert code == 2
         assert str(model_file) in err
+
+    @pytest.mark.parametrize("key", ["bogus|0|1", "path|99|1", "peel|3|1"])
+    def test_model_bucket_key_no_action_has(self, tmp_path, capsys, key):
+        model_file = self.model_file(tmp_path)
+        content = json.loads(model_file.read_text())
+        content["buckets"] = {key: content["buckets"]["path|1|1"]}
+        model_file.write_text(json.dumps(content))
+        code, err, _ = self.refine(tmp_path, capsys, model_file,
+                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+        assert code == 2
+        assert str(model_file) in err and key in err
 
     @pytest.mark.parametrize("content", [{"seeds": 5}, {"seeds": ["x"]},
                                          {"sheet": ["sheet1"]}, {"search": 5}],
@@ -567,16 +588,6 @@ class TestBadInput:
             assert code == 2
             assert f"{log_file}:1:" in err and field in err
 
-    def test_log_step_index_mistyped(self, tmp_path, d1_file, capsys):
-        log_file = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(3,)), keep_captures=False)[0]
-        lines = log_file.read_text().splitlines()
-        lines[0] = json.dumps({**json.loads(lines[0]), "index": "1"})
-        log_file.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
-        assert code == 2
-        assert f"{log_file}:1:" in err and "index" in err
-
     @pytest.mark.parametrize("last_line, named", [
         (json.dumps({"type": "summary", "version": 1}), "sheet"),
         (json.dumps({"type": "summary", "version": 1, "plan": "D1", "sheet": "sheet1",
@@ -600,21 +611,20 @@ class TestBadInput:
         assert code == 2
         assert str(cs_file) in err and "rel record 0" in err
 
-    @pytest.mark.parametrize("which, field, value", [
-        ("state_before", "mu1", [1.0, 2.0]),
-        ("state_after", "sigma1", [[0.5]]),
+    @pytest.mark.parametrize("line, field, value", [
+        (1, "mu", [1.0, 2.0]),
+        (3, "sigma", [[0.5]]),
     ], ids=["short-mu1", "1x1-sigma1"])
-    def test_log_state_malformed_moments(self, tmp_path, d1_file, capsys, which, field, value):
-        log_file = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(3,)), keep_captures=False)[0]
-        lines = log_file.read_text().splitlines()
-        step = json.loads(lines[2])
-        step[which]["sectors"][1][field] = value
-        lines[2] = json.dumps(step)
+    def test_log_state_malformed_moments(self, tmp_path, d1_file, capsys, line, field, value):
+        # sector 1's row of the start state's means, or of step 2's covariances
+        log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        record = json.loads(lines[line - 1])
+        record["state"][field][0] = value
+        lines[line - 1] = json.dumps(record)
         log_file.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
         code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
         assert code == 2
-        assert f"{log_file}:3:" in err and field in err
+        assert f"{log_file}:{line}:" in err and field in err
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("content", ["[1, 2]", '{"sheet": '], ids=["not-object", "truncated"])

@@ -244,10 +244,16 @@ class TestStateJson:
     def test_rejects_moments_of_one_wrong_shape_throughout(self, square_geom):
         # no sector disagrees with another, so only the shape itself is wrong
         obj = make_state(square_geom).to_json()
-        for record in obj["sectors"]:
-            record["sigma1"] = record["sigma2"] = [[0.0, 0.0], [0.0, 0.0]]
-        with pytest.raises(ValueError, match="sigma1 and sigma2"):
-            SheetState.from_json(obj)
+        obj["sigma"] = [[[[0.0, 0.0], [0.0, 0.0]]] * 2] * square_geom.sector_count
+        with pytest.raises(ValueError, match="sigma"):
+            SheetState.from_json(obj, square_geom)
+
+    @pytest.mark.parametrize("count", [[1] * 7, [1] * 9, [1.0] * 8, [True] * 8, 3],
+                             ids=["short", "long", "floats", "booleans", "not-a-list"])
+    def test_rejects_a_count_that_is_not_one_integer_per_sector(self, square_geom, count):
+        obj = {**make_state(square_geom).to_json(), "count": count}
+        with pytest.raises((TypeError, ValueError), match="count"):
+            SheetState.from_json(obj, square_geom)
 
 
 class TestCaptureIO:

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,6 +327,21 @@ class TestRunExperiment:
         for a, b in zip(log.captures, frames):
             assert a.t == b.t
             assert a.points.tobytes() == b.points.tobytes()
+
+    @pytest.mark.parametrize("step, change", [
+        (2, lambda rec: replace(rec, index=5)),
+        (3, lambda rec: replace(rec, state_before=replace(
+            rec.state_before, mu=rec.state_before.mu + 1e-9))),
+        (3, lambda rec: replace(rec, state_before=replace(rec.state_before, t=7))),
+        (2, lambda rec: replace(rec, state_after=replace(
+            rec.state_after, geometry=builtin_sheet("sheet2").geometry))),
+    ], ids=["renumbered", "other-bytes", "other-t", "other-geometry"])
+    def test_write_log_refuses_what_it_cannot_hold(self, tmp_path, step, change):
+        log = run_experiment(expert_plan(1), builtin_sheet("sheet1"), GroundTruthParams(),
+                             seed=30, keep_captures=False)
+        log.steps[step - 1] = change(log.steps[step - 1])
+        with pytest.raises(ValueError, match=rf"^step {step}\b"):
+            write_log(log, tmp_path / "log.jsonl")
 
     def test_params_round_trip(self, tmp_path):
         params = GroundTruthParams(region_count=4, edge_drift=1.5)
