@@ -148,6 +148,10 @@ def cmd_refine(model_path, capture_paths, cfg: RunConfig, name: str | None = Non
     model = EffectivenessModel.load(model_path)
     if model.is_empty:
         raise ValueError("no data: the effectiveness model holds no samples")
+    sheet = builtin_sheet(cfg.sheet)
+    if model.sector_count != sheet.geometry.sector_count:
+        raise ValueError(f"{model_path}: the model has {model.sector_count} sectors, "
+                         f"sheet {sheet.name} {sheet.geometry.sector_count}")
     if isinstance(capture_paths, (str, Path)):
         capture_paths = [capture_paths]
     frames = []
@@ -156,7 +160,6 @@ def cmd_refine(model_path, capture_paths, cfg: RunConfig, name: str | None = Non
         if not initial:
             raise ValueError(f"{capture_path}: no t = 0 capture record")
         frames += initial
-    sheet = builtin_sheet(cfg.sheet)
     state = average_states([build_state(fr, sheet.geometry, cfg.params.h_min,
                                         cfg.params.link_radius) for fr in frames])
     cs = cfg.constraints if cfg.constraints is not None else standard_constraints()

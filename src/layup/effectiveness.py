@@ -237,6 +237,8 @@ class EffectivenessModel:
         for key, rec in raw["buckets"].items():
             kind, arg, sector = key.split("|")
             arg, sector = int(arg), int(sector)
+            if key != f"{kind}|{arg}|{sector}":
+                raise ValueError(f"bucket {key}: not written as {kind}|{arg}|{sector}")
             if kind not in ACTION_KINDS or not (
                     1 <= arg <= PATH_COUNT_DEFAULT if kind == "path" else arg == 0):
                 raise ValueError(f"bucket {key}: no action has this kind and argument")
@@ -247,6 +249,8 @@ class EffectivenessModel:
             bucket.deltas = list(numbers(rec["deltas"], (None, 6), f"bucket {key} deltas"))
             bucket.u1 = list(numbers(rec["u1"], (len(bucket.deltas), 3), f"bucket {key} u1"))
             bucket.u2 = list(numbers(rec["u2"], (len(bucket.deltas), 3), f"bucket {key} u2"))
+            if not np.isin(bucket.u1 + bucket.u2, (-1.0, 1.0)).all():
+                raise ValueError(f"bucket {key}: each u1 and u2 vote must be -1 or 1")
             bucket.sources = rec["sources"]
             if len(bucket.sources) != bucket.count:
                 raise ValueError(f"bucket {key}: one source per delta needed")

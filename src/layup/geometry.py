@@ -17,24 +17,15 @@ ROLLER_HALF_WIDTH_DEFAULT = 15.0  # mm, foam roller footprint half-width
 
 
 def fold_axial(theta):
-    """Fold an axial orientation, or each of an array of them, into [0, pi)."""
+    """theta mod pi, elementwise, and 0 where that rounds to pi; a numpy float for a scalar."""
     t = np.mod(theta, np.pi)
-    if np.ndim(t) == 0:
-        return 0.0 if t >= np.pi else float(t)  # fp edge when theta is a tiny negative number
-    t[t >= np.pi] = 0.0
-    return t
+    return np.where(t >= np.pi, 0.0, t)[()]
 
 
 def axial_difference(after, before):
-    """Signed shortest axial rotation from `before` to `after`, in (-pi/2, pi/2].
-
-    Elementwise when given arrays.
-    """
+    """Shortest axial rotation from `before` to `after`, in (-pi/2, pi/2], elementwise."""
     d = np.mod(after - before, np.pi)
-    if np.ndim(d) == 0:
-        return float(d - np.pi) if d > np.pi / 2.0 else float(d)
-    d[d > np.pi / 2.0] -= np.pi
-    return d
+    return np.where(d > np.pi / 2.0, d - np.pi, d)[()]
 
 
 def unit_vector(angle: float) -> np.ndarray:
@@ -43,33 +34,28 @@ def unit_vector(angle: float) -> np.ndarray:
 
 def polygon_area(polygon: np.ndarray) -> float:
     """Unsigned shoelace area of an ordered vertex list."""
-    p = np.asarray(polygon, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+    e = _edges(polygon)
+    return float(abs(np.dot(e.a[:, 0], e.b[:, 1]) - np.dot(e.a[:, 1], e.b[:, 0])) / 2.0)
 
 
 def polygon_is_simple(polygon) -> bool:
-    """No two non-adjacent edges cross (shared endpoints excepted)."""
-    poly = np.asarray(polygon, dtype=float)
-    n = len(poly)
-
-    def cross2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    def crosses(p1, p2, q1, q2):
-        d1 = cross2(p2 - p1, q1 - p1)
-        d2 = cross2(p2 - p1, q2 - p1)
-        d3 = cross2(q2 - q1, p1 - q1)
-        d4 = cross2(q2 - q1, p2 - q1)
-        return (d1 * d2 < 0) and (d3 * d4 < 0)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex
-            if crosses(poly[i], poly[(i + 1) % n], poly[j], poly[(j + 1) % n]):
-                return False
+    """True unless two edges that share no vertex cross, the ends of each lying
+    strictly on opposite sides of the other's line."""
+    e = _edges(polygon)
+    n = len(e.a)
+    for i in range(n - 2):
+        j = slice(i + 2, n - 1 if i == 0 else n)  # the later edges sharing no vertex with i
+        a, b, ab = e.a[j], e.b[j], e.ab[j]
+        d1, d2 = _cross(e.ab[i], a - e.a[i]), _cross(e.ab[i], b - e.a[i])
+        d3, d4 = _cross(ab, e.a[i] - a), _cross(ab, e.b[i] - a)
+        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+            return False
     return True
+
+
+def _cross(u, v):
+    """z components of the cross products of matching rows of two (..., 2) arrays."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def point_in_polygon(point, polygon, tol: float = 1e-9):
@@ -93,31 +79,24 @@ def point_in_polygon(point, polygon, tol: float = 1e-9):
 
 
 def ray_exit_point(origin, direction, polygon) -> np.ndarray:
-    """Where the ray origin + t*direction (t >= 0) last crosses the boundary.
+    """origin + t * direction at the largest t >= 0 where the ray meets an edge.
 
-    The origin is expected inside the polygon; raises ValueError when the ray
-    never meets the boundary.
+    An edge is met up to 1e-9 of its length past either end; edges whose cross
+    product with `direction` is under 1e-12 in size are skipped. ValueError if none is met.
     """
-    o = np.asarray(origin, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    poly = np.asarray(polygon, dtype=float)
-    n = len(poly)
-    best_t = None
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        e = b - a
-        denom = d[0] * (-e[1]) - d[1] * (-e[0])
-        if abs(denom) < 1e-12:
-            continue
-        rhs = a - o
-        t = (rhs[0] * (-e[1]) - rhs[1] * (-e[0])) / denom
-        s = (d[0] * rhs[1] - d[1] * rhs[0]) / denom
-        if t >= 0.0 and -1e-9 <= s <= 1.0 + 1e-9:
-            if best_t is None or t > best_t:
-                best_t = t
-    if best_t is None:
+    o, d = (np.asarray(v, dtype=float) for v in (origin, direction))
+    e = _edges(polygon)
+    denom = d[0] * -e.ab[:, 1] - d[1] * -e.ab[:, 0]
+    crossed = np.abs(denom) >= 1e-12
+    denom = np.where(crossed, denom, 1.0)
+    rhs = e.a - o
+    t = (rhs[:, 0] * -e.ab[:, 1] - rhs[:, 1] * -e.ab[:, 0]) / denom
+    s = (d[0] * rhs[:, 1] - d[1] * rhs[:, 0]) / denom
+    t = np.where(crossed & (t >= 0.0) & (-1e-9 <= s) & (s <= 1.0 + 1e-9), t, -np.inf)
+    best = np.argmax(t)  # the first of equal ts, as 0.0 and -0.0 differ in o + t * d
+    if t[best] == -np.inf:
         raise ValueError("ray does not reach the polygon boundary")
-    return o + best_t * d
+    return o + t[best] * d
 
 
 def _row_dot(x, y):

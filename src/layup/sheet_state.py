@@ -137,10 +137,12 @@ class SheetState:
         """A state as `to_json` wrote it, on `geometry`; KeyError, TypeError or ValueError if bad.
 
         With k the geometry's sector count, `mu` must hold k x 6 numbers,
-        `sigma` k x 2 x 3 x 3 numbers and `count` k integers.
+        `sigma` k x 2 x 3 x 3 numbers and `count` k integers, none negative.
         """
         k = geometry.sector_count
         count = numbers(typed(obj["count"], [0], "count"), (k,), "count").astype(int)
+        if (count < 0).any():
+            raise ValueError("count must hold non-negative integers")
         return cls(geometry, numbers(obj["mu"], (k, 6), "mu"),
                    numbers(obj["sigma"], (k, 2, 3, 3), "sigma"), count, typed(obj["t"], 0, "t"))
 

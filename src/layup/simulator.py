@@ -80,7 +80,6 @@ class GroundTruthParams:
     correction_max_cycles: int = 10
     h_min: float = H_MIN_DEFAULT
     link_radius: float = LINK_RADIUS_DEFAULT
-    seed: int = 0
 
     def __post_init__(self):
         if not self.reduction_schedule or not all(0.0 < r < 1.0 for r in self.reduction_schedule):
@@ -196,9 +195,9 @@ class SimState:
         return self.spec.geometry
 
 
-def init_sheet(spec: SheetSpec, params: GroundTruthParams, seed: int | None = None) -> SimState:
+def init_sheet(spec: SheetSpec, params: GroundTruthParams, seed: int) -> SimState:
     """Seeded initial ground truth: regions scattered about the sheet's zones."""
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     geom = spec.geometry
     rows = []
     # every zone misbehaves every run (that recurrence is what makes the

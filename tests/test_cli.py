@@ -478,6 +478,52 @@ class TestBadInput:
         assert code == 2
         assert str(model_file) in err and key in err
 
+    @pytest.mark.parametrize("keys", [["path|01|1"], ["path| 1|1"], ["path|1_0|1"],
+                                      ["path|1|1", "path|01|1"]],
+                             ids=["leading-zero", "space", "underscore", "two-spellings"])
+    def test_model_bucket_key_not_canonical(self, tmp_path, capsys, keys):
+        # int() reads each of these; two spellings of one bucket would keep only the later
+        model_file = self.model_file(tmp_path)
+        content = json.loads(model_file.read_text())
+        content["buckets"] = {key: content["buckets"]["path|1|1"] for key in keys}
+        model_file.write_text(json.dumps(content))
+        code, err, _ = self.refine(tmp_path, capsys, model_file,
+                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+        assert code == 2
+        assert str(model_file) in err and keys[-1] in err
+
+    @pytest.mark.parametrize("track, votes", [("u1", [5, 5, 5]), ("u2", [-1, 0, 1]),
+                                              ("u1", [1, 1, 1.5])],
+                             ids=["five", "zero", "one-and-a-half"])
+    def test_model_vote_not_plus_or_minus_one(self, tmp_path, capsys, track, votes):
+        model_file = self.model_file(tmp_path)
+        content = json.loads(model_file.read_text())
+        content["buckets"]["path|1|1"][track] = [votes]
+        model_file.write_text(json.dumps(content))
+        code, err, _ = self.refine(tmp_path, capsys, model_file,
+                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+        assert code == 2
+        assert str(model_file) in err and "path|1|1" in err and "-1 or 1" in err
+
+    def test_model_sector_count_not_the_sheets(self, tmp_path, capsys):
+        # sheet1 has 8 sectors; the mismatch is named before the search starts
+        model_file = self.model_file(tmp_path, sector_count=1000000000)
+        code, err, _ = self.refine(tmp_path, capsys, model_file,
+                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+        assert code == 2
+        assert err.startswith(f"error: {model_file}: ") and "1000000000 sectors" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_ground_truth_seed_is_no_key(self, tmp_path, d1_file, capsys):
+        # a run's seeds come from --seed or the run config's "seeds"
+        gt_file = tmp_path / "gt.json"
+        gt_file.write_text(json.dumps({"seed": 7}))
+        cfg_file = self.run_config(tmp_path, ground_truth=gt_file)
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(gt_file) in err and "unknown key(s): seed" in err
+
     @pytest.mark.parametrize("content", [{"seeds": 5}, {"seeds": ["x"]},
                                          {"sheet": ["sheet1"]}, {"search": 5}],
                              ids=["seeds-number", "seed-string", "sheet-list", "search-number"])
@@ -614,9 +660,11 @@ class TestBadInput:
     @pytest.mark.parametrize("line, field, value", [
         (1, "mu", [1.0, 2.0]),
         (3, "sigma", [[0.5]]),
-    ], ids=["short-mu1", "1x1-sigma1"])
+        (2, "count", -1),
+    ], ids=["short-mu1", "1x1-sigma1", "negative-count1"])
     def test_log_state_malformed_moments(self, tmp_path, d1_file, capsys, line, field, value):
-        # sector 1's row of the start state's means, or of step 2's covariances
+        # sector 1's row of the start state's means, of step 2's covariances,
+        # or its region count after step 1
         log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
         record = json.loads(lines[line - 1])
         record["state"][field][0] = value

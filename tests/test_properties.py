@@ -21,7 +21,7 @@ from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E4
 from layup.geometry import (PathGeometry, _closest_on_boundary,  # noqa: E402
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
-                            polygon_is_simple, swept_rect_hits)
+                            polygon_area, polygon_is_simple, ray_exit_point, swept_rect_hits)
 from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,  # noqa: E402
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
                         canonical_kinds, capture, completion, emit_plan, emit_plan_text, end,
@@ -663,6 +663,156 @@ def test_boundary_helpers_match_the_edge_loop(poly, pts, margin):
         assert nearest_boundary_point(p, poly).tobytes() == w.tobytes()
         assert nearest_edge_angle(p, poly) == angle
         assert clamp_into_polygon(p, poly, margin).tobytes() == c.tobytes()
+
+
+def polygon_is_simple_loop(polygon) -> bool:
+    """The pair loop `polygon_is_simple` runs one edge at a time."""
+    poly = np.asarray(polygon, dtype=float)
+    n = len(poly)
+
+    def cross2(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    def crosses(p1, p2, q1, q2):
+        d1 = cross2(p2 - p1, q1 - p1)
+        d2 = cross2(p2 - p1, q2 - p1)
+        d3 = cross2(q2 - q1, p1 - q1)
+        d4 = cross2(q2 - q1, p2 - q1)
+        return (d1 * d2 < 0) and (d3 * d4 < 0)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent edges share a vertex
+            if crosses(poly[i], poly[(i + 1) % n], poly[j], poly[(j + 1) % n]):
+                return False
+    return True
+
+
+def polygon_area_roll(polygon) -> float:
+    """The shoelace area over `np.roll`ed coordinates, as `polygon_area` took it."""
+    p = np.asarray(polygon, dtype=float)
+    x, y = p[:, 0], p[:, 1]
+    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+
+
+def ray_exit_loop(origin, direction, polygon):
+    """The edge loop `ray_exit_point` batches; None where the ray meets no edge."""
+    o = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    poly = np.asarray(polygon, dtype=float)
+    n = len(poly)
+    best_t = None
+    for i in range(n):
+        a, b = poly[i], poly[(i + 1) % n]
+        e = b - a
+        denom = d[0] * (-e[1]) - d[1] * (-e[0])
+        if abs(denom) < 1e-12:
+            continue
+        rhs = a - o
+        t = (rhs[0] * (-e[1]) - rhs[1] * (-e[0])) / denom
+        s = (d[0] * rhs[1] - d[1] * rhs[0]) / denom
+        if t >= 0.0 and -1e-9 <= s <= 1.0 + 1e-9:
+            if best_t is None or t > best_t:
+                best_t = t
+    return None if best_t is None else o + best_t * d
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# small integer vertices repeat, line up and close zero-length edges
+grid_polygons = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3,
+                         max_size=8).map(lambda v: np.array(v, dtype=float))
+
+
+@st.composite
+def rays(draw, poly):
+    """An origin at a vertex (its zeros negated or not), an edge midpoint or anywhere,
+    and a direction along an edge (zero-length edges included), against it, aimed
+    just either side of one of its ends, or anywhere."""
+    k = len(poly)
+    i = draw(st.integers(0, k - 1))
+    a, b = poly[i], poly[(i + 1) % k]
+    origin = draw(st.sampled_from((a, np.array(flip_zeros([a])[0]), (a + b) / 2.0))
+                  | st.tuples(coords_st, coords_st).map(np.array))
+    past = draw(st.sampled_from((-5e-9, -5e-10, 0.0, 5e-10, 5e-9)))
+    direction = draw(st.sampled_from((b - a, a - b, a + past * (b - a) - origin,
+                                      b - past * (a - b) - origin))
+                     | st.floats(-np.pi, np.pi).map(lambda t: np.array([np.cos(t), np.sin(t)])))
+    return origin, direction
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly=grid_polygons | star_polygons() | grid_polygons.map(lambda p: p * 37.5 + 0.1),
+       data=st.data())
+@example(poly=np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]),
+         data=None)  # a repeated vertex, and a bowtie
+@example(poly=np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]), data=None)
+@example(poly=np.array([[-2.0, -2.0], [1.0, 0.0], [1.0, -1.0]]), data=None)
+def test_polygon_helpers_match_the_edge_loops(poly, data):
+    # bit for bit: the simple test, the area and ray exits, parallel rays included;
+    # on the last example the ray from (1, -0.0) meets edges 0 and 2 at t = -0.0 and
+    # t = 0.0, and the first of them wins
+    assert polygon_is_simple(poly) == polygon_is_simple_loop(poly)
+    assert bits(polygon_area(poly)) == bits(polygon_area_roll(poly))
+    cases = [(poly[0], poly[1] - poly[0]), ((poly[0] + poly[1]) / 2.0, poly[1] - poly[0]),
+             (poly.mean(axis=0), np.array([1e-12, 0.0])),  # |cross| 1e-12 on a unit edge
+             (np.array([1.0, -0.0]), np.array([1.0, -1.0]))]
+    if data is not None:
+        cases += [data.draw(rays(poly)) for _ in range(6)]
+    for origin, direction in cases:
+        want = ray_exit_loop(origin, direction, poly)
+        if want is None:
+            with pytest.raises(ValueError, match="does not reach"):
+                ray_exit_point(origin, direction, poly)
+        else:
+            assert bits(ray_exit_point(origin, direction, poly)) == bits(want)
+
+
+def fold_axial_branches(theta):
+    """`fold_axial` as it was, one branch for a scalar and one for an array."""
+    t = np.mod(theta, np.pi)
+    if np.ndim(t) == 0:
+        return 0.0 if t >= np.pi else float(t)
+    t[t >= np.pi] = 0.0
+    return t
+
+
+def axial_difference_branches(after, before):
+    """`axial_difference` as it was, one branch for scalars and one for arrays."""
+    d = np.mod(after - before, np.pi)
+    if np.ndim(d) == 0:
+        return float(d - np.pi) if d > np.pi / 2.0 else float(d)
+    d[d > np.pi / 2.0] -= np.pi
+    return d
+
+
+# fold_axial's edge (-1e-17 mod pi rounds to pi), multiples of pi, the two
+# sides of +-pi/2 where axial_difference flips, and anything else
+angles_st = (st.sampled_from((-1e-17, 1e-17, -0.0, 0.0, np.pi / 2, -np.pi / 2,
+                              math.nextafter(np.pi / 2, 0.0), math.nextafter(np.pi / 2, 4.0),
+                              math.nextafter(-np.pi / 2, 0.0), math.nextafter(-np.pi / 2, -4.0)))
+             | st.integers(-8, 8).map(lambda k: k * np.pi)
+             | st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(after=st.lists(angles_st, min_size=1, max_size=12), data=st.data())
+@example(after=[-1e-17, np.pi, -np.pi, 3 * np.pi / 2], data=None)
+def test_axial_helpers_match_their_branches(after, data):
+    before = data.draw(st.lists(angles_st, min_size=len(after), max_size=len(after))) \
+        if data is not None else [0.0, -np.pi / 2, np.pi / 2, 0.0]
+    pairs = [(fold_axial, fold_axial_branches, (after,)),
+             (axial_difference, axial_difference_branches, (after, before))]
+    for helper, branches, args in pairs:
+        arrays = helper(*map(np.array, args))
+        assert arrays.dtype == float and bits(arrays) == bits(branches(*map(np.array, args)))
+        for i, row in enumerate(zip(*args)):
+            got = helper(*row)
+            assert isinstance(got, np.floating) and isinstance(got, float)
+            assert bits(got) == bits(branches(*row)) == bits(arrays[i])
 
 
 _OUTLINE = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
