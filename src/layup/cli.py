@@ -92,9 +92,8 @@ def cmd_simulate(plan_path, cfg: RunConfig, keep_captures: bool = True) -> list[
     """Run the plan once per seed and write one log per seed; returns the log paths.
 
     With `keep_captures`, each run's captures also go, each once and in
-    order, to `<out>/captures/<log name>` in the capture-file format
-    `refine --capture` reads. The subdirectory keeps `<out>/*.jsonl` to
-    logs only.
+    order, to `<out>/captures/<log stem>.npy`, the capture file
+    `write_capture_frames` writes and `refine --capture` reads.
     """
     plan = parse_plan(plan_path)
     sheet = builtin_sheet(cfg.sheet)
@@ -106,7 +105,7 @@ def cmd_simulate(plan_path, cfg: RunConfig, keep_captures: bool = True) -> list[
         target = cfg.out / _log_name(plan, sheet.name, seed)
         write_log(log, target)
         if keep_captures:
-            sidecar = cfg.out / "captures" / target.name
+            sidecar = cfg.out / "captures" / f"{target.stem}.npy"
             sidecar.parent.mkdir(exist_ok=True)
             write_capture_frames(sidecar, log.captures)
         print(f"{target}  total_paths={log.total_paths} "
@@ -307,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="search for a refined plan")
     p.add_argument("model", help="effectiveness model file")
     p.add_argument("--capture", required=True, nargs="+",
-                   help="capture files (JSON-lines); their t = 0 frames are averaged")
+                   help="capture files (.npy records, as simulate writes them); "
+                        "their t = 0 frames are averaged")
     p.add_argument("--name", help="name for the refined plan")
     add_common(p)
 

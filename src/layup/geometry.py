@@ -156,9 +156,12 @@ def _closest_on_boundary(point, polygon) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nearest_edge_angle(point, polygon):
-    """Axial direction of the polygon edge closest to the point, or to each row of an (n, 2) array."""
+    """Axial direction of the polygon edge closest to the point, or to each row of an (n, 2) array.
+
+    A numpy float for one point.
+    """
     angle = _edges(polygon).angle[_closest_on_boundary(point, polygon)[1]]
-    return float(angle) if np.ndim(angle) == 0 else angle
+    return angle[()]
 
 
 def nearest_boundary_point(point, polygon) -> np.ndarray:

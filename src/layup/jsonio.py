@@ -18,7 +18,7 @@ import numpy as np
 
 
 class LogFormatError(ValueError):
-    """A malformed input file; the message names the file, and the line if any."""
+    """A malformed input file; the message names the file, and the line or frame if any."""
 
 
 def _parsed(where: str, obj, parse):

@@ -13,6 +13,9 @@ prices, one state or a batch of them.
 
 Sectors are numbered 1..k counter-clockwise, sector 1 starting at the +x
 axis; a wedge owns its lower angular boundary.
+
+Capture files hold a run's frames as binary NumPy `.npy` records, read back
+bit for bit (`write_capture_frames`, `read_capture_frames`).
 """
 from __future__ import annotations
 
@@ -22,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import fold_axial, point_in_polygon, polygon_area, polygon_is_simple
-from .jsonio import numbers, read_json_lines, typed
+from .jsonio import LogFormatError, numbers, typed
 
 H_MIN_DEFAULT = 0.5      # mm, height floor separating compacted from uncompacted
 LINK_RADIUS_DEFAULT = 12.0  # mm, single-linkage radius for region growing
+CAPTURE_T_DTYPE = np.dtype("<i8")       # capture files: the frames' t
+CAPTURE_POINTS_DTYPE = np.dtype("<f8")  # capture files: each frame's points
 
 
 @dataclass(frozen=True)
@@ -82,13 +87,6 @@ class CaptureFrame:
         if np.any(pts[:, 2] < 0):
             raise ValueError("heights must be nonnegative")
         object.__setattr__(self, "points", pts)
-
-    def to_json(self) -> dict:
-        return {"t": int(self.t), "points": self.points.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CaptureFrame":
-        return cls(points=numbers(obj["points"], (None, 3), "points"), t=typed(obj["t"], 0, "t"))
 
 
 @dataclass(frozen=True)
@@ -371,24 +369,55 @@ def average_states(states: list[SheetState]) -> SheetState:
 
 
 def write_capture_frames(path, frames: list[CaptureFrame]) -> None:
-    """JSON-lines, one record per capture: {"t": ..., "points": [[x, y, h], ...]}.
+    """Consecutive `.npy` records: the frames' `t`, then each frame's points.
 
-    Each line is byte for byte `json.dumps(frame.to_json())`. A frame whose
-    x, y columns have the same bytes as the previous frame's reuses its line
-    template, whose `%r` slots take the heights: `%r` on a float is the
-    `float.__repr__` that `json.dumps` writes. Bytes, not values, decide the
-    reuse, since `-0.0 == 0.0` but their reprs differ.
+    The first record is the `t` of every frame as one int64 (F,) array, and
+    each frame's points follow as a float64 (n, 3) array, in frame order.
+    Both dtypes are little-endian whatever the host, and the points' bytes
+    are the frame's own, so reading the file back is exact, -0.0 included.
+    A `t` outside int64 raises ValueError.
     """
-    grid, template = None, ""
-    with open(path, "w") as fh:
+    try:
+        times = np.array([int(fr.t) for fr in frames], dtype=CAPTURE_T_DTYPE)
+    except OverflowError as exc:
+        raise ValueError(f"capture t must fit in int64 ({exc})") from exc
+    with open(path, "wb") as fh:
+        np.save(fh, times, allow_pickle=False)
         for fr in frames:
-            xy = fr.points[:, :2]
-            if xy.tobytes() != grid:
-                grid = xy.tobytes()
-                rows = ", ".join(f"[{x!r}, {y!r}, %r]" for x, y in xy.tolist())
-                template = '{"t": %d, "points": [' + rows + "]}\n"
-            fh.write(template % (int(fr.t), *fr.points[:, 2].tolist()))
+            np.save(fh, np.ascontiguousarray(fr.points, dtype=CAPTURE_POINTS_DTYPE),
+                    allow_pickle=False)
+
+
+def _capture_record(fh, where: str, dtype: np.dtype, ndim: int) -> np.ndarray:
+    """The next `.npy` record of a capture file, of `dtype` and `ndim` dimensions."""
+    try:
+        arr = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a header claiming too many items
+        raise LogFormatError(f"{where}: {exc}") from exc
+    if arr.dtype != dtype or arr.ndim != ndim:
+        raise LogFormatError(f"{where}: a {arr.ndim}-D {arr.dtype} array, not {ndim}-D {dtype}")
+    return arr
 
 
 def read_capture_frames(path) -> list[CaptureFrame]:
-    return read_json_lines(path, CaptureFrame.from_json)
+    """The frames `write_capture_frames` wrote; LogFormatError naming the file and frame if bad.
+
+    Each points record is checked by `CaptureFrame`, and the file must end
+    after the last frame.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
+            raise LogFormatError(f"{path}: not a capture file (no .npy record at its start)")
+        fh.seek(0)
+        times = _capture_record(fh, f"{path}: t record", CAPTURE_T_DTYPE, 1)
+        frames = []
+        for i, t in enumerate(times.tolist(), start=1):
+            where = f"{path}: frame {i}"
+            points = _capture_record(fh, where, CAPTURE_POINTS_DTYPE, 2)
+            try:
+                frames.append(CaptureFrame(points, t))
+            except ValueError as exc:
+                raise LogFormatError(f"{where}: {exc}") from exc
+        if fh.read(1):
+            raise LogFormatError(f"{path}: bytes after frame {len(frames)}, the last one")
+    return frames

@@ -52,7 +52,7 @@ def refined_plan_text(work: Path, sheet: str, seed: int) -> str:
     spec = simulator.builtin_sheet(sheet)
     params = simulator.GroundTruthParams()
     frames = [simulator.render_capture(simulator.init_sheet(spec, params, seed)) for _ in logs]
-    capture = out / "initial.jsonl"
+    capture = out / "initial.npy"
     sheet_state.write_capture_frames(capture, frames)
     return cli.cmd_refine(model, capture, cli.RunConfig(sheet=sheet, out=out)).read_text()
 

@@ -335,7 +335,7 @@ def _golden_artifacts(tmp_dir: Path):
         logs.append(run_experiment(expert_plan(variant), sheet, params, seed=0))
     log_path = tmp_dir / "d1.jsonl"
     write_log(logs[0], log_path)
-    captures_path = tmp_dir / "d1_captures.jsonl"
+    captures_path = tmp_dir / "d1_captures.npy"
     write_capture_frames(captures_path, logs[0].captures)
     model = aggregate(logs)
     model_path = tmp_dir / "model.json"

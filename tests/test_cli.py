@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from layup.cli import (RunConfig, build_report, cmd_learn, cmd_refine,
@@ -14,6 +16,26 @@ from layup.simulator import builtin_sheet, init_sheet, read_log, render_capture
 from conftest import published_style_summaries, summary_record
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def npy_records(*arrays) -> bytes:
+    """The arrays as consecutive `.npy` records; an object array is pickled."""
+    buf = io.BytesIO()
+    for arr in arrays:
+        np.save(buf, arr, allow_pickle=True)
+    return buf.getvalue()
+
+
+def npy_header(shape) -> bytes:
+    """A float64 `.npy` header claiming `shape`, with no data after it."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
+                                               "shape": shape})
+    return buf.getvalue()
+
+
+T0 = np.array([0])
+ONE_FRAME = npy_records(T0, np.array([[0.0, 0.0, 1.0]]))  # one t = 0 frame of one point
 
 
 @pytest.fixture
@@ -59,15 +81,15 @@ class TestSimulate:
         written = cmd_simulate(d1_file, run_cfg(tmp_path, seeds=(0, 7)))
         assert sorted(out.glob("*.jsonl")) == sorted(written)
         for log_path in written:
-            sidecar = out / "captures" / log_path.name
+            sidecar = out / "captures" / f"{log_path.stem}.npy"
             frames = read_capture_frames(sidecar)
             assert [fr.t for fr in frames] == list(range(len(read_log(log_path).steps) + 1))
         # seed 0 is the golden run: its log and its captures are both pinned
         golden = {name: (GOLDEN_DIR / name).read_text().strip()
                   for name in ("d1_log.sha256", "d1_captures.sha256")}
         assert hashlib.sha256(written[0].read_bytes()).hexdigest() == golden["d1_log.sha256"]
-        assert (hashlib.sha256((out / "captures" / written[0].name).read_bytes()).hexdigest()
-                == golden["d1_captures.sha256"])
+        sidecar = out / "captures" / f"{written[0].stem}.npy"
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == golden["d1_captures.sha256"]
 
     def test_no_captures_writes_no_sidecar(self, tmp_path, d1_file):
         out = tmp_path / "o"
@@ -126,7 +148,7 @@ class TestRefine:
         cmd_learn([str(p) for p in logs], model_path)
         params = GroundTruthParams()
         sim = init_sheet(builtin_sheet("sheet1"), params, seed=9)
-        cap_path = tmp_path / "cap.jsonl"
+        cap_path = tmp_path / "cap.npy"
         write_capture_frames(cap_path, [render_capture(sim)])
         plan_path = cmd_refine(model_path, cap_path, run_cfg(tmp_path))
         assert plan_path.exists()
@@ -145,7 +167,7 @@ class TestRefine:
         model_path = tmp_path / "model.json"
         cmd_learn([str(p) for p in logs], model_path)
         sim = init_sheet(builtin_sheet("sheet1"), GroundTruthParams(), seed=9)
-        cap_path = tmp_path / "cap.jsonl"
+        cap_path = tmp_path / "cap.npy"
         write_capture_frames(cap_path, [render_capture(sim)])
         a = cmd_refine(model_path, cap_path, run_cfg(tmp_path)).read_bytes()
         b = cmd_refine(model_path, cap_path, run_cfg(tmp_path)).read_bytes()
@@ -156,7 +178,7 @@ class TestRefine:
         model_path.write_text(json.dumps({"version": 1, "sector_count": 8,
                                           "experiments": 0, "sheets": [],
                                           "buckets": {}}))
-        cap_path = tmp_path / "cap.jsonl"
+        cap_path = tmp_path / "cap.npy"
         sim = init_sheet(builtin_sheet("sheet1"), GroundTruthParams(), seed=9)
         write_capture_frames(cap_path, [render_capture(sim)])
         code = main(["refine", str(model_path), "--capture", str(cap_path),
@@ -228,7 +250,7 @@ def sidecar_corpus(tmp_path_factory):
         logs += cmd_simulate(plan_path, RunConfig(sheet="sheet1", seeds=(101, 102), out=out))
     model_path = root / "model.json"
     cmd_learn([str(p) for p in logs], model_path)
-    return model_path, [out / "captures" / f"D1_sheet1_seed{seed}.jsonl" for seed in (101, 102)]
+    return model_path, [out / "captures" / f"D1_sheet1_seed{seed}.npy" for seed in (101, 102)]
 
 
 def rendered_initial(target, seeds):
@@ -250,22 +272,22 @@ class TestFullPipeline:
         model_path, sidecars = sidecar_corpus
         assert main(["refine", str(model_path), "--capture", *map(str, sidecars),
                      "--out", str(tmp_path / "a")]) == 0
-        cmd_refine(model_path, rendered_initial(tmp_path / "initial.jsonl", (101, 102)),
+        cmd_refine(model_path, rendered_initial(tmp_path / "initial.npy", (101, 102)),
                    RunConfig(out=tmp_path / "b"))
         assert refined_bytes(tmp_path / "a") == refined_bytes(tmp_path / "b")
 
     def test_refine_from_one_sidecar(self, tmp_path, sidecar_corpus):
         model_path, sidecars = sidecar_corpus
         cmd_refine(model_path, str(sidecars[0]), RunConfig(out=tmp_path / "a"))
-        cmd_refine(model_path, rendered_initial(tmp_path / "initial.jsonl", (101,)),
+        cmd_refine(model_path, rendered_initial(tmp_path / "initial.npy", (101,)),
                    RunConfig(out=tmp_path / "b"))
         assert refined_bytes(tmp_path / "a") == refined_bytes(tmp_path / "b")
 
     def test_refine_rejects_a_file_without_initial_capture(self, tmp_path, capsys,
                                                             sidecar_corpus):
         model_path, sidecars = sidecar_corpus
-        later = tmp_path / "later.jsonl"
-        later.write_text("".join(sidecars[0].read_text().splitlines(keepends=True)[1:]))
+        later = tmp_path / "later.npy"
+        write_capture_frames(later, read_capture_frames(sidecars[0])[1:])
         assert all(fr.t > 0 for fr in read_capture_frames(later))
         capsys.readouterr()
         code = main(["refine", str(model_path), "--capture", str(later),
@@ -290,7 +312,7 @@ class TestFullPipeline:
         cmd_learn([str(p) for p in logs], model_path)
 
         sim = init_sheet(builtin_sheet("sheet1"), GroundTruthParams(), seed=101)
-        cap_path = tmp_path / "initial.jsonl"
+        cap_path = tmp_path / "initial.npy"
         write_capture_frames(cap_path, [render_capture(sim)])
         plan_path = cmd_refine(model_path, cap_path, RunConfig(out=tmp_path))
         assert main(["evaluate", str(plan_path), "--sheet", "sheet1",
@@ -364,7 +386,7 @@ class TestBadInput:
         search_file.write_text(json.dumps({"version": 1, "branching": 2, "brnaching": 3}))
         cfg_file = self.run_config(tmp_path, search=search_file)
         code, err = self.run_main(["refine", tmp_path / "model.json", "--capture",
-                                   tmp_path / "cap.jsonl", "--config", cfg_file], capsys)
+                                   tmp_path / "cap.npy", "--config", cfg_file], capsys)
         assert code == 2
         assert "brnaching" in err and str(search_file) in err
 
@@ -427,9 +449,9 @@ class TestBadInput:
                                      "sources": ["D1:1"]}}, **over}))
         return model_file
 
-    def refine(self, tmp_path, capsys, model_file, capture_line, *more):
-        cap_file = tmp_path / "cap.jsonl"
-        cap_file.write_text(capture_line + "\n")
+    def refine(self, tmp_path, capsys, model_file, capture: bytes, *more):
+        cap_file = tmp_path / "cap.npy"
+        cap_file.write_bytes(capture)
         code, err = self.run_main(["refine", model_file, "--capture", cap_file,
                                    "--out", tmp_path / "o", *more], capsys)
         return code, err, cap_file
@@ -437,16 +459,29 @@ class TestBadInput:
     def test_nan_capture_height(self, tmp_path, capsys):
         code, err, cap_file = self.refine(
             tmp_path, capsys, self.model_file(tmp_path),
-            json.dumps({"t": 0, "points": [[0.0, 0.0, float("nan")]]}))
+            npy_records(T0, np.array([[0.0, 0.0, np.nan]])))
         assert code == 2
-        assert f"{cap_file}:1:" in err and "finite" in err
+        assert f"{cap_file}: frame 1: " in err and "finite" in err
 
-    @pytest.mark.parametrize("line", ['{"t": null, "points": [[0, 0, 1]]}', "[1, 2]"],
-                             ids=["null-t", "not-object"])
-    def test_capture_record_malformed(self, tmp_path, capsys, line):
-        code, err, cap_file = self.refine(tmp_path, capsys, self.model_file(tmp_path), line)
+    @pytest.mark.parametrize("capture, where", [
+        (b'{"t": 0, "points": [[0, 0, 1.0]]}\n', "not a capture file"),
+        (b"[1, 2]\n", "not a capture file"),
+        (ONE_FRAME[:-4], "frame 1"),
+        (npy_records(T0, np.array([[0.0, 0.0, 1.0]], dtype="<f4")), "frame 1"),
+        (npy_records(T0, np.array([[0.0, 0.0, 1.0]], dtype=object)), "frame 1"),
+        (ONE_FRAME + b"\0", "bytes after frame 1"),
+        (npy_records(T0, np.array([[0.0, 0.0, -1.0]])), "frame 1"),
+        (npy_records(np.array([0.0]), np.array([[0.0, 0.0, 1.0]])), "t record"),
+        (npy_records(np.array([None]), np.array([[0.0, 0.0, 1.0]])), "t record"),
+        (npy_records(np.array([0, 1]), np.array([[0.0, 0.0, 1.0]])), "frame 2"),
+        (npy_records(T0) + npy_header((10**12, 3)), "frame 1"),
+    ], ids=["json-lines", "not-object", "truncated", "float32", "pickled-object",
+            "trailing-bytes", "negative-height", "float-t", "null-t", "missing-frame",
+            "oversized-header"])
+    def test_capture_record_malformed(self, tmp_path, capsys, capture, where):
+        code, err, cap_file = self.refine(tmp_path, capsys, self.model_file(tmp_path), capture)
         assert code == 2
-        assert f"{cap_file}:1:" in err
+        assert err.startswith(f"error: {cap_file}: {where}")
 
     @pytest.mark.parametrize("content", [
         {"version": 1, "sector_count": 8},
@@ -463,7 +498,7 @@ class TestBadInput:
         else:
             model_file = self.model_file(tmp_path, **content)
         code, err, _ = self.refine(tmp_path, capsys, model_file,
-                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+                                   ONE_FRAME)
         assert code == 2
         assert str(model_file) in err
 
@@ -474,7 +509,7 @@ class TestBadInput:
         content["buckets"] = {key: content["buckets"]["path|1|1"]}
         model_file.write_text(json.dumps(content))
         code, err, _ = self.refine(tmp_path, capsys, model_file,
-                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+                                   ONE_FRAME)
         assert code == 2
         assert str(model_file) in err and key in err
 
@@ -488,7 +523,7 @@ class TestBadInput:
         content["buckets"] = {key: content["buckets"]["path|1|1"] for key in keys}
         model_file.write_text(json.dumps(content))
         code, err, _ = self.refine(tmp_path, capsys, model_file,
-                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+                                   ONE_FRAME)
         assert code == 2
         assert str(model_file) in err and keys[-1] in err
 
@@ -501,7 +536,7 @@ class TestBadInput:
         content["buckets"]["path|1|1"][track] = [votes]
         model_file.write_text(json.dumps(content))
         code, err, _ = self.refine(tmp_path, capsys, model_file,
-                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+                                   ONE_FRAME)
         assert code == 2
         assert str(model_file) in err and "path|1|1" in err and "-1 or 1" in err
 
@@ -509,7 +544,7 @@ class TestBadInput:
         # sheet1 has 8 sectors; the mismatch is named before the search starts
         model_file = self.model_file(tmp_path, sector_count=1000000000)
         code, err, _ = self.refine(tmp_path, capsys, model_file,
-                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}))
+                                   ONE_FRAME)
         assert code == 2
         assert err.startswith(f"error: {model_file}: ") and "1000000000 sectors" in err
         assert not (tmp_path / "o").exists()
@@ -610,7 +645,7 @@ class TestBadInput:
         search_file = tmp_path / "search.json"
         search_file.write_text(text)
         code, err, _ = self.refine(tmp_path, capsys, self.model_file(tmp_path),
-                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}),
+                                   ONE_FRAME,
                                    "--config", self.run_config(tmp_path, search=search_file))
         assert code == 2
         assert str(search_file) in err and "finite" in err
@@ -619,7 +654,7 @@ class TestBadInput:
         search_file = tmp_path / "search.json"
         search_file.write_text(json.dumps({"version": 1, "action_costs": {"path": "x"}}))
         code, err, _ = self.refine(tmp_path, capsys, self.model_file(tmp_path),
-                                   json.dumps({"t": 0, "points": [[0, 0, 1.0]]}),
+                                   ONE_FRAME,
                                    "--config", self.run_config(tmp_path, search=search_file))
         assert code == 2
         assert str(search_file) in err and "action_costs" in err
@@ -653,7 +688,7 @@ class TestBadInput:
         cs_file.write_text(json.dumps({"rel": [["end", "path", ">"]]}))
         cfg_file = self.run_config(tmp_path, constraints=cs_file)
         code, err = self.run_main(["refine", tmp_path / "model.json", "--capture",
-                                   tmp_path / "cap.jsonl", "--config", cfg_file], capsys)
+                                   tmp_path / "cap.npy", "--config", cfg_file], capsys)
         assert code == 2
         assert str(cs_file) in err and "rel record 0" in err
 

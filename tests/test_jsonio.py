@@ -1,4 +1,4 @@
-"""Every input-file reader against one mutation of a small valid file.
+"""Every JSON input-file reader against one mutation of a small valid file.
 
 Each example drops a required key, puts a non-number or a non-finite number
 (NaN, Infinity) where a number belongs or a number where a string belongs,
@@ -24,7 +24,7 @@ from layup.effectiveness import EffectivenessModel, TransitionSample  # noqa: E4
 from layup.jsonio import LogFormatError, read_json, read_last_json_line  # noqa: E402
 from layup.plan import ConstraintSet, path, peel, refinement, standard_constraints  # noqa: E402
 from layup.search import SearchConfig  # noqa: E402
-from layup.sheet_state import SheetGeometry, read_capture_frames  # noqa: E402
+from layup.sheet_state import SheetGeometry  # noqa: E402
 from layup.simulator import (ExperimentLog, GroundTruthParams, StepRecord,  # noqa: E402
                              read_log, summary_from_json, write_log)
 
@@ -69,9 +69,6 @@ def _top_level(keys: tuple) -> bool:
 
 LOG = _log_docs()
 READERS = {
-    "capture": Reader(read_capture_frames, lines=True,
-                      docs=[{"t": 0, "points": [[0.0, 1.0, 2.0], [3, 4, 0.5]]},
-                            {"t": 1, "points": [[5.0, 6.0, 0.0]]}]),
     "log": Reader(read_log, docs=LOG, lines=True),
     "summary": Reader(lambda p: read_last_json_line(p, summary_from_json), docs=LOG[-1:],
                       lines=True),

@@ -31,7 +31,8 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,  # n
 from layup.search import (SearchConfig, price_batch, state_utility,  # noqa: E402
                           trace_total)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,  # noqa: E402
-                               _link_pairs, segment_regions, write_capture_frames)
+                               _link_pairs, read_capture_frames, segment_regions,
+                               write_capture_frames)
 from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,  # noqa: E402
                              StepRecord, _noise, _sweep, builtin_sheet, init_sheet,
                              path_geometry, read_log, run_experiment, write_log)
@@ -381,68 +382,56 @@ def test_state_json_round_trip_is_exact(state):
     assert back.t == state.t
 
 
-def capture_lines_oracle(frames) -> bytes:
-    """A capture file as one `json.dumps` line per frame."""
-    return "".join(json.dumps(fr.to_json()) + "\n" for fr in frames).encode()
+def exact(frames) -> list:
+    """Each frame's `t`, points shape and points bytes: equal only when bit for bit equal."""
+    return [(fr.t, fr.points.shape, fr.points.tobytes()) for fr in frames]
 
 
-# values whose reprs take each form: signed zero, exponents, integer-valued
-REPR_EDGES = (0.0, -0.0, 1e-05, 1e+16, 1e-07, 123456789.0, -150.0, 4.0, 0.1, 2.5e-300)
-coord_st = st.one_of(st.sampled_from(REPR_EDGES),
+# floats a lossy capture format would change: signed zero, subnormal, extremes
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.5e-300, 0.1, 1e+16, 1.7976931348623157e+308)
+coord_st = st.one_of(st.sampled_from(EDGE_FLOATS + tuple(-v for v in EDGE_FLOATS)),
                      st.floats(allow_nan=False, allow_infinity=False))
-height_st = st.one_of(st.sampled_from([abs(v) for v in REPR_EDGES] + [-0.0]),
+height_st = st.one_of(st.sampled_from(EDGE_FLOATS),
                       st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
 
 
-def flip_zeros(xy):
-    """The same values, each zero's sign flipped: equal to `xy`, but not in bytes."""
-    return [tuple(-v if v == 0.0 else v for v in row) for row in xy]
-
-
 @st.composite
-def capture_runs(draw):
-    """Frames over a few grids, visited in any order (a grid may come back),
-    over the grids' signed-zero twins, and over grids of their own."""
-    grids = draw(st.lists(st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.tuples(coord_st, coord_st), min_size=n, max_size=n)),
-        min_size=1, max_size=3))
-    grids += [flip_zeros(xy) for xy in grids]
+def capture_frames(draw):
+    """Up to five frames of 1 to 6 points each, `t` anywhere in int64."""
     frames = []
-    for _ in range(draw(st.integers(1, 6))):
-        pick = draw(st.integers(0, len(grids)))
-        xy = grids[pick] if pick < len(grids) else draw(
-            st.lists(st.tuples(coord_st, coord_st), min_size=1, max_size=6))
-        h = draw(st.lists(height_st, min_size=len(xy), max_size=len(xy)))
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 6))
+        xy = draw(st.lists(st.tuples(coord_st, coord_st), min_size=n, max_size=n))
+        h = draw(st.lists(height_st, min_size=n, max_size=n))
         frames.append(CaptureFrame(np.column_stack([np.array(xy, dtype=float), h]),
-                                   t=draw(st.integers(-2**70, 2**70))))
+                                   t=draw(st.integers(-2**63, 2**63 - 1))))
     return frames
 
 
-@settings(max_examples=300, deadline=None)
-@given(frames=capture_runs())
-@example(frames=[CaptureFrame(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 0.0]]), t=0),
-                 CaptureFrame(np.array([[-0.0, 1.0, 2.0], [3.0, 4.0, 0.0]]), t=1)])
-@example(frames=[CaptureFrame(np.array([[1e-05, 1e+16, 3.0]]), t=0),
-                 CaptureFrame(np.array([[-150.0, 2.0, 1e-05], [1.0, 1.0, 1e+16]]), t=2**40),
-                 CaptureFrame(np.array([[1e-05, 1e+16, -0.0]]), t=7)])
-def test_capture_writer_matches_json_dumps_lines(frames):
+@settings(max_examples=200, deadline=None)
+@given(frames=capture_frames())
+@example(frames=[CaptureFrame(np.array([[-0.0, 1.0, -0.0], [3.0, -0.0, 0.0]]), t=-2**63),
+                 CaptureFrame(np.array([[5e-324, 2.0, 1e+16]]), t=2**63 - 1)])
+def test_capture_round_trip_is_exact(frames):
     with tempfile.TemporaryDirectory() as tmp:
-        target = Path(tmp) / "caps.jsonl"
+        target = Path(tmp) / "caps.npy"
         write_capture_frames(target, frames)
-        assert target.read_bytes() == capture_lines_oracle(frames)
+        back = read_capture_frames(target)
+    assert exact(back) == exact(frames)
+    assert all(type(fr.t) is int for fr in back)
 
 
 @pytest.mark.parametrize("variant", [1, 2])
-def test_simulate_sidecar_on_sheet2_matches_json_dumps_lines(tmp_path, variant):
+def test_simulate_sidecar_on_sheet2_reads_back_the_captures(tmp_path, variant):
     # no golden pins a sheet2 sidecar; the frames come from a separate run
     plan_path = tmp_path / f"D{variant}.plan"
     emit_plan(expert_plan(variant), plan_path)
     log_path, = cmd_simulate(plan_path, RunConfig(sheet="sheet2", seeds=(7,), out=tmp_path))
     log = run_experiment(expert_plan(variant), builtin_sheet("sheet2"), GroundTruthParams(), 7,
-                         constraints=initial_plan_constraints())
-    sidecar = (tmp_path / "captures" / log_path.name).read_bytes()
+                         constraints=initial_plan_constraints(), keep_captures=True)
+    sidecar = read_capture_frames(tmp_path / "captures" / f"{log_path.stem}.npy")
     assert len(log.captures) > 2
-    assert sidecar == capture_lines_oracle(log.captures)
+    assert exact(sidecar) == exact(log.captures)
 
 
 actions_st = st.one_of(st.integers(1, 16).map(path), st.integers(1, 4).map(refinement),
@@ -720,6 +709,11 @@ def ray_exit_loop(origin, direction, polygon):
 
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
+
+
+def flip_zeros(xy):
+    """The same values, each zero's sign flipped: equal to `xy`, but not in bytes."""
+    return [tuple(-v if v == 0.0 else v for v in row) for row in xy]
 
 
 # small integer vertices repeat, line up and close zero-length edges

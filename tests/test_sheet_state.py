@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from layup.jsonio import LogFormatError
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState, assign_sector,
                                average_states, build_state, filter_uncompacted,
                                fit_ellipse, read_capture_frames, segment_regions,
@@ -260,7 +261,7 @@ class TestCaptureIO:
     def test_round_trip(self, tmp_path):
         frames = [CaptureFrame(points=np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 0.1]]), t=0),
                   CaptureFrame(points=np.array([[5.0, 6.0, 0.0]]), t=1)]
-        target = tmp_path / "caps.jsonl"
+        target = tmp_path / "caps.npy"
         write_capture_frames(target, frames)
         back = read_capture_frames(target)
         assert len(back) == 2
@@ -268,11 +269,25 @@ class TestCaptureIO:
             assert rt.t == orig.t
             assert np.array_equal(rt.points, orig.points)
 
-    def test_bad_record_names_line(self, tmp_path):
-        target = tmp_path / "caps.jsonl"
-        target.write_text('{"t": 0, "points": [[0, 0, 1.0]]}\nnot json\n')
-        with pytest.raises(ValueError, match=":2:"):
+    def test_bad_frame_names_its_number(self, tmp_path):
+        target = tmp_path / "caps.npy"
+        write_capture_frames(target, [frame_from([[0.0, 0.0, 1.0]]),
+                                      frame_from([[5.0, 6.0, 2.0]], t=1)])
+        data = target.read_bytes()
+        target.write_bytes(data[:-8] + np.array([-2.0], dtype="<f8").tobytes())
+        with pytest.raises(LogFormatError, match=r"caps\.npy: frame 2: heights must be nonneg"):
             read_capture_frames(target)
+
+    def test_no_frames_read_back_as_an_empty_list(self, tmp_path):
+        target = tmp_path / "caps.npy"
+        write_capture_frames(target, [])
+        assert read_capture_frames(target) == []
+
+    @pytest.mark.parametrize("t", [2**63, -2**63 - 1])
+    def test_t_outside_int64_is_a_value_error(self, tmp_path, t):
+        with pytest.raises(ValueError, match="int64"):
+            write_capture_frames(tmp_path / "caps.npy", [frame_from([[0.0, 0.0, 1.0]], t=t)])
+        assert not (tmp_path / "caps.npy").exists()
 
 
 class TestAverageStates:

@@ -319,7 +319,7 @@ class TestRunExperiment:
             assert a.state_after.to_json() == b.state_after.to_json()
             assert b.capture_before is None and b.capture_after is None
         # the captures go to a file of their own, each frame once
-        sidecar = tmp_path / "captures.jsonl"
+        sidecar = tmp_path / "captures.npy"
         write_capture_frames(sidecar, log.captures)
         frames = read_capture_frames(sidecar)
         assert [fr.t for fr in frames] == list(range(len(log.steps) + 1))
