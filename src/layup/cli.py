@@ -181,9 +181,10 @@ def build_report(summaries: list[dict], baseline: str | None = None) -> dict:
 
     Plans whose name starts with 'refined' compare against the baseline
     initial plan: by default the initial plan appearing last in the input
-    (the experts' latest draft), overridable by name. Averages are shown to
-    one decimal and the improvement is computed from those rounded averages,
-    matching how the headline percentages are quoted.
+    (the experts' latest draft), overridable by name. A `baseline` that is
+    not an initial plan of every sheet raises ValueError naming it. Averages
+    are shown to one decimal and the improvement is computed from those
+    rounded averages, matching how the headline percentages are quoted.
     """
     groups: dict[tuple[str, str], list[dict]] = {}  # in order of first appearance
     for s in summaries:
@@ -212,11 +213,13 @@ def build_report(summaries: list[dict], baseline: str | None = None) -> dict:
     for sheet, entry in sheets.items():
         initials = [p for p in entry["plans"] if not entry["by_plan"][p]["refined"]]
         refined_plans = [p for p in entry["plans"] if entry["by_plan"][p]["refined"]]
-        base_name = None
-        if baseline and baseline in entry["by_plan"]:
+        if baseline is None:
+            base_name = initials[-1] if initials else None
+        elif baseline in initials:
             base_name = baseline
-        elif initials:
-            base_name = initials[-1]
+        else:
+            raise ValueError(f"baseline {baseline!r} is not an initial plan of {sheet} "
+                             f"in the input (initial plans: {', '.join(initials) or 'none'})")
         entry["baseline"] = base_name
         for p in refined_plans:
             if base_name is None:

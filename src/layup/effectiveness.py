@@ -12,11 +12,10 @@ a single bucket.
 
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
-bucket's majority sign vote shrinks or grows the covariance diagonals. Both
-propagations take and return a `SheetState`: the search propagates through
-`propagate_batch`, which reads the table compiled into dense arrays
-(`EffectTable`) and returns a batch of states; the per-sector `propagate`
-is the scalar reference the batched path is tested against, bit for bit.
+bucket's majority sign vote shrinks or grows the covariance diagonals.
+`propagate_batch` does this for one `SheetState` and many actions at once,
+reading the table compiled into dense arrays (`EffectTable`) and returning a
+batch of states; `propagate` is the batch of one.
 """
 from __future__ import annotations
 
@@ -289,59 +288,21 @@ def aggregate(logs) -> EffectivenessModel:
     return model
 
 
-def propagate(state: SheetState, action: Action, model: EffectivenessModel,
-              mode: str = "expectation", seed: int | None = None) -> SheetState:
-    """Advance the internal state by the learned effect of one action.
-
-    This per-sector version is the scalar reference that `propagate_batch`,
-    which the search uses, is tested against bit for bit. Non-sentinel
-    sectors move by the bucket mean delta ("expectation") or by
-    mean plus zero-mean Gaussian noise with the bucket's sample variance
-    ("sampled", reproducible under the seed). Heights and axes clamp at
-    zero; orientations fold into [0, pi); a sector whose height and both
-    axes hit zero collapses to the sentinel. Covariance diagonals scale by
-    0.9/1.1 according to the majority sign vote (applied as a symmetric
-    congruence, preserving positive semidefiniteness). Sectors or actions
-    without data are left untouched.
-    """
-    if mode not in ("expectation", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed) if mode == "sampled" else None
-
-    mu, sigma, count = state.mu.copy(), state.sigma.copy(), state.count.copy()
-    for row in range(len(count)):
-        if count[row] == 0:
-            mu[row], sigma[row] = 0.0, 0.0
-            continue
-        bucket = model.bucket(action, row + 1)
-        if bucket is None:
-            continue
-        delta = bucket.mean.copy()
-        if rng is not None:
-            delta = delta + rng.standard_normal(6) * np.sqrt(bucket.variance)
-        m = mu[row] + delta
-        m[2] = max(0.0, m[2])
-        m[3] = max(0.0, m[3])
-        m[4] = max(0.0, m[4])
-        m[5] = fold_axial(m[5])
-        if m[2] == 0.0 and m[3] == 0.0 and m[4] == 0.0:
-            mu[row], sigma[row], count[row] = 0.0, 0.0, 0
-            continue
-        mu[row] = m
-        for track, majority in enumerate(bucket.majority_signs()):
-            scale = np.sqrt(np.where(majority > 0, COV_GROW, COV_SHRINK))
-            sigma[row, track] = sigma[row, track] * np.outer(scale, scale)
-    return SheetState(state.geometry, mu, sigma, count, state.t + 1)
-
-
 def propagate_batch(state: SheetState, actions, model: EffectivenessModel,
                     seeds=None) -> SheetState:
-    """`propagate` of one state by each of A actions, as one batch of A states.
+    """Advance one state by the learned effect of each of A actions: a batch of A states.
 
-    Expectation mode when `seeds` is None; otherwise sampled mode, action i
-    drawing its noise from `np.random.default_rng(seeds[i])`, one (6,) draw
-    per moved sector in sector order, as `propagate` draws them. Every
-    result equals `propagate`'s bit for bit.
+    Live sectors with data move by the bucket mean delta. With `seeds`
+    (sampled mode) they move by the mean plus zero-mean Gaussian noise with
+    the bucket's sample variance, action i drawing one (6,) row per moved
+    sector, in sector order, from `np.random.default_rng(seeds[i])`;
+    `seeds` None is expectation mode. Heights and axes clamp at zero;
+    orientations fold into [0, pi); a sector whose height and both axes hit
+    zero collapses to the sentinel. Covariance diagonals scale by 0.9/1.1
+    according to the majority sign vote (applied as a symmetric congruence,
+    preserving positive semidefiniteness). Sectors or actions without data
+    are left untouched, and sentinels stay zero. A state whose sector count
+    differs from the model's raises ValueError.
     """
     if len(state.count) != model.sector_count:
         raise ValueError(f"state has {len(state.count)} sectors, "
@@ -368,3 +329,12 @@ def propagate_batch(state: SheetState, actions, model: EffectivenessModel,
     mu[dead] = 0.0
     sigma[dead] = 0.0
     return SheetState(state.geometry, mu, sigma, np.where(dead, 0, state.count), state.t + 1)
+
+
+def propagate(state: SheetState, action: Action, model: EffectivenessModel,
+              mode: str = "expectation", seed: int | None = None) -> SheetState:
+    """`propagate_batch` of one action: "expectation" mode, or "sampled" under `seed`."""
+    if mode not in ("expectation", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    out = propagate_batch(state, [action], model, None if mode == "expectation" else [seed])
+    return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)

@@ -15,9 +15,9 @@ cases append the shortest constraint-satisfying suffix that
 Nodes hold their `SheetState`, the same array state the estimator builds
 and the learner differences. A node's feasible children are propagated
 together by `propagate_batch`, as one batch of states, and priced together
-by `price_batch`; each child keeps its row of the batch. `state_utility`,
-`trace_total` and `replay_cost` are the scalar references these are tested
-against.
+by `price_batch`; each child keeps its row of the batch. `state_utility`
+prices a batch of one, and `replay_cost` rebuilds a plan's nodes the same
+way, so its cost is the search's.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import plan as plan_mod
-from .effectiveness import EffectivenessModel, propagate, propagate_batch
+from .effectiveness import EffectivenessModel, propagate_batch
 from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    next_kinds, prefix_feasible, standard_constraints, validate)
@@ -98,31 +98,8 @@ def action_cost(action: Action, cfg: SearchConfig) -> float:
     return base
 
 
-def state_utility(state: SheetState, cfg: SearchConfig) -> float:
-    """Residual-uncompaction price of a state, normalized by sheet area; lower is better.
-
-    The scalar reference that `price_batch` is tested against bit for bit.
-    """
-    total = 0.0
-    for mu, sigma, count in zip(state.mu, state.sigma, state.count):
-        if count == 0:
-            continue
-        total += cfg.w_h * max(0.0, mu[2])
-        total += cfg.w_area * mu[3] * mu[4]
-        total += cfg.w_sigma * (np.trace(sigma[0]) + np.trace(sigma[1]))
-    return float(total / state.geometry.area)
-
-
-def trace_total(state: SheetState) -> float:
-    """Summed covariance diagonals over all sectors.
-
-    The scalar reference that `price_batch` is tested against bit for bit.
-    """
-    return float(sum(np.trace(sigma[0]) + np.trace(sigma[1]) for sigma in state.sigma))
-
-
 def _running_sum(terms: np.ndarray) -> np.ndarray:
-    # row sums added left to right from 0.0, as the scalar loops add; np.sum
+    # row sums added left to right from 0.0, one term at a time; np.sum
     # adds pairwise for eight or more terms, which can change the last bit
     total = np.zeros(terms.shape[0])
     for column in terms.T:
@@ -131,9 +108,14 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def price_batch(states: SheetState, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`state_utility` and `trace_total` of each state of a batch, bit for bit.
+    """Utility and summed covariance diagonals of each state of a batch.
 
-    `states` carries a leading batch axis.
+    `states` carries a leading batch axis. A state's utility is its
+    residual-uncompaction price normalized by sheet area (lower is better):
+    per live sector, w_h times the clamped mean height, w_area times the
+    ellipse area (major * minor) and w_sigma times the covariance traces,
+    added sector by sector in that order. The trace total sums both
+    covariance traces of every sector, sentinels included.
     """
     traces = np.trace(states.sigma, axis1=-2, axis2=-1)  # (A, k, 2)
     sector_trace = traces[..., 0] + traces[..., 1]
@@ -144,6 +126,19 @@ def price_batch(states: SheetState, cfg: SearchConfig) -> tuple[np.ndarray, np.n
     terms = np.where((states.count != 0)[..., None], terms, 0.0)  # sentinels add nothing
     utility = _running_sum(terms.reshape(len(terms), -1)) / states.geometry.area
     return utility, _running_sum(sector_trace)
+
+
+def _price(state: SheetState, cfg: SearchConfig) -> tuple[float, float]:
+    # price_batch of a batch of one
+    batch = SheetState(state.geometry, state.mu[None], state.sigma[None], state.count[None],
+                       state.t)
+    (utility,), (trace,) = price_batch(batch, cfg)
+    return float(utility), float(trace)
+
+
+def state_utility(state: SheetState, cfg: SearchConfig) -> float:
+    """Residual-uncompaction price of a state, as `price_batch` prices it; lower is better."""
+    return _price(state, cfg)[0]
 
 
 @dataclass
@@ -161,7 +156,7 @@ class SearchNode:
     prefix: tuple[Action, ...]
     cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
     utility: float    # state_utility of the state
-    trace: float      # trace_total of the state
+    trace: float      # summed covariance diagonals of the state
     stats: SearchStats  # shared by every node of a search
     score: float = 0.0  # one-step merit of the last action from the parent state
 
@@ -173,11 +168,9 @@ class SearchNode:
 def root_node(state: SheetState, cfg: SearchConfig,
               stats: SearchStats | None = None) -> SearchNode:
     """The empty-prefix node the search starts from; its children count into `stats`."""
-    batch = SheetState(state.geometry, state.mu[None], state.sigma[None], state.count[None],
-                       state.t)
-    (utility,), (trace,) = price_batch(batch, cfg)
-    return SearchNode(state=state, prefix=(), cost=0.0, utility=float(utility),
-                      trace=float(trace), stats=stats if stats is not None else SearchStats())
+    utility, trace = _price(state, cfg)
+    return SearchNode(state=state, prefix=(), cost=0.0, utility=utility, trace=trace,
+                      stats=stats if stats is not None else SearchStats())
 
 
 def _action_order(action: Action) -> tuple[int, int]:
@@ -188,13 +181,6 @@ def _action_order(action: Action) -> tuple[int, int]:
 
 def _sample_seed(cfg: SearchConfig, position: int, action: Action) -> int:
     return zlib.crc32(f"{cfg.seed}|{position}|{action}".encode())
-
-
-def _propagate(state, action, model, cfg: SearchConfig, position: int) -> SheetState:
-    if cfg.mode == "expectation":
-        return propagate(state, action, model, mode="expectation")
-    return propagate(state, action, model, mode="sampled",
-                     seed=_sample_seed(cfg, position, action))
 
 
 def _priced(node: SearchNode, actions: list[Action], model: EffectivenessModel,
@@ -361,16 +347,12 @@ def refine_plan(initial: SheetState, model: EffectivenessModel,
 
 def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
                 cfg: SearchConfig) -> tuple[float, SheetState]:
-    """Recompute a plan's accumulated cost from scratch with the scalar references.
+    """A plan's accumulated cost and final state, rebuilt from the root node.
 
-    Terms add in the search's order, so a committed node's cost equals this
-    replay's bit for bit.
+    Each action adds one child as the search adds it, so a committed node's
+    cost equals this replay's bit for bit.
     """
-    state = initial
-    cost = 0.0
-    for pos, action in enumerate(actions, start=1):
-        state = _propagate(state, action, model, cfg, pos)
-        cost = cost + action_cost(action, cfg) + state_utility(state, cfg)
-        if not model.covers(action):
-            cost += cfg.w_unk
-    return cost, state
+    node = root_node(initial, cfg)
+    for action in actions:
+        node = _child(node, action, model, cfg)
+    return node.cost, node.state

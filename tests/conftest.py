@@ -52,6 +52,14 @@ def meets(kinds, cs) -> bool:
             and all(oracle_rel(kinds, c) for c in cs.rel))
 
 
+def oracle_trace_total(state: SheetState) -> float:
+    """Summed covariance diagonals over all sectors, added sector by sector.
+
+    The loop that the trace total of `search.price_batch` is tested against.
+    """
+    return float(sum(np.trace(sigma[0]) + np.trace(sigma[1]) for sigma in state.sigma))
+
+
 def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:
     """The summary record of a made-up converged run, written from `SUMMARY_FIELDS`.
 

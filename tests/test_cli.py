@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,13 +223,34 @@ class TestReport:
         text = format_report(build_report(published_style_summaries()))
         assert "37.0" in text and "41.7" in text and "sheet2" in text
 
-    def test_cmd_report_writes_files(self, tmp_path):
+    @pytest.mark.parametrize("baseline", ["D3", "refined_sheet1", ""])
+    def test_baseline_must_name_an_initial_plan(self, baseline):
+        with pytest.raises(ValueError, match=re.escape(f"baseline {baseline!r} is not")):
+            build_report(published_style_summaries(), baseline=baseline)
+
+    def test_baseline_missing_from_one_sheet_is_refused(self):
+        rows = [r for r in published_style_summaries()
+                if (r["sheet"], r["plan"]) != ("sheet2", "D1")]
+        with pytest.raises(ValueError, match="'D1' is not an initial plan of sheet2"):
+            build_report(rows, baseline="D1")
+
+    @staticmethod
+    def summary_logs(tmp_path) -> list[str]:
         logs = []
         for i, row in enumerate(published_style_summaries()):
             p = tmp_path / f"log{i}.jsonl"
             p.write_text(json.dumps(row) + "\n")
             logs.append(str(p))
-        cmd_report(logs, out_dir=tmp_path / "rep")
+        return logs
+
+    def test_unusable_baseline_exits_2(self, tmp_path, capsys):
+        code = main(["report", *self.summary_logs(tmp_path), "--baseline", "D3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "baseline 'D3' is not an initial plan" in err and "Traceback" not in err
+
+    def test_cmd_report_writes_files(self, tmp_path):
+        cmd_report(self.summary_logs(tmp_path), out_dir=tmp_path / "rep")
         data = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert data["sheets"]["sheet1"]["by_plan"]["refined_sheet1"]["improvement_pct"] == 41.7
         assert (tmp_path / "rep" / "report.txt").exists()

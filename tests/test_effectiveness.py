@@ -7,10 +7,11 @@ from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate
                                  compute_delta, compute_signs, extract_transitions,
                                  propagate)
 from layup.plan import Action, path, peel, expert_plan
-from layup.search import SearchConfig, effectiveness_score, state_utility, trace_total
+from layup.search import SearchConfig, effectiveness_score, state_utility
+from layup.sheet_state import SheetGeometry
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
-from conftest import make_state
+from conftest import make_state, oracle_trace_total
 
 
 def gauss(mu1, sigma1_diag, mu2, sigma2_diag, n=1):
@@ -272,6 +273,18 @@ class TestPropagate:
             propagate(d1_log.steps[0].state_before, path(1),
                       aggregate([d1_log]), mode="montecarlo")
 
+    def test_sector_count_must_match_the_model(self, two_sector_geom):
+        geom = SheetGeometry(center=two_sector_geom.center, polygon=two_sector_geom.polygon,
+                             sector_count=3)
+        row = gauss([0, 0, 3.0], [1, 1, 1], [2, 1, 0.5], [1, 1, 1])
+        state = make_state(geom, {1: row, 3: row})
+        model = EffectivenessModel(sector_count=2)
+        model.add_sample(TransitionSample(
+            action=path(1), sector=1, delta=np.array([0, 0, -1.0, 0, 0, 0]),
+            signs=compute_signs(state.sigma[0], state.sigma[0])))
+        with pytest.raises(ValueError, match="state has 3 sectors, the model 2"):
+            propagate(state, path(1), model)
+
     def test_chained_propagation_keeps_invariants(self, d1_log):
         import math
         model = aggregate([d1_log])
@@ -305,7 +318,7 @@ class TestEffectivenessScore:
         cfg = self.cfg()
         score = effectiveness_score(path(1), state, model, cfg)
         after = propagate(state, path(1), model)
-        d_trace = trace_total(after) - trace_total(state)
+        d_trace = oracle_trace_total(after) - oracle_trace_total(state)
         # no mean movement: only the covariance bookkeeping contributes
         expected = (state_utility(after, cfg) - state_utility(state, cfg)
                     + cfg.w_sigma * d_trace)

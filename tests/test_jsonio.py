@@ -15,20 +15,18 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from layup.cli import RunConfig  # noqa: E402
-from layup.effectiveness import EffectivenessModel, TransitionSample  # noqa: E402
-from layup.jsonio import LogFormatError, read_json, read_last_json_line  # noqa: E402
-from layup.plan import ConstraintSet, path, peel, refinement, standard_constraints  # noqa: E402
-from layup.search import SearchConfig  # noqa: E402
-from layup.sheet_state import SheetGeometry  # noqa: E402
-from layup.simulator import (ExperimentLog, GroundTruthParams, StepRecord,  # noqa: E402
+from layup.cli import RunConfig
+from layup.effectiveness import EffectivenessModel, TransitionSample
+from layup.jsonio import LogFormatError, read_json, read_last_json_line
+from layup.plan import ConstraintSet, path, peel, refinement, standard_constraints
+from layup.search import SearchConfig
+from layup.sheet_state import SheetGeometry
+from layup.simulator import (ExperimentLog, GroundTruthParams, StepRecord,
                              read_log, summary_from_json, write_log)
 
-from conftest import make_state  # noqa: E402
+from conftest import make_state
 
 
 @dataclass

@@ -11,33 +11,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
-from layup.cli import RunConfig, cmd_simulate  # noqa: E402
-from layup.effectiveness import (EffectivenessModel, LogFormatError,  # noqa: E402
+from layup.cli import RunConfig, cmd_simulate
+from layup.effectiveness import (EffectivenessModel, LogFormatError,
                                  TransitionSample, propagate, propagate_batch)
-from layup.geometry import (PathGeometry, _closest_on_boundary,  # noqa: E402
+from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
                             polygon_area, polygon_is_simple, ray_exit_point, swept_rect_hits)
-from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,  # noqa: E402
+from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
                         canonical_kinds, capture, completion, emit_plan, emit_plan_text, end,
                         expert_plan, initial_plan_constraints, outstanding, parse_plan_text,
                         path, peel, prefix_feasible, refinement, standard_constraints,
                         validate)
-from layup.search import (SearchConfig, price_batch, state_utility,  # noqa: E402
-                          trace_total)
-from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,  # noqa: E402
+from layup.search import (SearchConfig, _sample_seed, action_cost, price_batch,
+                          replay_cost, state_utility)
+from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
                                _link_pairs, read_capture_frames, segment_regions,
                                write_capture_frames)
-from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,  # noqa: E402
+from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              StepRecord, _noise, _sweep, builtin_sheet, init_sheet,
                              path_geometry, read_log, run_experiment, write_log)
 
-from conftest import make_state, meets, oracle_abs, oracle_rel  # noqa: E402
+from conftest import make_state, meets, oracle_abs, oracle_rel, oracle_trace_total
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -346,17 +344,63 @@ def fingerprint(state: SheetState, i=...) -> tuple:
     return state.mu[i].tobytes(), state.sigma[i].tobytes(), state.count[i].tobytes()
 
 
+def oracle_propagate(state: SheetState, action: Action, model: EffectivenessModel,
+                     mode: str = "expectation", seed: int | None = None) -> SheetState:
+    """One action's learned effect, sector by sector: the loop `propagate_batch` replaced.
+
+    A sampled-mode rng draws one (6,) row per moved sector, in sector order.
+    """
+    rng = np.random.default_rng(seed) if mode == "sampled" else None
+    mu, sigma, count = state.mu.copy(), state.sigma.copy(), state.count.copy()
+    for row in range(len(count)):
+        if count[row] == 0:
+            mu[row], sigma[row] = 0.0, 0.0
+            continue
+        bucket = model.bucket(action, row + 1)
+        if bucket is None:
+            continue
+        delta = bucket.mean.copy()
+        if rng is not None:
+            delta = delta + rng.standard_normal(6) * np.sqrt(bucket.variance)
+        m = mu[row] + delta
+        m[2] = max(0.0, m[2])
+        m[3] = max(0.0, m[3])
+        m[4] = max(0.0, m[4])
+        m[5] = fold_axial(m[5])
+        if m[2] == 0.0 and m[3] == 0.0 and m[4] == 0.0:
+            mu[row], sigma[row], count[row] = 0.0, 0.0, 0
+            continue
+        mu[row] = m
+        for track, majority in enumerate(bucket.majority_signs()):
+            scale = np.sqrt(np.where(majority > 0, 1.1, 0.9))
+            sigma[row, track] = sigma[row, track] * np.outer(scale, scale)
+    return SheetState(state.geometry, mu, sigma, count, state.t + 1)
+
+
+def oracle_state_utility(state: SheetState, cfg: SearchConfig) -> float:
+    """A state's price, sector by sector: the loop `price_batch`'s utility replaced."""
+    total = 0.0
+    for mu, sigma, count in zip(state.mu, state.sigma, state.count):
+        if count == 0:
+            continue
+        total += cfg.w_h * max(0.0, mu[2])
+        total += cfg.w_area * mu[3] * mu[4]
+        total += cfg.w_sigma * (np.trace(sigma[0]) + np.trace(sigma[1]))
+    return float(total / state.geometry.area)
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=states_and_models(), sampled=st.booleans(),
        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=len(BATCH_ACTIONS),
                       max_size=len(BATCH_ACTIONS)))
 def test_propagate_batch_matches_scalar_bitwise(case, sampled, seeds):
     state, model = case
+    mode = "sampled" if sampled else "expectation"
     batch = propagate_batch(state, BATCH_ACTIONS, model, seeds if sampled else None)
     for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
-        want = propagate(state, action, model, mode="sampled" if sampled else "expectation",
-                         seed=seed)
-        assert fingerprint(batch, i) == fingerprint(want)
+        want = fingerprint(oracle_propagate(state, action, model, mode, seed))
+        assert fingerprint(batch, i) == want
+        assert fingerprint(propagate(state, action, model, mode, seed)) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -365,13 +409,35 @@ def test_propagate_batch_matches_scalar_bitwise(case, sampled, seeds):
 def test_price_batch_matches_scalar_bitwise(case, weights):
     state, model = case
     cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
-    scalar = [state] + [propagate(state, action, model) for action in BATCH_ACTIONS]
+    scalar = [state] + [oracle_propagate(state, action, model) for action in BATCH_ACTIONS]
     batch = SheetState(state.geometry, np.stack([s.mu for s in scalar]),
                        np.stack([s.sigma for s in scalar]), np.stack([s.count for s in scalar]))
     utility, trace = price_batch(batch, cfg)
-    assert [u.hex() for u in utility.tolist()] == \
-        [state_utility(s, cfg).hex() for s in scalar]
-    assert [t.hex() for t in trace.tolist()] == [trace_total(s).hex() for s in scalar]
+    want = [oracle_state_utility(s, cfg).hex() for s in scalar]
+    assert [u.hex() for u in utility.tolist()] == want
+    assert [state_utility(s, cfg).hex() for s in scalar] == want
+    assert [t.hex() for t in trace.tolist()] == [oracle_trace_total(s).hex() for s in scalar]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=states_and_models(), sampled=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       actions=st.lists(st.sampled_from(BATCH_ACTIONS), max_size=6))
+def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, actions):
+    # criterion 4 compares the search with replay_cost, which builds the
+    # search's own nodes; this ties both to the sector-by-sector loops
+    state, model = case
+    cfg = SearchConfig(mode="sampled" if sampled else "expectation", seed=seed)
+    cost, final = replay_cost(actions, state, model, cfg)
+    want_cost, want = 0.0, state
+    for position, action in enumerate(actions, start=1):
+        want = oracle_propagate(want, action, model, cfg.mode,
+                                _sample_seed(cfg, position, action))
+        want_cost = want_cost + action_cost(action, cfg) + oracle_state_utility(want, cfg)
+        if all(model.bucket(action, sector) is None
+               for sector in range(1, model.sector_count + 1)):
+            want_cost += cfg.w_unk
+    assert cost.hex() == want_cost.hex()
+    assert fingerprint(final) == fingerprint(want)
 
 
 @settings(max_examples=200, deadline=None)

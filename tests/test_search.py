@@ -280,8 +280,8 @@ class TestRefinePlan:
         assert a == b
 
     def test_commitment_cost_matches_replay(self, two_sector_geom):
-        # the batched search and the scalar replay add the same terms in the
-        # same order, so the costs agree to the bit
+        # replay_cost rebuilds the committed plan's nodes from the root, so the
+        # audit's last cost and the replay agree to the bit
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(8))
         for mode in ("expectation", "sampled"):
