@@ -23,7 +23,7 @@ for variant in (1, 2):
         logs.append(run_experiment(expert_plan(variant), sheet, params, seed, keep_captures=False))
 
 model = aggregate(logs)
-state0 = average_states([log.steps[0].state_before for log in logs])
+state0 = average_states([log.states[0] for log in logs])
 
 print("searching for a refined plan (branching 4, lookahead depth 3)...")
 refined, audit = refine_plan_detailed(state0, model, standard_constraints(),

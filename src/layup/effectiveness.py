@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import axial_difference, fold_axial
-from .jsonio import LogFormatError, numbers, read_json, required
+from .jsonio import numbers, read_json, required
 from .plan import ACTION_KINDS, PATH_COUNT_DEFAULT, Action
 from .sheet_state import SheetState
 
@@ -41,12 +41,13 @@ def _step(x: np.ndarray) -> np.ndarray:
 
 
 def compute_delta(before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """Change between two (6,) mean rows; orientation wrapped to the axial half-turn.
+    """Change between mean rows (..., 6): one (6,) row or a batch of them.
 
-    The components follow DELTA_FIELDS; d_theta lies in (-pi/2, pi/2].
+    The components follow DELTA_FIELDS; d_theta, the orientation change
+    wrapped to the axial half-turn, lies in (-pi/2, pi/2].
     """
     delta = after - before
-    delta[5] = axial_difference(after[5], before[5])
+    delta[..., 5] = axial_difference(after[..., 5], before[..., 5])
     return delta
 
 
@@ -70,23 +71,19 @@ class TransitionSample:
 
 
 def extract_transitions(log) -> list[TransitionSample]:
-    """One sample per (action, sector) pair of an experiment log.
+    """One sample per (action, sector) pair of an experiment log, step by step.
 
-    Steps whose two states differ in sector count raise LogFormatError
-    naming the step index.
+    The log's states stack into arrays once, and one `compute_delta` and one
+    `compute_signs` take every step's deltas and signs from consecutive rows.
     """
-    samples = []
-    for rec in log.steps:
-        before, after = rec.state_before, rec.state_after
-        if len(before.count) != len(after.count):
-            raise LogFormatError(f"step {rec.index}: sector counts disagree")
-        for row in range(len(before.count)):
-            samples.append(TransitionSample(
-                action=rec.action, sector=row + 1,
-                delta=compute_delta(before.mu[row], after.mu[row]),
-                signs=compute_signs(before.sigma[row], after.sigma[row]),
-                plan_name=log.plan_name, step=rec.index))
-    return samples
+    if not log.actions:
+        return []
+    mu = np.stack([state.mu for state in log.states])
+    sigma = np.stack([state.sigma for state in log.states])
+    deltas = compute_delta(mu[:-1], mu[1:])       # (n, k, 6)
+    signs = compute_signs(sigma[:-1], sigma[1:])  # (n, k, 2, 3)
+    return [TransitionSample(action, j + 1, deltas[i, j], signs[i, j], log.plan_name, i + 1)
+            for i, action in enumerate(log.actions) for j in range(deltas.shape[1])]
 
 
 def bucket_key(action: Action) -> tuple[str, int]:
@@ -274,7 +271,7 @@ def aggregate(logs) -> EffectivenessModel:
     logs = list(logs)
     if not logs:
         return EffectivenessModel(sector_count=2)
-    ks = {len(log.steps[0].state_before.count) for log in logs if log.steps}
+    ks = {len(log.states[0].count) for log in logs if log.states}
     if len(ks) > 1:
         raise ValueError(f"logs mix sector counts {sorted(ks)}")
     model = EffectivenessModel(sector_count=ks.pop() if ks else 2)

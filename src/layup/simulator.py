@@ -448,11 +448,7 @@ def run_correction(sim: SimState) -> tuple[int, int, bool]:
 
 @dataclass
 class StepRecord:
-    """One executed action, numbered from 1, with the states derived before and after it.
-
-    The captures those states came from stay in memory only, when the run
-    keeps them; `write_log` writes the states and the action.
-    """
+    """Step `index` (from 1) of a log: built by `ExperimentLog.steps`, not stored."""
 
     index: int
     action: Action
@@ -462,34 +458,49 @@ class StepRecord:
     capture_after: CaptureFrame | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentLog:
+    """A run as its log and capture sidecar hold it: n actions, the n + 1 states
+    derived before the first and after each (none when n is 0), and the frames
+    of those states, one each, or none. Construction raises ValueError when a
+    list has another length, or naming a state on another geometry than state 0's.
+    """
+
     plan_name: str
     sheet: str
     seed: int
-    steps: list[StepRecord]
+    actions: list[Action]
+    states: list[SheetState]
     correction_cycles: int
     correction_paths: int
     correction_converged: bool
+    captures: list[CaptureFrame] = field(default_factory=list)
+
+    def __post_init__(self):
+        n, states = len(self.actions), self.states
+        if len(states) != (n + 1 if n else 0) or len(self.captures) not in (0, len(states)):
+            raise ValueError(f"{n} actions, {len(states)} states and {len(self.captures)} captures;"
+                             " want n + 1 states (none if n is 0) and as many captures or none")
+        for i, state in enumerate(states):
+            if state.geometry is not states[0].geometry and \
+                    state.geometry.to_json() != states[0].geometry.to_json():
+                raise ValueError(f"state {i} is on another geometry than state 0")
+
+    @property
+    def steps(self) -> list[StepRecord]:
+        """The steps, built afresh from the lists on each read."""
+        captures = self.captures or [None] * len(self.states)
+        return [StepRecord(i, action, self.states[i - 1], self.states[i],
+                           captures[i - 1], captures[i])
+                for i, action in enumerate(self.actions, start=1)]
 
     @property
     def in_plan_paths(self) -> int:
-        return path_equivalents(rec.action for rec in self.steps)
+        return path_equivalents(self.actions)
 
     @property
     def total_paths(self) -> int:
         return self.in_plan_paths + self.correction_paths
-
-    @property
-    def captures(self) -> list[CaptureFrame]:
-        """The run's captures in order, each once; empty when they were not kept.
-
-        The first step's `capture_before` is followed by every step's
-        `capture_after`, the next step's `capture_before`.
-        """
-        if not self.steps or self.steps[0].capture_before is None:
-            return []
-        return [self.steps[0].capture_before] + [rec.capture_after for rec in self.steps]
 
     def summary(self) -> dict:
         """The summary record that `write_log` writes last, keys in file order."""
@@ -521,9 +532,9 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
     end action hands control to the correction controller after its capture,
     so the logged post-end state is the handover state the planner must
     price. A refinement action runs the n roller passes that
-    `apply_action` aims from the latest derived state. With `keep_captures`
-    the frames stay on the step records, where `ExperimentLog.captures`
-    lists them; otherwise only the derived states are kept.
+    `apply_action` aims from the latest derived state. Each action appends
+    the state derived from its capture and, with `keep_captures`, the
+    capture itself; without it the log keeps no frame.
     """
     cs = constraints if constraints is not None else initial_plan_constraints()
     violations = validate(plan, cs)
@@ -533,70 +544,55 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
     sim = init_sheet(sheet, params, seed)
     geom = sheet.geometry
     frame = render_capture(sim)
-    state = build_state(frame, geom, params.h_min, params.link_radius)
-    steps: list[StepRecord] = []
+    frames = [frame] if keep_captures else []
+    states = [build_state(frame, geom, params.h_min, params.link_radius)]
     cycles = paths = 0
     converged = True
 
-    for idx, action in enumerate(plan.actions, start=1):
-        apply_action(sim, action, state)
-        frame_after = render_capture(sim)
-        state_after = build_state(frame_after, geom, params.h_min, params.link_radius)
-        steps.append(StepRecord(
-            index=idx, action=action,
-            state_before=state, state_after=state_after,
-            capture_before=frame if keep_captures else None,
-            capture_after=frame_after if keep_captures else None))
+    for action in plan.actions:
+        apply_action(sim, action, states[-1])
+        frame = render_capture(sim)
+        if keep_captures:
+            frames.append(frame)
+        states.append(build_state(frame, geom, params.h_min, params.link_radius))
         if action.kind == "end":
             cycles, paths, converged = run_correction(sim)
-        frame, state = frame_after, state_after
 
-    return ExperimentLog(plan_name=plan.name, sheet=sheet.name, seed=int(seed),
-                         steps=steps, correction_cycles=cycles,
-                         correction_paths=paths, correction_converged=converged)
+    if not plan.actions:  # a log without actions holds no state
+        frames, states = [], []
+    return ExperimentLog(plan.name, sheet.name, int(seed), list(plan.actions), states, cycles,
+                         paths, converged, frames)
 
 
 def summary_from_json(obj: dict) -> dict:
-    """A log's summary record, every field present and of its JSON type."""
+    """A log's summary record, every field present and of its JSON type, whose paths add up."""
     summary = required(obj, {key: like for key, like, _ in SUMMARY_FIELDS})
     if summary["type"] != "summary" or summary["version"] != 1:
         raise ValueError("not a version 1 summary record")
+    if summary["total_paths"] != summary["in_plan_paths"] + summary["correction_paths"]:
+        raise ValueError("total_paths {total_paths} is not in_plan_paths {in_plan_paths} "
+                         "plus correction_paths {correction_paths}".format(**summary))
     return summary
 
 
 LOG_VERSION = 3
 
 
-def _bytes(state: SheetState) -> tuple:
-    return state.t, state.mu.tobytes(), state.sigma.tobytes(), state.count.tobytes()
-
-
 def write_log(log: ExperimentLog, path) -> None:
     """JSON lines: a start record, one record per step, then the summary record.
 
-    The start record holds the log version, the sheet geometry and step 1's
-    state before; a step record holds its action and its state after. A log
-    without steps is its summary record alone. Raises ValueError naming the
-    step when steps are not numbered 1..n, when a state before is not the
-    previous state after (the same `t` and array bytes) or when a state is
-    on another geometry. `write_capture_frames` writes the captures.
+    The start record holds the log version, the sheet geometry and
+    `states[0]`; step i's record holds `actions[i - 1]` and `states[i]`. A
+    log without actions is its summary record alone. `write_capture_frames`
+    writes the captures.
     """
     records = []
-    if log.steps:
-        state = log.steps[0].state_before
-        geometry = state.geometry.to_json()
-        records.append({"type": "start", "version": LOG_VERSION, "geometry": geometry,
-                        "state": state.to_json()})
-    for i, rec in enumerate(log.steps, start=1):
-        if rec.index != i:
-            raise ValueError(f"step {i} is numbered {rec.index}; steps must be numbered 1..n")
-        if _bytes(rec.state_before) != _bytes(state):
-            raise ValueError(f"step {i}: state before is not step {i - 1}'s state after")
-        if rec.state_after.geometry.to_json() != geometry:
-            raise ValueError(f"step {i}: state after is on another geometry")
-        state = rec.state_after
-        records.append({"type": "step", "action": [rec.action.kind, rec.action.arg],
-                        "state": state.to_json()})
+    if log.states:
+        first = log.states[0]
+        records.append({"type": "start", "version": LOG_VERSION,
+                        "geometry": first.geometry.to_json(), "state": first.to_json()})
+    records += [{"type": "step", "action": [action.kind, action.arg], "state": state.to_json()}
+                for action, state in zip(log.actions, log.states[1:])]
     with open(path, "w") as fh:
         fh.writelines(json.dumps(obj) + "\n" for obj in records + [log.summary()])
 
@@ -604,17 +600,24 @@ def write_log(log: ExperimentLog, path) -> None:
 def read_log(path) -> ExperimentLog:
     """The log `write_log` wrote; LogFormatError naming the file and line if malformed.
 
-    The start record comes before any step record and gives every state its
-    geometry. Steps are numbered 1..n in file order, and a step's state
-    before is the previous state after, the start record's for step 1. The
-    last summary record gives the run's fields.
+    The start record, followed by at least one step record, gives every
+    state its geometry. The summary record comes last and gives the run's
+    fields; its `in_plan_paths` must be the path equivalents of the steps.
     """
     states, actions, summaries = [], [], []
 
     def parse(obj: dict) -> None:
         kind = obj["type"]
+        if summaries:
+            raise ValueError(f"{kind} record after the summary record")
         if kind == "summary":
-            summaries.append(summary_from_json(obj))
+            summary = summary_from_json(obj)
+            if states and not actions:
+                raise ValueError("start record without a step record")
+            if summary["in_plan_paths"] != path_equivalents(actions):
+                raise ValueError(f"in_plan_paths {summary['in_plan_paths']}, but the step "
+                                 f"records hold {path_equivalents(actions)} path equivalents")
+            summaries.append(summary)
         elif kind == "start" and not states:
             if typed(obj["version"], 0, "version") != LOG_VERSION:
                 raise ValueError(f"log version must be {LOG_VERSION}")
@@ -630,7 +633,6 @@ def read_log(path) -> ExperimentLog:
     read_json_lines(path, parse)
     if not summaries:
         raise LogFormatError(f"{path}: missing summary record")
-    s = summaries[-1]
-    steps = [StepRecord(i, *rec) for i, rec in enumerate(zip(actions, states, states[1:]), 1)]
-    return ExperimentLog(s["plan"], s["sheet"], s["seed"], steps, s["correction_cycles"],
-                         s["correction_paths"], s["correction_converged"])
+    s, = summaries
+    return ExperimentLog(s["plan"], s["sheet"], s["seed"], actions, states,
+                         s["correction_cycles"], s["correction_paths"], s["correction_converged"])

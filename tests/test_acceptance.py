@@ -56,7 +56,7 @@ def corpus():
                 logs.append(run_experiment(plan, sheet, params, seed, keep_captures=False))
         all_logs.extend(logs)
         model = aggregate(logs)
-        state0 = average_states([lg.steps[0].state_before for lg in logs])
+        state0 = average_states([lg.states[0] for lg in logs])
         refined = refine_plan(state0, model, standard_constraints(), SearchConfig(),
                               name=f"refined_{sheet_name}")
         data["sheets"][sheet_name] = {"sheet": sheet, "logs": logs, "model": model,
@@ -340,7 +340,7 @@ def _golden_artifacts(tmp_dir: Path):
     model = aggregate(logs)
     model_path = tmp_dir / "model.json"
     model.save(model_path)
-    state0 = average_states([lg.steps[0].state_before for lg in logs])
+    state0 = average_states([lg.states[0] for lg in logs])
     refined = refine_plan(state0, model, standard_constraints(), SearchConfig(),
                           name="refined_sheet1")
     from layup.plan import emit_plan_text

@@ -84,7 +84,7 @@ class TestSimulate:
         for log_path in written:
             sidecar = out / "captures" / f"{log_path.stem}.npy"
             frames = read_capture_frames(sidecar)
-            assert [fr.t for fr in frames] == list(range(len(read_log(log_path).steps) + 1))
+            assert [fr.t for fr in frames] == list(range(len(read_log(log_path).states)))
         # seed 0 is the golden run: its log and its captures are both pinned
         golden = {name: (GOLDEN_DIR / name).read_text().strip()
                   for name in ("d1_log.sha256", "d1_captures.sha256")}
@@ -453,6 +453,43 @@ class TestBadInput:
         assert err.startswith(f"error: {log_file}:1: bad step record")
         assert "before any start record" in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_log_summary_does_not_add_up(self, tmp_path, d1_file, capsys):
+        log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        summary = {**json.loads(lines[-1]), "total_paths": 5, "in_plan_paths": 2}
+        log_file.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+        for argv in (["learn", log_file, "--out", tmp_path / "m.json"], ["report", log_file]):
+            code, err = self.run_main(argv, capsys)
+            assert code == 2
+            assert f"{log_file}:{len(lines)}: bad summary record" in err
+            assert "total_paths 5 is not in_plan_paths 2" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("cut", ["step", "start"])
+    def test_log_summary_in_plan_paths_not_the_steps(self, tmp_path, d1_file, capsys, cut):
+        # the summary adds up, but the step records before it hold other paths:
+        # all but one path step's, or the start record alone
+        log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        first_path = next(i for i, line in enumerate(lines)
+                          if json.loads(line).get("action", [""])[0] == "path")
+        kept = lines[:first_path] + lines[first_path + 1:-1] if cut == "step" else lines[:1]
+        log_file.write_text("\n".join(kept + lines[-1:]) + "\n")
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert f"{log_file}:{len(kept) + 1}: bad summary record" in err
+        assert ("in_plan_paths 16, but the step records hold 15 path equivalents" in err
+                if cut == "step" else "start record without a step record" in err)
+
+    def test_log_step_after_the_summary(self, tmp_path, d1_file, capsys):
+        # the end step, which adds no path, moved after the summary
+        log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        assert json.loads(lines[-2])["action"] == ["end", None]
+        lines[-2], lines[-1] = lines[-1], lines[-2]
+        log_file.write_text("\n".join(lines) + "\n")
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert f"{log_file}:{len(lines)}: bad step record" in err
+        assert "step record after the summary record" in err
 
     def test_log_line_not_an_object(self, tmp_path, capsys):
         log_file = tmp_path / "bad.jsonl"

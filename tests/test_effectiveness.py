@@ -120,12 +120,9 @@ class TestExtractTransitions:
         assert len(samples) == 19 * 8
 
     def test_zero_delta_for_identical_states(self, d1_log):
-        rec = d1_log.steps[0]
-        from layup.simulator import StepRecord
-        fake = type(d1_log)(plan_name="x", sheet="sheet1", seed=0,
-                            steps=[StepRecord(1, peel(), rec.state_before,
-                                              rec.state_before)],
-                            correction_cycles=0, correction_paths=0,
+        state = d1_log.states[0]
+        fake = type(d1_log)(plan_name="x", sheet="sheet1", seed=0, actions=[peel()],
+                            states=[state, state], correction_cycles=0, correction_paths=0,
                             correction_converged=True)
         samples = extract_transitions(fake)
         assert len(samples) == 8
@@ -134,16 +131,12 @@ class TestExtractTransitions:
 
 class TestExtractCorruptLog:
     def test_sector_mismatch_names_step(self, d1_log, two_sector_geom):
-        from layup.effectiveness import LogFormatError
-        from layup.simulator import StepRecord
+        # a log cannot hold the two-sector state after a step on sheet1's eight
         small = make_state(two_sector_geom)
-        rec = d1_log.steps[0]
-        corrupt = type(d1_log)(plan_name="x", sheet="sheet1", seed=0,
-                               steps=[StepRecord(4, peel(), rec.state_before, small)],
-                               correction_cycles=0, correction_paths=0,
-                               correction_converged=True)
-        with pytest.raises(LogFormatError, match="step 4"):
-            extract_transitions(corrupt)
+        with pytest.raises(ValueError, match="^state 1 is on another geometry"):
+            type(d1_log)(plan_name="x", sheet="sheet1", seed=0, actions=[peel()],
+                         states=[d1_log.states[0], small], correction_cycles=0,
+                         correction_paths=0, correction_converged=True)
 
 
 class TestAggregate:
@@ -153,11 +146,9 @@ class TestAggregate:
         assert model.bucket(path(1), 1) is None
 
     def test_mixed_sector_counts_rejected(self, d1_log, two_sector_geom):
-        from layup.simulator import StepRecord
         small = make_state(two_sector_geom)
-        other = type(d1_log)(plan_name="y", sheet="tiny", seed=0,
-                             steps=[StepRecord(1, peel(), small, small)],
-                             correction_cycles=0, correction_paths=0,
+        other = type(d1_log)(plan_name="y", sheet="tiny", seed=0, actions=[peel()],
+                             states=[small, small], correction_cycles=0, correction_paths=0,
                              correction_converged=True)
         with pytest.raises(ValueError, match="sector counts"):
             aggregate([d1_log, other])
@@ -165,7 +156,7 @@ class TestAggregate:
     def test_duplicate_logs_double_counts_keep_mean(self, d1_log):
         one = aggregate([d1_log])
         two = aggregate([d1_log, d1_log])
-        key = ("path", d1_log.steps[0].action.arg, 1)
+        key = ("path", d1_log.actions[0].arg, 1)
         assert two.table[key].count == 2 * one.table[key].count
         assert np.allclose(two.table[key].mean, one.table[key].mean)
         assert two.experiments == 2
@@ -252,8 +243,8 @@ class TestPropagate:
                                 seed=17,
                                 keep_captures=False)
         model = aggregate([d1_log, second])
-        state = d1_log.steps[0].state_before
-        act = d1_log.steps[0].action
+        state = d1_log.states[0]
+        act = d1_log.actions[0]
         a = propagate(state, act, model, mode="sampled", seed=77)
         b = propagate(state, act, model, mode="sampled", seed=77)
         assert a.to_json() == b.to_json()
@@ -262,7 +253,7 @@ class TestPropagate:
 
     def test_covariance_scaling_preserves_psd(self, d1_log):
         model = aggregate([d1_log])
-        state = d1_log.steps[0].state_before
+        state = d1_log.states[0]
         out = propagate(state, path(15), model)
         for m in out.sigma.reshape(-1, 3, 3):
             assert np.allclose(m, m.T)
@@ -270,7 +261,7 @@ class TestPropagate:
 
     def test_mode_validation(self, d1_log):
         with pytest.raises(ValueError):
-            propagate(d1_log.steps[0].state_before, path(1),
+            propagate(d1_log.states[0], path(1),
                       aggregate([d1_log]), mode="montecarlo")
 
     def test_sector_count_must_match_the_model(self, two_sector_geom):
@@ -288,8 +279,8 @@ class TestPropagate:
     def test_chained_propagation_keeps_invariants(self, d1_log):
         import math
         model = aggregate([d1_log])
-        state = d1_log.steps[0].state_before
-        actions = [rec.action for rec in d1_log.steps]
+        state = d1_log.states[0]
+        actions = d1_log.actions
         for action in actions:
             state = propagate(state, action, model)
             for mu, sigma, count in zip(state.mu, state.sigma, state.count):

@@ -23,8 +23,8 @@ from layup.jsonio import LogFormatError, read_json, read_last_json_line
 from layup.plan import ConstraintSet, path, peel, refinement, standard_constraints
 from layup.search import SearchConfig
 from layup.sheet_state import SheetGeometry
-from layup.simulator import (ExperimentLog, GroundTruthParams, StepRecord,
-                             read_log, summary_from_json, write_log)
+from layup.simulator import (ExperimentLog, GroundTruthParams, read_log, summary_from_json,
+                             write_log)
 
 from conftest import make_state
 
@@ -42,8 +42,7 @@ def _log_docs() -> list:
                          sector_count=2)
     state = make_state(geom, {1: ([1.0, 2.0, 0.5, 4.0, 2.0, 0.3], np.eye(3), 2)}, t=1)
     log = ExperimentLog(plan_name="p", sheet="sheet1", seed=3,
-                        steps=[StepRecord(1, path(2), state, state),
-                               StepRecord(2, refinement(2), state, state)],
+                        actions=[path(2), refinement(2)], states=[state] * 3,
                         correction_cycles=1, correction_paths=2, correction_converged=False)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "log.jsonl"

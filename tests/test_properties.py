@@ -14,12 +14,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from layup.cli import RunConfig, cmd_simulate
-from layup.effectiveness import (EffectivenessModel, LogFormatError,
-                                 TransitionSample, propagate, propagate_batch)
+from layup.effectiveness import (EffectivenessModel, TransitionSample, compute_delta,
+                                 compute_signs, extract_transitions, propagate,
+                                 propagate_batch)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
                             polygon_area, polygon_is_simple, ray_exit_point, swept_rect_hits)
+from layup.jsonio import LogFormatError
 from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
                         canonical_kinds, capture, completion, emit_plan, emit_plan_text, end,
@@ -32,7 +34,7 @@ from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
                                _link_pairs, read_capture_frames, segment_regions,
                                write_capture_frames)
 from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
-                             StepRecord, _noise, _sweep, builtin_sheet, init_sheet,
+                             _noise, _sweep, builtin_sheet, init_sheet,
                              path_geometry, read_log, run_experiment, write_log)
 
 from conftest import make_state, meets, oracle_abs, oracle_rel, oracle_trace_total
@@ -506,13 +508,15 @@ actions_st = st.one_of(st.integers(1, 16).map(path), st.integers(1, 4).map(refin
 
 @st.composite
 def chained_logs(draw):
-    """A log of 0-3 steps, each step's state before being the previous step's state after."""
-    first = draw(states())
-    chain = [first] + [draw(states(first.geometry)) for _ in range(draw(st.integers(0, 3)))]
-    steps = [StepRecord(i, draw(actions_st), before, after)
-             for i, (before, after) in enumerate(zip(chain, chain[1:]), start=1)]
+    """A log of 0-3 steps: n actions and n + 1 states on one geometry, no state for n = 0."""
+    n = draw(st.integers(0, 3))
+    chain = []
+    if n:
+        first = draw(states())
+        chain = [first] + [draw(states(first.geometry)) for _ in range(n)]
     return ExperimentLog(plan_name=draw(st.text(max_size=4)), sheet="sheet1",
-                         seed=draw(st.integers(0, 2**63)), steps=steps,
+                         seed=draw(st.integers(0, 2**63)),
+                         actions=[draw(actions_st) for _ in range(n)], states=chain,
                          correction_cycles=draw(st.integers(0, 10)),
                          correction_paths=draw(st.integers(0, 20)),
                          correction_converged=draw(st.booleans()))
@@ -526,13 +530,34 @@ def test_log_round_trip_is_exact(log):
         write_log(log, target)
         back = read_log(target)
     assert back.summary() == log.summary()
-    assert [(rec.index, rec.action) for rec in back.steps] == \
-        [(rec.index, rec.action) for rec in log.steps]
-    for a, b in zip(log.steps, back.steps):
-        for state, read in ((a.state_before, b.state_before), (a.state_after, b.state_after)):
-            assert fingerprint(read) == fingerprint(state)
-            assert read.t == state.t
-    assert all(b.state_before is a.state_after for a, b in zip(back.steps, back.steps[1:]))
+    assert back.actions == log.actions
+    assert [fingerprint(state) for state in back.states] == \
+        [fingerprint(state) for state in log.states]
+    assert [state.t for state in back.states] == [state.t for state in log.states]
+    assert all(state.geometry is back.states[0].geometry for state in back.states)
+
+
+def oracle_transitions(log) -> list[TransitionSample]:
+    """One sample per (step, sector), row by row: the loop `extract_transitions` replaced."""
+    samples = []
+    for rec in log.steps:
+        before, after = rec.state_before, rec.state_after
+        for row in range(len(before.count)):
+            samples.append(TransitionSample(
+                action=rec.action, sector=row + 1,
+                delta=compute_delta(before.mu[row], after.mu[row]),
+                signs=compute_signs(before.sigma[row], after.sigma[row]),
+                plan_name=log.plan_name, step=rec.index))
+    return samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=chained_logs())
+def test_extract_transitions_matches_the_row_loop(log):
+    def exact_samples(samples):
+        return [(s.action, s.sector, s.delta.shape, s.delta.tobytes(), s.signs.shape,
+                 s.signs.tobytes(), f"{s.plan_name}:{s.step}") for s in samples]
+    assert exact_samples(extract_transitions(log)) == exact_samples(oracle_transitions(log))
 
 
 def _fields(node):
@@ -569,9 +594,9 @@ def _corrupt(container, key, how: str) -> None:
        how=st.sampled_from(sorted(CORRUPTIONS)), data=st.data())
 def test_read_log_names_the_line_of_a_corrupt_step(state, line, how, data):
     # line 1 is the start record, lines 2 and 3 the steps
-    log = ExperimentLog(plan_name="p", sheet="s", seed=0,
-                        steps=[StepRecord(i, path(i), state, state) for i in (1, 2)],
-                        correction_cycles=0, correction_paths=0, correction_converged=True)
+    log = ExperimentLog(plan_name="p", sheet="s", seed=0, actions=[path(1), path(2)],
+                        states=[state] * 3, correction_cycles=0, correction_paths=0,
+                        correction_converged=True)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "log.jsonl"
         write_log(log, target)

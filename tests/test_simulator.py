@@ -10,7 +10,7 @@ import pytest
 
 from layup.geometry import PathGeometry, point_in_polygon
 from layup.plan import DrapingPlan, capture, end, expert_plan, path, peel, refinement
-from layup.sheet_state import read_capture_frames, write_capture_frames
+from layup.sheet_state import SheetGeometry, read_capture_frames, write_capture_frames
 from layup.simulator import (GroundTruthParams, PlanInvalidError,
                              SimulationError, SimState, _polygon_grid, apply_action,
                              builtin_sheet, init_sheet, path_geometry,
@@ -277,7 +277,8 @@ class TestRunExperiment:
                              keep_captures=False)
         assert log.in_plan_paths == 16
         assert log.total_paths == 16 + log.correction_paths
-        assert len(log.steps) == 19
+        assert len(log.actions) == 19 and len(log.states) == 20
+        assert log.captures == []
 
     def test_bitwise_deterministic(self, tmp_path):
         params = GroundTruthParams()
@@ -312,36 +313,56 @@ class TestRunExperiment:
         back = read_log(target)
         assert back.plan_name == log.plan_name
         assert back.total_paths == log.total_paths
-        assert len(back.steps) == len(log.steps)
-        for a, b in zip(log.steps, back.steps):
-            assert a.action == b.action
-            assert a.state_before.to_json() == b.state_before.to_json()
-            assert a.state_after.to_json() == b.state_after.to_json()
-            assert b.capture_before is None and b.capture_after is None
+        assert back.actions == log.actions
+        assert [s.to_json() for s in back.states] == [s.to_json() for s in log.states]
+        assert back.captures == []
         # the captures go to a file of their own, each frame once
         sidecar = tmp_path / "captures.npy"
         write_capture_frames(sidecar, log.captures)
         frames = read_capture_frames(sidecar)
-        assert [fr.t for fr in frames] == list(range(len(log.steps) + 1))
+        assert [fr.t for fr in frames] == list(range(len(log.states)))
         assert len(frames) == len(log.captures)
         for a, b in zip(log.captures, frames):
             assert a.t == b.t
             assert a.points.tobytes() == b.points.tobytes()
 
-    @pytest.mark.parametrize("step, change", [
-        (2, lambda rec: replace(rec, index=5)),
-        (3, lambda rec: replace(rec, state_before=replace(
-            rec.state_before, mu=rec.state_before.mu + 1e-9))),
-        (3, lambda rec: replace(rec, state_before=replace(rec.state_before, t=7))),
-        (2, lambda rec: replace(rec, state_after=replace(
-            rec.state_after, geometry=builtin_sheet("sheet2").geometry))),
-    ], ids=["renumbered", "other-bytes", "other-t", "other-geometry"])
-    def test_write_log_refuses_what_it_cannot_hold(self, tmp_path, step, change):
+    def test_steps_view_pairs_consecutive_states(self):
+        log = run_experiment(expert_plan(1), builtin_sheet("sheet1"), GroundTruthParams(),
+                             seed=30)
+        steps = log.steps
+        assert [rec.index for rec in steps] == list(range(1, len(log.actions) + 1))
+        for i, rec in enumerate(steps, start=1):
+            assert rec.action is log.actions[i - 1]
+            assert rec.state_before is log.states[i - 1] and rec.state_after is log.states[i]
+            assert rec.capture_before is log.captures[i - 1]
+            assert rec.capture_after is log.captures[i]
+        steps.clear()
+        assert len(log.steps) == len(log.actions)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda log: {"states": log.states[:2] + [replace(
+            log.states[2], geometry=builtin_sheet("sheet2").geometry)] + log.states[3:]},
+         r"^state 2 is on another geometry"),
+        (lambda log: {"states": log.states[:-1], "captures": log.captures[:-1]},
+         r"^19 actions, 19 states and 19 captures"),
+        (lambda log: {"actions": [], "states": log.states[:1], "captures": log.captures[:1]},
+         r"^0 actions, 1 states and 1 captures"),
+        (lambda log: {"captures": log.captures[:-1]}, r"^19 actions, 20 states and 19 captures"),
+    ], ids=["other-geometry", "n-states", "state-without-actions", "capture-count"])
+    def test_log_refuses_what_it_cannot_hold(self, change, message):
+        log = run_experiment(expert_plan(1), builtin_sheet("sheet1"), GroundTruthParams(),
+                             seed=30)
+        with pytest.raises(ValueError, match=message):
+            replace(log, **change(log))
+
+    def test_log_takes_an_equal_geometry(self):
+        # a geometry that is not state 0's object but writes the same JSON
         log = run_experiment(expert_plan(1), builtin_sheet("sheet1"), GroundTruthParams(),
                              seed=30, keep_captures=False)
-        log.steps[step - 1] = change(log.steps[step - 1])
-        with pytest.raises(ValueError, match=rf"^step {step}\b"):
-            write_log(log, tmp_path / "log.jsonl")
+        copy = SheetGeometry.from_json(log.states[0].geometry.to_json())
+        assert copy is not log.states[0].geometry
+        states = log.states[:2] + [replace(log.states[2], geometry=copy)] + log.states[3:]
+        assert replace(log, states=states).states[2].geometry is copy
 
     def test_params_round_trip(self, tmp_path):
         params = GroundTruthParams(region_count=4, edge_drift=1.5)
