@@ -65,6 +65,7 @@ class RunConfig:
             raise ValueError("at least one seed is required")
         if min(raw.seeds) < 0:
             raise ValueError("seeds must be non-negative integers")
+        _refuse_repeated_seeds(raw.seeds, "seeds")
         return cls(sheet=raw.sheet,
                    params=GroundTruthParams.load(raw.ground_truth) if raw.ground_truth
                    else GroundTruthParams(),
@@ -78,10 +79,18 @@ class RunConfig:
         if getattr(args, "sheet", None):
             cfg.sheet = args.sheet
         if getattr(args, "seed", None):
+            _refuse_repeated_seeds(args.seed, "--seed")
             cfg.seeds = tuple(args.seed)
         if getattr(args, "out", None):
             cfg.out = Path(args.out)
         return cfg
+
+
+def _refuse_repeated_seeds(seeds, where: str) -> None:
+    # a seed given twice would run, print and write its log twice
+    repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{where}: seed {repeated} is given more than once")
 
 
 def _log_name(plan: DrapingPlan, sheet: str, seed: int) -> str:
@@ -182,13 +191,18 @@ def build_report(summaries: list[dict], baseline: str | None = None) -> dict:
     Plans whose name starts with 'refined' compare against the baseline
     initial plan: by default the initial plan appearing last in the input
     (the experts' latest draft), overridable by name. A `baseline` that is
-    not an initial plan of every sheet raises ValueError naming it. Averages
+    not an initial plan of every sheet raises ValueError naming it, and so
+    does a (sheet, plan, seed) trial given twice. Averages
     are shown to one decimal and the improvement is computed from those
     rounded averages, matching how the headline percentages are quoted.
     """
     groups: dict[tuple[str, str], list[dict]] = {}  # in order of first appearance
     for s in summaries:
-        groups.setdefault((s["sheet"], s["plan"]), []).append(s)
+        trials = groups.setdefault((s["sheet"], s["plan"]), [])
+        if any(t["seed"] == s["seed"] for t in trials):
+            raise ValueError(f"the trial of plan {s['plan']} on {s['sheet']} at seed "
+                             f"{s['seed']} is given more than once")
+        trials.append(s)
 
     sheets: dict[str, dict] = {}
     for (sheet, plan_name), trials in groups.items():

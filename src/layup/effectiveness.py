@@ -13,9 +13,10 @@ a single bucket.
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
 bucket's majority sign vote shrinks or grows the covariance diagonals.
-`propagate_batch` does this for one `SheetState` and many actions at once,
-reading the table compiled into dense arrays (`EffectTable`) and returning a
-batch of states; `propagate` is the batch of one.
+`propagate_batch` does this for many actions at once, from one `SheetState`
+or from a batch of states, one per action, reading the table compiled into
+dense arrays (`EffectTable`) and returning a batch of states; `propagate` is
+the batch of one.
 """
 from __future__ import annotations
 
@@ -285,28 +286,39 @@ def aggregate(logs) -> EffectivenessModel:
     return model
 
 
-def propagate_batch(state: SheetState, actions, model: EffectivenessModel,
+def propagate_batch(states: SheetState, actions, model: EffectivenessModel,
                     seeds=None) -> SheetState:
-    """Advance one state by the learned effect of each of A actions: a batch of A states.
+    """Advance states by the learned effect of each of A actions: a batch of A states.
 
-    Live sectors with data move by the bucket mean delta. With `seeds`
-    (sampled mode) they move by the mean plus zero-mean Gaussian noise with
-    the bucket's sample variance, action i drawing one (6,) row per moved
-    sector, in sector order, from `np.random.default_rng(seeds[i])`;
-    `seeds` None is expectation mode. Heights and axes clamp at zero;
-    orientations fold into [0, pi); a sector whose height and both axes hit
-    zero collapses to the sentinel. Covariance diagonals scale by 0.9/1.1
-    according to the majority sign vote (applied as a symmetric congruence,
-    preserving positive semidefiniteness). Sectors or actions without data
-    are left untouched, and sentinels stay zero. A state whose sector count
-    differs from the model's raises ValueError.
+    `states` is one state, which every action advances, or a batch of A
+    states, one per action. Live sectors with data move by the bucket mean
+    delta. With `seeds` (sampled mode) they move by the mean plus zero-mean
+    Gaussian noise with the bucket's sample variance, action i drawing one
+    (6,) row per moved sector, in sector order, from
+    `np.random.default_rng(seeds[i])`; `seeds` None is expectation mode.
+    Heights and axes clamp at zero; orientations fold into [0, pi); a sector
+    whose height and both axes hit zero collapses to the sentinel.
+    Covariance diagonals scale by 0.9/1.1 according to the majority sign
+    vote (applied as a symmetric congruence, preserving positive
+    semidefiniteness). Sectors or actions without data are left untouched,
+    and sentinels stay zero. States whose sector count differs from the
+    model's raise ValueError.
     """
-    if len(state.count) != model.sector_count:
-        raise ValueError(f"state has {len(state.count)} sectors, "
+    table = effect_table(states, model)
+    return _propagate_rows(states, [table.row(action) for action in actions], table, seeds)
+
+
+def effect_table(states: SheetState, model: EffectivenessModel) -> EffectTable:
+    """The model's compiled table, once the states' sector count is checked against it."""
+    if states.count.shape[-1] != model.sector_count:
+        raise ValueError(f"state has {states.count.shape[-1]} sectors, "
                          f"the model {model.sector_count}")
-    table = model.compiled()
-    rows = [table.row(action) for action in actions]
-    live = state.count != 0
+    return model.compiled()
+
+
+def _propagate_rows(states: SheetState, rows, table: EffectTable, seeds) -> SheetState:
+    # propagate_batch with each action already mapped to its table row
+    live = states.count != 0
     moved = table.has[rows] & live                  # (A, k)
     delta = table.mean[rows]                        # (A, k, 6), a copy
     if seeds is not None:
@@ -315,17 +327,19 @@ def propagate_batch(state: SheetState, actions, model: EffectivenessModel,
             m = moved[i]
             noise = np.random.default_rng(seed).standard_normal((int(m.sum()), 6))
             delta[i, m] = delta[i, m] + noise * std[i, m]
-    mu = state.mu + delta
+    mu = states.mu + delta
     mu[..., 2:5] = np.where(mu[..., 2:5] > 0.0, mu[..., 2:5], 0.0)  # height, major, minor
     mu[..., 5] = fold_axial(mu[..., 5])
     collapsed = moved & (mu[..., 2] == 0.0) & (mu[..., 3] == 0.0) & (mu[..., 4] == 0.0)
-    mu = np.where(moved[..., None], mu, state.mu)
-    sigma = np.where(moved[..., None, None, None], state.sigma * table.scale[rows],
-                     state.sigma)
+    mu = np.where(moved[..., None], mu, states.mu)
+    scale = table.scale[rows]                       # (A, k, 2, 3, 3), a copy
+    scale[~moved] = 1.0                             # x * 1.0 is x, bit for bit
+    sigma = np.multiply(states.sigma, scale, out=scale)
     dead = collapsed | ~live
     mu[dead] = 0.0
     sigma[dead] = 0.0
-    return SheetState(state.geometry, mu, sigma, np.where(dead, 0, state.count), state.t + 1)
+    return SheetState(states.geometry, mu, sigma, np.where(dead, 0, states.count),
+                      states.t + 1)
 
 
 def propagate(state: SheetState, action: Action, model: EffectivenessModel,

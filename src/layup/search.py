@@ -3,21 +3,31 @@
 The planner commits one action at a time. At each stage it enumerates every
 action the constraints still permit, ranks them by their expected one-step
 merit under the learned effect model, explores the best `branching`
-candidates `depth` levels deep (expectation-mode propagation), and commits
-the candidate whose subtree reaches the cheapest leaf. Accumulated cost is
-the running sum of action cost plus propagated-state utility (plus a small
+candidates `depth` levels deep (propagated in cfg.mode), and commits the
+candidate whose subtree reaches the cheapest leaf. Accumulated cost is the
+running sum of action cost plus propagated-state utility (plus a small
 penalty per action the model has never seen). The loop stops when an end
 action is committed, the horizon is hit, or no single action can improve
 the state utility by more than the convergence threshold; the two latter
 cases append the shortest constraint-satisfying suffix that
 `plan.completion` names.
 
-Nodes hold their `SheetState`, the same array state the estimator builds
-and the learner differences. A node's feasible children are propagated
-together by `propagate_batch`, as one batch of states, and priced together
-by `price_batch`; each child keeps its row of the batch. `state_utility`
-prices a batch of one, and `replay_cost` rebuilds a plan's nodes the same
-way, so its cost is the search's.
+The lookahead goes level by level, not node by node. One depth level of a
+candidate's subtree is a frontier of array rows: a batch of `SheetState`s
+with each row's cost, utility, covariance trace and prefix kinds. All
+(row, feasible candidate) pairs of a level are propagated in one call and
+priced in one `price_batch` call; action costs, the unmodeled penalty and
+the one-step scores are array expressions, and a stable `np.lexsort` on
+(row, score, candidate index) ranks each row's children, of which the
+first `branching` form the next level. A row without a feasible child, and
+every row of the last level, is a leaf; the lookahead value is the least
+leaf cost plus utility. The rows of a level share their prefix length, so
+a sampled-mode draw is seeded by (position, action) for every row alike.
+
+The committed path is made of `SearchNode`s: a node's children are the
+level of a frontier of that one node. `state_utility` prices a batch of
+one, and `replay_cost` rebuilds a plan's nodes through the same
+propagate-and-price step, so its cost is the search's.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import plan as plan_mod
-from .effectiveness import EffectivenessModel, propagate_batch
+from .effectiveness import EffectivenessModel, EffectTable, _propagate_rows, effect_table
 from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    next_kinds, prefix_feasible, standard_constraints, validate)
@@ -147,7 +157,7 @@ class SearchStats:
 
     nodes_expanded: int = 0   # non-terminal nodes below the horizon whose children were listed
     children_priced: int = 0  # child states propagated and priced
-    batch_calls: int = 0      # propagate_batch calls
+    batch_calls: int = 0      # one per propagated level or node batch
 
 
 @dataclass
@@ -173,6 +183,42 @@ def root_node(state: SheetState, cfg: SearchConfig,
                       stats=stats if stats is not None else SearchStats())
 
 
+@dataclass(frozen=True)
+class _Frontier:
+    """Nodes as array rows: one level of a subtree, or the children of one batch.
+
+    Row i holds the fields of one `SearchNode`, the prefix as its kinds only.
+    The rows of a level share the prefix length, and with it the position
+    that seeds a sampled-mode draw.
+    """
+
+    states: SheetState         # a batch of N states
+    kinds: list | None         # N tuples of prefix kinds; None until the rows are ranked
+    cost: np.ndarray           # (N,)
+    utility: np.ndarray        # (N,)
+    trace: np.ndarray          # (N,)
+    score: np.ndarray          # (N,)
+
+    @classmethod
+    def of(cls, node: SearchNode) -> "_Frontier":
+        s = node.state
+        return cls(SheetState(s.geometry, s.mu[None], s.sigma[None], s.count[None], s.t),
+                   [tuple(a.kind for a in node.prefix)], np.array([node.cost]),
+                   np.array([node.utility]), np.array([node.trace]), np.array([node.score]))
+
+    def take(self, rows, kinds=None) -> "_Frontier":
+        s = self.states
+        return _Frontier(SheetState(s.geometry, s.mu[rows], s.sigma[rows], s.count[rows], s.t),
+                         kinds, self.cost[rows], self.utility[rows], self.trace[rows],
+                         self.score[rows])
+
+    def node(self, i: int, prefix: tuple[Action, ...], stats: SearchStats) -> SearchNode:
+        s = self.states
+        return SearchNode(SheetState(s.geometry, s.mu[i], s.sigma[i], s.count[i], s.t), prefix,
+                          float(self.cost[i]), float(self.utility[i]), float(self.trace[i]),
+                          stats, float(self.score[i]))
+
+
 def _action_order(action: Action) -> tuple[int, int]:
     if action.kind == "path":
         return (0, action.arg)
@@ -183,36 +229,82 @@ def _sample_seed(cfg: SearchConfig, position: int, action: Action) -> int:
     return zlib.crc32(f"{cfg.seed}|{position}|{action}".encode())
 
 
-def _priced(node: SearchNode, actions: list[Action], model: EffectivenessModel,
-            cfg: SearchConfig) -> list[SearchNode]:
-    """Propagate each action from the node and price the new states, in one batch."""
-    if not actions:
-        return []
-    position = len(node.prefix) + 1
-    seeds = (None if cfg.mode == "expectation"
-             else [_sample_seed(cfg, position, action) for action in actions])
-    after = propagate_batch(node.state, actions, model, seeds)
-    utilities, traces = price_batch(after, cfg)
-    node.stats.batch_calls += 1
-    node.stats.children_priced += len(actions)
-    children = []
-    for i, (action, utility, trace) in enumerate(zip(actions, utilities.tolist(),
-                                                     traces.tolist())):
-        cost = node.cost + action_cost(action, cfg) + utility
-        if not model.covers(action):
-            cost += cfg.w_unk
-        children.append(SearchNode(
-            state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
-                             after.t),
-            prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
-            stats=node.stats,
-            score=utility - node.utility + cfg.w_sigma * (trace - node.trace)))
-    return children
+def _live(count: np.ndarray):
+    # a refinement block's pass count: the live sectors of a state (or of each row), at least 1
+    return np.maximum(1, np.count_nonzero(count, axis=-1))
+
+
+def _refinement_action(state: SheetState) -> Action:
+    return plan_mod.refinement(int(_live(state.count)))
+
+
+class _Candidates:
+    """Every node's candidate actions, mapped to effect-table rows once per search.
+
+    They are listed in `_action_order`, so a candidate's index is its
+    tie-break rank: paths 1..path_count, peel, capture, refinement, end. The
+    refinement candidate's argument is the node's live sector count
+    (`_refinement_action`); its table row, its coverage and its cost per pass
+    do not depend on it. Raises ValueError when the state's sector count is
+    not the model's.
+    """
+
+    def __init__(self, state: SheetState, model: EffectivenessModel, cs: ConstraintSet,
+                 cfg: SearchConfig):
+        self.table = effect_table(state, model)
+        self.cs = cs
+        self.horizon = cfg.horizon
+        self.actions = ([plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
+                        + [plan_mod.peel(), plan_mod.capture(), plan_mod.refinement(1),
+                           plan_mod.end()])
+        self.refinement = cfg.path_count + 2
+        self.kinds = [a.kind for a in self.actions]
+        self.rows = np.array([self.table.row(a) for a in self.actions])
+        self.cost = np.array([cfg.action_costs[kind] for kind in self.kinds], dtype=float)
+        self.unseen = ~self.table.covers[self.rows]
+        self._feasible: dict[tuple[str, ...], np.ndarray] = {}
+
+    def action(self, i: int, live: int) -> Action:
+        return plan_mod.refinement(live) if i == self.refinement else self.actions[i]
+
+    def feasible(self, kinds: tuple[str, ...]) -> np.ndarray:
+        """Which candidates may follow a prefix of these kinds, as a bool row."""
+        mask = self._feasible.get(kinds)
+        if mask is None:
+            allowed = next_kinds(kinds, self.cs, self.horizon)
+            mask = self._feasible[kinds] = np.array([k in allowed for k in self.kinds])
+        return mask
+
+
+def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
+             table: EffectTable, cfg: SearchConfig, stats: SearchStats) -> _Frontier:
+    """Row `parents[i]` advanced by table row `rows[i]`: one propagate and one price.
+
+    A child's cost is its parent's plus its action cost `costs[i]` and its
+    utility, plus cfg.w_unk where `unseen[i]` (the model never saw the
+    action); its score is the one-step merit of the action from the parent.
+    """
+    base = front.take(parents)
+    after = _propagate_rows(base.states, rows, table, seeds)
+    utility, trace = price_batch(after, cfg)
+    cost = base.cost + costs + utility
+    cost[unseen] += cfg.w_unk
+    score = utility - base.utility + cfg.w_sigma * (trace - base.trace)
+    stats.batch_calls += 1
+    stats.children_priced += len(parents)
+    return _Frontier(after, None, cost, utility, trace, score)
 
 
 def _child(node: SearchNode, action: Action, model: EffectivenessModel,
            cfg: SearchConfig) -> SearchNode:
-    return _priced(node, [action], model, cfg)[0]
+    table = effect_table(node.state, model)
+    row = table.row(action)
+    seeds = (None if cfg.mode == "expectation"
+             else [_sample_seed(cfg, len(node.prefix) + 1, action)])
+    child = _advance(_Frontier.of(node), np.zeros(1, dtype=int), [row],
+                     action_cost(action, cfg), ~table.covers[[row]], seeds, table, cfg,
+                     node.stats)
+    return child.node(0, node.prefix + (action,), node.stats)
 
 
 def effectiveness_score(action: Action, state: SheetState,
@@ -226,26 +318,52 @@ def effectiveness_score(action: Action, state: SheetState,
     return _child(root_node(state, cfg), action, model, cfg).score
 
 
-def _refinement_action(state: SheetState) -> Action:
-    return plan_mod.refinement(max(1, int(np.count_nonzero(state.count))))
+def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: SearchStats,
+           keep: int | None = None) -> tuple[_Frontier, np.ndarray, np.ndarray] | None:
+    """Every feasible child of every open row of a frontier: one propagate, one price.
+
+    A row is open when its prefix is below the horizon and does not end in
+    `end`. The children come grouped by parent row, in frontier order, each
+    group best one-step score first, ties to the lower candidate index; with
+    `keep`, only the first `keep` of each group. Returns the children, each
+    child's parent row and each child's candidate index, or None when no row
+    has a feasible child.
+    """
+    position = len(front.kinds[0]) + 1
+    open_rows = ([i for i, kinds in enumerate(front.kinds) if not kinds or kinds[-1] != "end"]
+                 if position <= cfg.horizon else [])
+    stats.nodes_expanded += len(open_rows)
+    mask = np.zeros((len(front.kinds), len(cands.kinds)), dtype=bool)
+    for i in open_rows:
+        mask[i] = cands.feasible(front.kinds[i])
+    parents, which = np.nonzero(mask)
+    if not len(parents):
+        return None
+    live = _live(front.states.count)[parents]
+    seeds = (None if cfg.mode == "expectation"
+             else [_sample_seed(cfg, position, cands.action(c, n))
+                   for c, n in zip(which.tolist(), live.tolist())])
+    costs = cands.cost[which] * np.where(which == cands.refinement, live, 1)
+    children = _advance(front, parents, cands.rows[which], costs, cands.unseen[which], seeds,
+                        cands.table, cfg, stats)
+    order = np.lexsort((which, children.score, parents))
+    if keep is not None:
+        grouped = parents[order]
+        order = order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < keep]
+    parents, which = parents[order], which[order]
+    kinds = [front.kinds[p] + (cands.kinds[c],) for p, c in zip(parents.tolist(), which.tolist())]
+    return children.take(order, kinds), parents, which
 
 
-def _candidate_actions(state: SheetState, cfg: SearchConfig) -> list[Action]:
-    acts = [plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
-    acts += [plan_mod.peel(), plan_mod.capture(), _refinement_action(state), plan_mod.end()]
-    return acts
-
-
-def _children(node: SearchNode, model, cs, cfg) -> list[SearchNode]:
-    # every feasible child, best one-step score first
-    if node.terminal or len(node.prefix) >= cfg.horizon:
+def _children(node: SearchNode, cands: _Candidates, cfg: SearchConfig) -> list[SearchNode]:
+    # every feasible child, best one-step score first: the level of a frontier of one
+    level = _level(_Frontier.of(node), cands, cfg, node.stats)
+    if level is None:
         return []
-    feasible = next_kinds(tuple(a.kind for a in node.prefix), cs, cfg.horizon)
-    node.stats.nodes_expanded += 1
-    out = _priced(node, [action for action in _candidate_actions(node.state, cfg)
-                         if action.kind in feasible], model, cfg)
-    out.sort(key=lambda c: (c.score, _action_order(c.prefix[-1])))
-    return out
+    children, _, which = level
+    live = int(_live(node.state.count))
+    return [children.node(i, node.prefix + (cands.action(c, live),), node.stats)
+            for i, c in enumerate(which.tolist())]
 
 
 def expand(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
@@ -256,24 +374,41 @@ def expand(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
     refinement, end. Terminal nodes (ending in `end`, or at the horizon)
     expand to nothing.
     """
-    return _children(node, model, cs, cfg)[:cfg.branching]
+    return _children(node, _Candidates(node.state, model, cs, cfg), cfg)[:cfg.branching]
+
+
+def _lookahead(node: SearchNode, cands: _Candidates, cfg: SearchConfig, depth: int) -> float:
+    front, best = _Frontier.of(node), math.inf
+    for _ in range(depth):
+        level = _level(front, cands, cfg, node.stats, keep=cfg.branching)
+        if level is None:
+            break
+        children, parents, _ = level
+        leaf = np.ones(len(front.cost), dtype=bool)
+        leaf[parents] = False  # a row without a feasible child is a leaf
+        best = min([best, *(front.cost[leaf] + front.utility[leaf]).tolist()])
+        front = children
+    return min([best, *(front.cost + front.utility).tolist()])
 
 
 def lookahead_value(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
                     cfg: SearchConfig, depth: int | None = None) -> float:
-    """Cheapest (accumulated cost + utility) among the subtree's leaves."""
-    if depth is None:
-        depth = cfg.depth
-    children = expand(node, model, cs, cfg) if depth > 0 else []
-    if not children:
-        return node.cost + node.utility
-    return min(lookahead_value(c, model, cs, cfg, depth - 1) for c in children)
+    """Cheapest (accumulated cost + utility) among the subtree's leaves.
+
+    The subtree keeps the best `branching` children of each node (as
+    `expand` ranks them) down to `depth` levels (cfg.depth by default); a
+    leaf is a node at that depth or one without a feasible child. It is
+    searched level by level: each level's nodes are array rows, propagated
+    and priced with all their feasible candidates in one batch.
+    """
+    return _lookahead(node, _Candidates(node.state, model, cs, cfg), cfg,
+                      cfg.depth if depth is None else depth)
 
 
-def _suffix_child(kind: str, node: SearchNode, model, cs, cfg) -> SearchNode:
+def _suffix_child(kind: str, node: SearchNode, model, cands, cfg) -> SearchNode:
     if kind == "path":
         # the best-scoring feasible path, path 1 when none is feasible
-        for child in _children(node, model, cs, cfg):
+        for child in _children(node, cands, cfg):
             if child.prefix[-1].kind == "path":
                 return child
         return _child(node, plan_mod.path(1), model, cfg)
@@ -282,18 +417,18 @@ def _suffix_child(kind: str, node: SearchNode, model, cs, cfg) -> SearchNode:
     return _child(node, Action(kind), model, cfg)
 
 
-def _complete(node: SearchNode, model, cs, cfg, audit: list) -> SearchNode:
+def _complete(node: SearchNode, model, cands: _Candidates, cfg, audit: list) -> SearchNode:
     """Append `plan.completion`'s suffix, the shortest that satisfies the constraints."""
     kinds = tuple(a.kind for a in node.prefix)
-    suffix_kinds = plan_mod.completion(kinds, cs, cfg.horizon - len(kinds))
+    suffix_kinds = plan_mod.completion(kinds, cands.cs, cfg.horizon - len(kinds))
     if suffix_kinds is None:
-        needed = plan_mod.outstanding(kinds, cs)
+        needed = plan_mod.outstanding(kinds, cands.cs)
         why = ("a placed action already breaks a constraint" if needed is None
                else "outstanding: "
                + (", ".join(plan_mod.canonical_kinds(needed)) or "gap relations only"))
         raise SearchError(f"no valid completion within the horizon; {why}")
     for kind in suffix_kinds:
-        node = _suffix_child(kind, node, model, cs, cfg)
+        node = _suffix_child(kind, node, model, cands, cfg)
         audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
                       "mode": "suffix", "cost": node.cost})
     return node
@@ -316,14 +451,15 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
         raise SearchError("constraints admit no plan at all within the horizon")
 
     node = root_node(initial, cfg, stats)
+    cands = _Candidates(initial, model, cs, cfg)
     audit: list[dict] = []
     while not node.terminal:
-        children = _children(node, model, cs, cfg)
+        children = _children(node, cands, cfg)
         if not children or max(node.utility - c.utility for c in children) < cfg.epsilon_conv:
-            node = _complete(node, model, cs, cfg, audit)
+            node = _complete(node, model, cands, cfg, audit)
             break
         top = children[:cfg.branching]
-        values = [lookahead_value(ch, model, cs, cfg) for ch in top]
+        values = [_lookahead(ch, cands, cfg, cfg.depth) for ch in top]
         ranked = sorted(zip(values, top), key=lambda t: (t[0], _action_order(t[1].prefix[-1])))
         value, node = ranked[0]
         audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),

@@ -219,6 +219,18 @@ class TestReport:
         assert report["sheets"]["sheet1"]["by_plan"]["D1"]["average_paths"] == \
             pytest.approx((33 + 46 + 32) / 3)
 
+    def test_repeated_trial_is_refused(self):
+        rows = published_style_summaries()
+        with pytest.raises(ValueError, match="plan D2 on sheet2 at seed 1 is given more"):
+            build_report(rows + [rows[-5]])
+
+    def test_same_seed_of_other_plans_or_sheets_is_kept(self):
+        rows = [summary_record(sheet, plan, 0, 1, 1, 20)
+                for sheet in ("sheet1", "sheet2") for plan in ("D1", "refined_x")]
+        report = build_report(rows)
+        assert [len(report["sheets"][sheet]["by_plan"][plan]["trials"])
+                for sheet in ("sheet1", "sheet2") for plan in ("D1", "refined_x")] == [1] * 4
+
     def test_text_table_renders(self):
         text = format_report(build_report(published_style_summaries()))
         assert "37.0" in text and "41.7" in text and "sheet2" in text
@@ -645,6 +657,29 @@ class TestBadInput:
         assert exit_.value.code == 2
         assert "--seed" in err and "'-1'" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_repeated(self, tmp_path, d1_file, capsys):
+        code, err = self.run_main(["simulate", d1_file, "--seed", "3", "4", "3",
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert "--seed: seed 3 is given more than once" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_config_seed_repeated(self, tmp_path, d1_file, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seeds": [5, 5]}))
+        code, err = self.run_main(["simulate", d1_file, "--config", cfg_file,
+                                   "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert str(cfg_file) in err and "seeds: seed 5 is given more than once" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_report_log_named_twice(self, tmp_path, capsys):
+        log = tmp_path / "a.jsonl"
+        log.write_text(json.dumps(summary_record("sheet1", "D1", 3, 1, 5, 21)) + "\n")
+        code, err = self.run_main(["report", log, log], capsys)
+        assert code == 2
+        assert "plan D1 on sheet1 at seed 3 is given more than once" in err
 
     @pytest.mark.parametrize("content", [
         {"grid_pitch": 0}, {"roller_half_width": -1.0}, {"h_min": 0}, {"link_radius": 0},

@@ -6,16 +6,17 @@ import math
 import re
 import tempfile
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from layup.cli import RunConfig, cmd_simulate
-from layup.effectiveness import (EffectivenessModel, TransitionSample, compute_delta,
-                                 compute_signs, extract_transitions, propagate,
+from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
+                                 compute_delta, compute_signs, extract_transitions, propagate,
                                  propagate_batch)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
@@ -25,13 +26,14 @@ from layup.jsonio import LogFormatError
 from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
                         canonical_kinds, capture, completion, emit_plan, emit_plan_text, end,
-                        expert_plan, initial_plan_constraints, outstanding, parse_plan_text,
-                        path, peel, prefix_feasible, refinement, standard_constraints,
-                        validate)
-from layup.search import (SearchConfig, _sample_seed, action_cost, price_batch,
-                          replay_cost, state_utility)
+                        expert_plan, initial_plan_constraints, next_kinds, outstanding,
+                        parse_plan_text, path, peel, prefix_feasible, refinement,
+                        standard_constraints, validate)
+from layup.search import (SearchConfig, SearchError, SearchNode, SearchStats, _sample_seed,
+                          action_cost, lookahead_value, price_batch, refine_plan_detailed,
+                          replay_cost, root_node, state_utility)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
-                               _link_pairs, read_capture_frames, segment_regions,
+                               _link_pairs, average_states, read_capture_frames, segment_regions,
                                write_capture_frames)
 from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              _noise, _sweep, builtin_sheet, init_sheet,
@@ -399,10 +401,15 @@ def test_propagate_batch_matches_scalar_bitwise(case, sampled, seeds):
     state, model = case
     mode = "sampled" if sampled else "expectation"
     batch = propagate_batch(state, BATCH_ACTIONS, model, seeds if sampled else None)
+    # a batch of states, one per action: each row advanced by its own action again
+    again = propagate_batch(batch, BATCH_ACTIONS, model, seeds if sampled else None)
     for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
-        want = fingerprint(oracle_propagate(state, action, model, mode, seed))
+        once = oracle_propagate(state, action, model, mode, seed)
+        want = fingerprint(once)
         assert fingerprint(batch, i) == want
         assert fingerprint(propagate(state, action, model, mode, seed)) == want
+        assert fingerprint(again, i) == fingerprint(oracle_propagate(once, action, model, mode,
+                                                                     seed))
 
 
 @settings(max_examples=200, deadline=None)
@@ -440,6 +447,182 @@ def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, actions):
             want_cost += cfg.w_unk
     assert cost.hex() == want_cost.hex()
     assert fingerprint(final) == fingerprint(want)
+
+
+ORACLE_KIND_ORDER = {"peel": 1, "capture": 2, "refinement": 3, "end": 4}
+
+
+def oracle_order(action: Action) -> tuple[int, int]:
+    return (0, action.arg) if action.kind == "path" else (ORACLE_KIND_ORDER[action.kind], 0)
+
+
+def oracle_priced(node: SearchNode, actions, model, cfg) -> list[SearchNode]:
+    """One node's children by the given actions, in one `propagate_batch` call."""
+    if not actions:
+        return []
+    position = len(node.prefix) + 1
+    seeds = (None if cfg.mode == "expectation"
+             else [_sample_seed(cfg, position, action) for action in actions])
+    after = propagate_batch(node.state, actions, model, seeds)
+    utilities, traces = price_batch(after, cfg)
+    node.stats.batch_calls += 1
+    node.stats.children_priced += len(actions)
+    children = []
+    for i, (action, utility, trace) in enumerate(zip(actions, utilities.tolist(),
+                                                     traces.tolist())):
+        cost = node.cost + action_cost(action, cfg) + utility
+        if not model.covers(action):
+            cost += cfg.w_unk
+        children.append(SearchNode(
+            state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
+                             after.t),
+            prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
+            stats=node.stats,
+            score=utility - node.utility + cfg.w_sigma * (trace - node.trace)))
+    return children
+
+
+def oracle_children(node: SearchNode, model, cs, cfg) -> list[SearchNode]:
+    """Every feasible child of one node, best one-step score first: the search's
+    expansion before it went level by level."""
+    if node.terminal or len(node.prefix) >= cfg.horizon:
+        return []
+    feasible = next_kinds(tuple(a.kind for a in node.prefix), cs, cfg.horizon)
+    node.stats.nodes_expanded += 1
+    live = max(1, int(np.count_nonzero(node.state.count)))
+    candidates = ([path(i) for i in range(1, cfg.path_count + 1)]
+                  + [peel(), capture(), refinement(live), end()])
+    out = oracle_priced(node, [a for a in candidates if a.kind in feasible], model, cfg)
+    out.sort(key=lambda c: (c.score, oracle_order(c.prefix[-1])))
+    return out
+
+
+def oracle_lookahead_value(node: SearchNode, model, cs, cfg, depth: int) -> float:
+    """The recursive lookahead: one expansion per node, the minimum over the leaves."""
+    children = oracle_children(node, model, cs, cfg)[:cfg.branching] if depth > 0 else []
+    if not children:
+        return node.cost + node.utility
+    return min(oracle_lookahead_value(c, model, cs, cfg, depth - 1) for c in children)
+
+
+def oracle_refine(initial: SheetState, model, cs, cfg) -> tuple[tuple, list, SearchStats]:
+    """`refine_plan_detailed` on the recursive lookahead: the actions, audit and counts."""
+    stats = SearchStats()
+    node = root_node(initial, cfg, stats)
+    audit = []
+    while not node.terminal:
+        children = oracle_children(node, model, cs, cfg)
+        if not children or max(node.utility - c.utility for c in children) < cfg.epsilon_conv:
+            kinds = tuple(a.kind for a in node.prefix)
+            suffix = completion(kinds, cs, cfg.horizon - len(kinds))
+            if suffix is None:
+                raise SearchError("no valid completion within the horizon")
+            for kind in suffix:
+                paths = ([c for c in oracle_children(node, model, cs, cfg)
+                          if c.prefix[-1].kind == "path"] if kind == "path" else [])
+                if paths:
+                    node = paths[0]
+                elif kind == "path":
+                    node = oracle_priced(node, [path(1)], model, cfg)[0]
+                elif kind == "refinement":
+                    live = max(1, int(np.count_nonzero(node.state.count)))
+                    node = oracle_priced(node, [refinement(live)], model, cfg)[0]
+                else:
+                    node = oracle_priced(node, [Action(kind)], model, cfg)[0]
+                audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
+                              "mode": "suffix", "cost": node.cost})
+            break
+        top = children[:cfg.branching]
+        values = [oracle_lookahead_value(c, model, cs, cfg, cfg.depth) for c in top]
+        ranked = sorted(zip(values, top), key=lambda t: (t[0], oracle_order(t[1].prefix[-1])))
+        value, node = ranked[0]
+        audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
+                      "score": node.score, "lookahead": value,
+                      "alternatives": [[str(c.prefix[-1]), c.score, float(v)]
+                                       for v, c in ranked[1:]],
+                      "mode": "committed", "cost": node.cost})
+    if validate(DrapingPlan(node.prefix, "oracle"), cs):
+        raise SearchError("search produced an invalid plan")
+    return node.prefix, audit, stats
+
+
+SEARCH_CONSTRAINTS = (
+    standard_constraints(),
+    ConstraintSet(abs=(AbsConstraint("end", ">", 0),)),  # end feasible at every position
+    ConstraintSet(rel=(RelConstraint("end", "path", ">", 1),),
+                  abs=(AbsConstraint("end", ">", 0), AbsConstraint("peel", "<", 2))),
+    ConstraintSet(),  # nothing required: every kind feasible, no end needed
+)
+
+
+@st.composite
+def search_cases(draw):
+    """A state (all-sentinel now and then), a model with data, constraints and a config."""
+    state, model = draw(states_and_models())
+    assume(not model.is_empty)
+    if draw(st.integers(0, 5)) == 0:
+        state = make_state(state.geometry, t=state.t)
+    cs = draw(st.sampled_from(SEARCH_CONSTRAINTS) | constraint_sets)
+    sampled = draw(st.booleans())
+    cfg = SearchConfig(branching=draw(st.integers(1, 5)), depth=draw(st.integers(0, 4)),
+                       horizon=draw(st.integers(1, 8)), path_count=draw(st.integers(1, 4)),
+                       w_h=draw(st.sampled_from((0.0, 25.0, 2.4e5))),
+                       w_sigma=draw(st.sampled_from((0.0, 0.002, 1.3))),
+                       w_unk=draw(st.sampled_from((0.0, 0.5, 40.0))),
+                       epsilon_conv=draw(st.sampled_from((-math.inf, 0.0, 1.3))),
+                       mode="sampled" if sampled else "expectation",
+                       seed=draw(st.integers(0, 2**32 - 1)))
+    return state, model, cs, cfg
+
+
+def work_counts(stats: SearchStats) -> tuple[int, int]:
+    return stats.nodes_expanded, stats.children_priced
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=search_cases(), prefix=st.lists(st.sampled_from(BATCH_ACTIONS), max_size=3))
+def test_lookahead_value_matches_the_recursive_oracle(case, prefix):
+    state, model, cs, cfg = case
+    node, want_node = (replace(root_node(state, cfg), prefix=tuple(prefix)) for _ in range(2))
+    for depth in sorted({0, cfg.depth}):
+        got = lookahead_value(node, model, cs, cfg, depth)
+        want = oracle_lookahead_value(want_node, model, cs, cfg, depth)
+        assert got.hex() == want.hex()
+        assert work_counts(node.stats) == work_counts(want_node.stats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=search_cases())
+def test_refine_plan_matches_the_recursive_oracle(case):
+    state, model, cs, cfg = case
+    stats = SearchStats()
+    try:
+        plan, audit = refine_plan_detailed(state, model, cs, cfg, stats=stats)
+    except (SearchError, ValueError) as exc:  # ValueError: an empty plan
+        with pytest.raises(type(exc)):
+            oracle_refine(state, model, cs, cfg)
+        return
+    actions, want_audit, want_stats = oracle_refine(state, model, cs, cfg)
+    assert plan.actions == actions
+    assert json.dumps(audit) == json.dumps(want_audit)
+    assert work_counts(stats) == work_counts(want_stats)
+
+
+@pytest.mark.parametrize("mode", ["expectation", "sampled"])
+def test_golden_refine_counts_match_the_recursive_oracle(mode):
+    # the sheet1 corpus of the golden files: D1 and D2 at seed 0, default search
+    sheet = builtin_sheet("sheet1")
+    logs = [run_experiment(expert_plan(variant), sheet, GroundTruthParams(), seed=0,
+                           keep_captures=False) for variant in (1, 2)]
+    model = aggregate(logs)
+    state = average_states([log.states[0] for log in logs])
+    cfg, cs, stats = SearchConfig(mode=mode, seed=3), standard_constraints(), SearchStats()
+    plan, audit = refine_plan_detailed(state, model, cs, cfg, stats=stats)
+    actions, want_audit, want = oracle_refine(state, model, cs, cfg)
+    assert plan.actions == actions
+    assert json.dumps(audit) == json.dumps(want_audit)
+    assert work_counts(stats) == work_counts(want)
+    assert stats.batch_calls < want.batch_calls  # one call per level, not per node
 
 
 @settings(max_examples=200, deadline=None)
