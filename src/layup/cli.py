@@ -178,11 +178,14 @@ def cmd_refine(model_path, capture_paths, cfg: RunConfig, name: str | None = Non
     cfg.out.mkdir(parents=True, exist_ok=True)
     plan_path = cfg.out / f"{plan_name}.plan"
     emit_plan(plan, plan_path)
-    with open(cfg.out / f"{plan_name}.audit.json", "w") as fh:
-        json.dump({"plan": plan_name, "search": asdict(stats), "steps": audit},
-                  fh, indent=2)
+    (cfg.out / f"{plan_name}.audit.json").write_text(audit_json(plan_name, stats, audit))
     print(f"{plan_path}  actions={len(plan)} in_plan_paths={plan.path_equivalents}")
     return plan_path
+
+
+def audit_json(plan_name: str, stats: SearchStats, steps: list[dict]) -> str:
+    """The audit sidecar `cmd_refine` writes: the search's work counts and its steps."""
+    return json.dumps({"plan": plan_name, "search": asdict(stats), "steps": steps}, indent=2)
 
 
 def build_report(summaries: list[dict], baseline: str | None = None) -> dict:

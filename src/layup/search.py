@@ -24,6 +24,15 @@ every row of the last level, is a leaf; the lookahead value is the least
 leaf cost plus utility. The rows of a level share their prefix length, so
 a sampled-mode draw is seeded by (position, action) for every row alike.
 
+A frontier's rows hold only the sectors live in the node it starts from.
+A sector with no regions is never moved: propagation zeroes it, it stays
+zero, it adds exactly +0.0 to the priced sums and it draws no sampled-mode
+noise, so leaving it out changes no result. The effect table is cut to the
+kept sectors once per distinct set (`EffectTable.cut`), and a row becomes
+a `SearchNode` only when it is scattered back into all k sectors. A node's
+own utility and trace are priced on its whole state, stale sectors (no
+regions, nonzero moments) included.
+
 The committed path is made of `SearchNode`s: a node's children are the
 level of a frontier of that one node. `state_utility` prices a batch of
 one, and `replay_cost` rebuilds a plan's nodes through the same
@@ -127,7 +136,9 @@ def price_batch(states: SheetState, cfg: SearchConfig) -> tuple[np.ndarray, np.n
     added sector by sector in that order. The trace total sums both
     covariance traces of every sector, sentinels included.
     """
-    traces = np.trace(states.sigma, axis1=-2, axis2=-1)  # (A, k, 2)
+    sigma = states.sigma
+    # the diagonal summed in np.trace's order, without its per-call overhead
+    traces = (sigma[..., 0, 0] + sigma[..., 1, 1]) + sigma[..., 2, 2]  # (A, k, 2)
     sector_trace = traces[..., 0] + traces[..., 1]
     h = states.mu[..., 2]
     terms = np.stack([cfg.w_h * np.where(h > 0.0, h, 0.0),
@@ -189,10 +200,13 @@ class _Frontier:
 
     Row i holds the fields of one `SearchNode`, the prefix as its kinds only.
     The rows of a level share the prefix length, and with it the position
-    that seeds a sampled-mode draw.
+    that seeds a sampled-mode draw. The states hold only the sectors `live`
+    marks, those live in the node the frontier started from; every other
+    sector is a sentinel in every row, as propagation leaves it.
     """
 
-    states: SheetState         # a batch of N states
+    states: SheetState         # a batch of N states over the sectors `live` marks
+    live: np.ndarray           # (k,) bool
     kinds: list | None         # N tuples of prefix kinds; None until the rows are ranked
     cost: np.ndarray           # (N,)
     utility: np.ndarray        # (N,)
@@ -201,20 +215,27 @@ class _Frontier:
 
     @classmethod
     def of(cls, node: SearchNode) -> "_Frontier":
-        s = node.state
-        return cls(SheetState(s.geometry, s.mu[None], s.sigma[None], s.count[None], s.t),
-                   [tuple(a.kind for a in node.prefix)], np.array([node.cost]),
+        # the node's utility and trace, priced on its whole state, count its
+        # stale sectors (no regions, nonzero moments); its children's do not
+        s, live = node.state, node.state.count != 0
+        return cls(SheetState(s.geometry, s.mu[None, live], s.sigma[None, live],
+                              s.count[None, live], s.t),
+                   live, [tuple(a.kind for a in node.prefix)], np.array([node.cost]),
                    np.array([node.utility]), np.array([node.trace]), np.array([node.score]))
 
     def take(self, rows, kinds=None) -> "_Frontier":
         s = self.states
         return _Frontier(SheetState(s.geometry, s.mu[rows], s.sigma[rows], s.count[rows], s.t),
-                         kinds, self.cost[rows], self.utility[rows], self.trace[rows],
+                         self.live, kinds, self.cost[rows], self.utility[rows], self.trace[rows],
                          self.score[rows])
 
     def node(self, i: int, prefix: tuple[Action, ...], stats: SearchStats) -> SearchNode:
-        s = self.states
-        return SearchNode(SheetState(s.geometry, s.mu[i], s.sigma[i], s.count[i], s.t), prefix,
+        # row i scattered back into all k sectors, sentinels where `live` is False
+        s, live = self.states, self.live
+        mu, sigma = np.zeros(live.shape + (6,)), np.zeros(live.shape + (2, 3, 3))
+        count = np.zeros(live.shape, dtype=s.count.dtype)
+        mu[live], sigma[live], count[live] = s.mu[i], s.sigma[i], s.count[i]
+        return SearchNode(SheetState(s.geometry, mu, sigma, count, s.t), prefix,
                           float(self.cost[i]), float(self.utility[i]), float(self.trace[i]),
                           stats, float(self.score[i]))
 
@@ -268,10 +289,16 @@ class _Candidates:
         return plan_mod.refinement(live) if i == self.refinement else self.actions[i]
 
     def feasible(self, kinds: tuple[str, ...]) -> np.ndarray:
-        """Which candidates may follow a prefix of these kinds, as a bool row."""
+        """Which candidates may follow a prefix of these kinds, as a bool row.
+
+        `end` is terminal, so it may follow only a prefix that it completes:
+        the prefix plus `end` must already satisfy every constraint.
+        """
         mask = self._feasible.get(kinds)
         if mask is None:
             allowed = next_kinds(kinds, self.cs, self.horizon)
+            if "end" in allowed and plan_mod.outstanding(kinds + ("end",), self.cs) != {}:
+                allowed = allowed - {"end"}
             mask = self._feasible[kinds] = np.array([k in allowed for k in self.kinds])
         return mask
 
@@ -292,7 +319,7 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
     score = utility - base.utility + cfg.w_sigma * (trace - base.trace)
     stats.batch_calls += 1
     stats.children_priced += len(parents)
-    return _Frontier(after, None, cost, utility, trace, score)
+    return _Frontier(after, front.live, None, cost, utility, trace, score)
 
 
 def _child(node: SearchNode, action: Action, model: EffectivenessModel,
@@ -301,8 +328,9 @@ def _child(node: SearchNode, action: Action, model: EffectivenessModel,
     row = table.row(action)
     seeds = (None if cfg.mode == "expectation"
              else [_sample_seed(cfg, len(node.prefix) + 1, action)])
-    child = _advance(_Frontier.of(node), np.zeros(1, dtype=int), [row],
-                     action_cost(action, cfg), ~table.covers[[row]], seeds, table, cfg,
+    front = _Frontier.of(node)
+    child = _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
+                     ~table.covers[[row]], seeds, table.cut(front.live), cfg,
                      node.stats)
     return child.node(0, node.prefix + (action,), node.stats)
 
@@ -345,7 +373,7 @@ def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: Searc
                    for c, n in zip(which.tolist(), live.tolist())])
     costs = cands.cost[which] * np.where(which == cands.refinement, live, 1)
     children = _advance(front, parents, cands.rows[which], costs, cands.unseen[which], seeds,
-                        cands.table, cfg, stats)
+                        cands.table.cut(front.live), cfg, stats)
     order = np.lexsort((which, children.score, parents))
     if keep is not None:
         grouped = parents[order]
@@ -468,6 +496,10 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
                                        for v, c in ranked[1:]],
                       "mode": "committed", "cost": node.cost})
 
+    if not node.prefix:
+        raise SearchError(f"the search added no action: the constraints require none, and "
+                          f"no candidate improves the state utility by epsilon_conv "
+                          f"({cfg.epsilon_conv:g}) or more")
     refined = DrapingPlan(actions=node.prefix, name=name)
     remaining = validate(refined, cs)
     if remaining:

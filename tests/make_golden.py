@@ -7,10 +7,12 @@ Run from the repository root:
 
 The goldens pin the output of one full sheet1 pipeline (simulate both expert
 plans at seed 0, learn, refine, evaluate at seed 1, report) in the current
-environment. Regenerate after intentional changes to the simulator, learner
-or search defaults. `--check` regenerates into a temporary directory, lists
-every golden file that is missing or differs, and exits 1 if there is one;
-use it to show that a change left the goldens where they were.
+environment, the refine's audit (every committed cost, lookahead value and
+alternative, and the search's work counts) included. Regenerate after
+intentional changes to the simulator, learner or search defaults. `--check`
+regenerates into a temporary directory, lists every golden file that is
+missing or differs, and exits 1 if there is one; use it to show that a
+change left the goldens where they were.
 """
 import argparse
 import sys

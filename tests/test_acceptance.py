@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layup.cli import build_report
+from layup.cli import audit_json, build_report
 from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
                                  compute_delta, compute_signs)
 from layup.plan import (AbsConstraint, Action, ConstraintSet, DrapingPlan,
                         RelConstraint, capture, end, expert_plan,
                         initial_plan_constraints, path, peel, refinement,
                         standard_constraints, validate)
-from layup.search import SearchConfig, refine_plan, replay_cost, state_utility
+from layup.search import (SearchConfig, SearchStats, refine_plan, refine_plan_detailed,
+                          replay_cost, state_utility)
 from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
@@ -341,8 +342,9 @@ def _golden_artifacts(tmp_dir: Path):
     model_path = tmp_dir / "model.json"
     model.save(model_path)
     state0 = average_states([lg.states[0] for lg in logs])
-    refined = refine_plan(state0, model, standard_constraints(), SearchConfig(),
-                          name="refined_sheet1")
+    stats = SearchStats()
+    refined, audit = refine_plan_detailed(state0, model, standard_constraints(), SearchConfig(),
+                                          name="refined_sheet1", stats=stats)
     from layup.plan import emit_plan_text
     plan_text = emit_plan_text(refined)
     eval_log = run_experiment(refined, sheet, params, seed=1,
@@ -355,6 +357,8 @@ def _golden_artifacts(tmp_dir: Path):
         "d1_captures.sha256": hashlib.sha256(captures_path.read_bytes()).hexdigest() + "\n",
         "model.sha256": hashlib.sha256(model_path.read_bytes()).hexdigest() + "\n",
         "refined_sheet1.plan": plan_text,
+        "refined_sheet1.audit.sha256": hashlib.sha256(
+            audit_json(refined.name, stats, audit).encode()).hexdigest() + "\n",
         "report.json": report_json + "\n",
     }
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from layup.effectiveness import EffectivenessModel, TransitionSample, compute_signs
+from layup.effectiveness import EffectivenessModel, TransitionSample, compute_signs, propagate
 from layup.geometry import ROLLER_HALF_WIDTH_DEFAULT
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
@@ -172,6 +172,25 @@ class TestExpand:
         children = expand(node, model, SMALL_CS, cfg)
         assert [c.prefix[-1].arg for c in children] == [1, 2]
 
+    def test_children_keep_every_sector(self, two_sector_geom):
+        # the search propagates only the live sector 1; its children still hold
+        # both sectors, the stale sector 2 zeroed as propagation zeroes it
+        state = make_state(two_sector_geom, {1: gauss(1, 3.0, 20.0, 10.0),
+                                             2: (gauss(2, 2.0, 15.0, 8.0)[0], np.eye(3), 0)})
+        model = random_small_model(np.random.default_rng(4))
+        cfg = small_cfg(branching=4, horizon=8)
+        children = expand(root_node(state, cfg), model, standard_constraints(), cfg)
+        assert children
+        for child in children:
+            want = propagate(state, child.prefix[-1], model)
+            assert child.state.mu.tobytes() == want.mu.tobytes()
+            assert child.state.sigma.tobytes() == want.sigma.tobytes()
+            assert child.state.count.tobytes() == want.count.tobytes()
+            assert child.state.count.tolist() == [1, 0]
+        cost, final = replay_cost([path(1), path(2)], state, model, cfg)
+        assert final.mu.shape == (2, 6) and final.sigma.shape == (2, 2, 3, 3)
+        assert final.count.tolist() == [1, 0]
+
 
 class TestLookahead:
     def test_depth_zero_is_cost_plus_utility(self, two_sector_geom):
@@ -289,6 +308,30 @@ class TestRefinePlan:
             plan, audit = refine_plan_detailed(state, model, standard_constraints(), cfg)
             cost, _ = replay_cost(plan.actions, state, model, cfg)
             assert audit[-1]["cost"] == cost, mode
+
+    def test_end_is_committed_only_when_it_completes_the_plan(self, two_sector_geom):
+        # a completion of (end,) exists, (end, peel), but nothing may follow an
+        # end; on an all-sentinel state a free end is the cheapest first step,
+        # and the search once committed it and then found peel missing
+        cs = ConstraintSet(rel=(RelConstraint("refinement", "path", "<", 0),
+                                RelConstraint("refinement", "peel", ">", 3)),
+                           abs=(AbsConstraint("peel", ">", 0),))
+        state = make_state(two_sector_geom)
+        model = random_small_model(np.random.default_rng(12))
+        cfg = SearchConfig(branching=10, horizon=5, path_count=4, epsilon_conv=-math.inf)
+        kinds = [c.prefix[-1].kind for c in expand(root_node(state, cfg), model, cs, cfg)]
+        assert "end" not in kinds and "peel" in kinds
+        plan = refine_plan(state, model, cs, cfg)
+        assert validate(plan, cs) == []
+        assert plan.actions[-1] == end()
+
+    def test_search_that_adds_nothing_is_a_search_error(self, two_sector_geom):
+        # nothing required and nothing to improve: the search stops at the root
+        state = make_state(two_sector_geom)
+        model = model_from_deltas({(path(1), 1): np.zeros(6)})
+        cfg = SearchConfig(horizon=1, path_count=1)
+        with pytest.raises(SearchError, match="added no action"):
+            refine_plan(state, model, ConstraintSet(), cfg)
 
     def test_empty_model_rejected(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
