@@ -17,6 +17,14 @@ bucket's majority sign vote shrinks or grows the covariance diagonals.
 or from a batch of states, one per action, reading the table compiled into
 dense arrays (`EffectTable`) and returning a batch of states; `propagate` is
 the batch of one.
+
+Loading and compiling a model work on whole arrays, not bucket by bucket.
+`EffectivenessModel.from_json` checks each bucket's key and row counts,
+then the rows of all buckets at once, one `numbers` pass per field and one
+vote check, naming the first bucket at fault. `_compile` stacks the buckets
+of each sample count into one array and reduces it along the sample axis,
+which adds the rows in the order a per-bucket `np.mean`, `np.var` and
+`np.sum` add them, so the tables are those of a per-bucket loop bit for bit.
 """
 from __future__ import annotations
 
@@ -113,15 +121,6 @@ class _Bucket:
     def mean(self) -> np.ndarray:
         return np.mean(self.deltas, axis=0)
 
-    @property
-    def variance(self) -> np.ndarray:
-        """Per-component sample variance; zero when only one sample exists."""
-        return np.var(self.deltas, axis=0, ddof=1) if self.count > 1 else np.zeros(6)
-
-    def majority_signs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-diagonal majority of the +-1 votes; ties land on -1."""
-        return _step(np.sum(self.u1, axis=0)), _step(np.sum(self.u2, axis=0))
-
 
 @dataclass(frozen=True)
 class EffectTable:
@@ -161,24 +160,47 @@ class EffectTable:
 
 
 def _compile(model: "EffectivenessModel") -> EffectTable:
+    # buckets of one sample count n stack into (B, n, ...) arrays, reduced
+    # over axis 1: np.add.reduce adds an outer axis one row at a time, in
+    # row order, so each bucket's mean, variance and vote sums are np.mean's,
+    # np.var's (ddof=1) and np.sum's over its own rows, bit for bit
     keys = sorted({(kind, arg) for kind, arg, _ in model.table})
     rows = {key: i for i, key in enumerate(keys)}
     shape = (len(keys) + 1, model.sector_count)
     mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
     scale = np.ones(shape + (2, 3, 3))
     has = np.zeros(shape, dtype=bool)
+    groups: dict[int, list] = {}  # sample count -> [((row, sector index), bucket)]
     for (kind, arg, sector), b in model.table.items():
-        if b.count == 0:
-            continue
-        at = (rows[(kind, arg)], sector - 1)
-        mean[at] = b.mean
-        std[at] = np.sqrt(b.variance)
-        for track, majority in enumerate(b.majority_signs()):
-            s = np.sqrt(np.where(majority > 0, COV_GROW, COV_SHRINK))
-            scale[at + (track,)] = np.outer(s, s)
+        if b.count:
+            groups.setdefault(b.count, []).append(((rows[(kind, arg)], sector - 1), b))
+    for n, group in groups.items():
+        at = tuple(np.array([cell for cell, _ in group]).T)
+        deltas = np.array([b.deltas for _, b in group])             # (B, n, 6)
+        votes = np.array([(b.u1, b.u2) for _, b in group])          # (B, 2, n, 3)
+        m = np.add.reduce(deltas, axis=1) / n
+        mean[at] = m
+        if n > 1:  # one sample: variance zero
+            x = deltas - m[:, None]
+            std[at] = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=1) / (n - 1))
+        # a diagonal grew when its vote sum is above zero; a tie says it shrank
+        s = np.sqrt(np.where(np.add.reduce(votes, axis=2) > 0, COV_GROW, COV_SHRINK))
+        scale[at] = s[..., :, None] * s[..., None, :]               # np.outer(s, s) per track
         has[at] = True
     return EffectTable(rows=rows, mean=mean, std=std, scale=scale, has=has,
                        covers=has.any(axis=1))
+
+
+def _stacked(names: list[str], recs: list[dict], name: str, width: int) -> np.ndarray:
+    # every bucket's `name` rows, in bucket order, as one (rows, width) array
+    # checked by one `numbers` call; a fault is then looked for bucket by
+    # bucket, so that the error names the first bucket at fault
+    try:
+        return numbers([row for rec in recs for row in rec[name]], (None, width), name)
+    except ValueError:
+        for key, rec in zip(names, recs):
+            numbers(rec[name], (None, width), f"bucket {key} {name}")
+        raise
 
 
 class EffectivenessModel:
@@ -246,6 +268,7 @@ class EffectivenessModel:
         model = cls(sector_count=raw["sector_count"])
         model.experiments = raw["experiments"]
         model.sheets = raw["sheets"]
+        names, keys, recs = [], [], []
         for key, rec in raw["buckets"].items():
             kind, arg, sector = key.split("|")
             arg, sector = int(arg), int(sector)
@@ -257,16 +280,30 @@ class EffectivenessModel:
             if not 1 <= sector <= model.sector_count:
                 raise ValueError(f"bucket {key}: sector out of range")
             rec = required(rec, {"deltas": [], "u1": [], "u2": [], "sources": [""]})
-            bucket = _Bucket()
-            bucket.deltas = list(numbers(rec["deltas"], (None, 6), f"bucket {key} deltas"))
-            bucket.u1 = list(numbers(rec["u1"], (len(bucket.deltas), 3), f"bucket {key} u1"))
-            bucket.u2 = list(numbers(rec["u2"], (len(bucket.deltas), 3), f"bucket {key} u2"))
-            if not np.isin(bucket.u1 + bucket.u2, (-1.0, 1.0)).all():
-                raise ValueError(f"bucket {key}: each u1 and u2 vote must be -1 or 1")
-            bucket.sources = rec["sources"]
-            if len(bucket.sources) != bucket.count:
-                raise ValueError(f"bucket {key}: one source per delta needed")
-            model.table[(kind, arg, sector)] = bucket
+            n = len(rec["deltas"])
+            if not n:
+                raise ValueError(f"bucket {key}: no deltas")
+            for name, what in (("u1", "u1 row"), ("u2", "u2 row"), ("sources", "source")):
+                if len(rec[name]) != n:
+                    raise ValueError(f"bucket {key}: one {what} per delta needed")
+            names.append(key)
+            keys.append((kind, arg, sector))
+            recs.append(rec)
+        if not recs:
+            return model
+        # the rows of every bucket checked at once; bucket i holds rows ends[i-1]:ends[i]
+        deltas, u1, u2 = (_stacked(names, recs, name, width)
+                          for name, width in (("deltas", 6), ("u1", 3), ("u2", 3)))
+        ends = np.cumsum([len(rec["deltas"]) for rec in recs])
+        bad = np.flatnonzero((np.abs(u1) != 1.0).any(axis=1) | (np.abs(u2) != 1.0).any(axis=1))
+        if len(bad):
+            key = names[np.searchsorted(ends, bad[0], side="right")]
+            raise ValueError(f"bucket {key}: each u1 and u2 vote must be -1 or 1")
+        for key, rec, stop in zip(keys, recs, ends.tolist()):
+            start = stop - len(rec["deltas"])
+            model.table[key] = _Bucket(
+                list(deltas[start:stop]), list(u1[start:stop]), list(u2[start:stop]),
+                rec["sources"])
         return model
 
     def save(self, path) -> None:

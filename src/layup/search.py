@@ -34,9 +34,12 @@ own utility and trace are priced on its whole state, stale sectors (no
 regions, nonzero moments) included.
 
 The committed path is made of `SearchNode`s: a node's children are the
-level of a frontier of that one node. `state_utility` prices a batch of
-one, and `replay_cost` rebuilds a plan's nodes through the same
-propagate-and-price step, so its cost is the search's.
+level of a frontier of that one node, and only the child committed (or
+appended by the completion suffix) is scattered into a node; the others
+are read as rows, and each lookahead starts from its child's row.
+`state_utility` prices a batch of one, and `replay_cost` advances one
+frontier row through a plan by the same propagate-and-price step, so its
+cost is the search's.
 """
 from __future__ import annotations
 
@@ -322,16 +325,19 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
     return _Frontier(after, front.live, None, cost, utility, trace, score)
 
 
+def _step(front: _Frontier, action: Action, table: EffectTable, position: int,
+          cfg: SearchConfig, stats: SearchStats) -> _Frontier:
+    # the one row of `front` advanced by an action taken at this prefix position
+    row = table.row(action)
+    seeds = None if cfg.mode == "expectation" else [_sample_seed(cfg, position, action)]
+    return _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
+                    ~table.covers[[row]], seeds, table.cut(front.live), cfg, stats)
+
+
 def _child(node: SearchNode, action: Action, model: EffectivenessModel,
            cfg: SearchConfig) -> SearchNode:
-    table = effect_table(node.state, model)
-    row = table.row(action)
-    seeds = (None if cfg.mode == "expectation"
-             else [_sample_seed(cfg, len(node.prefix) + 1, action)])
-    front = _Frontier.of(node)
-    child = _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
-                     ~table.covers[[row]], seeds, table.cut(front.live), cfg,
-                     node.stats)
+    child = _step(_Frontier.of(node), action, effect_table(node.state, model),
+                  len(node.prefix) + 1, cfg, node.stats)
     return child.node(0, node.prefix + (action,), node.stats)
 
 
@@ -383,15 +389,17 @@ def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: Searc
     return children.take(order, kinds), parents, which
 
 
-def _children(node: SearchNode, cands: _Candidates, cfg: SearchConfig) -> list[SearchNode]:
-    # every feasible child, best one-step score first: the level of a frontier of one
+def _children(node: SearchNode, cands: _Candidates,
+              cfg: SearchConfig) -> tuple[_Frontier | None, list[Action]]:
+    # every feasible child, best one-step score first: the level of a frontier
+    # of one, as rows, and each child's action; a row becomes a node only
+    # when `_Frontier.node` scatters it
     level = _level(_Frontier.of(node), cands, cfg, node.stats)
     if level is None:
-        return []
+        return None, []
     children, _, which = level
     live = int(_live(node.state.count))
-    return [children.node(i, node.prefix + (cands.action(c, live),), node.stats)
-            for i, c in enumerate(which.tolist())]
+    return children, [cands.action(c, live) for c in which.tolist()]
 
 
 def expand(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
@@ -402,13 +410,17 @@ def expand(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
     refinement, end. Terminal nodes (ending in `end`, or at the horizon)
     expand to nothing.
     """
-    return _children(node, _Candidates(node.state, model, cs, cfg), cfg)[:cfg.branching]
+    children, actions = _children(node, _Candidates(node.state, model, cs, cfg), cfg)
+    return [children.node(i, node.prefix + (action,), node.stats)
+            for i, action in enumerate(actions[:cfg.branching])]
 
 
-def _lookahead(node: SearchNode, cands: _Candidates, cfg: SearchConfig, depth: int) -> float:
-    front, best = _Frontier.of(node), math.inf
+def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: int,
+               stats: SearchStats) -> float:
+    # the subtree of a frontier of one row, level by level
+    best = math.inf
     for _ in range(depth):
-        level = _level(front, cands, cfg, node.stats, keep=cfg.branching)
+        level = _level(front, cands, cfg, stats, keep=cfg.branching)
         if level is None:
             break
         children, parents, _ = level
@@ -429,16 +441,17 @@ def lookahead_value(node: SearchNode, model: EffectivenessModel, cs: ConstraintS
     searched level by level: each level's nodes are array rows, propagated
     and priced with all their feasible candidates in one batch.
     """
-    return _lookahead(node, _Candidates(node.state, model, cs, cfg), cfg,
-                      cfg.depth if depth is None else depth)
+    return _lookahead(_Frontier.of(node), _Candidates(node.state, model, cs, cfg), cfg,
+                      cfg.depth if depth is None else depth, node.stats)
 
 
 def _suffix_child(kind: str, node: SearchNode, model, cands, cfg) -> SearchNode:
     if kind == "path":
         # the best-scoring feasible path, path 1 when none is feasible
-        for child in _children(node, cands, cfg):
-            if child.prefix[-1].kind == "path":
-                return child
+        children, actions = _children(node, cands, cfg)
+        for i, action in enumerate(actions):
+            if action.kind == "path":
+                return children.node(i, node.prefix + (action,), node.stats)
         return _child(node, plan_mod.path(1), model, cfg)
     if kind == "refinement":
         return _child(node, _refinement_action(node.state), model, cfg)
@@ -482,18 +495,22 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
     cands = _Candidates(initial, model, cs, cfg)
     audit: list[dict] = []
     while not node.terminal:
-        children = _children(node, cands, cfg)
-        if not children or max(node.utility - c.utility for c in children) < cfg.epsilon_conv:
+        children, actions = _children(node, cands, cfg)
+        if not actions or (node.utility - children.utility).max() < cfg.epsilon_conv:
             node = _complete(node, model, cands, cfg, audit)
             break
-        top = children[:cfg.branching]
-        values = [_lookahead(ch, cands, cfg, cfg.depth) for ch in top]
-        ranked = sorted(zip(values, top), key=lambda t: (t[0], _action_order(t[1].prefix[-1])))
-        value, node = ranked[0]
-        audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
+        # each of the best `branching` children looked ahead from its own
+        # row; only the committed one becomes a node
+        top = range(min(cfg.branching, len(actions)))
+        values = [_lookahead(children.take([i], [children.kinds[i]]), cands, cfg, cfg.depth,
+                             node.stats) for i in top]
+        ranked = sorted(zip(values, top), key=lambda t: (t[0], _action_order(actions[t[1]])))
+        value, i = ranked[0]
+        node = children.node(i, node.prefix + (actions[i],), node.stats)
+        audit.append({"step": len(node.prefix), "action": str(actions[i]),
                       "score": node.score, "lookahead": value,
-                      "alternatives": [[str(c.prefix[-1]), c.score, float(v)]
-                                       for v, c in ranked[1:]],
+                      "alternatives": [[str(actions[j]), float(children.score[j]), float(v)]
+                                       for v, j in ranked[1:]],
                       "mode": "committed", "cost": node.cost})
 
     if not node.prefix:
@@ -520,7 +537,12 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
     Each action adds one child as the search adds it, so a committed node's
     cost equals this replay's bit for bit.
     """
-    node = root_node(initial, cfg)
-    for action in actions:
-        node = _child(node, action, model, cfg)
+    root, actions = root_node(initial, cfg), tuple(actions)
+    if not actions:
+        return root.cost, root.state
+    table = effect_table(initial, model)
+    front = _Frontier.of(root)  # kept over the root's live sectors, scattered once
+    for position, action in enumerate(actions, start=1):
+        front = _step(front, action, table, position, cfg, root.stats)
+    node = front.node(0, actions, root.stats)
     return node.cost, node.state

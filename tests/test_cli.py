@@ -611,6 +611,28 @@ class TestBadInput:
         assert code == 2
         assert str(model_file) in err and "path|1|1" in err and "-1 or 1" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("u1", [[-1, -1, -1]]),
+        ("sources", ["D1:1"]),
+        ("deltas", [[0, 0, -1.0, 0, 0, 0], [0, 0, True, 0, 0, 0]]),
+        ("u2", [[-1, -1, -1], [-1, -1, "TOO-LARGE"]]),
+        ("deltas", [[0, 0, -1.0, 0, 0, 0], [0, 0, -1.0, 0, 0]]),
+        ("u1", [[-1, -1, -1], [5, 5, 5]]),
+    ], ids=["u1-row-short", "source-short", "true-in-deltas", "1e400-in-u2",
+            "five-number-row", "vote-five"])
+    def test_model_bucket_fault_names_its_bucket(self, tmp_path, capsys, field, value):
+        # two buckets of two samples each, the fault in the second: the rows of
+        # all buckets are checked at once, and the error still names that bucket
+        good = {"deltas": [[0, 0, -1.0, 0, 0, 0]] * 2, "u1": [[-1, -1, -1]] * 2,
+                "u2": [[1, -1, -1]] * 2, "sources": ["D1:1", "D2:1"]}
+        model_file = self.model_file(
+            tmp_path, buckets={"path|1|1": good, "path|1|2": {**good, field: value}})
+        # json writes no number too large for a float; json reads 1e400 as infinity
+        model_file.write_text(model_file.read_text().replace('"TOO-LARGE"', "1e400"))
+        code, err, _ = self.refine(tmp_path, capsys, model_file, ONE_FRAME)
+        assert code == 2
+        assert str(model_file) in err and "path|1|2" in err and "path|1|1" not in err
+
     def test_model_sector_count_not_the_sheets(self, tmp_path, capsys):
         # sheet1 has 8 sectors; the mismatch is named before the search starts
         model_file = self.model_file(tmp_path, sector_count=1000000000)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from layup.cli import RunConfig, cmd_simulate
-from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
-                                 compute_delta, compute_signs, extract_transitions, propagate,
-                                 propagate_batch)
+from layup.effectiveness import (COV_GROW, COV_SHRINK, EffectivenessModel, EffectTable,
+                                 TransitionSample, aggregate, compute_delta, compute_signs,
+                                 extract_transitions, propagate, propagate_batch)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
@@ -384,6 +384,87 @@ def fingerprint(state: SheetState, i=...) -> tuple:
     return state.mu[i].tobytes(), state.sigma[i].tobytes(), state.count[i].tobytes()
 
 
+def bucket_variance(bucket) -> np.ndarray:
+    """Per-component sample variance of a bucket's deltas; zero when only one sample exists."""
+    return np.var(bucket.deltas, axis=0, ddof=1) if bucket.count > 1 else np.zeros(6)
+
+
+def bucket_majority(bucket) -> tuple[np.ndarray, np.ndarray]:
+    """Per-diagonal majority of a bucket's +-1 votes, u1's and u2's; ties land on -1."""
+    return (np.where(np.sum(bucket.u1, axis=0) > 0, 1.0, -1.0),
+            np.where(np.sum(bucket.u2, axis=0) > 0, 1.0, -1.0))
+
+
+def oracle_compile(model: EffectivenessModel) -> EffectTable:
+    """The dense tables filled bucket by bucket: the loop `_compile`'s grouped reductions replaced."""
+    keys = sorted({(kind, arg) for kind, arg, _ in model.table})
+    rows = {key: i for i, key in enumerate(keys)}
+    shape = (len(keys) + 1, model.sector_count)
+    mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
+    scale = np.ones(shape + (2, 3, 3))
+    has = np.zeros(shape, dtype=bool)
+    for (kind, arg, sector), b in model.table.items():
+        if b.count == 0:
+            continue
+        at = (rows[(kind, arg)], sector - 1)
+        mean[at] = b.mean
+        std[at] = np.sqrt(bucket_variance(b))
+        for track, majority in enumerate(bucket_majority(b)):
+            s = np.sqrt(np.where(majority > 0, COV_GROW, COV_SHRINK))
+            scale[at + (track,)] = np.outer(s, s)
+        has[at] = True
+    return EffectTable(rows=rows, mean=mean, std=std, scale=scale, has=has,
+                       covers=has.any(axis=1))
+
+
+def table_bytes(table: EffectTable) -> tuple:
+    return (table.rows, table.mean.tobytes(), table.std.tobytes(), table.scale.tobytes(),
+            table.has.tobytes(), table.covers.tobytes())
+
+
+# -0.0, subnormals, and values whose sums and squares overflow
+SPECIAL_DELTAS = (-0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300)
+MODEL_ACTIONS = tuple(path(i) for i in range(1, 17)) + (peel(), capture(), refinement(1), end())
+
+
+@st.composite
+def ragged_models(draw):
+    """A model whose buckets hold 1 to 40 samples each, so that their counts
+    form several groups, with special deltas mixed in and some votes tied."""
+    k = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.tuples(st.sampled_from(MODEL_ACTIONS), st.integers(1, k),
+                                    st.integers(1, 40), st.booleans()),
+                          min_size=1, max_size=12, unique_by=lambda c: (c[0], c[1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.sampled_from((0.0, 0.05, 0.5)))  # the share of special deltas
+    model = EffectivenessModel(sector_count=k)
+    for action, sector, n, tied in cells:
+        deltas = rng.normal(0.0, rng.choice((1e-3, 1.0, 1e3)), size=(n, 6))
+        pick = rng.random((n, 6)) < special
+        deltas[pick] = rng.choice(SPECIAL_DELTAS, size=int(pick.sum()))
+        votes = rng.choice((-1.0, 1.0), size=(n, 2, 3))
+        if tied:  # rows alternate +1 and -1: an even count sums to 0 on every diagonal
+            votes[:] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None, None]
+        for delta, signs in zip(deltas, votes):
+            model.add_sample(TransitionSample(action, sector, delta, signs, "D1", 1))
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=ragged_models())
+def test_compile_matches_the_per_bucket_oracle(model):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert table_bytes(model.compiled()) == table_bytes(oracle_compile(model))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=ragged_models())
+def test_model_json_round_trip_compiles_the_same_table(model):
+    back = EffectivenessModel.from_json(json.loads(json.dumps(model.to_json())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert table_bytes(back.compiled()) == table_bytes(model.compiled())
+
+
 def oracle_propagate(state: SheetState, action: Action, model: EffectivenessModel,
                      mode: str = "expectation", seed: int | None = None) -> SheetState:
     """One action's learned effect, sector by sector: the loop `propagate_batch` replaced.
@@ -401,7 +482,7 @@ def oracle_propagate(state: SheetState, action: Action, model: EffectivenessMode
             continue
         delta = bucket.mean.copy()
         if rng is not None:
-            delta = delta + rng.standard_normal(6) * np.sqrt(bucket.variance)
+            delta = delta + rng.standard_normal(6) * np.sqrt(bucket_variance(bucket))
         m = mu[row] + delta
         m[2] = max(0.0, m[2])
         m[3] = max(0.0, m[3])
@@ -411,7 +492,7 @@ def oracle_propagate(state: SheetState, action: Action, model: EffectivenessMode
             mu[row], sigma[row], count[row] = 0.0, 0.0, 0
             continue
         mu[row] = m
-        for track, majority in enumerate(bucket.majority_signs()):
+        for track, majority in enumerate(bucket_majority(bucket)):
             scale = np.sqrt(np.where(majority > 0, 1.1, 0.9))
             sigma[row, track] = sigma[row, track] * np.outer(scale, scale)
     return SheetState(state.geometry, mu, sigma, count, state.t + 1)
