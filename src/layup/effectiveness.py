@@ -15,8 +15,7 @@ mean deltas move the Gaussian means (optionally with sampled noise), and the
 bucket's majority sign vote shrinks or grows the covariance diagonals.
 `propagate_batch` does this for many actions at once, from one `SheetState`
 or from a batch of states, one per action, reading the table compiled into
-dense arrays (`EffectTable`) and returning a batch of states; `propagate` is
-the batch of one.
+dense arrays (`EffectTable`) and returning a batch of states.
 
 Loading and compiling a model work on whole arrays, not bucket by bucket.
 `EffectivenessModel.from_json` checks each bucket's key and row counts,
@@ -393,11 +392,3 @@ def _propagate_rows(states: SheetState, rows, table: EffectTable, seeds) -> Shee
     return SheetState(states.geometry, mu, sigma, np.where(dead, 0, states.count),
                       states.t + 1)
 
-
-def propagate(state: SheetState, action: Action, model: EffectivenessModel,
-              mode: str = "expectation", seed: int | None = None) -> SheetState:
-    """`propagate_batch` of one action: "expectation" mode, or "sampled" under `seed`."""
-    if mode not in ("expectation", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    out = propagate_batch(state, [action], model, None if mode == "expectation" else [seed])
-    return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)

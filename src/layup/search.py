@@ -24,28 +24,29 @@ every row of the last level, is a leaf; the lookahead value is the least
 leaf cost plus utility. The rows of a level share their prefix length, so
 a sampled-mode draw is seeded by (position, action) for every row alike.
 
-A frontier's rows hold only the sectors live in the node it starts from.
-A sector with no regions is never moved: propagation zeroes it, it stays
-zero, it adds exactly +0.0 to the priced sums and it draws no sampled-mode
-noise, so leaving it out changes no result. The effect table is cut to the
-kept sectors once per distinct set (`EffectTable.cut`), and a row becomes
-a `SearchNode` only when it is scattered back into all k sectors. A node's
-own utility and trace are priced on its whole state, stale sectors (no
-regions, nonzero moments) included.
+A frontier's rows hold only the sectors live in the root state: the search
+takes them from the root once and keeps them to the end. A sector with no
+regions is never moved: propagation zeroes it, it stays zero, it adds
+exactly +0.0 to the priced sums and it draws no sampled-mode noise, so
+leaving it out changes no result, and a sector that dies on the way stays
+in the rows as zeros. The effect table is cut to the kept sectors once per
+distinct set (`EffectTable.cut`). The root's own utility and trace are
+priced on its whole state, stale sectors (no regions, nonzero moments)
+included.
 
-The committed path is made of `SearchNode`s: a node's children are the
-level of a frontier of that one node, and only the child committed (or
-appended by the completion suffix) is scattered into a node; the others
-are read as rows, and each lookahead starts from its child's row.
-`state_utility` prices a batch of one, and `replay_cost` advances one
-frontier row through a plan by the same propagate-and-price step, so its
-cost is the search's.
+The committed path is one frontier row and the tuple of its actions. Each
+stage lists the row's children as one level, looks ahead from each of the
+best `branching` of them, and keeps the committed child's row; the
+completion suffix advances the row one action at a time.
+`replay_cost` advances one root row through a plan by the same step, so its
+cost is the search's, and scatters the row back into all k sectors once, for
+the final state.
 """
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -152,59 +153,25 @@ def price_batch(states: SheetState, cfg: SearchConfig) -> tuple[np.ndarray, np.n
     return utility, _running_sum(sector_trace)
 
 
-def _price(state: SheetState, cfg: SearchConfig) -> tuple[float, float]:
-    # price_batch of a batch of one
-    batch = SheetState(state.geometry, state.mu[None], state.sigma[None], state.count[None],
-                       state.t)
-    (utility,), (trace,) = price_batch(batch, cfg)
-    return float(utility), float(trace)
-
-
-def state_utility(state: SheetState, cfg: SearchConfig) -> float:
-    """Residual-uncompaction price of a state, as `price_batch` prices it; lower is better."""
-    return _price(state, cfg)[0]
-
-
 @dataclass
 class SearchStats:
     """Work counts of one search; deterministic for given inputs."""
 
     nodes_expanded: int = 0   # non-terminal nodes below the horizon whose children were listed
     children_priced: int = 0  # child states propagated and priced
-    batch_calls: int = 0      # one per propagated level or node batch
-
-
-@dataclass
-class SearchNode:
-    state: SheetState
-    prefix: tuple[Action, ...]
-    cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
-    utility: float    # state_utility of the state
-    trace: float      # summed covariance diagonals of the state
-    stats: SearchStats  # shared by every node of a search
-    score: float = 0.0  # one-step merit of the last action from the parent state
-
-    @property
-    def terminal(self) -> bool:
-        return bool(self.prefix) and self.prefix[-1].kind == "end"
-
-
-def root_node(state: SheetState, cfg: SearchConfig,
-              stats: SearchStats | None = None) -> SearchNode:
-    """The empty-prefix node the search starts from; its children count into `stats`."""
-    utility, trace = _price(state, cfg)
-    return SearchNode(state=state, prefix=(), cost=0.0, utility=utility, trace=trace,
-                      stats=stats if stats is not None else SearchStats())
+    batch_calls: int = 0      # one per propagated level or single step
 
 
 @dataclass(frozen=True)
 class _Frontier:
-    """Nodes as array rows: one level of a subtree, or the children of one batch.
+    """Search nodes as array rows: a level of a subtree, or the committed path's row.
 
-    Row i holds the fields of one `SearchNode`, the prefix as its kinds only.
-    The rows of a level share the prefix length, and with it the position
-    that seeds a sampled-mode draw. The states hold only the sectors `live`
-    marks, those live in the node the frontier started from; every other
+    Row i holds one node's state, its accumulated cost (action costs plus
+    utilities, plus the unmodeled penalty), its utility, its summed
+    covariance diagonals, the one-step score of its last action and its
+    prefix as kinds. The rows of a level share the prefix length, and with
+    it the position that seeds a sampled-mode draw. The states hold only
+    the sectors `live` marks, those live in the root state; every other
     sector is a sentinel in every row, as propagation leaves it.
     """
 
@@ -217,14 +184,15 @@ class _Frontier:
     score: np.ndarray          # (N,)
 
     @classmethod
-    def of(cls, node: SearchNode) -> "_Frontier":
-        # the node's utility and trace, priced on its whole state, count its
-        # stale sectors (no regions, nonzero moments); its children's do not
-        s, live = node.state, node.state.count != 0
+    def root(cls, state: SheetState, cfg: SearchConfig) -> "_Frontier":
+        # the root's utility and trace, priced on its whole state, count its
+        # stale sectors (no regions, nonzero moments); its descendants' do not
+        s, live = state, state.count != 0
+        utility, trace = price_batch(SheetState(s.geometry, s.mu[None], s.sigma[None],
+                                                s.count[None], s.t), cfg)
         return cls(SheetState(s.geometry, s.mu[None, live], s.sigma[None, live],
                               s.count[None, live], s.t),
-                   live, [tuple(a.kind for a in node.prefix)], np.array([node.cost]),
-                   np.array([node.utility]), np.array([node.trace]), np.array([node.score]))
+                   live, [()], np.zeros(1), utility, trace, np.zeros(1))
 
     def take(self, rows, kinds=None) -> "_Frontier":
         s = self.states
@@ -232,15 +200,16 @@ class _Frontier:
                          self.live, kinds, self.cost[rows], self.utility[rows], self.trace[rows],
                          self.score[rows])
 
-    def node(self, i: int, prefix: tuple[Action, ...], stats: SearchStats) -> SearchNode:
+    def row(self, i: int) -> "_Frontier":
+        return self.take([i], [self.kinds[i]])
+
+    def state(self, i: int) -> SheetState:
         # row i scattered back into all k sectors, sentinels where `live` is False
         s, live = self.states, self.live
         mu, sigma = np.zeros(live.shape + (6,)), np.zeros(live.shape + (2, 3, 3))
         count = np.zeros(live.shape, dtype=s.count.dtype)
         mu[live], sigma[live], count[live] = s.mu[i], s.sigma[i], s.count[i]
-        return SearchNode(SheetState(s.geometry, mu, sigma, count, s.t), prefix,
-                          float(self.cost[i]), float(self.utility[i]), float(self.trace[i]),
-                          stats, float(self.score[i]))
+        return SheetState(s.geometry, mu, sigma, count, s.t)
 
 
 def _action_order(action: Action) -> tuple[int, int]:
@@ -258,18 +227,14 @@ def _live(count: np.ndarray):
     return np.maximum(1, np.count_nonzero(count, axis=-1))
 
 
-def _refinement_action(state: SheetState) -> Action:
-    return plan_mod.refinement(int(_live(state.count)))
-
-
 class _Candidates:
     """Every node's candidate actions, mapped to effect-table rows once per search.
 
     They are listed in `_action_order`, so a candidate's index is its
     tie-break rank: paths 1..path_count, peel, capture, refinement, end. The
     refinement candidate's argument is the node's live sector count
-    (`_refinement_action`); its table row, its coverage and its cost per pass
-    do not depend on it. Raises ValueError when the state's sector count is
+    (`action`); its table row, its coverage and its cost per pass do not
+    depend on it. Raises ValueError when the state's sector count is
     not the model's.
     """
 
@@ -312,7 +277,9 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
 
     A child's cost is its parent's plus its action cost `costs[i]` and its
     utility, plus cfg.w_unk where `unseen[i]` (the model never saw the
-    action); its score is the one-step merit of the action from the parent.
+    action). Its score is the one-step merit of the action, lower is better:
+    the change of utility from the parent plus cfg.w_sigma times the change
+    of the summed covariance diagonals.
     """
     base = front.take(parents)
     after = _propagate_rows(base.states, rows, table, seeds)
@@ -325,31 +292,15 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
     return _Frontier(after, front.live, None, cost, utility, trace, score)
 
 
-def _step(front: _Frontier, action: Action, table: EffectTable, position: int,
-          cfg: SearchConfig, stats: SearchStats) -> _Frontier:
-    # the one row of `front` advanced by an action taken at this prefix position
+def _step(front: _Frontier, action: Action, table: EffectTable, cfg: SearchConfig,
+          stats: SearchStats) -> _Frontier:
+    # the one row of `front` advanced by an action, with its prefix kinds
+    kinds = front.kinds[0] + (action.kind,)
     row = table.row(action)
-    seeds = None if cfg.mode == "expectation" else [_sample_seed(cfg, position, action)]
-    return _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
-                    ~table.covers[[row]], seeds, table.cut(front.live), cfg, stats)
-
-
-def _child(node: SearchNode, action: Action, model: EffectivenessModel,
-           cfg: SearchConfig) -> SearchNode:
-    child = _step(_Frontier.of(node), action, effect_table(node.state, model),
-                  len(node.prefix) + 1, cfg, node.stats)
-    return child.node(0, node.prefix + (action,), node.stats)
-
-
-def effectiveness_score(action: Action, state: SheetState,
-                        model: EffectivenessModel, cfg: SearchConfig) -> float:
-    """Expected one-step merit of an action; lower is better.
-
-    Utility change of the propagated state (propagated as the search does,
-    in cfg.mode) plus a weighted uncertainty term: the summed change of the
-    covariance diagonals, scaled by cfg.w_sigma.
-    """
-    return _child(root_node(state, cfg), action, model, cfg).score
+    seeds = None if cfg.mode == "expectation" else [_sample_seed(cfg, len(kinds), action)]
+    child = _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
+                     ~table.covers[[row]], seeds, table.cut(front.live), cfg, stats)
+    return replace(child, kinds=[kinds])
 
 
 def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: SearchStats,
@@ -389,35 +340,16 @@ def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: Searc
     return children.take(order, kinds), parents, which
 
 
-def _children(node: SearchNode, cands: _Candidates,
-              cfg: SearchConfig) -> tuple[_Frontier | None, list[Action]]:
-    # every feasible child, best one-step score first: the level of a frontier
-    # of one, as rows, and each child's action; a row becomes a node only
-    # when `_Frontier.node` scatters it
-    level = _level(_Frontier.of(node), cands, cfg, node.stats)
-    if level is None:
-        return None, []
-    children, _, which = level
-    live = int(_live(node.state.count))
-    return children, [cands.action(c, live) for c in which.tolist()]
-
-
-def expand(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
-           cfg: SearchConfig) -> list[SearchNode]:
-    """The best `branching` feasible children, ranked by expected merit.
-
-    Ties break on action order: ascending path index, then peel, capture,
-    refinement, end. Terminal nodes (ending in `end`, or at the horizon)
-    expand to nothing.
-    """
-    children, actions = _children(node, _Candidates(node.state, model, cs, cfg), cfg)
-    return [children.node(i, node.prefix + (action,), node.stats)
-            for i, action in enumerate(actions[:cfg.branching])]
-
-
 def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: int,
                stats: SearchStats) -> float:
-    # the subtree of a frontier of one row, level by level
+    """Cheapest (accumulated cost + utility) among the leaves of a row's subtree.
+
+    The subtree of the frontier's one row keeps the best `branching`
+    children of each node (as `_level` ranks them) down to `depth` levels; a
+    leaf is a node at that depth or one without a feasible child. It is
+    searched level by level: each level's nodes are array rows, propagated
+    and priced with all their feasible candidates in one batch.
+    """
     best = math.inf
     for _ in range(depth):
         level = _level(front, cands, cfg, stats, keep=cfg.branching)
@@ -431,36 +363,29 @@ def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: i
     return min([best, *(front.cost + front.utility).tolist()])
 
 
-def lookahead_value(node: SearchNode, model: EffectivenessModel, cs: ConstraintSet,
-                    cfg: SearchConfig, depth: int | None = None) -> float:
-    """Cheapest (accumulated cost + utility) among the subtree's leaves.
-
-    The subtree keeps the best `branching` children of each node (as
-    `expand` ranks them) down to `depth` levels (cfg.depth by default); a
-    leaf is a node at that depth or one without a feasible child. It is
-    searched level by level: each level's nodes are array rows, propagated
-    and priced with all their feasible candidates in one batch.
-    """
-    return _lookahead(_Frontier.of(node), _Candidates(node.state, model, cs, cfg), cfg,
-                      cfg.depth if depth is None else depth, node.stats)
-
-
-def _suffix_child(kind: str, node: SearchNode, model, cands, cfg) -> SearchNode:
+def _suffix_step(kind: str, front: _Frontier, cands: _Candidates, cfg: SearchConfig,
+                 stats: SearchStats) -> tuple[_Frontier, Action]:
+    # the row advanced by one action of this kind, and the action
+    live = int(_live(front.states.count[0]))
     if kind == "path":
         # the best-scoring feasible path, path 1 when none is feasible
-        children, actions = _children(node, cands, cfg)
-        for i, action in enumerate(actions):
-            if action.kind == "path":
-                return children.node(i, node.prefix + (action,), node.stats)
-        return _child(node, plan_mod.path(1), model, cfg)
-    if kind == "refinement":
-        return _child(node, _refinement_action(node.state), model, cfg)
-    return _child(node, Action(kind), model, cfg)
+        level = _level(front, cands, cfg, stats)
+        if level is not None:
+            children, _, which = level
+            for i, c in enumerate(which.tolist()):
+                if cands.kinds[c] == "path":
+                    return children.row(i), cands.action(c, live)
+        action = plan_mod.path(1)
+    else:
+        action = plan_mod.refinement(live) if kind == "refinement" else Action(kind)
+    return _step(front, action, cands.table, cfg, stats), action
 
 
-def _complete(node: SearchNode, model, cands: _Candidates, cfg, audit: list) -> SearchNode:
+def _complete(front: _Frontier, prefix: tuple[Action, ...], cands: _Candidates,
+              cfg: SearchConfig, stats: SearchStats,
+              audit: list) -> tuple[_Frontier, tuple[Action, ...]]:
     """Append `plan.completion`'s suffix, the shortest that satisfies the constraints."""
-    kinds = tuple(a.kind for a in node.prefix)
+    kinds = front.kinds[0]
     suffix_kinds = plan_mod.completion(kinds, cands.cs, cfg.horizon - len(kinds))
     if suffix_kinds is None:
         needed = plan_mod.outstanding(kinds, cands.cs)
@@ -469,10 +394,11 @@ def _complete(node: SearchNode, model, cands: _Candidates, cfg, audit: list) -> 
                + (", ".join(plan_mod.canonical_kinds(needed)) or "gap relations only"))
         raise SearchError(f"no valid completion within the horizon; {why}")
     for kind in suffix_kinds:
-        node = _suffix_child(kind, node, model, cands, cfg)
-        audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
-                      "mode": "suffix", "cost": node.cost})
-    return node
+        front, action = _suffix_step(kind, front, cands, cfg, stats)
+        prefix += (action,)
+        audit.append({"step": len(prefix), "action": str(action),
+                      "mode": "suffix", "cost": float(front.cost[0])})
+    return front, prefix
 
 
 def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
@@ -486,63 +412,58 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
     """
     cs = cs if cs is not None else standard_constraints()
     cfg = cfg if cfg is not None else SearchConfig()
+    stats = stats if stats is not None else SearchStats()
     if model.is_empty:
         raise SearchError("effectiveness model holds no data")
     if not prefix_feasible((), cs, cfg.horizon):
         raise SearchError("constraints admit no plan at all within the horizon")
 
-    node = root_node(initial, cfg, stats)
+    front, prefix = _Frontier.root(initial, cfg), ()
     cands = _Candidates(initial, model, cs, cfg)
     audit: list[dict] = []
-    while not node.terminal:
-        children, actions = _children(node, cands, cfg)
-        if not actions or (node.utility - children.utility).max() < cfg.epsilon_conv:
-            node = _complete(node, model, cands, cfg, audit)
+    while not prefix or prefix[-1].kind != "end":
+        level = _level(front, cands, cfg, stats)
+        if level is None or (front.utility[0] - level[0].utility).max() < cfg.epsilon_conv:
+            front, prefix = _complete(front, prefix, cands, cfg, stats, audit)
             break
-        # each of the best `branching` children looked ahead from its own
-        # row; only the committed one becomes a node
+        children, _, which = level
+        live = int(_live(front.states.count[0]))
+        actions = [cands.action(c, live) for c in which.tolist()]
+        # each of the best `branching` children looked ahead from its own row
         top = range(min(cfg.branching, len(actions)))
-        values = [_lookahead(children.take([i], [children.kinds[i]]), cands, cfg, cfg.depth,
-                             node.stats) for i in top]
+        values = [_lookahead(children.row(i), cands, cfg, cfg.depth, stats) for i in top]
         ranked = sorted(zip(values, top), key=lambda t: (t[0], _action_order(actions[t[1]])))
         value, i = ranked[0]
-        node = children.node(i, node.prefix + (actions[i],), node.stats)
-        audit.append({"step": len(node.prefix), "action": str(actions[i]),
-                      "score": node.score, "lookahead": value,
+        front, prefix = children.row(i), prefix + (actions[i],)
+        audit.append({"step": len(prefix), "action": str(actions[i]),
+                      "score": float(children.score[i]), "lookahead": value,
                       "alternatives": [[str(actions[j]), float(children.score[j]), float(v)]
                                        for v, j in ranked[1:]],
-                      "mode": "committed", "cost": node.cost})
+                      "mode": "committed", "cost": float(front.cost[0])})
 
-    if not node.prefix:
+    if not prefix:
         raise SearchError(f"the search added no action: the constraints require none, and "
                           f"no candidate improves the state utility by epsilon_conv "
                           f"({cfg.epsilon_conv:g}) or more")
-    refined = DrapingPlan(actions=node.prefix, name=name)
+    refined = DrapingPlan(actions=prefix, name=name)
     remaining = validate(refined, cs)
     if remaining:
         raise SearchError(f"search produced an invalid plan; binding: {remaining[0]}")
     return refined, audit
 
 
-def refine_plan(initial: SheetState, model: EffectivenessModel,
-                cs: ConstraintSet | None = None, cfg: SearchConfig | None = None,
-                name: str = "refined") -> DrapingPlan:
-    return refine_plan_detailed(initial, model, cs, cfg, name)[0]
-
-
 def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
                 cfg: SearchConfig) -> tuple[float, SheetState]:
-    """A plan's accumulated cost and final state, rebuilt from the root node.
+    """A plan's accumulated cost and final state, rebuilt from the root.
 
-    Each action adds one child as the search adds it, so a committed node's
+    Each action adds one child as the search adds it, so a committed step's
     cost equals this replay's bit for bit.
     """
-    root, actions = root_node(initial, cfg), tuple(actions)
+    actions = tuple(actions)
     if not actions:
-        return root.cost, root.state
+        return 0.0, initial
     table = effect_table(initial, model)
-    front = _Frontier.of(root)  # kept over the root's live sectors, scattered once
-    for position, action in enumerate(actions, start=1):
-        front = _step(front, action, table, position, cfg, root.stats)
-    node = front.node(0, actions, root.stats)
-    return node.cost, node.state
+    front, stats = _Frontier.root(initial, cfg), SearchStats()
+    for action in actions:
+        front = _step(front, action, table, cfg, stats)
+    return float(front.cost[0]), front.state(0)

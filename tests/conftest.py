@@ -1,10 +1,13 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from layup.effectiveness import propagate_batch
+from layup.search import SearchStats, _Candidates, _Frontier, _level, _live, _lookahead
 from layup.sheet_state import SheetGeometry, SheetState
 from layup.simulator import SUMMARY_FIELDS
 
@@ -58,6 +61,48 @@ def oracle_trace_total(state: SheetState) -> float:
     The loop that the trace total of `search.price_batch` is tested against.
     """
     return float(sum(np.trace(sigma[0]) + np.trace(sigma[1]) for sigma in state.sigma))
+
+
+def utility_of(state: SheetState, cfg) -> float:
+    """A state's utility, as the search prices its root."""
+    return float(_Frontier.root(state, cfg).utility[0])
+
+
+def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:
+    """`propagate_batch` of one action, as one state; with a seed, in sampled mode."""
+    out = propagate_batch(state, [action], model, None if seed is None else [seed])
+    return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)
+
+
+def root_row(state: SheetState, cfg, prefix=(), cost: float = 0.0):
+    """The search's root row of a state, taken as reached by `prefix` at `cost`."""
+    return replace(_Frontier.root(state, cfg), kinds=[tuple(a.kind for a in prefix)],
+                   cost=np.array([cost]))
+
+
+def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
+    """Every feasible child of the root row, best one-step score first, as `_level` ranks them.
+
+    Each child has its `action`, its `state` scattered back into all k
+    sectors, and its one-step `score`.
+    """
+    cands = _Candidates(state, model, cs, cfg)
+    level = _level(root_row(state, cfg, prefix), cands, cfg, SearchStats())
+    if level is None:
+        return []
+    rows, _, which = level
+    live = int(_live(state.count))
+    return [SimpleNamespace(action=cands.action(c, live), state=rows.state(i),
+                            score=float(rows.score[i]))
+            for i, c in enumerate(which.tolist())]
+
+
+def lookahead(state: SheetState, model, cs, cfg, depth=None, prefix=(), cost: float = 0.0,
+              stats=None) -> float:
+    """`_lookahead` from the root row of `state` (see `root_row`), cfg.depth levels by default."""
+    return _lookahead(root_row(state, cfg, prefix, cost), _Candidates(state, model, cs, cfg),
+                      cfg, cfg.depth if depth is None else depth,
+                      stats if stats is not None else SearchStats())
 
 
 def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:

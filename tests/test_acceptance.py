@@ -21,13 +21,12 @@ from layup.plan import (AbsConstraint, Action, ConstraintSet, DrapingPlan,
                         RelConstraint, capture, end, expert_plan,
                         initial_plan_constraints, path, peel, refinement,
                         standard_constraints, validate)
-from layup.search import (SearchConfig, SearchStats, refine_plan, refine_plan_detailed,
-                          replay_cost, state_utility)
+from layup.search import SearchConfig, SearchStats, refine_plan_detailed, replay_cost
 from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
 
-from conftest import make_state, meets, published_style_summaries
+from conftest import make_state, meets, published_style_summaries, utility_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRAIN_SEEDS = (101, 102, 103)
@@ -58,8 +57,8 @@ def corpus():
         all_logs.extend(logs)
         model = aggregate(logs)
         state0 = average_states([lg.states[0] for lg in logs])
-        refined = refine_plan(state0, model, standard_constraints(), SearchConfig(),
-                              name=f"refined_{sheet_name}")
+        refined, _ = refine_plan_detailed(state0, model, standard_constraints(),
+                                          SearchConfig(), name=f"refined_{sheet_name}")
         data["sheets"][sheet_name] = {"sheet": sheet, "logs": logs, "model": model,
                                       "state0": state0, "refined": refined}
     data["pooled_model"] = aggregate(all_logs)
@@ -221,9 +220,9 @@ def test_criterion_4_small_instance_optimality(two_sector_geom):
                        epsilon_conv=-math.inf)
     for trial in range(20):
         model = _small_model(rng)
-        plan = refine_plan(state, model, SMALL_CS, cfg)
+        plan, _ = refine_plan_detailed(state, model, SMALL_CS, cfg)
         cost, final = replay_cost(plan.actions, state, model, cfg)
-        got = cost + state_utility(final, cfg)
+        got = cost + utility_of(final, cfg)
         best = math.inf
         for n_paths in range(0, 5):
             for combo in itertools.product([path(i) for i in range(1, 5)],
@@ -232,7 +231,7 @@ def test_criterion_4_small_instance_optimality(two_sector_geom):
                 if validate(DrapingPlan(tuple(actions), "c"), SMALL_CS):
                     continue
                 c, f = replay_cost(actions, state, model, cfg)
-                best = min(best, c + state_utility(f, cfg))
+                best = min(best, c + utility_of(f, cfg))
         assert got == pytest.approx(best, abs=1e-9), trial
     elapsed = time.time() - t0
     assert elapsed < 30.0

@@ -415,14 +415,17 @@ class TestBadInput:
         cfg_file.write_text(json.dumps({k: str(v) for k, v in entries.items()}))
         return cfg_file
 
-    def test_unknown_search_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entries, named", [({"branching": 2, "brnaching": 3}, "brnaching"),
+                                                ({"mode": "montecarlo"}, "montecarlo")],
+                             ids=["misspelt-key", "unknown-mode"])
+    def test_unknown_search_config_key(self, tmp_path, capsys, entries, named):
         search_file = tmp_path / "search.json"
-        search_file.write_text(json.dumps({"version": 1, "branching": 2, "brnaching": 3}))
+        search_file.write_text(json.dumps({"version": 1, **entries}))
         cfg_file = self.run_config(tmp_path, search=search_file)
         code, err = self.run_main(["refine", tmp_path / "model.json", "--capture",
                                    tmp_path / "cap.npy", "--config", cfg_file], capsys)
         assert code == 2
-        assert "brnaching" in err and str(search_file) in err
+        assert named in err and str(search_file) in err
 
     def test_unknown_ground_truth_key(self, tmp_path, d1_file, capsys):
         gt_file = tmp_path / "gt.json"

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
-                                 compute_delta, compute_signs, extract_transitions,
-                                 propagate)
-from layup.plan import Action, path, peel, expert_plan
-from layup.search import SearchConfig, effectiveness_score, state_utility
+                                 compute_delta, compute_signs, extract_transitions)
+from layup.plan import ConstraintSet, expert_plan, path, peel
+from layup.search import SearchConfig
 from layup.sheet_state import SheetGeometry
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
-from conftest import make_state, oracle_trace_total
+from conftest import children, make_state, oracle_trace_total, propagate_one, utility_of
 
 
 def gauss(mu1, sigma1_diag, mu2, sigma2_diag, n=1):
@@ -200,7 +199,7 @@ class TestPropagate:
             action=path(1), sector=1,
             delta=np.array([0, 0, 5.0, 1.0, 1.0, 0]),
             signs=compute_signs(state.sigma[0], state.sigma[0])))
-        out = propagate(state, path(1), model)
+        out = propagate_one(state, path(1), model)
         assert not out.count.any()
 
     def test_clamp_to_zero_then_sentinel(self, two_sector_geom):
@@ -211,7 +210,7 @@ class TestPropagate:
             action=path(1), sector=1,
             delta=np.array([0, 0, -5.0, -3.0, -2.0, 0]),
             signs=compute_signs(state.sigma[0], state.sigma[0])))
-        out = propagate(state, path(1), model)
+        out = propagate_one(state, path(1), model)
         assert out.count[0] == 0
 
     def test_single_sample_round_trip(self, square_geom, d1_log):
@@ -219,7 +218,7 @@ class TestPropagate:
         # recorded after-state means exactly
         rec = d1_log.steps[2]
         model = one_sample_model(rec.state_before, rec.state_after, rec.action)
-        out = propagate(rec.state_before, rec.action, model)
+        out = propagate_one(rec.state_before, rec.action, model)
         for got, got_n, want, before_n in zip(out.mu, out.count, rec.state_after.mu,
                                               rec.state_before.count):
             if before_n == 0:
@@ -232,7 +231,7 @@ class TestPropagate:
         state = make_state(two_sector_geom,
                            {1: gauss([0, 0, 3.0], [1, 1, 1], [2, 1, 0.5], [1, 1, 1])})
         model = EffectivenessModel(sector_count=2)
-        out = propagate(state, peel(), model)
+        out = propagate_one(state, peel(), model)
         assert np.array_equal(out.mu[0, :3], state.mu[0, :3])
         assert not model.covers(peel())
 
@@ -245,24 +244,19 @@ class TestPropagate:
         model = aggregate([d1_log, second])
         state = d1_log.states[0]
         act = d1_log.actions[0]
-        a = propagate(state, act, model, mode="sampled", seed=77)
-        b = propagate(state, act, model, mode="sampled", seed=77)
+        a = propagate_one(state, act, model, seed=77)
+        b = propagate_one(state, act, model, seed=77)
         assert a.to_json() == b.to_json()
-        c = propagate(state, act, model, mode="sampled", seed=78)
+        c = propagate_one(state, act, model, seed=78)
         assert c.to_json() != a.to_json()
 
     def test_covariance_scaling_preserves_psd(self, d1_log):
         model = aggregate([d1_log])
         state = d1_log.states[0]
-        out = propagate(state, path(15), model)
+        out = propagate_one(state, path(15), model)
         for m in out.sigma.reshape(-1, 3, 3):
             assert np.allclose(m, m.T)
             assert np.linalg.eigvalsh(m).min() > -1e-9
-
-    def test_mode_validation(self, d1_log):
-        with pytest.raises(ValueError):
-            propagate(d1_log.states[0], path(1),
-                      aggregate([d1_log]), mode="montecarlo")
 
     def test_sector_count_must_match_the_model(self, two_sector_geom):
         geom = SheetGeometry(center=two_sector_geom.center, polygon=two_sector_geom.polygon,
@@ -274,7 +268,7 @@ class TestPropagate:
             action=path(1), sector=1, delta=np.array([0, 0, -1.0, 0, 0, 0]),
             signs=compute_signs(state.sigma[0], state.sigma[0])))
         with pytest.raises(ValueError, match="state has 3 sectors, the model 2"):
-            propagate(state, path(1), model)
+            propagate_one(state, path(1), model)
 
     def test_chained_propagation_keeps_invariants(self, d1_log):
         import math
@@ -282,7 +276,7 @@ class TestPropagate:
         state = d1_log.states[0]
         actions = d1_log.actions
         for action in actions:
-            state = propagate(state, action, model)
+            state = propagate_one(state, action, model)
             for mu, sigma, count in zip(state.mu, state.sigma, state.count):
                 if count == 0:
                     assert np.all(mu[:3] == 0) and np.all(sigma[0] == 0)
@@ -293,6 +287,12 @@ class TestPropagate:
                 for m in sigma:
                     assert np.allclose(m, m.T)
                     assert np.linalg.eigvalsh(m).min() > -1e-9
+
+
+def effectiveness_score(action, state, model, cfg) -> float:
+    # the search's one-step score of an action from the root, every kind feasible
+    return next(c.score for c in children(state, model, ConstraintSet(), cfg)
+                if c.action == action)
 
 
 class TestEffectivenessScore:
@@ -308,10 +308,10 @@ class TestEffectivenessScore:
             signs=compute_signs(state.sigma[0], state.sigma[0])))
         cfg = self.cfg()
         score = effectiveness_score(path(1), state, model, cfg)
-        after = propagate(state, path(1), model)
+        after = propagate_one(state, path(1), model)
         d_trace = oracle_trace_total(after) - oracle_trace_total(state)
         # no mean movement: only the covariance bookkeeping contributes
-        expected = (state_utility(after, cfg) - state_utility(state, cfg)
+        expected = (utility_of(after, cfg) - utility_of(state, cfg)
                     + cfg.w_sigma * d_trace)
         assert score == pytest.approx(expected, abs=1e-12)
         assert np.array_equal(after.mu[0, :3], state.mu[0, :3])

@@ -1,7 +1,9 @@
 """What importing `layup` pulls in, checked in a fresh interpreter."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import src_env
 
@@ -26,3 +28,12 @@ def test_layup_runs_without_scipy():
     assert probe["modules"] >= 8
     assert probe["groups"] > 0
     assert probe["scipy"] == []
+
+
+def test_make_golden_runs_without_pythonpath(tmp_path):
+    # the script puts the checkout's src/ on sys.path itself, as check_reference.py does
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    script = Path(__file__).resolve().parent / "make_golden.py"
+    done = subprocess.run([sys.executable, str(script), "--help"], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ import math
 import re
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from layup.cli import RunConfig, cmd_simulate
 from layup.effectiveness import (COV_GROW, COV_SHRINK, EffectivenessModel, EffectTable,
                                  TransitionSample, aggregate, compute_delta, compute_signs,
-                                 extract_transitions, propagate, propagate_batch)
+                                 extract_transitions, propagate_batch)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
@@ -29,9 +29,8 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         expert_plan, initial_plan_constraints, next_kinds, outstanding,
                         parse_plan_text, path, peel, prefix_feasible, refinement,
                         standard_constraints, validate)
-from layup.search import (SearchConfig, SearchError, SearchNode, SearchStats, _sample_seed,
-                          action_cost, lookahead_value, price_batch, refine_plan_detailed,
-                          replay_cost, root_node, state_utility)
+from layup.search import (SearchConfig, SearchError, SearchStats, _sample_seed, action_cost,
+                          price_batch, refine_plan_detailed, replay_cost)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
                                _link_pairs, average_states, read_capture_frames, segment_regions,
                                write_capture_frames)
@@ -39,7 +38,7 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              _noise, _sweep, builtin_sheet, init_sheet,
                              path_geometry, read_log, run_experiment, write_log)
 
-from conftest import make_state, meets, oracle_abs, oracle_rel, oracle_trace_total
+from conftest import lookahead, make_state, meets, oracle_abs, oracle_rel, oracle_trace_total
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -524,7 +523,6 @@ def test_propagate_batch_matches_scalar_bitwise(case, sampled, seeds):
         once = oracle_propagate(state, action, model, mode, seed)
         want = fingerprint(once)
         assert fingerprint(batch, i) == want
-        assert fingerprint(propagate(state, action, model, mode, seed)) == want
         assert fingerprint(again, i) == fingerprint(oracle_propagate(once, action, model, mode,
                                                                      seed))
 
@@ -541,7 +539,6 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
     utility, trace = price_batch(batch, cfg)
     want = [oracle_state_utility(s, cfg).hex() for s in scalar]
     assert [u.hex() for u in utility.tolist()] == want
-    assert [state_utility(s, cfg).hex() for s in scalar] == want
     assert [t.hex() for t in trace.tolist()] == [oracle_trace_total(s).hex() for s in scalar]
 
 
@@ -553,8 +550,8 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
 @example(case=COLLAPSING, sampled=False, seed=0, actions=[path(1), path(3), refinement(3)])
 @example(case=COLLAPSING, sampled=True, seed=5, actions=[path(1)] * 3 + [peel()])
 def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, actions):
-    # criterion 4 compares the search with replay_cost, which builds the
-    # search's own nodes; this ties both to the sector-by-sector loops
+    # criterion 4 compares the search with replay_cost, which takes the
+    # search's own steps; this ties both to the sector-by-sector loops
     state, model = case
     cfg = SearchConfig(mode="sampled" if sampled else "expectation", seed=seed)
     cost, final = replay_cost(actions, state, model, cfg)
@@ -577,7 +574,30 @@ def oracle_order(action: Action) -> tuple[int, int]:
     return (0, action.arg) if action.kind == "path" else (ORACLE_KIND_ORDER[action.kind], 0)
 
 
-def oracle_priced(node: SearchNode, actions, model, cfg) -> list[SearchNode]:
+@dataclass
+class OracleNode:
+    """One node of the recursive search: a whole state and the actions that led to it."""
+
+    state: SheetState
+    prefix: tuple
+    cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
+    utility: float
+    trace: float      # summed covariance diagonals of the state
+    stats: SearchStats  # shared by every node of a search
+    score: float = 0.0  # one-step merit of the last action from the parent state
+
+    @property
+    def terminal(self) -> bool:
+        return bool(self.prefix) and self.prefix[-1].kind == "end"
+
+
+def oracle_root(state: SheetState, cfg, stats: SearchStats, prefix=()) -> OracleNode:
+    """The node a search starts from, priced by the sector loops, as if reached by `prefix`."""
+    return OracleNode(state, tuple(prefix), 0.0, oracle_state_utility(state, cfg),
+                      oracle_trace_total(state), stats)
+
+
+def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
     """One node's children by the given actions, in one `propagate_batch` call."""
     if not actions:
         return []
@@ -594,7 +614,7 @@ def oracle_priced(node: SearchNode, actions, model, cfg) -> list[SearchNode]:
         cost = node.cost + action_cost(action, cfg) + utility
         if not model.covers(action):
             cost += cfg.w_unk
-        children.append(SearchNode(
+        children.append(OracleNode(
             state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
                              after.t),
             prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
@@ -603,7 +623,7 @@ def oracle_priced(node: SearchNode, actions, model, cfg) -> list[SearchNode]:
     return children
 
 
-def oracle_children(node: SearchNode, model, cs, cfg) -> list[SearchNode]:
+def oracle_children(node: OracleNode, model, cs, cfg) -> list[OracleNode]:
     """Every feasible child of one node, best one-step score first: the search's
     expansion before it went level by level."""
     if node.terminal or len(node.prefix) >= cfg.horizon:
@@ -621,7 +641,7 @@ def oracle_children(node: SearchNode, model, cs, cfg) -> list[SearchNode]:
     return out
 
 
-def oracle_lookahead_value(node: SearchNode, model, cs, cfg, depth: int) -> float:
+def oracle_lookahead_value(node: OracleNode, model, cs, cfg, depth: int) -> float:
     """The recursive lookahead: one expansion per node, the minimum over the leaves."""
     children = oracle_children(node, model, cs, cfg)[:cfg.branching] if depth > 0 else []
     if not children:
@@ -632,7 +652,7 @@ def oracle_lookahead_value(node: SearchNode, model, cs, cfg, depth: int) -> floa
 def oracle_refine(initial: SheetState, model, cs, cfg) -> tuple[tuple, list, SearchStats]:
     """`refine_plan_detailed` on the recursive lookahead: the actions, audit and counts."""
     stats = SearchStats()
-    node = root_node(initial, cfg, stats)
+    node = oracle_root(initial, cfg, stats)
     audit = []
     while not node.terminal:
         children = oracle_children(node, model, cs, cfg)
@@ -714,12 +734,12 @@ def work_counts(stats: SearchStats) -> tuple[int, int]:
 @example(case=COLLAPSING + (standard_constraints(), replace(COMPACTION_CFG, depth=4)), prefix=[])
 def test_lookahead_value_matches_the_recursive_oracle(case, prefix):
     state, model, cs, cfg = case
-    node, want_node = (replace(root_node(state, cfg), prefix=tuple(prefix)) for _ in range(2))
+    stats, want_node = SearchStats(), oracle_root(state, cfg, SearchStats(), prefix)
     for depth in sorted({0, cfg.depth}):
-        got = lookahead_value(node, model, cs, cfg, depth)
+        got = lookahead(state, model, cs, cfg, depth, prefix=prefix, stats=stats)
         want = oracle_lookahead_value(want_node, model, cs, cfg, depth)
         assert got.hex() == want.hex()
-        assert work_counts(node.stats) == work_counts(want_node.stats)
+        assert work_counts(stats) == work_counts(want_node.stats)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,21 +1,19 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from layup.effectiveness import EffectivenessModel, TransitionSample, compute_signs, propagate
+from layup.effectiveness import EffectivenessModel, TransitionSample, compute_signs
 from layup.geometry import ROLLER_HALF_WIDTH_DEFAULT
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
                         validate)
-from layup.search import (SearchConfig, SearchError, _default_costs, action_cost, expand,
-                          lookahead_value, refine_plan, refine_plan_detailed, replay_cost,
-                          root_node, state_utility)
+from layup.search import (SearchConfig, SearchError, _default_costs, action_cost,
+                          refine_plan_detailed, replay_cost)
 from layup.simulator import generate_refinement_paths
 
-from conftest import make_state
+from conftest import children, lookahead, make_state, propagate_one, utility_of
 
 
 def gauss(sector, h, a, b, theta=0.2):
@@ -59,6 +57,10 @@ def small_cfg(**over):
     return SearchConfig(**base)
 
 
+def refine(state, model, cs, cfg):
+    return refine_plan_detailed(state, model, cs, cfg)[0]
+
+
 def random_small_model(rng, k=2, n_paths=4):
     deltas = {}
     for i in range(1, n_paths + 1):
@@ -87,7 +89,7 @@ def brute_force_minimum(state, model, cs, cfg):
             if validate(DrapingPlan(tuple(actions), "c"), cs):
                 continue
             cost, final = replay_cost(actions, state, model, cfg)
-            best = min(best, cost + state_utility(final, cfg))
+            best = min(best, cost + utility_of(final, cfg))
     return best
 
 
@@ -98,8 +100,12 @@ class TestSearchConfigIO:
 
     @pytest.mark.parametrize("over", [{"path_count": 0}, {"path_count": 17},
                                       {"action_costs": {"path": 1.0}},
-                                      {"action_costs": {**_default_costs(), "end": True}}],
-                             ids=["no-paths", "17-paths", "one-cost", "bool-cost"])
+                                      {"action_costs": {**_default_costs(), "end": True}},
+                                      {"mode": "montecarlo"}, {"branching": 0}, {"depth": -1},
+                                      {"horizon": 0}, {"w_h": -1.0}],
+                             ids=["no-paths", "17-paths", "one-cost", "bool-cost",
+                                  "unknown-mode", "no-branching", "negative-depth",
+                                  "no-horizon", "negative-weight"])
     def test_rejects_bad_values(self, over):
         with pytest.raises(ValueError):
             SearchConfig(**over)
@@ -124,21 +130,20 @@ class TestActionCost:
 class TestStateUtility:
     def test_all_sentinel_is_zero(self, two_sector_geom):
         state = make_state(two_sector_geom)
-        assert state_utility(state, SearchConfig()) == 0.0
+        assert utility_of(state, SearchConfig()) == 0.0
 
     def test_height_linearity(self, two_sector_geom):
         cfg = SearchConfig(w_h=100.0, w_area=0.0, w_sigma=0.0)
         s1 = two_sector_state(two_sector_geom, h1=2.0, h2=0.0)
         s2 = two_sector_state(two_sector_geom, h1=4.0, h2=0.0)
-        assert state_utility(s2, cfg) == pytest.approx(2 * state_utility(s1, cfg)
-                                                       - 100.0 * 0.0)
+        assert utility_of(s2, cfg) == pytest.approx(2 * utility_of(s1, cfg) - 100.0 * 0.0)
 
     def test_manual_arithmetic(self, two_sector_geom):
         cfg = SearchConfig(w_h=10.0, w_area=2.0, w_sigma=1.0)
         state = two_sector_state(two_sector_geom, h1=3.0, h2=2.0)
         expected = (10 * 3 + 2 * 20 * 10 + 1 * 6.0
                     + 10 * 2 + 2 * 15 * 8 + 1 * 6.0) / two_sector_geom.area
-        assert state_utility(state, cfg) == pytest.approx(expected, abs=1e-12)
+        assert utility_of(state, cfg) == pytest.approx(expected, abs=1e-12)
 
 
 class TestExpand:
@@ -146,19 +151,18 @@ class TestExpand:
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(0))
         cfg = small_cfg(branching=4, horizon=8)
-        node = root_node(state, cfg)
-        children = expand(node, model, standard_constraints(), cfg)
-        assert len(children) == 4
-        assert all(c.prefix[-1].kind == "path" for c in children)
+        best = children(state, model, standard_constraints(), cfg)[:cfg.branching]
+        assert len(best) == 4
+        assert all(c.action.kind == "path" for c in best)
 
     def test_capture_count_pruning(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(1))
         cfg = small_cfg(branching=30, horizon=8)
-        node = replace(root_node(state, cfg), prefix=(path(1), capture()))
-        children = expand(node, model, standard_constraints(), cfg)
-        assert children  # something is feasible
-        assert all(c.prefix[-1].kind != "capture" for c in children)
+        best = children(state, model, standard_constraints(), cfg,
+                        prefix=(path(1), capture()))[:cfg.branching]
+        assert best  # something is feasible
+        assert all(c.action.kind != "capture" for c in best)
 
     def test_tie_breaks_on_lower_path_index(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
@@ -168,9 +172,8 @@ class TestExpand:
                 deltas[(path(i), s)] = np.array([0, 0, -1.0, 0, 0, 0.0])
         model = model_from_deltas(deltas)
         cfg = small_cfg(branching=2, horizon=8)
-        node = root_node(state, cfg)
-        children = expand(node, model, SMALL_CS, cfg)
-        assert [c.prefix[-1].arg for c in children] == [1, 2]
+        best = children(state, model, SMALL_CS, cfg)[:cfg.branching]
+        assert [c.action.arg for c in best] == [1, 2]
 
     def test_children_keep_every_sector(self, two_sector_geom):
         # the search propagates only the live sector 1; its children still hold
@@ -179,10 +182,10 @@ class TestExpand:
                                              2: (gauss(2, 2.0, 15.0, 8.0)[0], np.eye(3), 0)})
         model = random_small_model(np.random.default_rng(4))
         cfg = small_cfg(branching=4, horizon=8)
-        children = expand(root_node(state, cfg), model, standard_constraints(), cfg)
-        assert children
-        for child in children:
-            want = propagate(state, child.prefix[-1], model)
+        best = children(state, model, standard_constraints(), cfg)[:cfg.branching]
+        assert best
+        for child in best:
+            want = propagate_one(state, child.action, model)
             assert child.state.mu.tobytes() == want.mu.tobytes()
             assert child.state.sigma.tobytes() == want.sigma.tobytes()
             assert child.state.count.tobytes() == want.count.tobytes()
@@ -197,9 +200,8 @@ class TestLookahead:
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(2))
         cfg = small_cfg()
-        node = replace(root_node(state, cfg), prefix=(path(1),), cost=3.5)
-        got = lookahead_value(node, model, SMALL_CS, cfg, depth=0)
-        assert got == pytest.approx(3.5 + state_utility(state, cfg), abs=1e-12)
+        got = lookahead(state, model, SMALL_CS, cfg, depth=0, prefix=(path(1),), cost=3.5)
+        assert got == pytest.approx(3.5 + utility_of(state, cfg), abs=1e-12)
 
     def test_single_zero_delta_action_adds_its_cost(self, two_sector_geom):
         # all-sentinel state (utility 0) and constraints that admit only
@@ -212,10 +214,8 @@ class TestLookahead:
                                 AbsConstraint("refinement", "<", 1),
                                 AbsConstraint("end", "<", 1)))
         cfg = small_cfg(path_count=1, horizon=6)
-        node = root_node(state, cfg)
-        base = lookahead_value(node, model, cs, cfg, depth=0)
-        assert lookahead_value(node, model, cs, cfg, depth=1) == \
-            pytest.approx(base + 1.0, abs=1e-12)
+        base = lookahead(state, model, cs, cfg, depth=0)
+        assert lookahead(state, model, cs, cfg, depth=1) == pytest.approx(base + 1.0, abs=1e-12)
 
     def test_full_depth_lookahead_equals_exhaustive_minimum(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
@@ -223,8 +223,7 @@ class TestLookahead:
         for trial in range(3):
             model = random_small_model(rng)
             cfg = small_cfg()
-            node = root_node(state, cfg)
-            got = lookahead_value(node, model, SMALL_CS, cfg, depth=cfg.horizon)
+            got = lookahead(state, model, SMALL_CS, cfg, depth=cfg.horizon)
             want = brute_force_minimum(state, model, SMALL_CS, cfg)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -233,9 +232,7 @@ class TestLookahead:
         rng = np.random.default_rng(3)
         for trial in range(5):
             model = random_small_model(rng)
-            node = root_node(state, small_cfg())
-            values = [lookahead_value(node, model, SMALL_CS,
-                                      small_cfg(branching=bf, depth=3), depth=3)
+            values = [lookahead(state, model, SMALL_CS, small_cfg(branching=bf, depth=3))
                       for bf in (1, 2, 3, 10**6)]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -247,9 +244,9 @@ class TestRefinePlan:
         for trial in range(5):
             model = random_small_model(rng)
             cfg = small_cfg()
-            plan = refine_plan(state, model, SMALL_CS, cfg)
+            plan = refine(state, model, SMALL_CS, cfg)
             cost, final = replay_cost(plan.actions, state, model, cfg)
-            got = cost + state_utility(final, cfg)
+            got = cost + utility_of(final, cfg)
             want = brute_force_minimum(state, model, SMALL_CS, cfg)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -257,7 +254,7 @@ class TestRefinePlan:
         state = make_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(5))
         cfg = SearchConfig(path_count=4, horizon=10)
-        plan = refine_plan(state, model, standard_constraints(), cfg)
+        plan = refine(state, model, standard_constraints(), cfg)
         assert [a.kind for a in plan.actions] == \
             ["path", "peel", "refinement", "capture", "end"]
         assert plan.actions[2].arg == 1
@@ -270,16 +267,15 @@ class TestRefinePlan:
                                      h1=float(rng.uniform(0, 5)),
                                      h2=float(rng.uniform(0, 5)))
             model = random_small_model(rng)
-            plan = refine_plan(state, model, cs,
-                               SearchConfig(path_count=4, horizon=12))
+            plan = refine(state, model, cs, SearchConfig(path_count=4, horizon=12))
             assert validate(plan, cs) == []
 
     def test_deterministic(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(7))
         cfg = SearchConfig(path_count=4, horizon=12)
-        a = refine_plan(state, model, standard_constraints(), cfg)
-        b = refine_plan(state, model, standard_constraints(), cfg)
+        a = refine(state, model, standard_constraints(), cfg)
+        b = refine(state, model, standard_constraints(), cfg)
         assert a == b
 
     def test_sampled_mode_deterministic_under_seed(self, two_sector_geom):
@@ -294,8 +290,8 @@ class TestRefinePlan:
                                                   np.array([0, 0, -0.2, 0, 0, 0]),
                                                   blank))
         cfg = SearchConfig(path_count=4, horizon=12, mode="sampled", seed=5)
-        a = refine_plan(state, model, standard_constraints(), cfg)
-        b = refine_plan(state, model, standard_constraints(), cfg)
+        a = refine(state, model, standard_constraints(), cfg)
+        b = refine(state, model, standard_constraints(), cfg)
         assert a == b
 
     def test_commitment_cost_matches_replay(self, two_sector_geom):
@@ -319,9 +315,9 @@ class TestRefinePlan:
         state = make_state(two_sector_geom)
         model = random_small_model(np.random.default_rng(12))
         cfg = SearchConfig(branching=10, horizon=5, path_count=4, epsilon_conv=-math.inf)
-        kinds = [c.prefix[-1].kind for c in expand(root_node(state, cfg), model, cs, cfg)]
+        kinds = [c.action.kind for c in children(state, model, cs, cfg)[:cfg.branching]]
         assert "end" not in kinds and "peel" in kinds
-        plan = refine_plan(state, model, cs, cfg)
+        plan = refine(state, model, cs, cfg)
         assert validate(plan, cs) == []
         assert plan.actions[-1] == end()
 
@@ -331,13 +327,13 @@ class TestRefinePlan:
         model = model_from_deltas({(path(1), 1): np.zeros(6)})
         cfg = SearchConfig(horizon=1, path_count=1)
         with pytest.raises(SearchError, match="added no action"):
-            refine_plan(state, model, ConstraintSet(), cfg)
+            refine(state, model, ConstraintSet(), cfg)
 
     def test_empty_model_rejected(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
         with pytest.raises(SearchError, match="no data"):
-            refine_plan(state, EffectivenessModel(sector_count=2),
-                        standard_constraints(), SearchConfig())
+            refine(state, EffectivenessModel(sector_count=2), standard_constraints(),
+                   SearchConfig())
 
     def test_infeasible_constraints_named(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
@@ -345,7 +341,7 @@ class TestRefinePlan:
         impossible = ConstraintSet(abs=(AbsConstraint("end", ">", 0),
                                         AbsConstraint("end", "<", 1)))
         with pytest.raises(SearchError):
-            refine_plan(state, model, impossible, SearchConfig(horizon=6))
+            refine(state, model, impossible, SearchConfig(horizon=6))
 
 
     def test_failed_completion_names_outstanding_kinds(self, two_sector_geom):
@@ -358,7 +354,7 @@ class TestRefinePlan:
                            abs=(AbsConstraint("path", ">", 7), AbsConstraint("end", ">", 0)))
         cfg = SearchConfig(path_count=4, horizon=20, epsilon_conv=math.inf)
         with pytest.raises(SearchError, match=r"outstanding: (path, ){8}peel, end$"):
-            refine_plan(state, model, cs, cfg)
+            refine(state, model, cs, cfg)
 
 
 class TestGenerateRefinementPaths:
