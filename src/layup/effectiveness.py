@@ -17,13 +17,14 @@ bucket's majority sign vote shrinks or grows the covariance diagonals.
 or from a batch of states, one per action, reading the table compiled into
 dense arrays (`EffectTable`) and returning a batch of states.
 
-Loading and compiling a model work on whole arrays, not bucket by bucket.
-`EffectivenessModel.from_json` checks each bucket's key and row counts,
-then the rows of all buckets at once, one `numbers` pass per field and one
-vote check, naming the first bucket at fault. `_compile` stacks the buckets
-of each sample count into one array and reduces it along the sample axis,
-which adds the rows in the order a per-bucket `np.mean`, `np.var` and
-`np.sum` add them, so the tables are those of a per-bucket loop bit for bit.
+A model holds its samples as one table of columns (see
+`extract_transitions`), each bucket a read-only slice of them; learning,
+loading and compiling work on whole columns. `aggregate` orders every log's
+columns with one stable sort by bucket key, so a bucket's rows keep log
+order, then step order. `EffectivenessModel.from_json` checks the rows of
+all buckets at once, naming the first bucket at fault. `_compile` reduces
+the buckets of each sample count as one stacked array, adding the rows in
+the order a per-bucket `np.mean`, `np.var` and `np.sum` add them.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import axial_difference, fold_axial
-from .jsonio import numbers, read_json, required
+from .jsonio import numbers, read_json, required, typed
 from .plan import ACTION_KINDS, PATH_COUNT_DEFAULT, Action
 from .sheet_state import SheetState
 
@@ -68,49 +69,48 @@ def compute_signs(before: np.ndarray, after: np.ndarray) -> np.ndarray:
                  - np.diagonal(before, axis1=-2, axis2=-1))
 
 
-@dataclass(frozen=True)
-class TransitionSample:
-    action: Action
-    sector: int
-    delta: np.ndarray  # (6,), as compute_delta returns it
-    signs: np.ndarray  # (2, 3) of +-1, as compute_signs returns it
-    plan_name: str = ""
-    step: int = 0
-
-
-def extract_transitions(log) -> list[TransitionSample]:
-    """One sample per (action, sector) pair of an experiment log, step by step.
-
-    The log's states stack into arrays once, and one `compute_delta` and one
-    `compute_signs` take every step's deltas and signs from consecutive rows.
-    """
-    if not log.actions:
-        return []
-    mu = np.stack([state.mu for state in log.states])
-    sigma = np.stack([state.sigma for state in log.states])
-    deltas = compute_delta(mu[:-1], mu[1:])       # (n, k, 6)
-    signs = compute_signs(sigma[:-1], sigma[1:])  # (n, k, 2, 3)
-    return [TransitionSample(action, j + 1, deltas[i, j], signs[i, j], log.plan_name, i + 1)
-            for i, action in enumerate(log.actions) for j in range(deltas.shape[1])]
-
-
 def bucket_key(action: Action) -> tuple[str, int]:
     """Path actions bucket by index; every other kind shares one bucket."""
     return (action.kind, action.arg if action.kind == "path" else 0)
 
 
-@dataclass
-class _Bucket:
-    deltas: list = field(default_factory=list)   # (6,) arrays
-    u1: list = field(default_factory=list)       # (3,) signs of sigma1's diagonal
-    u2: list = field(default_factory=list)       # ... and of sigma2's
-    sources: list = field(default_factory=list)  # "plan:step" provenance strings
+# every bucket key an action can have, sorted as the model file lists them
+BUCKET_KEYS = sorted([(kind, 0) for kind in ACTION_KINDS if kind != "path"]
+                     + [("path", i) for i in range(1, PATH_COUNT_DEFAULT + 1)])
 
-    def add(self, sample: TransitionSample):
-        self.deltas.append(sample.delta)
-        self.u1.append(sample.signs[0])
-        self.u2.append(sample.signs[1])
-        self.sources.append(f"{sample.plan_name}:{sample.step}")
+
+def extract_transitions(log) -> tuple:
+    """One log's samples as columns (keys, deltas, u1, u2, sources), a row per
+    (step, sector) pair, step by step.
+
+    A key is the bucket's BUCKET_KEYS index times k plus the sector index;
+    u1 and u2 (N, 3) are the signs of sigma1's and sigma2's diagonals;
+    sources are "plan:step" strings. One `compute_delta` and one
+    `compute_signs` take every step's rows from the log's stacked states.
+    """
+    n = len(log.actions)
+    if not n:
+        return (np.zeros(0, int), np.zeros((0, 6)), np.zeros((0, 3)), np.zeros((0, 3)),
+                np.zeros(0, object))
+    mu = np.stack([state.mu for state in log.states])
+    sigma = np.stack([state.sigma for state in log.states])
+    k = mu.shape[1]
+    steps = np.array([BUCKET_KEYS.index(bucket_key(action)) for action in log.actions])
+    signs = compute_signs(sigma[:-1], sigma[1:])  # (n, k, 2, 3)
+    sources = np.array([f"{log.plan_name}:{i}" for i in range(1, n + 1)], dtype=object)
+    return ((steps[:, None] * k + np.arange(k)).ravel(),
+            compute_delta(mu[:-1], mu[1:]).reshape(-1, 6),
+            signs[:, :, 0].reshape(-1, 3), signs[:, :, 1].reshape(-1, 3), sources.repeat(k))
+
+
+@dataclass(frozen=True)
+class _Bucket:
+    """One bucket's samples, in learned order: read-only slices of the model's columns."""
+
+    deltas: np.ndarray   # (n, 6)
+    u1: np.ndarray       # (n, 3) signs of sigma1's diagonal
+    u2: np.ndarray       # ... and of sigma2's
+    sources: np.ndarray  # (n,) "plan:step" provenance strings
 
     @property
     def count(self) -> int:
@@ -119,6 +119,15 @@ class _Bucket:
     @property
     def mean(self) -> np.ndarray:
         return np.mean(self.deltas, axis=0)
+
+
+def _buckets(keys, ends, *columns) -> dict:
+    # bucket keys[i] holds rows ends[i-1]:ends[i] of every column; the
+    # columns become read-only, for a model never changes once built
+    for column in columns:
+        column.flags.writeable = False
+    return {key: _Bucket(*(column[start:stop] for column in columns))
+            for key, start, stop in zip(keys, [0, *ends[:-1]], ends)}
 
 
 @dataclass(frozen=True)
@@ -171,8 +180,7 @@ def _compile(model: "EffectivenessModel") -> EffectTable:
     has = np.zeros(shape, dtype=bool)
     groups: dict[int, list] = {}  # sample count -> [((row, sector index), bucket)]
     for (kind, arg, sector), b in model.table.items():
-        if b.count:
-            groups.setdefault(b.count, []).append(((rows[(kind, arg)], sector - 1), b))
+        groups.setdefault(b.count, []).append(((rows[(kind, arg)], sector - 1), b))
     for n, group in groups.items():
         at = tuple(np.array([cell for cell, _ in group]).T)
         deltas = np.array([b.deltas for _, b in group])             # (B, n, 6)
@@ -203,9 +211,10 @@ def _stacked(names: list[str], recs: list[dict], name: str, width: int) -> np.nd
 
 
 class EffectivenessModel:
-    """Empirical per-(action bucket, sector) delta table, compiled on use."""
+    """Empirical per-(action bucket, sector) delta table, built whole, compiled on use."""
 
-    def __init__(self, sector_count: int):
+    def __init__(self, sector_count: int, samples=None):
+        """A model of `extract_transitions`-style columns, each bucket's rows in given order."""
         if sector_count < 2:
             raise ValueError("sector_count must be at least 2")
         self.sector_count = sector_count
@@ -213,24 +222,22 @@ class EffectivenessModel:
         self.experiments = 0
         self.sheets: list[str] = []
         self._compiled: EffectTable | None = None
-
-    def add_sample(self, sample: TransitionSample):
-        if not (1 <= sample.sector <= self.sector_count):
-            raise ValueError(f"sector {sample.sector} out of range")
-        kind, arg = bucket_key(sample.action)
-        self.table.setdefault((kind, arg, sample.sector), _Bucket()).add(sample)
-        self._compiled = None
+        if samples:
+            keys, *columns = samples
+            order = np.argsort(keys, kind="stable")
+            ends = np.flatnonzero(np.diff(keys[order], append=-1)) + 1
+            self.table = _buckets([(*BUCKET_KEYS[key // sector_count], key % sector_count + 1)
+                                   for key in keys[order[ends - 1]].tolist()],
+                                  ends.tolist(), *(column[order] for column in columns))
 
     def compiled(self) -> EffectTable:
-        """The dense tables, compiled on first use after the last added sample."""
+        """The dense tables, compiled on first use."""
         if self._compiled is None:
             self._compiled = _compile(self)
         return self._compiled
 
     def bucket(self, action: Action, sector: int) -> _Bucket | None:
-        kind, arg = bucket_key(action)
-        b = self.table.get((kind, arg, sector))
-        return b if b is not None and b.count > 0 else None
+        return self.table.get((*bucket_key(action), sector))
 
     def covers(self, action: Action) -> bool:
         """True when at least one sector has data for this action's bucket."""
@@ -246,14 +253,8 @@ class EffectivenessModel:
         return {f"{k}|{a}|{s}": b.count for (k, a, s), b in sorted(self.table.items())}
 
     def to_json(self) -> dict:
-        buckets = {}
-        for (kind, arg, sector), b in sorted(self.table.items()):
-            buckets[f"{kind}|{arg}|{sector}"] = {
-                "deltas": [[float(v) for v in d] for d in b.deltas],
-                "u1": [[float(v) for v in d] for d in b.u1],
-                "u2": [[float(v) for v in d] for d in b.u2],
-                "sources": list(b.sources),
-            }
+        buckets = {f"{kind}|{arg}|{sector}": {name: v.tolist() for name, v in vars(b).items()}
+                   for (kind, arg, sector), b in sorted(self.table.items())}
         return {"version": 1, "sector_count": self.sector_count,
                 "experiments": self.experiments, "sheets": self.sheets,
                 "buckets": buckets}
@@ -273,12 +274,11 @@ class EffectivenessModel:
             arg, sector = int(arg), int(sector)
             if key != f"{kind}|{arg}|{sector}":
                 raise ValueError(f"bucket {key}: not written as {kind}|{arg}|{sector}")
-            if kind not in ACTION_KINDS or not (
-                    1 <= arg <= PATH_COUNT_DEFAULT if kind == "path" else arg == 0):
+            if (kind, arg) not in BUCKET_KEYS:
                 raise ValueError(f"bucket {key}: no action has this kind and argument")
             if not 1 <= sector <= model.sector_count:
                 raise ValueError(f"bucket {key}: sector out of range")
-            rec = required(rec, {"deltas": [], "u1": [], "u2": [], "sources": [""]})
+            rec = required(rec, {"deltas": [], "u1": [], "u2": [], "sources": []})
             n = len(rec["deltas"])
             if not n:
                 raise ValueError(f"bucket {key}: no deltas")
@@ -291,6 +291,7 @@ class EffectivenessModel:
         if not recs:
             return model
         # the rows of every bucket checked at once; bucket i holds rows ends[i-1]:ends[i]
+        sources = typed([s for rec in recs for s in rec["sources"]], [""], "sources")
         deltas, u1, u2 = (_stacked(names, recs, name, width)
                           for name, width in (("deltas", 6), ("u1", 3), ("u2", 3)))
         ends = np.cumsum([len(rec["deltas"]) for rec in recs])
@@ -298,16 +299,13 @@ class EffectivenessModel:
         if len(bad):
             key = names[np.searchsorted(ends, bad[0], side="right")]
             raise ValueError(f"bucket {key}: each u1 and u2 vote must be -1 or 1")
-        for key, rec, stop in zip(keys, recs, ends.tolist()):
-            start = stop - len(rec["deltas"])
-            model.table[key] = _Bucket(
-                list(deltas[start:stop]), list(u1[start:stop]), list(u2[start:stop]),
-                rec["sources"])
+        model.table = _buckets(keys, ends.tolist(), deltas, u1, u2,
+                               np.array(sources, dtype=object))
         return model
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
+            fh.write(json.dumps(self.to_json()))  # one-shot dumps runs the C encoder
 
     @classmethod
     def load(cls, path) -> "EffectivenessModel":
@@ -317,23 +315,18 @@ class EffectivenessModel:
 def aggregate(logs) -> EffectivenessModel:
     """Pool the per-sector transition samples of many experiment logs.
 
-    Logs must agree on sector count; aggregation is a pure fold, so log
-    order never changes the resulting table.
+    Logs must agree on sector count. Buckets hold the same samples whatever
+    the log order, but log order sets their order within a bucket, and so the
+    model file's rows and the last bits of the compiled means and deviations.
     """
     logs = list(logs)
-    if not logs:
-        return EffectivenessModel(sector_count=2)
     ks = {len(log.states[0].count) for log in logs if log.states}
     if len(ks) > 1:
         raise ValueError(f"logs mix sector counts {sorted(ks)}")
-    model = EffectivenessModel(sector_count=ks.pop() if ks else 2)
-    for log in logs:
-        for sample in extract_transitions(log):
-            model.add_sample(sample)
-        model.experiments += 1
-        if log.sheet not in model.sheets:
-            model.sheets.append(log.sheet)
-    model.sheets.sort()
+    model = EffectivenessModel(ks.pop() if ks else 2, [
+        np.concatenate(column) for column in zip(*map(extract_transitions, logs))])
+    model.experiments = len(logs)
+    model.sheets = sorted({log.sheet for log in logs})
     return model
 
 

@@ -89,14 +89,16 @@ def typed(value, like, name: str):
 
     An integer passes where `like` is a float; a float must be finite (json
     reads `1e400` as infinity). Where `like` is a non-empty list or tuple,
-    each item of `value` is checked against `like`'s first.
+    each item of `value` is checked against `like`'s first: by the set of
+    item types for strings, integers or booleans, item by item if it is wrong.
     """
     have, want = _JSON_TYPES.get(type(value), "null"), _JSON_TYPES[type(like)]
     if have != want and not (have == "an integer" and want == "a number"):
         raise TypeError(f"{name} must be {want}, not {have}")
     if have == "a number" and not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
-    if want == "a list" and len(like):
+    if want == "a list" and len(like) and not (
+            type(like[0]) in (str, int, bool) and set(map(type, value)) <= {type(like[0])}):
         for item in value:
             typed(item, like[0], name)
     return value

@@ -368,7 +368,8 @@ def _suffix_step(kind: str, front: _Frontier, cands: _Candidates, cfg: SearchCon
     # the row advanced by one action of this kind, and the action
     live = int(_live(front.states.count[0]))
     if kind == "path":
-        # the best-scoring feasible path, path 1 when none is feasible
+        # the best-scoring feasible path; path 1, unscored, when `_level` has
+        # none, as in a suffix (end, path): `_level` keeps a row after end closed
         level = _level(front, cands, cfg, stats)
         if level is not None:
             children, _, which = level

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from layup.effectiveness import propagate_batch
+from layup.effectiveness import BUCKET_KEYS, EffectivenessModel, bucket_key, propagate_batch
 from layup.search import SearchStats, _Candidates, _Frontier, _level, _live, _lookahead
 from layup.sheet_state import SheetGeometry, SheetState
 from layup.simulator import SUMMARY_FIELDS
@@ -66,6 +66,28 @@ def oracle_trace_total(state: SheetState) -> float:
 def utility_of(state: SheetState, cfg) -> float:
     """A state's utility, as the search prices its root."""
     return float(_Frontier.root(state, cfg).utility[0])
+
+
+def sample_key(action, sector: int, k: int) -> int:
+    """The bucket key column's value for a sample of `action` in `sector` of k."""
+    assert 1 <= sector <= k
+    return BUCKET_KEYS.index(bucket_key(action)) * k + sector - 1
+
+
+def model_of(k: int, samples) -> EffectivenessModel:
+    """A k-sector model of hand-made samples, through the model's table constructor.
+
+    Each sample is (action, sector, delta, signs), the (2, 3) signs of
+    sigma1's and sigma2's diagonals, with an optional fifth "plan:step"
+    source (":0" when left out). A bucket keeps its samples in the order given.
+    """
+    samples = list(samples)
+    signs = np.array([s[3] for s in samples], dtype=float).reshape(-1, 2, 3)
+    return EffectivenessModel(k, (
+        np.array([sample_key(action, sector, k) for action, sector, *_ in samples], dtype=int),
+        np.array([s[2] for s in samples], dtype=float).reshape(-1, 6),
+        signs[:, 0], signs[:, 1],
+        np.array([s[4] if len(s) > 4 else ":0" for s in samples], dtype=object)))
 
 
 def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from layup.cli import audit_json, build_report
-from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
-                                 compute_delta, compute_signs)
+from layup.effectiveness import aggregate, compute_delta, compute_signs
 from layup.plan import (AbsConstraint, Action, ConstraintSet, DrapingPlan,
                         RelConstraint, capture, end, expert_plan,
                         initial_plan_constraints, path, peel, refinement,
@@ -26,7 +25,7 @@ from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
 from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
 
-from conftest import make_state, meets, published_style_summaries, utility_of
+from conftest import make_state, meets, model_of, published_style_summaries, utility_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRAIN_SEEDS = (101, 102, 103)
@@ -195,17 +194,16 @@ SMALL_CS = ConstraintSet(
 
 
 def _small_model(rng):
-    model = EffectivenessModel(sector_count=2)
     blank = compute_signs(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+    samples = []
     for i in range(1, 5):
         for s in (1, 2):
             d = np.zeros(6)
             d[2] = -abs(rng.normal(0.7, 0.6))
             d[3] = -abs(rng.normal(0.4, 0.4))
             d[4] = -abs(rng.normal(0.2, 0.2))
-            model.add_sample(TransitionSample(path(i), s, d, blank))
-    for s in (1, 2):
-        model.add_sample(TransitionSample(end(), s, np.zeros(6), blank))
+            samples.append((path(i), s, d, blank))
+    model = model_of(2, samples + [(end(), s, np.zeros(6), blank) for s in (1, 2)])
     model.experiments = 1
     return model
 

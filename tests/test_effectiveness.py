@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from layup.effectiveness import (EffectivenessModel, TransitionSample, aggregate,
-                                 compute_delta, compute_signs, extract_transitions)
+from layup.effectiveness import (EffectivenessModel, aggregate, compute_delta, compute_signs,
+                                 extract_transitions)
 from layup.plan import ConstraintSet, expert_plan, path, peel
 from layup.search import SearchConfig
 from layup.sheet_state import SheetGeometry
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
-from conftest import children, make_state, oracle_trace_total, propagate_one, utility_of
+from conftest import (children, make_state, model_of, oracle_trace_total, propagate_one,
+                      utility_of)
 
 
 def gauss(mu1, sigma1_diag, mu2, sigma2_diag, n=1):
@@ -115,17 +116,16 @@ def d1_log():
 
 class TestExtractTransitions:
     def test_sample_count(self, d1_log):
-        samples = extract_transitions(d1_log)
-        assert len(samples) == 19 * 8
+        keys, deltas, u1, u2, sources = extract_transitions(d1_log)
+        assert [len(column) for column in (keys, deltas, u1, u2, sources)] == [19 * 8] * 5
 
     def test_zero_delta_for_identical_states(self, d1_log):
         state = d1_log.states[0]
         fake = type(d1_log)(plan_name="x", sheet="sheet1", seed=0, actions=[peel()],
                             states=[state, state], correction_cycles=0, correction_paths=0,
                             correction_converged=True)
-        samples = extract_transitions(fake)
-        assert len(samples) == 8
-        assert all(np.array_equal(s.delta, np.zeros(6)) for s in samples)
+        _, deltas, _, _, _ = extract_transitions(fake)
+        assert np.array_equal(deltas, np.zeros((8, 6)))
 
 
 class TestExtractCorruptLog:
@@ -161,6 +161,8 @@ class TestAggregate:
         assert two.experiments == 2
 
     def test_order_independent(self, d1_log):
+        """Each bucket holds the same deltas whatever the log order: the same
+        multiset, for log order sets their order within a bucket."""
         params = GroundTruthParams()
         other = run_experiment(expert_plan(2), builtin_sheet("sheet1"), params,
                                seed=6,
@@ -181,12 +183,10 @@ class TestAggregate:
 
 
 def one_sample_model(before_state, after_state, action):
-    model = EffectivenessModel(sector_count=before_state.geometry.sector_count)
-    for row in range(len(before_state.count)):
-        model.add_sample(TransitionSample(
-            action=action, sector=row + 1,
-            delta=compute_delta(before_state.mu[row], after_state.mu[row]),
-            signs=compute_signs(before_state.sigma[row], after_state.sigma[row])))
+    model = model_of(before_state.geometry.sector_count, [
+        (action, row + 1, compute_delta(before_state.mu[row], after_state.mu[row]),
+         compute_signs(before_state.sigma[row], after_state.sigma[row]))
+        for row in range(len(before_state.count))])
     model.experiments = 1
     return model
 
@@ -194,22 +194,16 @@ def one_sample_model(before_state, after_state, action):
 class TestPropagate:
     def test_sentinel_stays_sentinel(self, two_sector_geom):
         state = make_state(two_sector_geom)
-        model = EffectivenessModel(sector_count=2)
-        model.add_sample(TransitionSample(
-            action=path(1), sector=1,
-            delta=np.array([0, 0, 5.0, 1.0, 1.0, 0]),
-            signs=compute_signs(state.sigma[0], state.sigma[0])))
+        model = model_of(2, [(path(1), 1, [0, 0, 5.0, 1.0, 1.0, 0],
+                              compute_signs(state.sigma[0], state.sigma[0]))])
         out = propagate_one(state, path(1), model)
         assert not out.count.any()
 
     def test_clamp_to_zero_then_sentinel(self, two_sector_geom):
         state = make_state(two_sector_geom,
                            {1: gauss([0, 0, 3.0], [1, 1, 1], [2.0, 1.0, 0.5], [1, 1, 1])})
-        model = EffectivenessModel(sector_count=2)
-        model.add_sample(TransitionSample(
-            action=path(1), sector=1,
-            delta=np.array([0, 0, -5.0, -3.0, -2.0, 0]),
-            signs=compute_signs(state.sigma[0], state.sigma[0])))
+        model = model_of(2, [(path(1), 1, [0, 0, -5.0, -3.0, -2.0, 0],
+                              compute_signs(state.sigma[0], state.sigma[0]))])
         out = propagate_one(state, path(1), model)
         assert out.count[0] == 0
 
@@ -263,10 +257,8 @@ class TestPropagate:
                              sector_count=3)
         row = gauss([0, 0, 3.0], [1, 1, 1], [2, 1, 0.5], [1, 1, 1])
         state = make_state(geom, {1: row, 3: row})
-        model = EffectivenessModel(sector_count=2)
-        model.add_sample(TransitionSample(
-            action=path(1), sector=1, delta=np.array([0, 0, -1.0, 0, 0, 0]),
-            signs=compute_signs(state.sigma[0], state.sigma[0])))
+        model = model_of(2, [(path(1), 1, [0, 0, -1.0, 0, 0, 0],
+                              compute_signs(state.sigma[0], state.sigma[0]))])
         with pytest.raises(ValueError, match="state has 3 sectors, the model 2"):
             propagate_one(state, path(1), model)
 
@@ -302,10 +294,8 @@ class TestEffectivenessScore:
     def test_zero_delta_bucket_scores_covariance_only(self, two_sector_geom):
         state = make_state(two_sector_geom,
                            {1: gauss([10, 5, 2.0], [4, 4, 1], [8, 4, 0.3], [2, 2, 1])})
-        model = EffectivenessModel(sector_count=2)
-        model.add_sample(TransitionSample(
-            action=path(1), sector=1, delta=np.zeros(6),
-            signs=compute_signs(state.sigma[0], state.sigma[0])))
+        model = model_of(2, [(path(1), 1, np.zeros(6),
+                              compute_signs(state.sigma[0], state.sigma[0]))])
         cfg = self.cfg()
         score = effectiveness_score(path(1), state, model, cfg)
         after = propagate_one(state, path(1), model)
@@ -321,13 +311,10 @@ class TestEffectivenessScore:
         state = make_state(two_sector_geom,
                            {1: gauss([0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1]),
                             2: gauss([0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1])})
-        model = EffectivenessModel(sector_count=2)
         signs = compute_signs(state.sigma[0], state.sigma[0])
-        for sector in (1, 2):
-            model.add_sample(TransitionSample(path(1), sector,
-                                              np.array([0, 0, -2.0, 0, 0, 0]), signs))
-            model.add_sample(TransitionSample(path(2), sector,
-                                              np.array([0, 0, -0.5, 0, 0, 0]), signs))
+        model = model_of(2, [sample for sector in (1, 2)
+                             for sample in ((path(1), sector, [0, 0, -2.0, 0, 0, 0], signs),
+                                            (path(2), sector, [0, 0, -0.5, 0, 0, 0], signs))])
         cfg = self.cfg()
         assert effectiveness_score(path(1), state, model, cfg) < \
             effectiveness_score(path(2), state, model, cfg)
@@ -336,10 +323,8 @@ class TestEffectivenessScore:
         state = make_state(two_sector_geom,
                            {1: gauss([0, 0, 4.0], [0, 0, 0], [6, 2, 0.1], [0, 0, 0]),
                             2: gauss([0, 0, 2.0], [0, 0, 0], [3, 1, 0.1], [0, 0, 0])})
-        model = EffectivenessModel(sector_count=2)
         signs = compute_signs(state.sigma[0], state.sigma[0])
-        model.add_sample(TransitionSample(path(1), 1,
-                                          np.array([0, 0, -1.0, -1.0, 0, 0]), signs))
+        model = model_of(2, [(path(1), 1, [0, 0, -1.0, -1.0, 0, 0], signs)])
         cfg = SearchConfig(w_h=100.0, w_area=1.0, w_sigma=0.0)
         area = two_sector_geom.area
         f_before = (100 * 4 + 6 * 2 + 100 * 2 + 3 * 1) / area

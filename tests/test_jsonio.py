@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layup.cli import RunConfig
-from layup.effectiveness import EffectivenessModel, TransitionSample
+from layup.effectiveness import EffectivenessModel
 from layup.jsonio import LogFormatError, read_json, read_last_json_line
 from layup.plan import ConstraintSet, path, peel, refinement, standard_constraints
 from layup.search import SearchConfig
@@ -26,7 +26,7 @@ from layup.sheet_state import SheetGeometry
 from layup.simulator import (ExperimentLog, GroundTruthParams, read_log, summary_from_json,
                              write_log)
 
-from conftest import make_state
+from conftest import make_state, model_of
 
 
 @dataclass
@@ -51,11 +51,9 @@ def _log_docs() -> list:
 
 
 def _model_doc() -> dict:
-    model = EffectivenessModel(sector_count=2)
-    for i, action in enumerate((path(1), path(1), peel())):
-        model.add_sample(TransitionSample(action, 1 + i % 2, np.arange(6.0) - i,
-                                          np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]]),
-                                          plan_name="D1", step=i))
+    model = model_of(2, [(action, 1 + i % 2, np.arange(6.0) - i,
+                          [[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]], f"D1:{i}")
+                         for i, action in enumerate((path(1), path(1), peel()))])
     model.experiments, model.sheets = 1, ["sheet1"]
     return model.to_json()
 

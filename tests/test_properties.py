@@ -6,9 +6,10 @@ import math
 import re
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from layup.cli import RunConfig, cmd_simulate
 from layup.effectiveness import (COV_GROW, COV_SHRINK, EffectivenessModel, EffectTable,
-                                 TransitionSample, aggregate, compute_delta, compute_signs,
-                                 extract_transitions, propagate_batch)
+                                 aggregate, compute_delta, compute_signs, extract_transitions,
+                                 propagate_batch)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
@@ -38,7 +39,8 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              _noise, _sweep, builtin_sheet, init_sheet,
                              path_geometry, read_log, run_experiment, write_log)
 
-from conftest import lookahead, make_state, meets, oracle_abs, oracle_rel, oracle_trace_total
+from conftest import (lookahead, make_state, meets, model_of, oracle_abs, oracle_rel,
+                      oracle_trace_total, sample_key)
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -335,14 +337,13 @@ def states_and_models(draw):
     state = draw(states())
     k = state.geometry.sector_count
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model = EffectivenessModel(sector_count=k)
+    samples = []
     for action in BATCH_ACTIONS[:-1]:  # end stays unseen
         for sector in range(1, k + 1):
             for _ in range(rng.integers(0, 4)):  # 0: sector without data
-                u1, u2 = rng.choice((-1.0, 1.0), size=(2, 3))
-                model.add_sample(TransitionSample(
-                    action, sector, rng.choice(DELTAS, size=6), np.array([u1, u2])))
-    return state, model
+                signs = rng.choice((-1.0, 1.0), size=(2, 3))
+                samples.append((action, sector, rng.choice(DELTAS, size=6), signs))
+    return state, model_of(k, samples)
 
 
 LOWER = np.array([0.0, 0.0, -0.3, -0.3, -0.3, 0.1])
@@ -358,15 +359,11 @@ def compaction_case(sectors: dict) -> tuple[SheetState, EffectivenessModel]:
     state = make_state(square_geometry(4), {
         sector: ([10.0 * sector, -5.0, h, axes, axes, 1.0], np.eye(3) * sector, n)
         for sector, (h, axes, n) in sectors.items()}, t=3)
-    model = EffectivenessModel(sector_count=4)
-    for action in BATCH_ACTIONS[:-1]:
-        delta = LOWER if action.kind == "path" else RAISE
-        for sector in range(1, 5):
-            for scale, signs in ((1.0, [[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]),
-                                 (2.0, [[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])):
-                model.add_sample(TransitionSample(action, sector, scale * delta,
-                                                  np.array(signs)))
-    return state, model
+    return state, model_of(4, [
+        (action, sector, scale * (LOWER if action.kind == "path" else RAISE), signs)
+        for action in BATCH_ACTIONS[:-1] for sector in range(1, 5)
+        for scale, signs in ((1.0, [[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]),
+                             (2.0, [[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]]))])
 
 
 # sector 3 is stale: no regions, yet nonzero moments, which the root's trace counts
@@ -436,7 +433,7 @@ def ragged_models(draw):
                           min_size=1, max_size=12, unique_by=lambda c: (c[0], c[1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     special = draw(st.sampled_from((0.0, 0.05, 0.5)))  # the share of special deltas
-    model = EffectivenessModel(sector_count=k)
+    samples = []
     for action, sector, n, tied in cells:
         deltas = rng.normal(0.0, rng.choice((1e-3, 1.0, 1e3)), size=(n, 6))
         pick = rng.random((n, 6)) < special
@@ -444,9 +441,8 @@ def ragged_models(draw):
         votes = rng.choice((-1.0, 1.0), size=(n, 2, 3))
         if tied:  # rows alternate +1 and -1: an even count sums to 0 on every diagonal
             votes[:] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None, None]
-        for delta, signs in zip(deltas, votes):
-            model.add_sample(TransitionSample(action, sector, delta, signs, "D1", 1))
-    return model
+        samples += [(action, sector, delta, signs, "D1:1") for delta, signs in zip(deltas, votes)]
+    return model_of(k, samples)
 
 
 @settings(max_examples=150, deadline=None)
@@ -847,12 +843,13 @@ actions_st = st.one_of(st.integers(1, 16).map(path), st.integers(1, 4).map(refin
 
 
 @st.composite
-def chained_logs(draw):
-    """A log of 0-3 steps: n actions and n + 1 states on one geometry, no state for n = 0."""
+def chained_logs(draw, geom=None):
+    """A log of 0-3 steps: n actions and n + 1 states on one geometry (`geom`
+    if given), no state for n = 0."""
     n = draw(st.integers(0, 3))
     chain = []
     if n:
-        first = draw(states())
+        first = draw(states(geom))
         chain = [first] + [draw(states(first.geometry)) for _ in range(n)]
     return ExperimentLog(plan_name=draw(st.text(max_size=4)), sheet="sheet1",
                          seed=draw(st.integers(0, 2**63)),
@@ -877,6 +874,17 @@ def test_log_round_trip_is_exact(log):
     assert all(state.geometry is back.states[0].geometry for state in back.states)
 
 
+@dataclass(frozen=True)
+class TransitionSample:
+    """One (step, sector) sample of a log, as the oracles below record it."""
+
+    action: Action
+    sector: int
+    delta: np.ndarray  # (6,), as compute_delta returns it
+    signs: np.ndarray  # (2, 3) of +-1, as compute_signs returns it
+    source: str        # "plan:step"
+
+
 def oracle_transitions(log) -> list[TransitionSample]:
     """One sample per (step, sector), row by row: the loop `extract_transitions` replaced."""
     samples = []
@@ -887,17 +895,83 @@ def oracle_transitions(log) -> list[TransitionSample]:
                 action=rec.action, sector=row + 1,
                 delta=compute_delta(before.mu[row], after.mu[row]),
                 signs=compute_signs(before.sigma[row], after.sigma[row]),
-                plan_name=log.plan_name, step=rec.index))
+                source=f"{log.plan_name}:{rec.index}"))
     return samples
 
 
 @settings(max_examples=150, deadline=None)
 @given(log=chained_logs())
 def test_extract_transitions_matches_the_row_loop(log):
-    def exact_samples(samples):
-        return [(s.action, s.sector, s.delta.shape, s.delta.tobytes(), s.signs.shape,
-                 s.signs.tobytes(), f"{s.plan_name}:{s.step}") for s in samples]
-    assert exact_samples(extract_transitions(log)) == exact_samples(oracle_transitions(log))
+    want = oracle_transitions(log)
+    n, k = len(want), len(log.states[0].count) if log.states else 2
+    keys, deltas, u1, u2, sources = extract_transitions(log)
+    assert [column.shape for column in (keys, deltas, u1, u2, sources)] == \
+        [(n,), (n, 6), (n, 3), (n, 3), (n,)]
+    assert keys.tolist() == [sample_key(s.action, s.sector, k) for s in want]
+    assert sources.tolist() == [s.source for s in want]
+    for column, rows in ((deltas, [s.delta for s in want]), (u1, [s.signs[0] for s in want]),
+                         (u2, [s.signs[1] for s in want])):
+        assert [row.tobytes() for row in column] == [row.tobytes() for row in rows]
+
+
+@dataclass
+class ListBucket:
+    """A bucket as per-sample lists, appended one sample at a time."""
+
+    deltas: list = field(default_factory=list)
+    u1: list = field(default_factory=list)
+    u2: list = field(default_factory=list)
+    sources: list = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.deltas)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return np.mean(self.deltas, axis=0)
+
+
+def oracle_aggregate(logs) -> tuple[str, EffectTable]:
+    """The model file text and compiled table of pooled logs, each sample
+    appended to its bucket's lists in log order, then step order: the loop
+    `aggregate`'s one stable sort replaced."""
+    ks = {len(log.states[0].count) for log in logs if log.states}
+    model = SimpleNamespace(sector_count=ks.pop() if ks else 2, table={})
+    for log in logs:
+        for s in oracle_transitions(log):
+            kind, arg = s.action.kind, s.action.arg if s.action.kind == "path" else 0
+            bucket = model.table.setdefault((kind, arg, s.sector), ListBucket())
+            bucket.deltas.append(s.delta)
+            bucket.u1.append(s.signs[0])
+            bucket.u2.append(s.signs[1])
+            bucket.sources.append(s.source)
+    buckets = {f"{kind}|{arg}|{sector}": {"deltas": [[float(v) for v in d] for d in b.deltas],
+                                          "u1": [[float(v) for v in d] for d in b.u1],
+                                          "u2": [[float(v) for v in d] for d in b.u2],
+                                          "sources": b.sources}
+               for (kind, arg, sector), b in sorted(model.table.items())}
+    return json.dumps({"version": 1, "sector_count": model.sector_count,
+                       "experiments": len(logs), "sheets": sorted({log.sheet for log in logs}),
+                       "buckets": buckets}), oracle_compile(model)
+
+
+@st.composite
+def log_corpora(draw):
+    """1-3 logs on one geometry, a log possibly drawn more than once."""
+    geom = square_geometry(draw(st.integers(2, 12)))
+    logs = draw(st.lists(chained_logs(geom), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(logs), min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(logs=log_corpora())
+def test_aggregate_matches_the_per_sample_loop(logs):
+    model = aggregate(logs)
+    text, table = oracle_aggregate(logs)
+    assert json.dumps(model.to_json()) == text
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert table_bytes(model.compiled()) == table_bytes(table)
 
 
 def _fields(node):

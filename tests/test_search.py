@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from layup.effectiveness import EffectivenessModel, TransitionSample, compute_signs
+from layup.effectiveness import EffectivenessModel, compute_signs
 from layup.geometry import ROLLER_HALF_WIDTH_DEFAULT
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
@@ -13,7 +13,7 @@ from layup.search import (SearchConfig, SearchError, _default_costs, action_cost
                           refine_plan_detailed, replay_cost)
 from layup.simulator import generate_refinement_paths
 
-from conftest import children, lookahead, make_state, propagate_one, utility_of
+from conftest import children, lookahead, make_state, model_of, propagate_one, utility_of
 
 
 def gauss(sector, h, a, b, theta=0.2):
@@ -30,12 +30,10 @@ def zero_signs():
 
 
 def model_from_deltas(deltas_by_key, k=2):
-    """deltas_by_key: {(action, sector): (6,) array-like}"""
-    model = EffectivenessModel(sector_count=k)
-    for (act, sector), delta in deltas_by_key.items():
-        model.add_sample(TransitionSample(action=act, sector=sector,
-                                          delta=np.asarray(delta, dtype=float),
-                                          signs=zero_signs()))
+    """deltas_by_key: {(action, sector): (6,) or (n, 6) array-like, a sample per row}"""
+    model = model_of(k, [(act, sector, delta, zero_signs())
+                         for (act, sector), deltas in deltas_by_key.items()
+                         for delta in np.reshape(np.asarray(deltas, dtype=float), (-1, 6))])
     model.experiments = 1
     return model
 
@@ -62,6 +60,10 @@ def refine(state, model, cs, cfg):
 
 
 def random_small_model(rng, k=2, n_paths=4):
+    return model_from_deltas(random_small_deltas(rng, k, n_paths), k=k)
+
+
+def random_small_deltas(rng, k=2, n_paths=4):
     deltas = {}
     for i in range(1, n_paths + 1):
         for s in range(1, k + 1):
@@ -72,7 +74,7 @@ def random_small_model(rng, k=2, n_paths=4):
             deltas[(path(i), s)] = d
     for s in range(1, k + 1):
         deltas[(end(), s)] = np.zeros(6)
-    return model_from_deltas(deltas, k=k)
+    return deltas
 
 
 def brute_force_minimum(state, model, cs, cfg):
@@ -281,14 +283,12 @@ class TestRefinePlan:
     def test_sampled_mode_deterministic_under_seed(self, two_sector_geom):
         state = two_sector_state(two_sector_geom)
         rng = np.random.default_rng(10)
-        model = random_small_model(rng)
+        deltas = random_small_deltas(rng)
         # give buckets a second sample so the variance is nonzero
-        blank = zero_signs()
         for i in range(1, 5):
             for s in (1, 2):
-                model.add_sample(TransitionSample(path(i), s,
-                                                  np.array([0, 0, -0.2, 0, 0, 0]),
-                                                  blank))
+                deltas[(path(i), s)] = [deltas[(path(i), s)], [0, 0, -0.2, 0, 0, 0]]
+        model = model_from_deltas(deltas)
         cfg = SearchConfig(path_count=4, horizon=12, mode="sampled", seed=5)
         a = refine(state, model, standard_constraints(), cfg)
         b = refine(state, model, standard_constraints(), cfg)
@@ -320,6 +320,20 @@ class TestRefinePlan:
         plan = refine(state, model, cs, cfg)
         assert validate(plan, cs) == []
         assert plan.actions[-1] == end()
+
+    def test_path_after_end_is_path_1_unscored(self, two_sector_geom):
+        # a path must follow the end, so the search completes at once with the
+        # suffix (end, path); the row after end is closed to `_level`, and the
+        # suffix takes path 1, though path 3 lowers the height most
+        cs = ConstraintSet(rel=(RelConstraint("path", "end", ">", 0),),
+                           abs=(AbsConstraint("path", ">", 0), AbsConstraint("end", ">", 0)))
+        state = two_sector_state(two_sector_geom)
+        model = model_from_deltas({(path(i), s): [0, 0, -0.1 * i, 0, 0, 0]
+                                   for i in (1, 2, 3) for s in (1, 2)})
+        plan, audit = refine_plan_detailed(state, model, cs,
+                                           SearchConfig(path_count=3, horizon=6))
+        assert plan.actions == (end(), path(1))
+        assert [step["mode"] for step in audit] == ["suffix", "suffix"]
 
     def test_search_that_adds_nothing_is_a_search_error(self, two_sector_geom):
         # nothing required and nothing to improve: the search stops at the root
