@@ -21,14 +21,14 @@ frame = render_capture(sim)
 print(f"\ncapture {frame.t}: {len(frame.points)} grid samples, "
       f"max height {frame.points[:, 2].max():.2f} mm")
 
-groups, ellipses = extract_regions(frame, params.h_min, params.link_radius)
-print(f"detected {len(ellipses)} regions above the {params.h_min} mm floor")
-for ell, grp in zip(ellipses, groups):
-    print(f"  fitted: centroid=({ell.centroid[0]:7.1f}, {ell.centroid[1]:7.1f})"
-          f"  a={ell.a:5.1f}  b={ell.b:5.1f}  theta={np.degrees(ell.theta):6.1f} deg"
-          f"  mean h={ell.mean_height:4.2f}  ({len(grp)} points)")
+groups, regions = extract_regions(frame, params.h_min, params.link_radius)
+print(f"detected {len(regions)} regions above the {params.h_min} mm floor")
+for (x, y, h, a, b, theta), grp in zip(regions, groups):
+    print(f"  fitted: centroid=({x:7.1f}, {y:7.1f})"
+          f"  a={a:5.1f}  b={b:5.1f}  theta={np.degrees(theta):6.1f} deg"
+          f"  mean h={h:4.2f}  ({len(grp)} points)")
 
-state = state_from_regions(groups, ellipses, sheet.geometry, frame.t)
+state = state_from_regions(groups, regions, sheet.geometry, frame.t)
 print("\nper-sector summary (sectors are 45-degree wedges, 1 starts at +x):")
 for sector, (mu, count) in enumerate(zip(state.mu, state.count), start=1):
     if count == 0:

@@ -29,7 +29,7 @@ the order a per-bucket `np.mean`, `np.var` and `np.sum` add them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,24 +147,18 @@ class EffectTable:
     scale: np.ndarray   # (n + 1, k, 2, 3, 3)
     has: np.ndarray     # (n + 1, k) bool
     covers: np.ndarray  # (n + 1,) bool: some sector has data
-    _cuts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def row(self, action: Action) -> int:
         return self.rows.get(bucket_key(action), len(self.rows))
 
     def cut(self, sectors: np.ndarray) -> "EffectTable":
-        """This table over the sectors a (k,) bool mask marks, built once per mask.
+        """This table over the sectors a (k,) bool mask marks.
 
         Its per-sector arrays hold those sectors only, for states that hold
         only them; `covers` still tells whether any of the k sectors has data.
         """
-        key = sectors.tobytes()
-        cut = self._cuts.get(key)
-        if cut is None:
-            cut = self._cuts[key] = EffectTable(
-                self.rows, self.mean[:, sectors], self.std[:, sectors],
-                self.scale[:, sectors], self.has[:, sectors], self.covers)
-        return cut
+        return EffectTable(self.rows, self.mean[:, sectors], self.std[:, sectors],
+                           self.scale[:, sectors], self.has[:, sectors], self.covers)
 
 
 def _compile(model: "EffectivenessModel") -> EffectTable:

@@ -30,7 +30,7 @@ regions is never moved: propagation zeroes it, it stays zero, it adds
 exactly +0.0 to the priced sums and it draws no sampled-mode noise, so
 leaving it out changes no result, and a sector that dies on the way stays
 in the rows as zeros. The effect table is cut to the kept sectors once per
-distinct set (`EffectTable.cut`). The root's own utility and trace are
+search (`EffectTable.cut`). The root's own utility and trace are
 priced on its whole state, stale sectors (no regions, nonzero moments)
 included.
 
@@ -56,9 +56,6 @@ from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    next_kinds, prefix_feasible, standard_constraints, validate)
 from .sheet_state import SheetState
-
-_KIND_ORDER = {"peel": 1, "capture": 2, "refinement": 3, "end": 4}
-
 
 class SearchError(RuntimeError):
     pass
@@ -212,12 +209,6 @@ class _Frontier:
         return SheetState(s.geometry, mu, sigma, count, s.t)
 
 
-def _action_order(action: Action) -> tuple[int, int]:
-    if action.kind == "path":
-        return (0, action.arg)
-    return (_KIND_ORDER[action.kind], 0)
-
-
 def _sample_seed(cfg: SearchConfig, position: int, action: Action) -> int:
     return zlib.crc32(f"{cfg.seed}|{position}|{action}".encode())
 
@@ -230,17 +221,17 @@ def _live(count: np.ndarray):
 class _Candidates:
     """Every node's candidate actions, mapped to effect-table rows once per search.
 
-    They are listed in `_action_order`, so a candidate's index is its
-    tie-break rank: paths 1..path_count, peel, capture, refinement, end. The
-    refinement candidate's argument is the node's live sector count
-    (`action`); its table row, its coverage and its cost per pass do not
-    depend on it. Raises ValueError when the state's sector count is
-    not the model's.
+    A candidate's index is its tie-break rank: paths 1..path_count, peel,
+    capture, refinement, end. The refinement candidate's argument is the
+    node's live sector count (`action`); its table row, its coverage and its
+    cost per pass do not depend on it. `table` is cut to the sectors live in
+    the root state, those every frontier of the search holds. Raises
+    ValueError when the state's sector count is not the model's.
     """
 
     def __init__(self, state: SheetState, model: EffectivenessModel, cs: ConstraintSet,
                  cfg: SearchConfig):
-        self.table = effect_table(state, model)
+        self.table = effect_table(state, model).cut(state.count != 0)
         self.cs = cs
         self.horizon = cfg.horizon
         self.actions = ([plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
@@ -294,12 +285,13 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
 
 def _step(front: _Frontier, action: Action, table: EffectTable, cfg: SearchConfig,
           stats: SearchStats) -> _Frontier:
-    # the one row of `front` advanced by an action, with its prefix kinds
+    # the one row of `front` advanced by an action, with its prefix kinds;
+    # `table` is cut to the frontier's live sectors
     kinds = front.kinds[0] + (action.kind,)
     row = table.row(action)
     seeds = None if cfg.mode == "expectation" else [_sample_seed(cfg, len(kinds), action)]
     child = _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
-                     ~table.covers[[row]], seeds, table.cut(front.live), cfg, stats)
+                     ~table.covers[[row]], seeds, table, cfg, stats)
     return replace(child, kinds=[kinds])
 
 
@@ -330,7 +322,7 @@ def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: Searc
                    for c, n in zip(which.tolist(), live.tolist())])
     costs = cands.cost[which] * np.where(which == cands.refinement, live, 1)
     children = _advance(front, parents, cands.rows[which], costs, cands.unseen[which], seeds,
-                        cands.table.cut(front.live), cfg, stats)
+                        cands.table, cfg, stats)
     order = np.lexsort((which, children.score, parents))
     if keep is not None:
         grouped = parents[order]
@@ -428,12 +420,13 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
             front, prefix = _complete(front, prefix, cands, cfg, stats, audit)
             break
         children, _, which = level
+        which = which.tolist()
         live = int(_live(front.states.count[0]))
-        actions = [cands.action(c, live) for c in which.tolist()]
+        actions = [cands.action(c, live) for c in which]
         # each of the best `branching` children looked ahead from its own row
         top = range(min(cfg.branching, len(actions)))
         values = [_lookahead(children.row(i), cands, cfg, cfg.depth, stats) for i in top]
-        ranked = sorted(zip(values, top), key=lambda t: (t[0], _action_order(actions[t[1]])))
+        ranked = sorted(zip(values, top), key=lambda t: (t[0], which[t[1]]))
         value, i = ranked[0]
         front, prefix = children.row(i), prefix + (actions[i],)
         audit.append({"step": len(prefix), "action": str(actions[i]),
@@ -463,7 +456,7 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
     actions = tuple(actions)
     if not actions:
         return 0.0, initial
-    table = effect_table(initial, model)
+    table = effect_table(initial, model).cut(initial.count != 0)
     front, stats = _Frontier.root(initial, cfg), SearchStats()
     for action in actions:
         front = _step(front, action, table, cfg, stats)

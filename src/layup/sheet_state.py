@@ -6,6 +6,11 @@ regions, each region is fitted with an ellipse, and every angular sector of
 the sheet is summarized by two 3-D Gaussians: one over region centroids and
 mean height, one over the fitted (major, minor, orientation) triples.
 
+A fitted region is one row in the layout of a sector mean: centroid x,
+centroid y, mean height, major semi-axis, minor semi-axis, orientation. A
+capture's regions are one (n, 6) array of such rows, which the sector
+summary and the simulator's correction controller read as it is.
+
 `SheetState` holds those Gaussians as arrays, one row per sector: the means
 (k, 6), the covariances (k, 2, 3, 3) and the region counts (k,). The same
 object is what the learner differences and what the search propagates and
@@ -89,24 +94,6 @@ class CaptureFrame:
         object.__setattr__(self, "points", pts)
 
 
-@dataclass(frozen=True)
-class RegionEllipse:
-    """Ellipse fitted to one uncompacted region (2-sigma axes convention)."""
-
-    centroid: np.ndarray
-    a: float            # major semi-axis, mm
-    b: float            # minor semi-axis, mm
-    theta: float        # orientation of the major axis, [0, pi)
-    mean_height: float  # mm
-
-    def __post_init__(self):
-        object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float))
-        if self.b > self.a + 1e-12:
-            raise ValueError("major semi-axis must dominate")
-        if not (0.0 <= self.theta < np.pi):
-            raise ValueError("theta must lie in [0, pi)")
-
-
 @dataclass
 class SheetState:
     """Per-sector Gaussians of one sheet, as arrays.
@@ -145,17 +132,18 @@ class SheetState:
                    numbers(obj["sigma"], (k, 2, 3, 3), "sigma"), count, typed(obj["t"], 0, "t"))
 
 
-def assign_sector(point, geom: SheetGeometry) -> int:
-    """Angular wedge owning the point; the exact center falls in sector 1."""
-    p = np.asarray(point, dtype=float) - geom.center
-    if p[0] == 0.0 and p[1] == 0.0:
-        return 1
-    ang = float(np.arctan2(p[1], p[0]))
-    if ang < 0.0:
-        ang += 2.0 * np.pi
-    width = 2.0 * np.pi / geom.sector_count
-    i = int(ang // width) + 1
-    return min(i, geom.sector_count)  # guards ang == 2*pi fp edge
+def sector_rows(xy: np.ndarray, geom: SheetGeometry) -> np.ndarray:
+    """Row (sector - 1) of the angular wedge owning each point of an (n, 2) array.
+
+    A point exactly at the center, signed zeros included, falls in row 0.
+    """
+    p = np.asarray(xy, dtype=float) - geom.center
+    ang = np.arctan2(p[:, 1], p[:, 0])
+    ang = np.where(ang < 0.0, ang + 2.0 * np.pi, ang)
+    rows = (ang // (2.0 * np.pi / geom.sector_count)).astype(int)
+    rows = np.minimum(rows, geom.sector_count - 1)  # guards ang == 2*pi fp edge
+    rows[(p[:, 0] == 0.0) & (p[:, 1] == 0.0)] = 0
+    return rows
 
 
 def filter_uncompacted(frame: CaptureFrame, h_min: float = H_MIN_DEFAULT) -> np.ndarray:
@@ -249,11 +237,14 @@ def segment_regions(points: np.ndarray, link_radius: float = LINK_RADIUS_DEFAULT
     return comps
 
 
-def fit_ellipse(group: np.ndarray) -> RegionEllipse:
-    """Moment-based ellipse: axes are twice the xy covariance's root eigenvalues.
+def fit_ellipse(group: np.ndarray) -> np.ndarray:
+    """One region's (6,) row: centroid x, y, mean height, then the moment ellipse.
 
-    A single-point group degenerates to a = b = 0, theta = 0. Isotropic
-    spreads break the orientation tie toward theta = 0.
+    The major and minor semi-axes are twice the root eigenvalues of the xy
+    covariance, so the minor never exceeds the major, and the orientation of
+    the major axis lies in [0, pi). A single-point group degenerates to
+    a = b = 0, theta = 0. Isotropic spreads break the orientation tie
+    toward theta = 0.
     """
     g = np.asarray(group, dtype=float)
     if len(g) == 0:
@@ -261,8 +252,7 @@ def fit_ellipse(group: np.ndarray) -> RegionEllipse:
     centroid = g[:, :2].mean(axis=0)
     mean_height = float(g[:, 2].mean())
     if len(g) == 1:
-        return RegionEllipse(centroid=centroid, a=0.0, b=0.0, theta=0.0,
-                             mean_height=mean_height)
+        return np.array([centroid[0], centroid[1], mean_height, 0.0, 0.0, 0.0])
     xy = g[:, :2] - centroid
     cov = xy.T @ xy / len(g)
     evals, evecs = np.linalg.eigh(cov)
@@ -273,16 +263,19 @@ def fit_ellipse(group: np.ndarray) -> RegionEllipse:
     else:
         v = evecs[:, 1]
         theta = fold_axial(float(np.arctan2(v[1], v[0])))
-    return RegionEllipse(centroid=centroid, a=float(a), b=float(b), theta=theta,
-                         mean_height=mean_height)
+    return np.array([centroid[0], centroid[1], mean_height, a, b, theta])
 
 
 def extract_regions(frame: CaptureFrame, h_min: float = H_MIN_DEFAULT,
                     link_radius: float = LINK_RADIUS_DEFAULT):
-    """Filter, segment and fit in one pass; returns (groups, ellipses)."""
+    """Filter, segment and fit in one pass; returns (groups, regions).
+
+    `groups` are the point groups `segment_regions` returns and `regions`
+    their `fit_ellipse` rows, one (n, 6) array in the same order.
+    """
     kept = filter_uncompacted(frame, h_min)
     groups = segment_regions(kept, link_radius)
-    return groups, [fit_ellipse(g) for g in groups]
+    return groups, np.array([fit_ellipse(g) for g in groups]).reshape(len(groups), 6)
 
 
 def _weighted_moments(samples: np.ndarray, weights: np.ndarray):
@@ -301,42 +294,40 @@ def build_state(frame: CaptureFrame, geom: SheetGeometry,
                 h_min: float = H_MIN_DEFAULT,
                 link_radius: float = LINK_RADIUS_DEFAULT) -> SheetState:
     """Derive the per-sector Gaussian summary for one capture."""
-    groups, ellipses = extract_regions(frame, h_min, link_radius)
-    return state_from_regions(groups, ellipses, geom, frame.t)
+    groups, regions = extract_regions(frame, h_min, link_radius)
+    return state_from_regions(groups, regions, geom, frame.t)
 
 
-def state_from_regions(groups: list[np.ndarray], ellipses: list[RegionEllipse],
+def state_from_regions(groups: list[np.ndarray], regions: np.ndarray,
                        geom: SheetGeometry, t: int) -> SheetState:
-    """Per-sector Gaussian summary of segmented regions and their ellipses.
+    """Per-sector Gaussian summary of segmented regions and their (n, 6) rows.
 
     Regions belong to the sector containing their centroid. G1 is fitted over
-    per-region (centroid, mean height) samples weighted by region point
-    count; G2 over the per-region (a, b, theta) triples. A sector with one
-    region takes its point-level (x, y, h) moments for sigma1 and a zero
-    sigma2; a sector with none is the compacted sentinel.
+    per-region (centroid, mean height) samples, the first three columns of
+    `regions`, weighted by region point count; G2 over the per-region
+    (a, b, theta) triples, the last three. A sector with one region takes
+    that region's row as its mean, its point-level (x, y, h) moments for
+    sigma1 and a zero sigma2; a sector with none is the compacted sentinel.
     """
     per_sector: dict[int, list[int]] = {}
-    for idx, ell in enumerate(ellipses):
-        per_sector.setdefault(assign_sector(ell.centroid, geom), []).append(idx)
+    for idx, row in enumerate(sector_rows(regions[:, :2], geom).tolist()):
+        per_sector.setdefault(row, []).append(idx)
 
     k = geom.sector_count
     mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
-    for sector, idxs in per_sector.items():
-        ells = [ellipses[j] for j in idxs]
-        counts = np.array([len(groups[j]) for j in idxs], dtype=float)
-        g1_samples = np.array([[e.centroid[0], e.centroid[1], e.mean_height]
-                               for e in ells])
-        g2_samples = np.array([[e.a, e.b, e.theta] for e in ells])
-        row = sector - 1
+    for row, idxs in per_sector.items():
         if len(idxs) == 1:
             pts = groups[idxs[0]]
             centered = pts - pts.mean(axis=0)
-            mu[row] = np.concatenate([g1_samples[0], g2_samples[0]])
+            mu[row] = regions[idxs[0]]
             sigma[row, 0] = _symmetrize(centered.T @ centered / len(pts))
         else:
-            mu[row, :3], sigma[row, 0] = _weighted_moments(g1_samples, counts)
-            mu[row, 3:] = g2_samples.mean(axis=0)
-            centered = g2_samples - mu[row, 3:]
+            # fresh (m, 3) arrays: `w @ g1` on a strided view can round differently
+            g1, g2 = regions[idxs, :3], regions[idxs, 3:]
+            counts = np.array([len(groups[j]) for j in idxs], dtype=float)
+            mu[row, :3], sigma[row, 0] = _weighted_moments(g1, counts)
+            mu[row, 3:] = g2.mean(axis=0)
+            centered = g2 - mu[row, 3:]
             sigma[row, 1] = _symmetrize(centered.T @ centered / len(idxs))
         count[row] = len(idxs)
     return SheetState(geometry=geom, mu=mu, sigma=sigma, count=count, t=t)

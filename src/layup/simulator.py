@@ -428,15 +428,15 @@ def run_correction(sim: SimState) -> tuple[int, int, bool]:
     paths = 0
     while cycles < p.correction_max_cycles:
         frame = render_capture(sim)
-        groups, ellipses = extract_regions(frame, p.h_min, p.link_radius)
-        state = state_from_regions(groups, ellipses, geom, frame.t)
+        groups, regions = extract_regions(frame, p.h_min, p.link_radius)
+        state = state_from_regions(groups, regions, geom, frame.t)
         worst = max(state.mu[state.count != 0, 2], default=0.0)  # highest sector mean height
         if worst <= p.correction_threshold:
             return cycles, paths, True
-        offenders = [e for e in ellipses if e.mean_height > p.correction_threshold]
-        for ell in offenders:
-            centroid = clamp_into_polygon(ell.centroid, geom.polygon, margin=5.0)
-            u = unit_vector(ell.theta)
+        offenders = regions[regions[:, 2] > p.correction_threshold]
+        for region in offenders:
+            centroid = clamp_into_polygon(region[:2], geom.polygon, margin=5.0)
+            u = unit_vector(region[5])
             tip = ray_exit_point(centroid, u, geom.polygon)
             tail = ray_exit_point(centroid, -u, geom.polygon)
             _sweep(sim, PathGeometry(start=tail, end=tip,
@@ -531,10 +531,12 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
     A capture is taken before the first action and after every action; the
     end action hands control to the correction controller after its capture,
     so the logged post-end state is the handover state the planner must
-    price. A refinement action runs the n roller passes that
-    `apply_action` aims from the latest derived state. Each action appends
-    the state derived from its capture and, with `keep_captures`, the
-    capture itself; without it the log keeps no frame.
+    price. The log's correction cycles and paths sum over every end, and
+    it reads converged only if every correction did. A refinement action
+    runs the n roller passes that `apply_action` aims from the latest
+    derived state. Each action appends the state derived from its capture
+    and, with `keep_captures`, the capture itself; without it the log keeps
+    no frame.
     """
     cs = constraints if constraints is not None else initial_plan_constraints()
     violations = validate(plan, cs)
@@ -556,7 +558,8 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
             frames.append(frame)
         states.append(build_state(frame, geom, params.h_min, params.link_radius))
         if action.kind == "end":
-            cycles, paths, converged = run_correction(sim)
+            c, n, ok = run_correction(sim)
+            cycles, paths, converged = cycles + c, paths + n, converged and ok
 
     if not plan.actions:  # a log without actions holds no state
         frames, states = [], []

@@ -172,10 +172,10 @@ def test_criterion_3_fitting_recovery():
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         xy = rng.normal(size=(10_000, 2)) * [sig_a, sig_b] @ rot.T
-        ell = fit_ellipse(np.column_stack([xy, np.ones(len(xy))]))
-        assert abs(ell.a - 2 * sig_a) / (2 * sig_a) < 0.05, trial
-        assert abs(ell.b - 2 * sig_b) / (2 * sig_b) < 0.05, trial
-        d = abs(ell.theta - theta) % math.pi
+        _, _, _, a, b, fitted = fit_ellipse(np.column_stack([xy, np.ones(len(xy))]))
+        assert abs(a - 2 * sig_a) / (2 * sig_a) < 0.05, trial
+        assert abs(b - 2 * sig_b) / (2 * sig_b) < 0.05, trial
+        d = abs(fitted - theta) % math.pi
         assert min(d, math.pi - d) < math.radians(2.0), trial
     report(3, "50 random ground truths recovered within 5% / 2 degrees")
 

@@ -33,11 +33,12 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
 from layup.search import (SearchConfig, SearchError, SearchStats, _sample_seed, action_cost,
                           price_batch, refine_plan_detailed, replay_cost)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
-                               _link_pairs, average_states, read_capture_frames, segment_regions,
-                               write_capture_frames)
+                               _link_pairs, average_states, build_state, extract_regions,
+                               read_capture_frames, segment_regions, write_capture_frames)
 from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              _noise, _sweep, builtin_sheet, init_sheet,
-                             path_geometry, read_log, run_experiment, write_log)
+                             path_geometry, read_log, render_capture, run_experiment,
+                             write_log)
 
 from conftest import (lookahead, make_state, meets, model_of, oracle_abs, oracle_rel,
                       oracle_trace_total, sample_key)
@@ -776,6 +777,132 @@ def test_golden_refine_counts_match_the_recursive_oracle(mode):
     assert json.dumps(audit) == json.dumps(want_audit)
     assert work_counts(stats) == work_counts(want)
     assert stats.batch_calls < want.batch_calls  # one call per level, not per node
+
+
+def oracle_assign_sector(point, geom: SheetGeometry) -> int:
+    """Angular wedge (1..k) owning the point, by a scalar arctan2; the exact center is sector 1."""
+    p = np.asarray(point, dtype=float) - geom.center
+    if p[0] == 0.0 and p[1] == 0.0:
+        return 1
+    ang = float(np.arctan2(p[1], p[0]))
+    if ang < 0.0:
+        ang += 2.0 * np.pi
+    width = 2.0 * np.pi / geom.sector_count
+    return min(int(ang // width) + 1, geom.sector_count)
+
+
+@dataclass(frozen=True)
+class OracleEllipse:
+    centroid: np.ndarray
+    a: float
+    b: float
+    theta: float
+    mean_height: float
+
+
+def oracle_fit(g: np.ndarray) -> OracleEllipse:
+    """The moment ellipse of one group as an object, by the arithmetic of `fit_ellipse`."""
+    centroid = g[:, :2].mean(axis=0)
+    mean_height = float(g[:, 2].mean())
+    if len(g) == 1:
+        return OracleEllipse(centroid, 0.0, 0.0, 0.0, mean_height)
+    xy = g[:, :2] - centroid
+    evals, evecs = np.linalg.eigh(xy.T @ xy / len(g))
+    lo, hi = float(max(evals[0], 0.0)), float(max(evals[1], 0.0))
+    theta = 0.0
+    if hi - lo > 1e-12 * max(1.0, hi):
+        theta = fold_axial(float(np.arctan2(evecs[1, 1], evecs[0, 1])))
+    return OracleEllipse(centroid, float(2.0 * np.sqrt(hi)), float(2.0 * np.sqrt(lo)), theta,
+                         mean_height)
+
+
+def oracle_build_state(frame: CaptureFrame, geom: SheetGeometry) -> tuple[SheetState, list]:
+    """The per-ellipse path: one object per region, a scalar sector each, a list per sector."""
+    groups = segment_regions(frame.points[frame.points[:, 2] > 0.5], 12.0)
+    ellipses = [oracle_fit(g) for g in groups]
+    per_sector: dict[int, list[int]] = {}
+    for idx, ell in enumerate(ellipses):
+        per_sector.setdefault(oracle_assign_sector(ell.centroid, geom), []).append(idx)
+    k = geom.sector_count
+    mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
+    for sector, idxs in per_sector.items():
+        ells = [ellipses[j] for j in idxs]
+        g1 = np.array([[e.centroid[0], e.centroid[1], e.mean_height] for e in ells])
+        g2 = np.array([[e.a, e.b, e.theta] for e in ells])
+        row = sector - 1
+        if len(idxs) == 1:
+            pts = groups[idxs[0]]
+            centered = pts - pts.mean(axis=0)
+            mu[row] = np.concatenate([g1[0], g2[0]])
+            cov = centered.T @ centered / len(pts)
+            sigma[row, 0] = (cov + cov.T) / 2.0
+        else:
+            w = np.array([len(groups[j]) for j in idxs], dtype=float)
+            w = w / w.sum()
+            mu[row, :3] = w @ g1
+            centered = g1 - mu[row, :3]
+            cov = (centered * w[:, None]).T @ centered
+            sigma[row, 0] = (cov + cov.T) / 2.0
+            mu[row, 3:] = g2.mean(axis=0)
+            centered = g2 - mu[row, 3:]
+            cov = centered.T @ centered / len(idxs)
+            sigma[row, 1] = (cov + cov.T) / 2.0
+        count[row] = len(idxs)
+    return SheetState(geom, mu, sigma, count, frame.t), ellipses
+
+
+# spots on a 40 mm lattice, each above the floor a one-point region, with
+# signed zeros and the least subnormal at the center: spots at 0.0 and
+# -5e-324 link, and their mean, -5e-324 / 2, rounds to -0.0, so a region's
+# centroid can sit on the center as (-0.0, +-0.0), which arctan2 reads as pi
+SPOT_ST = st.sampled_from((-0.0, 0.0, -5e-324, 40.0, -40.0, 80.0, -80.0))
+# four points around the center: their centroid is exactly the center
+CROSS = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]])
+
+
+@st.composite
+def region_frames(draw):
+    """A capture and the geometry it is summarized on.
+
+    Either a seeded ground truth of either sheet with 0-8 regions, swept
+    by up to three paths and rendered, on the sheet's polygon with 2-12
+    sectors; or a hand-made frame of one-point regions and, perhaps, a
+    region centred on the center, on a square of 2-12 sectors.
+    """
+    k = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        sheet = builtin_sheet(draw(st.sampled_from(("sheet1", "sheet2"))))
+        sim = init_sheet(sheet, GroundTruthParams(region_count=draw(st.integers(0, 8))),
+                         draw(st.integers(0, 2**32 - 1)))
+        for i in draw(st.lists(st.integers(1, 16), max_size=3)):
+            _sweep(sim, path_geometry(i, sheet.geometry, sim.params.roller_half_width))
+        geom = SheetGeometry(sheet.geometry.center, sheet.geometry.polygon, k)
+        return render_capture(sim), geom
+    spots = draw(st.lists(st.tuples(SPOT_ST, SPOT_ST, st.sampled_from((0.2, 0.6, 1.0, 3.5))),
+                          min_size=1, max_size=8))
+    points = np.array(spots, dtype=float)
+    if draw(st.booleans()):
+        h = draw(st.lists(st.sampled_from((0.6, 1.0, 2.5)), min_size=4, max_size=4))
+        points = np.concatenate([points, np.column_stack([CROSS, h])])
+    return CaptureFrame(points, t=draw(st.integers(0, 40))), square_geometry(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=region_frames())
+@example(case=(CaptureFrame(np.column_stack([np.vstack([CROSS, [80.0, 40.0]]), np.ones(5)])),
+               square_geometry(8)))
+@example(case=(CaptureFrame(np.array([[-5e-324, -5e-324, 1.0], [0.0, 0.0, 1.0]])),
+               square_geometry(8)))
+def test_build_state_matches_the_per_ellipse_path(case):
+    frame, geom = case
+    got = build_state(frame, geom)
+    want, ellipses = oracle_build_state(frame, geom)
+    assert fingerprint(got) == fingerprint(want)
+    assert got.t == want.t
+    _, regions = extract_regions(frame)
+    assert regions.shape == (len(ellipses), 6)
+    assert (regions[:, 4] <= regions[:, 3]).all()  # b <= a
+    assert ((regions[:, 5] >= 0.0) & (regions[:, 5] < np.pi)).all()
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from layup.jsonio import LogFormatError
-from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState, assign_sector,
-                               average_states, build_state, filter_uncompacted,
-                               fit_ellipse, read_capture_frames, segment_regions,
+from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState, average_states,
+                               build_state, filter_uncompacted, fit_ellipse,
+                               read_capture_frames, sector_rows, segment_regions,
                                write_capture_frames)
 
 from conftest import make_state
@@ -22,28 +22,38 @@ def polar(deg, r=100.0):
 
 
 class TestAssignSector:
+    """`sector_rows`: the wedge of each point, as row sector - 1."""
+
     def test_first_wedge(self, square_geom):
-        assert assign_sector(polar(10.0), square_geom) == 1
+        assert sector_rows(polar(10.0)[None], square_geom).tolist() == [0]
 
     def test_boundary_belongs_to_upper_wedge(self, square_geom):
         # (100, 100) sits exactly on the 45-degree boundary
-        assert assign_sector(np.array([100.0, 100.0]), square_geom) == 2
+        assert sector_rows(np.array([[100.0, 100.0]]), square_geom).tolist() == [1]
 
     def test_last_wedge(self, square_geom):
-        assert assign_sector(polar(359.0), square_geom) == 8
+        assert sector_rows(polar(359.0)[None], square_geom).tolist() == [7]
+
+    def test_angle_rounding_up_to_2pi_stays_in_last_wedge(self, square_geom):
+        # arctan2 gives -1e-300 here, and -1e-300 + 2*pi rounds to 2*pi
+        assert sector_rows(np.array([[100.0, -1e-300]]), square_geom).tolist() == [7]
 
     def test_center_tie_break(self, square_geom):
-        assert assign_sector(np.zeros(2), square_geom) == 1
+        assert sector_rows(np.zeros((1, 2)), square_geom).tolist() == [0]
+
+    def test_signed_zero_center_is_row_0(self, square_geom):
+        # arctan2 reads offsets (-0.0, +-0.0) as pi, the wedge opposite row 0
+        xy = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]])
+        assert sector_rows(xy, square_geom).tolist() == [0, 0, 0]
 
     def test_partition(self, square_geom):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-140, 140, size=(500, 2))
-        sectors = [assign_sector(p, square_geom) for p in pts]
-        assert all(1 <= s <= 8 for s in sectors)
+        rows = sector_rows(pts, square_geom).tolist()
         # every point lands in the wedge its angle dictates
-        for p, s in zip(pts, sectors):
+        for p, row in zip(pts, rows):
             ang = math.atan2(p[1], p[0]) % (2 * math.pi)
-            assert s == min(int(ang // (math.pi / 4)) + 1, 8)
+            assert row == min(int(ang // (math.pi / 4)), 7)
 
 
 class TestFilterUncompacted:
@@ -120,21 +130,19 @@ class TestSegmentRegions:
 class TestFitEllipse:
     def test_line_along_x(self):
         pts = np.column_stack([np.linspace(-10, 10, 21), np.zeros(21), np.ones(21)])
-        ell = fit_ellipse(pts)
-        assert ell.theta == 0.0
-        assert ell.b == 0.0
-        assert ell.a > 0
+        _, _, _, a, b, theta = fit_ellipse(pts)
+        assert theta == 0.0
+        assert b == 0.0
+        assert a > 0
 
     def test_isotropic_tie_break(self):
         pts = np.array([[1, 0, 1.0], [-1, 0, 1.0], [0, 1, 1.0], [0, -1, 1.0]])
-        ell = fit_ellipse(pts)
-        assert abs(ell.a - ell.b) < 1e-12
-        assert ell.theta == 0.0
+        _, _, _, a, b, theta = fit_ellipse(pts)
+        assert abs(a - b) < 1e-12
+        assert theta == 0.0
 
     def test_single_point_degenerate(self):
-        ell = fit_ellipse(np.array([[3.0, 4.0, 2.0]]))
-        assert ell.a == 0.0 and ell.b == 0.0 and ell.theta == 0.0
-        assert ell.mean_height == 2.0
+        assert fit_ellipse(np.array([[3.0, 4.0, 2.0]])).tolist() == [3.0, 4.0, 2.0, 0.0, 0.0, 0.0]
 
     def test_recovers_known_gaussian(self):
         rng = np.random.default_rng(42)
@@ -142,22 +150,22 @@ class TestFitEllipse:
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         xy = rng.normal(size=(10_000, 2)) * [20.0, 5.0] @ rot.T
-        ell = fit_ellipse(np.column_stack([xy, np.ones(len(xy))]))
-        assert abs(ell.a - 40.0) / 40.0 < 0.05
-        assert abs(ell.b - 10.0) / 10.0 < 0.05
-        assert abs(math.degrees(ell.theta) - 30.0) < 2.0
+        _, _, _, a, b, fitted = fit_ellipse(np.column_stack([xy, np.ones(len(xy))]))
+        assert abs(a - 40.0) / 40.0 < 0.05
+        assert abs(b - 10.0) / 10.0 < 0.05
+        assert abs(math.degrees(fitted) - 30.0) < 2.0
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(5)
         xy = rng.normal(size=(300, 2)) * [12.0, 3.0]
-        base = fit_ellipse(np.column_stack([xy, np.ones(len(xy))]))
+        _, _, _, a, b, theta = fit_ellipse(np.column_stack([xy, np.ones(len(xy))]))
         phi = 0.7
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
-        turned = fit_ellipse(np.column_stack([xy @ rot.T, np.ones(len(xy))]))
-        assert abs(turned.a - base.a) < 1e-6
-        assert abs(turned.b - base.b) < 1e-6
-        d = (turned.theta - base.theta - phi) % math.pi
+        _, _, _, ta, tb, ttheta = fit_ellipse(np.column_stack([xy @ rot.T, np.ones(len(xy))]))
+        assert abs(ta - a) < 1e-6
+        assert abs(tb - b) < 1e-6
+        d = (ttheta - theta - phi) % math.pi
         assert min(d, math.pi - d) < 1e-9
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from layup import simulator
 from layup.geometry import PathGeometry, point_in_polygon
 from layup.plan import DrapingPlan, capture, end, expert_plan, path, peel, refinement
 from layup.sheet_state import SheetGeometry, read_capture_frames, write_capture_frames
@@ -303,6 +304,25 @@ class TestRunExperiment:
                              constraints=ConstraintSet(), keep_captures=False)
         assert log.correction_cycles == 0
         assert log.total_paths == 1
+
+    def test_corrections_add_up_over_every_end(self, monkeypatch):
+        # D1 plus a second end: the controller runs at each end, and the log
+        # keeps what every run of it returned, not only the last
+        returned = []
+
+        def recording(sim):
+            returned.append(run_correction(sim))
+            return returned[-1]
+
+        monkeypatch.setattr(simulator, "run_correction", recording)
+        plan = DrapingPlan(actions=expert_plan(1).actions + (end(),), name="two_ends")
+        log = run_experiment(plan, builtin_sheet("sheet1"), GroundTruthParams(), seed=5,
+                             keep_captures=False)
+        assert len(returned) == 2
+        assert log.correction_cycles == sum(cycles for cycles, _, _ in returned)
+        assert log.correction_paths == sum(paths for _, paths, _ in returned) >= 7
+        assert log.correction_converged == all(ok for _, _, ok in returned)
+        assert log.total_paths == log.in_plan_paths + log.correction_paths
 
     def test_log_round_trip(self, tmp_path):
         params = GroundTruthParams()
