@@ -12,10 +12,13 @@ params = GroundTruthParams()
 sheet = builtin_sheet("sheet1")
 sim = init_sheet(sheet, params, seed=42)
 
-print(f"ground truth: {len(sim.peak)} uncompacted regions")
-for i, ((x, y), a, b, peak) in enumerate(zip(sim.centroids, sim.a, sim.b, sim.peak), start=1):
+# ground-truth and fitted regions are rows of one layout: x, y, height, a, b,
+# theta; the height is a region's peak here and its mean over the fitted points below
+print(f"ground truth: {len(sim.regions)} uncompacted regions")
+for i, (x, y, peak, a, b, theta) in enumerate(sim.regions, start=1):
     print(f"  region {i}: centroid=({x:7.1f}, {y:7.1f})"
-          f"  a={a:5.1f}  b={b:5.1f}  peak={peak:4.2f} mm")
+          f"  a={a:5.1f}  b={b:5.1f}  theta={np.degrees(theta):6.1f} deg"
+          f"  peak h={peak:4.2f}")
 
 frame = render_capture(sim)
 print(f"\ncapture {frame.t}: {len(frame.points)} grid samples, "

@@ -358,19 +358,14 @@ def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: i
 def _suffix_step(kind: str, front: _Frontier, cands: _Candidates, cfg: SearchConfig,
                  stats: SearchStats) -> tuple[_Frontier, Action]:
     # the row advanced by one action of this kind, and the action
-    live = int(_live(front.states.count[0]))
     if kind == "path":
-        # the best-scoring feasible path; path 1, unscored, when `_level` has
-        # none, as in a suffix (end, path): `_level` keeps a row after end closed
-        level = _level(front, cands, cfg, stats)
-        if level is not None:
-            children, _, which = level
-            for i, c in enumerate(which.tolist()):
-                if cands.kinds[c] == "path":
-                    return children.row(i), cands.action(c, live)
-        action = plan_mod.path(1)
-    else:
-        action = plan_mod.refinement(live) if kind == "refinement" else Action(kind)
+        # the best-scoring path, ties to the lower index, as `_level` ranks them;
+        # `_level` keeps a row after end closed, so each path is priced alone
+        steps = [(_step(front, action, cands.table, cfg, stats), action)
+                 for action in cands.actions[:cfg.path_count]]
+        return min(steps, key=lambda step: float(step[0].score[0]))
+    live = int(_live(front.states.count[0]))
+    action = plan_mod.refinement(live) if kind == "refinement" else Action(kind)
     return _step(front, action, cands.table, cfg, stats), action
 
 

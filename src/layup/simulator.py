@@ -1,7 +1,10 @@
 """Stochastic layup-process simulator standing in for the robot cell.
 
 The ground truth is a set of uncompacted regions (bubbles), each an
-ellipse with a peak height, held as arrays with one row per region. Roller
+ellipse with a peak height, held as one (n, 6) array with a row per region
+in the layout of a fitted region row (`sheet_state.fit_ellipse`): centroid
+x, y, height, semi-axes a >= b and orientation in [0, pi). Column 2 is the
+region's peak height here, where a fitted row holds its mean height. Roller
 passes squeeze every region they sweep: the height multiplier follows a
 per-pass reduction schedule that starts strong and decays with the
 cumulative pass count, scaled by how well the pass aligns with the
@@ -171,20 +174,17 @@ def builtin_sheet(name: str) -> SheetSpec:
 class SimState:
     """The ground truth of one sheet as the process leaves it.
 
-    The live regions are arrays with one row per region, in the order
-    `init_sheet` drew them: `centroids` (n, 2) in mm, the semi-axes `a` and
-    `b` (n,) in mm with a >= b, the major-axis orientations `theta` (n,) in
-    [0, pi) and the peak heights `peak` (n,) in mm. Sweeps update the rows
-    in place and drop the regions that fall below the extinction height.
+    `regions` holds the live regions, one row each in the order `init_sheet`
+    drew them, in the layout of a fitted region row: centroid x, y in mm,
+    peak height in mm, semi-axes a >= b in mm and major-axis orientation in
+    [0, pi). Column 2 is the peak height, where a fitted row holds the mean
+    height of its capture points. Sweeps update the rows in place and drop
+    the regions that fall below the extinction height.
     """
 
     spec: SheetSpec
     params: GroundTruthParams
-    centroids: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    theta: np.ndarray
-    peak: np.ndarray
+    regions: np.ndarray  # (n, 6)
     rng: np.random.Generator
     j: int = 0              # cumulative roller passes
     peeled: bool = False
@@ -219,11 +219,9 @@ def init_sheet(spec: SheetSpec, params: GroundTruthParams, seed: int) -> SimStat
                                   centroid[0] - geom.center[0]))
         theta = fold_axial(radial + float(rng.normal(0.0, params.theta_jitter)))
         peak = float(rng.uniform(*params.region_height))
-        rows.append((centroid[0], centroid[1], a, b, theta, peak))
-    regions = np.array(rows, dtype=float).reshape(-1, 6)
-    a, b, theta, peak = regions[:, 2:].T.copy()
-    return SimState(spec=spec, params=params, centroids=regions[:, :2].copy(),
-                    a=a, b=b, theta=theta, peak=peak, rng=rng)
+        rows.append((centroid[0], centroid[1], peak, a, b, theta))
+    return SimState(spec=spec, params=params, regions=np.array(rows, dtype=float).reshape(-1, 6),
+                    rng=rng)
 
 
 _PATH_CACHE: dict[tuple, PathGeometry] = {}
@@ -270,13 +268,16 @@ def _sweep(sim: SimState, pg: PathGeometry) -> None:
     sim.j += 1
     r = p.reduction(sim.j)
     poly = sim.geometry.polygon
-    hit = np.flatnonzero(swept_rect_hits(sim.centroids, sim.a, sim.b, sim.theta, pg))
+    regions = sim.regions
+    hit = np.flatnonzero(swept_rect_hits(regions[:, :2], regions[:, 3], regions[:, 4],
+                                         regions[:, 5], pg))
     if len(hit):
-        theta, a, b = sim.theta[hit], sim.a[hit], sim.b[hit]
+        rows = regions[hit]
+        a, b, theta = rows[:, 3], rows[:, 4], rows[:, 5]
         alignment = np.minimum(1.0, np.maximum(p.alignment_floor,
                                                np.abs(np.cos(pg.angle - theta))))
-        peak = sim.peak[hit] * (1.0 - r * alignment)
-        centroids = clamp_into_polygon(sim.centroids[hit] + p.edge_drift * pg.direction, poly,
+        peak = rows[:, 2] * (1.0 - r * alignment)
+        centroids = clamp_into_polygon(rows[:, :2] + p.edge_drift * pg.direction, poly,
                                        margin=10.0)
         target = fold_axial(nearest_edge_angle(centroids, poly) + np.pi / 2.0)
         swing = axial_difference(target, theta)
@@ -291,12 +292,10 @@ def _sweep(sim: SimState, pg: PathGeometry) -> None:
             b = np.clip(b + noise[:, 4], 0.5, a)
         if p.noise_theta > 0:
             theta = fold_axial(theta + noise[:, 5])
-        sim.centroids[hit], sim.a[hit], sim.b[hit] = centroids, a, b
-        sim.theta[hit], sim.peak[hit] = theta, peak
-    keep = sim.peak >= p.extinction_height
+        regions[hit] = np.column_stack([centroids, peak, a, b, theta])
+    keep = regions[:, 2] >= p.extinction_height
     if not keep.all():
-        sim.centroids, sim.a, sim.b = sim.centroids[keep], sim.a[keep], sim.b[keep]
-        sim.theta, sim.peak = sim.theta[keep], sim.peak[keep]
+        sim.regions = regions[keep]
 
 
 def generate_refinement_paths(state: SheetState, n: int,
@@ -357,7 +356,7 @@ def apply_action(sim: SimState, action: Action, state: SheetState | None = None)
                                   half_width=sim.params.roller_half_width))
     elif action.kind == "peel":
         sim.peeled = True
-        sim.peak *= 1.0 + sim.params.peel_pulse
+        sim.regions[:, 2] *= 1.0 + sim.params.peel_pulse
     return sim
 
 
@@ -388,7 +387,7 @@ def render_capture(sim: SimState) -> CaptureFrame:
     p = sim.params
     grid, x, y = _polygon_grid(sim.geometry, p.grid_pitch)
     heights = np.zeros(len(grid))
-    for (cx, cy), a, b, theta, peak in zip(sim.centroids, sim.a, sim.b, sim.theta, sim.peak):
+    for cx, cy, peak, a, b, theta in sim.regions:
         ca, si = np.cos(theta), np.sin(theta)
         dx, dy = x - cx, y - cy
         u = dx * ca  # along the major axis
@@ -561,8 +560,6 @@ def run_experiment(plan: DrapingPlan, sheet: SheetSpec, params: GroundTruthParam
             c, n, ok = run_correction(sim)
             cycles, paths, converged = cycles + c, paths + n, converged and ok
 
-    if not plan.actions:  # a log without actions holds no state
-        frames, states = [], []
     return ExperimentLog(plan.name, sheet.name, int(seed), list(plan.actions), states, cycles,
                          paths, converged, frames)
 

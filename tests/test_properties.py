@@ -659,12 +659,9 @@ def oracle_refine(initial: SheetState, model, cs, cfg) -> tuple[tuple, list, Sea
             if suffix is None:
                 raise SearchError("no valid completion within the horizon")
             for kind in suffix:
-                paths = ([c for c in oracle_children(node, model, cs, cfg)
-                          if c.prefix[-1].kind == "path"] if kind == "path" else [])
-                if paths:
-                    node = paths[0]
-                elif kind == "path":
-                    node = oracle_priced(node, [path(1)], model, cfg)[0]
+                if kind == "path":  # every path priced, even after an end
+                    paths = [path(i) for i in range(1, cfg.path_count + 1)]
+                    node = min(oracle_priced(node, paths, model, cfg), key=lambda c: c.score)
                 elif kind == "refinement":
                     live = max(1, int(np.count_nonzero(node.state.count)))
                     node = oracle_priced(node, [refinement(live)], model, cfg)[0]
@@ -1546,15 +1543,15 @@ def test_sweep_noise_matches_per_region_draws(seed, n, scales):
 
 def sweep_loop(sim, pg):
     """The sweep as the simulator ran it, one region at a time on plain floats;
-    leaves the surviving regions in `sim` and returns them as (x, y, a, b,
-    theta, peak) rows."""
+    leaves the surviving regions in `sim` and returns them as (x, y, peak, a,
+    b, theta) rows."""
     p = sim.params
     sim.j += 1
     r = p.reduction(sim.j)
     poly = sim.geometry.polygon
     rows = []
-    for centroid, a, b, theta, peak in zip(sim.centroids.copy(), sim.a.tolist(), sim.b.tolist(),
-                                           sim.theta.tolist(), sim.peak.tolist()):
+    for x, y, peak, a, b, theta in sim.regions.tolist():
+        centroid = np.array([x, y])
         if ellipse_hits_swept_rect(centroid, a, b, theta, pg):
             alignment = min(1.0, max(p.alignment_floor, abs(np.cos(pg.angle - theta))))
             peak *= (1.0 - r * alignment)
@@ -1574,11 +1571,9 @@ def sweep_loop(sim, pg):
             if p.noise_theta > 0:
                 theta = fold_axial(theta + float(sim.rng.normal(0.0, p.noise_theta)))
         if peak >= p.extinction_height:
-            rows.append((centroid[0], centroid[1], a, b, theta, peak))
-    regions = np.array(rows, dtype=float).reshape(-1, 6)
-    sim.centroids = regions[:, :2].copy()
-    sim.a, sim.b, sim.theta, sim.peak = regions[:, 2:].T.copy()
-    return regions
+            rows.append((centroid[0], centroid[1], peak, a, b, theta))
+    sim.regions = np.array(rows, dtype=float).reshape(-1, 6)
+    return sim.regions
 
 
 @settings(max_examples=100, deadline=None)
@@ -1597,8 +1592,7 @@ def test_sweep_matches_the_region_loop(seed, sheet, scales, drift, count, paths)
             pg = path_geometry(pg, sim.geometry)
         _sweep(sim, pg)
         want = sweep_loop(ref, pg)
-        got = np.column_stack([sim.centroids, sim.a, sim.b, sim.theta, sim.peak])
-        assert got.tobytes() == want.tobytes()
+        assert sim.regions.tobytes() == want.tobytes()
         assert sim.j == ref.j
         assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
 

@@ -321,10 +321,10 @@ class TestRefinePlan:
         assert validate(plan, cs) == []
         assert plan.actions[-1] == end()
 
-    def test_path_after_end_is_path_1_unscored(self, two_sector_geom):
+    def test_path_after_end_is_scored(self, two_sector_geom):
         # a path must follow the end, so the search completes at once with the
         # suffix (end, path); the row after end is closed to `_level`, and the
-        # suffix takes path 1, though path 3 lowers the height most
+        # suffix still takes path 3, which lowers the height most
         cs = ConstraintSet(rel=(RelConstraint("path", "end", ">", 0),),
                            abs=(AbsConstraint("path", ">", 0), AbsConstraint("end", ">", 0)))
         state = two_sector_state(two_sector_geom)
@@ -332,7 +332,7 @@ class TestRefinePlan:
                                    for i in (1, 2, 3) for s in (1, 2)})
         plan, audit = refine_plan_detailed(state, model, cs,
                                            SearchConfig(path_count=3, horizon=6))
-        assert plan.actions == (end(), path(1))
+        assert plan.actions == (end(), path(3))
         assert [step["mode"] for step in audit] == ["suffix", "suffix"]
 
     def test_search_that_adds_nothing_is_a_search_error(self, two_sector_geom):

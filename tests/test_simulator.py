@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from layup import simulator
-from layup.geometry import PathGeometry, point_in_polygon
+from layup.geometry import PathGeometry, axial_difference, point_in_polygon
 from layup.plan import DrapingPlan, capture, end, expert_plan, path, peel, refinement
-from layup.sheet_state import SheetGeometry, read_capture_frames, write_capture_frames
+from layup.sheet_state import (SheetGeometry, extract_regions, read_capture_frames,
+                               write_capture_frames)
 from layup.simulator import (GroundTruthParams, PlanInvalidError,
                              SimulationError, SimState, _polygon_grid, apply_action,
                              builtin_sheet, init_sheet, path_geometry,
@@ -31,11 +32,10 @@ def quiet_params(**over):
 
 
 def make_sim(params, regions=(), sheet="sheet1", **over):
-    """A SimState of `sheet` holding `regions`, rows of (x, y, a, b, theta, peak)."""
-    rows = np.array(regions, dtype=float).reshape(-1, 6)
-    a, b, theta, peak = rows[:, 2:].T.copy()
-    return SimState(spec=builtin_sheet(sheet), params=params, centroids=rows[:, :2].copy(),
-                    a=a, b=b, theta=theta, peak=peak, rng=np.random.default_rng(0), **over)
+    """A SimState of `sheet` holding `regions`, rows of (x, y, peak, a, b, theta)."""
+    return SimState(spec=builtin_sheet(sheet), params=params,
+                    regions=np.array(regions, dtype=float).reshape(-1, 6),
+                    rng=np.random.default_rng(0), **over)
 
 
 class TestInitSheet:
@@ -44,14 +44,13 @@ class TestInitSheet:
         spec = builtin_sheet("sheet1")
         a = init_sheet(spec, params, seed=3)
         b = init_sheet(spec, params, seed=3)
-        assert len(a.peak) == 6
-        for name in ("centroids", "a", "b", "theta", "peak"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.regions.shape == (6, 6)
+        assert np.array_equal(a.regions, b.regions)
 
     def test_zero_regions(self):
         params = GroundTruthParams(region_count=0)
         sim = init_sheet(builtin_sheet("sheet1"), params, seed=1)
-        assert sim.centroids.shape == (0, 2) and len(sim.peak) == 0
+        assert sim.regions.shape == (0, 6)
         frame = render_capture(make_sim(quiet_params(region_count=0)))
         assert np.all(frame.points[:, 2] == 0.0)
 
@@ -59,8 +58,8 @@ class TestInitSheet:
         params = GroundTruthParams(region_count=6)
         for seed in range(5):
             sim = init_sheet(builtin_sheet("sheet2"), params, seed=seed)
-            assert len(sim.peak) == 6
-            for centroid in sim.centroids:
+            assert len(sim.regions) == 6
+            for centroid in sim.regions[:, :2]:
                 assert point_in_polygon(centroid, sim.geometry.polygon)
 
     def test_unknown_sheet(self):
@@ -97,7 +96,7 @@ class TestPathGeometry:
 
 def single_region_sim(params, centroid, a=25.0, b=12.0, theta=math.radians(45.0),
                       peak=4.0, sheet="sheet1"):
-    return make_sim(params, [(*centroid, a, b, theta, peak)], sheet)
+    return make_sim(params, [(*centroid, peak, a, b, theta)], sheet)
 
 
 class TestApplyAction:
@@ -105,61 +104,60 @@ class TestApplyAction:
         params = quiet_params()
         # region far off path 1's top-right ray
         sim = single_region_sim(params, centroid=(-80.0, -80.0))
-        peak_before = sim.peak[0]
+        peak_before = sim.regions[0, 2]
         apply_action(sim, path(1))
         assert sim.j == 1
-        assert sim.peak[0] == peak_before
+        assert sim.regions[0, 2] == peak_before
 
     def test_first_pass_reduction_exact(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c))  # on path 1's ray
-        peak_before = sim.peak[0]
+        peak_before = sim.regions[0, 2]
         apply_action(sim, path(1))
         # aligned hit at cumulative pass 1: height multiplies by (1 - 0.8)
-        assert sim.peak[0] == peak_before * (1.0 - 0.8)
+        assert sim.regions[0, 2] == peak_before * (1.0 - 0.8)
 
     def test_eighth_pass_reduction_exact(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c))
         sim.j = 7
-        peak_before = sim.peak[0]
+        peak_before = sim.regions[0, 2]
         apply_action(sim, path(1))
         assert sim.j == 8
-        assert sim.peak[0] == peak_before * (1.0 - 0.3)
+        assert sim.regions[0, 2] == peak_before * (1.0 - 0.3)
 
     def test_alignment_floor(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c),
                                 theta=math.radians(135.0))  # orthogonal to path 1
-        peak_before = sim.peak[0]
+        peak_before = sim.regions[0, 2]
         apply_action(sim, path(1))
-        assert sim.peak[0] == peak_before * (1.0 - 0.8 * 0.25)
+        assert sim.regions[0, 2] == peak_before * (1.0 - 0.8 * 0.25)
 
     def test_extinction(self):
         params = quiet_params()
         c = 80.0 / math.sqrt(2.0)
         sim = single_region_sim(params, centroid=(c, c), peak=0.6)
         apply_action(sim, path(1))  # 0.6 * 0.2 = 0.12 < 0.2
-        assert sim.centroids.shape == (0, 2)
-        assert all(len(v) == 0 for v in (sim.a, sim.b, sim.theta, sim.peak))
+        assert sim.regions.shape == (0, 6)
 
     def test_peel_pulse(self):
         params = quiet_params()
         sim = single_region_sim(params, centroid=(50.0, 0.0), peak=2.0)
         apply_action(sim, peel())
         assert sim.peeled
-        assert sim.peak[0] == 2.0 * 1.05
+        assert sim.regions[0, 2] == 2.0 * 1.05
 
     def test_capture_and_end_do_nothing(self):
         params = quiet_params()
         sim = single_region_sim(params, centroid=(50.0, 0.0))
-        before = sim.peak[0]
+        before = sim.regions[0, 2]
         apply_action(sim, capture())
         apply_action(sim, end())
-        assert sim.peak[0] == before
+        assert sim.regions[0, 2] == before
         assert sim.j == 0
 
     def test_refinement_requires_geometries(self):
@@ -173,16 +171,16 @@ class TestApplyAction:
         sim = init_sheet(builtin_sheet("sheet1"), params, seed=2)
 
         def volume(s):
-            return sum(s.peak * s.a * s.b)
+            return sum(s.regions[:, 2] * s.regions[:, 3] * s.regions[:, 4])
 
         prev = volume(sim)
-        count = len(sim.peak)
+        count = len(sim.regions)
         for i in range(1, 17):
             apply_action(sim, path(i))
             cur = volume(sim)
             assert cur <= prev + 1e-12
-            assert len(sim.peak) <= count  # regions only ever disappear
-            prev, count = cur, len(sim.peak)
+            assert len(sim.regions) <= count  # regions only ever disappear
+            prev, count = cur, len(sim.regions)
 
     def test_permutation_equivariance(self):
         params = quiet_params()
@@ -190,16 +188,15 @@ class TestApplyAction:
 
         def fresh(order):
             base = init_sheet(spec, GroundTruthParams(), seed=4)
-            return SimState(spec=spec, params=params, centroids=base.centroids[order],
-                            a=base.a[order], b=base.b[order], theta=base.theta[order],
-                            peak=base.peak[order], rng=np.random.default_rng(0))
+            return SimState(spec=spec, params=params, regions=base.regions[order],
+                            rng=np.random.default_rng(0))
 
         ident = fresh(list(range(6)))
         rev = fresh(list(range(5, -1, -1)))
         for sim in (ident, rev):
             apply_action(sim, path(3))
-        got = sorted(zip(ident.peak, map(tuple, ident.centroids)))
-        want = sorted(zip(rev.peak, map(tuple, rev.centroids)))
+        got = sorted(map(tuple, ident.regions))
+        want = sorted(map(tuple, rev.regions))
         assert got == want
 
 
@@ -211,6 +208,19 @@ class TestRenderCapture:
         top = frame.points[np.argmax(frame.points[:, 2])]
         assert np.linalg.norm(top[:2] - [40.0, 30.0]) <= params.grid_pitch * math.sqrt(2)
         assert top[2] <= 5.0 + 1e-9
+
+    @pytest.mark.parametrize("theta_deg", [30.0, 160.0])
+    def test_fit_recovers_the_ground_truth_row(self, theta_deg):
+        # the ground truth and the fit share one row layout, orientation included
+        params = quiet_params()
+        sim = single_region_sim(params, centroid=(40.0, 30.0), a=30.0, b=12.0,
+                                theta=math.radians(theta_deg), peak=4.0)
+        _, fitted = extract_regions(render_capture(sim), params.h_min, params.link_radius)
+        truth, = sim.regions
+        row, = fitted
+        assert np.linalg.norm(row[:2] - truth[:2]) <= params.grid_pitch
+        assert abs(axial_difference(row[5], truth[5])) <= math.radians(3.0)
+        assert 0.0 < row[2] <= truth[2]
 
     def test_bitwise_reproducible(self):
         params = GroundTruthParams()
