@@ -13,18 +13,23 @@ a single bucket.
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
 bucket's majority sign vote shrinks or grows the covariance diagonals.
-`propagate_batch` does this for many actions at once, from one `SheetState`
+`propagate_rows` does this for many actions at once, from one `SheetState`
 or from a batch of states, one per action, reading the table compiled into
 dense arrays (`EffectTable`) and returning a batch of states.
 
+A bucket has one number: its (kind, argument) key's index in `BUCKET_KEYS`
+(`bucket_row`). It is the bucket's row of every compiled table, whatever the
+model saw, and with the sector it makes a sample's key column value.
+
 A model holds its samples as one table of columns (see
 `extract_transitions`), each bucket a read-only slice of them; learning,
-loading and compiling work on whole columns. `aggregate` orders every log's
-columns with one stable sort by bucket key, so a bucket's rows keep log
-order, then step order. `EffectivenessModel.from_json` checks the rows of
-all buckets at once, naming the first bucket at fault. `_compile` reduces
-the buckets of each sample count as one stacked array, adding the rows in
-the order a per-bucket `np.mean`, `np.var` and `np.sum` add them.
+loading and compiling work on whole columns. The model's constructor orders
+the columns with one stable sort by key, so a bucket's rows keep the order
+given: log order, then step order, for `aggregate`; file order for
+`EffectivenessModel.from_json`, which checks the rows of all buckets at
+once, naming the first bucket at fault. `_compile` reduces the buckets of
+each sample count as one stacked array, adding the rows in the order a
+per-bucket `np.mean`, `np.var` and `np.sum` add them.
 """
 from __future__ import annotations
 
@@ -77,13 +82,19 @@ def bucket_key(action: Action) -> tuple[str, int]:
 # every bucket key an action can have, sorted as the model file lists them
 BUCKET_KEYS = sorted([(kind, 0) for kind in ACTION_KINDS if kind != "path"]
                      + [("path", i) for i in range(1, PATH_COUNT_DEFAULT + 1)])
+_ROWS = {key: row for row, key in enumerate(BUCKET_KEYS)}
+
+
+def bucket_row(action: Action) -> int:
+    """The action's bucket number: its key's index in BUCKET_KEYS, its compiled table row."""
+    return _ROWS[bucket_key(action)]
 
 
 def extract_transitions(log) -> tuple:
     """One log's samples as columns (keys, deltas, u1, u2, sources), a row per
     (step, sector) pair, step by step.
 
-    A key is the bucket's BUCKET_KEYS index times k plus the sector index;
+    A key is the bucket's `bucket_row` times k plus the sector index;
     u1 and u2 (N, 3) are the signs of sigma1's and sigma2's diagonals;
     sources are "plan:step" strings. One `compute_delta` and one
     `compute_signs` take every step's rows from the log's stacked states.
@@ -95,7 +106,7 @@ def extract_transitions(log) -> tuple:
     mu = np.stack([state.mu for state in log.states])
     sigma = np.stack([state.sigma for state in log.states])
     k = mu.shape[1]
-    steps = np.array([BUCKET_KEYS.index(bucket_key(action)) for action in log.actions])
+    steps = np.array([bucket_row(action) for action in log.actions])
     signs = compute_signs(sigma[:-1], sigma[1:])  # (n, k, 2, 3)
     sources = np.array([f"{log.plan_name}:{i}" for i in range(1, n + 1)], dtype=object)
     return ((steps[:, None] * k + np.arange(k)).ravel(),
@@ -121,35 +132,22 @@ class _Bucket:
         return np.mean(self.deltas, axis=0)
 
 
-def _buckets(keys, ends, *columns) -> dict:
-    # bucket keys[i] holds rows ends[i-1]:ends[i] of every column; the
-    # columns become read-only, for a model never changes once built
-    for column in columns:
-        column.flags.writeable = False
-    return {key: _Bucket(*(column[start:stop] for column in columns))
-            for key, start, stop in zip(keys, [0, *ends[:-1]], ends)}
-
-
 @dataclass(frozen=True)
 class EffectTable:
-    """A model's buckets compiled into dense arrays, one row per bucket key.
+    """A model's buckets compiled into dense arrays, row `bucket_row` for each bucket key.
 
     Per row and sector: the mean delta, the sample standard deviation, the
     covariance scale np.outer(s, s) of each track (s is sqrt(1.1) on the
     diagonals whose majority vote says grew, sqrt(0.9) elsewhere) and whether
-    the sector has data. The last row stands for every bucket key the model
-    never saw: no sector has data there.
+    the sector has data. A sector without data, in a bucket the model never
+    saw too, has zero mean and deviation and unit scale.
     """
 
-    rows: dict[tuple[str, int], int]  # bucket key -> row
-    mean: np.ndarray    # (n + 1, k, 6)
-    std: np.ndarray     # (n + 1, k, 6)
-    scale: np.ndarray   # (n + 1, k, 2, 3, 3)
-    has: np.ndarray     # (n + 1, k) bool
-    covers: np.ndarray  # (n + 1,) bool: some sector has data
-
-    def row(self, action: Action) -> int:
-        return self.rows.get(bucket_key(action), len(self.rows))
+    mean: np.ndarray    # (R, k, 6), R = len(BUCKET_KEYS)
+    std: np.ndarray     # (R, k, 6)
+    scale: np.ndarray   # (R, k, 2, 3, 3)
+    has: np.ndarray     # (R, k) bool
+    covers: np.ndarray  # (R,) bool: some sector has data
 
     def cut(self, sectors: np.ndarray) -> "EffectTable":
         """This table over the sectors a (k,) bool mask marks.
@@ -157,7 +155,7 @@ class EffectTable:
         Its per-sector arrays hold those sectors only, for states that hold
         only them; `covers` still tells whether any of the k sectors has data.
         """
-        return EffectTable(self.rows, self.mean[:, sectors], self.std[:, sectors],
+        return EffectTable(self.mean[:, sectors], self.std[:, sectors],
                            self.scale[:, sectors], self.has[:, sectors], self.covers)
 
 
@@ -166,15 +164,13 @@ def _compile(model: "EffectivenessModel") -> EffectTable:
     # over axis 1: np.add.reduce adds an outer axis one row at a time, in
     # row order, so each bucket's mean, variance and vote sums are np.mean's,
     # np.var's (ddof=1) and np.sum's over its own rows, bit for bit
-    keys = sorted({(kind, arg) for kind, arg, _ in model.table})
-    rows = {key: i for i, key in enumerate(keys)}
-    shape = (len(keys) + 1, model.sector_count)
+    shape = (len(BUCKET_KEYS), model.sector_count)
     mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
     scale = np.ones(shape + (2, 3, 3))
     has = np.zeros(shape, dtype=bool)
     groups: dict[int, list] = {}  # sample count -> [((row, sector index), bucket)]
     for (kind, arg, sector), b in model.table.items():
-        groups.setdefault(b.count, []).append(((rows[(kind, arg)], sector - 1), b))
+        groups.setdefault(b.count, []).append(((_ROWS[(kind, arg)], sector - 1), b))
     for n, group in groups.items():
         at = tuple(np.array([cell for cell, _ in group]).T)
         deltas = np.array([b.deltas for _, b in group])             # (B, n, 6)
@@ -188,19 +184,18 @@ def _compile(model: "EffectivenessModel") -> EffectTable:
         s = np.sqrt(np.where(np.add.reduce(votes, axis=2) > 0, COV_GROW, COV_SHRINK))
         scale[at] = s[..., :, None] * s[..., None, :]               # np.outer(s, s) per track
         has[at] = True
-    return EffectTable(rows=rows, mean=mean, std=std, scale=scale, has=has,
-                       covers=has.any(axis=1))
+    return EffectTable(mean=mean, std=std, scale=scale, has=has, covers=has.any(axis=1))
 
 
-def _stacked(names: list[str], recs: list[dict], name: str, width: int) -> np.ndarray:
-    # every bucket's `name` rows, in bucket order, as one (rows, width) array
-    # checked by one `numbers` call; a fault is then looked for bucket by
-    # bucket, so that the error names the first bucket at fault
+def _stacked(names: list[str], recs: list[dict], name: str, check, like):
+    # every bucket's `name` rows, in bucket order, checked by one `check` call
+    # (`numbers` with a shape or `typed` with a like); a fault is then looked
+    # for bucket by bucket, so that the error names the first bucket at fault
     try:
-        return numbers([row for rec in recs for row in rec[name]], (None, width), name)
-    except ValueError:
+        return check([row for rec in recs for row in rec[name]], like, name)
+    except (TypeError, ValueError):
         for key, rec in zip(names, recs):
-            numbers(rec[name], (None, width), f"bucket {key} {name}")
+            check(rec[name], like, f"bucket {key} {name}")
         raise
 
 
@@ -208,7 +203,11 @@ class EffectivenessModel:
     """Empirical per-(action bucket, sector) delta table, built whole, compiled on use."""
 
     def __init__(self, sector_count: int, samples=None):
-        """A model of `extract_transitions`-style columns, each bucket's rows in given order."""
+        """A model of `extract_transitions`-style columns, each bucket's rows in given order.
+
+        One stable sort by key makes each bucket one run of rows; a model never
+        changes once built, so the sorted columns become read-only.
+        """
         if sector_count < 2:
             raise ValueError("sector_count must be at least 2")
         self.sector_count = sector_count
@@ -219,10 +218,14 @@ class EffectivenessModel:
         if samples:
             keys, *columns = samples
             order = np.argsort(keys, kind="stable")
-            ends = np.flatnonzero(np.diff(keys[order], append=-1)) + 1
-            self.table = _buckets([(*BUCKET_KEYS[key // sector_count], key % sector_count + 1)
-                                   for key in keys[order[ends - 1]].tolist()],
-                                  ends.tolist(), *(column[order] for column in columns))
+            keys, columns = keys[order], [column[order] for column in columns]
+            for column in columns:
+                column.flags.writeable = False
+            ends = (np.flatnonzero(np.diff(keys, append=-1)) + 1).tolist()
+            starts = [0, *ends][:-1]
+            for key, start, stop in zip(keys[starts].tolist(), starts, ends):
+                self.table[(*BUCKET_KEYS[key // sector_count], key % sector_count + 1)] = \
+                    _Bucket(*(column[start:stop] for column in columns))
 
     def compiled(self) -> EffectTable:
         """The dense tables, compiled on first use."""
@@ -232,11 +235,6 @@ class EffectivenessModel:
 
     def bucket(self, action: Action, sector: int) -> _Bucket | None:
         return self.table.get((*bucket_key(action), sector))
-
-    def covers(self, action: Action) -> bool:
-        """True when at least one sector has data for this action's bucket."""
-        table = self.compiled()
-        return bool(table.covers[table.row(action)])
 
     @property
     def is_empty(self) -> bool:
@@ -259,20 +257,21 @@ class EffectivenessModel:
                            "sheets": [""], "buckets": {}})
         if raw["version"] != 1:
             raise ValueError(f"unsupported model version {raw['version']}")
-        model = cls(sector_count=raw["sector_count"])
-        model.experiments = raw["experiments"]
-        model.sheets = raw["sheets"]
+        k = raw["sector_count"]
         names, keys, recs = [], [], []
         for key, rec in raw["buckets"].items():
             kind, arg, sector = key.split("|")
             arg, sector = int(arg), int(sector)
             if key != f"{kind}|{arg}|{sector}":
                 raise ValueError(f"bucket {key}: not written as {kind}|{arg}|{sector}")
-            if (kind, arg) not in BUCKET_KEYS:
+            if (kind, arg) not in _ROWS:
                 raise ValueError(f"bucket {key}: no action has this kind and argument")
-            if not 1 <= sector <= model.sector_count:
+            if not 1 <= sector <= k:
                 raise ValueError(f"bucket {key}: sector out of range")
-            rec = required(rec, {"deltas": [], "u1": [], "u2": [], "sources": []})
+            if not (isinstance(rec, dict) and all(isinstance(rec.get(name), list)
+                                                  for name in ("deltas", "u1", "u2", "sources"))):
+                raise ValueError(f"bucket {key}: must be an object whose deltas, u1, u2 "
+                                 f"and sources are lists")
             n = len(rec["deltas"])
             if not n:
                 raise ValueError(f"bucket {key}: no deltas")
@@ -280,21 +279,25 @@ class EffectivenessModel:
                 if len(rec[name]) != n:
                     raise ValueError(f"bucket {key}: one {what} per delta needed")
             names.append(key)
-            keys.append((kind, arg, sector))
+            keys.append(_ROWS[(kind, arg)] * k + sector - 1)
             recs.append(rec)
-        if not recs:
-            return model
-        # the rows of every bucket checked at once; bucket i holds rows ends[i-1]:ends[i]
-        sources = typed([s for rec in recs for s in rec["sources"]], [""], "sources")
-        deltas, u1, u2 = (_stacked(names, recs, name, width)
-                          for name, width in (("deltas", 6), ("u1", 3), ("u2", 3)))
-        ends = np.cumsum([len(rec["deltas"]) for rec in recs])
-        bad = np.flatnonzero((np.abs(u1) != 1.0).any(axis=1) | (np.abs(u2) != 1.0).any(axis=1))
-        if len(bad):
-            key = names[np.searchsorted(ends, bad[0], side="right")]
-            raise ValueError(f"bucket {key}: each u1 and u2 vote must be -1 or 1")
-        model.table = _buckets(keys, ends.tolist(), deltas, u1, u2,
-                               np.array(sources, dtype=object))
+        samples = None
+        if recs:
+            # the rows of every bucket checked at once, in file order
+            sources, deltas, u1, u2 = (_stacked(names, recs, name, check, like)
+                                       for name, check, like in (("sources", typed, [""]),
+                                                                 ("deltas", numbers, (None, 6)),
+                                                                 ("u1", numbers, (None, 3)),
+                                                                 ("u2", numbers, (None, 3))))
+            counts = [len(rec["deltas"]) for rec in recs]
+            bad = np.flatnonzero((np.abs(u1) != 1.0).any(axis=1) | (np.abs(u2) != 1.0).any(axis=1))
+            if len(bad):
+                key = names[np.searchsorted(np.cumsum(counts), bad[0], side="right")]
+                raise ValueError(f"bucket {key}: each u1 and u2 vote must be -1 or 1")
+            samples = (np.repeat(keys, counts), deltas, u1, u2, np.array(sources, dtype=object))
+        model = cls(k, samples)
+        model.experiments = raw["experiments"]
+        model.sheets = raw["sheets"]
         return model
 
     def save(self, path) -> None:
@@ -324,10 +327,19 @@ def aggregate(logs) -> EffectivenessModel:
     return model
 
 
-def propagate_batch(states: SheetState, actions, model: EffectivenessModel,
-                    seeds=None) -> SheetState:
+def effect_table(states: SheetState, model: EffectivenessModel) -> EffectTable:
+    """The model's compiled table, once the states' sector count is checked against it."""
+    if states.count.shape[-1] != model.sector_count:
+        raise ValueError(f"state has {states.count.shape[-1]} sectors, "
+                         f"the model {model.sector_count}")
+    return model.compiled()
+
+
+def propagate_rows(states: SheetState, rows, table: EffectTable, seeds=None) -> SheetState:
     """Advance states by the learned effect of each of A actions: a batch of A states.
 
+    `rows` are the actions' `bucket_row`s and `table` the model's compiled
+    table (`effect_table`), or that table cut to the sectors the states hold.
     `states` is one state, which every action advances, or a batch of A
     states, one per action. Live sectors with data move by the bucket mean
     delta. With `seeds` (sampled mode) they move by the mean plus zero-mean
@@ -339,23 +351,8 @@ def propagate_batch(states: SheetState, actions, model: EffectivenessModel,
     Covariance diagonals scale by 0.9/1.1 according to the majority sign
     vote (applied as a symmetric congruence, preserving positive
     semidefiniteness). Sectors or actions without data are left untouched,
-    and sentinels stay zero. States whose sector count differs from the
-    model's raise ValueError.
+    and sentinels stay zero.
     """
-    table = effect_table(states, model)
-    return _propagate_rows(states, [table.row(action) for action in actions], table, seeds)
-
-
-def effect_table(states: SheetState, model: EffectivenessModel) -> EffectTable:
-    """The model's compiled table, once the states' sector count is checked against it."""
-    if states.count.shape[-1] != model.sector_count:
-        raise ValueError(f"state has {states.count.shape[-1]} sectors, "
-                         f"the model {model.sector_count}")
-    return model.compiled()
-
-
-def _propagate_rows(states: SheetState, rows, table: EffectTable, seeds) -> SheetState:
-    # propagate_batch with each action already mapped to its table row
     live = states.count != 0
     moved = table.has[rows] & live                  # (A, k)
     delta = table.mean[rows]                        # (A, k, 6), a copy

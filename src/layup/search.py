@@ -51,7 +51,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import plan as plan_mod
-from .effectiveness import EffectivenessModel, EffectTable, _propagate_rows, effect_table
+from .effectiveness import (EffectivenessModel, EffectTable, bucket_row, effect_table,
+                            propagate_rows)
 from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    next_kinds, prefix_feasible, standard_constraints, validate)
@@ -219,7 +220,7 @@ def _live(count: np.ndarray):
 
 
 class _Candidates:
-    """Every node's candidate actions, mapped to effect-table rows once per search.
+    """Every node's candidate actions, mapped to their `bucket_row`s once per search.
 
     A candidate's index is its tie-break rank: paths 1..path_count, peel,
     capture, refinement, end. The refinement candidate's argument is the
@@ -239,7 +240,7 @@ class _Candidates:
                            plan_mod.end()])
         self.refinement = cfg.path_count + 2
         self.kinds = [a.kind for a in self.actions]
-        self.rows = np.array([self.table.row(a) for a in self.actions])
+        self.rows = np.array([bucket_row(a) for a in self.actions])
         self.cost = np.array([cfg.action_costs[kind] for kind in self.kinds], dtype=float)
         self.unseen = ~self.table.covers[self.rows]
         self._feasible: dict[tuple[str, ...], np.ndarray] = {}
@@ -273,7 +274,7 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
     of the summed covariance diagonals.
     """
     base = front.take(parents)
-    after = _propagate_rows(base.states, rows, table, seeds)
+    after = propagate_rows(base.states, rows, table, seeds)
     utility, trace = price_batch(after, cfg)
     cost = base.cost + costs + utility
     cost[unseen] += cfg.w_unk
@@ -288,7 +289,7 @@ def _step(front: _Frontier, action: Action, table: EffectTable, cfg: SearchConfi
     # the one row of `front` advanced by an action, with its prefix kinds;
     # `table` is cut to the frontier's live sectors
     kinds = front.kinds[0] + (action.kind,)
-    row = table.row(action)
+    row = bucket_row(action)
     seeds = None if cfg.mode == "expectation" else [_sample_seed(cfg, len(kinds), action)]
     child = _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
                      ~table.covers[[row]], seeds, table, cfg, stats)

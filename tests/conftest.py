@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from layup.effectiveness import BUCKET_KEYS, EffectivenessModel, bucket_key, propagate_batch
+from layup.effectiveness import EffectivenessModel, bucket_row, effect_table, propagate_rows
 from layup.search import SearchStats, _Candidates, _Frontier, _level, _live, _lookahead
 from layup.sheet_state import SheetGeometry, SheetState
 from layup.simulator import SUMMARY_FIELDS
@@ -71,7 +71,7 @@ def utility_of(state: SheetState, cfg) -> float:
 def sample_key(action, sector: int, k: int) -> int:
     """The bucket key column's value for a sample of `action` in `sector` of k."""
     assert 1 <= sector <= k
-    return BUCKET_KEYS.index(bucket_key(action)) * k + sector - 1
+    return bucket_row(action) * k + sector - 1
 
 
 def model_of(k: int, samples) -> EffectivenessModel:
@@ -91,8 +91,9 @@ def model_of(k: int, samples) -> EffectivenessModel:
 
 
 def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:
-    """`propagate_batch` of one action, as one state; with a seed, in sampled mode."""
-    out = propagate_batch(state, [action], model, None if seed is None else [seed])
+    """`propagate_rows` of one action, as one state; with a seed, in sampled mode."""
+    out = propagate_rows(state, [bucket_row(action)], effect_table(state, model),
+                         None if seed is None else [seed])
     return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)
 
 

@@ -621,15 +621,19 @@ class TestBadInput:
         ("u2", [[-1, -1, -1], [-1, -1, "TOO-LARGE"]]),
         ("deltas", [[0, 0, -1.0, 0, 0, 0], [0, 0, -1.0, 0, 0]]),
         ("u1", [[-1, -1, -1], [5, 5, 5]]),
+        ("u2", None),
+        ("sources", "D1:1"),
+        ("deltas", 5),
     ], ids=["u1-row-short", "source-short", "true-in-deltas", "1e400-in-u2",
-            "five-number-row", "vote-five"])
+            "five-number-row", "vote-five", "u2-missing", "sources-string", "deltas-number"])
     def test_model_bucket_fault_names_its_bucket(self, tmp_path, capsys, field, value):
         # two buckets of two samples each, the fault in the second: the rows of
-        # all buckets are checked at once, and the error still names that bucket
+        # all buckets are checked at once, and the error still names that bucket;
+        # a value None leaves the field out
         good = {"deltas": [[0, 0, -1.0, 0, 0, 0]] * 2, "u1": [[-1, -1, -1]] * 2,
                 "u2": [[1, -1, -1]] * 2, "sources": ["D1:1", "D2:1"]}
-        model_file = self.model_file(
-            tmp_path, buckets={"path|1|1": good, "path|1|2": {**good, field: value}})
+        bad = {name: v for name, v in {**good, field: value}.items() if v is not None}
+        model_file = self.model_file(tmp_path, buckets={"path|1|1": good, "path|1|2": bad})
         # json writes no number too large for a float; json reads 1e400 as infinity
         model_file.write_text(model_file.read_text().replace('"TOO-LARGE"', "1e400"))
         code, err, _ = self.refine(tmp_path, capsys, model_file, ONE_FRAME)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from layup.effectiveness import (EffectivenessModel, aggregate, compute_delta, compute_signs,
-                                 extract_transitions)
+from layup.effectiveness import (EffectivenessModel, aggregate, bucket_row, compute_delta,
+                                 compute_signs, extract_transitions)
 from layup.plan import ConstraintSet, expert_plan, path, peel
 from layup.search import SearchConfig
 from layup.sheet_state import SheetGeometry
@@ -174,6 +174,16 @@ class TestAggregate:
             assert sorted(map(tuple, ja["buckets"][key]["deltas"])) == \
                 sorted(map(tuple, jb["buckets"][key]["deltas"]))
 
+    def test_bucket_counts_key_and_order(self):
+        # the benchmark tracer sums these counts as the samples a learn pooled
+        zero, signs = np.zeros(6), -np.ones((2, 3))
+        model = model_of(3, [(peel(), 2, zero, signs), (path(12), 1, zero, signs),
+                             (path(2), 3, zero, signs), (peel(), 2, zero, signs),
+                             (path(12), 1, zero, signs), (peel(), 2, zero, signs)])
+        assert list(model.bucket_counts().items()) == [("path|2|3", 1), ("path|12|1", 2),
+                                                       ("peel|0|2", 3)]
+        assert model_of(3, []).bucket_counts() == {}  # columns of no rows
+
     def test_save_load_lossless(self, d1_log, tmp_path):
         model = aggregate([d1_log])
         target = tmp_path / "model.json"
@@ -227,7 +237,7 @@ class TestPropagate:
         model = EffectivenessModel(sector_count=2)
         out = propagate_one(state, peel(), model)
         assert np.array_equal(out.mu[0, :3], state.mu[0, :3])
-        assert not model.covers(peel())
+        assert not model.compiled().covers[bucket_row(peel())]
 
     def test_sampled_mode_reproducible(self, d1_log):
         # two logs so the buckets carry nonzero sample variance

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from layup.cli import RunConfig, cmd_simulate
-from layup.effectiveness import (COV_GROW, COV_SHRINK, EffectivenessModel, EffectTable,
-                                 aggregate, compute_delta, compute_signs, extract_transitions,
-                                 propagate_batch)
+from layup.effectiveness import (BUCKET_KEYS, COV_GROW, COV_SHRINK, EffectivenessModel,
+                                 EffectTable, aggregate, bucket_row, compute_delta, compute_signs,
+                                 effect_table, extract_transitions, propagate_rows)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
@@ -393,29 +393,30 @@ def bucket_majority(bucket) -> tuple[np.ndarray, np.ndarray]:
 
 
 def oracle_compile(model: EffectivenessModel) -> EffectTable:
-    """The dense tables filled bucket by bucket: the loop `_compile`'s grouped reductions replaced."""
-    keys = sorted({(kind, arg) for kind, arg, _ in model.table})
-    rows = {key: i for i, key in enumerate(keys)}
-    shape = (len(keys) + 1, model.sector_count)
+    """The dense tables filled bucket by bucket: the loop `_compile`'s grouped reductions replaced.
+
+    Bucket key (kind, arg) fills row BUCKET_KEYS.index((kind, arg)); every
+    other row keeps zero mean and deviation, unit scale and no data.
+    """
+    shape = (len(BUCKET_KEYS), model.sector_count)
     mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
     scale = np.ones(shape + (2, 3, 3))
     has = np.zeros(shape, dtype=bool)
     for (kind, arg, sector), b in model.table.items():
         if b.count == 0:
             continue
-        at = (rows[(kind, arg)], sector - 1)
+        at = (BUCKET_KEYS.index((kind, arg)), sector - 1)
         mean[at] = b.mean
         std[at] = np.sqrt(bucket_variance(b))
         for track, majority in enumerate(bucket_majority(b)):
             s = np.sqrt(np.where(majority > 0, COV_GROW, COV_SHRINK))
             scale[at + (track,)] = np.outer(s, s)
         has[at] = True
-    return EffectTable(rows=rows, mean=mean, std=std, scale=scale, has=has,
-                       covers=has.any(axis=1))
+    return EffectTable(mean=mean, std=std, scale=scale, has=has, covers=has.any(axis=1))
 
 
 def table_bytes(table: EffectTable) -> tuple:
-    return (table.rows, table.mean.tobytes(), table.std.tobytes(), table.scale.tobytes(),
+    return (table.mean.tobytes(), table.std.tobytes(), table.scale.tobytes(),
             table.has.tobytes(), table.covers.tobytes())
 
 
@@ -461,9 +462,33 @@ def test_model_json_round_trip_compiles_the_same_table(model):
         assert table_bytes(back.compiled()) == table_bytes(model.compiled())
 
 
+@settings(max_examples=100, deadline=None)
+@given(model=ragged_models(), data=st.data())
+def test_model_file_buckets_out_of_key_order_load_as_sorted(model, data):
+    # `from_json` sorts the buckets by key, each bucket's rows kept in file order
+    obj = json.loads(json.dumps(model.to_json()))
+    names = data.draw(st.permutations(list(obj["buckets"])))
+    back = EffectivenessModel.from_json({**obj, "buckets": {n: obj["buckets"][n] for n in names}})
+    assert json.dumps(back.to_json()) == json.dumps(obj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert table_bytes(back.compiled()) == table_bytes(model.compiled())
+
+
+def test_a_bucket_the_model_never_saw_compiles_to_a_row_without_data():
+    model = model_of(3, [(path(1), 1, np.full(6, 0.5), np.ones((2, 3))),
+                         (peel(), 2, np.full(6, -0.5), -np.ones((2, 3)))])
+    table = model.compiled()
+    row = bucket_row(refinement(2))
+    assert table.mean.shape == (len(BUCKET_KEYS), 3, 6)
+    assert not table.mean[row].any() and not table.std[row].any()
+    assert (table.scale[row] == 1.0).all()
+    assert not table.has[row].any() and not table.covers[row]
+    assert table.covers[bucket_row(path(1))] and table.covers[bucket_row(peel())]
+
+
 def oracle_propagate(state: SheetState, action: Action, model: EffectivenessModel,
                      mode: str = "expectation", seed: int | None = None) -> SheetState:
-    """One action's learned effect, sector by sector: the loop `propagate_batch` replaced.
+    """One action's learned effect, sector by sector: the loop `propagate_rows` replaced.
 
     A sampled-mode rng draws one (6,) row per moved sector, in sector order.
     """
@@ -510,12 +535,13 @@ def oracle_state_utility(state: SheetState, cfg: SearchConfig) -> float:
 @given(case=states_and_models(), sampled=st.booleans(),
        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=len(BATCH_ACTIONS),
                       max_size=len(BATCH_ACTIONS)))
-def test_propagate_batch_matches_scalar_bitwise(case, sampled, seeds):
+def test_propagate_rows_matches_scalar_bitwise(case, sampled, seeds):
     state, model = case
     mode = "sampled" if sampled else "expectation"
-    batch = propagate_batch(state, BATCH_ACTIONS, model, seeds if sampled else None)
+    rows, table = [bucket_row(action) for action in BATCH_ACTIONS], effect_table(state, model)
+    batch = propagate_rows(state, rows, table, seeds if sampled else None)
     # a batch of states, one per action: each row advanced by its own action again
-    again = propagate_batch(batch, BATCH_ACTIONS, model, seeds if sampled else None)
+    again = propagate_rows(batch, rows, table, seeds if sampled else None)
     for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
         once = oracle_propagate(state, action, model, mode, seed)
         want = fingerprint(once)
@@ -595,13 +621,14 @@ def oracle_root(state: SheetState, cfg, stats: SearchStats, prefix=()) -> Oracle
 
 
 def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
-    """One node's children by the given actions, in one `propagate_batch` call."""
+    """One node's children by the given actions, in one `propagate_rows` call."""
     if not actions:
         return []
     position = len(node.prefix) + 1
     seeds = (None if cfg.mode == "expectation"
              else [_sample_seed(cfg, position, action) for action in actions])
-    after = propagate_batch(node.state, actions, model, seeds)
+    after = propagate_rows(node.state, [bucket_row(action) for action in actions],
+                           effect_table(node.state, model), seeds)
     utilities, traces = price_batch(after, cfg)
     node.stats.batch_calls += 1
     node.stats.children_priced += len(actions)
@@ -609,7 +636,8 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
     for i, (action, utility, trace) in enumerate(zip(actions, utilities.tolist(),
                                                      traces.tolist())):
         cost = node.cost + action_cost(action, cfg) + utility
-        if not model.covers(action):
+        if all(model.bucket(action, sector) is None
+               for sector in range(1, model.sector_count + 1)):
             cost += cfg.w_unk
         children.append(OracleNode(
             state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
