@@ -14,8 +14,9 @@ The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
 bucket's majority sign vote shrinks or grows the covariance diagonals.
 `propagate_rows` does this for many actions at once, from one `SheetState`
-or from a batch of states, one per action, reading the table compiled into
-dense arrays (`EffectTable`) and returning a batch of states.
+or from a batch of states, one per action or picked per action by a parent
+index, reading the table compiled into dense arrays (`EffectTable`) and
+returning a batch of states.
 
 A bucket has one number: its (kind, argument) key's index in `BUCKET_KEYS`
 (`bucket_row`). It is the bucket's row of every compiled table, whatever the
@@ -335,44 +336,51 @@ def effect_table(states: SheetState, model: EffectivenessModel) -> EffectTable:
     return model.compiled()
 
 
-def propagate_rows(states: SheetState, rows, table: EffectTable, seeds=None) -> SheetState:
+def propagate_rows(states: SheetState, rows, table: EffectTable, seeds=None,
+                   parents=None) -> SheetState:
     """Advance states by the learned effect of each of A actions: a batch of A states.
 
     `rows` are the actions' `bucket_row`s and `table` the model's compiled
     table (`effect_table`), or that table cut to the sectors the states hold.
-    `states` is one state, which every action advances, or a batch of A
-    states, one per action. Live sectors with data move by the bucket mean
-    delta. With `seeds` (sampled mode) they move by the mean plus zero-mean
-    Gaussian noise with the bucket's sample variance, action i drawing one
-    (6,) row per moved sector, in sector order, from
-    `np.random.default_rng(seeds[i])`; `seeds` None is expectation mode.
-    Heights and axes clamp at zero; orientations fold into [0, pi); a sector
-    whose height and both axes hit zero collapses to the sentinel.
-    Covariance diagonals scale by 0.9/1.1 according to the majority sign
-    vote (applied as a symmetric congruence, preserving positive
-    semidefiniteness). Sectors or actions without data are left untouched,
-    and sentinels stay zero.
+    `states` is one state, which every action advances, or a batch of states:
+    with `parents`, action i advances state `parents[i]`, gathered here and
+    not kept; without, the batch holds A states, one per action. Live
+    sectors with data move by the bucket mean delta. With `seeds` (sampled
+    mode) they move by the mean plus zero-mean Gaussian noise with the
+    bucket's sample variance, action i drawing one (6,) row per moved
+    sector, in sector order, from `np.random.default_rng(seeds[i])`; `seeds`
+    None is expectation mode. Heights and axes clamp at zero; orientations
+    fold into [0, pi); a sector whose height and both axes hit zero
+    collapses to the sentinel. Covariance diagonals scale by 0.9/1.1
+    according to the majority sign vote (applied as a symmetric congruence,
+    preserving positive semidefiniteness). Sectors or actions without data
+    are left untouched, and sentinels stay zero.
     """
-    live = states.count != 0
+    def of_parents(a):  # a state array's rows, one per action
+        return a if parents is None else np.take(a, parents, axis=0)
+
+    count = of_parents(states.count)
+    live = count != 0
     moved = table.has[rows] & live                  # (A, k)
-    delta = table.mean[rows]                        # (A, k, 6), a copy
+    # sigma first, then mu, each into one new array, so that no more than two
+    # (A, k, 2, 3, 3) arrays, or three (A, k, 6) ones, are held at once
+    scale = np.take(table.scale, rows, axis=0)      # (A, k, 2, 3, 3), a copy
+    scale[~moved] = 1.0                             # x * 1.0 is x, bit for bit
+    sigma = np.multiply(of_parents(states.sigma), scale, out=scale)
+    mu0 = of_parents(states.mu)
+    mu = np.take(table.mean, rows, axis=0)          # (A, k, 6), a copy: the deltas
     if seeds is not None:
         std = table.std[rows]
         for i, seed in enumerate(seeds):
             m = moved[i]
             noise = np.random.default_rng(seed).standard_normal((int(m.sum()), 6))
-            delta[i, m] = delta[i, m] + noise * std[i, m]
-    mu = states.mu + delta
+            mu[i, m] = mu[i, m] + noise * std[i, m]
+    mu += mu0                                       # delta + mean is mean + delta, bit for bit
     mu[..., 2:5] = np.where(mu[..., 2:5] > 0.0, mu[..., 2:5], 0.0)  # height, major, minor
     mu[..., 5] = fold_axial(mu[..., 5])
     collapsed = moved & (mu[..., 2] == 0.0) & (mu[..., 3] == 0.0) & (mu[..., 4] == 0.0)
-    mu = np.where(moved[..., None], mu, states.mu)
-    scale = table.scale[rows]                       # (A, k, 2, 3, 3), a copy
-    scale[~moved] = 1.0                             # x * 1.0 is x, bit for bit
-    sigma = np.multiply(states.sigma, scale, out=scale)
+    np.copyto(mu, mu0, where=~moved[..., None])     # unmoved sectors keep their means
     dead = collapsed | ~live
     mu[dead] = 0.0
     sigma[dead] = 0.0
-    return SheetState(states.geometry, mu, sigma, np.where(dead, 0, states.count),
-                      states.t + 1)
-
+    return SheetState(states.geometry, mu, sigma, np.where(dead, 0, count), states.t + 1)

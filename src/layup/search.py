@@ -12,17 +12,18 @@ the state utility by more than the convergence threshold; the two latter
 cases append the shortest constraint-satisfying suffix that
 `plan.completion` names.
 
-The lookahead goes level by level, not node by node. One depth level of a
-candidate's subtree is a frontier of array rows: a batch of `SheetState`s
-with each row's cost, utility, covariance trace and prefix kinds. All
-(row, feasible candidate) pairs of a level are propagated in one call and
-priced in one `price_batch` call; action costs, the unmodeled penalty and
-the one-step scores are array expressions, and a stable `np.lexsort` on
-(row, score, candidate index) ranks each row's children, of which the
-first `branching` form the next level. A row without a feasible child, and
-every row of the last level, is a leaf; the lookahead value is the least
-leaf cost plus utility. The rows of a level share their prefix length, so
-a sampled-mode draw is seeded by (position, action) for every row alike.
+The lookahead goes level by level, not node by node. One depth level of the
+subtrees below a stage's candidates is a frontier of array rows: a batch of
+`SheetState`s with each row's cost, utility, covariance trace and prefix
+kinds. All (row, feasible candidate) pairs of a level are propagated in one
+call and priced in one `price_batch` call; action costs, the unmodeled
+penalty and the one-step scores are array expressions, and a stable
+`np.lexsort` on (row, score, candidate index) ranks each row's children, of
+which the first `branching` form the next level. A row without a feasible
+child, and every row of the last level, is a leaf; a candidate's lookahead
+value is the least cost plus utility of the leaves below it. The rows of a
+level share their prefix length, so a sampled-mode draw is seeded by
+(position, action) for every row alike.
 
 A frontier's rows hold only the sectors live in the root state: the search
 takes them from the root once and keeps them to the end. A sector with no
@@ -35,9 +36,11 @@ priced on its whole state, stale sectors (no regions, nonzero moments)
 included.
 
 The committed path is one frontier row and the tuple of its actions. Each
-stage lists the row's children as one level, looks ahead from each of the
-best `branching` of them, and keeps the committed child's row; the
-completion suffix advances the row one action at a time.
+stage lists the row's children as one level and looks ahead from the best
+`branching` of them as one frontier: their subtrees share one batch per
+depth level, each node tracking the child it descends from, and the
+stage keeps the committed child's row. The completion suffix advances the
+row one action at a time, a path step pricing every path in one batch.
 `replay_cost` advances one root row through a plan by the same step, so its
 cost is the search's, and scatters the row back into all k sectors once, for
 the final state.
@@ -273,27 +276,29 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
     the change of utility from the parent plus cfg.w_sigma times the change
     of the summed covariance diagonals.
     """
-    base = front.take(parents)
-    after = propagate_rows(base.states, rows, table, seeds)
+    after = propagate_rows(front.states, rows, table, seeds, parents)
     utility, trace = price_batch(after, cfg)
-    cost = base.cost + costs + utility
+    cost = front.cost[parents] + costs + utility
     cost[unseen] += cfg.w_unk
-    score = utility - base.utility + cfg.w_sigma * (trace - base.trace)
+    score = utility - front.utility[parents] + cfg.w_sigma * (trace - front.trace[parents])
     stats.batch_calls += 1
     stats.children_priced += len(parents)
     return _Frontier(after, front.live, None, cost, utility, trace, score)
 
 
-def _step(front: _Frontier, action: Action, table: EffectTable, cfg: SearchConfig,
+def _step(front: _Frontier, actions, table: EffectTable, cfg: SearchConfig,
           stats: SearchStats) -> _Frontier:
-    # the one row of `front` advanced by an action, with its prefix kinds;
-    # `table` is cut to the frontier's live sectors
-    kinds = front.kinds[0] + (action.kind,)
-    row = bucket_row(action)
-    seeds = None if cfg.mode == "expectation" else [_sample_seed(cfg, len(kinds), action)]
-    child = _advance(front, np.zeros(1, dtype=int), [row], action_cost(action, cfg),
-                     ~table.covers[[row]], seeds, table, cfg, stats)
-    return replace(child, kinds=[kinds])
+    # the one row of `front` advanced by each of `actions` in one batch, a
+    # child row per action with its prefix kinds; `table` is cut to the
+    # frontier's live sectors
+    position = len(front.kinds[0]) + 1
+    rows = [bucket_row(action) for action in actions]
+    seeds = (None if cfg.mode == "expectation"
+             else [_sample_seed(cfg, position, action) for action in actions])
+    child = _advance(front, np.zeros(len(rows), dtype=int), rows,
+                     np.array([action_cost(action, cfg) for action in actions]),
+                     ~table.covers[rows], seeds, table, cfg, stats)
+    return replace(child, kinds=[front.kinds[0] + (action.kind,) for action in actions])
 
 
 def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: SearchStats,
@@ -334,16 +339,19 @@ def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: Searc
 
 
 def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: int,
-               stats: SearchStats) -> float:
-    """Cheapest (accumulated cost + utility) among the leaves of a row's subtree.
+               stats: SearchStats) -> np.ndarray:
+    """Cheapest (accumulated cost + utility) among the leaves of each row's subtree.
 
-    The subtree of the frontier's one row keeps the best `branching`
-    children of each node (as `_level` ranks them) down to `depth` levels; a
-    leaf is a node at that depth or one without a feasible child. It is
-    searched level by level: each level's nodes are array rows, propagated
-    and priced with all their feasible candidates in one batch.
+    The subtree of each frontier row keeps the best `branching` children of
+    each node (as `_level` ranks them) down to `depth` levels; a leaf is a
+    node at that depth or one without a feasible child. All the subtrees are
+    searched together, level by level: each level's nodes, whatever row they
+    descend from, are array rows, propagated and priced with all their
+    feasible candidates in one batch, and each remembers the row it descends
+    from (`origin`). Returns one value per frontier row.
     """
-    best = math.inf
+    origin = np.arange(len(front.cost))
+    best = np.full(len(front.cost), math.inf)
     for _ in range(depth):
         level = _level(front, cands, cfg, stats, keep=cfg.branching)
         if level is None:
@@ -351,23 +359,26 @@ def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: i
         children, parents, _ = level
         leaf = np.ones(len(front.cost), dtype=bool)
         leaf[parents] = False  # a row without a feasible child is a leaf
-        best = min([best, *(front.cost[leaf] + front.utility[leaf]).tolist()])
-        front = children
-    return min([best, *(front.cost + front.utility).tolist()])
+        np.minimum.at(best, origin[leaf], front.cost[leaf] + front.utility[leaf])
+        front, origin = children, origin[parents]
+    np.minimum.at(best, origin, front.cost + front.utility)
+    return best
 
 
 def _suffix_step(kind: str, front: _Frontier, cands: _Candidates, cfg: SearchConfig,
                  stats: SearchStats) -> tuple[_Frontier, Action]:
-    # the row advanced by one action of this kind, and the action
+    # the row advanced by one action of this kind, and the action; a path step
+    # prices every path in one batch (`_level` keeps a row after end closed)
+    # and takes the best-scoring one, ties to the lower index, as `_level` ranks them
     if kind == "path":
-        # the best-scoring path, ties to the lower index, as `_level` ranks them;
-        # `_level` keeps a row after end closed, so each path is priced alone
-        steps = [(_step(front, action, cands.table, cfg, stats), action)
-                 for action in cands.actions[:cfg.path_count]]
-        return min(steps, key=lambda step: float(step[0].score[0]))
-    live = int(_live(front.states.count[0]))
-    action = plan_mod.refinement(live) if kind == "refinement" else Action(kind)
-    return _step(front, action, cands.table, cfg, stats), action
+        actions = cands.actions[:cfg.path_count]
+    elif kind == "refinement":
+        actions = [plan_mod.refinement(int(_live(front.states.count[0])))]
+    else:
+        actions = [Action(kind)]
+    children = _step(front, actions, cands.table, cfg, stats)
+    i = int(np.argmin(children.score))
+    return children.row(i), actions[i]
 
 
 def _complete(front: _Frontier, prefix: tuple[Action, ...], cands: _Candidates,
@@ -419,9 +430,10 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
         which = which.tolist()
         live = int(_live(front.states.count[0]))
         actions = [cands.action(c, live) for c in which]
-        # each of the best `branching` children looked ahead from its own row
+        # one lookahead frontier of the best `branching` children
         top = range(min(cfg.branching, len(actions)))
-        values = [_lookahead(children.row(i), cands, cfg, cfg.depth, stats) for i in top]
+        values = _lookahead(children.take(top, children.kinds[:len(top)]), cands, cfg,
+                            cfg.depth, stats).tolist()
         ranked = sorted(zip(values, top), key=lambda t: (t[0], which[t[1]]))
         value, i = ranked[0]
         front, prefix = children.row(i), prefix + (actions[i],)
@@ -455,5 +467,5 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
     table = effect_table(initial, model).cut(initial.count != 0)
     front, stats = _Frontier.root(initial, cfg), SearchStats()
     for action in actions:
-        front = _step(front, action, table, cfg, stats)
+        front = _step(front, [action], table, cfg, stats)
     return float(front.cost[0]), front.state(0)

@@ -122,10 +122,12 @@ def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
 
 def lookahead(state: SheetState, model, cs, cfg, depth=None, prefix=(), cost: float = 0.0,
               stats=None) -> float:
-    """`_lookahead` from the root row of `state` (see `root_row`), cfg.depth levels by default."""
-    return _lookahead(root_row(state, cfg, prefix, cost), _Candidates(state, model, cs, cfg),
-                      cfg, cfg.depth if depth is None else depth,
-                      stats if stats is not None else SearchStats())
+    """`_lookahead` from the root row of `state` (see `root_row`), cfg.depth levels by
+    default: the one row's value, as a float."""
+    return float(_lookahead(root_row(state, cfg, prefix, cost),
+                            _Candidates(state, model, cs, cfg),
+                            cfg, cfg.depth if depth is None else depth,
+                            stats if stats is not None else SearchStats())[0])
 
 
 def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:

@@ -30,8 +30,9 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
                         expert_plan, initial_plan_constraints, next_kinds, outstanding,
                         parse_plan_text, path, peel, prefix_feasible, refinement,
                         standard_constraints, validate)
-from layup.search import (SearchConfig, SearchError, SearchStats, _sample_seed, action_cost,
-                          price_batch, refine_plan_detailed, replay_cost)
+from layup.search import (SearchConfig, SearchError, SearchStats, _Candidates, _Frontier,
+                          _lookahead, _sample_seed, _step, action_cost, price_batch,
+                          refine_plan_detailed, replay_cost)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
                                _link_pairs, average_states, build_state, extract_regions,
                                read_capture_frames, segment_regions, write_capture_frames)
@@ -41,7 +42,7 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              write_log)
 
 from conftest import (lookahead, make_state, meets, model_of, oracle_abs, oracle_rel,
-                      oracle_trace_total, sample_key)
+                      oracle_trace_total, root_row, sample_key)
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -764,6 +765,64 @@ def test_lookahead_value_matches_the_recursive_oracle(case, prefix):
         assert work_counts(stats) == work_counts(want_node.stats)
 
 
+@st.composite
+def lookahead_frontiers(draw):
+    """A search case and the prefixes of a frontier's rows, one to five of one length.
+
+    Each row is the root advanced by its own prefix: a prefix may end in
+    `end`, closing its row, or break the constraints, leaving its row
+    without a feasible child.
+    """
+    case = draw(search_cases())
+    length = draw(st.integers(0, 2))
+    body = st.lists(st.sampled_from(BATCH_ACTIONS), min_size=length, max_size=length)
+    last = st.sampled_from(BATCH_ACTIONS + (end(),))  # end twice as often as in a body
+    return case, draw(st.lists(st.tuples(body, last).map(lambda p: (*p[0], p[1])),
+                               min_size=1, max_size=5))
+
+
+def stacked(rows: list) -> _Frontier:
+    """One frontier of the rows of several one-row frontiers, in order."""
+    def joined(arrays):
+        return np.concatenate(list(arrays))
+
+    s = rows[0].states
+    states = SheetState(s.geometry, joined(r.states.mu for r in rows),
+                        joined(r.states.sigma for r in rows), joined(r.states.count for r in rows),
+                        s.t)
+    return _Frontier(states, rows[0].live, [r.kinds[0] for r in rows],
+                     *(joined(getattr(r, name) for r in rows)
+                       for name in ("cost", "utility", "trace", "score")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frontier=lookahead_frontiers())
+@example(frontier=(STALE_ROOT + (standard_constraints(), COMPACTION_CFG),
+                   [(path(1),), (end(),), (peel(),), (path(3),)]))
+@example(frontier=(COLLAPSING + (ConstraintSet(),
+                                 replace(COMPACTION_CFG, mode="sampled", seed=5)),
+                   [(path(2), end()), (path(1), peel()), (end(), path(1)), (peel(), capture())]))
+def test_batched_lookahead_matches_the_recursive_oracle_row_by_row(frontier):
+    # the subtrees of several rows searched as one frontier: each row's value
+    # is its own recursive lookahead's, bit for bit, and the work counts add up
+    (state, model, cs, cfg), prefixes = frontier
+    cands, want_stats = _Candidates(state, model, cs, cfg), SearchStats()
+    rows, want_nodes = [], []
+    for prefix in prefixes:
+        row, node = root_row(state, cfg), oracle_root(state, cfg, SearchStats())
+        for action in prefix:
+            row = _step(row, [action], cands.table, cfg, SearchStats())
+            node = oracle_priced(node, [action], model, cfg)[0]
+        rows.append(row)
+        want_nodes.append(replace(node, stats=want_stats))
+    front, stats = stacked(rows), SearchStats()
+    for depth in sorted({0, cfg.depth}):
+        got = _lookahead(front, cands, cfg, depth, stats)
+        want = [oracle_lookahead_value(node, model, cs, cfg, depth) for node in want_nodes]
+        assert [value.hex() for value in got.tolist()] == [value.hex() for value in want]
+        assert work_counts(stats) == work_counts(want_stats)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=search_cases())
 @example(case=STALE_ROOT + (standard_constraints(), COMPACTION_CFG))
@@ -802,6 +861,11 @@ def test_golden_refine_counts_match_the_recursive_oracle(mode):
     assert json.dumps(audit) == json.dumps(want_audit)
     assert work_counts(stats) == work_counts(want)
     assert stats.batch_calls < want.batch_calls  # one call per level, not per node
+    # a committed step: its children, then one level of all its lookaheads per
+    # depth; the stage that stops: its children; a suffix step: one call, all
+    # paths in it for a path (41 = 9 * 4 + 1 + 4 at expectation)
+    committed = sum(step["mode"] == "committed" for step in audit)
+    assert stats.batch_calls <= committed * (1 + cfg.depth) + 1 + len(audit) - committed
 
 
 def oracle_assign_sector(point, geom: SheetGeometry) -> int:
