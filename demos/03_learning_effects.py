@@ -25,7 +25,7 @@ for variant in (1, 2):
               f"{log.correction_cycles} cycles)")
 
 model = aggregate(logs)
-print(f"\nmodel: {len(model.table)} buckets from {model.experiments} experiments")
+print(f"\nmodel: {len(model.bucket_counts())} buckets from {model.experiments} experiments")
 
 print("\nmean height change per (path index, sector), mm "
       "(negative = compaction):")
@@ -34,8 +34,8 @@ print(header)
 for i in range(1, 17):
     cells = []
     for s in range(1, 9):
-        bucket = model.bucket(path(i), s)
-        cells.append(f"{bucket.mean[2]:6.2f} " if bucket is not None else "   --  ")
+        rows = model.bucket(path(i), s)  # the bucket's rows of the sample columns
+        cells.append(f"{model.deltas[rows, 2].mean():6.2f} " if rows is not None else "   --  ")
     print(f"path {i:2d} " + "".join(cells))
 
 print("\neffect decay along each plan (mean |height change| per action):")
@@ -46,9 +46,9 @@ for variant in (1, 2):
         act = plan.actions[pos]
         vals = []
         for s in range(1, 9):
-            bucket = model.bucket(act, s)
-            if bucket:
-                vals.extend(abs(d[2]) for d, src in zip(bucket.deltas, bucket.sources)
+            rows = model.bucket(act, s)
+            if rows is not None:
+                vals.extend(abs(d[2]) for d, src in zip(model.deltas[rows], model.sources[rows])
                             if src.startswith(plan.name + ":"))
         row.append(f"step {pos + 1} ({act}): {np.mean(vals):.3f}")
     print(f"  {plan.name}: " + "   ".join(row))

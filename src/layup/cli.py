@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .effectiveness import EffectivenessModel, aggregate
+from .effectiveness import BUCKET_KEYS, EffectivenessModel, aggregate
 from .jsonio import config_from_json, read_json, read_last_json_line
 from .plan import (ACTION_KINDS, ConstraintSet, DrapingPlan, emit_plan, parse_plan,
                    standard_constraints)
@@ -131,9 +131,10 @@ def cmd_learn(log_paths, out_path) -> Path:
     model.save(out_path)
     print(f"experiments: {model.experiments}")
     print(f"sheets: {', '.join(model.sheets)}")
+    keys, _, sizes = model.runs()
     per_action: dict[tuple[str, int], list[int]] = {}  # in (kind, argument) order
-    for (kind, arg, _sector), bucket in sorted(model.table.items()):
-        per_action.setdefault((kind, arg), []).append(bucket.count)
+    for key, count in zip(keys.tolist(), sizes.tolist()):
+        per_action.setdefault(BUCKET_KEYS[key // model.sector_count], []).append(count)
     for (kind, arg), counts in per_action.items():
         print(f"  {kind}|{arg}: {sum(counts)} samples across {len(counts)} sectors")
     learned = {kind for kind, _ in per_action}

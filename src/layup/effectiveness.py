@@ -13,29 +13,28 @@ a single bucket.
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
 bucket's majority sign vote shrinks or grows the covariance diagonals.
-`propagate_rows` does this for many actions at once, from one `SheetState`
-or from a batch of states, one per action or picked per action by a parent
-index, reading the table compiled into dense arrays (`EffectTable`) and
-returning a batch of states.
+`propagate_rows` does this for many actions at once, each advancing the
+state its parent index picks from a batch, reading the table compiled into
+dense arrays (`EffectTable`) and returning a batch of states.
 
 A bucket has one number: its (kind, argument) key's index in `BUCKET_KEYS`
 (`bucket_row`). It is the bucket's row of every compiled table, whatever the
 model saw, and with the sector it makes a sample's key column value.
 
-A model holds its samples as one table of columns (see
-`extract_transitions`), each bucket a read-only slice of them; learning,
-loading and compiling work on whole columns. The model's constructor orders
-the columns with one stable sort by key, so a bucket's rows keep the order
-given: log order, then step order, for `aggregate`; file order for
-`EffectivenessModel.from_json`, which checks the rows of all buckets at
-once, naming the first bucket at fault. `_compile` reduces the buckets of
-each sample count as one stacked array, adding the rows in the order a
-per-bucket `np.mean`, `np.var` and `np.sum` add them.
+A model is its samples: read-only columns (see `extract_transitions`)
+sorted by key, a bucket the run of rows that share a key
+(`EffectivenessModel.runs`). One stable sort keeps a bucket's rows in the
+order given: log order, then step order, for `aggregate`; file order for
+`EffectivenessModel.from_json`, which checks all rows at once, naming the
+first bucket at fault. The model reduces the buckets of each sample count as
+one stacked array, adding the rows in the order a per-bucket `np.mean`,
+`np.var` and `np.sum` add them.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +74,6 @@ def compute_signs(before: np.ndarray, after: np.ndarray) -> np.ndarray:
                  - np.diagonal(before, axis1=-2, axis2=-1))
 
 
-def bucket_key(action: Action) -> tuple[str, int]:
-    """Path actions bucket by index; every other kind shares one bucket."""
-    return (action.kind, action.arg if action.kind == "path" else 0)
-
-
 # every bucket key an action can have, sorted as the model file lists them
 BUCKET_KEYS = sorted([(kind, 0) for kind in ACTION_KINDS if kind != "path"]
                      + [("path", i) for i in range(1, PATH_COUNT_DEFAULT + 1)])
@@ -87,8 +81,14 @@ _ROWS = {key: row for row, key in enumerate(BUCKET_KEYS)}
 
 
 def bucket_row(action: Action) -> int:
-    """The action's bucket number: its key's index in BUCKET_KEYS, its compiled table row."""
-    return _ROWS[bucket_key(action)]
+    """The action's bucket number, its compiled table row: the index in BUCKET_KEYS of
+    its (kind, argument) key. Path actions bucket by index; every other kind shares one."""
+    return _ROWS[(action.kind, action.arg if action.kind == "path" else 0)]
+
+
+def _no_samples() -> tuple:
+    return (np.zeros(0, int), np.zeros((0, 6)), np.zeros((0, 3)), np.zeros((0, 3)),
+            np.zeros(0, object))
 
 
 def extract_transitions(log) -> tuple:
@@ -102,8 +102,7 @@ def extract_transitions(log) -> tuple:
     """
     n = len(log.actions)
     if not n:
-        return (np.zeros(0, int), np.zeros((0, 6)), np.zeros((0, 3)), np.zeros((0, 3)),
-                np.zeros(0, object))
+        return _no_samples()
     mu = np.stack([state.mu for state in log.states])
     sigma = np.stack([state.sigma for state in log.states])
     k = mu.shape[1]
@@ -113,24 +112,6 @@ def extract_transitions(log) -> tuple:
     return ((steps[:, None] * k + np.arange(k)).ravel(),
             compute_delta(mu[:-1], mu[1:]).reshape(-1, 6),
             signs[:, :, 0].reshape(-1, 3), signs[:, :, 1].reshape(-1, 3), sources.repeat(k))
-
-
-@dataclass(frozen=True)
-class _Bucket:
-    """One bucket's samples, in learned order: read-only slices of the model's columns."""
-
-    deltas: np.ndarray   # (n, 6)
-    u1: np.ndarray       # (n, 3) signs of sigma1's diagonal
-    u2: np.ndarray       # ... and of sigma2's
-    sources: np.ndarray  # (n,) "plan:step" provenance strings
-
-    @property
-    def count(self) -> int:
-        return len(self.deltas)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.mean(self.deltas, axis=0)
 
 
 @dataclass(frozen=True)
@@ -160,34 +141,6 @@ class EffectTable:
                            self.scale[:, sectors], self.has[:, sectors], self.covers)
 
 
-def _compile(model: "EffectivenessModel") -> EffectTable:
-    # buckets of one sample count n stack into (B, n, ...) arrays, reduced
-    # over axis 1: np.add.reduce adds an outer axis one row at a time, in
-    # row order, so each bucket's mean, variance and vote sums are np.mean's,
-    # np.var's (ddof=1) and np.sum's over its own rows, bit for bit
-    shape = (len(BUCKET_KEYS), model.sector_count)
-    mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
-    scale = np.ones(shape + (2, 3, 3))
-    has = np.zeros(shape, dtype=bool)
-    groups: dict[int, list] = {}  # sample count -> [((row, sector index), bucket)]
-    for (kind, arg, sector), b in model.table.items():
-        groups.setdefault(b.count, []).append(((_ROWS[(kind, arg)], sector - 1), b))
-    for n, group in groups.items():
-        at = tuple(np.array([cell for cell, _ in group]).T)
-        deltas = np.array([b.deltas for _, b in group])             # (B, n, 6)
-        votes = np.array([(b.u1, b.u2) for _, b in group])          # (B, 2, n, 3)
-        m = np.add.reduce(deltas, axis=1) / n
-        mean[at] = m
-        if n > 1:  # one sample: variance zero
-            x = deltas - m[:, None]
-            std[at] = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=1) / (n - 1))
-        # a diagonal grew when its vote sum is above zero; a tie says it shrank
-        s = np.sqrt(np.where(np.add.reduce(votes, axis=2) > 0, COV_GROW, COV_SHRINK))
-        scale[at] = s[..., :, None] * s[..., None, :]               # np.outer(s, s) per track
-        has[at] = True
-    return EffectTable(mean=mean, std=std, scale=scale, has=has, covers=has.any(axis=1))
-
-
 def _stacked(names: list[str], recs: list[dict], name: str, check, like):
     # every bucket's `name` rows, in bucket order, checked by one `check` call
     # (`numbers` with a shape or `typed` with a like); a fault is then looked
@@ -201,59 +154,107 @@ def _stacked(names: list[str], recs: list[dict], name: str, check, like):
 
 
 class EffectivenessModel:
-    """Empirical per-(action bucket, sector) delta table, built whole, compiled on use."""
+    """Empirical per-(action bucket, sector) delta table, built whole, compiled on use.
 
-    def __init__(self, sector_count: int, samples=None):
-        """A model of `extract_transitions`-style columns, each bucket's rows in given order.
+    The model is its samples: the `extract_transitions` columns `keys`,
+    `deltas`, `u1`, `u2` and `sources`, stably sorted by key, so that a bucket
+    is the run of rows that share a key, its rows in the order given. A model
+    never changes once built, so the sorted columns are read-only.
+    """
 
-        One stable sort by key makes each bucket one run of rows; a model never
-        changes once built, so the sorted columns become read-only.
-        """
+    def __init__(self, sector_count: int, samples=None, experiments: int = 0, sheets=()):
         if sector_count < 2:
             raise ValueError("sector_count must be at least 2")
         self.sector_count = sector_count
-        self.table: dict[tuple[str, int, int], _Bucket] = {}
-        self.experiments = 0
-        self.sheets: list[str] = []
+        self.experiments = experiments
+        self.sheets = list(sheets)
         self._compiled: EffectTable | None = None
-        if samples:
-            keys, *columns = samples
-            order = np.argsort(keys, kind="stable")
-            keys, columns = keys[order], [column[order] for column in columns]
-            for column in columns:
-                column.flags.writeable = False
-            ends = (np.flatnonzero(np.diff(keys, append=-1)) + 1).tolist()
-            starts = [0, *ends][:-1]
-            for key, start, stop in zip(keys[starts].tolist(), starts, ends):
-                self.table[(*BUCKET_KEYS[key // sector_count], key % sector_count + 1)] = \
-                    _Bucket(*(column[start:stop] for column in columns))
+        keys, *columns = samples if samples else _no_samples()
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.deltas, self.u1, self.u2, self.sources = \
+            (column[order] for column in (keys, *columns))
+        for column in (self.keys, self.deltas, self.u1, self.u2, self.sources):
+            column.flags.writeable = False
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each bucket's key, first row and row count, in key order."""
+        starts = np.flatnonzero(np.diff(self.keys, prepend=-1))
+        return self.keys[starts], starts, np.diff(starts, append=len(self.keys))
+
+    def _name(self, key: int) -> str:  # as the model file writes it
+        kind, arg = BUCKET_KEYS[key // self.sector_count]
+        return f"{kind}|{arg}|{key % self.sector_count + 1}"
+
+    @cached_property
+    def _stats(self) -> tuple:
+        # each bucket's mean delta (B, 6), deviation (B, 6) and covariance scale
+        # (B, 2, 3, 3), in key order. Buckets of one sample count n stack into
+        # (B, n, ...) arrays, reduced over axis 1: np.add.reduce adds an outer
+        # axis one row at a time, in row order, so each bucket's mean, variance
+        # and vote sums are np.mean's, np.var's (ddof=1) and np.sum's over its
+        # own rows, bit for bit
+        _, starts, counts = self.runs()
+        mean, std = np.zeros((len(starts), 6)), np.zeros((len(starts), 6))
+        scale = np.empty((len(starts), 2, 3, 3))
+        for n in set(counts.tolist()):
+            pick = counts == n
+            rows = starts[pick, None] + np.arange(n)                    # (B, n) sample rows
+            deltas = self.deltas[rows]                                  # (B, n, 6)
+            votes = np.stack((self.u1[rows], self.u2[rows]), axis=1)    # (B, 2, n, 3)
+            m = np.add.reduce(deltas, axis=1) / n
+            mean[pick] = m
+            if n > 1:  # one sample: variance zero
+                x = deltas - m[:, None]
+                std[pick] = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=1) / (n - 1))
+            # a diagonal grew when its vote sum is above zero; a tie says it shrank
+            s = np.sqrt(np.where(np.add.reduce(votes, axis=2) > 0, COV_GROW, COV_SHRINK))
+            scale[pick] = s[..., :, None] * s[..., None, :]             # np.outer(s, s) per track
+        return mean, std, scale
 
     def compiled(self) -> EffectTable:
-        """The dense tables, compiled on first use."""
+        """The dense tables, compiled on first use: each bucket's stats at row and
+        sector index divmod(key, k)."""
         if self._compiled is None:
-            self._compiled = _compile(self)
+            shape = (len(BUCKET_KEYS), self.sector_count)
+            mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
+            scale = np.ones(shape + (2, 3, 3))
+            has = np.zeros(shape, dtype=bool)
+            at = divmod(self.runs()[0], self.sector_count)
+            mean[at], std[at], scale[at] = self._stats
+            has[at] = True
+            self._compiled = EffectTable(mean, std, scale, has, has.any(axis=1))
         return self._compiled
 
-    def bucket(self, action: Action, sector: int) -> _Bucket | None:
-        return self.table.get((*bucket_key(action), sector))
+    def bucket(self, action: Action, sector: int) -> slice | None:
+        """The rows of `action`'s bucket in `sector` (1-based), or None if it holds none."""
+        if not 1 <= sector <= self.sector_count:
+            return None
+        key = bucket_row(action) * self.sector_count + sector - 1
+        start, stop = np.searchsorted(self.keys, (key, key + 1)).tolist()
+        return slice(start, stop) if stop > start else None
 
     @property
     def is_empty(self) -> bool:
-        return not self.table
+        return not len(self.keys)
 
     def bucket_counts(self) -> dict[str, int]:
-        """Sample counts keyed 'kind|arg|sector', for reporting."""
-        return {f"{k}|{a}|{s}": b.count for (k, a, s), b in sorted(self.table.items())}
+        """Sample counts keyed 'kind|arg|sector', in key order, for reporting."""
+        keys, _, counts = self.runs()
+        return dict(zip(map(self._name, keys.tolist()), counts.tolist()))
 
     def to_json(self) -> dict:
-        buckets = {f"{kind}|{arg}|{sector}": {name: v.tolist() for name, v in vars(b).items()}
-                   for (kind, arg, sector), b in sorted(self.table.items())}
+        keys, starts, counts = self.runs()
+        rows = {name: getattr(self, name).tolist() for name in ("deltas", "u1", "u2", "sources")}
+        buckets = {self._name(key): {name: v[start:start + n] for name, v in rows.items()}
+                   for key, start, n in zip(keys.tolist(), starts.tolist(), counts.tolist())}
         return {"version": 1, "sector_count": self.sector_count,
                 "experiments": self.experiments, "sheets": self.sheets,
                 "buckets": buckets}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EffectivenessModel":
+        """A model as `to_json` wrote it; ValueError naming the first bucket at fault,
+        also when a bucket's mean or deviation overflows."""
         raw = required(obj, {"version": 1, "sector_count": 0, "experiments": 0,
                            "sheets": [""], "buckets": {}})
         if raw["version"] != 1:
@@ -296,9 +297,13 @@ class EffectivenessModel:
                 key = names[np.searchsorted(np.cumsum(counts), bad[0], side="right")]
                 raise ValueError(f"bucket {key}: each u1 and u2 vote must be -1 or 1")
             samples = (np.repeat(keys, counts), deltas, u1, u2, np.array(sources, dtype=object))
-        model = cls(k, samples)
-        model.experiments = raw["experiments"]
-        model.sheets = raw["sheets"]
+        model = cls(k, samples, raw["experiments"], raw["sheets"])
+        with np.errstate(over="ignore", invalid="ignore"):  # finite samples can overflow
+            mean, std, _ = model._stats  # not the table, which the file's sector count sizes
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)).all(axis=1))
+        if len(bad):
+            key = model._name(int(model.runs()[0][bad[0]]))
+            raise ValueError(f"bucket {key}: mean or deviation overflows")
         return model
 
     def save(self, path) -> None:
@@ -321,11 +326,9 @@ def aggregate(logs) -> EffectivenessModel:
     ks = {len(log.states[0].count) for log in logs if log.states}
     if len(ks) > 1:
         raise ValueError(f"logs mix sector counts {sorted(ks)}")
-    model = EffectivenessModel(ks.pop() if ks else 2, [
-        np.concatenate(column) for column in zip(*map(extract_transitions, logs))])
-    model.experiments = len(logs)
-    model.sheets = sorted({log.sheet for log in logs})
-    return model
+    return EffectivenessModel(ks.pop() if ks else 2, [
+        np.concatenate(column) for column in zip(*map(extract_transitions, logs))],
+        len(logs), sorted({log.sheet for log in logs}))
 
 
 def effect_table(states: SheetState, model: EffectivenessModel) -> EffectTable:
@@ -336,38 +339,33 @@ def effect_table(states: SheetState, model: EffectivenessModel) -> EffectTable:
     return model.compiled()
 
 
-def propagate_rows(states: SheetState, rows, table: EffectTable, seeds=None,
-                   parents=None) -> SheetState:
+def propagate_rows(states: SheetState, parents, rows, table: EffectTable,
+                   seeds=None) -> SheetState:
     """Advance states by the learned effect of each of A actions: a batch of A states.
 
-    `rows` are the actions' `bucket_row`s and `table` the model's compiled
-    table (`effect_table`), or that table cut to the sectors the states hold.
-    `states` is one state, which every action advances, or a batch of states:
-    with `parents`, action i advances state `parents[i]`, gathered here and
-    not kept; without, the batch holds A states, one per action. Live
-    sectors with data move by the bucket mean delta. With `seeds` (sampled
-    mode) they move by the mean plus zero-mean Gaussian noise with the
-    bucket's sample variance, action i drawing one (6,) row per moved
-    sector, in sector order, from `np.random.default_rng(seeds[i])`; `seeds`
-    None is expectation mode. Heights and axes clamp at zero; orientations
-    fold into [0, pi); a sector whose height and both axes hit zero
-    collapses to the sentinel. Covariance diagonals scale by 0.9/1.1
+    Action i advances state `parents[i]` of the batch `states`, gathered here
+    and not kept. `rows` are the actions' `bucket_row`s and `table` the
+    model's compiled table (`effect_table`), or that table cut to the sectors
+    the states hold. Live sectors with data move by the bucket mean delta.
+    With `seeds` (sampled mode) they move by the mean plus zero-mean Gaussian
+    noise with the bucket's sample variance, action i drawing one (6,) row
+    per moved sector, in sector order, from `np.random.default_rng(seeds[i])`;
+    `seeds` None is expectation mode. Heights and axes clamp at zero;
+    orientations fold into [0, pi); a sector whose height and both axes hit
+    zero collapses to the sentinel. Covariance diagonals scale by 0.9/1.1
     according to the majority sign vote (applied as a symmetric congruence,
     preserving positive semidefiniteness). Sectors or actions without data
     are left untouched, and sentinels stay zero.
     """
-    def of_parents(a):  # a state array's rows, one per action
-        return a if parents is None else np.take(a, parents, axis=0)
-
-    count = of_parents(states.count)
+    count = np.take(states.count, parents, axis=0)
     live = count != 0
     moved = table.has[rows] & live                  # (A, k)
     # sigma first, then mu, each into one new array, so that no more than two
     # (A, k, 2, 3, 3) arrays, or three (A, k, 6) ones, are held at once
     scale = np.take(table.scale, rows, axis=0)      # (A, k, 2, 3, 3), a copy
     scale[~moved] = 1.0                             # x * 1.0 is x, bit for bit
-    sigma = np.multiply(of_parents(states.sigma), scale, out=scale)
-    mu0 = of_parents(states.mu)
+    sigma = np.multiply(np.take(states.sigma, parents, axis=0), scale, out=scale)
+    mu0 = np.take(states.mu, parents, axis=0)
     mu = np.take(table.mean, rows, axis=0)          # (A, k, 6), a copy: the deltas
     if seeds is not None:
         std = table.std[rows]

@@ -228,14 +228,14 @@ class _Candidates:
     A candidate's index is its tie-break rank: paths 1..path_count, peel,
     capture, refinement, end. The refinement candidate's argument is the
     node's live sector count (`action`); its table row, its coverage and its
-    cost per pass do not depend on it. `table` is cut to the sectors live in
+    cost per pass do not depend on it. `effects` is cut to the sectors live in
     the root state, those every frontier of the search holds. Raises
     ValueError when the state's sector count is not the model's.
     """
 
     def __init__(self, state: SheetState, model: EffectivenessModel, cs: ConstraintSet,
                  cfg: SearchConfig):
-        self.table = effect_table(state, model).cut(state.count != 0)
+        self.effects = effect_table(state, model).cut(state.count != 0)
         self.cs = cs
         self.horizon = cfg.horizon
         self.actions = ([plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
@@ -245,7 +245,7 @@ class _Candidates:
         self.kinds = [a.kind for a in self.actions]
         self.rows = np.array([bucket_row(a) for a in self.actions])
         self.cost = np.array([cfg.action_costs[kind] for kind in self.kinds], dtype=float)
-        self.unseen = ~self.table.covers[self.rows]
+        self.unseen = ~self.effects.covers[self.rows]
         self._feasible: dict[tuple[str, ...], np.ndarray] = {}
 
     def action(self, i: int, live: int) -> Action:
@@ -276,7 +276,7 @@ def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
     the change of utility from the parent plus cfg.w_sigma times the change
     of the summed covariance diagonals.
     """
-    after = propagate_rows(front.states, rows, table, seeds, parents)
+    after = propagate_rows(front.states, parents, rows, table, seeds)
     utility, trace = price_batch(after, cfg)
     cost = front.cost[parents] + costs + utility
     cost[unseen] += cfg.w_unk
@@ -328,7 +328,7 @@ def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: Searc
                    for c, n in zip(which.tolist(), live.tolist())])
     costs = cands.cost[which] * np.where(which == cands.refinement, live, 1)
     children = _advance(front, parents, cands.rows[which], costs, cands.unseen[which], seeds,
-                        cands.table, cfg, stats)
+                        cands.effects, cfg, stats)
     order = np.lexsort((which, children.score, parents))
     if keep is not None:
         grouped = parents[order]
@@ -376,7 +376,7 @@ def _suffix_step(kind: str, front: _Frontier, cands: _Candidates, cfg: SearchCon
         actions = [plan_mod.refinement(int(_live(front.states.count[0])))]
     else:
         actions = [Action(kind)]
-    children = _step(front, actions, cands.table, cfg, stats)
+    children = _step(front, actions, cands.effects, cfg, stats)
     i = int(np.argmin(children.score))
     return children.row(i), actions[i]
 

@@ -90,10 +90,16 @@ def model_of(k: int, samples) -> EffectivenessModel:
         np.array([s[4] if len(s) > 4 else ":0" for s in samples], dtype=object)))
 
 
+def batch_of_one(state: SheetState) -> SheetState:
+    """One state as a batch of one, the form `propagate_rows` takes."""
+    return SheetState(state.geometry, state.mu[None], state.sigma[None], state.count[None],
+                      state.t)
+
+
 def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:
     """`propagate_rows` of one action, as one state; with a seed, in sampled mode."""
-    out = propagate_rows(state, [bucket_row(action)], effect_table(state, model),
-                         None if seed is None else [seed])
+    out = propagate_rows(batch_of_one(state), np.zeros(1, int), [bucket_row(action)],
+                         effect_table(state, model), None if seed is None else [seed])
     return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)
 
 

@@ -245,19 +245,19 @@ def test_criterion_5_effect_decay_recovery(corpus):
     model = corpus["pooled_model"]
     assert model.experiments == 12
     # every path-action bucket pooled at least 3 samples per sector
-    for (kind, arg, sector), bucket in model.table.items():
-        if kind == "path":
-            assert bucket.count >= 3, (kind, arg, sector)
+    for name, count in model.bucket_counts().items():
+        if name.startswith("path|"):
+            assert count >= 3, name
     for variant in (1, 2):
         plan = expert_plan(variant)
         means = {}
         for which, act in (("first", plan.actions[0]), ("eighth", plan.actions[7])):
             samples = []
             for sector in range(1, 9):
-                bucket = model.bucket(act, sector)
-                if bucket is None:
+                rows = model.bucket(act, sector)
+                if rows is None:
                     continue
-                for delta, source in zip(bucket.deltas, bucket.sources):
+                for delta, source in zip(model.deltas[rows], model.sources[rows]):
                     if source.startswith(plan.name + ":"):
                         samples.append(abs(delta[2]))
             means[which] = float(np.mean(samples))

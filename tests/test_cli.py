@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import re
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from layup.cli import (RunConfig, build_report, cmd_learn, cmd_refine,
 from layup.plan import emit_plan, expert_plan
 from layup.simulator import GroundTruthParams
 from layup.sheet_state import read_capture_frames, write_capture_frames
-from layup.simulator import builtin_sheet, init_sheet, read_log, render_capture
+from layup.simulator import builtin_sheet, init_sheet, read_log, render_capture, write_log
 
 from conftest import published_style_summaries, summary_record
 
@@ -134,6 +136,28 @@ class TestLearn:
         buckets = [line.split(":")[0].strip() for line in lines if line.startswith("  ")]
         assert buckets == (["capture|0", "end|0"] + [f"path|{i}" for i in range(1, 17)]
                            + ["peel|0", "no samples"])
+
+    def test_learn_prints_every_count(self, tmp_path, d1_file, capsys):
+        # D1 whole and D2's first four steps, seed 1: D2's four paths hold two
+        # samples a sector, every other bucket one
+        d2_file = tmp_path / "D2.plan"
+        emit_plan(expert_plan(2), d2_file)
+        cfg = run_cfg(tmp_path, seeds=(1,))
+        d1_log, d2_log = (cmd_simulate(plan, cfg, keep_captures=False)[0]
+                          for plan in (d1_file, d2_file))
+        log = read_log(d2_log)
+        write_log(replace(log, actions=log.actions[:4], states=log.states[:5]), d2_log)
+        twice = [action.arg for action in log.actions[:4]]
+        assert twice == [13, 5, 11, 15]
+        capsys.readouterr()
+        cmd_learn([str(d1_log), str(d2_log)], tmp_path / "model.json")
+        want = (["experiments: 2", "sheets: sheet1", "  capture|0: 8 samples across 8 sectors",
+                 "  end|0: 8 samples across 8 sectors"]
+                + [f"  path|{i}: {16 if i in twice else 8} samples across 8 sectors"
+                   for i in range(1, 17)]
+                + ["  peel|0: 8 samples across 8 sectors", "  no samples: refinement",
+                   "  note: 120 singleton buckets (sample variance treated as zero)"])
+        assert capsys.readouterr().out == "".join(line + "\n" for line in want)
 
     def test_zero_logs_usage_error(self, tmp_path):
         code = main(["learn", str(tmp_path / "missing.jsonl"),
@@ -639,6 +663,23 @@ class TestBadInput:
         code, err, _ = self.refine(tmp_path, capsys, model_file, ONE_FRAME)
         assert code == 2
         assert str(model_file) in err and "path|1|2" in err and "path|1|1" not in err
+
+    def test_model_bucket_overflow_names_its_bucket(self, tmp_path, capsys):
+        # finite heights whose sum overflows: refused when loaded, before the
+        # search would price with an infinite mean
+        drop = [0, 0, -1.7e308, 0, 0, 0]
+        good = {"deltas": [[0, 0, -1.0, 0, 0, 0]] * 2, "u1": [[-1, -1, -1]] * 2,
+                "u2": [[1, -1, -1]] * 2, "sources": ["D1:1", "D2:1"]}
+        model_file = self.model_file(tmp_path, buckets={
+            "path|1|1": good, "path|1|2": {**good, "deltas": [drop, drop]},
+            "path|2|1": {**good, "deltas": [drop, [0] * 6]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, _ = self.refine(tmp_path, capsys, model_file, ONE_FRAME)
+        assert code == 2
+        assert err.startswith(f"error: {model_file}: ")
+        assert "bucket path|1|2: mean or deviation overflows" in err
+        assert not (tmp_path / "o").exists()
 
     def test_model_sector_count_not_the_sheets(self, tmp_path, capsys):
         # sheet1 has 8 sectors; the mismatch is named before the search starts

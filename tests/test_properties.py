@@ -1,5 +1,6 @@
 """Property tests: fast paths against the slow oracles they stand in for,
 and the plan and log boundaries against malformed input."""
+import functools
 import itertools
 import json
 import math
@@ -9,7 +10,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,8 +41,8 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              path_geometry, read_log, render_capture, run_experiment,
                              write_log)
 
-from conftest import (lookahead, make_state, meets, model_of, oracle_abs, oracle_rel,
-                      oracle_trace_total, root_row, sample_key)
+from conftest import (batch_of_one, lookahead, make_state, meets, model_of, oracle_abs,
+                      oracle_rel, oracle_trace_total, root_row, sample_key)
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -382,6 +382,48 @@ def fingerprint(state: SheetState, i=...) -> tuple:
     return state.mu[i].tobytes(), state.sigma[i].tobytes(), state.count[i].tobytes()
 
 
+@dataclass
+class OracleBucket:
+    """One bucket's samples, row by row: lists appended one sample at a time,
+    or the rows of the model's columns that a key mask picks."""
+
+    deltas: list = field(default_factory=list)
+    u1: list = field(default_factory=list)
+    u2: list = field(default_factory=list)
+    sources: list = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.deltas)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return np.mean(self.deltas, axis=0)
+
+
+def oracle_bucket_key(action: Action) -> tuple[str, int]:
+    """An action's (kind, arg) bucket: paths by index, every other kind as argument 0."""
+    return action.kind, action.arg if action.kind == "path" else 0
+
+
+@functools.lru_cache(maxsize=4)  # a model never changes: the recursive oracles ask often
+def oracle_buckets(model: EffectivenessModel) -> dict:
+    """The model's buckets by (kind, arg, sector), each the rows whose key a mask
+    over the whole key column picks: a reading that uses neither `runs` nor `bucket`."""
+    k, buckets = model.sector_count, {}
+    for key in sorted(set(model.keys.tolist())):
+        mask = model.keys == key
+        kind, arg = BUCKET_KEYS[key // k]
+        buckets[(kind, arg, key % k + 1)] = OracleBucket(
+            model.deltas[mask], model.u1[mask], model.u2[mask], model.sources[mask])
+    return buckets
+
+
+def oracle_unseen(model: EffectivenessModel, action: Action) -> bool:
+    """Whether no sector of the action's bucket holds a sample."""
+    return oracle_bucket_key(action) not in {key[:2] for key in oracle_buckets(model)}
+
+
 def bucket_variance(bucket) -> np.ndarray:
     """Per-component sample variance of a bucket's deltas; zero when only one sample exists."""
     return np.var(bucket.deltas, axis=0, ddof=1) if bucket.count > 1 else np.zeros(6)
@@ -393,17 +435,18 @@ def bucket_majority(bucket) -> tuple[np.ndarray, np.ndarray]:
             np.where(np.sum(bucket.u2, axis=0) > 0, 1.0, -1.0))
 
 
-def oracle_compile(model: EffectivenessModel) -> EffectTable:
-    """The dense tables filled bucket by bucket: the loop `_compile`'s grouped reductions replaced.
+def oracle_compile(buckets: dict, k: int) -> EffectTable:
+    """The dense tables of k sectors filled bucket by bucket, from {(kind, arg,
+    sector): bucket}: the loop the model's grouped reductions replaced.
 
     Bucket key (kind, arg) fills row BUCKET_KEYS.index((kind, arg)); every
     other row keeps zero mean and deviation, unit scale and no data.
     """
-    shape = (len(BUCKET_KEYS), model.sector_count)
+    shape = (len(BUCKET_KEYS), k)
     mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
     scale = np.ones(shape + (2, 3, 3))
     has = np.zeros(shape, dtype=bool)
-    for (kind, arg, sector), b in model.table.items():
+    for (kind, arg, sector), b in buckets.items():
         if b.count == 0:
             continue
         at = (BUCKET_KEYS.index((kind, arg)), sector - 1)
@@ -452,15 +495,38 @@ def ragged_models(draw):
 @given(model=ragged_models())
 def test_compile_matches_the_per_bucket_oracle(model):
     with np.errstate(over="ignore", invalid="ignore"):
-        assert table_bytes(model.compiled()) == table_bytes(oracle_compile(model))
+        assert table_bytes(model.compiled()) == \
+            table_bytes(oracle_compile(oracle_buckets(model), model.sector_count))
+
+
+def oracle_overflow(model: EffectivenessModel) -> str | None:
+    """The first bucket, in key order, whose mean or deviation is not finite, as the
+    model file names it; None when every bucket's are."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (kind, arg, sector), b in sorted(oracle_buckets(model).items()):
+            if not (np.isfinite(b.mean).all() and np.isfinite(bucket_variance(b)).all()):
+                return f"{kind}|{arg}|{sector}"
+    return None
+
+
+def refused(bucket: str):
+    return pytest.raises(ValueError, match=f"^bucket {re.escape(bucket)}: "
+                                           f"mean or deviation overflows$")
 
 
 @settings(max_examples=100, deadline=None)
 @given(model=ragged_models())
 def test_model_json_round_trip_compiles_the_same_table(model):
-    back = EffectivenessModel.from_json(json.loads(json.dumps(model.to_json())))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert table_bytes(back.compiled()) == table_bytes(model.compiled())
+    # finite samples whose sums or squares overflow load as a refusal naming
+    # the first such bucket; every other model compiles the same table back
+    obj = json.loads(json.dumps(model.to_json()))
+    bad = oracle_overflow(model)
+    if bad is not None:
+        with refused(bad):
+            EffectivenessModel.from_json(obj)
+        return
+    back = EffectivenessModel.from_json(obj)
+    assert table_bytes(back.compiled()) == table_bytes(model.compiled())
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,10 +535,30 @@ def test_model_file_buckets_out_of_key_order_load_as_sorted(model, data):
     # `from_json` sorts the buckets by key, each bucket's rows kept in file order
     obj = json.loads(json.dumps(model.to_json()))
     names = data.draw(st.permutations(list(obj["buckets"])))
-    back = EffectivenessModel.from_json({**obj, "buckets": {n: obj["buckets"][n] for n in names}})
+    shuffled = {**obj, "buckets": {n: obj["buckets"][n] for n in names}}
+    bad = oracle_overflow(model)
+    if bad is not None:  # the first bucket in key order, not in file order
+        with refused(bad):
+            EffectivenessModel.from_json(shuffled)
+        return
+    back = EffectivenessModel.from_json(shuffled)
     assert json.dumps(back.to_json()) == json.dumps(obj)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert table_bytes(back.compiled()) == table_bytes(model.compiled())
+    assert table_bytes(back.compiled()) == table_bytes(model.compiled())
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=ragged_models())
+def test_bucket_is_the_key_mask_selection(model):
+    k, rows = model.sector_count, np.arange(len(model.keys))
+    for action in MODEL_ACTIONS:
+        for sector in range(k + 2):  # sectors 0 and k + 1 name no bucket
+            key = BUCKET_KEYS.index(oracle_bucket_key(action)) * k + sector - 1
+            mask = (model.keys == key) & (1 <= sector <= k)
+            got = model.bucket(action, sector)
+            if mask.any():
+                assert rows[got].tolist() == rows[mask].tolist()
+            else:
+                assert got is None
 
 
 def test_a_bucket_the_model_never_saw_compiles_to_a_row_without_data():
@@ -494,12 +580,13 @@ def oracle_propagate(state: SheetState, action: Action, model: EffectivenessMode
     A sampled-mode rng draws one (6,) row per moved sector, in sector order.
     """
     rng = np.random.default_rng(seed) if mode == "sampled" else None
+    buckets = oracle_buckets(model)
     mu, sigma, count = state.mu.copy(), state.sigma.copy(), state.count.copy()
     for row in range(len(count)):
         if count[row] == 0:
             mu[row], sigma[row] = 0.0, 0.0
             continue
-        bucket = model.bucket(action, row + 1)
+        bucket = buckets.get((*oracle_bucket_key(action), row + 1))
         if bucket is None:
             continue
         delta = bucket.mean.copy()
@@ -540,9 +627,10 @@ def test_propagate_rows_matches_scalar_bitwise(case, sampled, seeds):
     state, model = case
     mode = "sampled" if sampled else "expectation"
     rows, table = [bucket_row(action) for action in BATCH_ACTIONS], effect_table(state, model)
-    batch = propagate_rows(state, rows, table, seeds if sampled else None)
+    batch = propagate_rows(batch_of_one(state), np.zeros(len(rows), int), rows, table,
+                           seeds if sampled else None)
     # a batch of states, one per action: each row advanced by its own action again
-    again = propagate_rows(batch, rows, table, seeds if sampled else None)
+    again = propagate_rows(batch, np.arange(len(rows)), rows, table, seeds if sampled else None)
     for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
         once = oracle_propagate(state, action, model, mode, seed)
         want = fingerprint(once)
@@ -584,8 +672,7 @@ def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, actions):
         want = oracle_propagate(want, action, model, cfg.mode,
                                 _sample_seed(cfg, position, action))
         want_cost = want_cost + action_cost(action, cfg) + oracle_state_utility(want, cfg)
-        if all(model.bucket(action, sector) is None
-               for sector in range(1, model.sector_count + 1)):
+        if oracle_unseen(model, action):
             want_cost += cfg.w_unk
     assert cost.hex() == want_cost.hex()
     assert fingerprint(final) == fingerprint(want)
@@ -628,7 +715,8 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
     position = len(node.prefix) + 1
     seeds = (None if cfg.mode == "expectation"
              else [_sample_seed(cfg, position, action) for action in actions])
-    after = propagate_rows(node.state, [bucket_row(action) for action in actions],
+    after = propagate_rows(batch_of_one(node.state), np.zeros(len(actions), int),
+                           [bucket_row(action) for action in actions],
                            effect_table(node.state, model), seeds)
     utilities, traces = price_batch(after, cfg)
     node.stats.batch_calls += 1
@@ -637,8 +725,7 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
     for i, (action, utility, trace) in enumerate(zip(actions, utilities.tolist(),
                                                      traces.tolist())):
         cost = node.cost + action_cost(action, cfg) + utility
-        if all(model.bucket(action, sector) is None
-               for sector in range(1, model.sector_count + 1)):
+        if oracle_unseen(model, action):
             cost += cfg.w_unk
         children.append(OracleNode(
             state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
@@ -811,7 +898,7 @@ def test_batched_lookahead_matches_the_recursive_oracle_row_by_row(frontier):
     for prefix in prefixes:
         row, node = root_row(state, cfg), oracle_root(state, cfg, SearchStats())
         for action in prefix:
-            row = _step(row, [action], cands.table, cfg, SearchStats())
+            row = _step(row, [action], cands.effects, cfg, SearchStats())
             node = oracle_priced(node, [action], model, cfg)[0]
         rows.append(row)
         want_nodes.append(replace(node, stats=want_stats))
@@ -1130,34 +1217,15 @@ def test_extract_transitions_matches_the_row_loop(log):
         assert [row.tobytes() for row in column] == [row.tobytes() for row in rows]
 
 
-@dataclass
-class ListBucket:
-    """A bucket as per-sample lists, appended one sample at a time."""
-
-    deltas: list = field(default_factory=list)
-    u1: list = field(default_factory=list)
-    u2: list = field(default_factory=list)
-    sources: list = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.deltas)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.mean(self.deltas, axis=0)
-
-
 def oracle_aggregate(logs) -> tuple[str, EffectTable]:
     """The model file text and compiled table of pooled logs, each sample
     appended to its bucket's lists in log order, then step order: the loop
     `aggregate`'s one stable sort replaced."""
     ks = {len(log.states[0].count) for log in logs if log.states}
-    model = SimpleNamespace(sector_count=ks.pop() if ks else 2, table={})
+    k, table = ks.pop() if ks else 2, {}
     for log in logs:
         for s in oracle_transitions(log):
-            kind, arg = s.action.kind, s.action.arg if s.action.kind == "path" else 0
-            bucket = model.table.setdefault((kind, arg, s.sector), ListBucket())
+            bucket = table.setdefault((*oracle_bucket_key(s.action), s.sector), OracleBucket())
             bucket.deltas.append(s.delta)
             bucket.u1.append(s.signs[0])
             bucket.u2.append(s.signs[1])
@@ -1166,10 +1234,10 @@ def oracle_aggregate(logs) -> tuple[str, EffectTable]:
                                           "u1": [[float(v) for v in d] for d in b.u1],
                                           "u2": [[float(v) for v in d] for d in b.u2],
                                           "sources": b.sources}
-               for (kind, arg, sector), b in sorted(model.table.items())}
-    return json.dumps({"version": 1, "sector_count": model.sector_count,
+               for (kind, arg, sector), b in sorted(table.items())}
+    return json.dumps({"version": 1, "sector_count": k,
                        "experiments": len(logs), "sheets": sorted({log.sheet for log in logs}),
-                       "buckets": buckets}), oracle_compile(model)
+                       "buckets": buckets}), oracle_compile(table, k)
 
 
 @st.composite
