@@ -127,6 +127,12 @@ def cmd_learn(log_paths, out_path) -> Path:
     if not log_paths:
         raise ValueError("learn needs at least one log file")
     logs = [read_log(p) for p in log_paths]
+    sized = [(p, log.states[0].geometry.sector_count) for p, log in zip(log_paths, logs)
+             if log.states]
+    for p, k in sized:
+        if k != sized[0][1]:
+            raise ValueError(f"{p}: the log has {k} sectors, the first log {sized[0][0]} "
+                             f"{sized[0][1]}")
     model = aggregate(logs)
     model.save(out_path)
     print(f"experiments: {model.experiments}")

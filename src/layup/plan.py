@@ -305,6 +305,7 @@ def prefix_feasible(prefix, cs: ConstraintSet, horizon: int) -> bool:
     return _kinds_feasible(kinds, cs, horizon)
 
 
+# its hits are repeats across searches: one search memoizes its prefixes (`_Search.feasible`)
 @functools.lru_cache(maxsize=1 << 14)
 def next_kinds(kinds: tuple[str, ...], cs: ConstraintSet, horizon: int) -> frozenset[str]:
     """The kinds an action appended to `kinds` may have, by `prefix_feasible`'s rule.

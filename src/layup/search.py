@@ -24,26 +24,6 @@ child, and every row of the last level, is a leaf; a candidate's lookahead
 value is the least cost plus utility of the leaves below it. The rows of a
 level share their prefix length, so a sampled-mode draw is seeded by
 (position, action) for every row alike.
-
-A frontier's rows hold only the sectors live in the root state: the search
-takes them from the root once and keeps them to the end. A sector with no
-regions is never moved: propagation zeroes it, it stays zero, it adds
-exactly +0.0 to the priced sums and it draws no sampled-mode noise, so
-leaving it out changes no result, and a sector that dies on the way stays
-in the rows as zeros. The effect table is cut to the kept sectors once per
-search (`EffectTable.cut`). The root's own utility and trace are
-priced on its whole state, stale sectors (no regions, nonzero moments)
-included.
-
-The committed path is one frontier row and the tuple of its actions. Each
-stage lists the row's children as one level and looks ahead from the best
-`branching` of them as one frontier: their subtrees share one batch per
-depth level, each node tracking the child it descends from, and the
-stage keeps the committed child's row. The completion suffix advances the
-row one action at a time, a path step pricing every path in one batch.
-`replay_cost` advances one root row through a plan by the same step, so its
-cost is the search's, and scatters the row back into all k sectors once, for
-the final state.
 """
 from __future__ import annotations
 
@@ -54,8 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import plan as plan_mod
-from .effectiveness import (EffectivenessModel, EffectTable, bucket_row, effect_table,
-                            propagate_rows)
+from .effectiveness import EffectivenessModel, bucket_row, effect_table, propagate_rows
 from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    next_kinds, prefix_feasible, standard_constraints, validate)
@@ -115,13 +94,6 @@ class SearchConfig:
         return read_json(path, cls.from_json)
 
 
-def action_cost(action: Action, cfg: SearchConfig) -> float:
-    base = cfg.action_costs[action.kind]
-    if action.kind == "refinement":
-        return base * action.arg
-    return base
-
-
 def _running_sum(terms: np.ndarray) -> np.ndarray:
     # row sums added left to right from 0.0, one term at a time; np.sum
     # adds pairwise for eight or more terms, which can change the last bit
@@ -171,50 +143,29 @@ class _Frontier:
     utilities, plus the unmodeled penalty), its utility, its summed
     covariance diagonals, the one-step score of its last action and its
     prefix as kinds. The rows of a level share the prefix length, and with
-    it the position that seeds a sampled-mode draw. The states hold only
-    the sectors `live` marks, those live in the root state; every other
-    sector is a sentinel in every row, as propagation leaves it.
+    it the position that seeds a sampled-mode draw. The states hold only the
+    sectors live in the search's root state (`_Search.live`).
     """
 
-    states: SheetState         # a batch of N states over the sectors `live` marks
-    live: np.ndarray           # (k,) bool
+    states: SheetState         # a batch of N states over the root's live sectors
     kinds: list | None         # N tuples of prefix kinds; None until the rows are ranked
     cost: np.ndarray           # (N,)
     utility: np.ndarray        # (N,)
     trace: np.ndarray          # (N,)
     score: np.ndarray          # (N,)
 
-    @classmethod
-    def root(cls, state: SheetState, cfg: SearchConfig) -> "_Frontier":
-        # the root's utility and trace, priced on its whole state, count its
-        # stale sectors (no regions, nonzero moments); its descendants' do not
-        s, live = state, state.count != 0
-        utility, trace = price_batch(SheetState(s.geometry, s.mu[None], s.sigma[None],
-                                                s.count[None], s.t), cfg)
-        return cls(SheetState(s.geometry, s.mu[None, live], s.sigma[None, live],
-                              s.count[None, live], s.t),
-                   live, [()], np.zeros(1), utility, trace, np.zeros(1))
-
     def take(self, rows, kinds=None) -> "_Frontier":
         s = self.states
         return _Frontier(SheetState(s.geometry, s.mu[rows], s.sigma[rows], s.count[rows], s.t),
-                         self.live, kinds, self.cost[rows], self.utility[rows], self.trace[rows],
+                         kinds, self.cost[rows], self.utility[rows], self.trace[rows],
                          self.score[rows])
 
     def row(self, i: int) -> "_Frontier":
         return self.take([i], [self.kinds[i]])
 
-    def state(self, i: int) -> SheetState:
-        # row i scattered back into all k sectors, sentinels where `live` is False
-        s, live = self.states, self.live
-        mu, sigma = np.zeros(live.shape + (6,)), np.zeros(live.shape + (2, 3, 3))
-        count = np.zeros(live.shape, dtype=s.count.dtype)
-        mu[live], sigma[live], count[live] = s.mu[i], s.sigma[i], s.count[i]
-        return SheetState(s.geometry, mu, sigma, count, s.t)
 
-
-def _sample_seed(cfg: SearchConfig, position: int, action: Action) -> int:
-    return zlib.crc32(f"{cfg.seed}|{position}|{action}".encode())
+def _sample_seed(seed: int, position: int, action: Action) -> int:
+    return zlib.crc32(f"{seed}|{position}|{action}".encode())
 
 
 def _live(count: np.ndarray):
@@ -222,86 +173,128 @@ def _live(count: np.ndarray):
     return np.maximum(1, np.count_nonzero(count, axis=-1))
 
 
-class _Candidates:
-    """Every node's candidate actions, mapped to their `bucket_row`s once per search.
+class _Search:
+    """One search's fixed parts, built from its root state.
 
-    A candidate's index is its tie-break rank: paths 1..path_count, peel,
-    capture, refinement, end. The refinement candidate's argument is the
-    node's live sector count (`action`); its table row, its coverage and its
-    cost per pass do not depend on it. `effects` is cut to the sectors live in
-    the root state, those every frontier of the search holds. Raises
-    ValueError when the state's sector count is not the model's.
+    It holds the config, the constraints, the work counts, the sectors live
+    in the root state (`live`), the effect table cut to them, the candidate
+    table, the feasibility memo (one mask per prefix of kinds) and the root
+    row (`root`). Raises ValueError when the state's sector count is not the
+    model's.
+
+    Every frontier of the search holds only the `live` sectors. A sector
+    with no regions in the root stays a sentinel under propagation, adds
+    +0.0 to the priced sums and draws no sampled-mode noise, so leaving it
+    out changes no result; a sector that dies on the way stays in the rows
+    as zeros. The root row's utility and trace are priced on the whole root
+    state, stale sectors (no regions, nonzero moments) included. `state`
+    scatters a row back into all k sectors.
+
+    Candidate c is the action a child can be, in tie-break order: paths
+    1..16, peel, capture, refinement and end, each with its `bucket_row`
+    (`rows`), its unit cost (`cost`) and whether the model never saw it
+    (`unseen`). `listed` marks the candidates a stage may add: paths
+    1..cfg.path_count and every other kind. The refinement candidate stands
+    for every pass count; its row, cost per pass and coverage do not depend
+    on it.
+
+    The committed path is one frontier row and the tuple of its actions.
+    Each stage lists the row's children as one level (`_level`), looks
+    ahead from the best `branching` of them as one frontier (`_lookahead`)
+    and keeps the committed child's row. The completion suffix advances the
+    row one action at a time (`_step`), a path step pricing every listed
+    path in one batch. `replay_cost` advances the root row through a plan
+    by the same step.
     """
 
     def __init__(self, state: SheetState, model: EffectivenessModel, cs: ConstraintSet,
-                 cfg: SearchConfig):
-        self.effects = effect_table(state, model).cut(state.count != 0)
-        self.cs = cs
-        self.horizon = cfg.horizon
-        self.actions = ([plan_mod.path(i) for i in range(1, cfg.path_count + 1)]
+                 cfg: SearchConfig, stats: SearchStats):
+        self.cfg, self.cs, self.stats = cfg, cs, stats
+        self.live = live = state.count != 0
+        self.effects = effect_table(state, model).cut(live)
+        self.actions = ([plan_mod.path(i) for i in range(1, PATH_COUNT_DEFAULT + 1)]
                         + [plan_mod.peel(), plan_mod.capture(), plan_mod.refinement(1),
                            plan_mod.end()])
-        self.refinement = cfg.path_count + 2
+        self.refinement = PATH_COUNT_DEFAULT + 2
         self.kinds = [a.kind for a in self.actions]
         self.rows = np.array([bucket_row(a) for a in self.actions])
+        self.index = {row: c for c, row in enumerate(self.rows.tolist())}
         self.cost = np.array([cfg.action_costs[kind] for kind in self.kinds], dtype=float)
         self.unseen = ~self.effects.covers[self.rows]
+        self.listed = np.array([a.kind != "path" or a.arg <= cfg.path_count
+                                for a in self.actions])
         self._feasible: dict[tuple[str, ...], np.ndarray] = {}
+        s = state
+        utility, trace = price_batch(SheetState(s.geometry, s.mu[None], s.sigma[None],
+                                                s.count[None], s.t), cfg)
+        self.root = _Frontier(SheetState(s.geometry, s.mu[None, live], s.sigma[None, live],
+                                         s.count[None, live], s.t),
+                              [()], np.zeros(1), utility, trace, np.zeros(1))
 
-    def action(self, i: int, live: int) -> Action:
-        return plan_mod.refinement(live) if i == self.refinement else self.actions[i]
+    def action(self, c: int, passes: int) -> Action:
+        return plan_mod.refinement(passes) if c == self.refinement else self.actions[c]
 
     def feasible(self, kinds: tuple[str, ...]) -> np.ndarray:
-        """Which candidates may follow a prefix of these kinds, as a bool row.
+        """Which listed candidates may follow a prefix of these kinds, as a bool row.
 
         `end` is terminal, so it may follow only a prefix that it completes:
         the prefix plus `end` must already satisfy every constraint.
         """
         mask = self._feasible.get(kinds)
         if mask is None:
-            allowed = next_kinds(kinds, self.cs, self.horizon)
+            allowed = next_kinds(kinds, self.cs, self.cfg.horizon)
             if "end" in allowed and plan_mod.outstanding(kinds + ("end",), self.cs) != {}:
                 allowed = allowed - {"end"}
-            mask = self._feasible[kinds] = np.array([k in allowed for k in self.kinds])
+            mask = self._feasible[kinds] = self.listed & [k in allowed for k in self.kinds]
         return mask
 
+    def state(self, front: _Frontier, i: int) -> SheetState:
+        # row i scattered back into all k sectors, sentinels where `live` is False
+        s, live = front.states, self.live
+        mu, sigma = np.zeros(live.shape + (6,)), np.zeros(live.shape + (2, 3, 3))
+        count = np.zeros(live.shape, dtype=s.count.dtype)
+        mu[live], sigma[live], count[live] = s.mu[i], s.sigma[i], s.count[i]
+        return SheetState(s.geometry, mu, sigma, count, s.t)
 
-def _advance(front: _Frontier, parents: np.ndarray, rows, costs, unseen, seeds,
-             table: EffectTable, cfg: SearchConfig, stats: SearchStats) -> _Frontier:
-    """Row `parents[i]` advanced by table row `rows[i]`: one propagate and one price.
 
-    A child's cost is its parent's plus its action cost `costs[i]` and its
-    utility, plus cfg.w_unk where `unseen[i]` (the model never saw the
-    action). Its score is the one-step merit of the action, lower is better:
-    the change of utility from the parent plus cfg.w_sigma times the change
-    of the summed covariance diagonals.
+def _advance(search: _Search, front: _Frontier, parents: np.ndarray, which: np.ndarray,
+             passes: np.ndarray) -> _Frontier:
+    """Row `parents[i]` advanced by candidate `which[i]`: one propagate and one price.
+
+    `passes[i]` is a refinement child's pass count; other children ignore
+    it. A child's cost is its parent's plus its action cost (a refinement's
+    is priced per pass) and its utility, plus cfg.w_unk where the model
+    never saw the action. Its score is the one-step merit of the action,
+    lower is better: the change of utility from the parent plus cfg.w_sigma
+    times the change of the summed covariance diagonals. In sampled mode a
+    child draws from the seed of its position and action.
     """
-    after = propagate_rows(front.states, parents, rows, table, seeds)
-    utility, trace = price_batch(after, cfg)
-    cost = front.cost[parents] + costs + utility
-    cost[unseen] += cfg.w_unk
-    score = utility - front.utility[parents] + cfg.w_sigma * (trace - front.trace[parents])
-    stats.batch_calls += 1
-    stats.children_priced += len(parents)
-    return _Frontier(after, front.live, None, cost, utility, trace, score)
-
-
-def _step(front: _Frontier, actions, table: EffectTable, cfg: SearchConfig,
-          stats: SearchStats) -> _Frontier:
-    # the one row of `front` advanced by each of `actions` in one batch, a
-    # child row per action with its prefix kinds; `table` is cut to the
-    # frontier's live sectors
+    cfg = search.cfg
     position = len(front.kinds[0]) + 1
-    rows = [bucket_row(action) for action in actions]
     seeds = (None if cfg.mode == "expectation"
-             else [_sample_seed(cfg, position, action) for action in actions])
-    child = _advance(front, np.zeros(len(rows), dtype=int), rows,
-                     np.array([action_cost(action, cfg) for action in actions]),
-                     ~table.covers[rows], seeds, table, cfg, stats)
+             else [_sample_seed(cfg.seed, position, search.action(c, n))
+                   for c, n in zip(which.tolist(), passes.tolist())])
+    after = propagate_rows(front.states, parents, search.rows[which], search.effects, seeds)
+    utility, trace = price_batch(after, cfg)
+    cost = (front.cost[parents] + search.cost[which] * np.where(which == search.refinement,
+                                                                passes, 1) + utility)
+    cost[search.unseen[which]] += cfg.w_unk
+    score = utility - front.utility[parents] + cfg.w_sigma * (trace - front.trace[parents])
+    search.stats.batch_calls += 1
+    search.stats.children_priced += len(parents)
+    return _Frontier(after, None, cost, utility, trace, score)
+
+
+def _step(search: _Search, front: _Frontier, actions) -> _Frontier:
+    # the one row of `front` advanced by each of `actions` in one batch, a
+    # child row per action with its prefix kinds
+    which = np.array([search.index[bucket_row(action)] for action in actions])
+    passes = np.array([action.arg if action.kind == "refinement" else 1 for action in actions])
+    child = _advance(search, front, np.zeros(len(actions), dtype=int), which, passes)
     return replace(child, kinds=[front.kinds[0] + (action.kind,) for action in actions])
 
 
-def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: SearchStats,
+def _level(search: _Search, front: _Frontier,
            keep: int | None = None) -> tuple[_Frontier, np.ndarray, np.ndarray] | None:
     """Every feasible child of every open row of a frontier: one propagate, one price.
 
@@ -314,36 +307,30 @@ def _level(front: _Frontier, cands: _Candidates, cfg: SearchConfig, stats: Searc
     """
     position = len(front.kinds[0]) + 1
     open_rows = ([i for i, kinds in enumerate(front.kinds) if not kinds or kinds[-1] != "end"]
-                 if position <= cfg.horizon else [])
-    stats.nodes_expanded += len(open_rows)
-    mask = np.zeros((len(front.kinds), len(cands.kinds)), dtype=bool)
+                 if position <= search.cfg.horizon else [])
+    search.stats.nodes_expanded += len(open_rows)
+    mask = np.zeros((len(front.kinds), len(search.kinds)), dtype=bool)
     for i in open_rows:
-        mask[i] = cands.feasible(front.kinds[i])
+        mask[i] = search.feasible(front.kinds[i])
     parents, which = np.nonzero(mask)
     if not len(parents):
         return None
-    live = _live(front.states.count)[parents]
-    seeds = (None if cfg.mode == "expectation"
-             else [_sample_seed(cfg, position, cands.action(c, n))
-                   for c, n in zip(which.tolist(), live.tolist())])
-    costs = cands.cost[which] * np.where(which == cands.refinement, live, 1)
-    children = _advance(front, parents, cands.rows[which], costs, cands.unseen[which], seeds,
-                        cands.effects, cfg, stats)
+    children = _advance(search, front, parents, which, _live(front.states.count)[parents])
     order = np.lexsort((which, children.score, parents))
     if keep is not None:
         grouped = parents[order]
         order = order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < keep]
     parents, which = parents[order], which[order]
-    kinds = [front.kinds[p] + (cands.kinds[c],) for p, c in zip(parents.tolist(), which.tolist())]
+    kinds = [front.kinds[p] + (search.kinds[c],)
+             for p, c in zip(parents.tolist(), which.tolist())]
     return children.take(order, kinds), parents, which
 
 
-def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: int,
-               stats: SearchStats) -> np.ndarray:
+def _lookahead(search: _Search, front: _Frontier) -> np.ndarray:
     """Cheapest (accumulated cost + utility) among the leaves of each row's subtree.
 
     The subtree of each frontier row keeps the best `branching` children of
-    each node (as `_level` ranks them) down to `depth` levels; a leaf is a
+    each node (as `_level` ranks them) down to cfg.depth levels; a leaf is a
     node at that depth or one without a feasible child. All the subtrees are
     searched together, level by level: each level's nodes, whatever row they
     descend from, are array rows, propagated and priced with all their
@@ -352,8 +339,8 @@ def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: i
     """
     origin = np.arange(len(front.cost))
     best = np.full(len(front.cost), math.inf)
-    for _ in range(depth):
-        level = _level(front, cands, cfg, stats, keep=cfg.branching)
+    for _ in range(search.cfg.depth):
+        level = _level(search, front, keep=search.cfg.branching)
         if level is None:
             break
         children, parents, _ = level
@@ -365,36 +352,35 @@ def _lookahead(front: _Frontier, cands: _Candidates, cfg: SearchConfig, depth: i
     return best
 
 
-def _suffix_step(kind: str, front: _Frontier, cands: _Candidates, cfg: SearchConfig,
-                 stats: SearchStats) -> tuple[_Frontier, Action]:
+def _suffix_step(search: _Search, kind: str, front: _Frontier) -> tuple[_Frontier, Action]:
     # the row advanced by one action of this kind, and the action; a path step
-    # prices every path in one batch (`_level` keeps a row after end closed)
-    # and takes the best-scoring one, ties to the lower index, as `_level` ranks them
+    # prices every listed path in one batch (`_level` keeps a row after end
+    # closed) and takes the best-scoring one, ties to the lower index, as
+    # `_level` ranks them
     if kind == "path":
-        actions = cands.actions[:cfg.path_count]
+        actions = search.actions[:search.cfg.path_count]
     elif kind == "refinement":
         actions = [plan_mod.refinement(int(_live(front.states.count[0])))]
     else:
         actions = [Action(kind)]
-    children = _step(front, actions, cands.effects, cfg, stats)
+    children = _step(search, front, actions)
     i = int(np.argmin(children.score))
     return children.row(i), actions[i]
 
 
-def _complete(front: _Frontier, prefix: tuple[Action, ...], cands: _Candidates,
-              cfg: SearchConfig, stats: SearchStats,
+def _complete(search: _Search, front: _Frontier, prefix: tuple[Action, ...],
               audit: list) -> tuple[_Frontier, tuple[Action, ...]]:
     """Append `plan.completion`'s suffix, the shortest that satisfies the constraints."""
     kinds = front.kinds[0]
-    suffix_kinds = plan_mod.completion(kinds, cands.cs, cfg.horizon - len(kinds))
+    suffix_kinds = plan_mod.completion(kinds, search.cs, search.cfg.horizon - len(kinds))
     if suffix_kinds is None:
-        needed = plan_mod.outstanding(kinds, cands.cs)
+        needed = plan_mod.outstanding(kinds, search.cs)
         why = ("a placed action already breaks a constraint" if needed is None
                else "outstanding: "
                + (", ".join(plan_mod.canonical_kinds(needed)) or "gap relations only"))
         raise SearchError(f"no valid completion within the horizon; {why}")
     for kind in suffix_kinds:
-        front, action = _suffix_step(kind, front, cands, cfg, stats)
+        front, action = _suffix_step(search, kind, front)
         prefix += (action,)
         audit.append({"step": len(prefix), "action": str(action),
                       "mode": "suffix", "cost": float(front.cost[0])})
@@ -418,22 +404,21 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
     if not prefix_feasible((), cs, cfg.horizon):
         raise SearchError("constraints admit no plan at all within the horizon")
 
-    front, prefix = _Frontier.root(initial, cfg), ()
-    cands = _Candidates(initial, model, cs, cfg)
+    search = _Search(initial, model, cs, cfg, stats)
+    front, prefix = search.root, ()
     audit: list[dict] = []
     while not prefix or prefix[-1].kind != "end":
-        level = _level(front, cands, cfg, stats)
+        level = _level(search, front)
         if level is None or (front.utility[0] - level[0].utility).max() < cfg.epsilon_conv:
-            front, prefix = _complete(front, prefix, cands, cfg, stats, audit)
+            front, prefix = _complete(search, front, prefix, audit)
             break
         children, _, which = level
         which = which.tolist()
         live = int(_live(front.states.count[0]))
-        actions = [cands.action(c, live) for c in which]
+        actions = [search.action(c, live) for c in which]
         # one lookahead frontier of the best `branching` children
         top = range(min(cfg.branching, len(actions)))
-        values = _lookahead(children.take(top, children.kinds[:len(top)]), cands, cfg,
-                            cfg.depth, stats).tolist()
+        values = _lookahead(search, children.take(top, children.kinds[:len(top)])).tolist()
         ranked = sorted(zip(values, top), key=lambda t: (t[0], which[t[1]]))
         value, i = ranked[0]
         front, prefix = children.row(i), prefix + (actions[i],)
@@ -464,8 +449,8 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
     actions = tuple(actions)
     if not actions:
         return 0.0, initial
-    table = effect_table(initial, model).cut(initial.count != 0)
-    front, stats = _Frontier.root(initial, cfg), SearchStats()
+    search = _Search(initial, model, ConstraintSet(), cfg, SearchStats())
+    front = search.root
     for action in actions:
-        front = _step(front, [action], table, cfg, stats)
-    return float(front.cost[0]), front.state(0)
+        front = _step(search, front, [action])
+    return float(front.cost[0]), search.state(front, 0)

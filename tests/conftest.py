@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from layup.effectiveness import EffectivenessModel, bucket_row, effect_table, propagate_rows
-from layup.search import SearchStats, _Candidates, _Frontier, _level, _live, _lookahead
+from layup.search import SearchStats, _Search, _level, _live, _lookahead, price_batch
 from layup.sheet_state import SheetGeometry, SheetState
 from layup.simulator import SUMMARY_FIELDS
 
@@ -64,8 +64,8 @@ def oracle_trace_total(state: SheetState) -> float:
 
 
 def utility_of(state: SheetState, cfg) -> float:
-    """A state's utility, as the search prices its root."""
-    return float(_Frontier.root(state, cfg).utility[0])
+    """A state's utility, priced on the whole state as the search prices its root."""
+    return float(price_batch(batch_of_one(state), cfg)[0][0])
 
 
 def sample_key(action, sector: int, k: int) -> int:
@@ -103,10 +103,9 @@ def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:
     return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)
 
 
-def root_row(state: SheetState, cfg, prefix=(), cost: float = 0.0):
-    """The search's root row of a state, taken as reached by `prefix` at `cost`."""
-    return replace(_Frontier.root(state, cfg), kinds=[tuple(a.kind for a in prefix)],
-                   cost=np.array([cost]))
+def root_row(search, prefix=(), cost: float = 0.0):
+    """The root row of a `_Search`, taken as reached by `prefix` at `cost`."""
+    return replace(search.root, kinds=[tuple(a.kind for a in prefix)], cost=np.array([cost]))
 
 
 def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
@@ -115,13 +114,13 @@ def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
     Each child has its `action`, its `state` scattered back into all k
     sectors, and its one-step `score`.
     """
-    cands = _Candidates(state, model, cs, cfg)
-    level = _level(root_row(state, cfg, prefix), cands, cfg, SearchStats())
+    search = _Search(state, model, cs, cfg, SearchStats())
+    level = _level(search, root_row(search, prefix))
     if level is None:
         return []
     rows, _, which = level
     live = int(_live(state.count))
-    return [SimpleNamespace(action=cands.action(c, live), state=rows.state(i),
+    return [SimpleNamespace(action=search.action(c, live), state=search.state(rows, i),
                             score=float(rows.score[i]))
             for i, c in enumerate(which.tolist())]
 
@@ -130,10 +129,9 @@ def lookahead(state: SheetState, model, cs, cfg, depth=None, prefix=(), cost: fl
               stats=None) -> float:
     """`_lookahead` from the root row of `state` (see `root_row`), cfg.depth levels by
     default: the one row's value, as a float."""
-    return float(_lookahead(root_row(state, cfg, prefix, cost),
-                            _Candidates(state, model, cs, cfg),
-                            cfg, cfg.depth if depth is None else depth,
-                            stats if stats is not None else SearchStats())[0])
+    cfg = cfg if depth is None else replace(cfg, depth=depth)
+    search = _Search(state, model, cs, cfg, stats if stats is not None else SearchStats())
+    return float(_lookahead(search, root_row(search, prefix, cost))[0])
 
 
 def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:

@@ -11,12 +11,13 @@ import pytest
 
 from layup.cli import (RunConfig, build_report, cmd_learn, cmd_refine,
                        cmd_report, cmd_simulate, format_report, main)
-from layup.plan import emit_plan, expert_plan
+from layup.plan import emit_plan, expert_plan, peel
 from layup.simulator import GroundTruthParams
 from layup.sheet_state import read_capture_frames, write_capture_frames
-from layup.simulator import builtin_sheet, init_sheet, read_log, render_capture, write_log
+from layup.simulator import (ExperimentLog, builtin_sheet, init_sheet, read_log, render_capture,
+                             write_log)
 
-from conftest import published_style_summaries, summary_record
+from conftest import make_state, published_style_summaries, summary_record
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -536,6 +537,21 @@ class TestBadInput:
         code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
         assert code == 2
         assert f"{log_file}:1:" in err
+
+    def test_logs_of_different_sector_counts_name_both_files(self, tmp_path, d1_file, capsys,
+                                                            two_sector_geom):
+        # a sheet1 log has 8 sectors; the hand-written log after it has 2
+        log_file, _ = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        small = make_state(two_sector_geom)
+        other = tmp_path / "small.jsonl"
+        write_log(ExperimentLog(plan_name="p", sheet="tiny", seed=0, actions=[peel()],
+                                states=[small, small], correction_cycles=0, correction_paths=0,
+                                correction_converged=True), other)
+        code, err = self.run_main(["learn", log_file, log_file, other, "--out",
+                                   tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert err == f"error: {other}: the log has 2 sectors, the first log {log_file} 8\n"
+        assert not (tmp_path / "m.json").exists()
 
     def model_file(self, tmp_path, **over):
         # a one-bucket model, with top-level keys replaced by `over`

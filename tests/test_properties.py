@@ -24,15 +24,15 @@ from layup.geometry import (PathGeometry, _closest_on_boundary,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
                             polygon_area, polygon_is_simple, ray_exit_point, swept_rect_hits)
 from layup.jsonio import LogFormatError
-from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet,
-                        DrapingPlan, PlanParseError, RelConstraint, _feasible_screen,
+from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet, DrapingPlan,
+                        PATH_COUNT_DEFAULT, PlanParseError, RelConstraint, _feasible_screen,
                         canonical_kinds, capture, completion, emit_plan, emit_plan_text, end,
                         expert_plan, initial_plan_constraints, next_kinds, outstanding,
                         parse_plan_text, path, peel, prefix_feasible, refinement,
                         standard_constraints, validate)
-from layup.search import (SearchConfig, SearchError, SearchStats, _Candidates, _Frontier,
-                          _lookahead, _sample_seed, _step, action_cost, price_batch,
-                          refine_plan_detailed, replay_cost)
+from layup.search import (SearchConfig, SearchError, SearchStats, _Frontier, _lookahead,
+                          _sample_seed, _Search, _step, price_batch, refine_plan_detailed,
+                          replay_cost)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
                                _link_pairs, average_states, build_state, extract_regions,
                                read_capture_frames, segment_regions, write_capture_frames)
@@ -607,6 +607,13 @@ def oracle_propagate(state: SheetState, action: Action, model: EffectivenessMode
     return SheetState(state.geometry, mu, sigma, count, state.t + 1)
 
 
+def oracle_action_cost(action: Action, cfg: SearchConfig) -> float:
+    """An action's own cost: its kind's unit cost, a refinement's once per pass."""
+    if action.kind == "refinement":
+        return cfg.action_costs["refinement"] * action.arg
+    return cfg.action_costs[action.kind]
+
+
 def oracle_state_utility(state: SheetState, cfg: SearchConfig) -> float:
     """A state's price, sector by sector: the loop `price_batch`'s utility replaced."""
     total = 0.0
@@ -656,22 +663,31 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
 
 @settings(max_examples=200, deadline=None)
 @given(case=states_and_models(), sampled=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       actions=st.lists(st.sampled_from(BATCH_ACTIONS), max_size=6))
-@example(case=STALE_ROOT, sampled=True, seed=3, actions=[path(1), peel(), refinement(3), end()])
-@example(case=SENTINEL_ROOT, sampled=False, seed=0, actions=[path(2), capture()])
-@example(case=COLLAPSING, sampled=False, seed=0, actions=[path(1), path(3), refinement(3)])
-@example(case=COLLAPSING, sampled=True, seed=5, actions=[path(1)] * 3 + [peel()])
-def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, actions):
+       path_count=st.integers(1, PATH_COUNT_DEFAULT),
+       actions=st.lists(st.sampled_from(BATCH_ACTIONS + (path(PATH_COUNT_DEFAULT),)),
+                        max_size=6))
+@example(case=STALE_ROOT, sampled=True, seed=3, path_count=16,
+         actions=[path(1), peel(), refinement(3), end()])
+@example(case=SENTINEL_ROOT, sampled=False, seed=0, path_count=16, actions=[path(2), capture()])
+@example(case=COLLAPSING, sampled=False, seed=0, path_count=16,
+         actions=[path(1), path(3), refinement(3)])
+@example(case=COLLAPSING, sampled=True, seed=5, path_count=16, actions=[path(1)] * 3 + [peel()])
+@example(case=COLLAPSING, sampled=True, seed=5, path_count=1,
+         actions=[path(3), refinement(3), path(16), refinement(1)])
+def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, path_count, actions):
     # criterion 4 compares the search with replay_cost, which takes the
-    # search's own steps; this ties both to the sector-by-sector loops
+    # search's own steps; this ties both to the sector-by-sector loops. A
+    # replayed plan may hold paths above cfg.path_count and refinements of
+    # any pass count, whatever the live sector count
     state, model = case
-    cfg = SearchConfig(mode="sampled" if sampled else "expectation", seed=seed)
+    cfg = SearchConfig(mode="sampled" if sampled else "expectation", seed=seed,
+                       path_count=path_count)
     cost, final = replay_cost(actions, state, model, cfg)
     want_cost, want = 0.0, state
     for position, action in enumerate(actions, start=1):
         want = oracle_propagate(want, action, model, cfg.mode,
-                                _sample_seed(cfg, position, action))
-        want_cost = want_cost + action_cost(action, cfg) + oracle_state_utility(want, cfg)
+                                _sample_seed(cfg.seed, position, action))
+        want_cost = want_cost + oracle_action_cost(action, cfg) + oracle_state_utility(want, cfg)
         if oracle_unseen(model, action):
             want_cost += cfg.w_unk
     assert cost.hex() == want_cost.hex()
@@ -714,7 +730,7 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
         return []
     position = len(node.prefix) + 1
     seeds = (None if cfg.mode == "expectation"
-             else [_sample_seed(cfg, position, action) for action in actions])
+             else [_sample_seed(cfg.seed, position, action) for action in actions])
     after = propagate_rows(batch_of_one(node.state), np.zeros(len(actions), int),
                            [bucket_row(action) for action in actions],
                            effect_table(node.state, model), seeds)
@@ -724,7 +740,7 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
     children = []
     for i, (action, utility, trace) in enumerate(zip(actions, utilities.tolist(),
                                                      traces.tolist())):
-        cost = node.cost + action_cost(action, cfg) + utility
+        cost = node.cost + oracle_action_cost(action, cfg) + utility
         if oracle_unseen(model, action):
             cost += cfg.w_unk
         children.append(OracleNode(
@@ -877,7 +893,7 @@ def stacked(rows: list) -> _Frontier:
     states = SheetState(s.geometry, joined(r.states.mu for r in rows),
                         joined(r.states.sigma for r in rows), joined(r.states.count for r in rows),
                         s.t)
-    return _Frontier(states, rows[0].live, [r.kinds[0] for r in rows],
+    return _Frontier(states, [r.kinds[0] for r in rows],
                      *(joined(getattr(r, name) for r in rows)
                        for name in ("cost", "utility", "trace", "score")))
 
@@ -893,18 +909,18 @@ def test_batched_lookahead_matches_the_recursive_oracle_row_by_row(frontier):
     # the subtrees of several rows searched as one frontier: each row's value
     # is its own recursive lookahead's, bit for bit, and the work counts add up
     (state, model, cs, cfg), prefixes = frontier
-    cands, want_stats = _Candidates(state, model, cs, cfg), SearchStats()
+    steps, want_stats = _Search(state, model, cs, cfg, SearchStats()), SearchStats()
     rows, want_nodes = [], []
     for prefix in prefixes:
-        row, node = root_row(state, cfg), oracle_root(state, cfg, SearchStats())
+        row, node = root_row(steps), oracle_root(state, cfg, SearchStats())
         for action in prefix:
-            row = _step(row, [action], cands.effects, cfg, SearchStats())
+            row = _step(steps, row, [action])
             node = oracle_priced(node, [action], model, cfg)[0]
         rows.append(row)
         want_nodes.append(replace(node, stats=want_stats))
     front, stats = stacked(rows), SearchStats()
     for depth in sorted({0, cfg.depth}):
-        got = _lookahead(front, cands, cfg, depth, stats)
+        got = _lookahead(_Search(state, model, cs, replace(cfg, depth=depth), stats), front)
         want = [oracle_lookahead_value(node, model, cs, cfg, depth) for node in want_nodes]
         assert [value.hex() for value in got.tolist()] == [value.hex() for value in want]
         assert work_counts(stats) == work_counts(want_stats)

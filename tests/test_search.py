@@ -9,8 +9,8 @@ from layup.geometry import ROLLER_HALF_WIDTH_DEFAULT
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
                         validate)
-from layup.search import (SearchConfig, SearchError, _default_costs, action_cost,
-                          refine_plan_detailed, replay_cost)
+from layup.search import (SearchConfig, SearchError, _default_costs, refine_plan_detailed,
+                          replay_cost)
 from layup.simulator import generate_refinement_paths
 
 from conftest import children, lookahead, make_state, model_of, propagate_one, utility_of
@@ -114,19 +114,24 @@ class TestSearchConfigIO:
 
 
 class TestActionCost:
-    def test_defaults(self):
-        cfg = SearchConfig()
-        assert action_cost(path(3), cfg) == 1.0
-        assert action_cost(refinement(6), cfg) == 6.0
-        assert action_cost(peel(), cfg) == 0.2
-        assert action_cost(capture(), cfg) == 0.2
-        assert action_cost(end(), cfg) == 0.0
+    # a one-action plan on an all-sentinel state: every state there has
+    # utility 0 and w_unk is 0, so the replayed cost is the action's own
+    @staticmethod
+    def cost(action, geom, **over) -> float:
+        model = model_from_deltas({(path(1), 1): np.zeros(6)})
+        return replay_cost([action], make_state(geom), model, SearchConfig(w_unk=0.0, **over))[0]
 
-    def test_override(self):
-        cfg = SearchConfig(action_costs={"path": 2.0, "peel": 0.1, "capture": 0.1,
-                                         "end": 0.0, "refinement": 0.5})
-        assert action_cost(path(1), cfg) == 2.0
-        assert action_cost(refinement(4), cfg) == 2.0
+    def test_defaults(self, two_sector_geom):
+        assert self.cost(path(3), two_sector_geom) == 1.0
+        assert self.cost(refinement(6), two_sector_geom) == 6.0
+        assert self.cost(peel(), two_sector_geom) == 0.2
+        assert self.cost(capture(), two_sector_geom) == 0.2
+        assert self.cost(end(), two_sector_geom) == 0.0
+
+    def test_override(self, two_sector_geom):
+        costs = {"path": 2.0, "peel": 0.1, "capture": 0.1, "end": 0.0, "refinement": 0.5}
+        assert self.cost(path(1), two_sector_geom, action_costs=costs) == 2.0
+        assert self.cost(refinement(4), two_sector_geom, action_costs=costs) == 2.0
 
 
 class TestStateUtility:
