@@ -14,11 +14,12 @@ The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
 bucket's majority sign vote shrinks or grows the covariance diagonals.
 `propagate_rows` does this for many actions at once, each advancing the
-state its parent index picks from a batch, reading the table compiled into
-dense arrays (`EffectTable`) and returning a batch of states.
+state its parent index picks from a batch, reading the model's dense table
+(`EffectTable`, built by `EffectivenessModel.table` over the sectors the
+states hold) and returning a batch of states.
 
 A bucket has one number: its (kind, argument) key's index in `BUCKET_KEYS`
-(`bucket_row`). It is the bucket's row of every compiled table, whatever the
+(`bucket_row`). It is the bucket's row of every effect table, whatever the
 model saw, and with the sector it makes a sample's key column value.
 
 A model is its samples: read-only columns (see `extract_transitions`)
@@ -81,7 +82,7 @@ _ROWS = {key: row for row, key in enumerate(BUCKET_KEYS)}
 
 
 def bucket_row(action: Action) -> int:
-    """The action's bucket number, its compiled table row: the index in BUCKET_KEYS of
+    """The action's bucket number, its effect table row: the index in BUCKET_KEYS of
     its (kind, argument) key. Path actions bucket by index; every other kind shares one."""
     return _ROWS[(action.kind, action.arg if action.kind == "path" else 0)]
 
@@ -116,7 +117,8 @@ def extract_transitions(log) -> tuple:
 
 @dataclass(frozen=True)
 class EffectTable:
-    """A model's buckets compiled into dense arrays, row `bucket_row` for each bucket key.
+    """A model's buckets as dense arrays over some of its sectors, row `bucket_row`
+    for each bucket key, built by `EffectivenessModel.table`.
 
     Per row and sector: the mean delta, the sample standard deviation, the
     covariance scale np.outer(s, s) of each track (s is sqrt(1.1) on the
@@ -125,20 +127,11 @@ class EffectTable:
     saw too, has zero mean and deviation and unit scale.
     """
 
-    mean: np.ndarray    # (R, k, 6), R = len(BUCKET_KEYS)
-    std: np.ndarray     # (R, k, 6)
-    scale: np.ndarray   # (R, k, 2, 3, 3)
-    has: np.ndarray     # (R, k) bool
-    covers: np.ndarray  # (R,) bool: some sector has data
-
-    def cut(self, sectors: np.ndarray) -> "EffectTable":
-        """This table over the sectors a (k,) bool mask marks.
-
-        Its per-sector arrays hold those sectors only, for states that hold
-        only them; `covers` still tells whether any of the k sectors has data.
-        """
-        return EffectTable(self.mean[:, sectors], self.std[:, sectors],
-                           self.scale[:, sectors], self.has[:, sectors], self.covers)
+    mean: np.ndarray    # (R, n, 6), R = len(BUCKET_KEYS), n the sectors it holds
+    std: np.ndarray     # (R, n, 6)
+    scale: np.ndarray   # (R, n, 2, 3, 3)
+    has: np.ndarray     # (R, n) bool
+    covers: np.ndarray  # (R,) bool: some sector of the model's k, held or not, has data
 
 
 def _stacked(names: list[str], recs: list[dict], name: str, check, like):
@@ -154,7 +147,7 @@ def _stacked(names: list[str], recs: list[dict], name: str, check, like):
 
 
 class EffectivenessModel:
-    """Empirical per-(action bucket, sector) delta table, built whole, compiled on use.
+    """Empirical per-(action bucket, sector) delta table, built whole, laid out by `table`.
 
     The model is its samples: the `extract_transitions` columns `keys`,
     `deltas`, `u1`, `u2` and `sources`, stably sorted by key, so that a bucket
@@ -168,7 +161,6 @@ class EffectivenessModel:
         self.sector_count = sector_count
         self.experiments = experiments
         self.sheets = list(sheets)
-        self._compiled: EffectTable | None = None
         keys, *columns = samples if samples else _no_samples()
         order = np.argsort(keys, kind="stable")
         self.keys, self.deltas, self.u1, self.u2, self.sources = \
@@ -211,19 +203,27 @@ class EffectivenessModel:
             scale[pick] = s[..., :, None] * s[..., None, :]             # np.outer(s, s) per track
         return mean, std, scale
 
-    def compiled(self) -> EffectTable:
-        """The dense tables, compiled on first use: each bucket's stats at row and
-        sector index divmod(key, k)."""
-        if self._compiled is None:
-            shape = (len(BUCKET_KEYS), self.sector_count)
-            mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
-            scale = np.ones(shape + (2, 3, 3))
-            has = np.zeros(shape, dtype=bool)
-            at = divmod(self.runs()[0], self.sector_count)
-            mean[at], std[at], scale[at] = self._stats
-            has[at] = True
-            self._compiled = EffectTable(mean, std, scale, has, has.any(axis=1))
-        return self._compiled
+    def table(self, sectors: np.ndarray) -> EffectTable:
+        """The dense table over the sectors a (k,) bool mask marks, for states that
+        hold only them: each bucket's stats at row and sector divmod(key, k), the
+        sector's column its place among the marked ones. `covers` tells whether
+        any of the k sectors has data. ValueError when the mask is not k long.
+        """
+        k = self.sector_count
+        if len(sectors) != k:
+            raise ValueError(f"state has {len(sectors)} sectors, the model {k}")
+        row, sector = divmod(self.runs()[0], k)
+        held = sectors[sector]
+        shape = (len(BUCKET_KEYS), int(np.count_nonzero(sectors)))
+        mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
+        scale = np.ones(shape + (2, 3, 3))
+        has = np.zeros(shape, dtype=bool)
+        at = row[held], (np.cumsum(sectors) - 1)[sector[held]]
+        mean[at], std[at], scale[at] = (stat[held] for stat in self._stats)
+        has[at] = True
+        covers = np.zeros(len(BUCKET_KEYS), dtype=bool)
+        covers[row] = True
+        return EffectTable(mean, std, scale, has, covers)
 
     def bucket(self, action: Action, sector: int) -> slice | None:
         """The rows of `action`'s bucket in `sector` (1-based), or None if it holds none."""
@@ -320,7 +320,7 @@ def aggregate(logs) -> EffectivenessModel:
 
     Logs must agree on sector count. Buckets hold the same samples whatever
     the log order, but log order sets their order within a bucket, and so the
-    model file's rows and the last bits of the compiled means and deviations.
+    model file's rows and the last bits of the table's means and deviations.
     """
     logs = list(logs)
     ks = {len(log.states[0].count) for log in logs if log.states}
@@ -331,25 +331,17 @@ def aggregate(logs) -> EffectivenessModel:
         len(logs), sorted({log.sheet for log in logs}))
 
 
-def effect_table(states: SheetState, model: EffectivenessModel) -> EffectTable:
-    """The model's compiled table, once the states' sector count is checked against it."""
-    if states.count.shape[-1] != model.sector_count:
-        raise ValueError(f"state has {states.count.shape[-1]} sectors, "
-                         f"the model {model.sector_count}")
-    return model.compiled()
-
-
 def propagate_rows(states: SheetState, parents, rows, table: EffectTable,
                    seeds=None) -> SheetState:
     """Advance states by the learned effect of each of A actions: a batch of A states.
 
     Action i advances state `parents[i]` of the batch `states`, gathered here
     and not kept. `rows` are the actions' `bucket_row`s and `table` the
-    model's compiled table (`effect_table`), or that table cut to the sectors
-    the states hold. Live sectors with data move by the bucket mean delta.
-    With `seeds` (sampled mode) they move by the mean plus zero-mean Gaussian
-    noise with the bucket's sample variance, action i drawing one (6,) row
-    per moved sector, in sector order, from `np.random.default_rng(seeds[i])`;
+    model's table over the sectors the states hold (`EffectivenessModel.table`).
+    Live sectors with data move by the bucket mean delta. With `seeds`
+    (sampled mode) they move by the mean plus zero-mean Gaussian noise with
+    the bucket's sample variance, action i drawing one (6,) row per moved
+    sector, in sector order, from `np.random.default_rng(seeds[i])`;
     `seeds` None is expectation mode. Heights and axes clamp at zero;
     orientations fold into [0, pi); a sector whose height and both axes hit
     zero collapses to the sentinel. Covariance diagonals scale by 0.9/1.1

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import plan as plan_mod
-from .effectiveness import EffectivenessModel, bucket_row, effect_table, propagate_rows
+from .effectiveness import EffectivenessModel, bucket_row, propagate_rows
 from .jsonio import config_from_json, read_json
 from .plan import (ACTION_KINDS, Action, ConstraintSet, DrapingPlan, PATH_COUNT_DEFAULT,
                    next_kinds, prefix_feasible, standard_constraints, validate)
@@ -177,10 +177,10 @@ class _Search:
     """One search's fixed parts, built from its root state.
 
     It holds the config, the constraints, the work counts, the sectors live
-    in the root state (`live`), the effect table cut to them, the candidate
-    table, the feasibility memo (one mask per prefix of kinds) and the root
-    row (`root`). Raises ValueError when the state's sector count is not the
-    model's.
+    in the root state (`live`), the model's effect table over them, built
+    once (`EffectivenessModel.table`), the candidate table, the feasibility
+    memo (one mask per prefix of kinds) and the root row (`root`). Raises
+    ValueError when the state's sector count is not the model's.
 
     Every frontier of the search holds only the `live` sectors. A sector
     with no regions in the root stays a sentinel under propagation, adds
@@ -211,7 +211,7 @@ class _Search:
                  cfg: SearchConfig, stats: SearchStats):
         self.cfg, self.cs, self.stats = cfg, cs, stats
         self.live = live = state.count != 0
-        self.effects = effect_table(state, model).cut(live)
+        self.effects = model.table(live)
         self.actions = ([plan_mod.path(i) for i in range(1, PATH_COUNT_DEFAULT + 1)]
                         + [plan_mod.peel(), plan_mod.capture(), plan_mod.refinement(1),
                            plan_mod.end()])

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from layup.effectiveness import EffectivenessModel, bucket_row, effect_table, propagate_rows
+from layup.effectiveness import EffectivenessModel, EffectTable, bucket_row, propagate_rows
 from layup.search import SearchStats, _Search, _level, _live, _lookahead, price_batch
 from layup.sheet_state import SheetGeometry, SheetState
 from layup.simulator import SUMMARY_FIELDS
@@ -96,10 +96,16 @@ def batch_of_one(state: SheetState) -> SheetState:
                       state.t)
 
 
+def whole_table(model: EffectivenessModel, state: SheetState | None = None) -> EffectTable:
+    """`model.table` over every sector: the model's, or the state's, which must match."""
+    return model.table(np.ones(model.sector_count if state is None else state.count.shape[-1],
+                               dtype=bool))
+
+
 def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:
     """`propagate_rows` of one action, as one state; with a seed, in sampled mode."""
     out = propagate_rows(batch_of_one(state), np.zeros(1, int), [bucket_row(action)],
-                         effect_table(state, model), None if seed is None else [seed])
+                         whole_table(model, state), None if seed is None else [seed])
     return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)
 
 

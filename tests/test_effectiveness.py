@@ -11,7 +11,7 @@ from layup.sheet_state import SheetGeometry
 from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
 
 from conftest import (children, make_state, model_of, oracle_trace_total, propagate_one,
-                      utility_of)
+                      utility_of, whole_table)
 
 
 def gauss(mu1, sigma1_diag, mu2, sigma2_diag, n=1):
@@ -220,11 +220,10 @@ class TestPropagate:
     def test_single_sample_round_trip(self, square_geom, d1_log):
         # expectation-mode propagation of a one-sample model reproduces the
         # recorded after-state means exactly
-        rec = d1_log.steps[2]
-        model = one_sample_model(rec.state_before, rec.state_after, rec.action)
-        out = propagate_one(rec.state_before, rec.action, model)
-        for got, got_n, want, before_n in zip(out.mu, out.count, rec.state_after.mu,
-                                              rec.state_before.count):
+        action, before, after = d1_log.actions[2], d1_log.states[2], d1_log.states[3]
+        model = one_sample_model(before, after, action)
+        out = propagate_one(before, action, model)
+        for got, got_n, want, before_n in zip(out.mu, out.count, after.mu, before.count):
             if before_n == 0:
                 assert got_n == 0
                 continue
@@ -237,7 +236,7 @@ class TestPropagate:
         model = EffectivenessModel(sector_count=2)
         out = propagate_one(state, peel(), model)
         assert np.array_equal(out.mu[0, :3], state.mu[0, :3])
-        assert not model.compiled().covers[bucket_row(peel())]
+        assert not whole_table(model).covers[bucket_row(peel())]
 
     def test_sampled_mode_reproducible(self, d1_log):
         # two logs so the buckets carry nonzero sample variance

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from layup.cli import RunConfig, cmd_simulate
 from layup.effectiveness import (BUCKET_KEYS, COV_GROW, COV_SHRINK, EffectivenessModel,
                                  EffectTable, aggregate, bucket_row, compute_delta, compute_signs,
-                                 effect_table, extract_transitions, propagate_rows)
+                                 extract_transitions, propagate_rows)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
                             nearest_boundary_point, nearest_edge_angle, point_in_polygon,
@@ -42,7 +42,7 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              write_log)
 
 from conftest import (batch_of_one, lookahead, make_state, meets, model_of, oracle_abs,
-                      oracle_rel, oracle_trace_total, root_row, sample_key)
+                      oracle_rel, oracle_trace_total, root_row, sample_key, whole_table)
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -495,8 +495,32 @@ def ragged_models(draw):
 @given(model=ragged_models())
 def test_compile_matches_the_per_bucket_oracle(model):
     with np.errstate(over="ignore", invalid="ignore"):
-        assert table_bytes(model.compiled()) == \
+        assert table_bytes(whole_table(model)) == \
             table_bytes(oracle_compile(oracle_buckets(model), model.sector_count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=ragged_models(), data=st.data())
+def test_table_over_a_sector_mask_is_the_oracle_at_those_sectors(model, data):
+    # the oracle's per-sector arrays at the marked sectors, byte for byte, and
+    # its coverage of all k sectors; the draws include an all-False mask and one
+    # that leaves out every sector with data, whose buckets cover (the w_unk
+    # penalty does not apply) while no held sector has data
+    k = model.sector_count
+    with_data = set((model.keys % k).tolist())
+    mask = np.array(data.draw(st.one_of(st.lists(st.booleans(), min_size=k, max_size=k),
+                                        st.just([False] * k),
+                                        st.just([s not in with_data for s in range(k)]))),
+                    dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = model.table(mask), oracle_compile(oracle_buckets(model), k)
+    for name in ("mean", "std", "scale", "has"):
+        cut = getattr(want, name)[:, mask]
+        assert getattr(got, name).shape == cut.shape, name
+        assert getattr(got, name).tobytes() == cut.tobytes(), name
+    assert got.covers.tobytes() == want.covers.tobytes()
+    if not mask[sorted(with_data)].any():
+        assert not got.has.any() and got.covers.any()
 
 
 def oracle_overflow(model: EffectivenessModel) -> str | None:
@@ -526,7 +550,7 @@ def test_model_json_round_trip_compiles_the_same_table(model):
             EffectivenessModel.from_json(obj)
         return
     back = EffectivenessModel.from_json(obj)
-    assert table_bytes(back.compiled()) == table_bytes(model.compiled())
+    assert table_bytes(whole_table(back)) == table_bytes(whole_table(model))
 
 
 @settings(max_examples=100, deadline=None)
@@ -543,7 +567,7 @@ def test_model_file_buckets_out_of_key_order_load_as_sorted(model, data):
         return
     back = EffectivenessModel.from_json(shuffled)
     assert json.dumps(back.to_json()) == json.dumps(obj)
-    assert table_bytes(back.compiled()) == table_bytes(model.compiled())
+    assert table_bytes(whole_table(back)) == table_bytes(whole_table(model))
 
 
 @settings(max_examples=100, deadline=None)
@@ -564,7 +588,7 @@ def test_bucket_is_the_key_mask_selection(model):
 def test_a_bucket_the_model_never_saw_compiles_to_a_row_without_data():
     model = model_of(3, [(path(1), 1, np.full(6, 0.5), np.ones((2, 3))),
                          (peel(), 2, np.full(6, -0.5), -np.ones((2, 3)))])
-    table = model.compiled()
+    table = whole_table(model)
     row = bucket_row(refinement(2))
     assert table.mean.shape == (len(BUCKET_KEYS), 3, 6)
     assert not table.mean[row].any() and not table.std[row].any()
@@ -633,7 +657,7 @@ def oracle_state_utility(state: SheetState, cfg: SearchConfig) -> float:
 def test_propagate_rows_matches_scalar_bitwise(case, sampled, seeds):
     state, model = case
     mode = "sampled" if sampled else "expectation"
-    rows, table = [bucket_row(action) for action in BATCH_ACTIONS], effect_table(state, model)
+    rows, table = [bucket_row(action) for action in BATCH_ACTIONS], whole_table(model, state)
     batch = propagate_rows(batch_of_one(state), np.zeros(len(rows), int), rows, table,
                            seeds if sampled else None)
     # a batch of states, one per action: each row advanced by its own action again
@@ -733,7 +757,7 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
              else [_sample_seed(cfg.seed, position, action) for action in actions])
     after = propagate_rows(batch_of_one(node.state), np.zeros(len(actions), int),
                            [bucket_row(action) for action in actions],
-                           effect_table(node.state, model), seeds)
+                           whole_table(model, node.state), seeds)
     utilities, traces = price_batch(after, cfg)
     node.stats.batch_calls += 1
     node.stats.children_priced += len(actions)
@@ -1207,14 +1231,14 @@ class TransitionSample:
 def oracle_transitions(log) -> list[TransitionSample]:
     """One sample per (step, sector), row by row: the loop `extract_transitions` replaced."""
     samples = []
-    for rec in log.steps:
-        before, after = rec.state_before, rec.state_after
+    for i, action in enumerate(log.actions, start=1):
+        before, after = log.states[i - 1], log.states[i]
         for row in range(len(before.count)):
             samples.append(TransitionSample(
-                action=rec.action, sector=row + 1,
+                action=action, sector=row + 1,
                 delta=compute_delta(before.mu[row], after.mu[row]),
                 signs=compute_signs(before.sigma[row], after.sigma[row]),
-                source=f"{log.plan_name}:{rec.index}"))
+                source=f"{log.plan_name}:{i}"))
     return samples
 
 
@@ -1234,7 +1258,7 @@ def test_extract_transitions_matches_the_row_loop(log):
 
 
 def oracle_aggregate(logs) -> tuple[str, EffectTable]:
-    """The model file text and compiled table of pooled logs, each sample
+    """The model file text and whole effect table of pooled logs, each sample
     appended to its bucket's lists in log order, then step order: the loop
     `aggregate`'s one stable sort replaced."""
     ks = {len(log.states[0].count) for log in logs if log.states}
@@ -1271,7 +1295,7 @@ def test_aggregate_matches_the_per_sample_loop(logs):
     text, table = oracle_aggregate(logs)
     assert json.dumps(model.to_json()) == text
     with np.errstate(over="ignore", invalid="ignore"):
-        assert table_bytes(model.compiled()) == table_bytes(table)
+        assert table_bytes(whole_table(model)) == table_bytes(table)
 
 
 def _fields(node):
