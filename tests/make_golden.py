@@ -8,7 +8,9 @@ Run from the repository root:
 The goldens pin the output of one full sheet1 pipeline (simulate both expert
 plans at seed 0, learn, refine, evaluate at seed 1, report) in the current
 environment, the refine's audit (every committed cost, lookahead value and
-alternative, and the search's work counts) included. Regenerate after
+alternative, and the search's work counts) included, and one digest of the
+same refine's plan and audit in sampled mode (`mode="sampled"`, seed 3).
+Regenerate after
 intentional changes to the simulator, learner or search defaults. `--check`
 regenerates into a temporary directory, lists every golden file that is
 missing or differs, and exits 1 if there is one; use it to show that a

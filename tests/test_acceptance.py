@@ -344,6 +344,13 @@ def _golden_artifacts(tmp_dir: Path):
                                           name="refined_sheet1", stats=stats)
     from layup.plan import emit_plan_text
     plan_text = emit_plan_text(refined)
+    # the same refine in sampled mode, its plan and audit in one digest
+    sampled_stats = SearchStats()
+    sampled, sampled_audit = refine_plan_detailed(
+        state0, model, standard_constraints(), SearchConfig(mode="sampled", seed=3),
+        name="refined_sheet1", stats=sampled_stats)
+    sampled_digest = hashlib.sha256((emit_plan_text(sampled) + audit_json(
+        sampled.name, sampled_stats, sampled_audit)).encode()).hexdigest()
     eval_log = run_experiment(refined, sheet, params, seed=1,
                               constraints=standard_constraints(),
                               keep_captures=False)
@@ -356,6 +363,7 @@ def _golden_artifacts(tmp_dir: Path):
         "refined_sheet1.plan": plan_text,
         "refined_sheet1.audit.sha256": hashlib.sha256(
             audit_json(refined.name, stats, audit).encode()).hexdigest() + "\n",
+        "refined_sheet1.sampled.sha256": sampled_digest + "\n",
         "report.json": report_json + "\n",
     }
 
