@@ -12,11 +12,13 @@ a single bucket.
 
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
-bucket's majority sign vote shrinks or grows the covariance diagonals.
-`propagate_rows` does this for many actions at once, each advancing the
-state its parent index picks from a batch, reading the model's dense table
-(`EffectTable`, built by `EffectivenessModel.table` over the sectors the
-states hold) and returning a batch of states.
+bucket's majority sign vote shrinks or grows the covariance diagonals. The
+search reads nothing of a covariance but its diagonal, so it carries each
+sector's (2, 3) variances in place of its two 3x3 covariances.
+`propagate_rows` advances many rows of means, variances and counts at once,
+each action the row its parent index picks from a batch, reading the
+model's dense table (`EffectTable`, built by `EffectivenessModel.table` over
+the sectors the rows hold) and returning the new rows.
 
 A bucket has one number: its (kind, argument) key's index in `BUCKET_KEYS`
 (`bucket_row`). It is the bucket's row of every effect table, whatever the
@@ -42,7 +44,6 @@ import numpy as np
 from .geometry import axial_difference, fold_axial
 from .jsonio import numbers, read_json, required, typed
 from .plan import ACTION_KINDS, PATH_COUNT_DEFAULT, Action
-from .sheet_state import SheetState
 
 COV_SHRINK = 0.9  # diagonal scale when the majority vote says uncertainty fell
 COV_GROW = 1.1    # ... and when it says uncertainty rose
@@ -121,15 +122,16 @@ class EffectTable:
     for each bucket key, built by `EffectivenessModel.table`.
 
     Per row and sector: the mean delta, the sample standard deviation, the
-    covariance scale np.outer(s, s) of each track (s is sqrt(1.1) on the
-    diagonals whose majority vote says grew, sqrt(0.9) elsewhere) and whether
-    the sector has data. A sector without data, in a bucket the model never
-    saw too, has zero mean and deviation and unit scale.
+    variance scale s * s of each track (s is sqrt(1.1) on the diagonals whose
+    majority vote says grew, sqrt(0.9) elsewhere; bit for bit the diagonal of
+    np.outer(s, s)) and whether the sector has data. A sector without data,
+    in a bucket the model never saw too, has zero mean and deviation and unit
+    scale.
     """
 
     mean: np.ndarray    # (R, n, 6), R = len(BUCKET_KEYS), n the sectors it holds
     std: np.ndarray     # (R, n, 6)
-    scale: np.ndarray   # (R, n, 2, 3, 3)
+    scale: np.ndarray   # (R, n, 2, 3): per track, the factor of each variance
     has: np.ndarray     # (R, n) bool
     covers: np.ndarray  # (R,) bool: some sector of the model's k, held or not, has data
 
@@ -179,15 +181,15 @@ class EffectivenessModel:
 
     @cached_property
     def _stats(self) -> tuple:
-        # each bucket's mean delta (B, 6), deviation (B, 6) and covariance scale
-        # (B, 2, 3, 3), in key order. Buckets of one sample count n stack into
+        # each bucket's mean delta (B, 6), deviation (B, 6) and variance scale
+        # (B, 2, 3), in key order. Buckets of one sample count n stack into
         # (B, n, ...) arrays, reduced over axis 1: np.add.reduce adds an outer
         # axis one row at a time, in row order, so each bucket's mean, variance
         # and vote sums are np.mean's, np.var's (ddof=1) and np.sum's over its
         # own rows, bit for bit
         _, starts, counts = self.runs()
         mean, std = np.zeros((len(starts), 6)), np.zeros((len(starts), 6))
-        scale = np.empty((len(starts), 2, 3, 3))
+        scale = np.empty((len(starts), 2, 3))
         for n in set(counts.tolist()):
             pick = counts == n
             rows = starts[pick, None] + np.arange(n)                    # (B, n) sample rows
@@ -200,7 +202,7 @@ class EffectivenessModel:
                 std[pick] = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=1) / (n - 1))
             # a diagonal grew when its vote sum is above zero; a tie says it shrank
             s = np.sqrt(np.where(np.add.reduce(votes, axis=2) > 0, COV_GROW, COV_SHRINK))
-            scale[pick] = s[..., :, None] * s[..., None, :]             # np.outer(s, s) per track
+            scale[pick] = s * s                                         # np.outer(s, s)'s diagonal
         return mean, std, scale
 
     def table(self, sectors: np.ndarray) -> EffectTable:
@@ -216,7 +218,7 @@ class EffectivenessModel:
         held = sectors[sector]
         shape = (len(BUCKET_KEYS), int(np.count_nonzero(sectors)))
         mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
-        scale = np.ones(shape + (2, 3, 3))
+        scale = np.ones(shape + (2, 3))
         has = np.zeros(shape, dtype=bool)
         at = row[held], (np.cumsum(sectors) - 1)[sector[held]]
         mean[at], std[at], scale[at] = (stat[held] for stat in self._stats)
@@ -331,34 +333,35 @@ def aggregate(logs) -> EffectivenessModel:
         len(logs), sorted({log.sheet for log in logs}))
 
 
-def propagate_rows(states: SheetState, parents, rows, table: EffectTable,
-                   seeds=None) -> SheetState:
-    """Advance states by the learned effect of each of A actions: a batch of A states.
+def propagate_rows(mu: np.ndarray, var: np.ndarray, count: np.ndarray, parents, rows,
+                   table: EffectTable, seeds=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance rows by the learned effect of each of A actions: A new rows.
 
-    Action i advances state `parents[i]` of the batch `states`, gathered here
-    and not kept. `rows` are the actions' `bucket_row`s and `table` the
-    model's table over the sectors the states hold (`EffectivenessModel.table`).
-    Live sectors with data move by the bucket mean delta. With `seeds`
-    (sampled mode) they move by the mean plus zero-mean Gaussian noise with
-    the bucket's sample variance, action i drawing one (6,) row per moved
-    sector, in sector order, from `np.random.default_rng(seeds[i])`;
-    `seeds` None is expectation mode. Heights and axes clamp at zero;
-    orientations fold into [0, pi); a sector whose height and both axes hit
-    zero collapses to the sentinel. Covariance diagonals scale by 0.9/1.1
-    according to the majority sign vote (applied as a symmetric congruence,
-    preserving positive semidefiniteness). Sectors or actions without data
-    are left untouched, and sentinels stay zero.
+    A row is one state's means `mu` (N, n, 6), covariance diagonals `var`
+    (N, n, 2, 3) and sample counts `count` (N, n) over the n sectors the
+    table holds. Action i advances row `parents[i]`, gathered here and not
+    kept. `rows` are the actions' `bucket_row`s and `table` the model's
+    table over those sectors (`EffectivenessModel.table`). Live sectors with
+    data move by the bucket mean delta. With `seeds` (sampled mode) they
+    move by the mean plus zero-mean Gaussian noise with the bucket's sample
+    variance, action i drawing one (6,) row per moved sector, in sector
+    order, from `np.random.default_rng(seeds[i])`; `seeds` None is
+    expectation mode. Heights and axes clamp at zero; orientations fold into
+    [0, pi); a sector whose height and both axes hit zero collapses to the
+    sentinel. Variances scale by 0.9/1.1 according to the majority sign
+    vote. Sectors or actions without data are left untouched, and sentinels
+    stay zero. Returns the new rows' (mu, var, count).
     """
-    count = np.take(states.count, parents, axis=0)
+    count = np.take(count, parents, axis=0)
     live = count != 0
-    moved = table.has[rows] & live                  # (A, k)
-    # sigma first, then mu, each into one new array, so that no more than two
-    # (A, k, 2, 3, 3) arrays, or three (A, k, 6) ones, are held at once
-    scale = np.take(table.scale, rows, axis=0)      # (A, k, 2, 3, 3), a copy
+    moved = table.has[rows] & live                  # (A, n)
+    # variances first, then means, each into one new array, so that no more
+    # than two (A, n, 2, 3) arrays, or three (A, n, 6) ones, are held at once
+    scale = np.take(table.scale, rows, axis=0)      # (A, n, 2, 3), a copy
     scale[~moved] = 1.0                             # x * 1.0 is x, bit for bit
-    sigma = np.multiply(np.take(states.sigma, parents, axis=0), scale, out=scale)
-    mu0 = np.take(states.mu, parents, axis=0)
-    mu = np.take(table.mean, rows, axis=0)          # (A, k, 6), a copy: the deltas
+    var = np.multiply(np.take(var, parents, axis=0), scale, out=scale)
+    mu0 = np.take(mu, parents, axis=0)
+    mu = np.take(table.mean, rows, axis=0)          # (A, n, 6), a copy: the deltas
     if seeds is not None:
         std = table.std[rows]
         for i, seed in enumerate(seeds):
@@ -372,5 +375,5 @@ def propagate_rows(states: SheetState, parents, rows, table: EffectTable,
     np.copyto(mu, mu0, where=~moved[..., None])     # unmoved sectors keep their means
     dead = collapsed | ~live
     mu[dead] = 0.0
-    sigma[dead] = 0.0
-    return SheetState(states.geometry, mu, sigma, np.where(dead, 0, count), states.t + 1)
+    var[dead] = 0.0
+    return mu, var, np.where(dead, 0, count)

@@ -13,9 +13,10 @@ cases append the shortest constraint-satisfying suffix that
 `plan.completion` names.
 
 The lookahead goes level by level, not node by node. One depth level of the
-subtrees below a stage's candidates is a frontier of array rows: a batch of
-`SheetState`s with each row's cost, utility, covariance trace and prefix
-kinds. All (row, feasible candidate) pairs of a level are propagated in one
+subtrees below a stage's candidates is a frontier of array rows: each row's
+sector means, covariance diagonals (the variances, which are all of a
+covariance that propagation and pricing read) and counts, with its cost,
+utility, summed variances and prefix kinds. All (row, feasible candidate) pairs of a level are propagated in one
 call and priced in one `price_batch` call; action costs, the unmodeled
 penalty and the one-step scores are array expressions, and a stable
 `np.lexsort` on (row, score, candidate index) ranks each row's children, of
@@ -103,26 +104,27 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def price_batch(states: SheetState, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Utility and summed covariance diagonals of each state of a batch.
+def price_batch(mu: np.ndarray, var: np.ndarray, count: np.ndarray, area: float,
+                cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Utility and summed variances of each row of a batch.
 
-    `states` carries a leading batch axis. A state's utility is its
-    residual-uncompaction price normalized by sheet area (lower is better):
-    per live sector, w_h times the clamped mean height, w_area times the
-    ellipse area (major * minor) and w_sigma times the covariance traces,
-    added sector by sector in that order. The trace total sums both
-    covariance traces of every sector, sentinels included.
+    A row is one state's sector means `mu` (N, n, 6), covariance diagonals
+    `var` (N, n, 2, 3) and counts `count` (N, n) on a sheet of this `area`.
+    Its utility is its residual-uncompaction price normalized by sheet area
+    (lower is better): per live sector, w_h times the clamped mean height,
+    w_area times the ellipse area (major * minor) and w_sigma times the
+    covariance traces, added sector by sector in that order. The trace total
+    sums both covariance traces of every sector, sentinels included. A trace
+    is its variances added in np.trace's order.
     """
-    sigma = states.sigma
-    # the diagonal summed in np.trace's order, without its per-call overhead
-    traces = (sigma[..., 0, 0] + sigma[..., 1, 1]) + sigma[..., 2, 2]  # (A, k, 2)
+    traces = (var[..., 0] + var[..., 1]) + var[..., 2]  # (N, n, 2)
     sector_trace = traces[..., 0] + traces[..., 1]
-    h = states.mu[..., 2]
+    h = mu[..., 2]
     terms = np.stack([cfg.w_h * np.where(h > 0.0, h, 0.0),
-                      cfg.w_area * states.mu[..., 3] * states.mu[..., 4],
+                      cfg.w_area * mu[..., 3] * mu[..., 4],
                       cfg.w_sigma * sector_trace], axis=-1)
-    terms = np.where((states.count != 0)[..., None], terms, 0.0)  # sentinels add nothing
-    utility = _running_sum(terms.reshape(len(terms), -1)) / states.geometry.area
+    terms = np.where((count != 0)[..., None], terms, 0.0)  # sentinels add nothing
+    utility = _running_sum(terms.reshape(len(terms), -1)) / area
     return utility, _running_sum(sector_trace)
 
 
@@ -139,15 +141,18 @@ class SearchStats:
 class _Frontier:
     """Search nodes as array rows: a level of a subtree, or the committed path's row.
 
-    Row i holds one node's state, its accumulated cost (action costs plus
-    utilities, plus the unmodeled penalty), its utility, its summed
-    covariance diagonals, the one-step score of its last action and its
-    prefix as kinds. The rows of a level share the prefix length, and with
-    it the position that seeds a sampled-mode draw. The states hold only the
-    sectors live in the search's root state (`_Search.live`).
+    Row i holds one node's state as sector means, covariance diagonals and
+    counts, its accumulated cost (action costs plus utilities, plus the
+    unmodeled penalty), its utility, its summed variances, the one-step
+    score of its last action and its prefix as kinds. The rows of a level
+    share the prefix length, and with it the position that seeds a
+    sampled-mode draw. The rows hold only the n sectors live in the search's
+    root state (`_Search.live`).
     """
 
-    states: SheetState         # a batch of N states over the root's live sectors
+    mu: np.ndarray             # (N, n, 6) sector means
+    var: np.ndarray            # (N, n, 2, 3) covariance diagonals of both tracks
+    count: np.ndarray          # (N, n) sample counts, 0 for a sentinel
     kinds: list | None         # N tuples of prefix kinds; None until the rows are ranked
     cost: np.ndarray           # (N,)
     utility: np.ndarray        # (N,)
@@ -155,9 +160,8 @@ class _Frontier:
     score: np.ndarray          # (N,)
 
     def take(self, rows, kinds=None) -> "_Frontier":
-        s = self.states
-        return _Frontier(SheetState(s.geometry, s.mu[rows], s.sigma[rows], s.count[rows], s.t),
-                         kinds, self.cost[rows], self.utility[rows], self.trace[rows],
+        return _Frontier(self.mu[rows], self.var[rows], self.count[rows], kinds,
+                         self.cost[rows], self.utility[rows], self.trace[rows],
                          self.score[rows])
 
     def row(self, i: int) -> "_Frontier":
@@ -187,8 +191,8 @@ class _Search:
     +0.0 to the priced sums and draws no sampled-mode noise, so leaving it
     out changes no result; a sector that dies on the way stays in the rows
     as zeros. The root row's utility and trace are priced on the whole root
-    state, stale sectors (no regions, nonzero moments) included. `state`
-    scatters a row back into all k sectors.
+    state's variances, stale sectors (no regions, nonzero moments) included.
+    `state` scatters a row back into all k sectors as a `SheetState`.
 
     Candidate c is the action a child can be, in tie-break order: paths
     1..16, peel, capture, refinement and end, each with its `bucket_row`
@@ -210,6 +214,7 @@ class _Search:
     def __init__(self, state: SheetState, model: EffectivenessModel, cs: ConstraintSet,
                  cfg: SearchConfig, stats: SearchStats):
         self.cfg, self.cs, self.stats = cfg, cs, stats
+        self.geometry, self.t = state.geometry, state.t
         self.live = live = state.count != 0
         self.effects = model.table(live)
         self.actions = ([plan_mod.path(i) for i in range(1, PATH_COUNT_DEFAULT + 1)]
@@ -224,11 +229,10 @@ class _Search:
         self.listed = np.array([a.kind != "path" or a.arg <= cfg.path_count
                                 for a in self.actions])
         self._feasible: dict[tuple[str, ...], np.ndarray] = {}
-        s = state
-        utility, trace = price_batch(SheetState(s.geometry, s.mu[None], s.sigma[None],
-                                                s.count[None], s.t), cfg)
-        self.root = _Frontier(SheetState(s.geometry, s.mu[None, live], s.sigma[None, live],
-                                         s.count[None, live], s.t),
+        mu, count = state.mu[None], state.count[None]
+        var = np.diagonal(state.sigma, axis1=-2, axis2=-1)[None]  # (1, k, 2, 3)
+        utility, trace = price_batch(mu, var, count, state.geometry.area, cfg)
+        self.root = _Frontier(mu[:, live], var[:, live], count[:, live],
                               [()], np.zeros(1), utility, trace, np.zeros(1))
 
     def action(self, c: int, passes: int) -> Action:
@@ -249,12 +253,15 @@ class _Search:
         return mask
 
     def state(self, front: _Frontier, i: int) -> SheetState:
-        # row i scattered back into all k sectors, sentinels where `live` is False
-        s, live = front.states, self.live
-        mu, sigma = np.zeros(live.shape + (6,)), np.zeros(live.shape + (2, 3, 3))
-        count = np.zeros(live.shape, dtype=s.count.dtype)
-        mu[live], sigma[live], count[live] = s.mu[i], s.sigma[i], s.count[i]
-        return SheetState(s.geometry, mu, sigma, count, s.t)
+        # row i scattered back into all k sectors, sentinels where `live` is False;
+        # its variances become the diagonals of covariances that are zero elsewhere
+        live = self.live
+        mu, var = np.zeros(live.shape + (6,)), np.zeros(live.shape + (2, 3))
+        count = np.zeros(live.shape, dtype=front.count.dtype)
+        mu[live], var[live], count[live] = front.mu[i], front.var[i], front.count[i]
+        sigma = np.zeros(live.shape + (2, 3, 3))
+        sigma[..., range(3), range(3)] = var
+        return SheetState(self.geometry, mu, sigma, count, self.t + len(front.kinds[i]))
 
 
 def _advance(search: _Search, front: _Frontier, parents: np.ndarray, which: np.ndarray,
@@ -266,7 +273,7 @@ def _advance(search: _Search, front: _Frontier, parents: np.ndarray, which: np.n
     is priced per pass) and its utility, plus cfg.w_unk where the model
     never saw the action. Its score is the one-step merit of the action,
     lower is better: the change of utility from the parent plus cfg.w_sigma
-    times the change of the summed covariance diagonals. In sampled mode a
+    times the change of the summed variances. In sampled mode a
     child draws from the seed of its position and action.
     """
     cfg = search.cfg
@@ -274,15 +281,16 @@ def _advance(search: _Search, front: _Frontier, parents: np.ndarray, which: np.n
     seeds = (None if cfg.mode == "expectation"
              else [_sample_seed(cfg.seed, position, search.action(c, n))
                    for c, n in zip(which.tolist(), passes.tolist())])
-    after = propagate_rows(front.states, parents, search.rows[which], search.effects, seeds)
-    utility, trace = price_batch(after, cfg)
+    mu, var, count = propagate_rows(front.mu, front.var, front.count, parents,
+                                    search.rows[which], search.effects, seeds)
+    utility, trace = price_batch(mu, var, count, search.geometry.area, cfg)
     cost = (front.cost[parents] + search.cost[which] * np.where(which == search.refinement,
                                                                 passes, 1) + utility)
     cost[search.unseen[which]] += cfg.w_unk
     score = utility - front.utility[parents] + cfg.w_sigma * (trace - front.trace[parents])
     search.stats.batch_calls += 1
     search.stats.children_priced += len(parents)
-    return _Frontier(after, None, cost, utility, trace, score)
+    return _Frontier(mu, var, count, None, cost, utility, trace, score)
 
 
 def _step(search: _Search, front: _Frontier, actions) -> _Frontier:
@@ -315,7 +323,7 @@ def _level(search: _Search, front: _Frontier,
     parents, which = np.nonzero(mask)
     if not len(parents):
         return None
-    children = _advance(search, front, parents, which, _live(front.states.count)[parents])
+    children = _advance(search, front, parents, which, _live(front.count)[parents])
     order = np.lexsort((which, children.score, parents))
     if keep is not None:
         grouped = parents[order]
@@ -360,7 +368,7 @@ def _suffix_step(search: _Search, kind: str, front: _Frontier) -> tuple[_Frontie
     if kind == "path":
         actions = search.actions[:search.cfg.path_count]
     elif kind == "refinement":
-        actions = [plan_mod.refinement(int(_live(front.states.count[0])))]
+        actions = [plan_mod.refinement(int(_live(front.count[0])))]
     else:
         actions = [Action(kind)]
     children = _step(search, front, actions)
@@ -414,7 +422,7 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
             break
         children, _, which = level
         which = which.tolist()
-        live = int(_live(front.states.count[0]))
+        live = int(_live(front.count[0]))
         actions = [search.action(c, live) for c in which]
         # one lookahead frontier of the best `branching` children
         top = range(min(cfg.branching, len(actions)))
@@ -444,7 +452,9 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
     """A plan's accumulated cost and final state, rebuilt from the root.
 
     Each action adds one child as the search adds it, so a committed step's
-    cost equals this replay's bit for bit.
+    cost equals this replay's bit for bit. The search carries variances, so
+    the final state's covariances are diagonal: the diagonals the search
+    reached, zero off them. An empty plan returns the initial state itself.
     """
     actions = tuple(actions)
     if not actions:

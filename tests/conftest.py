@@ -65,7 +65,7 @@ def oracle_trace_total(state: SheetState) -> float:
 
 def utility_of(state: SheetState, cfg) -> float:
     """A state's utility, priced on the whole state as the search prices its root."""
-    return float(price_batch(batch_of_one(state), cfg)[0][0])
+    return float(price_batch(*rows_of(state), state.geometry.area, cfg)[0][0])
 
 
 def sample_key(action, sector: int, k: int) -> int:
@@ -90,10 +90,22 @@ def model_of(k: int, samples) -> EffectivenessModel:
         np.array([s[4] if len(s) > 4 else ":0" for s in samples], dtype=object)))
 
 
-def batch_of_one(state: SheetState) -> SheetState:
-    """One state as a batch of one, the form `propagate_rows` takes."""
-    return SheetState(state.geometry, state.mu[None], state.sigma[None], state.count[None],
-                      state.t)
+def variances(sigma: np.ndarray) -> np.ndarray:
+    """The (..., 2, 3) diagonals of (..., 2, 3, 3) covariances: what the search carries."""
+    return np.diagonal(sigma, axis1=-2, axis2=-1)
+
+
+def diagonal_covariances(var: np.ndarray) -> np.ndarray:
+    """(..., 2, 3, 3) covariances with these (..., 2, 3) diagonals and zeros off them."""
+    sigma = np.zeros(var.shape + (3,))
+    sigma[..., range(3), range(3)] = var
+    return sigma
+
+
+def rows_of(state: SheetState) -> tuple:
+    """One state as a batch of one row, (mu, var, count): the form `propagate_rows`
+    and `price_batch` take."""
+    return state.mu[None], variances(state.sigma)[None], state.count[None]
 
 
 def whole_table(model: EffectivenessModel, state: SheetState | None = None) -> EffectTable:
@@ -103,10 +115,12 @@ def whole_table(model: EffectivenessModel, state: SheetState | None = None) -> E
 
 
 def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:
-    """`propagate_rows` of one action, as one state; with a seed, in sampled mode."""
-    out = propagate_rows(batch_of_one(state), np.zeros(1, int), [bucket_row(action)],
-                         whole_table(model, state), None if seed is None else [seed])
-    return SheetState(state.geometry, out.mu[0], out.sigma[0], out.count[0], out.t)
+    """`propagate_rows` of one action, as one state whose covariances are the
+    propagated variances on zero matrices; with a seed, in sampled mode."""
+    mu, var, count = propagate_rows(*rows_of(state), np.zeros(1, int), [bucket_row(action)],
+                                    whole_table(model, state), None if seed is None else [seed])
+    return SheetState(state.geometry, mu[0], diagonal_covariances(var[0]), count[0],
+                      state.t + 1)
 
 
 def root_row(search, prefix=(), cost: float = 0.0):

@@ -41,8 +41,9 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              path_geometry, read_log, render_capture, run_experiment,
                              write_log)
 
-from conftest import (batch_of_one, lookahead, make_state, meets, model_of, oracle_abs,
-                      oracle_rel, oracle_trace_total, root_row, sample_key, whole_table)
+from conftest import (diagonal_covariances, lookahead, make_state, meets, model_of, oracle_abs,
+                      oracle_rel, oracle_trace_total, root_row, rows_of, sample_key, variances,
+                      whole_table)
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -382,6 +383,17 @@ def fingerprint(state: SheetState, i=...) -> tuple:
     return state.mu[i].tobytes(), state.sigma[i].tobytes(), state.count[i].tobytes()
 
 
+def row_bytes(mu, var, count, i=...) -> tuple:
+    """The exact bytes of rows of means, variances and counts, or of row i of a batch."""
+    return mu[i].tobytes(), var[i].tobytes(), count[i].tobytes()
+
+
+def diagonal_bytes(state: SheetState) -> tuple:
+    """The exact bytes of a state's means, covariance diagonals and counts: the
+    part of it that the search carries."""
+    return row_bytes(state.mu, variances(state.sigma), state.count)
+
+
 @dataclass
 class OracleBucket:
     """One bucket's samples, row by row: lists appended one sample at a time,
@@ -440,7 +452,9 @@ def oracle_compile(buckets: dict, k: int) -> EffectTable:
     sector): bucket}: the loop the model's grouped reductions replaced.
 
     Bucket key (kind, arg) fills row BUCKET_KEYS.index((kind, arg)); every
-    other row keeps zero mean and deviation, unit scale and no data.
+    other row keeps zero mean and deviation, unit scale and no data. The
+    scale is the whole covariance scale np.outer(s, s) of each track, (R, k,
+    2, 3, 3); the model's table holds its diagonal (`oracle_diagonal`).
     """
     shape = (len(BUCKET_KEYS), k)
     mean, std = np.zeros(shape + (6,)), np.zeros(shape + (6,))
@@ -457,6 +471,12 @@ def oracle_compile(buckets: dict, k: int) -> EffectTable:
             scale[at + (track,)] = np.outer(s, s)
         has[at] = True
     return EffectTable(mean=mean, std=std, scale=scale, has=has, covers=has.any(axis=1))
+
+
+def oracle_diagonal(table: EffectTable) -> EffectTable:
+    """An `oracle_compile` table with each covariance scale cut to its diagonal,
+    the variance scale that the model's table holds."""
+    return replace(table, scale=variances(table.scale))
 
 
 def table_bytes(table: EffectTable) -> tuple:
@@ -496,16 +516,17 @@ def ragged_models(draw):
 def test_compile_matches_the_per_bucket_oracle(model):
     with np.errstate(over="ignore", invalid="ignore"):
         assert table_bytes(whole_table(model)) == \
-            table_bytes(oracle_compile(oracle_buckets(model), model.sector_count))
+            table_bytes(oracle_diagonal(oracle_compile(oracle_buckets(model), model.sector_count)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(model=ragged_models(), data=st.data())
 def test_table_over_a_sector_mask_is_the_oracle_at_those_sectors(model, data):
-    # the oracle's per-sector arrays at the marked sectors, byte for byte, and
-    # its coverage of all k sectors; the draws include an all-False mask and one
-    # that leaves out every sector with data, whose buckets cover (the w_unk
-    # penalty does not apply) while no held sector has data
+    # the oracle's per-sector arrays at the marked sectors, byte for byte, the
+    # scale as the diagonal of the oracle's np.outer(s, s), and its coverage of
+    # all k sectors; the draws include an all-False mask and one that leaves
+    # out every sector with data, whose buckets cover (the w_unk penalty does
+    # not apply) while no held sector has data
     k = model.sector_count
     with_data = set((model.keys % k).tolist())
     mask = np.array(data.draw(st.one_of(st.lists(st.booleans(), min_size=k, max_size=k),
@@ -513,7 +534,8 @@ def test_table_over_a_sector_mask_is_the_oracle_at_those_sectors(model, data):
                                         st.just([s not in with_data for s in range(k)]))),
                     dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = model.table(mask), oracle_compile(oracle_buckets(model), k)
+        got, want = model.table(mask), oracle_diagonal(oracle_compile(oracle_buckets(model), k))
+    assert got.scale.shape == (len(BUCKET_KEYS), int(mask.sum()), 2, 3)
     for name in ("mean", "std", "scale", "has"):
         cut = getattr(want, name)[:, mask]
         assert getattr(got, name).shape == cut.shape, name
@@ -658,16 +680,15 @@ def test_propagate_rows_matches_scalar_bitwise(case, sampled, seeds):
     state, model = case
     mode = "sampled" if sampled else "expectation"
     rows, table = [bucket_row(action) for action in BATCH_ACTIONS], whole_table(model, state)
-    batch = propagate_rows(batch_of_one(state), np.zeros(len(rows), int), rows, table,
+    batch = propagate_rows(*rows_of(state), np.zeros(len(rows), int), rows, table,
                            seeds if sampled else None)
-    # a batch of states, one per action: each row advanced by its own action again
-    again = propagate_rows(batch, np.arange(len(rows)), rows, table, seeds if sampled else None)
+    # a batch of rows, one per action: each row advanced by its own action again
+    again = propagate_rows(*batch, np.arange(len(rows)), rows, table, seeds if sampled else None)
     for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
         once = oracle_propagate(state, action, model, mode, seed)
-        want = fingerprint(once)
-        assert fingerprint(batch, i) == want
-        assert fingerprint(again, i) == fingerprint(oracle_propagate(once, action, model, mode,
-                                                                     seed))
+        assert row_bytes(*batch, i) == diagonal_bytes(once)
+        assert row_bytes(*again, i) == diagonal_bytes(oracle_propagate(once, action, model, mode,
+                                                                       seed))
 
 
 @settings(max_examples=200, deadline=None)
@@ -677,12 +698,45 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
     state, model = case
     cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
     scalar = [state] + [oracle_propagate(state, action, model) for action in BATCH_ACTIONS]
-    batch = SheetState(state.geometry, np.stack([s.mu for s in scalar]),
-                       np.stack([s.sigma for s in scalar]), np.stack([s.count for s in scalar]))
-    utility, trace = price_batch(batch, cfg)
+    utility, trace = price_batch(np.stack([s.mu for s in scalar]),
+                                 np.stack([variances(s.sigma) for s in scalar]),
+                                 np.stack([s.count for s in scalar]), state.geometry.area, cfg)
     want = [oracle_state_utility(s, cfg).hex() for s in scalar]
     assert [u.hex() for u in utility.tolist()] == want
     assert [t.hex() for t in trace.tolist()] == [oracle_trace_total(s).hex() for s in scalar]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=states_and_models(), sampled=st.booleans(),
+       weights=st.tuples(*(st.sampled_from((0.0, 0.002, 25.0, 2.4e5, 1.3)) for _ in range(3))),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=len(BATCH_ACTIONS),
+                      max_size=len(BATCH_ACTIONS)))
+@example(case=STALE_ROOT, sampled=True, weights=(2.4e5, 25.0, 1.3),
+         seeds=list(range(len(BATCH_ACTIONS))))
+@example(case=COLLAPSING, sampled=False, weights=(2.4e5, 25.0, 1.3),
+         seeds=[0] * len(BATCH_ACTIONS))
+def test_variance_path_matches_the_covariance_oracles_bitwise(case, sampled, weights, seeds):
+    # two levels of the search's path, propagate_rows then price_batch on
+    # variances, against the scalar oracles on whole covariances: each row's
+    # means, variances and counts are the oracle state's means, diagonals and
+    # counts, and its utility and trace total are the oracles', bit for bit
+    state, model = case
+    mode = "sampled" if sampled else "expectation"
+    cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
+    rows, table = [bucket_row(action) for action in BATCH_ACTIONS], whole_table(model, state)
+    draws = seeds if sampled else None
+    level = propagate_rows(*rows_of(state), np.zeros(len(rows), int), rows, table, draws)
+    wants = [oracle_propagate(state, action, model, mode, seed)
+             for action, seed in zip(BATCH_ACTIONS, seeds)]
+    for _ in range(2):
+        utility, trace = price_batch(*level, state.geometry.area, cfg)
+        for i, want in enumerate(wants):
+            assert row_bytes(*level, i) == diagonal_bytes(want)
+            assert utility[i].hex() == oracle_state_utility(want, cfg).hex()
+            assert trace[i].hex() == oracle_trace_total(want).hex()
+        level = propagate_rows(*level, np.arange(len(rows)), rows, table, draws)
+        wants = [oracle_propagate(want, action, model, mode, seed)
+                 for want, action, seed in zip(wants, BATCH_ACTIONS, seeds)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -715,7 +769,13 @@ def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, path_count, a
         if oracle_unseen(model, action):
             want_cost += cfg.w_unk
     assert cost.hex() == want_cost.hex()
-    assert fingerprint(final) == fingerprint(want)
+    if not actions:
+        assert final is state
+        return
+    # the search carries variances: the oracle's diagonals, zeros off them
+    assert diagonal_bytes(final) == diagonal_bytes(want)
+    assert not final.sigma[..., ~np.eye(3, dtype=bool)].any()
+    assert final.t == want.t
 
 
 ORACLE_KIND_ORDER = {"peel": 1, "capture": 2, "refinement": 3, "end": 4}
@@ -755,10 +815,11 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
     position = len(node.prefix) + 1
     seeds = (None if cfg.mode == "expectation"
              else [_sample_seed(cfg.seed, position, action) for action in actions])
-    after = propagate_rows(batch_of_one(node.state), np.zeros(len(actions), int),
-                           [bucket_row(action) for action in actions],
-                           whole_table(model, node.state), seeds)
-    utilities, traces = price_batch(after, cfg)
+    state = node.state
+    mu, var, count = propagate_rows(*rows_of(state), np.zeros(len(actions), int),
+                                    [bucket_row(action) for action in actions],
+                                    whole_table(model, state), seeds)
+    utilities, traces = price_batch(mu, var, count, state.geometry.area, cfg)
     node.stats.batch_calls += 1
     node.stats.children_priced += len(actions)
     children = []
@@ -768,8 +829,8 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
         if oracle_unseen(model, action):
             cost += cfg.w_unk
         children.append(OracleNode(
-            state=SheetState(after.geometry, after.mu[i], after.sigma[i], after.count[i],
-                             after.t),
+            state=SheetState(state.geometry, mu[i], diagonal_covariances(var[i]), count[i],
+                             state.t + 1),
             prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
             stats=node.stats,
             score=utility - node.utility + cfg.w_sigma * (trace - node.trace)))
@@ -910,16 +971,9 @@ def lookahead_frontiers(draw):
 
 def stacked(rows: list) -> _Frontier:
     """One frontier of the rows of several one-row frontiers, in order."""
-    def joined(arrays):
-        return np.concatenate(list(arrays))
-
-    s = rows[0].states
-    states = SheetState(s.geometry, joined(r.states.mu for r in rows),
-                        joined(r.states.sigma for r in rows), joined(r.states.count for r in rows),
-                        s.t)
-    return _Frontier(states, [r.kinds[0] for r in rows],
-                     *(joined(getattr(r, name) for r in rows)
-                       for name in ("cost", "utility", "trace", "score")))
+    return replace(rows[0], kinds=[r.kinds[0] for r in rows],
+                   **{name: np.concatenate([getattr(r, name) for r in rows])
+                      for name in ("mu", "var", "count", "cost", "utility", "trace", "score")})
 
 
 @settings(max_examples=150, deadline=None)
@@ -1295,7 +1349,7 @@ def test_aggregate_matches_the_per_sample_loop(logs):
     text, table = oracle_aggregate(logs)
     assert json.dumps(model.to_json()) == text
     with np.errstate(over="ignore", invalid="ignore"):
-        assert table_bytes(whole_table(model)) == table_bytes(table)
+        assert table_bytes(whole_table(model)) == table_bytes(oracle_diagonal(table))
 
 
 def _fields(node):
