@@ -16,15 +16,15 @@ The lookahead goes level by level, not node by node. One depth level of the
 subtrees below a stage's candidates is a frontier of array rows: each row's
 sector means, covariance diagonals (the variances, which are all of a
 covariance that propagation and pricing read) and counts, with its cost,
-utility, summed variances and prefix kinds. All (row, feasible candidate) pairs of a level are propagated in one
-call and priced in one `price_batch` call; action costs, the unmodeled
-penalty and the one-step scores are array expressions, and a stable
-`np.lexsort` on (row, score, candidate index) ranks each row's children, of
-which the first `branching` form the next level. A row without a feasible
-child, and every row of the last level, is a leaf; a candidate's lookahead
-value is the least cost plus utility of the leaves below it. The rows of a
-level share their prefix length, so a sampled-mode draw is seeded by
-(position, action) for every row alike.
+utility, summed variances and prefix kinds. All (row, feasible candidate)
+pairs of a level are propagated in one call and priced in one `price_batch`
+call; action costs, the unmodeled penalty and the one-step scores are array
+expressions, and a stable `np.lexsort` on (row, score, candidate index)
+ranks each row's children, of which the first `branching` form the next
+level. A row without a feasible child, and every row of the last level, is a
+leaf; a candidate's lookahead value is the least cost plus utility of the
+leaves below it. The rows of a level share their prefix length, so a
+sampled-mode draw is seeded by (position, action) for every row alike.
 """
 from __future__ import annotations
 

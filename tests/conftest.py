@@ -132,7 +132,8 @@ def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
     """Every feasible child of the root row, best one-step score first, as `_level` ranks them.
 
     Each child has its `action`, its `state` scattered back into all k
-    sectors, and its one-step `score`.
+    sectors (its variances on zero covariance matrices), and its one-step
+    `score`.
     """
     search = _Search(state, model, cs, cfg, SearchStats())
     level = _level(search, root_row(search, prefix))

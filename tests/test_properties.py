@@ -378,14 +378,15 @@ COMPACTION_CFG = SearchConfig(branching=2, depth=3, horizon=8, path_count=3, w_s
                               epsilon_conv=-math.inf)
 
 
+def row_bytes(mu, var, count, i=...) -> tuple:
+    """The exact bytes of rows of means, variances (or covariances) and counts,
+    or of row i of a batch."""
+    return mu[i].tobytes(), var[i].tobytes(), count[i].tobytes()
+
+
 def fingerprint(state: SheetState, i=...) -> tuple:
     """The exact bytes of a state's arrays, or of state i of a batch."""
-    return state.mu[i].tobytes(), state.sigma[i].tobytes(), state.count[i].tobytes()
-
-
-def row_bytes(mu, var, count, i=...) -> tuple:
-    """The exact bytes of rows of means, variances and counts, or of row i of a batch."""
-    return mu[i].tobytes(), var[i].tobytes(), count[i].tobytes()
+    return row_bytes(state.mu, state.sigma, state.count, i)
 
 
 def diagonal_bytes(state: SheetState) -> tuple:
@@ -675,20 +676,33 @@ def oracle_state_utility(state: SheetState, cfg: SearchConfig) -> float:
 @settings(max_examples=200, deadline=None)
 @given(case=states_and_models(), sampled=st.booleans(),
        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=len(BATCH_ACTIONS),
-                      max_size=len(BATCH_ACTIONS)))
-def test_propagate_rows_matches_scalar_bitwise(case, sampled, seeds):
+                      max_size=len(BATCH_ACTIONS)),
+       weights=st.tuples(*(st.sampled_from((0.0, 0.002, 25.0, 2.4e5, 1.3)) for _ in range(3))))
+@example(case=STALE_ROOT, sampled=True, seeds=list(range(len(BATCH_ACTIONS))),
+         weights=(2.4e5, 25.0, 1.3))
+@example(case=COLLAPSING, sampled=False, seeds=[0] * len(BATCH_ACTIONS),
+         weights=(2.4e5, 25.0, 1.3))
+def test_propagate_rows_matches_scalar_bitwise(case, sampled, seeds, weights):
+    # the search's path on variances, propagate_rows then price_batch, against
+    # the scalar oracles on whole covariances: a batch of rows, one per
+    # action, then each row advanced by its own action again. Each row's
+    # means, variances and counts are the oracle state's means, diagonals and
+    # counts, and its utility and trace total are the oracles', bit for bit
     state, model = case
     mode = "sampled" if sampled else "expectation"
+    cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
     rows, table = [bucket_row(action) for action in BATCH_ACTIONS], whole_table(model, state)
-    batch = propagate_rows(*rows_of(state), np.zeros(len(rows), int), rows, table,
-                           seeds if sampled else None)
-    # a batch of rows, one per action: each row advanced by its own action again
-    again = propagate_rows(*batch, np.arange(len(rows)), rows, table, seeds if sampled else None)
-    for i, (action, seed) in enumerate(zip(BATCH_ACTIONS, seeds)):
-        once = oracle_propagate(state, action, model, mode, seed)
-        assert row_bytes(*batch, i) == diagonal_bytes(once)
-        assert row_bytes(*again, i) == diagonal_bytes(oracle_propagate(once, action, model, mode,
-                                                                       seed))
+    level, wants, parents = rows_of(state), [state] * len(rows), np.zeros(len(rows), int)
+    for _ in range(2):
+        level = propagate_rows(*level, parents, rows, table, seeds if sampled else None)
+        wants = [oracle_propagate(want, action, model, mode, seed)
+                 for want, action, seed in zip(wants, BATCH_ACTIONS, seeds)]
+        utility, trace = price_batch(*level, state.geometry.area, cfg)
+        for i, want in enumerate(wants):
+            assert row_bytes(*level, i) == diagonal_bytes(want)
+            assert utility[i].hex() == oracle_state_utility(want, cfg).hex()
+            assert trace[i].hex() == oracle_trace_total(want).hex()
+        parents = np.arange(len(rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -704,39 +718,6 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
     want = [oracle_state_utility(s, cfg).hex() for s in scalar]
     assert [u.hex() for u in utility.tolist()] == want
     assert [t.hex() for t in trace.tolist()] == [oracle_trace_total(s).hex() for s in scalar]
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=states_and_models(), sampled=st.booleans(),
-       weights=st.tuples(*(st.sampled_from((0.0, 0.002, 25.0, 2.4e5, 1.3)) for _ in range(3))),
-       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=len(BATCH_ACTIONS),
-                      max_size=len(BATCH_ACTIONS)))
-@example(case=STALE_ROOT, sampled=True, weights=(2.4e5, 25.0, 1.3),
-         seeds=list(range(len(BATCH_ACTIONS))))
-@example(case=COLLAPSING, sampled=False, weights=(2.4e5, 25.0, 1.3),
-         seeds=[0] * len(BATCH_ACTIONS))
-def test_variance_path_matches_the_covariance_oracles_bitwise(case, sampled, weights, seeds):
-    # two levels of the search's path, propagate_rows then price_batch on
-    # variances, against the scalar oracles on whole covariances: each row's
-    # means, variances and counts are the oracle state's means, diagonals and
-    # counts, and its utility and trace total are the oracles', bit for bit
-    state, model = case
-    mode = "sampled" if sampled else "expectation"
-    cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
-    rows, table = [bucket_row(action) for action in BATCH_ACTIONS], whole_table(model, state)
-    draws = seeds if sampled else None
-    level = propagate_rows(*rows_of(state), np.zeros(len(rows), int), rows, table, draws)
-    wants = [oracle_propagate(state, action, model, mode, seed)
-             for action, seed in zip(BATCH_ACTIONS, seeds)]
-    for _ in range(2):
-        utility, trace = price_batch(*level, state.geometry.area, cfg)
-        for i, want in enumerate(wants):
-            assert row_bytes(*level, i) == diagonal_bytes(want)
-            assert utility[i].hex() == oracle_state_utility(want, cfg).hex()
-            assert trace[i].hex() == oracle_trace_total(want).hex()
-        level = propagate_rows(*level, np.arange(len(rows)), rows, table, draws)
-        wants = [oracle_propagate(want, action, model, mode, seed)
-                 for want, action, seed in zip(wants, BATCH_ACTIONS, seeds)]
 
 
 @settings(max_examples=200, deadline=None)
