@@ -3,8 +3,8 @@
 Every executed action is bracketed by two derived sheet states. Per sector
 the change is summarized from the two states' rows as a six-component delta
 (centroid x/y, mean height, major, minor, and axially differenced
-orientation) plus a (2, 3) sign array recording whether each diagonal of
-the two covariances grew (+1) or shrank/held (-1). Samples pool across
+orientation) plus a (2, 3) sign array recording whether each of the two
+tracks' variances grew (+1) or shrank/held (-1). Samples pool across
 experiments into buckets keyed by (action kind, argument bucket, sector):
 path actions bucket per path index because path geometry fixes which
 sectors a pass can touch, while peel, capture, end and refinement each share
@@ -12,9 +12,7 @@ a single bucket.
 
 The learned table drives state propagation inside the plan search: bucket
 mean deltas move the Gaussian means (optionally with sampled noise), and the
-bucket's majority sign vote shrinks or grows the covariance diagonals. The
-search reads nothing of a covariance but its diagonal, so it carries each
-sector's (2, 3) variances in place of its two 3x3 covariances.
+bucket's majority sign vote shrinks or grows the variances.
 `propagate_rows` advances many rows of means, variances and counts at once,
 each action the row its parent index picks from a batch, reading the
 model's dense table (`EffectTable`, built by `EffectivenessModel.table` over
@@ -45,7 +43,7 @@ from .geometry import axial_difference, fold_axial
 from .jsonio import numbers, read_json, required, typed
 from .plan import ACTION_KINDS, PATH_COUNT_DEFAULT, Action
 
-COV_SHRINK = 0.9  # diagonal scale when the majority vote says uncertainty fell
+COV_SHRINK = 0.9  # variance scale when the majority vote says uncertainty fell
 COV_GROW = 1.1    # ... and when it says uncertainty rose
 
 DELTA_FIELDS = ("d_x", "d_y", "d_h", "d_a", "d_b", "d_theta")
@@ -65,15 +63,6 @@ def compute_delta(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     delta = after - before
     delta[..., 5] = axial_difference(after[..., 5], before[..., 5])
     return delta
-
-
-def compute_signs(before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """Growth signs (2, 3) of the diagonals of two (2, 3, 3) covariance rows.
-
-    Row 0 is sigma1, row 1 sigma2; zero change counts as shrink.
-    """
-    return _step(np.diagonal(after, axis1=-2, axis2=-1)
-                 - np.diagonal(before, axis1=-2, axis2=-1))
 
 
 # every bucket key an action can have, sorted as the model file lists them
@@ -98,18 +87,19 @@ def extract_transitions(log) -> tuple:
     (step, sector) pair, step by step.
 
     A key is the bucket's `bucket_row` times k plus the sector index;
-    u1 and u2 (N, 3) are the signs of sigma1's and sigma2's diagonals;
-    sources are "plan:step" strings. One `compute_delta` and one
-    `compute_signs` take every step's rows from the log's stacked states.
+    u1 and u2 (N, 3) are the growth signs of the G1 and G2 variances, zero
+    change counting as shrink; sources are "plan:step" strings. One
+    `compute_delta` and one sign expression take every step's rows from the
+    log's stacked states.
     """
     n = len(log.actions)
     if not n:
         return _no_samples()
     mu = np.stack([state.mu for state in log.states])
-    sigma = np.stack([state.sigma for state in log.states])
+    var = np.stack([state.var for state in log.states])
     k = mu.shape[1]
     steps = np.array([bucket_row(action) for action in log.actions])
-    signs = compute_signs(sigma[:-1], sigma[1:])  # (n, k, 2, 3)
+    signs = _step(var[1:] - var[:-1])  # (n, k, 2, 3)
     sources = np.array([f"{log.plan_name}:{i}" for i in range(1, n + 1)], dtype=object)
     return ((steps[:, None] * k + np.arange(k)).ravel(),
             compute_delta(mu[:-1], mu[1:]).reshape(-1, 6),
@@ -122,7 +112,7 @@ class EffectTable:
     for each bucket key, built by `EffectivenessModel.table`.
 
     Per row and sector: the mean delta, the sample standard deviation, the
-    variance scale s * s of each track (s is sqrt(1.1) on the diagonals whose
+    variance scale s * s of each track (s is sqrt(1.1) on the variances whose
     majority vote says grew, sqrt(0.9) elsewhere; bit for bit the diagonal of
     np.outer(s, s)) and whether the sector has data. A sector without data,
     in a bucket the model never saw too, has zero mean and deviation and unit
@@ -200,7 +190,7 @@ class EffectivenessModel:
             if n > 1:  # one sample: variance zero
                 x = deltas - m[:, None]
                 std[pick] = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=1) / (n - 1))
-            # a diagonal grew when its vote sum is above zero; a tie says it shrank
+            # a variance grew when its vote sum is above zero; a tie says it shrank
             s = np.sqrt(np.where(np.add.reduce(votes, axis=2) > 0, COV_GROW, COV_SHRINK))
             scale[pick] = s * s                                         # np.outer(s, s)'s diagonal
         return mean, std, scale
@@ -337,7 +327,7 @@ def propagate_rows(mu: np.ndarray, var: np.ndarray, count: np.ndarray, parents, 
                    table: EffectTable, seeds=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance rows by the learned effect of each of A actions: A new rows.
 
-    A row is one state's means `mu` (N, n, 6), covariance diagonals `var`
+    A row is one state's means `mu` (N, n, 6), variances `var`
     (N, n, 2, 3) and sample counts `count` (N, n) over the n sectors the
     table holds. Action i advances row `parents[i]`, gathered here and not
     kept. `rows` are the actions' `bucket_row`s and `table` the model's

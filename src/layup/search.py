@@ -8,23 +8,23 @@ candidate whose subtree reaches the cheapest leaf. Accumulated cost is the
 running sum of action cost plus propagated-state utility (plus a small
 penalty per action the model has never seen). The loop stops when an end
 action is committed, the horizon is hit, or no single action can improve
-the state utility by more than the convergence threshold; the two latter
+the state utility by at least the convergence threshold; the two latter
 cases append the shortest constraint-satisfying suffix that
 `plan.completion` names.
 
 The lookahead goes level by level, not node by node. One depth level of the
 subtrees below a stage's candidates is a frontier of array rows: each row's
-sector means, covariance diagonals (the variances, which are all of a
-covariance that propagation and pricing read) and counts, with its cost,
-utility, summed variances and prefix kinds. All (row, feasible candidate)
-pairs of a level are propagated in one call and priced in one `price_batch`
-call; action costs, the unmodeled penalty and the one-step scores are array
-expressions, and a stable `np.lexsort` on (row, score, candidate index)
-ranks each row's children, of which the first `branching` form the next
-level. A row without a feasible child, and every row of the last level, is a
-leaf; a candidate's lookahead value is the least cost plus utility of the
-leaves below it. The rows of a level share their prefix length, so a
-sampled-mode draw is seeded by (position, action) for every row alike.
+sector means, variances and counts (a `SheetState`'s arrays, cut to the
+sectors live at the root), with its cost, utility, summed variances and
+prefix kinds. All (row, feasible candidate) pairs of a level are propagated
+in one call and priced in one `price_batch` call; action costs, the
+unmodeled penalty and the one-step scores are array expressions, and a
+stable `np.lexsort` on (row, score, candidate index) ranks each row's
+children, of which the first `branching` form the next level. A row
+without a feasible child, and every row of the last level, is a leaf; a
+candidate's lookahead value is the least cost plus utility of the leaves
+below it. The rows of a level share their prefix length, so a sampled-mode
+draw is seeded by (position, action) for every row alike.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ class SearchConfig:
     path_count: int = PATH_COUNT_DEFAULT
     w_h: float = 2.4e5        # utility weight on sector mean height
     w_area: float = 25.0      # ... on ellipse area (major * minor)
-    w_sigma: float = 0.002    # ... on covariance traces (a gentle tiebreaker)
+    w_sigma: float = 0.002    # ... on variance traces (a gentle tiebreaker)
     w_unk: float = 0.5        # penalty per action bucket the model never saw
     action_costs: dict = field(default_factory=_default_costs)
     epsilon_conv: float = 1.3
@@ -108,14 +108,14 @@ def price_batch(mu: np.ndarray, var: np.ndarray, count: np.ndarray, area: float,
                 cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     """Utility and summed variances of each row of a batch.
 
-    A row is one state's sector means `mu` (N, n, 6), covariance diagonals
-    `var` (N, n, 2, 3) and counts `count` (N, n) on a sheet of this `area`.
-    Its utility is its residual-uncompaction price normalized by sheet area
+    A row is one state's sector means `mu` (N, n, 6), variances `var`
+    (N, n, 2, 3) and counts `count` (N, n) on a sheet of this `area`. Its
+    utility is its residual-uncompaction price normalized by sheet area
     (lower is better): per live sector, w_h times the clamped mean height,
     w_area times the ellipse area (major * minor) and w_sigma times the
-    covariance traces, added sector by sector in that order. The trace total
-    sums both covariance traces of every sector, sentinels included. A trace
-    is its variances added in np.trace's order.
+    traces (a track's trace is its three variances added in np.trace's
+    order), added sector by sector in that order. The trace total sums both
+    traces of every sector, sentinels included.
     """
     traces = (var[..., 0] + var[..., 1]) + var[..., 2]  # (N, n, 2)
     sector_trace = traces[..., 0] + traces[..., 1]
@@ -141,7 +141,7 @@ class SearchStats:
 class _Frontier:
     """Search nodes as array rows: a level of a subtree, or the committed path's row.
 
-    Row i holds one node's state as sector means, covariance diagonals and
+    Row i holds one node's state as sector means, variances and
     counts, its accumulated cost (action costs plus utilities, plus the
     unmodeled penalty), its utility, its summed variances, the one-step
     score of its last action and its prefix as kinds. The rows of a level
@@ -151,7 +151,7 @@ class _Frontier:
     """
 
     mu: np.ndarray             # (N, n, 6) sector means
-    var: np.ndarray            # (N, n, 2, 3) covariance diagonals of both tracks
+    var: np.ndarray            # (N, n, 2, 3) variances of both tracks
     count: np.ndarray          # (N, n) sample counts, 0 for a sentinel
     kinds: list | None         # N tuples of prefix kinds; None until the rows are ranked
     cost: np.ndarray           # (N,)
@@ -229,8 +229,7 @@ class _Search:
         self.listed = np.array([a.kind != "path" or a.arg <= cfg.path_count
                                 for a in self.actions])
         self._feasible: dict[tuple[str, ...], np.ndarray] = {}
-        mu, count = state.mu[None], state.count[None]
-        var = np.diagonal(state.sigma, axis1=-2, axis2=-1)[None]  # (1, k, 2, 3)
+        mu, var, count = state.mu[None], state.var[None], state.count[None]
         utility, trace = price_batch(mu, var, count, state.geometry.area, cfg)
         self.root = _Frontier(mu[:, live], var[:, live], count[:, live],
                               [()], np.zeros(1), utility, trace, np.zeros(1))
@@ -253,15 +252,12 @@ class _Search:
         return mask
 
     def state(self, front: _Frontier, i: int) -> SheetState:
-        # row i scattered back into all k sectors, sentinels where `live` is False;
-        # its variances become the diagonals of covariances that are zero elsewhere
+        # row i scattered back into all k sectors, sentinels where `live` is False
         live = self.live
         mu, var = np.zeros(live.shape + (6,)), np.zeros(live.shape + (2, 3))
         count = np.zeros(live.shape, dtype=front.count.dtype)
         mu[live], var[live], count[live] = front.mu[i], front.var[i], front.count[i]
-        sigma = np.zeros(live.shape + (2, 3, 3))
-        sigma[..., range(3), range(3)] = var
-        return SheetState(self.geometry, mu, sigma, count, self.t + len(front.kinds[i]))
+        return SheetState(self.geometry, mu, var, count, self.t + len(front.kinds[i]))
 
 
 def _advance(search: _Search, front: _Frontier, parents: np.ndarray, which: np.ndarray,
@@ -452,9 +448,8 @@ def replay_cost(actions, initial: SheetState, model: EffectivenessModel,
     """A plan's accumulated cost and final state, rebuilt from the root.
 
     Each action adds one child as the search adds it, so a committed step's
-    cost equals this replay's bit for bit. The search carries variances, so
-    the final state's covariances are diagonal: the diagonals the search
-    reached, zero off them. An empty plan returns the initial state itself.
+    cost equals this replay's bit for bit. An empty plan returns the
+    initial state itself.
     """
     actions = tuple(actions)
     if not actions:

@@ -12,9 +12,11 @@ capture's regions are one (n, 6) array of such rows, which the sector
 summary and the simulator's correction controller read as it is.
 
 `SheetState` holds those Gaussians as arrays, one row per sector: the means
-(k, 6), the covariances (k, 2, 3, 3) and the region counts (k,). The same
-object is what the learner differences and what the search propagates and
-prices, one state or a batch of them.
+(k, 6), the variances (k, 2, 3) and the region counts (k,). The variances
+are the diagonal of each Gaussian's covariance, and nothing downstream
+reads more of it: the learner differences them and the search scales and
+sums them. The same arrays are what the learner differences and what the
+search propagates and prices.
 
 Sectors are numbered 1..k counter-clockwise, sector 1 starting at the +x
 axis; a wedge owns its lower angular boundary.
@@ -99,22 +101,22 @@ class SheetState:
     """Per-sector Gaussians of one sheet, as arrays.
 
     Row i is sector i + 1. `mu` holds mu1 (centroid x, y and mean height)
-    then mu2 (major, minor, orientation), `sigma` the 3x3 covariances sigma1
-    and sigma2, and `count` the regions a sector summarizes, 0 marking the
-    compacted sentinel (zero moments). A leading axis, when present, indexes
-    a batch of alternative states of the same sheet. Construction checks
-    nothing; `from_json` checks a state read from outside.
+    then mu2 (major, minor, orientation), `var` the variances of both
+    tracks (row 0 the diagonal of G1's covariance, row 1 of G2's), and
+    `count` the regions a sector summarizes, 0 marking the compacted
+    sentinel (zero moments). Construction checks nothing; `from_json`
+    checks a state read from outside.
     """
 
     geometry: SheetGeometry
-    mu: np.ndarray     # (..., k, 6)
-    sigma: np.ndarray  # (..., k, 2, 3, 3)
-    count: np.ndarray  # (..., k) integers
+    mu: np.ndarray     # (k, 6)
+    var: np.ndarray    # (k, 2, 3)
+    count: np.ndarray  # (k,) integers
     t: int = 0
 
     def to_json(self) -> dict:
         """`t` and the three arrays as nested lists; the geometry is not written."""
-        return {"t": int(self.t), "mu": self.mu.tolist(), "sigma": self.sigma.tolist(),
+        return {"t": int(self.t), "mu": self.mu.tolist(), "var": self.var.tolist(),
                 "count": self.count.tolist()}
 
     @classmethod
@@ -122,14 +124,18 @@ class SheetState:
         """A state as `to_json` wrote it, on `geometry`; KeyError, TypeError or ValueError if bad.
 
         With k the geometry's sector count, `mu` must hold k x 6 numbers,
-        `sigma` k x 2 x 3 x 3 numbers and `count` k integers, none negative.
+        `var` k x 2 x 3 numbers, none negative, and `count` k integers, none
+        negative.
         """
         k = geometry.sector_count
         count = numbers(typed(obj["count"], [0], "count"), (k,), "count").astype(int)
         if (count < 0).any():
             raise ValueError("count must hold non-negative integers")
-        return cls(geometry, numbers(obj["mu"], (k, 6), "mu"),
-                   numbers(obj["sigma"], (k, 2, 3, 3), "sigma"), count, typed(obj["t"], 0, "t"))
+        var = numbers(obj["var"], (k, 2, 3), "var")
+        if (var < 0).any():
+            raise ValueError("var must hold non-negative numbers")
+        return cls(geometry, numbers(obj["mu"], (k, 6), "mu"), var, count,
+                   typed(obj["t"], 0, "t"))
 
 
 def sector_rows(xy: np.ndarray, geom: SheetGeometry) -> np.ndarray:
@@ -279,15 +285,11 @@ def extract_regions(frame: CaptureFrame, h_min: float = H_MIN_DEFAULT,
 
 
 def _weighted_moments(samples: np.ndarray, weights: np.ndarray):
+    # the variances are the diagonal of the covariance product, which sets their bits
     w = weights / weights.sum()
     mu = w @ samples
     centered = samples - mu
-    cov = (centered * w[:, None]).T @ centered
-    return mu, _symmetrize(cov)
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return mu, np.diagonal((centered * w[:, None]).T @ centered)
 
 
 def build_state(frame: CaptureFrame, geom: SheetGeometry,
@@ -306,37 +308,40 @@ def state_from_regions(groups: list[np.ndarray], regions: np.ndarray,
     per-region (centroid, mean height) samples, the first three columns of
     `regions`, weighted by region point count; G2 over the per-region
     (a, b, theta) triples, the last three. A sector with one region takes
-    that region's row as its mean, its point-level (x, y, h) moments for
-    sigma1 and a zero sigma2; a sector with none is the compacted sentinel.
+    that region's row as its mean, its point-level (x, y, h) variances for
+    G1 and zero variances for G2; a sector with none is the compacted
+    sentinel. Each variance is the diagonal entry of the covariance product
+    `centered.T @ centered`, scaled as a whole matrix, so its bits are that
+    product's.
     """
     per_sector: dict[int, list[int]] = {}
     for idx, row in enumerate(sector_rows(regions[:, :2], geom).tolist()):
         per_sector.setdefault(row, []).append(idx)
 
     k = geom.sector_count
-    mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
+    mu, var, count = np.zeros((k, 6)), np.zeros((k, 2, 3)), np.zeros(k, dtype=int)
     for row, idxs in per_sector.items():
         if len(idxs) == 1:
             pts = groups[idxs[0]]
             centered = pts - pts.mean(axis=0)
             mu[row] = regions[idxs[0]]
-            sigma[row, 0] = _symmetrize(centered.T @ centered / len(pts))
+            var[row, 0] = np.diagonal(centered.T @ centered / len(pts))
         else:
             # fresh (m, 3) arrays: `w @ g1` on a strided view can round differently
             g1, g2 = regions[idxs, :3], regions[idxs, 3:]
             counts = np.array([len(groups[j]) for j in idxs], dtype=float)
-            mu[row, :3], sigma[row, 0] = _weighted_moments(g1, counts)
+            mu[row, :3], var[row, 0] = _weighted_moments(g1, counts)
             mu[row, 3:] = g2.mean(axis=0)
             centered = g2 - mu[row, 3:]
-            sigma[row, 1] = _symmetrize(centered.T @ centered / len(idxs))
+            var[row, 1] = np.diagonal(centered.T @ centered / len(idxs))
         count[row] = len(idxs)
-    return SheetState(geometry=geom, mu=mu, sigma=sigma, count=count, t=t)
+    return SheetState(geometry=geom, mu=mu, var=var, count=count, t=t)
 
 
 def average_states(states: list[SheetState]) -> SheetState:
     """Sector-wise mean of several derived states (historical initialization).
 
-    Each sector averages means and covariances over the states where it is
+    Each sector averages means and variances over the states where it is
     non-sentinel; a sector compacted in every input stays sentinel. The
     result carries the first state's geometry and time index 0.
     """
@@ -347,16 +352,16 @@ def average_states(states: list[SheetState]) -> SheetState:
     if any(s.geometry.sector_count != k for s in states):
         raise ValueError("states mix sector counts")
     mus = np.stack([s.mu for s in states])
-    sigmas = np.stack([s.sigma for s in states])
+    variances = np.stack([s.var for s in states])
     counts = np.stack([s.count for s in states])
-    mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
+    mu, var, count = np.zeros((k, 6)), np.zeros((k, 2, 3)), np.zeros(k, dtype=int)
     for row in range(k):
         live = counts[:, row] != 0
         if live.any():
             mu[row] = np.mean(mus[live, row], axis=0)
-            sigma[row] = np.mean(sigmas[live, row], axis=0)
+            var[row] = np.mean(variances[live, row], axis=0)
             count[row] = max(1, round(np.mean(counts[live, row])))
-    return SheetState(geometry=geom, mu=mu, sigma=sigma, count=count, t=0)
+    return SheetState(geometry=geom, mu=mu, var=var, count=count, t=0)
 
 
 def write_capture_frames(path, frames: list[CaptureFrame]) -> None:

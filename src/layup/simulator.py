@@ -575,7 +575,7 @@ def summary_from_json(obj: dict) -> dict:
     return summary
 
 
-LOG_VERSION = 3
+LOG_VERSION = 4
 
 
 def write_log(log: ExperimentLog, path) -> None:

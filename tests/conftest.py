@@ -55,14 +55,6 @@ def meets(kinds, cs) -> bool:
             and all(oracle_rel(kinds, c) for c in cs.rel))
 
 
-def oracle_trace_total(state: SheetState) -> float:
-    """Summed covariance diagonals over all sectors, added sector by sector.
-
-    The loop that the trace total of `search.price_batch` is tested against.
-    """
-    return float(sum(np.trace(sigma[0]) + np.trace(sigma[1]) for sigma in state.sigma))
-
-
 def utility_of(state: SheetState, cfg) -> float:
     """A state's utility, priced on the whole state as the search prices its root."""
     return float(price_batch(*rows_of(state), state.geometry.area, cfg)[0][0])
@@ -77,8 +69,8 @@ def sample_key(action, sector: int, k: int) -> int:
 def model_of(k: int, samples) -> EffectivenessModel:
     """A k-sector model of hand-made samples, through the model's table constructor.
 
-    Each sample is (action, sector, delta, signs), the (2, 3) signs of
-    sigma1's and sigma2's diagonals, with an optional fifth "plan:step"
+    Each sample is (action, sector, delta, signs), the (2, 3) growth signs
+    of the G1 and G2 variances, with an optional fifth "plan:step"
     source (":0" when left out). A bucket keeps its samples in the order given.
     """
     samples = list(samples)
@@ -90,22 +82,10 @@ def model_of(k: int, samples) -> EffectivenessModel:
         np.array([s[4] if len(s) > 4 else ":0" for s in samples], dtype=object)))
 
 
-def variances(sigma: np.ndarray) -> np.ndarray:
-    """The (..., 2, 3) diagonals of (..., 2, 3, 3) covariances: what the search carries."""
-    return np.diagonal(sigma, axis1=-2, axis2=-1)
-
-
-def diagonal_covariances(var: np.ndarray) -> np.ndarray:
-    """(..., 2, 3, 3) covariances with these (..., 2, 3) diagonals and zeros off them."""
-    sigma = np.zeros(var.shape + (3,))
-    sigma[..., range(3), range(3)] = var
-    return sigma
-
-
 def rows_of(state: SheetState) -> tuple:
     """One state as a batch of one row, (mu, var, count): the form `propagate_rows`
     and `price_batch` take."""
-    return state.mu[None], variances(state.sigma)[None], state.count[None]
+    return state.mu[None], state.var[None], state.count[None]
 
 
 def whole_table(model: EffectivenessModel, state: SheetState | None = None) -> EffectTable:
@@ -115,12 +95,11 @@ def whole_table(model: EffectivenessModel, state: SheetState | None = None) -> E
 
 
 def propagate_one(state: SheetState, action, model, seed=None) -> SheetState:
-    """`propagate_rows` of one action, as one state whose covariances are the
-    propagated variances on zero matrices; with a seed, in sampled mode."""
+    """`propagate_rows` of one action, as one state at t + 1; with a seed, in
+    sampled mode."""
     mu, var, count = propagate_rows(*rows_of(state), np.zeros(1, int), [bucket_row(action)],
                                     whole_table(model, state), None if seed is None else [seed])
-    return SheetState(state.geometry, mu[0], diagonal_covariances(var[0]), count[0],
-                      state.t + 1)
+    return SheetState(state.geometry, mu[0], var[0], count[0], state.t + 1)
 
 
 def root_row(search, prefix=(), cost: float = 0.0):
@@ -132,8 +111,7 @@ def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
     """Every feasible child of the root row, best one-step score first, as `_level` ranks them.
 
     Each child has its `action`, its `state` scattered back into all k
-    sectors (its variances on zero covariance matrices), and its one-step
-    `score`.
+    sectors, and its one-step `score`.
     """
     search = _Search(state, model, cs, cfg, SearchStats())
     level = _level(search, root_row(search, prefix))
@@ -187,16 +165,16 @@ def published_style_summaries() -> list[dict]:
 
 
 def make_state(geom, sectors=None, t=0) -> SheetState:
-    """A state of `geom` from {sector id: (mu, sigma, n)}; other sectors are sentinels.
+    """A state of `geom` from {sector id: (mu, var, n)}; other sectors are sentinels.
 
-    `mu` holds the six means (mu1 then mu2); `sigma` both 3x3 covariances,
-    or one 3x3 matrix that both take.
+    `mu` holds the six means (mu1 then mu2); `var` both tracks' three
+    variances, or one triple that both take.
     """
     k = geom.sector_count
-    mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
-    for sector, (m, s, n) in (sectors or {}).items():
-        mu[sector - 1], sigma[sector - 1], count[sector - 1] = m, s, n
-    return SheetState(geom, mu, sigma, count, t)
+    mu, var, count = np.zeros((k, 6)), np.zeros((k, 2, 3)), np.zeros(k, dtype=int)
+    for sector, (m, v, n) in (sectors or {}).items():
+        mu[sector - 1], var[sector - 1], count[sector - 1] = m, v, n
+    return SheetState(geom, mu, var, count, t)
 
 
 @pytest.fixture

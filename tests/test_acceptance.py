@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from layup.cli import audit_json, build_report
-from layup.effectiveness import aggregate, compute_delta, compute_signs
+from layup.effectiveness import aggregate, extract_transitions
 from layup.plan import (AbsConstraint, Action, ConstraintSet, DrapingPlan,
                         RelConstraint, capture, end, expert_plan,
                         initial_plan_constraints, path, peel, refinement,
                         standard_constraints, validate)
 from layup.search import SearchConfig, SearchStats, refine_plan_detailed, replay_cost
-from layup.sheet_state import average_states, fit_ellipse, write_capture_frames
-from layup.simulator import (GroundTruthParams, builtin_sheet, run_experiment,
+from layup.sheet_state import (SheetGeometry, SheetState, average_states, fit_ellipse,
+                               write_capture_frames)
+from layup.simulator import (ExperimentLog, GroundTruthParams, builtin_sheet, run_experiment,
                              write_log)
 
 from conftest import make_state, meets, model_of, published_style_summaries, utility_of
@@ -142,20 +143,35 @@ def _random_gaussians(rng):
     return np.concatenate([mu1, mu2]), np.array([sigma1, sigma2])
 
 
+def _transitions(before, after):
+    # the samples of one step from the sectors' (mu, sigma) rows `before` to
+    # those of `after`, one sector per pair; a state holds each covariance's
+    # diagonal, its variances
+    half = 100.0
+    geom = SheetGeometry(center=np.zeros(2), sector_count=len(before),
+                         polygon=[[half, half], [-half, half], [-half, -half], [half, -half]])
+    states = [SheetState(geom, np.array([mu for mu, _ in rows]),
+                         np.diagonal(np.array([sigma for _, sigma in rows]), axis1=-2, axis2=-1),
+                         np.ones(len(rows), dtype=int)) for rows in (before, after)]
+    log = ExperimentLog(plan_name="c2", sheet="sheet1", seed=0, actions=[peel()], states=states,
+                        correction_cycles=0, correction_paths=0, correction_converged=True)
+    _, deltas, u1, u2, _ = extract_transitions(log)
+    return deltas, u1, u2
+
+
 def test_criterion_2_delta_sign_oracle():
     rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        a, b = _random_gaussians(rng), _random_gaussians(rng)
+    pairs = [(_random_gaussians(rng), _random_gaussians(rng)) for _ in range(1000)]
+    deltas, u1, u2 = _transitions([a for a, _ in pairs], [b for _, b in pairs])
+    for (a, b), got_d, got_u1, got_u2 in zip(pairs, deltas, u1, u2):
         want_d, want_u1, want_u2 = _straight_line(a, b)
-        got_d = compute_delta(a[0], b[0])
-        got_s = compute_signs(a[1], b[1])
         assert np.array_equal(got_d, want_d)
-        assert np.array_equal(np.diag(got_s[0]), want_u1)
-        assert np.array_equal(np.diag(got_s[1]), want_u2)
+        assert np.array_equal(np.diag(got_u1), want_u1)
+        assert np.array_equal(np.diag(got_u2), want_u2)
     # the tie branch of the step function: zero difference counts as shrink
     s = _random_gaussians(rng)
-    tie = compute_signs(s[1], s[1])
-    assert np.array_equal(tie[0], [-1.0, -1.0, -1.0])
+    _, u1, u2 = _transitions([s, s], [s, s])
+    assert (u1 == -1.0).all() and (u2 == -1.0).all()
     report(2, "1000 randomized pairs bitwise-identical; zero maps to -1")
 
 
@@ -194,7 +210,7 @@ SMALL_CS = ConstraintSet(
 
 
 def _small_model(rng):
-    blank = compute_signs(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+    blank = -np.ones((2, 3))  # unchanged variances vote shrink
     samples = []
     for i in range(1, 5):
         for s in (1, 2):
@@ -211,8 +227,8 @@ def _small_model(rng):
 def test_criterion_4_small_instance_optimality(two_sector_geom):
     t0 = time.time()
     rng = np.random.default_rng(99)
-    state = make_state(two_sector_geom, {1: ([30.0, 20.0, 3.0, 20.0, 10.0, 0.4], np.eye(3), 1),
-                                         2: ([-40.0, 10.0, 2.0, 15.0, 8.0, 2.0], np.eye(3), 1)})
+    state = make_state(two_sector_geom, {1: ([30.0, 20.0, 3.0, 20.0, 10.0, 0.4], np.ones(3), 1),
+                                         2: ([-40.0, 10.0, 2.0, 15.0, 8.0, 2.0], np.ones(3), 1)})
     cfg = SearchConfig(branching=10**6, depth=5, horizon=5, path_count=4,
                        w_h=500.0, w_area=2.0, w_sigma=0.0,
                        epsilon_conv=-math.inf)

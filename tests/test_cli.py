@@ -494,6 +494,22 @@ class TestBadInput:
         assert "before any start record" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_version_3_log_names_its_first_line(self, tmp_path, d1_file, capsys):
+        # a version 3 log holds each state's two 3x3 covariances per sector as
+        # `sigma`, the variances on their diagonals
+        log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
+        start, *steps, summary = map(json.loads, lines)
+        start["version"] = 3
+        for record in [start] + steps:
+            var = np.array(record["state"].pop("var"))
+            record["state"]["sigma"] = (var[..., None] * np.eye(3)).tolist()
+        log_file.write_text("".join(json.dumps(rec) + "\n" for rec in [start] + steps + [summary]))
+        code, err = self.run_main(["learn", log_file, "--out", tmp_path / "m.json"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {log_file}:1: bad start record")
+        assert "log version must be 4" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_log_summary_does_not_add_up(self, tmp_path, d1_file, capsys):
         log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
         summary = {**json.loads(lines[-1]), "total_paths": 5, "in_plan_paths": 2}
@@ -874,12 +890,13 @@ class TestBadInput:
 
     @pytest.mark.parametrize("line, field, value", [
         (1, "mu", [1.0, 2.0]),
-        (3, "sigma", [[0.5]]),
+        (3, "var", [[0.5]]),
+        (2, "var", [[0.5, -0.25, 0.5], [0.5, 0.5, 0.5]]),
         (2, "count", -1),
-    ], ids=["short-mu1", "1x1-sigma1", "negative-count1"])
+    ], ids=["short-mu1", "1x1-var1", "negative-var1", "negative-count1"])
     def test_log_state_malformed_moments(self, tmp_path, d1_file, capsys, line, field, value):
-        # sector 1's row of the start state's means, of step 2's covariances,
-        # or its region count after step 1
+        # sector 1's row of the start state's means, of step 2's variances,
+        # or its variances or region count after step 1
         log_file, lines = self.simulated_log_lines(tmp_path, d1_file, capsys)
         record = json.loads(lines[line - 1])
         record["state"][field][0] = value

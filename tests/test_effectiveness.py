@@ -4,20 +4,37 @@ import numpy as np
 import pytest
 
 from layup.effectiveness import (EffectivenessModel, aggregate, bucket_row, compute_delta,
-                                 compute_signs, extract_transitions, propagate_rows)
+                                 extract_transitions, propagate_rows)
 from layup.plan import ConstraintSet, expert_plan, path, peel
 from layup.search import SearchConfig, replay_cost
 from layup.sheet_state import SheetGeometry
-from layup.simulator import GroundTruthParams, builtin_sheet, run_experiment
+from layup.simulator import ExperimentLog, GroundTruthParams, builtin_sheet, run_experiment
 
-from conftest import (children, make_state, model_of, oracle_trace_total, propagate_one,
-                      rows_of, utility_of, whole_table)
+from conftest import children, make_state, model_of, propagate_one, rows_of, utility_of, whole_table
+
+SHRINK = -np.ones((2, 3))  # every variance's vote says it shrank, as a zero change votes
 
 
-def gauss(mu1, sigma1_diag, mu2, sigma2_diag, n=1):
-    """One sector's (mu, sigma, n) rows with diagonal covariances, as make_state takes them."""
-    return (np.concatenate([mu1, mu2]).astype(float),
-            np.array([np.diag(sigma1_diag), np.diag(sigma2_diag)], dtype=float), n)
+def gauss(mu1, var1, mu2, var2, n=1):
+    """One sector's (mu, var, n) rows, as make_state takes them."""
+    return (np.concatenate([mu1, mu2]).astype(float), np.array([var1, var2], dtype=float), n)
+
+
+def one_step_log(before, after, action=peel()) -> ExperimentLog:
+    """A log of one action from state `before` to state `after`."""
+    return ExperimentLog(plan_name="x", sheet="sheet1", seed=0, actions=[action],
+                         states=[before, after], correction_cycles=0, correction_paths=0,
+                         correction_converged=True)
+
+
+def signs_of(before, after) -> np.ndarray:
+    """The (2, 3) growth signs `extract_transitions` records for a sector whose
+    gauss rows go from `before` to `after`."""
+    geom = SheetGeometry(center=np.zeros(2), sector_count=2,
+                         polygon=[[50, 50], [-50, 50], [-50, -50], [50, -50]])
+    _, _, u1, u2, _ = extract_transitions(one_step_log(make_state(geom, {1: before}),
+                                                       make_state(geom, {1: after})))
+    return np.array([u1[0], u2[0]])
 
 
 class TestComputeDelta:
@@ -56,29 +73,30 @@ class TestComputeSigns:
     def test_mixed_with_tie(self):
         before = gauss([0, 0, 1], [4, 4, 1], [1, 1, 1], [1, 1, 1])
         after = gauss([0, 0, 1], [2, 5, 1], [1, 1, 1], [1, 1, 1])
-        s = compute_signs(before[1], after[1])
+        s = signs_of(before, after)
         assert np.array_equal(s[0], [-1.0, 1.0, -1.0])  # zero counts as shrink
 
     def test_identical_all_negative(self):
         s0 = gauss([0, 0, 1], [1, 2, 3], [1, 1, 1], [4, 5, 6])
-        s = compute_signs(s0[1], s0[1])
+        s = signs_of(s0, s0)
         assert np.array_equal(s[0], [-1.0, -1.0, -1.0])
         assert np.array_equal(s[1], [-1.0, -1.0, -1.0])
 
     def test_growth_all_positive(self):
         before = gauss([0, 0, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1])
         after = gauss([0, 0, 1], [2, 3, 4], [1, 1, 1], [5, 6, 7])
-        s = compute_signs(before[1], after[1])
+        s = signs_of(before, after)
         assert np.array_equal(s[0], [1.0, 1.0, 1.0])
         assert np.array_equal(s[1], [1.0, 1.0, 1.0])
 
     def test_one_sign_per_diagonal_entry(self):
-        # off-diagonal covariance entries cast no vote: one sign per diagonal
+        # one sign per variance: raising one variance of each track flips
+        # that variance's sign alone
         s0 = gauss([0, 0, 1], [1, 2, 3], [1, 1, 1], [4, 5, 6])
-        s1 = (s0[0], s0[1] + 5.0 * (1.0 - np.eye(3)), 1)
-        s = compute_signs(s0[1], s1[1])
+        s1 = (s0[0], s0[1] + [[0.0, 5.0, 0.0], [0.0, 0.0, 5.0]], 1)
+        s = signs_of(s0, s1)
         assert s.shape == (2, 3)
-        assert np.array_equal(s, -np.ones((2, 3)))
+        assert np.array_equal(s, [[-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
 
 def straight_line_delta(before, after):
@@ -121,10 +139,7 @@ class TestExtractTransitions:
 
     def test_zero_delta_for_identical_states(self, d1_log):
         state = d1_log.states[0]
-        fake = type(d1_log)(plan_name="x", sheet="sheet1", seed=0, actions=[peel()],
-                            states=[state, state], correction_cycles=0, correction_paths=0,
-                            correction_converged=True)
-        _, deltas, _, _, _ = extract_transitions(fake)
+        _, deltas, _, _, _ = extract_transitions(one_step_log(state, state))
         assert np.array_equal(deltas, np.zeros((8, 6)))
 
 
@@ -192,28 +207,17 @@ class TestAggregate:
         assert back.to_json() == model.to_json()
 
 
-def one_sample_model(before_state, after_state, action):
-    model = model_of(before_state.geometry.sector_count, [
-        (action, row + 1, compute_delta(before_state.mu[row], after_state.mu[row]),
-         compute_signs(before_state.sigma[row], after_state.sigma[row]))
-        for row in range(len(before_state.count))])
-    model.experiments = 1
-    return model
-
-
 class TestPropagate:
     def test_sentinel_stays_sentinel(self, two_sector_geom):
         state = make_state(two_sector_geom)
-        model = model_of(2, [(path(1), 1, [0, 0, 5.0, 1.0, 1.0, 0],
-                              compute_signs(state.sigma[0], state.sigma[0]))])
+        model = model_of(2, [(path(1), 1, [0, 0, 5.0, 1.0, 1.0, 0], SHRINK)])
         out = propagate_one(state, path(1), model)
         assert not out.count.any()
 
     def test_clamp_to_zero_then_sentinel(self, two_sector_geom):
         state = make_state(two_sector_geom,
                            {1: gauss([0, 0, 3.0], [1, 1, 1], [2.0, 1.0, 0.5], [1, 1, 1])})
-        model = model_of(2, [(path(1), 1, [0, 0, -5.0, -3.0, -2.0, 0],
-                              compute_signs(state.sigma[0], state.sigma[0]))])
+        model = model_of(2, [(path(1), 1, [0, 0, -5.0, -3.0, -2.0, 0], SHRINK)])
         out = propagate_one(state, path(1), model)
         assert out.count[0] == 0
 
@@ -221,7 +225,7 @@ class TestPropagate:
         # expectation-mode propagation of a one-sample model reproduces the
         # recorded after-state means exactly
         action, before, after = d1_log.actions[2], d1_log.states[2], d1_log.states[3]
-        model = one_sample_model(before, after, action)
+        model = aggregate([one_step_log(before, after, action)])
         out = propagate_one(before, action, model)
         for got, got_n, want, before_n in zip(out.mu, out.count, after.mu, before.count):
             if before_n == 0:
@@ -254,25 +258,22 @@ class TestPropagate:
         assert c.to_json() != a.to_json()
 
     def test_covariance_scaling_preserves_psd(self, d1_log):
-        # variances scaled by 0.9 or 1.1 stay nonnegative, and the state that
-        # replay_cost returns, those variances on zero matrices, is PSD
+        # variances scaled by 0.9 or 1.1 stay nonnegative, one step or all
+        # 19 of D1 replayed
         model = aggregate([d1_log])
         state = d1_log.states[0]
         _, var, _ = propagate_rows(*rows_of(state), np.zeros(1, int), [bucket_row(path(15))],
                                    whole_table(model, state))
         assert (var >= 0.0).all()
         _, final = replay_cost(d1_log.actions, state, model, SearchConfig())
-        for m in final.sigma.reshape(-1, 3, 3):
-            assert np.allclose(m, m.T)
-            assert np.linalg.eigvalsh(m).min() > -1e-9
+        assert final.var.shape == state.var.shape and (final.var >= 0.0).all()
 
     def test_sector_count_must_match_the_model(self, two_sector_geom):
         geom = SheetGeometry(center=two_sector_geom.center, polygon=two_sector_geom.polygon,
                              sector_count=3)
         row = gauss([0, 0, 3.0], [1, 1, 1], [2, 1, 0.5], [1, 1, 1])
         state = make_state(geom, {1: row, 3: row})
-        model = model_of(2, [(path(1), 1, [0, 0, -1.0, 0, 0, 0],
-                              compute_signs(state.sigma[0], state.sigma[0]))])
+        model = model_of(2, [(path(1), 1, [0, 0, -1.0, 0, 0, 0], SHRINK)])
         with pytest.raises(ValueError, match="state has 3 sectors, the model 2"):
             propagate_one(state, path(1), model)
 
@@ -283,16 +284,14 @@ class TestPropagate:
         actions = d1_log.actions
         for action in actions:
             state = propagate_one(state, action, model)
-            for mu, sigma, count in zip(state.mu, state.sigma, state.count):
+            for mu, var, count in zip(state.mu, state.var, state.count):
                 if count == 0:
-                    assert np.all(mu[:3] == 0) and np.all(sigma[0] == 0)
+                    assert np.all(mu[:3] == 0) and np.all(var[0] == 0)
                     continue
                 assert mu[2] >= 0.0
                 assert mu[3] >= 0.0 and mu[4] >= 0.0
                 assert 0.0 <= mu[5] < math.pi
-                for m in sigma:
-                    assert np.allclose(m, m.T)
-                    assert np.linalg.eigvalsh(m).min() > -1e-9
+                assert (var >= 0.0).all()
 
 
 def effectiveness_score(action, state, model, cfg) -> float:
@@ -308,27 +307,25 @@ class TestEffectivenessScore:
     def test_zero_delta_bucket_scores_covariance_only(self, two_sector_geom):
         state = make_state(two_sector_geom,
                            {1: gauss([10, 5, 2.0], [4, 4, 1], [8, 4, 0.3], [2, 2, 1])})
-        model = model_of(2, [(path(1), 1, np.zeros(6),
-                              compute_signs(state.sigma[0], state.sigma[0]))])
+        model = model_of(2, [(path(1), 1, np.zeros(6), SHRINK)])
         cfg = self.cfg()
         score = effectiveness_score(path(1), state, model, cfg)
         after = propagate_one(state, path(1), model)
-        d_trace = oracle_trace_total(after) - oracle_trace_total(state)
-        # no mean movement: only the covariance bookkeeping contributes
+        d_trace = after.var.sum() - state.var.sum()
+        # no mean movement: only the variance bookkeeping contributes
         expected = (utility_of(after, cfg) - utility_of(state, cfg)
                     + cfg.w_sigma * d_trace)
         assert score == pytest.approx(expected, abs=1e-12)
         assert np.array_equal(after.mu[0, :3], state.mu[0, :3])
-        assert d_trace < 0  # all-tie votes shrink the diagonals
+        assert d_trace < 0  # all-tie votes shrink the variances
 
     def test_dominated_action_scores_worse(self, two_sector_geom):
         state = make_state(two_sector_geom,
                            {1: gauss([0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1]),
                             2: gauss([0, 0, 5.0], [1, 1, 1], [5, 3, 0.2], [1, 1, 1])})
-        signs = compute_signs(state.sigma[0], state.sigma[0])
         model = model_of(2, [sample for sector in (1, 2)
-                             for sample in ((path(1), sector, [0, 0, -2.0, 0, 0, 0], signs),
-                                            (path(2), sector, [0, 0, -0.5, 0, 0, 0], signs))])
+                             for sample in ((path(1), sector, [0, 0, -2.0, 0, 0, 0], SHRINK),
+                                            (path(2), sector, [0, 0, -0.5, 0, 0, 0], SHRINK))])
         cfg = self.cfg()
         assert effectiveness_score(path(1), state, model, cfg) < \
             effectiveness_score(path(2), state, model, cfg)
@@ -337,8 +334,7 @@ class TestEffectivenessScore:
         state = make_state(two_sector_geom,
                            {1: gauss([0, 0, 4.0], [0, 0, 0], [6, 2, 0.1], [0, 0, 0]),
                             2: gauss([0, 0, 2.0], [0, 0, 0], [3, 1, 0.1], [0, 0, 0])})
-        signs = compute_signs(state.sigma[0], state.sigma[0])
-        model = model_of(2, [(path(1), 1, [0, 0, -1.0, -1.0, 0, 0], signs)])
+        model = model_of(2, [(path(1), 1, [0, 0, -1.0, -1.0, 0, 0], SHRINK)])
         cfg = SearchConfig(w_h=100.0, w_area=1.0, w_sigma=0.0)
         area = two_sector_geom.area
         f_before = (100 * 4 + 6 * 2 + 100 * 2 + 3 * 1) / area

@@ -40,7 +40,7 @@ class Reader:
 def _log_docs() -> list:
     geom = SheetGeometry(center=np.zeros(2), polygon=[[50, 50], [-50, 50], [-50, -50], [50, -50]],
                          sector_count=2)
-    state = make_state(geom, {1: ([1.0, 2.0, 0.5, 4.0, 2.0, 0.3], np.eye(3), 2)}, t=1)
+    state = make_state(geom, {1: ([1.0, 2.0, 0.5, 4.0, 2.0, 0.3], np.ones(3), 2)}, t=1)
     log = ExperimentLog(plan_name="p", sheet="sheet1", seed=3,
                         actions=[path(2), refinement(2)], states=[state] * 3,
                         correction_cycles=1, correction_paths=2, correction_converged=False)

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from layup.cli import RunConfig, cmd_simulate
 from layup.effectiveness import (BUCKET_KEYS, COV_GROW, COV_SHRINK, EffectivenessModel,
-                                 EffectTable, aggregate, bucket_row, compute_delta, compute_signs,
+                                 EffectTable, aggregate, bucket_row, compute_delta,
                                  extract_transitions, propagate_rows)
 from layup.geometry import (PathGeometry, _closest_on_boundary,
                             axial_difference, clamp_into_polygon, fold_axial,
@@ -41,9 +41,8 @@ from layup.simulator import (ExperimentLog, GroundTruthParams, SimState,
                              path_geometry, read_log, render_capture, run_experiment,
                              write_log)
 
-from conftest import (diagonal_covariances, lookahead, make_state, meets, model_of, oracle_abs,
-                      oracle_rel, oracle_trace_total, root_row, rows_of, sample_key, variances,
-                      whole_table)
+from conftest import (lookahead, meets, model_of, oracle_abs, oracle_rel, root_row, rows_of,
+                      sample_key, whole_table)
 
 kinds_st = st.sampled_from(ACTION_KINDS)
 gamma_st = st.sampled_from((">", "=", "<"))
@@ -304,9 +303,47 @@ DELTAS = (0.0, -1e-17, -0.3, -50.0, 0.2, 1.7)
 BATCH_ACTIONS = (path(1), path(2), path(3), peel(), capture(), refinement(3), end())
 
 
+@dataclass
+class WholeState:
+    """A sheet state with each sector's two whole 3x3 covariances in place of
+    their variances: the form the sector-by-sector oracles read and write.
+
+    `sheet` is the `SheetState` of the covariances' diagonals, the form the
+    program takes; `of` puts a `SheetState`'s variances on covariances that
+    are zero off the diagonal.
+    """
+
+    geometry: SheetGeometry
+    mu: np.ndarray     # (k, 6)
+    sigma: np.ndarray  # (k, 2, 3, 3)
+    count: np.ndarray  # (k,)
+    t: int = 0
+
+    @functools.cached_property
+    def sheet(self) -> SheetState:
+        return SheetState(self.geometry, self.mu,
+                          np.diagonal(self.sigma, axis1=-2, axis2=-1).copy(), self.count, self.t)
+
+    @classmethod
+    def of(cls, state: SheetState) -> "WholeState":
+        sigma = np.zeros(state.var.shape + (3,))
+        sigma[..., range(3), range(3)] = state.var
+        return cls(state.geometry, state.mu, sigma, state.count, state.t)
+
+
+def whole_state(geom, sectors=None, t=0) -> WholeState:
+    """A `WholeState` of `geom` from {sector id: (mu, sigma, n)}, `sigma` both
+    3x3 covariances or one that both take; other sectors are sentinels."""
+    k = geom.sector_count
+    mu, sigma, count = np.zeros((k, 6)), np.zeros((k, 2, 3, 3)), np.zeros(k, dtype=int)
+    for sector, (m, s, n) in (sectors or {}).items():
+        mu[sector - 1], sigma[sector - 1], count[sector - 1] = m, s, n
+    return WholeState(geom, mu, sigma, count, t)
+
+
 @st.composite
 def sectors(draw):
-    """One sector's (mu, sigma, n) rows for make_state, or None for a sentinel."""
+    """One sector's (mu, sigma, n) rows for whole_state, or None for a sentinel."""
     kind = draw(st.sampled_from(("live", "live", "live", "sentinel", "stale")))
     if kind == "sentinel":
         return None
@@ -327,17 +364,23 @@ def square_geometry(k: int) -> SheetGeometry:
 
 
 @st.composite
-def states(draw, geom=None):
+def whole_states(draw, geom=None):
     if geom is None:
         geom = square_geometry(draw(st.integers(2, 12)))  # np.sum adds 8 or more terms pairwise
     rows = {i: draw(sectors()) for i in range(1, geom.sector_count + 1)}
-    return make_state(geom, {i: row for i, row in rows.items() if row is not None},
-                      t=draw(st.integers(0, 40)))
+    return whole_state(geom, {i: row for i, row in rows.items() if row is not None},
+                       t=draw(st.integers(0, 40)))
+
+
+def states(geom=None):
+    """`whole_states` as the program holds them: the covariances' diagonals."""
+    return whole_states(geom).map(lambda state: state.sheet)
 
 
 @st.composite
 def states_and_models(draw):
-    state = draw(states())
+    """A `WholeState` and a model of its sector count."""
+    state = draw(whole_states())
     k = state.geometry.sector_count
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     samples = []
@@ -353,13 +396,13 @@ LOWER = np.array([0.0, 0.0, -0.3, -0.3, -0.3, 0.1])
 RAISE = np.array([1.7, -0.3, 0.2, 0.2, 0.0, -0.3])
 
 
-def compaction_case(sectors: dict) -> tuple[SheetState, EffectivenessModel]:
+def compaction_case(sectors: dict) -> tuple[WholeState, EffectivenessModel]:
     """A 4-sector state from {sector: (height, axes, regions)}, the other sectors
     sentinels, and a model with two samples per bucket and sector: paths lower
     the height and both axes by 0.45 on average, collapsing a sector whose three
     are below that, while peel, capture and refinement raise them; end is unseen.
     """
-    state = make_state(square_geometry(4), {
+    state = whole_state(square_geometry(4), {
         sector: ([10.0 * sector, -5.0, h, axes, axes, 1.0], np.eye(3) * sector, n)
         for sector, (h, axes, n) in sectors.items()}, t=3)
     return state, model_of(4, [
@@ -379,20 +422,13 @@ COMPACTION_CFG = SearchConfig(branching=2, depth=3, horizon=8, path_count=3, w_s
 
 
 def row_bytes(mu, var, count, i=...) -> tuple:
-    """The exact bytes of rows of means, variances (or covariances) and counts,
-    or of row i of a batch."""
+    """The exact bytes of rows of means, variances and counts, or of row i of a batch."""
     return mu[i].tobytes(), var[i].tobytes(), count[i].tobytes()
 
 
-def fingerprint(state: SheetState, i=...) -> tuple:
-    """The exact bytes of a state's arrays, or of state i of a batch."""
-    return row_bytes(state.mu, state.sigma, state.count, i)
-
-
-def diagonal_bytes(state: SheetState) -> tuple:
-    """The exact bytes of a state's means, covariance diagonals and counts: the
-    part of it that the search carries."""
-    return row_bytes(state.mu, variances(state.sigma), state.count)
+def fingerprint(state: SheetState) -> tuple:
+    """The exact bytes of a state's arrays."""
+    return row_bytes(state.mu, state.var, state.count)
 
 
 @dataclass
@@ -477,7 +513,7 @@ def oracle_compile(buckets: dict, k: int) -> EffectTable:
 def oracle_diagonal(table: EffectTable) -> EffectTable:
     """An `oracle_compile` table with each covariance scale cut to its diagonal,
     the variance scale that the model's table holds."""
-    return replace(table, scale=variances(table.scale))
+    return replace(table, scale=np.diagonal(table.scale, axis1=-2, axis2=-1))
 
 
 def table_bytes(table: EffectTable) -> tuple:
@@ -620,8 +656,8 @@ def test_a_bucket_the_model_never_saw_compiles_to_a_row_without_data():
     assert table.covers[bucket_row(path(1))] and table.covers[bucket_row(peel())]
 
 
-def oracle_propagate(state: SheetState, action: Action, model: EffectivenessModel,
-                     mode: str = "expectation", seed: int | None = None) -> SheetState:
+def oracle_propagate(state: WholeState, action: Action, model: EffectivenessModel,
+                     mode: str = "expectation", seed: int | None = None) -> WholeState:
     """One action's learned effect, sector by sector: the loop `propagate_rows` replaced.
 
     A sampled-mode rng draws one (6,) row per moved sector, in sector order.
@@ -651,7 +687,7 @@ def oracle_propagate(state: SheetState, action: Action, model: EffectivenessMode
         for track, majority in enumerate(bucket_majority(bucket)):
             scale = np.sqrt(np.where(majority > 0, 1.1, 0.9))
             sigma[row, track] = sigma[row, track] * np.outer(scale, scale)
-    return SheetState(state.geometry, mu, sigma, count, state.t + 1)
+    return WholeState(state.geometry, mu, sigma, count, state.t + 1)
 
 
 def oracle_action_cost(action: Action, cfg: SearchConfig) -> float:
@@ -661,7 +697,13 @@ def oracle_action_cost(action: Action, cfg: SearchConfig) -> float:
     return cfg.action_costs[action.kind]
 
 
-def oracle_state_utility(state: SheetState, cfg: SearchConfig) -> float:
+def oracle_trace_total(state: WholeState) -> float:
+    """Summed covariance diagonals over all sectors, added sector by sector: the
+    loop that the trace total of `search.price_batch` replaced."""
+    return float(sum(np.trace(sigma[0]) + np.trace(sigma[1]) for sigma in state.sigma))
+
+
+def oracle_state_utility(state: WholeState, cfg: SearchConfig) -> float:
     """A state's price, sector by sector: the loop `price_batch`'s utility replaced."""
     total = 0.0
     for mu, sigma, count in zip(state.mu, state.sigma, state.count):
@@ -692,14 +734,14 @@ def test_propagate_rows_matches_scalar_bitwise(case, sampled, seeds, weights):
     mode = "sampled" if sampled else "expectation"
     cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
     rows, table = [bucket_row(action) for action in BATCH_ACTIONS], whole_table(model, state)
-    level, wants, parents = rows_of(state), [state] * len(rows), np.zeros(len(rows), int)
+    level, wants, parents = rows_of(state.sheet), [state] * len(rows), np.zeros(len(rows), int)
     for _ in range(2):
         level = propagate_rows(*level, parents, rows, table, seeds if sampled else None)
         wants = [oracle_propagate(want, action, model, mode, seed)
                  for want, action, seed in zip(wants, BATCH_ACTIONS, seeds)]
         utility, trace = price_batch(*level, state.geometry.area, cfg)
         for i, want in enumerate(wants):
-            assert row_bytes(*level, i) == diagonal_bytes(want)
+            assert row_bytes(*level, i) == fingerprint(want.sheet)
             assert utility[i].hex() == oracle_state_utility(want, cfg).hex()
             assert trace[i].hex() == oracle_trace_total(want).hex()
         parents = np.arange(len(rows))
@@ -713,7 +755,7 @@ def test_price_batch_matches_scalar_bitwise(case, weights):
     cfg = SearchConfig(w_h=weights[0], w_area=weights[1], w_sigma=weights[2])
     scalar = [state] + [oracle_propagate(state, action, model) for action in BATCH_ACTIONS]
     utility, trace = price_batch(np.stack([s.mu for s in scalar]),
-                                 np.stack([variances(s.sigma) for s in scalar]),
+                                 np.stack([s.sheet.var for s in scalar]),
                                  np.stack([s.count for s in scalar]), state.geometry.area, cfg)
     want = [oracle_state_utility(s, cfg).hex() for s in scalar]
     assert [u.hex() for u in utility.tolist()] == want
@@ -741,7 +783,7 @@ def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, path_count, a
     state, model = case
     cfg = SearchConfig(mode="sampled" if sampled else "expectation", seed=seed,
                        path_count=path_count)
-    cost, final = replay_cost(actions, state, model, cfg)
+    cost, final = replay_cost(actions, state.sheet, model, cfg)
     want_cost, want = 0.0, state
     for position, action in enumerate(actions, start=1):
         want = oracle_propagate(want, action, model, cfg.mode,
@@ -751,11 +793,10 @@ def test_replay_cost_matches_the_oracle_chain(case, sampled, seed, path_count, a
             want_cost += cfg.w_unk
     assert cost.hex() == want_cost.hex()
     if not actions:
-        assert final is state
+        assert final is state.sheet
         return
-    # the search carries variances: the oracle's diagonals, zeros off them
-    assert diagonal_bytes(final) == diagonal_bytes(want)
-    assert not final.sigma[..., ~np.eye(3, dtype=bool)].any()
+    # the search carries variances: the diagonals of the oracle's covariances
+    assert fingerprint(final) == fingerprint(want.sheet)
     assert final.t == want.t
 
 
@@ -768,13 +809,14 @@ def oracle_order(action: Action) -> tuple[int, int]:
 
 @dataclass
 class OracleNode:
-    """One node of the recursive search: a whole state and the actions that led to it."""
+    """One node of the recursive search: a state of all k sectors and the actions
+    that led to it."""
 
     state: SheetState
     prefix: tuple
     cost: float       # sum over the prefix of action cost + utility (+ unmodeled penalty)
     utility: float
-    trace: float      # summed covariance diagonals of the state
+    trace: float      # summed variances of the state
     stats: SearchStats  # shared by every node of a search
     score: float = 0.0  # one-step merit of the last action from the parent state
 
@@ -783,9 +825,10 @@ class OracleNode:
         return bool(self.prefix) and self.prefix[-1].kind == "end"
 
 
-def oracle_root(state: SheetState, cfg, stats: SearchStats, prefix=()) -> OracleNode:
-    """The node a search starts from, priced by the sector loops, as if reached by `prefix`."""
-    return OracleNode(state, tuple(prefix), 0.0, oracle_state_utility(state, cfg),
+def oracle_root(state: WholeState, cfg, stats: SearchStats, prefix=()) -> OracleNode:
+    """The node a search starts from, priced by the sector loops on whole
+    covariances, as if reached by `prefix`; it holds the state's diagonals."""
+    return OracleNode(state.sheet, tuple(prefix), 0.0, oracle_state_utility(state, cfg),
                       oracle_trace_total(state), stats)
 
 
@@ -810,8 +853,7 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
         if oracle_unseen(model, action):
             cost += cfg.w_unk
         children.append(OracleNode(
-            state=SheetState(state.geometry, mu[i], diagonal_covariances(var[i]), count[i],
-                             state.t + 1),
+            state=SheetState(state.geometry, mu[i], var[i], count[i], state.t + 1),
             prefix=node.prefix + (action,), cost=cost, utility=utility, trace=trace,
             stats=node.stats,
             score=utility - node.utility + cfg.w_sigma * (trace - node.trace)))
@@ -844,7 +886,7 @@ def oracle_lookahead_value(node: OracleNode, model, cs, cfg, depth: int) -> floa
     return min(oracle_lookahead_value(c, model, cs, cfg, depth - 1) for c in children)
 
 
-def oracle_refine(initial: SheetState, model, cs, cfg) -> tuple[tuple, list, SearchStats]:
+def oracle_refine(initial: WholeState, model, cs, cfg) -> tuple[tuple, list, SearchStats]:
     """`refine_plan_detailed` on the recursive lookahead: the actions, audit and counts."""
     stats = SearchStats()
     node = oracle_root(initial, cfg, stats)
@@ -895,11 +937,12 @@ SEARCH_CONSTRAINTS = (
 
 @st.composite
 def search_cases(draw):
-    """A state (all-sentinel now and then), a model with data, constraints and a config."""
+    """A `WholeState` (all-sentinel now and then), a model with data, constraints
+    and a config."""
     state, model = draw(states_and_models())
     assume(not model.is_empty)
     if draw(st.integers(0, 5)) == 0:
-        state = make_state(state.geometry, t=state.t)
+        state = whole_state(state.geometry, t=state.t)
     cs = draw(st.sampled_from(SEARCH_CONSTRAINTS) | constraint_sets)
     sampled = draw(st.booleans())
     cfg = SearchConfig(branching=draw(st.integers(1, 5)), depth=draw(st.integers(0, 4)),
@@ -928,7 +971,7 @@ def test_lookahead_value_matches_the_recursive_oracle(case, prefix):
     state, model, cs, cfg = case
     stats, want_node = SearchStats(), oracle_root(state, cfg, SearchStats(), prefix)
     for depth in sorted({0, cfg.depth}):
-        got = lookahead(state, model, cs, cfg, depth, prefix=prefix, stats=stats)
+        got = lookahead(state.sheet, model, cs, cfg, depth, prefix=prefix, stats=stats)
         want = oracle_lookahead_value(want_node, model, cs, cfg, depth)
         assert got.hex() == want.hex()
         assert work_counts(stats) == work_counts(want_node.stats)
@@ -968,7 +1011,7 @@ def test_batched_lookahead_matches_the_recursive_oracle_row_by_row(frontier):
     # the subtrees of several rows searched as one frontier: each row's value
     # is its own recursive lookahead's, bit for bit, and the work counts add up
     (state, model, cs, cfg), prefixes = frontier
-    steps, want_stats = _Search(state, model, cs, cfg, SearchStats()), SearchStats()
+    steps, want_stats = _Search(state.sheet, model, cs, cfg, SearchStats()), SearchStats()
     rows, want_nodes = [], []
     for prefix in prefixes:
         row, node = root_row(steps), oracle_root(state, cfg, SearchStats())
@@ -979,7 +1022,8 @@ def test_batched_lookahead_matches_the_recursive_oracle_row_by_row(frontier):
         want_nodes.append(replace(node, stats=want_stats))
     front, stats = stacked(rows), SearchStats()
     for depth in sorted({0, cfg.depth}):
-        got = _lookahead(_Search(state, model, cs, replace(cfg, depth=depth), stats), front)
+        got = _lookahead(_Search(state.sheet, model, cs, replace(cfg, depth=depth), stats),
+                         front)
         want = [oracle_lookahead_value(node, model, cs, cfg, depth) for node in want_nodes]
         assert [value.hex() for value in got.tolist()] == [value.hex() for value in want]
         assert work_counts(stats) == work_counts(want_stats)
@@ -997,7 +1041,7 @@ def test_refine_plan_matches_the_recursive_oracle(case):
     state, model, cs, cfg = case
     stats = SearchStats()
     try:
-        plan, audit = refine_plan_detailed(state, model, cs, cfg, stats=stats)
+        plan, audit = refine_plan_detailed(state.sheet, model, cs, cfg, stats=stats)
     except SearchError:
         with pytest.raises(SearchError):
             oracle_refine(state, model, cs, cfg)
@@ -1018,7 +1062,7 @@ def test_golden_refine_counts_match_the_recursive_oracle(mode):
     state = average_states([log.states[0] for log in logs])
     cfg, cs, stats = SearchConfig(mode=mode, seed=3), standard_constraints(), SearchStats()
     plan, audit = refine_plan_detailed(state, model, cs, cfg, stats=stats)
-    actions, want_audit, want = oracle_refine(state, model, cs, cfg)
+    actions, want_audit, want = oracle_refine(WholeState.of(state), model, cs, cfg)
     assert plan.actions == actions
     assert json.dumps(audit) == json.dumps(want_audit)
     assert work_counts(stats) == work_counts(want)
@@ -1067,7 +1111,7 @@ def oracle_fit(g: np.ndarray) -> OracleEllipse:
                          mean_height)
 
 
-def oracle_build_state(frame: CaptureFrame, geom: SheetGeometry) -> tuple[SheetState, list]:
+def oracle_build_state(frame: CaptureFrame, geom: SheetGeometry) -> tuple[WholeState, list]:
     """The per-ellipse path: one object per region, a scalar sector each, a list per sector."""
     groups = segment_regions(frame.points[frame.points[:, 2] > 0.5], 12.0)
     ellipses = [oracle_fit(g) for g in groups]
@@ -1099,7 +1143,7 @@ def oracle_build_state(frame: CaptureFrame, geom: SheetGeometry) -> tuple[SheetS
             cov = centered.T @ centered / len(idxs)
             sigma[row, 1] = (cov + cov.T) / 2.0
         count[row] = len(idxs)
-    return SheetState(geom, mu, sigma, count, frame.t), ellipses
+    return WholeState(geom, mu, sigma, count, frame.t), ellipses
 
 
 # spots on a 40 mm lattice, each above the floor a one-point region, with
@@ -1148,7 +1192,7 @@ def test_build_state_matches_the_per_ellipse_path(case):
     frame, geom = case
     got = build_state(frame, geom)
     want, ellipses = oracle_build_state(frame, geom)
-    assert fingerprint(got) == fingerprint(want)
+    assert fingerprint(got) == fingerprint(want.sheet)  # the covariances' diagonals
     assert got.t == want.t
     _, regions = extract_regions(frame)
     assert regions.shape == (len(ellipses), 6)
@@ -1259,7 +1303,7 @@ class TransitionSample:
     action: Action
     sector: int
     delta: np.ndarray  # (6,), as compute_delta returns it
-    signs: np.ndarray  # (2, 3) of +-1, as compute_signs returns it
+    signs: np.ndarray  # (2, 3) of +-1, the growth signs of the G1 and G2 variances
     source: str        # "plan:step"
 
 
@@ -1272,7 +1316,8 @@ def oracle_transitions(log) -> list[TransitionSample]:
             samples.append(TransitionSample(
                 action=action, sector=row + 1,
                 delta=compute_delta(before.mu[row], after.mu[row]),
-                signs=compute_signs(before.sigma[row], after.sigma[row]),
+                signs=np.array([[1.0 if after.var[row, track, l] - before.var[row, track, l] > 0
+                                 else -1.0 for l in range(3)] for track in range(2)]),
                 source=f"{log.plan_name}:{i}"))
     return samples
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from layup.effectiveness import EffectivenessModel, compute_signs
+from layup.effectiveness import EffectivenessModel
 from layup.geometry import ROLLER_HALF_WIDTH_DEFAULT
 from layup.plan import (AbsConstraint, ConstraintSet, RelConstraint, capture,
                         end, path, peel, refinement, standard_constraints,
@@ -17,7 +17,7 @@ from conftest import children, lookahead, make_state, model_of, propagate_one, u
 
 
 def gauss(sector, h, a, b, theta=0.2):
-    return np.array([10.0 * sector, 5.0, h, a, b, theta]), np.eye(3), 1
+    return np.array([10.0 * sector, 5.0, h, a, b, theta]), np.ones(3), 1
 
 
 def two_sector_state(geom, h1=3.0, h2=2.0):
@@ -25,8 +25,7 @@ def two_sector_state(geom, h1=3.0, h2=2.0):
 
 
 def zero_signs():
-    s = np.zeros((2, 3, 3))
-    return compute_signs(s, s)
+    return -np.ones((2, 3))  # unchanged variances vote shrink
 
 
 def model_from_deltas(deltas_by_key, k=2):
@@ -186,7 +185,7 @@ class TestExpand:
         # the search propagates only the live sector 1; its children still hold
         # both sectors, the stale sector 2 zeroed as propagation zeroes it
         state = make_state(two_sector_geom, {1: gauss(1, 3.0, 20.0, 10.0),
-                                             2: (gauss(2, 2.0, 15.0, 8.0)[0], np.eye(3), 0)})
+                                             2: (gauss(2, 2.0, 15.0, 8.0)[0], np.ones(3), 0)})
         model = random_small_model(np.random.default_rng(4))
         cfg = small_cfg(branching=4, horizon=8)
         best = children(state, model, standard_constraints(), cfg)[:cfg.branching]
@@ -194,11 +193,11 @@ class TestExpand:
         for child in best:
             want = propagate_one(state, child.action, model)
             assert child.state.mu.tobytes() == want.mu.tobytes()
-            assert child.state.sigma.tobytes() == want.sigma.tobytes()
+            assert child.state.var.tobytes() == want.var.tobytes()
             assert child.state.count.tobytes() == want.count.tobytes()
             assert child.state.count.tolist() == [1, 0]
         cost, final = replay_cost([path(1), path(2)], state, model, cfg)
-        assert final.mu.shape == (2, 6) and final.sigma.shape == (2, 2, 3, 3)
+        assert final.mu.shape == (2, 6) and final.var.shape == (2, 2, 3)
         assert final.count.tolist() == [1, 0]
 
 
@@ -378,7 +377,7 @@ class TestRefinePlan:
 
 class TestGenerateRefinementPaths:
     def test_single_region_geometry(self, square_geom):
-        state = make_state(square_geom, {1: ([50.0, 0.0, 2.0, 20.0, 10.0, 0.0], np.eye(3), 1)})
+        state = make_state(square_geom, {1: ([50.0, 0.0, 2.0, 20.0, 10.0, 0.0], np.ones(3), 1)})
         paths = generate_refinement_paths(state, 1, ROLLER_HALF_WIDTH_DEFAULT)
         assert len(paths) == 1
         assert np.allclose(paths[0].start, [30.0, 0.0], atol=1e-9)
@@ -386,8 +385,8 @@ class TestGenerateRefinementPaths:
 
     def test_cycles_when_more_paths_than_sectors(self, square_geom):
         state = make_state(square_geom,
-                           {1: ([60.0, 20.0, 2.0, 20.0, 10.0, 0.1], np.eye(3), 1),
-                            5: ([-60.0, -20.0, 3.0, 25.0, 12.0, 3.0], np.eye(3), 1)})
+                           {1: ([60.0, 20.0, 2.0, 20.0, 10.0, 0.1], np.ones(3), 1),
+                            5: ([-60.0, -20.0, 3.0, 25.0, 12.0, 3.0], np.ones(3), 1)})
         paths = generate_refinement_paths(state, 4, ROLLER_HALF_WIDTH_DEFAULT)
         assert len(paths) == 4
         starts = {tuple(np.round(p.start, 6)) for p in paths}
@@ -395,8 +394,8 @@ class TestGenerateRefinementPaths:
 
     def test_severity_ranking(self, square_geom):
         state = make_state(square_geom,
-                           {1: ([60.0, 20.0, 0.5, 5.0, 2.0, 0.1], np.eye(3), 1),
-                            5: ([-60.0, -20.0, 4.0, 30.0, 15.0, 3.0], np.eye(3), 1)})
+                           {1: ([60.0, 20.0, 0.5, 5.0, 2.0, 0.1], np.ones(3), 1),
+                            5: ([-60.0, -20.0, 4.0, 30.0, 15.0, 3.0], np.ones(3), 1)})
         first = generate_refinement_paths(state, 1, ROLLER_HALF_WIDTH_DEFAULT)[0]
         # the severe sector 5 wins the single slot
         assert first.start[0] < 0

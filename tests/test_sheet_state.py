@@ -209,19 +209,18 @@ class TestBuildState:
     def test_single_region_sigma2_zero(self, square_geom):
         state = build_state(frame_from(bump_points(polar(70, 90), 12.0, 4.0)),
                             square_geom)
-        sigma1, sigma2 = state.sigma[1]
+        var1, var2 = state.var[1]
         assert state.count[1] == 1
-        assert np.all(sigma2 == 0.0)
-        assert np.trace(sigma1) > 0
+        assert np.all(var2 == 0.0)
+        assert var1.sum() > 0
 
     def test_covariances_psd(self, square_geom):
         rng = np.random.default_rng(8)
         pts = np.column_stack([rng.uniform(-140, 140, (400, 2)),
                                rng.uniform(0, 3.0, 400)])
         state = build_state(frame_from(pts), square_geom)
-        for m in state.sigma.reshape(-1, 3, 3):
-            assert np.allclose(m, m.T)
-            assert np.linalg.eigvalsh(m).min() > -1e-9
+        assert state.var.shape == (square_geom.sector_count, 2, 3)
+        assert (state.var >= 0.0).all()
 
     def test_height_scaling_exact_on_fixed_level_set(self, square_geom):
         # discrete heights keep the filtered point set identical under
@@ -253,8 +252,8 @@ class TestStateJson:
     def test_rejects_moments_of_one_wrong_shape_throughout(self, square_geom):
         # no sector disagrees with another, so only the shape itself is wrong
         obj = make_state(square_geom).to_json()
-        obj["sigma"] = [[[[0.0, 0.0], [0.0, 0.0]]] * 2] * square_geom.sector_count
-        with pytest.raises(ValueError, match="sigma"):
+        obj["var"] = [[[0.0, 0.0]] * 2] * square_geom.sector_count
+        with pytest.raises(ValueError, match="var"):
             SheetState.from_json(obj, square_geom)
 
     @pytest.mark.parametrize("count", [[1] * 7, [1] * 9, [1.0] * 8, [True] * 8, 3],
@@ -307,8 +306,8 @@ class TestAverageStates:
         assert live == {1, 5}
 
     def test_mean_of_means(self, square_geom):
-        sa = make_state(square_geom, {1: ([1.0, 2.0, 3.0, 4.0, 2.0, 0.5], np.eye(3), 1)})
-        sb = make_state(square_geom, {1: ([3.0, 4.0, 5.0, 6.0, 4.0, 1.5], np.eye(3), 1)})
+        sa = make_state(square_geom, {1: ([1.0, 2.0, 3.0, 4.0, 2.0, 0.5], np.ones(3), 1)})
+        sb = make_state(square_geom, {1: ([3.0, 4.0, 5.0, 6.0, 4.0, 1.5], np.ones(3), 1)})
         avg = average_states([sa, sb])
         assert np.allclose(avg.mu[0, :3], [2.0, 3.0, 4.0])
         assert np.allclose(avg.mu[0, 3:], [5.0, 3.0, 1.0])
