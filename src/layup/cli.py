@@ -281,6 +281,13 @@ def format_report(report: dict) -> str:
 
 
 def cmd_report(log_paths, out_dir=None, baseline: str | None = None) -> dict:
+    """Tabulate the logs' summary records; returns the report.
+
+    Only each log's last record, its summary, is read, and it is not
+    checked against the step records (`cmd_learn` checks it, through
+    `read_log`): decoding a whole log costs about 50 times as much as its
+    last line.
+    """
     if not log_paths:
         raise ValueError("report needs at least one log file")
     summaries = [read_last_json_line(p, summary_from_json) for p in log_paths]

@@ -31,7 +31,7 @@ def test_layup_runs_without_scipy():
 
 
 def test_make_golden_runs_without_pythonpath(tmp_path):
-    # the script puts the checkout's src/ on sys.path itself, as check_reference.py does
+    # the script puts the checkout's src/ on sys.path itself; --help exits before any run
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     script = Path(__file__).resolve().parent / "make_golden.py"
     done = subprocess.run([sys.executable, str(script), "--help"], env=env, cwd=tmp_path,
