@@ -25,6 +25,13 @@ without a feasible child, and every row of the last level, is a leaf; a
 candidate's lookahead value is the least cost plus utility of the leaves
 below it. The rows of a level share their prefix length, so a sampled-mode
 draw is seeded by (position, action) for every row alike.
+
+A step keeps the tree it priced. Committing a candidate cuts every level
+to the rows that descend from it, and the cut levels are the next step's
+candidates and all but the deepest of its lookahead levels, so each step
+after the first prices one new level. A row's propagation, price, score and
+ranking depend only on its prefix, so a kept row is the row a fresh
+lookahead would price, bit for bit.
 """
 from __future__ import annotations
 
@@ -130,11 +137,17 @@ def price_batch(mu: np.ndarray, var: np.ndarray, count: np.ndarray, area: float,
 
 @dataclass
 class SearchStats:
-    """Work counts of one search; deterministic for given inputs."""
+    """Work counts of one search; deterministic for given inputs.
+
+    A node is expanded at most once per search: a step takes the children
+    of the nodes the previous step's tree already holds (`nodes_reused`)
+    rather than pricing them again.
+    """
 
     nodes_expanded: int = 0   # non-terminal nodes below the horizon whose children were listed
     children_priced: int = 0  # child states propagated and priced
     batch_calls: int = 0      # one per propagated level or single step
+    nodes_reused: int = 0     # non-terminal nodes whose children the previous step's tree held
 
 
 @dataclass(frozen=True)
@@ -153,19 +166,37 @@ class _Frontier:
     mu: np.ndarray             # (N, n, 6) sector means
     var: np.ndarray            # (N, n, 2, 3) variances of both tracks
     count: np.ndarray          # (N, n) sample counts, 0 for a sentinel
-    kinds: list | None         # N tuples of prefix kinds; None until the rows are ranked
+    kinds: list | None         # N tuples of prefix kinds; None until the rows are expanded
     cost: np.ndarray           # (N,)
     utility: np.ndarray        # (N,)
     trace: np.ndarray          # (N,)
     score: np.ndarray          # (N,)
 
-    def take(self, rows, kinds=None) -> "_Frontier":
+    def take(self, rows) -> "_Frontier":
+        kinds = None if self.kinds is None else [self.kinds[r] for r in rows]
         return _Frontier(self.mu[rows], self.var[rows], self.count[rows], kinds,
                          self.cost[rows], self.utility[rows], self.trace[rows],
                          self.score[rows])
 
     def row(self, i: int) -> "_Frontier":
-        return self.take([i], [self.kinds[i]])
+        return self.take([i])
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The kept children of a frontier's rows: one level of a step's tree.
+
+    The rows come grouped by parent, in frontier order, each group best
+    one-step score first. `least` is over all of a parent's feasible
+    children, kept or not, so the stop test of the step that commits the
+    parent can read it. A level with no rows is a frontier none of whose
+    rows had a feasible child.
+    """
+
+    rows: _Frontier            # kinds None until the rows are expanded (`_named`)
+    parents: np.ndarray        # (N,) each row's parent row in the frontier above
+    which: np.ndarray          # (N,) each row's candidate index
+    least: np.ndarray          # (P,) each parent's least child utility, inf for none
 
 
 def _sample_seed(seed: int, position: int, action: Action) -> int:
@@ -203,12 +234,13 @@ class _Search:
     on it.
 
     The committed path is one frontier row and the tuple of its actions.
-    Each stage lists the row's children as one level (`_level`), looks
-    ahead from the best `branching` of them as one frontier (`_lookahead`)
-    and keeps the committed child's row. The completion suffix advances the
-    row one action at a time (`_step`), a path step pricing every listed
-    path in one batch. `replay_cost` advances the root row through a plan
-    by the same step.
+    Each stage lists the row's best `branching` children as one level
+    (`_level`), looks ahead from them as one frontier (`_lookahead`) and
+    keeps the committed child's row and the tree below it (`_descend`),
+    whose first level is the next stage's children. The completion suffix
+    advances the row one action at a time (`_step`), a path step pricing
+    every listed path in one batch. `replay_cost` advances the root row
+    through a plan by the same step.
     """
 
     def __init__(self, state: SheetState, model: EffectivenessModel, cs: ConstraintSet,
@@ -298,39 +330,46 @@ def _step(search: _Search, front: _Frontier, actions) -> _Frontier:
     return replace(child, kinds=[front.kinds[0] + (action.kind,) for action in actions])
 
 
-def _level(search: _Search, front: _Frontier,
-           keep: int | None = None) -> tuple[_Frontier, np.ndarray, np.ndarray] | None:
-    """Every feasible child of every open row of a frontier: one propagate, one price.
+def _open(search: _Search, front: _Frontier) -> list[int]:
+    # the rows whose prefix is below the horizon and does not end in `end`
+    if len(front.kinds[0]) >= search.cfg.horizon:
+        return []
+    return [i for i, kinds in enumerate(front.kinds) if not kinds or kinds[-1] != "end"]
 
-    A row is open when its prefix is below the horizon and does not end in
-    `end`. The children come grouped by parent row, in frontier order, each
-    group best one-step score first, ties to the lower candidate index; with
-    `keep`, only the first `keep` of each group. Returns the children, each
-    child's parent row and each child's candidate index, or None when no row
-    has a feasible child.
+
+def _level(search: _Search, front: _Frontier, keep: int) -> _Level:
+    """The best `keep` feasible children of each open row of a frontier: one propagate, one price.
+
+    Every feasible child is priced, so the level knows each parent's least
+    child utility, and ranked: best one-step score first, ties to the lower
+    candidate index. The children's kinds are left to `_named`.
     """
-    position = len(front.kinds[0]) + 1
-    open_rows = ([i for i, kinds in enumerate(front.kinds) if not kinds or kinds[-1] != "end"]
-                 if position <= search.cfg.horizon else [])
+    open_rows = _open(search, front)
     search.stats.nodes_expanded += len(open_rows)
     mask = np.zeros((len(front.kinds), len(search.kinds)), dtype=bool)
     for i in open_rows:
         mask[i] = search.feasible(front.kinds[i])
     parents, which = np.nonzero(mask)
+    least = np.full(len(front.kinds), math.inf)
     if not len(parents):
-        return None
+        return _Level(front.take(parents), parents, which, least)
     children = _advance(search, front, parents, which, _live(front.count)[parents])
+    np.minimum.at(least, parents, children.utility)
     order = np.lexsort((which, children.score, parents))
-    if keep is not None:
-        grouped = parents[order]
-        order = order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < keep]
-    parents, which = parents[order], which[order]
+    grouped = parents[order]
+    order = order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < keep]
+    return _Level(children.take(order), parents[order], which[order], least)
+
+
+def _named(search: _Search, front: _Frontier, level: _Level) -> _Level:
+    # the level with each row's prefix kinds: its parent's in `front` plus its own
     kinds = [front.kinds[p] + (search.kinds[c],)
-             for p, c in zip(parents.tolist(), which.tolist())]
-    return children.take(order, kinds), parents, which
+             for p, c in zip(level.parents.tolist(), level.which.tolist())]
+    return replace(level, rows=replace(level.rows, kinds=kinds))
 
 
-def _lookahead(search: _Search, front: _Frontier) -> np.ndarray:
+def _lookahead(search: _Search, front: _Frontier,
+               levels: tuple | list[_Level] = ()) -> tuple[np.ndarray, list[_Level]]:
     """Cheapest (accumulated cost + utility) among the leaves of each row's subtree.
 
     The subtree of each frontier row keeps the best `branching` children of
@@ -339,21 +378,58 @@ def _lookahead(search: _Search, front: _Frontier) -> np.ndarray:
     searched together, level by level: each level's nodes, whatever row they
     descend from, are array rows, propagated and priced with all their
     feasible candidates in one batch, and each remembers the row it descends
-    from (`origin`). Returns one value per frontier row.
+    from (`origin`).
+
+    `levels` are the first levels of the tree, kept from the previous step
+    (`_descend`), or none; only the levels below them are priced, and an
+    empty kept level ends the tree where it ends. Returns one value per
+    frontier row and the tree's levels, all but the deepest with their kinds.
     """
+    depth, levels = search.cfg.depth, list(levels)
     origin = np.arange(len(front.cost))
     best = np.full(len(front.cost), math.inf)
-    for _ in range(search.cfg.depth):
-        level = _level(search, front, keep=search.cfg.branching)
-        if level is None:
+    for d in range(depth):
+        if d < len(levels):
+            search.stats.nodes_reused += len(_open(search, front))
+            level = levels[d]
+        else:
+            level = _level(search, front, search.cfg.branching)
+            if d + 1 < depth:  # its rows are expanded next
+                level = _named(search, front, level)
+            levels.append(level)
+        if not len(level.parents):
             break
-        children, parents, _ = level
         leaf = np.ones(len(front.cost), dtype=bool)
-        leaf[parents] = False  # a row without a feasible child is a leaf
+        leaf[level.parents] = False  # a row without a feasible child is a leaf
         np.minimum.at(best, origin[leaf], front.cost[leaf] + front.utility[leaf])
-        front, origin = children, origin[parents]
+        front, origin = level.rows, origin[level.parents]
     np.minimum.at(best, origin, front.cost + front.utility)
-    return best
+    return best, levels
+
+
+def _descend(search: _Search, front: _Frontier, levels: list[_Level], i: int) -> list[_Level]:
+    """The tree below candidate i, once it is committed as the row `front`.
+
+    `levels` are the lookahead levels below a step's candidates. Each is cut
+    to the rows that descend from candidate i, one contiguous range found by
+    `searchsorted`, as copies, with the parents renumbered into the cut
+    above; the cut of the deepest level gets its kinds. The first cut is
+    the committed row's children, the rest are lookahead levels for the
+    next step. The cuts end at the first empty one.
+    """
+    lo, hi, above, cuts = i, i + 1, front, []
+    for level in levels:
+        a, b = np.searchsorted(level.parents, (lo, hi)).tolist()
+        rows = np.arange(a, b)
+        cut = _Level(level.rows.take(rows), level.parents[rows] - lo, level.which[rows],
+                     level.least[lo:hi].copy())
+        if cut.rows.kinds is None:
+            cut = _named(search, above, cut)
+        cuts.append(cut)
+        if a == b:
+            break
+        lo, hi, above = a, b, cut.rows
+    return cuts
 
 
 def _suffix_step(search: _Search, kind: str, front: _Frontier) -> tuple[_Frontier, Action]:
@@ -409,23 +485,27 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
         raise SearchError("constraints admit no plan at all within the horizon")
 
     search = _Search(initial, model, cs, cfg, stats)
-    front, prefix = search.root, ()
+    front, prefix, levels = search.root, (), []
     audit: list[dict] = []
     while not prefix or prefix[-1].kind != "end":
-        level = _level(search, front)
-        if level is None or (front.utility[0] - level[0].utility).max() < cfg.epsilon_conv:
+        if levels:  # the committed row's children, kept from the last step's tree
+            stats.nodes_reused += len(_open(search, front))
+            level, levels = levels[0], levels[1:]
+        else:
+            level = _named(search, front, _level(search, front, cfg.branching))
+        if not len(level.parents) or front.utility[0] - level.least[0] < cfg.epsilon_conv:
             front, prefix = _complete(search, front, prefix, audit)
             break
-        children, _, which = level
-        which = which.tolist()
+        children, which = level.rows, level.which.tolist()
         live = int(_live(front.count[0]))
         actions = [search.action(c, live) for c in which]
         # one lookahead frontier of the best `branching` children
-        top = range(min(cfg.branching, len(actions)))
-        values = _lookahead(search, children.take(top, children.kinds[:len(top)])).tolist()
-        ranked = sorted(zip(values, top), key=lambda t: (t[0], which[t[1]]))
+        values, levels = _lookahead(search, children, levels)
+        ranked = sorted(zip(values.tolist(), range(len(which))),
+                        key=lambda t: (t[0], which[t[1]]))
         value, i = ranked[0]
         front, prefix = children.row(i), prefix + (actions[i],)
+        levels = _descend(search, front, levels, i)
         audit.append({"step": len(prefix), "action": str(actions[i]),
                       "score": float(children.score[i]), "lookahead": value,
                       "alternatives": [[str(actions[j]), float(children.score[j]), float(v)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from layup.effectiveness import EffectivenessModel, EffectTable, bucket_row, propagate_rows
-from layup.search import SearchStats, _Search, _level, _live, _lookahead, price_batch
+from layup.search import SearchStats, _Search, _level, _live, _lookahead, _named, price_batch
 from layup.sheet_state import SheetGeometry, SheetState
 from layup.simulator import SUMMARY_FIELDS
 
@@ -114,14 +114,12 @@ def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
     sectors, and its one-step `score`.
     """
     search = _Search(state, model, cs, cfg, SearchStats())
-    level = _level(search, root_row(search, prefix))
-    if level is None:
-        return []
-    rows, _, which = level
+    root = root_row(search, prefix)
+    level = _named(search, root, _level(search, root, keep=len(search.actions)))
     live = int(_live(state.count))
-    return [SimpleNamespace(action=search.action(c, live), state=search.state(rows, i),
-                            score=float(rows.score[i]))
-            for i, c in enumerate(which.tolist())]
+    return [SimpleNamespace(action=search.action(c, live), state=search.state(level.rows, i),
+                            score=float(level.rows.score[i]))
+            for i, c in enumerate(level.which.tolist())]
 
 
 def lookahead(state: SheetState, model, cs, cfg, depth=None, prefix=(), cost: float = 0.0,
@@ -130,7 +128,7 @@ def lookahead(state: SheetState, model, cs, cfg, depth=None, prefix=(), cost: fl
     default: the one row's value, as a float."""
     cfg = cfg if depth is None else replace(cfg, depth=depth)
     search = _Search(state, model, cs, cfg, stats if stats is not None else SearchStats())
-    return float(_lookahead(search, root_row(search, prefix, cost))[0])
+    return float(_lookahead(search, root_row(search, prefix, cost))[0][0])
 
 
 def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:

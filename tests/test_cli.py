@@ -183,7 +183,8 @@ class TestRefine:
         audit = json.loads(sidecar.read_text())
         assert audit["steps"]
         counts = audit["search"]
-        assert set(counts) == {"nodes_expanded", "children_priced", "batch_calls"}
+        assert set(counts) == {"nodes_expanded", "children_priced", "batch_calls",
+                               "nodes_reused"}
         assert all(type(v) is int and v > 0 for v in counts.values())
         assert counts["children_priced"] >= counts["batch_calls"]
 

@@ -30,9 +30,9 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet, Drap
                         expert_plan, initial_plan_constraints, next_kinds, outstanding,
                         parse_plan_text, path, peel, prefix_feasible, refinement,
                         standard_constraints, validate)
-from layup.search import (SearchConfig, SearchError, SearchStats, _Frontier, _lookahead,
-                          _sample_seed, _Search, _step, price_batch, refine_plan_detailed,
-                          replay_cost)
+from layup.search import (SearchConfig, SearchError, SearchStats, _descend, _Frontier,
+                          _level, _lookahead, _named, _sample_seed, _Search, _step, price_batch,
+                          refine_plan_detailed, replay_cost)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
                                _link_pairs, average_states, build_state, extract_regions,
                                read_capture_frames, segment_regions, write_capture_frames)
@@ -860,11 +860,18 @@ def oracle_priced(node: OracleNode, actions, model, cfg) -> list[OracleNode]:
     return children
 
 
-def oracle_children(node: OracleNode, model, cs, cfg) -> list[OracleNode]:
+def oracle_children(node: OracleNode, model, cs, cfg, memo=None) -> list[OracleNode]:
     """Every feasible child of one node, best one-step score first: the search's
-    expansion before it went level by level."""
+    expansion before it went level by level.
+
+    With a `memo` (a dict by action prefix, for one search) a node expanded
+    before returns its children again, counted as reused, not as expanded.
+    """
     if node.terminal or len(node.prefix) >= cfg.horizon:
         return []
+    if memo is not None and node.prefix in memo:
+        node.stats.nodes_reused += 1
+        return memo[node.prefix]
     kinds = tuple(a.kind for a in node.prefix)
     feasible = next_kinds(kinds, cs, cfg.horizon)
     if outstanding(kinds + ("end",), cs) != {}:  # end is terminal: it must complete the plan
@@ -875,24 +882,30 @@ def oracle_children(node: OracleNode, model, cs, cfg) -> list[OracleNode]:
                   + [peel(), capture(), refinement(live), end()])
     out = oracle_priced(node, [a for a in candidates if a.kind in feasible], model, cfg)
     out.sort(key=lambda c: (c.score, oracle_order(c.prefix[-1])))
+    if memo is not None:
+        memo[node.prefix] = out
     return out
 
 
-def oracle_lookahead_value(node: OracleNode, model, cs, cfg, depth: int) -> float:
+def oracle_lookahead_value(node: OracleNode, model, cs, cfg, depth: int, memo=None) -> float:
     """The recursive lookahead: one expansion per node, the minimum over the leaves."""
-    children = oracle_children(node, model, cs, cfg)[:cfg.branching] if depth > 0 else []
+    children = oracle_children(node, model, cs, cfg, memo)[:cfg.branching] if depth > 0 else []
     if not children:
         return node.cost + node.utility
-    return min(oracle_lookahead_value(c, model, cs, cfg, depth - 1) for c in children)
+    return min(oracle_lookahead_value(c, model, cs, cfg, depth - 1, memo) for c in children)
 
 
 def oracle_refine(initial: WholeState, model, cs, cfg) -> tuple[tuple, list, SearchStats]:
-    """`refine_plan_detailed` on the recursive lookahead: the actions, audit and counts."""
-    stats = SearchStats()
+    """`refine_plan_detailed` on the recursive lookahead: the actions, audit and counts.
+
+    Its expansions are memoized by prefix for the one search, so the counts
+    are the distinct work, and a node expanded again is counted as reused.
+    """
+    stats, memo = SearchStats(), {}
     node = oracle_root(initial, cfg, stats)
     audit = []
     while not node.terminal:
-        children = oracle_children(node, model, cs, cfg)
+        children = oracle_children(node, model, cs, cfg, memo)
         if not children or max(node.utility - c.utility for c in children) < cfg.epsilon_conv:
             kinds = tuple(a.kind for a in node.prefix)
             suffix = completion(kinds, cs, cfg.horizon - len(kinds))
@@ -911,7 +924,7 @@ def oracle_refine(initial: WholeState, model, cs, cfg) -> tuple[tuple, list, Sea
                               "mode": "suffix", "cost": node.cost})
             break
         top = children[:cfg.branching]
-        values = [oracle_lookahead_value(c, model, cs, cfg, cfg.depth) for c in top]
+        values = [oracle_lookahead_value(c, model, cs, cfg, cfg.depth, memo) for c in top]
         ranked = sorted(zip(values, top), key=lambda t: (t[0], oracle_order(t[1].prefix[-1])))
         value, node = ranked[0]
         audit.append({"step": len(node.prefix), "action": str(node.prefix[-1]),
@@ -956,8 +969,8 @@ def search_cases(draw):
     return state, model, cs, cfg
 
 
-def work_counts(stats: SearchStats) -> tuple[int, int]:
-    return stats.nodes_expanded, stats.children_priced
+def work_counts(stats: SearchStats) -> tuple[int, int, int]:
+    return stats.nodes_expanded, stats.children_priced, stats.nodes_reused
 
 
 @settings(max_examples=150, deadline=None)
@@ -1022,11 +1035,80 @@ def test_batched_lookahead_matches_the_recursive_oracle_row_by_row(frontier):
         want_nodes.append(replace(node, stats=want_stats))
     front, stats = stacked(rows), SearchStats()
     for depth in sorted({0, cfg.depth}):
-        got = _lookahead(_Search(state.sheet, model, cs, replace(cfg, depth=depth), stats),
-                         front)
+        got, _ = _lookahead(_Search(state.sheet, model, cs, replace(cfg, depth=depth), stats),
+                            front)
         want = [oracle_lookahead_value(node, model, cs, cfg, depth) for node in want_nodes]
         assert [value.hex() for value in got.tolist()] == [value.hex() for value in want]
         assert work_counts(stats) == work_counts(want_stats)
+
+
+def tree_bytes(levels) -> list:
+    """Every array of each level as (shape, dtype, bytes), and the rows' kinds."""
+    names = ("mu", "var", "count", "cost", "utility", "trace", "score")
+    return [([(a.shape, a.dtype.str, a.tobytes())
+              for a in (level.parents, level.which, level.least,
+                        *(getattr(level.rows, name) for name in names))],
+             level.rows.kinds)
+            for level in levels]
+
+
+END_ANYWHERE = ConstraintSet(abs=(AbsConstraint("end", ">", 0),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=search_cases(), prefix=st.lists(st.sampled_from(BATCH_ACTIONS), max_size=3))
+@example(case=SENTINEL_ROOT + (standard_constraints(),
+                               replace(COMPACTION_CFG, depth=0, mode="sampled", seed=3)),
+         prefix=[])
+@example(case=COLLAPSING + (standard_constraints(), replace(COMPACTION_CFG, branching=1, depth=1)),
+         prefix=[])
+@example(case=STALE_ROOT + (ConstraintSet(), replace(COMPACTION_CFG, depth=2, mode="sampled",
+                                                     seed=3)),
+         prefix=[path(1)])
+@example(case=STALE_ROOT + (standard_constraints(), COMPACTION_CFG), prefix=[])
+# the least child utility is not the best-scoring child's
+@example(case=COLLAPSING + (END_ANYWHERE, replace(COMPACTION_CFG, branching=1, depth=4,
+                                                  mode="sampled", seed=3)),
+         prefix=[])
+# rows closed by end at every level, and by the horizon below the second
+@example(case=STALE_ROOT + (END_ANYWHERE, replace(COMPACTION_CFG, horizon=4, depth=4)),
+         prefix=[peel()])
+def test_a_kept_tree_is_the_tree_a_fresh_lookahead_prices(case, prefix):
+    # after each possible commit, the cut levels and the lookahead that reads
+    # them equal a fresh lookahead from the committed row's children, bit for
+    # bit, and only the new levels are priced
+    state, model, cs, cfg = case
+    search = _Search(state.sheet, model, cs, cfg, SearchStats())
+    root = root_row(search, prefix)
+    level = _named(search, root, _level(search, root, cfg.branching))
+    # the stop test's least child utility is over every feasible child, kept or not
+    every = _level(search, root, len(search.actions))
+    assert level.least.tobytes() == every.rows.utility.min(initial=math.inf,
+                                                           keepdims=True).tobytes()
+    if not len(level.parents):
+        return
+    _, levels = _lookahead(search, level.rows)
+    for i in range(len(level.parents)):
+        row = level.rows.row(i)
+        kept = _descend(search, row, levels, i)
+        if cfg.depth == 0:
+            assert kept == []
+            continue
+        fresh_search = _Search(state.sheet, model, cs, cfg, SearchStats())
+        first = _named(fresh_search, row, _level(fresh_search, row, cfg.branching))
+        assert tree_bytes(kept[:1]) == tree_bytes([first])
+        if not len(first.parents):
+            continue
+        kept_stats, fresh_stats = SearchStats(), SearchStats()
+        got, got_levels = _lookahead(_Search(state.sheet, model, cs, cfg, kept_stats),
+                                     kept[0].rows, kept[1:])
+        want, want_levels = _lookahead(_Search(state.sheet, model, cs, cfg, fresh_stats),
+                                       first.rows)
+        assert got.tobytes() == want.tobytes()
+        assert tree_bytes(got_levels) == tree_bytes(want_levels)
+        assert (kept_stats.nodes_expanded + kept_stats.nodes_reused
+                == fresh_stats.nodes_expanded)
+        assert kept_stats.children_priced <= fresh_stats.children_priced
 
 
 @settings(max_examples=150, deadline=None)
@@ -1067,11 +1149,14 @@ def test_golden_refine_counts_match_the_recursive_oracle(mode):
     assert json.dumps(audit) == json.dumps(want_audit)
     assert work_counts(stats) == work_counts(want)
     assert stats.batch_calls < want.batch_calls  # one call per level, not per node
-    # a committed step: its children, then one level of all its lookaheads per
-    # depth; the stage that stops: its children; a suffix step: one call, all
-    # paths in it for a path (41 = 9 * 4 + 1 + 4 at expectation)
-    committed = sum(step["mode"] == "committed" for step in audit)
-    assert stats.batch_calls <= committed * (1 + cfg.depth) + 1 + len(audit) - committed
+    # one call per audit step, plus cfg.depth: the first committed step prices
+    # its children and all depth levels below them, a later one only its new
+    # deepest level; the stage that stops takes its children from the kept
+    # tree; a suffix step is one batch, all paths in it for a path
+    # (16 = 3 + 9 committed + 4 suffix at expectation)
+    assert stats.batch_calls == cfg.depth + len(audit)
+    if mode == "expectation":
+        assert (stats.batch_calls, stats.children_priced) == (16, 11347)
 
 
 def oracle_assign_sector(point, geom: SheetGeometry) -> int:
