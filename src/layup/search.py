@@ -26,12 +26,12 @@ candidate's lookahead value is the least cost plus utility of the leaves
 below it. The rows of a level share their prefix length, so a sampled-mode
 draw is seeded by (position, action) for every row alike.
 
-A step keeps the tree it priced. Committing a candidate cuts every level
-to the rows that descend from it, and the cut levels are the next step's
-candidates and all but the deepest of its lookahead levels, so each step
-after the first prices one new level. A row's propagation, price, score and
-ranking depend only on its prefix, so a kept row is the row a fresh
-lookahead would price, bit for bit.
+A step keeps the tree it priced (`_grow` reads the kept levels and prices
+the rest). Committing a candidate cuts every level to the rows that descend
+from it, and the cut levels are the next step's candidates and all but the
+deepest of its lookahead levels, so each step after the first prices one
+new level. A row's propagation, price, score and ranking depend only on its
+prefix, so a kept row is the row a fresh lookahead would price, bit for bit.
 """
 from __future__ import annotations
 
@@ -166,7 +166,7 @@ class _Frontier:
     mu: np.ndarray             # (N, n, 6) sector means
     var: np.ndarray            # (N, n, 2, 3) variances of both tracks
     count: np.ndarray          # (N, n) sample counts, 0 for a sentinel
-    kinds: list | None         # N tuples of prefix kinds; None until the rows are expanded
+    kinds: list | None         # N tuples of prefix kinds; None only in `_advance`'s raw rows
     cost: np.ndarray           # (N,)
     utility: np.ndarray        # (N,)
     trace: np.ndarray          # (N,)
@@ -193,7 +193,7 @@ class _Level:
     rows had a feasible child.
     """
 
-    rows: _Frontier            # kinds None until the rows are expanded (`_named`)
+    rows: _Frontier            # with their prefix kinds
     parents: np.ndarray        # (N,) each row's parent row in the frontier above
     which: np.ndarray          # (N,) each row's candidate index
     least: np.ndarray          # (P,) each parent's least child utility, inf for none
@@ -234,10 +234,10 @@ class _Search:
     on it.
 
     The committed path is one frontier row and the tuple of its actions.
-    Each stage lists the row's best `branching` children as one level
-    (`_level`), looks ahead from them as one frontier (`_lookahead`) and
-    keeps the committed child's row and the tree below it (`_descend`),
-    whose first level is the next stage's children. The completion suffix
+    Each stage grows the row's best `branching` children and the lookahead
+    levels below them (`_grow`), values the children (`_values`) and keeps
+    the committed child's row and the tree below it (`_descend`), whose
+    first level is the next stage's children. The completion suffix
     advances the row one action at a time (`_step`), a path step pricing
     every listed path in one batch. `replay_cost` advances the root row
     through a plan by the same step.
@@ -342,7 +342,7 @@ def _level(search: _Search, front: _Frontier, keep: int) -> _Level:
 
     Every feasible child is priced, so the level knows each parent's least
     child utility, and ranked: best one-step score first, ties to the lower
-    candidate index. The children's kinds are left to `_named`.
+    candidate index. The kept children get their prefix kinds.
     """
     open_rows = _open(search, front)
     search.stats.nodes_expanded += len(open_rows)
@@ -358,91 +358,84 @@ def _level(search: _Search, front: _Frontier, keep: int) -> _Level:
     order = np.lexsort((which, children.score, parents))
     grouped = parents[order]
     order = order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < keep]
-    return _Level(children.take(order), parents[order], which[order], least)
+    parents, which = parents[order], which[order]
+    kinds = [front.kinds[p] + (search.kinds[c],) for p, c in zip(parents.tolist(), which.tolist())]
+    return _Level(replace(children.take(order), kinds=kinds), parents, which, least)
 
 
-def _named(search: _Search, front: _Frontier, level: _Level) -> _Level:
-    # the level with each row's prefix kinds: its parent's in `front` plus its own
-    kinds = [front.kinds[p] + (search.kinds[c],)
-             for p, c in zip(level.parents.tolist(), level.which.tolist())]
-    return replace(level, rows=replace(level.rows, kinds=kinds))
+def _grow(search: _Search, front: _Frontier, kept: list[_Level], depth: int) -> list[_Level]:
+    """The first `depth` levels of the tree below a frontier's rows, ending at the first empty one.
 
-
-def _lookahead(search: _Search, front: _Frontier,
-               levels: tuple | list[_Level] = ()) -> tuple[np.ndarray, list[_Level]]:
-    """Cheapest (accumulated cost + utility) among the leaves of each row's subtree.
-
-    The subtree of each frontier row keeps the best `branching` children of
-    each node (as `_level` ranks them) down to cfg.depth levels; a leaf is a
-    node at that depth or one without a feasible child. All the subtrees are
-    searched together, level by level: each level's nodes, whatever row they
-    descend from, are array rows, propagated and priced with all their
-    feasible candidates in one batch, and each remembers the row it descends
-    from (`origin`).
-
-    `levels` are the first levels of the tree, kept from the previous step
-    (`_descend`), or none; only the levels below them are priced, and an
-    empty kept level ends the tree where it ends. Returns one value per
-    frontier row and the tree's levels, all but the deepest with their kinds.
+    Each level keeps the best `branching` children of each node of the
+    level above, as `_level` ranks them. `kept` are the first levels,
+    kept from the previous step (`_descend`), or none: their open parents
+    count as reused, and only the levels below them are priced. All the
+    subtrees are grown together, level by level: each level's nodes,
+    whatever row they descend from, are array rows, propagated and priced
+    with all their feasible candidates in one batch.
     """
-    depth, levels = search.cfg.depth, list(levels)
-    origin = np.arange(len(front.cost))
-    best = np.full(len(front.cost), math.inf)
+    levels = []
     for d in range(depth):
-        if d < len(levels):
+        if d < len(kept):
             search.stats.nodes_reused += len(_open(search, front))
-            level = levels[d]
+            level = kept[d]
         else:
             level = _level(search, front, search.cfg.branching)
-            if d + 1 < depth:  # its rows are expanded next
-                level = _named(search, front, level)
-            levels.append(level)
+        levels.append(level)
         if not len(level.parents):
             break
+        front = level.rows
+    return levels
+
+
+def _values(front: _Frontier, levels: list[_Level]) -> np.ndarray:
+    """Cheapest (accumulated cost + utility) among the leaves of each row's subtree.
+
+    `levels` are the tree below the frontier (`_grow`); a leaf is a node of
+    its deepest level or one without a feasible child. Each node remembers
+    the frontier row it descends from (`origin`).
+    """
+    origin = np.arange(len(front.cost))
+    best = np.full(len(front.cost), math.inf)
+    for level in levels:
         leaf = np.ones(len(front.cost), dtype=bool)
         leaf[level.parents] = False  # a row without a feasible child is a leaf
         np.minimum.at(best, origin[leaf], front.cost[leaf] + front.utility[leaf])
         front, origin = level.rows, origin[level.parents]
     np.minimum.at(best, origin, front.cost + front.utility)
-    return best, levels
+    return best
 
 
-def _descend(search: _Search, front: _Frontier, levels: list[_Level], i: int) -> list[_Level]:
-    """The tree below candidate i, once it is committed as the row `front`.
+def _descend(levels: list[_Level], i: int) -> list[_Level]:
+    """The tree below candidate i, once it is committed.
 
     `levels` are the lookahead levels below a step's candidates. Each is cut
     to the rows that descend from candidate i, one contiguous range found by
     `searchsorted`, as copies, with the parents renumbered into the cut
-    above; the cut of the deepest level gets its kinds. The first cut is
-    the committed row's children, the rest are lookahead levels for the
-    next step. The cuts end at the first empty one.
+    above. The first cut is the committed row's children, the rest are
+    lookahead levels for the next step. The cuts end at the first empty one.
     """
-    lo, hi, above, cuts = i, i + 1, front, []
+    lo, hi, cuts = i, i + 1, []
     for level in levels:
         a, b = np.searchsorted(level.parents, (lo, hi)).tolist()
         rows = np.arange(a, b)
-        cut = _Level(level.rows.take(rows), level.parents[rows] - lo, level.which[rows],
-                     level.least[lo:hi].copy())
-        if cut.rows.kinds is None:
-            cut = _named(search, above, cut)
-        cuts.append(cut)
+        cuts.append(_Level(level.rows.take(rows), level.parents[rows] - lo, level.which[rows],
+                           level.least[lo:hi].copy()))
         if a == b:
             break
-        lo, hi, above = a, b, cut.rows
+        lo, hi = a, b
     return cuts
 
 
 def _suffix_step(search: _Search, kind: str, front: _Frontier) -> tuple[_Frontier, Action]:
-    # the row advanced by one action of this kind, and the action; a path step
-    # prices every listed path in one batch (`_level` keeps a row after end
-    # closed) and takes the best-scoring one, ties to the lower index, as
-    # `_level` ranks them
-    if kind == "path":
-        actions = search.actions[:search.cfg.path_count]
-    elif kind == "refinement":
-        actions = [plan_mod.refinement(int(_live(front.count[0])))]
-    else:
-        actions = [Action(kind)]
+    # the row advanced by one action of this kind, and the action: the listed
+    # candidates of the kind, a refinement at the row's live sector count. A
+    # path step prices every listed path in one batch (`_level` keeps a row
+    # after end closed) and takes the best-scoring one, ties to the lower
+    # index, as `_level` ranks them
+    live = int(_live(front.count[0]))
+    actions = [search.action(c, live) for c in np.flatnonzero(search.listed)
+               if search.kinds[c] == kind]
     children = _step(search, front, actions)
     i = int(np.argmin(children.score))
     return children.row(i), actions[i]
@@ -485,27 +478,25 @@ def refine_plan_detailed(initial: SheetState, model: EffectivenessModel,
         raise SearchError("constraints admit no plan at all within the horizon")
 
     search = _Search(initial, model, cs, cfg, stats)
-    front, prefix, levels = search.root, (), []
+    front, prefix, tree = search.root, (), []
     audit: list[dict] = []
     while not prefix or prefix[-1].kind != "end":
-        if levels:  # the committed row's children, kept from the last step's tree
-            stats.nodes_reused += len(_open(search, front))
-            level, levels = levels[0], levels[1:]
-        else:
-            level = _named(search, front, _level(search, front, cfg.branching))
+        level = _grow(search, front, tree[:1], 1)[0]  # the committed row's children
         if not len(level.parents) or front.utility[0] - level.least[0] < cfg.epsilon_conv:
             front, prefix = _complete(search, front, prefix, audit)
             break
         children, which = level.rows, level.which.tolist()
         live = int(_live(front.count[0]))
         actions = [search.action(c, live) for c in which]
-        # one lookahead frontier of the best `branching` children
-        values, levels = _lookahead(search, children, levels)
+        # the lookahead levels below the best `branching` children, one frontier
+        # each; the step's tree goes when it is cut, so two are never held at once
+        tree = _grow(search, children, tree[1:], cfg.depth)
+        values = _values(children, tree)
         ranked = sorted(zip(values.tolist(), range(len(which))),
                         key=lambda t: (t[0], which[t[1]]))
         value, i = ranked[0]
         front, prefix = children.row(i), prefix + (actions[i],)
-        levels = _descend(search, front, levels, i)
+        tree = _descend(tree, i)
         audit.append({"step": len(prefix), "action": str(actions[i]),
                       "score": float(children.score[i]), "lookahead": value,
                       "alternatives": [[str(actions[j]), float(children.score[j]), float(v)]

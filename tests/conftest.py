@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from layup.effectiveness import EffectivenessModel, EffectTable, bucket_row, propagate_rows
-from layup.search import SearchStats, _Search, _level, _live, _lookahead, _named, price_batch
+from layup.search import SearchStats, _Search, _grow, _level, _live, _values, price_batch
 from layup.sheet_state import SheetGeometry, SheetState
 from layup.simulator import SUMMARY_FIELDS
 
@@ -115,7 +115,7 @@ def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
     """
     search = _Search(state, model, cs, cfg, SearchStats())
     root = root_row(search, prefix)
-    level = _named(search, root, _level(search, root, keep=len(search.actions)))
+    level = _level(search, root, keep=len(search.actions))
     live = int(_live(state.count))
     return [SimpleNamespace(action=search.action(c, live), state=search.state(level.rows, i),
                             score=float(level.rows.score[i]))
@@ -124,11 +124,12 @@ def children(state: SheetState, model, cs, cfg, prefix=()) -> list:
 
 def lookahead(state: SheetState, model, cs, cfg, depth=None, prefix=(), cost: float = 0.0,
               stats=None) -> float:
-    """`_lookahead` from the root row of `state` (see `root_row`), cfg.depth levels by
-    default: the one row's value, as a float."""
+    """The lookahead value of the root row of `state` (see `root_row`): `_values` of
+    the tree `_grow` prices below it, cfg.depth levels by default, as a float."""
     cfg = cfg if depth is None else replace(cfg, depth=depth)
     search = _Search(state, model, cs, cfg, stats if stats is not None else SearchStats())
-    return float(_lookahead(search, root_row(search, prefix, cost))[0][0])
+    root = root_row(search, prefix, cost)
+    return float(_values(root, _grow(search, root, [], cfg.depth))[0])
 
 
 def summary_record(sheet, plan, seed, cycles, corr, total) -> dict:

@@ -30,8 +30,8 @@ from layup.plan import (ACTION_KINDS, AbsConstraint, Action, ConstraintSet, Drap
                         expert_plan, initial_plan_constraints, next_kinds, outstanding,
                         parse_plan_text, path, peel, prefix_feasible, refinement,
                         standard_constraints, validate)
-from layup.search import (SearchConfig, SearchError, SearchStats, _descend, _Frontier,
-                          _level, _lookahead, _named, _sample_seed, _Search, _step, price_batch,
+from layup.search import (SearchConfig, SearchError, SearchStats, _descend, _Frontier, _grow,
+                          _level, _sample_seed, _Search, _step, _values, price_batch,
                           refine_plan_detailed, replay_cost)
 from layup.sheet_state import (CaptureFrame, SheetGeometry, SheetState,
                                _link_pairs, average_states, build_state, extract_regions,
@@ -973,15 +973,47 @@ def work_counts(stats: SearchStats) -> tuple[int, int, int]:
     return stats.nodes_expanded, stats.children_priced, stats.nodes_reused
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=search_cases(), prefix=st.lists(st.sampled_from(BATCH_ACTIONS), max_size=3))
-@example(case=STALE_ROOT + (standard_constraints(), COMPACTION_CFG), prefix=[])
-@example(case=STALE_ROOT + (ConstraintSet(), replace(COMPACTION_CFG, mode="sampled", seed=3)),
-         prefix=[path(1)])
-@example(case=SENTINEL_ROOT + (standard_constraints(), COMPACTION_CFG), prefix=[])
-@example(case=COLLAPSING + (standard_constraints(), replace(COMPACTION_CFG, depth=4)), prefix=[])
-def test_lookahead_value_matches_the_recursive_oracle(case, prefix):
+@st.composite
+def open_roots(draw):
+    """A search case and a prefix whose root row has a feasible child.
+
+    The prefix walks the kinds `_Search.feasible` allows, never `end`, and
+    stays shorter than cfg.horizon; a draw whose root is left without a
+    feasible child (mostly constraints that admit no first action) is
+    rejected.
+    """
+    case = draw(search_cases())
     state, model, cs, cfg = case
+    search, prefix = _Search(state.sheet, model, cs, cfg, SearchStats()), []
+    for _ in range(draw(st.integers(0, min(3, cfg.horizon - 1)))):
+        kinds = {search.kinds[c] for c in np.flatnonzero(search.feasible(
+            tuple(a.kind for a in prefix)))} - {"end"}
+        allowed = [a for a in BATCH_ACTIONS if a.kind in kinds]
+        if not allowed:
+            break
+        prefix.append(draw(st.sampled_from(allowed)))
+    assume(search.feasible(tuple(a.kind for a in prefix)).any())
+    return case, prefix
+
+
+# constraints that admit no plan, so no row has a feasible child
+NO_PLAN = ConstraintSet(abs=(AbsConstraint("peel", ">", 0), AbsConstraint("peel", "<", 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=open_roots())
+@example(root=(STALE_ROOT + (standard_constraints(), COMPACTION_CFG), []))
+@example(root=(STALE_ROOT + (ConstraintSet(), replace(COMPACTION_CFG, mode="sampled", seed=3)),
+               [path(1)]))
+@example(root=(SENTINEL_ROOT + (standard_constraints(), COMPACTION_CFG), []))
+@example(root=(COLLAPSING + (standard_constraints(), replace(COMPACTION_CFG, depth=4)), []))
+# a row closed by end, one at the horizon, one without a feasible child
+@example(root=(STALE_ROOT + (ConstraintSet(), COMPACTION_CFG), [path(1), end()]))
+@example(root=(STALE_ROOT + (ConstraintSet(), replace(COMPACTION_CFG, horizon=2)),
+               [path(1), peel()]))
+@example(root=(COLLAPSING + (NO_PLAN, COMPACTION_CFG), []))
+def test_lookahead_value_matches_the_recursive_oracle(root):
+    (state, model, cs, cfg), prefix = root
     stats, want_node = SearchStats(), oracle_root(state, cfg, SearchStats(), prefix)
     for depth in sorted({0, cfg.depth}):
         got = lookahead(state.sheet, model, cs, cfg, depth, prefix=prefix, stats=stats)
@@ -1035,8 +1067,8 @@ def test_batched_lookahead_matches_the_recursive_oracle_row_by_row(frontier):
         want_nodes.append(replace(node, stats=want_stats))
     front, stats = stacked(rows), SearchStats()
     for depth in sorted({0, cfg.depth}):
-        got, _ = _lookahead(_Search(state.sheet, model, cs, replace(cfg, depth=depth), stats),
-                            front)
+        search = _Search(state.sheet, model, cs, replace(cfg, depth=depth), stats)
+        got = _values(front, _grow(search, front, [], depth))
         want = [oracle_lookahead_value(node, model, cs, cfg, depth) for node in want_nodes]
         assert [value.hex() for value in got.tolist()] == [value.hex() for value in want]
         assert work_counts(stats) == work_counts(want_stats)
@@ -1056,56 +1088,58 @@ END_ANYWHERE = ConstraintSet(abs=(AbsConstraint("end", ">", 0),))
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=search_cases(), prefix=st.lists(st.sampled_from(BATCH_ACTIONS), max_size=3))
-@example(case=SENTINEL_ROOT + (standard_constraints(),
-                               replace(COMPACTION_CFG, depth=0, mode="sampled", seed=3)),
-         prefix=[])
-@example(case=COLLAPSING + (standard_constraints(), replace(COMPACTION_CFG, branching=1, depth=1)),
-         prefix=[])
-@example(case=STALE_ROOT + (ConstraintSet(), replace(COMPACTION_CFG, depth=2, mode="sampled",
-                                                     seed=3)),
-         prefix=[path(1)])
-@example(case=STALE_ROOT + (standard_constraints(), COMPACTION_CFG), prefix=[])
+@given(root=open_roots())
+@example(root=(SENTINEL_ROOT + (standard_constraints(),
+                                replace(COMPACTION_CFG, depth=0, mode="sampled", seed=3)), []))
+@example(root=(COLLAPSING + (standard_constraints(), replace(COMPACTION_CFG, branching=1,
+                                                             depth=1)), []))
+@example(root=(STALE_ROOT + (ConstraintSet(), replace(COMPACTION_CFG, depth=2, mode="sampled",
+                                                      seed=3)), [path(1)]))
+@example(root=(STALE_ROOT + (standard_constraints(), COMPACTION_CFG), []))
 # the least child utility is not the best-scoring child's
-@example(case=COLLAPSING + (END_ANYWHERE, replace(COMPACTION_CFG, branching=1, depth=4,
-                                                  mode="sampled", seed=3)),
-         prefix=[])
+@example(root=(COLLAPSING + (END_ANYWHERE, replace(COMPACTION_CFG, branching=1, depth=4,
+                                                   mode="sampled", seed=3)), []))
 # rows closed by end at every level, and by the horizon below the second
-@example(case=STALE_ROOT + (END_ANYWHERE, replace(COMPACTION_CFG, horizon=4, depth=4)),
-         prefix=[peel()])
-def test_a_kept_tree_is_the_tree_a_fresh_lookahead_prices(case, prefix):
-    # after each possible commit, the cut levels and the lookahead that reads
-    # them equal a fresh lookahead from the committed row's children, bit for
-    # bit, and only the new levels are priced
-    state, model, cs, cfg = case
+@example(root=(STALE_ROOT + (END_ANYWHERE, replace(COMPACTION_CFG, horizon=4, depth=4)),
+               [peel()]))
+# a root closed by end, one at the horizon, one without a feasible child
+@example(root=(STALE_ROOT + (ConstraintSet(), COMPACTION_CFG), [path(1), end()]))
+@example(root=(STALE_ROOT + (ConstraintSet(), replace(COMPACTION_CFG, horizon=2)),
+               [path(1), peel()]))
+@example(root=(COLLAPSING + (NO_PLAN, COMPACTION_CFG), []))
+def test_a_kept_tree_is_the_tree_a_fresh_lookahead_prices(root):
+    # after each possible commit, the cut levels and the tree grown from them
+    # equal a fresh tree grown from the committed row's children, values and
+    # kinds bit for bit, and only the new levels are priced
+    (state, model, cs, cfg), prefix = root
     search = _Search(state.sheet, model, cs, cfg, SearchStats())
-    root = root_row(search, prefix)
-    level = _named(search, root, _level(search, root, cfg.branching))
+    top = root_row(search, prefix)
+    level = _level(search, top, cfg.branching)
     # the stop test's least child utility is over every feasible child, kept or not
-    every = _level(search, root, len(search.actions))
+    every = _level(search, top, len(search.actions))
     assert level.least.tobytes() == every.rows.utility.min(initial=math.inf,
                                                            keepdims=True).tobytes()
     if not len(level.parents):
         return
-    _, levels = _lookahead(search, level.rows)
+    levels = _grow(search, level.rows, [], cfg.depth)
     for i in range(len(level.parents)):
         row = level.rows.row(i)
-        kept = _descend(search, row, levels, i)
+        kept = _descend(levels, i)
         if cfg.depth == 0:
             assert kept == []
             continue
         fresh_search = _Search(state.sheet, model, cs, cfg, SearchStats())
-        first = _named(fresh_search, row, _level(fresh_search, row, cfg.branching))
+        first = _level(fresh_search, row, cfg.branching)
         assert tree_bytes(kept[:1]) == tree_bytes([first])
         if not len(first.parents):
             continue
         kept_stats, fresh_stats = SearchStats(), SearchStats()
-        got, got_levels = _lookahead(_Search(state.sheet, model, cs, cfg, kept_stats),
-                                     kept[0].rows, kept[1:])
-        want, want_levels = _lookahead(_Search(state.sheet, model, cs, cfg, fresh_stats),
-                                       first.rows)
-        assert got.tobytes() == want.tobytes()
-        assert tree_bytes(got_levels) == tree_bytes(want_levels)
+        got = _grow(_Search(state.sheet, model, cs, cfg, kept_stats), kept[0].rows, kept[1:],
+                    cfg.depth)
+        want = _grow(_Search(state.sheet, model, cs, cfg, fresh_stats), first.rows, [],
+                     cfg.depth)
+        assert _values(kept[0].rows, got).tobytes() == _values(first.rows, want).tobytes()
+        assert tree_bytes(got) == tree_bytes(want)
         assert (kept_stats.nodes_expanded + kept_stats.nodes_reused
                 == fresh_stats.nodes_expanded)
         assert kept_stats.children_priced <= fresh_stats.children_priced
